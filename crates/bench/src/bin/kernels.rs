@@ -1,10 +1,9 @@
-//! Kernel + end-to-end perf baseline runner.
+//! Kernel perf baseline runner.
 //!
 //! Measures the hot matmul kernels (forward and backward) serial vs
-//! parallel, the f32x8 SIMD kernels against the `TIMEKD_SIMD=off` scalar
-//! fallback (`speedup_simd_vs_scalar`), a naive-kernel reference (the
-//! pre-optimisation triple loop with the `a_ik == 0.0` skip, kept here so
-//! the register-blocking win stays measurable), the int8-quantized
+//! parallel, a naive-kernel reference (the pre-optimisation triple loop
+//! with the `a_ik == 0.0` skip, kept here so the register-blocking win
+//! stays measurable), the int8-quantized
 //! compiled student against the f32 plan (accuracy-gated: the run exits
 //! non-zero if the quantized forecast drifts past the stated MSE bound),
 //! the fused attention kernel against the composed op
@@ -16,9 +15,9 @@
 //! multi-window training epoch), the batched multi-window training plan
 //! (per-window gradient lanes replayed data-parallel with a pinned
 //! window-order reduction) against the serial per-window planned epoch,
-//! and teacher/student epoch times, then emits a
-//! machine-readable `BENCH_<unix-seconds>.json` at the repo root so the
-//! perf trajectory is tracked across PRs.
+//! and the serve-load section, then emits a machine-readable
+//! `BENCH_<unix-seconds>.json` at the repo root so the perf trajectory is
+//! tracked across PRs.
 //!
 //! Usage:
 //!
@@ -45,17 +44,14 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use timekd::{
     compile_student_training_plan_batched, trace_student_loss, PlannedStudent, PlannedTrainer,
-    QuantizedStudent, Student, TimeKd, TimeKdConfig,
+    QuantizedStudent, Student, TimeKdConfig,
 };
 use timekd_bench::{
-    json::Json, run_windows, timekd_config, validate_kernel_bench, validate_trace_coverage,
-    validate_trace_report, Profile, SharedLm,
+    json::Json, validate_kernel_bench, validate_trace_coverage, validate_trace_report, Profile,
 };
-use timekd_data::{DatasetKind, SplitDataset};
-use timekd_lm::LmSize;
 use timekd_nn::{smooth_l1_loss, AdamW, AdamWConfig, Module};
 use timekd_tensor::parallel::{configured_threads, with_threads};
-use timekd_tensor::{no_grad, seeded_rng, with_simd, BatchTrainExecutor, PlanOptimizer, Tensor};
+use timekd_tensor::{no_grad, seeded_rng, BatchTrainExecutor, PlanOptimizer, Tensor};
 
 /// Minimum wall time of `f` in milliseconds over `iters` runs (after one
 /// warmup run). Minimum, not mean: scheduling noise only ever adds time.
@@ -288,8 +284,7 @@ fn bench_attention_shape(spec: &AttnShapeSpec) -> Json {
     // Training step: forward + backward through the merged context — the
     // per-layer hot path (every attention layer trains through its
     // context; the map is trained through only at the last student layer
-    // by correlation distillation, and that mixed cost is what the
-    // end-to-end epoch rows measure).
+    // by correlation distillation).
     let fused_train_ms = time_min_ms(iters, || {
         let q = Tensor::param(q0.clone(), [heads, tq, dh]);
         let k = Tensor::param(k0.clone(), [heads, tk, dh]);
@@ -352,12 +347,6 @@ fn bench_shape(spec: &ShapeSpec, threads: usize) -> Json {
     let fwd = |_: ()| no_grad(|| std::hint::black_box(&a).matmul(std::hint::black_box(&b)));
     let serial_ms = with_threads(1, || time_min_ms(iters, || drop(fwd(()))));
     let parallel_ms = with_threads(threads, || time_min_ms(iters, || drop(fwd(()))));
-    // Scalar-fallback reference (`TIMEKD_SIMD=off`): same serial path
-    // through the pre-SIMD 4-wide kernels, so `speedup_simd_vs_scalar`
-    // isolates what the f32x8 microkernels buy.
-    let serial_scalar_ms = with_simd(false, || {
-        with_threads(1, || time_min_ms(iters, || drop(fwd(()))))
-    });
 
     // Naive reference runs on the raw buffers (per batch for 3-D shapes).
     let (av, bv) = (a.to_vec(), b.to_vec());
@@ -406,11 +395,6 @@ fn bench_shape(spec: &ShapeSpec, threads: usize) -> Json {
         ("n", Json::num(n as f64)),
         ("iters", Json::num(f64::from(iters))),
         ("serial_ms", Json::num(serial_ms)),
-        ("serial_scalar_ms", Json::num(serial_scalar_ms)),
-        (
-            "speedup_simd_vs_scalar",
-            Json::num(serial_scalar_ms / serial_ms),
-        ),
         ("parallel_ms", Json::num(parallel_ms)),
         ("speedup_parallel", Json::num(serial_ms / parallel_ms)),
         ("gflops_serial", Json::num(gflops(serial_ms))),
@@ -422,74 +406,6 @@ fn bench_shape(spec: &ShapeSpec, threads: usize) -> Json {
         (
             "speedup_grad_parallel",
             Json::num(grad_serial_ms / grad_parallel_ms),
-        ),
-    ])
-}
-
-/// Teacher (Alg. 1) and student (Alg. 2) epoch wall time, serial vs
-/// parallel, on a small synthetic ETTh1 setup. One untimed warmup epoch
-/// per algorithm first, so the frozen-LM prompt cache is hot and both
-/// timed passes measure the same (cached) work.
-fn bench_end_to_end(quick: bool, threads: usize) -> Json {
-    let profile = if quick {
-        Profile::quick()
-    } else {
-        Profile::full()
-    };
-    let shared = SharedLm::pretrain_with_steps(LmSize::Base, 120);
-    let (input_len, horizon) = (48, 24);
-    let ds = SplitDataset::new(DatasetKind::EttH1, 600, 7, input_len, horizon);
-    let cfg = timekd_config(&profile, &shared, DatasetKind::EttH1.freq_minutes());
-    let mut model = TimeKd::with_frozen_lm(
-        shared.frozen.clone(),
-        shared.tokenizer.clone(),
-        cfg,
-        input_len,
-        horizon,
-        ds.num_vars(),
-    );
-    let mut windows = run_windows(&ds, &profile, 1.0).train;
-    windows.truncate(if quick { 4 } else { 8 });
-
-    // Warmup: populates the frozen-LM embedding cache.
-    let _ = model.train_teacher_epoch(&windows);
-    let _ = model.train_student_epoch(&windows);
-
-    let teacher_serial_ms = with_threads(1, || {
-        time_min_ms(1, || {
-            let _ = model.train_teacher_epoch(&windows);
-        })
-    });
-    let teacher_parallel_ms = with_threads(threads, || {
-        time_min_ms(1, || {
-            let _ = model.train_teacher_epoch(&windows);
-        })
-    });
-    let student_serial_ms = with_threads(1, || {
-        time_min_ms(1, || {
-            let _ = model.train_student_epoch(&windows);
-        })
-    });
-    let student_parallel_ms = with_threads(threads, || {
-        time_min_ms(1, || {
-            let _ = model.train_student_epoch(&windows);
-        })
-    });
-
-    Json::obj(vec![
-        ("dataset", Json::str("ETTh1-synthetic")),
-        ("train_windows", Json::num(windows.len() as f64)),
-        ("teacher_epoch_serial_ms", Json::num(teacher_serial_ms)),
-        ("teacher_epoch_parallel_ms", Json::num(teacher_parallel_ms)),
-        (
-            "speedup_teacher",
-            Json::num(teacher_serial_ms / teacher_parallel_ms),
-        ),
-        ("student_epoch_serial_ms", Json::num(student_serial_ms)),
-        ("student_epoch_parallel_ms", Json::num(student_parallel_ms)),
-        (
-            "speedup_student",
-            Json::num(student_serial_ms / student_parallel_ms),
         ),
     ])
 }
@@ -1113,18 +1029,6 @@ fn main() {
         }
     }
 
-    println!("  end-to-end teacher/student epochs …");
-    let end_to_end = bench_end_to_end(quick, threads);
-    for key in ["speedup_teacher", "speedup_student"] {
-        println!(
-            "    {key}: x{:.2}",
-            end_to_end
-                .get(key)
-                .and_then(Json::as_num)
-                .unwrap_or(f64::NAN)
-        );
-    }
-
     println!("  forecast serving load harness …");
     let serve_spec = if quick {
         timekd_bench::ServeLoadSpec::quick()
@@ -1155,7 +1059,7 @@ fn main() {
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let doc = Json::obj(vec![
-        ("schema", Json::str("timekd-kernel-bench/v7")),
+        ("schema", Json::str("timekd-kernel-bench/v8")),
         ("created_unix_s", Json::num(created as f64)),
         ("quick", Json::Bool(quick)),
         (
@@ -1184,6 +1088,11 @@ fn main() {
                      quantiles are read back from the server's own /metrics histograms, \
                      not measured client-side",
                 ),
+                Json::str(
+                    "v8: the kernels rows drop the scalar-fallback columns (the kernels have \
+                     one pinned reduction order), and the end_to_end serial-vs-parallel \
+                     epoch section is gone (it measured nothing on a 1-core host)",
+                ),
             ]),
         ),
         (
@@ -1199,7 +1108,6 @@ fn main() {
         ("planned_training", planned_training),
         ("quantized_student", quantized_student),
         ("batched_training", Json::Arr(batched_training)),
-        ("end_to_end", end_to_end),
         ("serving", serving),
     ]);
     if let Err(problems) = validate_kernel_bench(&doc) {

@@ -7,7 +7,7 @@
 //! Boots a real `timekd-serve` server on an ephemeral loopback port,
 //! publishes a seeded student into a throwaway registry, drives it with
 //! closed-loop client threads, and prints the `serving` section of the
-//! `timekd-kernel-bench/v7` schema (the kernels runner embeds the same
+//! `timekd-kernel-bench/v8` schema (the kernels runner embeds the same
 //! section into `BENCH_*.json`). Exits non-zero if any request errored.
 
 use timekd_bench::{run_serve_load, Json, Profile, ServeLoadSpec};

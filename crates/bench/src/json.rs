@@ -7,7 +7,7 @@
 
 pub use timekd_obs::json::Json;
 
-/// Checks a parsed document against the `timekd-kernel-bench/v7` schema
+/// Checks a parsed document against the `timekd-kernel-bench/v8` schema
 /// emitted by `cargo run -p timekd-bench --bin kernels`. Returns every
 /// problem found (not just the first) so a broken baseline is diagnosable
 /// in one pass.
@@ -21,16 +21,6 @@ pub fn validate_kernel_bench(doc: &Json) -> Result<(), Vec<String>> {
     need_num("created_unix_s");
     need_num("threads.configured");
     need_num("threads.available");
-    for key in [
-        "teacher_epoch_serial_ms",
-        "teacher_epoch_parallel_ms",
-        "speedup_teacher",
-        "student_epoch_serial_ms",
-        "student_epoch_parallel_ms",
-        "speedup_student",
-    ] {
-        need_num(&format!("end_to_end.{key}"));
-    }
 
     // v3: the planned-vs-dynamic student predict section. A missing
     // section reports one `missing key` problem per expected field.
@@ -155,9 +145,9 @@ pub fn validate_kernel_bench(doc: &Json) -> Result<(), Vec<String>> {
     }
 
     match doc.get("schema").map(Json::as_str) {
-        Some(Some("timekd-kernel-bench/v7")) => {}
+        Some(Some("timekd-kernel-bench/v8")) => {}
         Some(other) => problems.push(format!(
-            "`schema` must be \"timekd-kernel-bench/v7\", got {other:?}"
+            "`schema` must be \"timekd-kernel-bench/v8\", got {other:?}"
         )),
         None => problems.push("missing key `schema`".to_string()),
     }
@@ -192,8 +182,6 @@ pub fn validate_kernel_bench(doc: &Json) -> Result<(), Vec<String>> {
                     "batch",
                     "iters",
                     "serial_ms",
-                    "serial_scalar_ms",
-                    "speedup_simd_vs_scalar",
                     "parallel_ms",
                     "speedup_parallel",
                     "gflops_serial",
@@ -268,8 +256,6 @@ mod tests {
             "batch",
             "iters",
             "serial_ms",
-            "serial_scalar_ms",
-            "speedup_simd_vs_scalar",
             "parallel_ms",
             "speedup_parallel",
             "gflops_serial",
@@ -384,7 +370,7 @@ mod tests {
         let serving_row: Vec<(&str, Json)> =
             serving_keys.iter().map(|k| (*k, Json::num(1.0))).collect();
         Json::obj(vec![
-            ("schema", Json::str("timekd-kernel-bench/v7")),
+            ("schema", Json::str("timekd-kernel-bench/v8")),
             (
                 "notes",
                 Json::Arr(vec![Json::str("partition-granularity fix")]),
@@ -405,17 +391,6 @@ mod tests {
             ("quantized_student", Json::obj(quant_row)),
             ("batched_training", Json::Arr(vec![Json::obj(batched_row)])),
             ("serving", Json::obj(serving_row)),
-            (
-                "end_to_end",
-                Json::obj(vec![
-                    ("teacher_epoch_serial_ms", Json::num(10.0)),
-                    ("teacher_epoch_parallel_ms", Json::num(5.0)),
-                    ("speedup_teacher", Json::num(2.0)),
-                    ("student_epoch_serial_ms", Json::num(8.0)),
-                    ("student_epoch_parallel_ms", Json::num(4.0)),
-                    ("speedup_student", Json::num(2.0)),
-                ]),
-            ),
         ])
     }
 
@@ -428,7 +403,7 @@ mod tests {
     fn validator_reports_every_problem() {
         let mut doc = minimal_valid_doc();
         if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "schema" && k != "end_to_end" && k != "quick");
+            pairs.retain(|(k, _)| k != "schema" && k != "threads" && k != "quick");
             pairs.push(("quick".to_string(), Json::str("yes")));
         }
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
@@ -438,9 +413,7 @@ mod tests {
         );
         assert!(problems.iter().any(|p| p.contains("quick")), "{problems:?}");
         assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("end_to_end.speedup_teacher")),
+            problems.iter().any(|p| p.contains("threads.configured")),
             "{problems:?}"
         );
     }
@@ -583,13 +556,14 @@ mod tests {
 
     #[test]
     fn validator_rejects_stale_schema_strings() {
-        // The schema bump is load-bearing: an old v3..v6 baseline must be
+        // The schema bump is load-bearing: an old v3..v7 baseline must be
         // rejected by name even if it were otherwise field-complete.
         for stale in [
             "timekd-kernel-bench/v3",
             "timekd-kernel-bench/v4",
             "timekd-kernel-bench/v5",
             "timekd-kernel-bench/v6",
+            "timekd-kernel-bench/v7",
         ] {
             let mut doc = minimal_valid_doc();
             if let Json::Obj(pairs) = &mut doc {
@@ -599,7 +573,7 @@ mod tests {
             }
             let problems = validate_kernel_bench(&doc).expect_err("must fail");
             assert_eq!(problems.len(), 1, "{stale}: {problems:?}");
-            assert!(problems[0].contains("timekd-kernel-bench/v7"), "{stale}");
+            assert!(problems[0].contains("timekd-kernel-bench/v8"), "{stale}");
         }
     }
 
@@ -737,33 +711,6 @@ mod tests {
         }
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems, vec!["`notes[0]` must be a string".to_string()]);
-    }
-
-    #[test]
-    fn validator_rejects_incomplete_simd_kernel_row() {
-        // v5 gate on the per-shape rows: the simd-vs-scalar columns are
-        // mandatory, so a v4-era row fails by key name.
-        let mut doc = minimal_valid_doc();
-        if let Some(Json::Arr(rows)) = match &mut doc {
-            Json::Obj(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == "kernels")
-                .map(|(_, v)| v),
-            _ => None,
-        } {
-            if let Json::Obj(row) = &mut rows[0] {
-                row.retain(|(k, _)| k != "serial_scalar_ms" && k != "speedup_simd_vs_scalar");
-            }
-        }
-        let problems = validate_kernel_bench(&doc).expect_err("must fail");
-        assert_eq!(problems.len(), 2, "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("serial_scalar_ms")));
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("speedup_simd_vs_scalar")),
-            "{problems:?}"
-        );
     }
 
     #[test]

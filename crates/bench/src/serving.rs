@@ -2,7 +2,7 @@
 //! ephemeral port, publishes a seeded student into a throwaway registry,
 //! drives it with `K` closed-loop client threads over raw `TcpStream`s,
 //! and reports throughput, tail latency and micro-batch occupancy as the
-//! `serving` section of the `timekd-kernel-bench/v7` schema.
+//! `serving` section of the `timekd-kernel-bench/v8` schema.
 //!
 //! The latency quantiles are *not* measured client-side: the harness
 //! fetches `GET /metrics` over HTTP and reads the server's own

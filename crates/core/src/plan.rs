@@ -336,9 +336,7 @@ impl PlannedStudent {
 /// Forecasts are approximate — the quantized-vs-f32 MSE delta is gated in
 /// `timekd-bench` — but remain bitwise deterministic at any
 /// `TIMEKD_THREADS` setting: the integer accumulation is order-free, and
-/// the residual f32 steps keep one pinned reduction order per SIMD mode
-/// (the two `TIMEKD_SIMD` modes are separately pinned, like everywhere
-/// else in the workspace).
+/// the residual f32 steps keep the workspace's one pinned reduction order.
 #[derive(Debug)]
 pub struct QuantizedStudent {
     plan: Plan,
@@ -1086,32 +1084,21 @@ mod tests {
         let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
         let x = Tensor::randn([input_len, num_vars], 1.0, &mut rng);
         // The quantized matmuls are order-free (i32 accumulation); the
-        // remaining f32 steps (attention, RevIN) have one pinned order per
-        // SIMD mode. So forecasts are bitwise stable across threads within
-        // each mode, while the two modes may differ by float rounding.
-        for simd_on in [true, false] {
-            let base = timekd_tensor::with_simd(simd_on, || {
-                // Bind inside the override so the executor's resolved
-                // mode follows it.
-                QuantizedStudent::new(&student, &config)
-                    .unwrap()
-                    .predict(&x)
-                    .to_vec()
-            });
-            for threads in [1, 2, 5] {
-                let out = parallel::with_threads(threads, || {
-                    timekd_tensor::with_simd(simd_on, || {
-                        QuantizedStudent::new(&student, &config)
-                            .unwrap()
-                            .predict(&x)
-                            .to_vec()
-                    })
-                });
-                assert_eq!(
-                    out, base,
-                    "quantized forecast diverges at threads={threads} simd={simd_on}"
-                );
-            }
+        // remaining f32 steps (attention, RevIN) have one pinned order. So
+        // forecasts are bitwise stable across threads.
+        let predict = || {
+            QuantizedStudent::new(&student, &config)
+                .unwrap()
+                .predict(&x)
+                .to_vec()
+        };
+        let base = predict();
+        for threads in [1, 2, 5] {
+            let out = parallel::with_threads(threads, predict);
+            assert_eq!(
+                out, base,
+                "quantized forecast diverges at threads={threads}"
+            );
         }
     }
 

@@ -341,7 +341,10 @@ mod tests {
             ReadOutcome::Request(req) => assert!(!req.keep_alive, "1.0 default must be close"),
             other => panic!("expected request, got {other:?}"),
         }
-        match framed(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", 64) {
+        match framed(
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+            64,
+        ) {
             ReadOutcome::Request(req) => assert!(req.keep_alive, "explicit keep-alive honored"),
             other => panic!("expected request, got {other:?}"),
         }
@@ -355,7 +358,9 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let mut client = TcpStream::connect(addr).expect("connect");
-        client.write_all(b"POST /forecast HTTP/1.1\r\n").expect("write");
+        client
+            .write_all(b"POST /forecast HTTP/1.1\r\n")
+            .expect("write");
         client.flush().expect("flush");
         let (mut server_side, _) = listener.accept().expect("accept");
         server_side

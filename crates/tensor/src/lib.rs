@@ -18,10 +18,9 @@
 //!   out over a persistent worker pool ([`parallel`], sized by
 //!   `TIMEKD_THREADS`) while the graph itself stays single-threaded, and
 //!   parallel results are bitwise identical to serial ones;
-//! - explicit-width `f32x8` microkernels ([`simd`]) with a pinned
-//!   lane-blocked reduction order and a full scalar fallback
-//!   (`TIMEKD_SIMD=off`), plus an int8 per-column-absmax quantized matmul
-//!   path for student inference ([`QuantizedMatrix`]);
+//! - explicit-width `f32x8` microkernels ([`simd`]) with one pinned
+//!   lane-blocked reduction order, plus an int8 per-column-absmax
+//!   quantized matmul path for student inference ([`QuantizedMatrix`]);
 //! - seedable initialisers and finite-difference gradient-check utilities;
 //! - a compact binary tensor format for model checkpoints ([`io`]);
 //! - graph introspection and auditing ([`GraphAudit`]) plus an opt-in
@@ -81,7 +80,7 @@ pub use plan_batch::{BatchTrainExecutor, ReduceStep};
 pub use plan_train::{BwdStep, GradMode, PlanOptimizer, TrainExecutor, TrainSpec, UpdateStep};
 pub use rng::SeededRng;
 pub use shape::{IndexIter, Shape};
-pub use simd::{simd_enabled, with_simd, F32x8};
+pub use simd::F32x8;
 pub use symbolic::{
     find_path, graph_stats, reachable_params, render_dims, ShapeError, SymCtx, SymDim,
     SymGraphStats, SymbolicTensor,

@@ -48,13 +48,11 @@
 //! inside and every output element an independent sum, so the key split
 //! cannot change results.
 //!
-//! The length-`T_k` dot/axpy sweeps run in one of two pinned reduction
-//! orders selected by `TIMEKD_SIMD` (see [`crate::simd`]): the 8-lane
-//! fused-multiply-add blocking of [`simd::dot_lanes`]/[`simd::axpy_lanes`]
-//! by default, or the original 4-wide [`dot4`]/[`axpy`] kernels when off.
-//! The mode is resolved once per dispatch, before fan-out, so every task
-//! of a call reduces identically and thread-count invariance holds in
-//! both modes.
+//! The length-`T_k` dot/axpy sweeps are [`simd::dot_lanes`] and
+//! [`simd::axpy_lanes`], whose 8-lane fused-multiply-add blocking is the
+//! one pinned reduction order (see [`crate::simd`]), so every task of a
+//! call reduces identically at any thread count. The head panels are
+//! packed with the matmul kernels' cache-blocked transpose.
 //!
 //! Naming contract with `timekd-check`: functions ending in `_block` are
 //! per-block worker loops — no locks, no allocation, no I/O inside them.
@@ -63,6 +61,7 @@
 
 use std::rc::Rc;
 
+use crate::ops::matmul::pack_transpose_into;
 use crate::parallel;
 use crate::shape::Shape;
 use crate::simd;
@@ -82,76 +81,6 @@ fn worth_parallel(heads: usize, tq: usize, tk: usize, dh: usize) -> bool {
         .saturating_mul(tk)
         .saturating_mul(dh)
         >= PARALLEL_ATTN_CUTOFF
-}
-
-/// Fixed-order dot product: four independent lane accumulators combined
-/// as `(s0 + s1) + (s2 + s3)` plus a serial tail, exactly like the NT
-/// matmul kernel. Used for the length-`T_k` reductions (context rows,
-/// `dQ` rows, the `D` statistic); the combine order is fixed, so results
-/// do not depend on which thread runs the task.
-#[inline]
-fn dot4(a: &[f32], b: &[f32]) -> f32 {
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (ca, cb) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
-        s0 += ca[0] * cb[0];
-        s1 += ca[1] * cb[1];
-        s2 += ca[2] * cb[2];
-        s3 += ca[3] * cb[3];
-    }
-    let mut sum = (s0 + s1) + (s2 + s3);
-    let tail = a.len() - a.len() % 4;
-    for (&x, &y) in a[tail..].iter().zip(&b[tail..]) {
-        sum += x * y;
-    }
-    sum
-}
-
-/// Contiguous accumulate `dst[j] += a · x[j]`: the vector-friendly inner
-/// step of every packed-panel loop. Plain indexed form so the compiler
-/// can unroll and vectorize; summation stays element-independent, so
-/// results do not depend on how rows are partitioned across tasks.
-#[inline]
-fn axpy(dst: &mut [f32], a: f32, x: &[f32]) {
-    for (o, &xx) in dst.iter_mut().zip(x) {
-        *o += a * xx;
-    }
-}
-
-/// Mode-pinned dot product: [`simd::dot_lanes`] (8-lane fma blocking) in
-/// SIMD mode, [`dot4`] under `TIMEKD_SIMD=off`. The `simd` flag is
-/// resolved by the dispatcher before any fan-out, so every task of one
-/// attention call reduces in the same pinned order.
-#[inline(always)]
-fn dot_pinned(a: &[f32], b: &[f32], simd: bool) -> f32 {
-    if simd {
-        simd::dot_lanes(a, b)
-    } else {
-        dot4(a, b)
-    }
-}
-
-/// Mode-pinned axpy: one fused multiply-add per element in SIMD mode
-/// ([`simd::axpy_lanes`]), separate multiply and add under
-/// `TIMEKD_SIMD=off` ([`axpy`]). Element-independent either way; the two
-/// roundings are each internally deterministic.
-#[inline(always)]
-fn axpy_pinned(dst: &mut [f32], a: f32, x: &[f32], simd: bool) {
-    if simd {
-        simd::axpy_lanes(dst, a, x);
-    } else {
-        axpy(dst, a, x);
-    }
-}
-
-/// Copies an `[rows, dh]` head panel into `[dh, rows]` layout so inner
-/// loops traverse keys contiguously (one `axpy`/`dot4` of length `rows`
-/// per feature instead of `rows` short length-`dh` dots).
-fn pack_transpose(src: &[f32], dst: &mut [f32], rows: usize, dh: usize) {
-    for (j, row) in src.chunks_exact(dh).enumerate() {
-        for (d, &x) in row.iter().enumerate() {
-            dst[d * rows + j] = x;
-        }
-    }
 }
 
 /// Per-row softmax statistics saved by the forward pass and shared (via
@@ -221,13 +150,12 @@ pub(crate) fn attn_fwd_row_block(
     tk: usize,
     dh: usize,
     scale: f32,
-    simd: bool,
 ) {
     let d = heads * dh;
     let inv_heads = 1.0 / heads as f32;
     for h in 0..heads {
-        pack_transpose(&k[h * tk * dh..(h + 1) * tk * dh], kt, tk, dh);
-        pack_transpose(&v[h * tk * dh..(h + 1) * tk * dh], vt, tk, dh);
+        pack_transpose_into(&k[h * tk * dh..(h + 1) * tk * dh], kt, tk, dh);
+        pack_transpose_into(&v[h * tk * dh..(h + 1) * tk * dh], vt, tk, dh);
         for i in i0..i1 {
             let r = i - i0;
             let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
@@ -236,7 +164,7 @@ pub(crate) fn attn_fwd_row_block(
                 None => scores.fill(0.0),
             }
             for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
-                axpy_pinned(scores, scale * qd, kcol, simd);
+                simd::axpy_lanes(scores, scale * qd, kcol);
             }
             let mut mx = f32::NEG_INFINITY;
             for &s in scores.iter() {
@@ -253,15 +181,14 @@ pub(crate) fn attn_fwd_row_block(
             m_block[r * heads + h] = mx;
             l_block[r * heads + h] = denom;
             let inv = 1.0 / denom;
-            axpy_pinned(
+            simd::axpy_lanes(
                 &mut map_block[r * tk..(r + 1) * tk],
                 inv * inv_heads,
                 scores,
-                simd,
             );
             let out_head = &mut out_block[r * d + h * dh..r * d + (h + 1) * dh];
             for (o, vcol) in out_head.iter_mut().zip(vt.chunks_exact(tk)) {
-                *o = inv * dot_pinned(scores, vcol, simd);
+                *o = inv * simd::dot_lanes(scores, vcol);
             }
         }
     }
@@ -301,13 +228,12 @@ pub(crate) fn attn_bwd_dq_block(
     tk: usize,
     dh: usize,
     scale: f32,
-    simd: bool,
 ) {
     let d = heads * dh;
     let inv_heads = 1.0 / heads as f32;
-    pack_transpose(&k[h * tk * dh..(h + 1) * tk * dh], kt, tk, dh);
+    pack_transpose_into(&k[h * tk * dh..(h + 1) * tk * dh], kt, tk, dh);
     if g_out.is_some() {
-        pack_transpose(&v[h * tk * dh..(h + 1) * tk * dh], vt, tk, dh);
+        pack_transpose_into(&v[h * tk * dh..(h + 1) * tk * dh], vt, tk, dh);
     }
     for i in i0..i1 {
         let r = i - i0;
@@ -323,7 +249,7 @@ pub(crate) fn attn_bwd_dq_block(
             None => p_row.fill(0.0),
         }
         for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
-            axpy_pinned(p_row, scale * qd, kcol, simd);
+            simd::axpy_lanes(p_row, scale * qd, kcol);
         }
         for p in p_row.iter_mut() {
             *p = (*p - mx).exp() * inv;
@@ -334,7 +260,7 @@ pub(crate) fn attn_bwd_dq_block(
                 let g_head = &g[i * d + h * dh..i * d + (h + 1) * dh];
                 ds_row.fill(0.0);
                 for (vcol, &gd) in vt.chunks_exact(tk).zip(g_head) {
-                    axpy_pinned(ds_row, gd, vcol, simd);
+                    simd::axpy_lanes(ds_row, gd, vcol);
                 }
             }
             (None, Some(g)) => {
@@ -344,13 +270,13 @@ pub(crate) fn attn_bwd_dq_block(
             }
             (None, None) => ds_row.fill(0.0),
         }
-        let dsum = dot_pinned(p_row, ds_row, simd);
+        let dsum = simd::dot_lanes(p_row, ds_row);
         for (ds, &p) in ds_row.iter_mut().zip(p_row.iter()) {
             *ds = p * (*ds - dsum) * scale;
         }
         let dq_row = &mut dq_block[r * dh..(r + 1) * dh];
         for (o, kcol) in dq_row.iter_mut().zip(kt.chunks_exact(tk)) {
-            *o += dot_pinned(ds_row, kcol, simd);
+            *o += simd::dot_lanes(ds_row, kcol);
         }
     }
 }
@@ -381,7 +307,6 @@ pub(crate) fn attn_bwd_dkv_block(
     tq: usize,
     tk: usize,
     dh: usize,
-    simd: bool,
 ) {
     let d = heads * dh;
     let rows = j1 - j0;
@@ -394,13 +319,13 @@ pub(crate) fn attn_bwd_dkv_block(
         let base = (h * tq + i) * tk;
         let ds_row = &ds_buf[base + j0..base + j1];
         for (kcol, &qd) in dkt.chunks_exact_mut(rows).zip(q_row) {
-            axpy_pinned(kcol, qd, ds_row, simd);
+            simd::axpy_lanes(kcol, qd, ds_row);
         }
         if let Some(g) = g_out {
             let g_head = &g[i * d + h * dh..i * d + (h + 1) * dh];
             let p_row = &p_buf[base + j0..base + j1];
             for (vcol, &gd) in dvt.chunks_exact_mut(rows).zip(g_head) {
-                axpy_pinned(vcol, gd, p_row, simd);
+                simd::axpy_lanes(vcol, gd, p_row);
             }
         }
     }
@@ -438,7 +363,6 @@ fn fused_attention_forward(
     scale: f32,
 ) {
     let worth = worth_parallel(heads, tq, tk, dh);
-    let simd = simd::simd_enabled();
     let ranges = parallel::block_ranges(tq, plan_blocks(tq, 1, worth));
     let d = heads * dh;
     // Per task: packed K and V panels ([dh, T_k] each) plus a score row.
@@ -472,7 +396,7 @@ fn fused_attention_forward(
         let (vt, scores) = rest.split_at_mut(tk * dh);
         attn_fwd_row_block(
             q, k, v, mask, out_block, map_block, m_block, l_block, kt, vt, scores, i0, i1, heads,
-            tq, tk, dh, scale, simd,
+            tq, tk, dh, scale,
         );
     });
 }
@@ -504,7 +428,6 @@ fn fused_attention_backward(
     scale: f32,
 ) {
     let worth = worth_parallel(heads, tq, tk, dh);
-    let simd = simd::simd_enabled();
 
     // Pass A: dQ plus the P/dS scratch, partitioned by (head,
     // query-row-range).
@@ -551,7 +474,7 @@ fn fused_attention_backward(
         let (kt, vt) = scr.split_at_mut(tk * dh);
         attn_bwd_dq_block(
             q, k, v, mask, g_out, g_map, &stats.m, &stats.l, dq_block, p_block, ds_block, kt, vt,
-            h, i0, i1, heads, tq, tk, dh, scale, simd,
+            h, i0, i1, heads, tq, tk, dh, scale,
         );
     });
 
@@ -596,7 +519,6 @@ fn fused_attention_backward(
         let (dkt, dvt) = scr.split_at_mut(tk * dh);
         attn_bwd_dkv_block(
             q, g_out, p_ref, ds_ref, dk_block, dv_block, dkt, dvt, h, j0, j1, heads, tq, tk, dh,
-            simd,
         );
     });
 }

@@ -5,13 +5,10 @@
 //! the workspace — nearly all teacher/student training wall-clock is
 //! attention and linear-layer GEMMs routed through here. They are:
 //!
-//! - **explicit-width microkernels**: in SIMD mode (the default) the NN
-//!   loop runs 4-row × 16-column [`F32x8`] register tiles of fused
-//!   multiply-adds and the NT loop runs the pinned 8-lane
-//!   [`simd::dot_lanes`] reduction; with `TIMEKD_SIMD=off` the original
-//!   4-wide scalar kernels run unchanged. The two modes are two
-//!   separately-pinned reduction orders (see [`crate::simd`]); the mode is
-//!   resolved once per dispatch, **before** any worker fan-out;
+//! - **explicit-width microkernels**: the NN loop runs 4-row × 16-column
+//!   [`F32x8`] register tiles of fused multiply-adds and the NT loop runs
+//!   the pinned 8-lane [`simd::dot_lanes`] reduction, each with one pinned
+//!   reduction order (see [`crate::simd`]);
 //! - **packed**: the TN variant transposes its `[K, M]` operand once per
 //!   call so the hot loop streams contiguous rows, turning TN into the NN
 //!   kernel. NT needs no packing — its `[N, K]` operand is already
@@ -67,79 +64,17 @@ fn min_rows_per_block(k: usize, n: usize) -> usize {
 
 /// NN worker loop: `out_block[i - i0, n] += a[i, k] * b[k, n]` for rows
 /// `i0..i1`. `a` and `b` are the full operands; `out_block` is the
-/// caller's exclusive row block. `simd` selects between the two pinned
-/// reduction orders; it is resolved by the dispatcher before fan-out so
-/// every block of one call runs the same mode.
+/// caller's exclusive row block.
+///
+/// Runs 4-row × 16-column [`F32x8`] register tiles of fused multiply-adds,
+/// with 8-wide and scalar column tails and a single-row loop for
+/// `rows % 4` remainders. Every output element accumulates exactly one
+/// ascending-`k` fmadd chain (`acc = fmadd(a[i,kk], b[kk,j], acc)`) no
+/// matter which tile path computes it — register tiling reorders the
+/// *schedule*, never a chain — so the pinned order for NN is simply "one
+/// fused round per `k`-step, ascending", identical at any thread count and
+/// tile boundary.
 pub(crate) fn mm_row_block(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    n: usize,
-    simd: bool,
-) {
-    if simd {
-        mm_row_simd_block(a, b, out_block, i0, i1, k, n);
-    } else {
-        mm_row_scalar_block(a, b, out_block, i0, i1, k, n);
-    }
-}
-
-/// Scalar NN worker loop (`TIMEKD_SIMD=off`): the pre-SIMD kernel,
-/// unchanged, preserving its original pinned reduction order exactly.
-///
-/// Four `k`-steps are fused per pass so each streamed element of `out`
-/// receives four multiply-adds per load/store, with a single-step tail
-/// for `k % 4` remainders.
-pub(crate) fn mm_row_scalar_block(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    n: usize,
-) {
-    for i in i0..i1 {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out_block[(i - i0) * n..(i - i0 + 1) * n];
-        let mut kk = 0;
-        while kk + 4 <= k {
-            let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-            let b0 = &b[kk * n..(kk + 1) * n];
-            let b1 = &b[(kk + 1) * n..(kk + 2) * n];
-            let b2 = &b[(kk + 2) * n..(kk + 3) * n];
-            let b3 = &b[(kk + 3) * n..(kk + 4) * n];
-            for (o, (((&b0j, &b1j), &b2j), &b3j)) in
-                out_row.iter_mut().zip(b0.iter().zip(b1).zip(b2).zip(b3))
-            {
-                *o += a0 * b0j + a1 * b1j + a2 * b2j + a3 * b3j;
-            }
-            kk += 4;
-        }
-        while kk < k {
-            let a0 = a_row[kk];
-            let b0 = &b[kk * n..(kk + 1) * n];
-            for (o, &b0j) in out_row.iter_mut().zip(b0) {
-                *o += a0 * b0j;
-            }
-            kk += 1;
-        }
-    }
-}
-
-/// SIMD NN worker loop (the default mode): 4-row × 16-column [`F32x8`]
-/// register tiles of fused multiply-adds, with 8-wide and scalar column
-/// tails and a single-row loop for `rows % 4` remainders.
-///
-/// Every output element accumulates exactly one ascending-`k` fmadd chain
-/// (`acc = fmadd(a[i,kk], b[kk,j], acc)`) no matter which tile path
-/// computes it — register tiling reorders the *schedule*, never a chain —
-/// so the SIMD-mode pinned order for NN is simply "one fused round per
-/// `k`-step, ascending", identical at any thread count and tile boundary.
-pub(crate) fn mm_row_simd_block(
     a: &[f32],
     b: &[f32],
     out_block: &mut [f32],
@@ -273,29 +208,11 @@ pub(crate) fn mm_row_simd_block(
 
 /// NT worker loop: `out_block[i - i0, j] += dot(a[i, :], b[j, :])` for
 /// rows `i0..i1`, contracting over the shared last axis of length `k`.
-/// `simd` selects the pinned reduction order, resolved before fan-out.
+///
+/// Each output element is one [`simd::dot_lanes`] call — lane `i % 8`
+/// blocking, fma chains, fixed combine tree, ascending tail — so the
+/// reduction order is pinned per element and independent of the row split.
 pub(crate) fn mm_nt_row_block(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    n: usize,
-    simd: bool,
-) {
-    if simd {
-        mm_nt_row_simd_block(a, b, out_block, i0, i1, k, n);
-    } else {
-        mm_nt_row_scalar_block(a, b, out_block, i0, i1, k, n);
-    }
-}
-
-/// SIMD NT worker loop: each output element is one [`simd::dot_lanes`]
-/// call — lane `i % 8` blocking, fma chains, fixed combine tree, ascending
-/// tail — so the reduction order is pinned per element and independent of
-/// the row split.
-pub(crate) fn mm_nt_row_simd_block(
     a: &[f32],
     b: &[f32],
     out_block: &mut [f32],
@@ -313,41 +230,6 @@ pub(crate) fn mm_nt_row_simd_block(
     }
 }
 
-/// Scalar NT worker loop (`TIMEKD_SIMD=off`): the pre-SIMD kernel,
-/// unchanged. Four independent accumulators per dot product; their
-/// combination order `(s0 + s1) + (s2 + s3)` is fixed, so results never
-/// depend on the thread split.
-pub(crate) fn mm_nt_row_scalar_block(
-    a: &[f32],
-    b: &[f32],
-    out_block: &mut [f32],
-    i0: usize,
-    i1: usize,
-    k: usize,
-    n: usize,
-) {
-    for i in i0..i1 {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out_block[(i - i0) * n..(i - i0 + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for (ca, cb) in a_row.chunks_exact(4).zip(b_row.chunks_exact(4)) {
-                s0 += ca[0] * cb[0];
-                s1 += ca[1] * cb[1];
-                s2 += ca[2] * cb[2];
-                s3 += ca[3] * cb[3];
-            }
-            let mut sum = (s0 + s1) + (s2 + s3);
-            let tail = k - k % 4;
-            for (&x, &y) in a_row[tail..].iter().zip(&b_row[tail..]) {
-                sum += x * y;
-            }
-            *o += sum;
-        }
-    }
-}
-
 /// Cache-blocked transpose of a `[rows, cols]` row-major buffer into a
 /// fresh `[cols, rows]` buffer. Used to pack the TN operand once per call
 /// so the hot loop can run the (contiguous-streaming) NN kernel.
@@ -358,8 +240,8 @@ fn pack_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 }
 
 /// Cache-blocked transpose into a caller-provided `[cols, rows]` buffer —
-/// the allocation-free form used by plan executors, with the exact tiling
-/// of [`pack_transpose`] so packed layouts are byte-identical.
+/// the allocation-free form used by plan executors and the attention
+/// workers' head-panel packing. `dst` must be exactly `rows * cols` long.
 pub(crate) fn pack_transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), rows * cols);
@@ -390,14 +272,13 @@ pub(crate) fn mm_accumulate(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: 
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let simd = simd::simd_enabled();
     if !worth_parallel(m, k, n) {
         timekd_obs::POOL_SERIAL_FALLBACK.add(1);
-        mm_row_block(a, b, out, 0, m, k, n, simd);
+        mm_row_block(a, b, out, 0, m, k, n);
         return;
     }
     parallel::par_row_blocks(out, m, n, min_rows_per_block(k, n), |i0, i1, block| {
-        mm_row_block(a, b, block, i0, i1, k, n, simd);
+        mm_row_block(a, b, block, i0, i1, k, n);
     });
 }
 
@@ -418,14 +299,13 @@ pub(crate) fn mm_tn_accumulate(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     let at = pack_transpose(a, k, m);
-    let simd = simd::simd_enabled();
     if !worth_parallel(m, k, n) {
         timekd_obs::POOL_SERIAL_FALLBACK.add(1);
-        mm_row_block(&at, b, out, 0, m, k, n, simd);
+        mm_row_block(&at, b, out, 0, m, k, n);
         return;
     }
     parallel::par_row_blocks(out, m, n, min_rows_per_block(k, n), |i0, i1, block| {
-        mm_row_block(&at, b, block, i0, i1, k, n, simd);
+        mm_row_block(&at, b, block, i0, i1, k, n);
     });
 }
 
@@ -444,14 +324,13 @@ pub(crate) fn mm_nt_accumulate(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    let simd = simd::simd_enabled();
     if !worth_parallel(m, k, n) {
         timekd_obs::POOL_SERIAL_FALLBACK.add(1);
-        mm_nt_row_block(a, b, out, 0, m, k, n, simd);
+        mm_nt_row_block(a, b, out, 0, m, k, n);
         return;
     }
     parallel::par_row_blocks(out, m, n, min_rows_per_block(k, n), |i0, i1, block| {
-        mm_nt_row_block(a, b, block, i0, i1, k, n, simd);
+        mm_nt_row_block(a, b, block, i0, i1, k, n);
     });
 }
 

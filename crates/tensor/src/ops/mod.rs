@@ -14,7 +14,7 @@ pub(crate) mod reduce;
 pub(crate) mod shape_ops;
 pub(crate) mod softmax;
 
-use crate::shape::Shape;
+use crate::shape::{eff_strides, Shape};
 
 /// For each flat output index of `out`, the flat source index in a tensor of
 /// shape `src` broadcast to `out`.
@@ -30,19 +30,7 @@ pub(crate) fn broadcast_offsets(src: &Shape, out: &Shape) -> Vec<usize> {
     }
     let out_dims = out.dims();
     let rank = out.rank();
-    let pad = rank - src.rank();
-    let src_strides = src.strides();
-    // Effective stride of the src tensor along each out axis (0 where the
-    // src axis is missing or has size 1).
-    let mut eff = vec![0usize; rank];
-    for (i, e) in eff.iter_mut().enumerate() {
-        if i >= pad {
-            let s = i - pad;
-            if src.dim(s) != 1 {
-                *e = src_strides[s];
-            }
-        }
-    }
+    let eff = eff_strides(src.dims(), out_dims);
     let mut idx = vec![0usize; rank];
     let mut src_off = 0usize;
     for _ in 0..n {

@@ -56,6 +56,7 @@ use crate::ops::matmul::mm_row_block;
 use crate::ops::qmm::{qmm_row_block, quantize_rows_block, QuantizedMatrix};
 use crate::plan_batch::ReduceStep;
 use crate::plan_train::{BwdStep, PlanOptimizer, UpdateStep};
+use crate::shape::eff_strides;
 use crate::symbolic::{SymAttr, SymbolicTensor};
 
 /// Index of a [`PlanValue`] within its plan.
@@ -1152,9 +1153,6 @@ pub struct PlanExecutor {
     /// All-zero `v` operand for `AttentionMap` steps (the kernel packs a
     /// value matrix unconditionally; the map does not depend on it).
     attn_zero_v: Vec<f32>,
-    /// SIMD mode, resolved once at construction (reading the env may
-    /// allocate; the plan loop must not).
-    pub(crate) simd: bool,
     /// Weights quantized at bind time for `QuantMatmul` steps (int8
     /// plans only; empty otherwise).
     qweights: Vec<QuantizedMatrix>,
@@ -1162,27 +1160,6 @@ pub struct PlanExecutor {
     q_codes: Vec<i8>,
     /// Per-run activation-quantization scratch: per-row scales.
     q_scales: Vec<f32>,
-}
-
-/// Effective stride of `src` (aligned to the trailing axes of `out`) along
-/// each out axis; 0 where the src axis is missing or has size 1. This is
-/// the same mapping the dynamic broadcast paths realise, and binary ops
-/// are pure element pairing, so any walk over it is bitwise faithful.
-pub(crate) fn eff_strides(src: &[usize], out: &[usize]) -> Vec<usize> {
-    let mut src_strides = vec![0usize; src.len()];
-    let mut acc = 1usize;
-    for i in (0..src.len()).rev() {
-        src_strides[i] = acc;
-        acc *= src[i];
-    }
-    let pad = out.len() - src.len();
-    let mut eff = vec![0usize; out.len()];
-    for i in 0..out.len() {
-        if i >= pad && src[i - pad] != 1 {
-            eff[i] = src_strides[i - pad];
-        }
-    }
-    eff
 }
 
 impl PlanExecutor {
@@ -1447,9 +1424,6 @@ impl PlanExecutor {
             attn_stats: vec![0.0f32; 2 * st_len],
             attn_out_sink: vec![0.0f32; out_sink_len],
             attn_zero_v: vec![0.0f32; zero_v_len],
-            // Resolved once here: the first env read may allocate, and the
-            // plan loop must stay allocation-free.
-            simd: crate::simd::simd_enabled(),
             qweights,
             q_codes: vec![0i8; qx_len],
             q_scales: vec![0.0f32; qs_len],
@@ -1508,7 +1482,6 @@ impl PlanExecutor {
         let params = &self.params;
         let target = &self.target;
         let aux = &self.aux;
-        let simd = self.simd;
         for step in &self.exec {
             // SAFETY: `arena` is allocated to `plan.arena_len()` and every
             // `Loc::Arena` range was bounds-checked at construction; the
@@ -1609,7 +1582,7 @@ impl PlanExecutor {
                 }
                 ExecOp::Matmul { m, k, n } => {
                     out.fill(0.0);
-                    mm_row_block(src(0), src(1), out, 0, *m, *k, *n, simd);
+                    mm_row_block(src(0), src(1), out, 0, *m, *k, *n);
                 }
                 ExecOp::QuantMatmul { m, k, n, w } => {
                     let (m, k, n) = (*m, *k, *n);
@@ -1689,7 +1662,6 @@ impl PlanExecutor {
                         *tk,
                         *dh,
                         *scale,
-                        simd,
                     );
                 }
                 ExecOp::AttentionMap {
@@ -1722,7 +1694,6 @@ impl PlanExecutor {
                         *tk,
                         *dh,
                         *scale,
-                        simd,
                     );
                 }
                 ExecOp::ColMean { t, n } => {

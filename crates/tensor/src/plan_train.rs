@@ -35,9 +35,10 @@ use std::collections::{HashMap, HashSet};
 use crate::ops::attention::{attn_bwd_dkv_block, attn_bwd_dq_block, attn_fwd_row_block};
 use crate::ops::matmul::{mm_nt_row_block, mm_row_block, pack_transpose_into};
 use crate::plan::{
-    assign_slots, eff_strides, lower_forward, BinKind, Loc, Plan, PlanError, PlanExecutor, PlanOp,
-    PlanSlot, PlanSpec, PlanValue, Precision, ValueId, ValueSource, MAX_PLAN_RANK,
+    assign_slots, lower_forward, BinKind, Loc, Plan, PlanError, PlanExecutor, PlanOp, PlanSlot,
+    PlanSpec, PlanValue, Precision, ValueId, ValueSource, MAX_PLAN_RANK,
 };
+use crate::shape::eff_strides;
 use crate::symbolic::SymbolicTensor;
 
 /// How a backward step's write lands in a gradient buffer.
@@ -1190,7 +1191,6 @@ impl TrainExecutor {
         let params = &fwd.params;
         let target = &fwd.target;
         let aux = &fwd.aux;
-        let simd = fwd.simd;
         let arena = &mut fwd.arena;
         for step in bwd.iter() {
             {
@@ -1337,7 +1337,7 @@ impl TrainExecutor {
                             // serial path.
                             let b = resolve(step.srcs[1], arena_r, params, input, target, aux);
                             sa.fill(0.0);
-                            mm_nt_row_block(g, b, sa, 0, *m, *n, *k, simd);
+                            mm_nt_row_block(g, b, sa, 0, *m, *n, *k);
                         }
                         if wb {
                             // dB = Aᵀ · g via the same packed-transpose +
@@ -1346,7 +1346,7 @@ impl TrainExecutor {
                             let at = &mut at_buf[..m * k];
                             pack_transpose_into(a, at, *m, *k);
                             sb.fill(0.0);
-                            mm_row_block(at, g, sb, 0, *k, *m, *n, simd);
+                            mm_row_block(at, g, sb, 0, *k, *m, *n);
                         }
                     }
                     BwdExecOp::PermuteInv { strides, dims } => {
@@ -1414,7 +1414,6 @@ impl TrainExecutor {
                             *tk,
                             *dh,
                             *scale,
-                            simd,
                         );
                         // Pass A: dQ plus the saved P/dS row maps, one
                         // full-range block per head (bitwise equal to any
@@ -1442,7 +1441,6 @@ impl TrainExecutor {
                                 *tk,
                                 *dh,
                                 *scale,
-                                simd,
                             );
                         }
                         // Pass B: dK/dV from the saved row maps.
@@ -1463,7 +1461,6 @@ impl TrainExecutor {
                                 *tq,
                                 *tk,
                                 *dh,
-                                simd,
                             );
                         }
                     }
@@ -1510,7 +1507,6 @@ impl TrainExecutor {
                             *tk,
                             *dh,
                             *scale,
-                            simd,
                         );
                         for h in 0..*heads {
                             attn_bwd_dq_block(
@@ -1535,7 +1531,6 @@ impl TrainExecutor {
                                 *tk,
                                 *dh,
                                 *scale,
-                                simd,
                             );
                         }
                         for h in 0..*heads {
@@ -1555,7 +1550,6 @@ impl TrainExecutor {
                                 *tq,
                                 *tk,
                                 *dh,
-                                simd,
                             );
                         }
                     }

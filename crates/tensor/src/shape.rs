@@ -129,6 +129,23 @@ impl Shape {
     }
 }
 
+/// Effective stride of `src` (aligned to the trailing axes of `out`) along
+/// each out axis; 0 where the src axis is missing or has size 1. Walking
+/// `out` in row-major order while adding these strides visits the source
+/// element each output element broadcasts from — the one mapping shared by
+/// the dynamic broadcast ops and the plan executors.
+pub(crate) fn eff_strides(src: &[usize], out: &[usize]) -> Vec<usize> {
+    let src_strides = Shape::new(src).strides();
+    let pad = out.len() - src.len();
+    let mut eff = vec![0usize; out.len()];
+    for i in pad..out.len() {
+        if src[i - pad] != 1 {
+            eff[i] = src_strides[i - pad];
+        }
+    }
+    eff
+}
+
 #[inline]
 fn axis_from_right(dims: &[usize], k: usize) -> usize {
     if k < dims.len() {

@@ -10,81 +10,18 @@
 //! The parallel-determinism suite proves every kernel produces bitwise
 //! identical results at any `TIMEKD_THREADS`. SIMD does not weaken that
 //! contract — it *re-pins* it: lane-width blocking is part of the defined
-//! reduction order.
+//! reduction order, and each dense kernel has exactly one such order.
 //!
-//! - **SIMD mode** (default): dot-style reductions assign element `i` to
-//!   lane `i % 8`; each lane accumulates in ascending order with a fused
-//!   multiply-add chain; the 8 lane partials combine with the fixed tree
+//! - Dot-style reductions assign element `i` to lane `i % 8`; each lane
+//!   accumulates in ascending order with a fused multiply-add chain; the 8
+//!   lane partials combine with the fixed tree
 //!   `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`; the `len % 8` tail folds in
-//!   ascending order with scalar [`fmadd`]. Matmul NN-style loops use one
-//!   ascending-`k` fmadd chain per output element (register tiling over
-//!   rows/columns never reorders a chain).
-//! - **Scalar mode** (`TIMEKD_SIMD=off`): the pre-SIMD 4-wide kernels run
-//!   unchanged, preserving their original pinned order exactly.
+//!   ascending order with scalar [`fmadd`].
+//! - Matmul NN-style loops use one ascending-`k` fmadd chain per output
+//!   element (register tiling over rows/columns never reorders a chain).
 //!
-//! The two modes are two *separately-pinned* orders: each is internally
-//! deterministic and thread-count invariant, but they differ from each
-//! other (fma rounds once; the lane blocking differs from the 4-wide
-//! blocking). `crates/tensor/tests/simd_equivalence.rs` proves both pins.
-//!
-//! ## Mode resolution
-//!
-//! [`simd_enabled`] reads `TIMEKD_SIMD` once per process (anything but
-//! `off`/`0`/`false` means on); [`with_simd`] is a thread-local scoped
-//! override for tests and benches. Dispatchers resolve the mode **once,
-//! before fanning out to the worker pool**, and pass it into the `_block`
-//! kernels as a plain `bool` — worker threads never consult the
-//! environment or the thread-local themselves, so the override composes
-//! correctly with `with_threads`.
-
-use std::cell::Cell;
-use std::sync::OnceLock;
-
-/// Process-wide `TIMEKD_SIMD` setting, read once on first use.
-static ENV_SIMD: OnceLock<bool> = OnceLock::new();
-
-thread_local! {
-    /// Scoped override installed by [`with_simd`]; `None` defers to the env.
-    static SIMD_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Returns whether the SIMD microkernels are enabled on this thread.
-///
-/// Resolution order: the innermost [`with_simd`] override on this thread,
-/// else the `TIMEKD_SIMD` environment variable (`off`/`0`/`false` disable;
-/// default is on). Dispatchers call this once before any worker fan-out;
-/// the resolved `bool` travels with the task, so pool threads inherit the
-/// caller's mode. First use may allocate (env read) — executors that must
-/// stay zero-alloc resolve the mode at construction time.
-pub fn simd_enabled() -> bool {
-    if let Some(forced) = SIMD_OVERRIDE.with(|o| o.get()) {
-        return forced;
-    }
-    *ENV_SIMD.get_or_init(|| {
-        !matches!(
-            std::env::var("TIMEKD_SIMD").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
-}
-
-/// Runs `f` with the SIMD mode forced to `on` on the current thread.
-///
-/// Restores the previous override when `f` returns (or unwinds via the
-/// guard). Only affects mode *resolution* — kernels already dispatched
-/// with a resolved `bool` are unaffected. Used by the equivalence tests
-/// and the bench harness to measure both pinned orders in one process.
-pub fn with_simd<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SIMD_OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let prev = SIMD_OVERRIDE.with(|o| o.replace(Some(on)));
-    let _restore = Restore(prev);
-    f()
-}
+//! `crates/tensor/tests/simd_equivalence.rs` restates both orders as plain
+//! scalar loops and proves the kernels match them bitwise.
 
 /// Scalar fused multiply-add with a deterministic per-build contract.
 ///
@@ -181,8 +118,8 @@ impl F32x8 {
 ///
 /// Element `i` goes to lane `i % 8`; lanes accumulate ascending with fma;
 /// partials combine via [`F32x8::hsum`]'s fixed tree; the tail folds
-/// ascending with scalar [`fmadd`]. This is the SIMD-mode reduction order
-/// for every dot-style contraction (NT matmul, attention scores/context).
+/// ascending with scalar [`fmadd`]. This is the reduction order for every
+/// dot-style contraction (NT matmul, attention scores/context).
 #[inline]
 pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len();
@@ -203,8 +140,8 @@ pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
 /// Pinned lane-wise axpy: `dst[j] += a * x[j]` with one fma per element.
 ///
 /// Each output element depends on exactly one product, so lane blocking
-/// cannot reorder anything; the SIMD pin is simply "one fused round per
-/// element" (scalar mode rounds the multiply and add separately).
+/// cannot reorder anything; the pin is simply "one fused round per
+/// element".
 #[inline]
 pub fn axpy_lanes(dst: &mut [f32], a: f32, x: &[f32]) {
     let n = dst.len();
@@ -271,16 +208,5 @@ mod tests {
                 assert_eq!(dst[j].to_bits(), expect[j].to_bits(), "n={n} j={j}");
             }
         }
-    }
-
-    #[test]
-    fn with_simd_overrides_and_restores() {
-        let ambient = simd_enabled();
-        with_simd(false, || {
-            assert!(!simd_enabled());
-            with_simd(true, || assert!(simd_enabled()));
-            assert!(!simd_enabled());
-        });
-        assert_eq!(simd_enabled(), ambient);
     }
 }

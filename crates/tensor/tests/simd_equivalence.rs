@@ -1,6 +1,6 @@
-//! SIMD-vs-scalar equivalence for the f32x8 microkernels.
+//! Reference equivalence for the f32x8 microkernels.
 //!
-//! The SIMD-mode kernels promise *pinned* reduction orders (see
+//! The kernels promise *pinned* reduction orders (see
 //! `timekd_tensor::simd`): NN products accumulate one ascending-`k` fused
 //! multiply-add chain per output element, and NT/dot-style contractions
 //! use the 8-lane blocked `dot_lanes` order. These tests restate both
@@ -8,13 +8,11 @@
 //! tiling — and assert the shipped kernels match them **bitwise**, at
 //! thread counts {1, 2, 5}, on shapes with row/column/lane remainders,
 //! through the forward kernel and both gradient kernels (NT for `dA`, TN
-//! for `dB`). Scalar mode (`TIMEKD_SIMD=off`) is pinned separately to the
-//! pre-SIMD 4-wide kernel order and checked for thread invariance the
-//! same way.
+//! for `dB`).
 
 use timekd_tensor::parallel::with_threads;
 use timekd_tensor::simd::fmadd;
-use timekd_tensor::{seeded_rng, with_simd, Tensor};
+use timekd_tensor::{seeded_rng, Tensor};
 
 fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
@@ -66,31 +64,6 @@ fn dot_lanes_reference(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Scalar restatement of the pre-SIMD NN kernel (`TIMEKD_SIMD=off`): four
-/// fused `k`-steps per output pass, each rounding multiply and add
-/// separately, with a single-step tail for `k % 4`.
-fn nn_legacy_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let o = &mut out[i * n + j];
-            let mut kk = 0;
-            while kk + 4 <= k {
-                *o += a[i * k + kk] * b[kk * n + j]
-                    + a[i * k + kk + 1] * b[(kk + 1) * n + j]
-                    + a[i * k + kk + 2] * b[(kk + 2) * n + j]
-                    + a[i * k + kk + 3] * b[(kk + 3) * n + j];
-                kk += 4;
-            }
-            while kk < k {
-                *o += a[i * k + kk] * b[kk * n + j];
-                kk += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Remainder-heavy geometries: rows not divisible by the 4-row tiling,
 /// columns hitting the 16-wide, 8-wide, and scalar column tails, `k % 4`
 /// and `k % 8` tails — plus one shape above the parallel cutoff
@@ -114,7 +87,7 @@ fn simd_forward_matches_chain_reference_at_all_threads() {
         let a = Tensor::from_vec(a0, [m, k]);
         let b = Tensor::from_vec(b0, [k, n]);
         for threads in [1, 2, 5] {
-            let got = with_threads(threads, || with_simd(true, || a.matmul(&b).to_vec()));
+            let got = with_threads(threads, || a.matmul(&b).to_vec());
             assert_bits_eq(&got, &want, &format!("NN {m}x{k}x{n} threads={threads}"));
         }
     }
@@ -152,12 +125,10 @@ fn simd_gradients_match_pinned_references_at_all_threads() {
 
         for threads in [1, 2, 5] {
             let (da, db) = with_threads(threads, || {
-                with_simd(true, || {
-                    let a = Tensor::param(a0.clone(), [m, k]);
-                    let b = Tensor::param(b0.clone(), [k, n]);
-                    a.matmul(&b).mul(&mask).sum().backward();
-                    (a.grad().expect("dA"), b.grad().expect("dB"))
-                })
+                let a = Tensor::param(a0.clone(), [m, k]);
+                let b = Tensor::param(b0.clone(), [k, n]);
+                a.matmul(&b).mul(&mask).sum().backward();
+                (a.grad().expect("dA"), b.grad().expect("dB"))
             });
             assert_bits_eq(
                 &da,
@@ -170,48 +141,6 @@ fn simd_gradients_match_pinned_references_at_all_threads() {
                 &format!("TN dB {m}x{k}x{n} threads={threads}"),
             );
         }
-    }
-}
-
-#[test]
-fn scalar_mode_matches_legacy_reference_at_all_threads() {
-    for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
-        let (a0, b0) = seeded_pair(m, k, n, 120 + si as u64);
-        let want = nn_legacy_reference(&a0, &b0, m, k, n);
-        let a = Tensor::from_vec(a0, [m, k]);
-        let b = Tensor::from_vec(b0, [k, n]);
-        for threads in [1, 2, 5] {
-            let got = with_threads(threads, || with_simd(false, || a.matmul(&b).to_vec()));
-            assert_bits_eq(
-                &got,
-                &want,
-                &format!("scalar NN {m}x{k}x{n} threads={threads}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn scalar_mode_gradients_are_thread_invariant() {
-    // The legacy gradient kernels keep their own pinned order; assert the
-    // off-mode path is still bitwise thread-invariant end to end.
-    let (m, k, n) = (80, 64, 72);
-    let (a0, b0) = seeded_pair(m, k, n, 200);
-    let mut rng = seeded_rng(201);
-    let mask = Tensor::randn([m, n], 1.0, &mut rng);
-    let run = || {
-        with_simd(false, || {
-            let a = Tensor::param(a0.clone(), [m, k]);
-            let b = Tensor::param(b0.clone(), [k, n]);
-            a.matmul(&b).mul(&mask).sum().backward();
-            (a.grad().expect("dA"), b.grad().expect("dB"))
-        })
-    };
-    let (da1, db1) = with_threads(1, run);
-    for threads in [2, 5] {
-        let (da, db) = with_threads(threads, run);
-        assert_bits_eq(&da, &da1, &format!("scalar dA threads={threads}"));
-        assert_bits_eq(&db, &db1, &format!("scalar dB threads={threads}"));
     }
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Perf-baseline smoke gate: runs the kernel bench bin on the QUICK profile
 # into a scratch directory, then re-invokes it with --validate to check the
-# emitted JSON against the timekd-kernel-bench/v7 schema (which requires
-# the simd-vs-scalar kernel columns, the quantized_student section —
+# emitted JSON against the timekd-kernel-bench/v8 schema (which requires
+# the per-shape kernel rows, the quantized_student section —
 # int8 weights vs the f32 plan, accuracy-gated inside the bin itself —
 # the batched_training section: on QUICK that is one B=4 row comparing
 # the per-window planned epoch against the data-parallel batched replay,

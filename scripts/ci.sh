@@ -47,11 +47,10 @@ echo "==> serving integration suite (bitwise parity, hot-swap under load, regist
 cargo test -q -p timekd-serve --test http_serving
 cargo test -q -p timekd-serve --test registry_faults
 
-echo "==> tensor tests under the scalar fallback (TIMEKD_SIMD=off)"
-# The f32x8 microkernels ship with a scalar fallback pinned to its own
-# reduction order; run the tensor suite once in that mode so the fallback
-# (and its determinism contract) stays green.
-TIMEKD_SIMD=off cargo test -q -p timekd-tensor
+echo "==> benchmark package tests (result-line schema, metric tables)"
+# The benchmark package is its own workspace, so the workspace run above
+# never reaches its tests; run them here.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> bench smoke (QUICK kernel bench + schema validation)"
 # Explicit propagation: a validator failure inside the smoke must fail CI

@@ -17,12 +17,14 @@
 //!
 //! This file is its own test binary (and so its own process): the obs
 //! gate is global, and nothing else may record while the golden run is
-//! traced. The run itself is forced onto the serial path
-//! (`with_threads(1)`) so pool scheduling cannot shift counter values;
-//! global pool/cache counters are still excluded from the fixture because
-//! the span/op structure is what the suite guards.
+//! traced. Its tests run in parallel under the default harness, so every
+//! golden run holds [`GOLDEN_LOCK`]. The run itself is forced onto the
+//! serial path (`with_threads(1)`) so pool scheduling cannot shift counter
+//! values; global pool/cache counters are still excluded from the fixture
+//! because the span/op structure is what the suite guards.
 
 use std::rc::Rc;
+use std::sync::{Mutex, PoisonError};
 
 use timekd::{Forecaster, TimeKd, TimeKdConfig};
 use timekd_bench::Json;
@@ -32,6 +34,11 @@ use timekd_obs::SpanNode;
 use timekd_tensor::parallel::with_threads;
 
 const FIXTURE_SCHEMA: &str = "timekd-golden-trace/v1";
+
+/// Serializes golden runs: they share the process-global obs gate
+/// (`set_enabled`, `reset`, `snapshot`), so two concurrent runs would mix
+/// their recordings.
+static GOLDEN_LOCK: Mutex<()> = Mutex::new(());
 
 #[allow(clippy::field_reassign_with_default)]
 fn tiny_config() -> TimeKdConfig {
@@ -82,6 +89,9 @@ fn span_fixture(node: &SpanNode) -> Json {
 /// Runs the deterministic golden workload and reduces the recorded trace
 /// to its structural fixture form.
 fn golden_run() -> Json {
+    // A panicking run poisons the lock; the next run resets the gate
+    // itself, so the poison carries no state worth refusing.
+    let _guard = GOLDEN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (mut model, ds) = tiny_model();
     let train: Vec<_> = ds.windows(Split::Train, 16);
     let windows = &train[..2];
