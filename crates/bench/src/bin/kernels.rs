@@ -219,18 +219,6 @@ fn attention_shapes(quick: bool) -> Vec<AttnShapeSpec> {
     s
 }
 
-/// Builds a causal additive mask (as `timekd_nn::causal_mask` does) on raw
-/// data, so the bench stays at the tensor layer.
-fn causal_mask_tensor(t: usize) -> Tensor {
-    let mut data = vec![0.0f32; t * t];
-    for i in 0..t {
-        for j in (i + 1)..t {
-            data[i * t + j] = -1e9;
-        }
-    }
-    Tensor::from_vec(data, [t, t])
-}
-
 /// One attention-shape measurement: the fused kernel against the composed
 /// op chain it replaced (matmul → scale → mask → softmax → matmul → merge
 /// + head-averaged map), forward-only and forward+backward.
@@ -248,7 +236,7 @@ fn bench_attention_shape(spec: &AttnShapeSpec) -> Json {
     let q0 = Tensor::randn([heads, tq, dh], 1.0, &mut rng).to_vec();
     let k0 = Tensor::randn([heads, tk, dh], 1.0, &mut rng).to_vec();
     let v0 = Tensor::randn([heads, tk, dh], 1.0, &mut rng).to_vec();
-    let mask = causal.then(|| causal_mask_tensor(tq));
+    let mask = causal.then(|| timekd_nn::causal_mask(tq));
 
     let composed = |q: &Tensor, k: &Tensor, v: &Tensor| -> (Tensor, Tensor) {
         let scale = 1.0 / (dh as f32).sqrt();

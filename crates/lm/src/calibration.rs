@@ -8,12 +8,9 @@
 //! correlations, which the paper credits with resolving the data
 //! entanglement of prompt-based time-series encoders.
 
-use timekd_tensor::Tensor;
+use timekd_tensor::{Tensor, NEG_INF};
 
 use crate::tokenizer::Token;
-
-/// Additive bias used to forbid attention to future positions.
-pub const NEG_INF: f32 = -1e9;
 
 /// Builds the calibrated additive attention mask for a token sequence.
 ///
@@ -34,18 +31,6 @@ pub fn calibrated_mask(tokens: &[Token], delta: f32, causal: bool) -> Tensor {
         }
     }
     Tensor::from_vec(data, [s, s])
-}
-
-/// Plain causal mask for the same token count (the `w/o_CA` ablation:
-/// calibration disabled, ordinary masked self-attention kept).
-pub fn causal_only_mask(len: usize) -> Tensor {
-    let mut data = vec![0.0f32; len * len];
-    for i in 0..len {
-        for j in (i + 1)..len {
-            data[i * len + j] = NEG_INF;
-        }
-    }
-    Tensor::from_vec(data, [len, len])
 }
 
 #[cfg(test)]
@@ -95,7 +80,7 @@ mod tests {
             tok(2, Modality::Text),
         ];
         let a = calibrated_mask(&toks, 0.0, true);
-        let b = causal_only_mask(3);
+        let b = timekd_nn::causal_mask(3);
         assert_eq!(a.to_vec(), b.to_vec());
     }
 

@@ -21,7 +21,7 @@ mod pretrain;
 pub mod symbolic;
 mod tokenizer;
 
-pub use calibration::{calibrated_mask, causal_only_mask, NEG_INF};
+pub use calibration::calibrated_mask;
 pub use config::{LmConfig, LmSize};
 pub use frozen::FrozenLm;
 pub use model::CausalLm;
@@ -30,4 +30,5 @@ pub use pretrain::{
     CorpusExample, PretrainConfig, PretrainReport,
 };
 pub use symbolic::{trace_frozen_lm, SymCausalLm};
+pub use timekd_tensor::NEG_INF;
 pub use tokenizer::{Modality, PromptPiece, PromptTokenizer, Token, BIN_MAX, BIN_RESOLUTION};

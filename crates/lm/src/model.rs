@@ -1,11 +1,11 @@
 //! The causal language model with calibrated attention — the CLM of the
 //! paper's cross-modality teacher (Fig. 4, Eq. 1–7).
 
-use timekd_nn::{Activation, Embedding, Module, TransformerEncoder};
+use timekd_nn::{causal_mask, Activation, Embedding, Module, TransformerEncoder};
 use timekd_tensor::SeededRng;
 use timekd_tensor::Tensor;
 
-use crate::calibration::{calibrated_mask, causal_only_mask};
+use crate::calibration::calibrated_mask;
 use crate::config::LmConfig;
 use crate::tokenizer::Token;
 
@@ -42,12 +42,10 @@ impl CausalLm {
         &self.config
     }
 
-    /// Contextual hidden states `[S, D]` for a prompt.
-    ///
-    /// With `calibrated` the attention bias of Eq. 5 is applied with the
-    /// configured Δ; otherwise a plain causal mask is used (the `w/o_CA`
-    /// ablation).
-    pub fn hidden_states(&self, tokens: &[Token], calibrated: bool) -> Tensor {
+    /// The encoder input `I⁰ = I + PE` (Eq. 1) `[S, D]` and the `[S, S]`
+    /// attention mask for a prompt: calibrated (Eq. 5, configured Δ) or,
+    /// without `calibrated`, plain causal (the `w/o_CA` ablation).
+    fn embed_with_mask(&self, tokens: &[Token], calibrated: bool) -> (Tensor, Tensor) {
         let s = tokens.len();
         assert!(s > 0, "empty prompt");
         assert!(
@@ -62,18 +60,36 @@ impl CausalLm {
         let mask = if calibrated {
             calibrated_mask(tokens, self.config.calibration_delta, true)
         } else {
-            causal_only_mask(s)
+            causal_mask(s)
         };
+        (x, mask)
+    }
+
+    /// Contextual hidden states `[S, D]` for a prompt.
+    ///
+    /// With `calibrated` the attention bias of Eq. 5 is applied with the
+    /// configured Δ; otherwise a plain causal mask is used (the `w/o_CA`
+    /// ablation).
+    pub fn hidden_states(&self, tokens: &[Token], calibrated: bool) -> Tensor {
+        let (x, mask) = self.embed_with_mask(tokens, calibrated);
         self.encoder.forward(&x, Some(&mask)).output
     }
 
     /// The last-token embedding `[D]` — the paper's last token extractor:
     /// under causal masking the final position has attended to the entire
     /// prompt and summarises it.
+    ///
+    /// Only the last row is computed through the final block
+    /// ([`TransformerEncoder::forward_last_row`]); its forward values equal
+    /// the last row of [`hidden_states`](Self::hidden_states) bit for bit.
+    /// Gradients through it sum in a different order than through
+    /// `hidden_states`, so LM pretraining differentiates the full forward
+    /// to keep the pretrained weights' bits.
     pub fn last_token_embedding(&self, tokens: &[Token], calibrated: bool) -> Tensor {
-        let h = self.hidden_states(tokens, calibrated);
-        let s = tokens.len();
-        h.slice(0, s - 1, 1).reshape([self.config.dim])
+        let (x, mask) = self.embed_with_mask(tokens, calibrated);
+        self.encoder
+            .forward_last_row(&x, Some(&mask))
+            .reshape([self.config.dim])
     }
 
     /// Runs the LM body over pre-computed *continuous* embeddings `[S, D]`
@@ -94,7 +110,7 @@ impl CausalLm {
         assert_eq!(x.dims()[1], self.config.dim, "embedding width mismatch");
         let pos = self.pos_embedding.slice(0, 0, s);
         let h = x.add(&pos);
-        let mask = causal_only_mask(s);
+        let mask = causal_mask(s);
         self.encoder.forward(&h, Some(&mask)).output
     }
 

@@ -194,6 +194,7 @@ pub fn pretrain_lm(
     lm_config: LmConfig,
     config: PretrainConfig,
 ) -> (CausalLm, PretrainReport) {
+    let _span = timekd_obs::span("lm.pretrain");
     let mut rng = seeded_rng(config.seed);
     let lm = CausalLm::new(vocab.vocab_size(), lm_config, &mut rng);
     install_numeracy_prior(&lm, vocab, &mut rng);
@@ -236,8 +237,13 @@ pub fn pretrain_lm(
             p.zero_grad();
         }
         let lm_loss = lm.next_token_loss(&example.tokens, true);
+        // The full forward, not `last_token_embedding`: the pruned graph
+        // sums the same gradients in another order, which would change
+        // the pretrained weights' bits.
+        let s = example.tokens.len();
         let emb = lm
-            .last_token_embedding(&example.tokens, true)
+            .hidden_states(&example.tokens, true)
+            .slice(0, s - 1, 1)
             .reshape([1, lm_config.dim]);
         let target = Tensor::from_vec(example.future_values.clone(), [1, config.series_len]);
         let value_loss = value_head.forward(&emb).sub(&target).square().mean();

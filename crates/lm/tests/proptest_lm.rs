@@ -2,10 +2,10 @@
 //! totality, calibrated-mask structure, and causal-LM invariants.
 
 use timekd_lm::{
-    calibrated_mask, causal_only_mask, CausalLm, LmConfig, LmSize, Modality, PromptPiece,
-    PromptTokenizer, NEG_INF,
+    calibrated_mask, CausalLm, LmConfig, LmSize, Modality, PromptPiece, PromptTokenizer, NEG_INF,
 };
-use timekd_tensor::seeded_rng;
+use timekd_nn::causal_mask;
+use timekd_tensor::{no_grad, seeded_rng};
 
 const CASES: u64 = 48;
 
@@ -110,7 +110,7 @@ fn zero_delta_equals_plain_causal() {
             .collect();
         assert_eq!(
             calibrated_mask(&tokens, 0.0, true).to_vec(),
-            causal_only_mask(len).to_vec(),
+            causal_mask(len).to_vec(),
             "len {len}"
         );
     }
@@ -158,6 +158,51 @@ fn lm_prefix_embeddings_stable_under_suffix_edits() {
         let prefix_e = &he.to_vec()[..base.len() * d];
         for (a, b) in prefix_b.iter().zip(prefix_e) {
             assert!((a - b).abs() < 1e-5, "seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn last_token_embedding_is_last_row_of_hidden_states_bitwise() {
+    // The pruned final block (last query row only) must reproduce the
+    // last row of the full forward bit for bit, for every model size,
+    // with and without calibration, at every prompt length that exercises
+    // a different lane tail of the live key range.
+    let tok = PromptTokenizer::new();
+    let lengths: Vec<usize> = (1..=20).chain([79]).collect();
+    for size in [LmSize::Small, LmSize::Base, LmSize::Large] {
+        for seed in 0..3u64 {
+            let mut rng = seeded_rng(100 + seed);
+            let lm = CausalLm::new(tok.vocab_size(), LmConfig::for_size(size), &mut rng);
+            let d = lm.config().dim;
+            for &len in &lengths {
+                let toks: Vec<_> = (0..len)
+                    .map(|_| {
+                        if rng.gen_range(0..2usize) == 0 {
+                            tok.word("values")
+                        } else {
+                            tok.number(rng.gen_range(-3.0f32..3.0))[0]
+                        }
+                    })
+                    .collect();
+                for calibrated in [true, false] {
+                    let (full, last) = no_grad(|| {
+                        (
+                            lm.hidden_states(&toks, calibrated).to_vec(),
+                            lm.last_token_embedding(&toks, calibrated).to_vec(),
+                        )
+                    });
+                    let want = &full[(len - 1) * d..];
+                    assert_eq!(last.len(), d);
+                    for (i, (a, b)) in last.iter().zip(want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{size:?} seed {seed} len {len} calibrated {calibrated} dim {i}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //! map must stay in the autograd graph.
 
 use timekd_tensor::SeededRng;
-use timekd_tensor::Tensor;
+use timekd_tensor::{Tensor, NEG_INF};
 
 use crate::linear::Linear;
 use crate::module::Module;
@@ -151,12 +151,13 @@ impl Module for MultiHeadAttention {
 }
 
 /// Builds a causal (lower-triangular) additive mask of size `[t, t]` with
-/// `-1e9` above the diagonal.
+/// [`NEG_INF`] above the diagonal, so the fused kernel skips each row's
+/// future keys.
 pub fn causal_mask(t: usize) -> Tensor {
     let mut data = vec![0.0f32; t * t];
     for i in 0..t {
         for j in (i + 1)..t {
-            data[i * t + j] = -1e9;
+            data[i * t + j] = NEG_INF;
         }
     }
     Tensor::from_vec(data, [t, t])

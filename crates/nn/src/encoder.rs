@@ -103,6 +103,21 @@ impl EncoderLayer {
         let z = self.ffn.forward(&self.ln2.forward(&y)).add(&y);
         (z, attended.attention)
     }
+
+    /// [`forward`](Self::forward) for the last row only: keys and values
+    /// come from every row of `LN1(x)`, the query, residual, `LN2` and FFN
+    /// from the last row. Returns `[1, D]`, equal to the last row of
+    /// `forward(x, mask).0`.
+    pub fn forward_last_row(&self, x: &Tensor, mask: Option<&Tensor>) -> Tensor {
+        let last = x.dims()[0] - 1;
+        let normed = self.ln1.forward(x);
+        let mask_row = mask.map(|m| m.slice(0, last, 1));
+        let attended = self
+            .attn
+            .attend(&normed.slice(0, last, 1), &normed, mask_row.as_ref());
+        let y = attended.output.add(&x.slice(0, last, 1));
+        self.ffn.forward(&self.ln2.forward(&y)).add(&y)
+    }
 }
 
 impl Module for EncoderLayer {
@@ -160,6 +175,20 @@ impl TransformerEncoder {
             output: self.final_ln.forward(&h),
             last_attention: last_attention.expect("at least one layer"),
         }
+    }
+
+    /// The last row `[1, D]` of [`forward`](Self::forward)'s output: every
+    /// layer but the last runs on all rows, the last one
+    /// ([`EncoderLayer::forward_last_row`]) and the final norm on the last
+    /// row only, and no attention map is returned.
+    pub fn forward_last_row(&self, x: &Tensor, mask: Option<&Tensor>) -> Tensor {
+        let _span = timekd_obs::span("nn.encoder");
+        let (last, body) = self.layers.split_last().expect("at least one layer");
+        let mut h = x.clone();
+        for layer in body {
+            h = layer.forward(&h, mask).0;
+        }
+        self.final_ln.forward(&last.forward_last_row(&h, mask))
     }
 
     /// Model width.

@@ -353,6 +353,21 @@ impl SymEncoderLayer {
             Ok((z, attended.attention))
         })
     }
+
+    /// Mirrors `EncoderLayer::forward_last_row`.
+    pub fn forward_last_row(&self, x: &SymbolicTensor, mask: Option<&SymbolicTensor>) -> SymResult {
+        let last = x.dims()[0].size.saturating_sub(1);
+        let normed = self.ln1.forward(x)?;
+        let (mask_row, q_in) = self.ctx.with_label(&self.label, || {
+            let mask_row = mask.map(|m| m.slice(0, last, 1, "last")).transpose()?;
+            Ok::<_, ShapeError>((mask_row, normed.slice(0, last, 1, "last")?))
+        })?;
+        let attended = self.attn.attend(&q_in, &normed, mask_row.as_ref())?;
+        self.ctx.with_label(&self.label, || {
+            let y = attended.output.add(&x.slice(0, last, 1, "last")?)?;
+            self.ffn.forward(&self.ln2.forward(&y)?)?.add(&y)
+        })
+    }
 }
 
 /// Symbolic [`TransformerEncoder`](crate::TransformerEncoder).
@@ -442,6 +457,16 @@ impl SymTransformerEncoder {
             output: self.final_ln.forward(&h)?,
             last_attention: last_attention.expect("at least one layer"),
         })
+    }
+
+    /// Mirrors `TransformerEncoder::forward_last_row`.
+    pub fn forward_last_row(&self, x: &SymbolicTensor, mask: Option<&SymbolicTensor>) -> SymResult {
+        let (last, body) = self.layers.split_last().expect("at least one layer");
+        let mut h = x.clone();
+        for layer in body {
+            h = layer.forward(&h, mask)?.0;
+        }
+        self.final_ln.forward(&last.forward_last_row(&h, mask)?)
     }
 }
 

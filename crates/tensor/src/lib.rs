@@ -71,6 +71,7 @@ mod tensor;
 pub use audit::{AuditIssue, GraphAudit, GraphStats, NodeSummary};
 pub use grad_check::{assert_gradients_close, check_gradient, GradCheckReport};
 pub use init::{sample_standard_normal, seeded_rng};
+pub use ops::attention::NEG_INF;
 pub use ops::qmm::QuantizedMatrix;
 pub use plan::{
     Plan, PlanError, PlanExecutor, PlanFault, PlanOp, PlanSlot, PlanSpec, PlanStep, PlanValue,

@@ -54,6 +54,29 @@
 //! call reduces identically at any thread count. The head panels are
 //! packed with the matmul kernels' cache-blocked transpose.
 //!
+//! ## Forbidden keys
+//!
+//! A mask bias at or below [`NEG_INF`] (−1e9) forbids a key. Each query
+//! row visits only its *live* keys: `0..n` where `n` is one past the last
+//! key whose bias is above `NEG_INF`, rounded up to the 8-lane width and
+//! capped at `T_k`. The forward worker and pass A truncate their score,
+//! probability and `dS` rows to `n`; pass B truncates (or skips) each
+//! query row's contribution to its key range the same way. Unmasked calls
+//! — which includes every plan executor — keep all `T_k` keys, and so
+//! does a row with no allowed key at all (its softmax spreads over the
+//! forbidden keys as before). The counts are computed once per call by
+//! the dispatcher, never inside a `_block` worker.
+//!
+//! The skip is exact, not an approximation. A forbidden score sits about
+//! 1e9 below every allowed one, so it never sets the row max and its
+//! probability `exp(s − m)` underflows to exactly `0`; its `dS` is then
+//! `±0`, so every skipped term would add `±0` to its accumulator. That is
+//! a no-op: the accumulators start at `+0`, a round-to-nearest sum that
+//! starts at `+0` never becomes `−0`, and `x + ±0 = x` for every other
+//! `x`. Rounding `n` up to whole lanes keeps every visited key in its
+//! lane `j % 8` of [`simd::dot_lanes`], so outputs, maps, statistics and
+//! gradients are bitwise identical to visiting all `T_k` keys.
+//!
 //! Naming contract with `timekd-check`: functions ending in `_block` are
 //! per-block worker loops — no locks, no allocation, no I/O inside them.
 //! Per-task scratch is preallocated by the dispatching code and carved
@@ -64,8 +87,13 @@ use std::rc::Rc;
 use crate::ops::matmul::pack_transpose_into;
 use crate::parallel;
 use crate::shape::Shape;
-use crate::simd;
+use crate::simd::{self, F32x8};
 use crate::tensor::Tensor;
+
+/// Additive mask bias that forbids a key. Masks built from it (the causal
+/// and calibrated masks) let the kernels skip trailing forbidden keys; see
+/// the module docs ("Forbidden keys").
+pub const NEG_INF: f32 = -1e9;
 
 /// Minimum score-count (`H · T_q · T_k · dh`) before a fused attention
 /// call fans out to the worker pool; mirrors the matmul cutoff so tiny
@@ -89,6 +117,46 @@ fn worth_parallel(heads: usize, tq: usize, tk: usize, dh: usize) -> bool {
 struct SoftmaxStats {
     m: Vec<f32>,
     l: Vec<f32>,
+}
+
+/// An additive `[T_q, T_k]` mask as the workers read it: the bias rows
+/// plus each row's live key count (see the module docs).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeyMask<'a> {
+    bias: &'a [f32],
+    live: &'a [usize],
+}
+
+/// Owned mask data shared by the forward and both backward closures; the
+/// live counts are computed once, here.
+struct MaskData {
+    bias: Vec<f32>,
+    live: Vec<usize>,
+}
+
+impl MaskData {
+    fn new(bias: Vec<f32>, tq: usize, tk: usize) -> MaskData {
+        let live = bias
+            .chunks_exact(tk)
+            .take(tq)
+            .map(|row| {
+                // NaN counts as allowed so a corrupt mask still poisons
+                // its row instead of being skipped.
+                match row.iter().rposition(|&b| b > NEG_INF || b.is_nan()) {
+                    Some(last) => (last + 1).next_multiple_of(F32x8::LANES).min(tk),
+                    None => tk,
+                }
+            })
+            .collect();
+        MaskData { bias, live }
+    }
+
+    fn view(&self) -> KeyMask<'_> {
+        KeyMask {
+            bias: &self.bias,
+            live: &self.live,
+        }
+    }
 }
 
 /// Runs `task(0..total)` on the pool when the shape is `worth` it, else as
@@ -129,13 +197,14 @@ fn plan_blocks(rows: usize, heads_outside: usize, worth: bool) -> usize {
 /// `m_block`/`l_block`), the head's slice of the merged context row, and
 /// the row's share of the head-averaged map. One task owns a row
 /// entirely and heads are visited in ascending order, so the map's
-/// cross-head accumulation order is fixed.
+/// cross-head accumulation order is fixed. A masked row visits only its
+/// live keys; the rest of its map row keeps the caller's zeros.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attn_fwd_row_block(
     q: &[f32],
     k: &[f32],
     v: &[f32],
-    mask: Option<&[f32]>,
+    mask: Option<KeyMask<'_>>,
     out_block: &mut [f32],
     map_block: &mut [f32],
     m_block: &mut [f32],
@@ -159,21 +228,23 @@ pub(crate) fn attn_fwd_row_block(
         for i in i0..i1 {
             let r = i - i0;
             let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
+            let n = mask.map_or(tk, |mk| mk.live[i]);
+            let row = &mut scores[..n];
             match mask {
-                Some(mk) => scores.copy_from_slice(&mk[i * tk..(i + 1) * tk]),
-                None => scores.fill(0.0),
+                Some(mk) => row.copy_from_slice(&mk.bias[i * tk..i * tk + n]),
+                None => row.fill(0.0),
             }
             for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
-                simd::axpy_lanes(scores, scale * qd, kcol);
+                simd::axpy_lanes(row, scale * qd, &kcol[..n]);
             }
             let mut mx = f32::NEG_INFINITY;
-            for &s in scores.iter() {
+            for &s in row.iter() {
                 if s > mx {
                     mx = s;
                 }
             }
             let mut denom = 0.0f32;
-            for slot in scores.iter_mut() {
+            for slot in row.iter_mut() {
                 let e = (*slot - mx).exp();
                 *slot = e;
                 denom += e;
@@ -181,14 +252,10 @@ pub(crate) fn attn_fwd_row_block(
             m_block[r * heads + h] = mx;
             l_block[r * heads + h] = denom;
             let inv = 1.0 / denom;
-            simd::axpy_lanes(
-                &mut map_block[r * tk..(r + 1) * tk],
-                inv * inv_heads,
-                scores,
-            );
+            simd::axpy_lanes(&mut map_block[r * tk..r * tk + n], inv * inv_heads, row);
             let out_head = &mut out_block[r * d + h * dh..r * d + (h + 1) * dh];
             for (o, vcol) in out_head.iter_mut().zip(vt.chunks_exact(tk)) {
-                *o = inv * simd::dot_lanes(scores, vcol);
+                *o = inv * simd::dot_lanes(row, &vcol[..n]);
             }
         }
     }
@@ -204,13 +271,14 @@ pub(crate) fn attn_fwd_row_block(
 /// Probabilities are recomputed from the saved statistics with the same
 /// packed-score accumulation as the forward, then stored into `p_block`,
 /// and the scaled score gradients `dS_ij = P_ij (dP_ij − D_i) · scale`
-/// into `ds_block`, so pass B is pure accumulation.
+/// into `ds_block`, so pass B is pure accumulation. A masked row fills
+/// only its live keys; pass B never reads past them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attn_bwd_dq_block(
     q: &[f32],
     k: &[f32],
     v: &[f32],
-    mask: Option<&[f32]>,
+    mask: Option<KeyMask<'_>>,
     g_out: Option<&[f32]>,
     g_map: Option<&[f32]>,
     stats_m: &[f32],
@@ -240,16 +308,17 @@ pub(crate) fn attn_bwd_dq_block(
         let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
         let inv = 1.0 / stats_l[i * heads + h];
         let mx = stats_m[i * heads + h];
-        let p_row = &mut p_block[r * tk..(r + 1) * tk];
-        let ds_row = &mut ds_block[r * tk..(r + 1) * tk];
+        let n = mask.map_or(tk, |mk| mk.live[i]);
+        let p_row = &mut p_block[r * tk..r * tk + n];
+        let ds_row = &mut ds_block[r * tk..r * tk + n];
         // Scores rebuilt with the forward's exact packed accumulation
         // order, then normalized against the saved statistics.
         match mask {
-            Some(mk) => p_row.copy_from_slice(&mk[i * tk..(i + 1) * tk]),
+            Some(mk) => p_row.copy_from_slice(&mk.bias[i * tk..i * tk + n]),
             None => p_row.fill(0.0),
         }
         for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
-            simd::axpy_lanes(p_row, scale * qd, kcol);
+            simd::axpy_lanes(p_row, scale * qd, &kcol[..n]);
         }
         for p in p_row.iter_mut() {
             *p = (*p - mx).exp() * inv;
@@ -260,11 +329,11 @@ pub(crate) fn attn_bwd_dq_block(
                 let g_head = &g[i * d + h * dh..i * d + (h + 1) * dh];
                 ds_row.fill(0.0);
                 for (vcol, &gd) in vt.chunks_exact(tk).zip(g_head) {
-                    simd::axpy_lanes(ds_row, gd, vcol);
+                    simd::axpy_lanes(ds_row, gd, &vcol[..n]);
                 }
             }
             (None, Some(g)) => {
-                for (dp, &gm) in ds_row.iter_mut().zip(&g[i * tk..(i + 1) * tk]) {
+                for (dp, &gm) in ds_row.iter_mut().zip(&g[i * tk..i * tk + n]) {
                     *dp = gm * inv_heads;
                 }
             }
@@ -276,7 +345,7 @@ pub(crate) fn attn_bwd_dq_block(
         }
         let dq_row = &mut dq_block[r * dh..(r + 1) * dh];
         for (o, kcol) in dq_row.iter_mut().zip(kt.chunks_exact(tk)) {
-            *o += simd::dot_lanes(ds_row, kcol);
+            *o += simd::dot_lanes(ds_row, &kcol[..n]);
         }
     }
 }
@@ -289,10 +358,12 @@ pub(crate) fn attn_bwd_dq_block(
 /// `0..tq` order, and each `dK[h, j, d]` element is an independent sum
 /// over queries, so results do not depend on the key split. `dS` already
 /// carries the `scale` factor, so `dK_j = Σ_i dS_ij Q_i` and
-/// `dV_j = Σ_i P_ij g_i` are plain accumulations.
+/// `dV_j = Σ_i P_ij g_i` are plain accumulations. With `live` counts (a
+/// masked call), query `i` contributes only to keys below `live[i]`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attn_bwd_dkv_block(
     q: &[f32],
+    live: Option<&[usize]>,
     g_out: Option<&[f32]>,
     p_buf: &[f32],
     ds_buf: &[f32],
@@ -315,17 +386,22 @@ pub(crate) fn attn_bwd_dkv_block(
     dkt.fill(0.0);
     dvt.fill(0.0);
     for i in 0..tq {
+        let end = live.map_or(j1, |l| l[i].min(j1));
+        if end <= j0 {
+            continue;
+        }
+        let len = end - j0;
         let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
         let base = (h * tq + i) * tk;
-        let ds_row = &ds_buf[base + j0..base + j1];
+        let ds_row = &ds_buf[base + j0..base + end];
         for (kcol, &qd) in dkt.chunks_exact_mut(rows).zip(q_row) {
-            simd::axpy_lanes(kcol, qd, ds_row);
+            simd::axpy_lanes(&mut kcol[..len], qd, ds_row);
         }
         if let Some(g) = g_out {
             let g_head = &g[i * d + h * dh..i * d + (h + 1) * dh];
-            let p_row = &p_buf[base + j0..base + j1];
+            let p_row = &p_buf[base + j0..base + end];
             for (vcol, &gd) in dvt.chunks_exact_mut(rows).zip(g_head) {
-                simd::axpy_lanes(vcol, gd, p_row);
+                simd::axpy_lanes(&mut vcol[..len], gd, p_row);
             }
         }
     }
@@ -352,7 +428,7 @@ fn fused_attention_forward(
     q: &[f32],
     k: &[f32],
     v: &[f32],
-    mask: Option<&[f32]>,
+    mask: Option<KeyMask<'_>>,
     out: &mut [f32],
     map: &mut [f32],
     stats: &mut SoftmaxStats,
@@ -414,7 +490,7 @@ fn fused_attention_backward(
     q: &[f32],
     k: &[f32],
     v: &[f32],
-    mask: Option<&[f32]>,
+    mask: Option<KeyMask<'_>>,
     g_out: Option<&[f32]>,
     g_map: Option<&[f32]>,
     stats: &SoftmaxStats,
@@ -491,6 +567,7 @@ fn fused_attention_backward(
     let scratch_b_base = scratch_b.as_mut_ptr() as usize;
     let p_ref: &[f32] = &p_buf;
     let ds_ref: &[f32] = &ds_buf;
+    let live = mask.map(|mk| mk.live);
     run_tasks(tasks_b, worth, |t| {
         let h = t / ranges_j.len();
         let (j0, j1) = ranges_j[t % ranges_j.len()];
@@ -518,7 +595,8 @@ fn fused_attention_backward(
         };
         let (dkt, dvt) = scr.split_at_mut(tk * dh);
         attn_bwd_dkv_block(
-            q, g_out, p_ref, ds_ref, dk_block, dv_block, dkt, dvt, h, j0, j1, heads, tq, tk, dh,
+            q, live, g_out, p_ref, ds_ref, dk_block, dv_block, dkt, dvt, h, j0, j1, heads, tq, tk,
+            dh,
         );
     });
 }
@@ -599,14 +677,15 @@ impl Tensor {
             m: vec![0.0f32; tq * heads],
             l: vec![0.0f32; tq * heads],
         };
-        let mask_data: Option<Rc<Vec<f32>>> = mask.map(|m| Rc::new(m.to_vec()));
+        let mask_data: Option<Rc<MaskData>> =
+            mask.map(|m| Rc::new(MaskData::new(m.to_vec(), tq, tk)));
         {
             let (q_ref, k_ref, v_ref) = (q.data(), k.data(), v.data());
             fused_attention_forward(
                 &q_ref,
                 &k_ref,
                 &v_ref,
-                mask_data.as_deref().map(Vec::as_slice),
+                mask_data.as_deref().map(MaskData::view),
                 &mut out,
                 &mut map,
                 &mut stats,
@@ -641,7 +720,7 @@ impl Tensor {
                             &q_ref,
                             &k_ref,
                             &v_ref,
-                            mask_data.as_deref().map(Vec::as_slice),
+                            mask_data.as_deref().map(MaskData::view),
                             Some(grad),
                             None,
                             &stats,
@@ -690,7 +769,7 @@ impl Tensor {
                             &q_ref,
                             &k_ref,
                             &[],
-                            mask_data.as_deref().map(Vec::as_slice),
+                            mask_data.as_deref().map(MaskData::view),
                             None,
                             Some(grad),
                             &stats,

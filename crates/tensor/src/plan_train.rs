@@ -1447,6 +1447,7 @@ impl TrainExecutor {
                         for h in 0..*heads {
                             attn_bwd_dkv_block(
                                 q,
+                                None,
                                 Some(g),
                                 &attn_p[..heads * tq * tk],
                                 &attn_ds[..heads * tq * tk],
@@ -1536,6 +1537,7 @@ impl TrainExecutor {
                         for h in 0..*heads {
                             attn_bwd_dkv_block(
                                 q,
+                                None,
                                 None,
                                 &attn_p[..heads * tq * tk],
                                 &attn_ds[..heads * tq * tk],

@@ -30,7 +30,7 @@ cargo build --release --workspace
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> batched training determinism suite (planned vs dynamic oracle, thread invariance, zero-alloc replay)"
+echo "==> bitwise gates (planned vs dynamic oracle, thread invariance, zero-alloc replay, key skipping, pruned CLM forward)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned epoch must reproduce the
 # dynamic per-window loop bit for bit, and the batched fold must be
@@ -40,6 +40,13 @@ cargo test -q -p timekd -- --exact \
   trainer::tests::batched_student_epoch_is_thread_invariant_with_uneven_tail \
   plan::tests::batch_trainer_reuses_cached_plan_across_rebuilds
 cargo test -q -p timekd-bench --test planned_alloc
+# Forbidden-key skipping must match the full-key reference bit for bit,
+# and the pruned last-token CLM forward the full forward's last row.
+cargo test -q -p timekd-tensor --test attention_key_skip -- --exact \
+  key_skipping_forward_matches_full_key_reference_bitwise \
+  key_skipping_gradients_match_full_key_reference_bitwise
+cargo test -q -p timekd-lm --test proptest_lm -- --exact \
+  last_token_embedding_is_last_row_of_hidden_states_bitwise
 
 echo "==> serving integration suite (bitwise parity, hot-swap under load, registry faults)"
 # Same rationale as the determinism gates: re-run the serving contract

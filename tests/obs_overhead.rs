@@ -19,9 +19,12 @@
 //!    bit.
 //!
 //! This file is its own test binary (own process) because the obs gate
-//! and counters are process-global.
+//! and counters are process-global. Its tests run in parallel under the
+//! default harness, so each one holds [`OBS_LOCK`] while it toggles the
+//! gate.
 
 use std::rc::Rc;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use timekd::{Forecaster, TimeKd, TimeKdConfig};
@@ -30,6 +33,11 @@ use timekd_lm::{pretrain_lm, FrozenLm, LmConfig, LmSize, PretrainConfig, PromptT
 use timekd_nn::smooth_l1_loss;
 use timekd_obs::SpanNode;
 use timekd_tensor::{parallel::with_threads, GraphAudit};
+
+/// Serializes the tests: both set, reset and read the process-global obs
+/// gate, so one test switching tracing off mid-run would drop the other's
+/// recorded events.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 #[allow(clippy::field_reassign_with_default)]
 fn tiny_config() -> TimeKdConfig {
@@ -82,6 +90,9 @@ fn span_events(nodes: &[SpanNode]) -> u64 {
 
 #[test]
 fn disabled_tracing_costs_under_one_percent_of_epoch_time() {
+    // A panicking test poisons the lock; each test resets the gate itself,
+    // so the poison carries no state worth refusing.
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     timekd_obs::set_enabled(false);
     timekd_obs::reset();
 
@@ -136,6 +147,7 @@ fn disabled_tracing_costs_under_one_percent_of_epoch_time() {
 
 #[test]
 fn tracing_adds_zero_graph_nodes_and_leaves_outputs_bitwise_identical() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (model, ds) = tiny_model();
     let windows: Vec<_> = ds.windows(Split::Train, 16);
     let w = &windows[0];
