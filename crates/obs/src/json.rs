@@ -9,7 +9,7 @@
 //! escapes, finite numbers, booleans, null) and keeps object keys in
 //! insertion order so emitted files are stable and diffable.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser. The parser is
 /// recursive-descent, and `/metrics`-adjacent callers feed it untrusted
@@ -102,34 +102,19 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad_in = "  ".repeat(indent + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(v) => {
                 // Integers print without a fractional part; everything else
                 // with enough digits to round-trip comparisons in tests.
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    out.push_str(&format!("{}", *v as i64));
+                let _ = if v.fract() == 0.0 && v.abs() < 1e15 {
+                    write!(out, "{}", *v as i64)
                 } else {
-                    out.push_str(&format!("{v}"));
-                }
+                    write!(out, "{v}")
+                };
             }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -137,11 +122,11 @@ impl Json {
                 }
                 out.push_str("[\n");
                 for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad_in);
+                    pad(out, indent + 1);
                     item.write(out, indent + 1);
                     out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
                 }
-                out.push_str(&pad);
+                pad(out, indent);
                 out.push(']');
             }
             Json::Obj(pairs) => {
@@ -151,12 +136,13 @@ impl Json {
                 }
                 out.push_str("{\n");
                 for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    out.push_str(&format!("\"{k}\": "));
+                    pad(out, indent + 1);
+                    write_str(out, k);
+                    out.push_str(": ");
                     v.write(out, indent + 1);
                     out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
                 }
-                out.push_str(&pad);
+                pad(out, indent);
                 out.push('}');
             }
         }
@@ -179,6 +165,31 @@ impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
+}
+
+/// Two spaces per nesting level.
+fn pad(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
+    }
+}
+
+/// A quoted, escaped string: object keys and string values alike.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -446,6 +457,114 @@ mod tests {
             let parsed = Json::parse(&doc.render()).expect("parse");
             let back = parsed.as_num().expect("num") as f32;
             assert_eq!(back.to_bits(), bits, "f32 {v} must survive the trip");
+        }
+    }
+
+    #[test]
+    fn render_is_pinned_for_a_fixed_document() {
+        let doc = Json::obj(vec![
+            ("schema", Json::str("timekd-serve-metrics/v1")),
+            ("count", Json::num(42.0)),
+            ("neg", Json::num(-7.0)),
+            ("mean", Json::num(0.125)),
+            ("tiny", Json::num(1.5e-7)),
+            ("big", Json::num(1e15)),
+            ("ok", Json::Bool(true)),
+            ("none", Json::Null),
+            ("empty_arr", Json::Arr(vec![])),
+            ("empty_obj", Json::Obj(vec![])),
+            (
+                "rows",
+                Json::Arr(vec![
+                    Json::Arr(vec![Json::num(1.0), Json::num(-2.5)]),
+                    Json::obj(vec![("a\"b\tc", Json::str("q\"\u{1}é"))]),
+                ]),
+            ),
+        ]);
+        let want = r#"{
+  "schema": "timekd-serve-metrics/v1",
+  "count": 42,
+  "neg": -7,
+  "mean": 0.125,
+  "tiny": 0.00000015,
+  "big": 1000000000000000,
+  "ok": true,
+  "none": null,
+  "empty_arr": [],
+  "empty_obj": {},
+  "rows": [
+    [
+      1,
+      -2.5
+    ],
+    {
+      "a\"b\tc": "q\"\u0001é"
+    }
+  ]
+}
+"#;
+        assert_eq!(doc.render(), want);
+    }
+
+    /// splitmix64: a tiny seeded generator (this crate has no dependencies).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn string(&mut self) -> String {
+            const CHARS: [char; 14] = [
+                'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\r', '\u{1}', '\u{1f}', 'é', '😀',
+            ];
+            (0..self.below(6))
+                .map(|_| CHARS[self.below(CHARS.len() as u64) as usize])
+                .collect()
+        }
+
+        fn num(&mut self) -> f64 {
+            let int = self.below(2_000_000) as f64 - 1e6;
+            match self.below(3) {
+                0 => int,
+                1 => int / 1024.0,
+                _ => int * 1e-3 + (self.below(1000) as f64) * 1e-9,
+            }
+        }
+
+        fn tree(&mut self, depth: usize) -> Json {
+            let leaf_only = depth >= 4;
+            match self.below(if leaf_only { 4 } else { 6 }) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 0),
+                2 => Json::num(self.num()),
+                3 => Json::Str(self.string()),
+                4 => Json::Arr((0..self.below(4)).map(|_| self.tree(depth + 1)).collect()),
+                _ => Json::Obj(
+                    (0..self.below(4))
+                        .map(|_| (self.string(), self.tree(depth + 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn parse_inverts_render_on_random_trees() {
+        let mut rng = Rng(0x7153_6b64);
+        for case in 0..2_000 {
+            let doc = rng.tree(0);
+            let text = doc.render();
+            let back = Json::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            assert_eq!(back, doc, "case {case}:\n{text}");
         }
     }
 

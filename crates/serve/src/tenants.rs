@@ -6,6 +6,12 @@
 //! model's geometry at forecast time, so a hot-swap to a different
 //! geometry degrades to a clear per-request error instead of serving
 //! stale-shaped data.
+//!
+//! Each tenant keeps one width (channels per row) and one flat row-major
+//! ring of values, so a row costs no allocation of its own. A row of a
+//! different width restarts that tenant's history at the new width: a
+//! window spanning two widths was never servable, so every window that
+//! could be served before still is, bit for bit.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -17,10 +23,38 @@ const MAX_ROWS: usize = 1024;
 
 const SHARDS: usize = 16;
 
+/// One tenant's newest rows, all `width` wide.
+#[derive(Debug, Default)]
+struct History {
+    width: usize,
+    /// Row count, kept apart from `values` so zero-width rows still count.
+    rows: usize,
+    /// `rows * width` values, oldest row first.
+    values: VecDeque<f32>,
+}
+
+impl History {
+    fn push(&mut self, row: &[f32]) {
+        if row.len() != self.width {
+            self.width = row.len();
+            self.rows = 0;
+            self.values.clear();
+        }
+        if self.rows == MAX_ROWS {
+            self.values.drain(..self.width);
+        } else {
+            self.rows += 1;
+        }
+        self.values.extend(row);
+    }
+}
+
+type Shard = Mutex<HashMap<String, History>>;
+
 /// Sharded tenant → sliding-window map.
 #[derive(Debug)]
 pub struct TenantCache {
-    shards: Vec<Mutex<HashMap<String, VecDeque<Vec<f32>>>>>,
+    shards: Vec<Shard>,
 }
 
 impl Default for TenantCache {
@@ -37,7 +71,7 @@ impl TenantCache {
         }
     }
 
-    fn shard(&self, tenant: &str) -> &Mutex<HashMap<String, VecDeque<Vec<f32>>>> {
+    fn shard(&self, tenant: &str) -> &Shard {
         &self.shards[(fnv1a(tenant.as_bytes()) as usize) % SHARDS]
     }
 
@@ -45,14 +79,11 @@ impl TenantCache {
     /// [`MAX_ROWS`]. Returns the tenant's row count after the append.
     pub fn observe(&self, tenant: &str, rows: &[Vec<f32>]) -> usize {
         let mut shard = self.shard(tenant).lock().unwrap_or_else(|p| p.into_inner());
-        let window = shard.entry(tenant.to_string()).or_default();
+        let history = shard.entry(tenant.to_string()).or_default();
         for row in rows {
-            window.push_back(row.clone());
-            if window.len() > MAX_ROWS {
-                window.pop_front();
-            }
+            history.push(row);
         }
-        window.len()
+        history.rows
     }
 
     /// The last `input_len` rows flattened row-major into
@@ -64,26 +95,23 @@ impl TenantCache {
         num_vars: usize,
     ) -> Result<Vec<f32>, String> {
         let shard = self.shard(tenant).lock().unwrap_or_else(|p| p.into_inner());
-        let rows = shard
+        let history = shard
             .get(tenant)
             .ok_or_else(|| format!("unknown tenant `{tenant}`"))?;
-        if rows.len() < input_len {
+        if history.rows > 0 && history.width != num_vars {
             return Err(format!(
-                "tenant `{tenant}` has {} rows, model needs {input_len}",
-                rows.len()
+                "tenant `{tenant}` row has {} channels, model needs {num_vars}",
+                history.width
             ));
         }
-        let mut out = Vec::with_capacity(input_len * num_vars);
-        for row in rows.iter().skip(rows.len() - input_len) {
-            if row.len() != num_vars {
-                return Err(format!(
-                    "tenant `{tenant}` row has {} channels, model needs {num_vars}",
-                    row.len()
-                ));
-            }
-            out.extend_from_slice(row);
+        if history.rows < input_len {
+            return Err(format!(
+                "tenant `{tenant}` has {} rows, model needs {input_len}",
+                history.rows
+            ));
         }
-        Ok(out)
+        let skip = (history.rows - input_len) * num_vars;
+        Ok(history.values.range(skip..).copied().collect())
     }
 }
 
@@ -123,5 +151,58 @@ mod tests {
         let w = cache.window("t", 1, 1).expect("window");
         assert_eq!(w, vec![(MAX_ROWS + 9) as f32]);
         assert_eq!(cache.observe("t", &[]), MAX_ROWS);
+    }
+
+    #[test]
+    fn a_row_of_another_width_restarts_the_history() {
+        let cache = TenantCache::new();
+        let wide: Vec<Vec<f32>> = (0..4).map(|i| vec![i as f32; 3]).collect();
+        assert_eq!(cache.observe("t", &wide), 4);
+        assert_eq!(cache.observe("t", &[vec![7.0, 8.0]]), 1);
+        let err = cache.window("t", 1, 3).unwrap_err();
+        assert!(err.contains("has 2 channels, model needs 3"), "{err}");
+        assert_eq!(cache.window("t", 1, 2).expect("window"), vec![7.0, 8.0]);
+        assert!(cache.window("t", 2, 2).unwrap_err().contains("1 rows"));
+        // Zero-width rows still count, and an empty tenant reports rows.
+        assert_eq!(cache.observe("z", &[]), 0);
+        assert!(cache.window("z", 2, 3).unwrap_err().contains("0 rows"));
+        assert_eq!(cache.observe("z", &[vec![], vec![]]), 2);
+        assert_eq!(cache.window("z", 2, 0).expect("window"), Vec::<f32>::new());
+    }
+
+    #[test]
+    fn rollover_across_wraps_matches_a_naive_row_list() {
+        const WIDTH: usize = 7;
+        let cache = TenantCache::new();
+        let mut naive: Vec<Vec<f32>> = Vec::new();
+        let mut next = 0.0f32;
+        // Uneven blocks so the trim point lands mid-block on every wrap.
+        for block in 0..40 {
+            let rows: Vec<Vec<f32>> = (0..(block * 37) % 301 + 1)
+                .map(|_| {
+                    (0..WIDTH)
+                        .map(|_| {
+                            next += 1.0;
+                            next
+                        })
+                        .collect()
+                })
+                .collect();
+            naive.extend(rows.iter().cloned());
+            let keep = naive.len().min(MAX_ROWS);
+            naive.drain(..naive.len() - keep);
+            assert_eq!(cache.observe("t", &rows), naive.len());
+            for input_len in [1, 96, naive.len()]
+                .into_iter()
+                .filter(|&l| l <= naive.len())
+            {
+                let want: Vec<f32> = naive[naive.len() - input_len..].concat();
+                assert_eq!(cache.window("t", input_len, WIDTH).expect("window"), want);
+            }
+        }
+        assert!(
+            next as usize > 3 * MAX_ROWS * WIDTH,
+            "history must wrap several times"
+        );
     }
 }

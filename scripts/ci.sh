@@ -48,11 +48,12 @@ cargo test -q -p timekd-tensor --test attention_key_skip -- --exact \
 cargo test -q -p timekd-lm --test proptest_lm -- --exact \
   last_token_embedding_is_last_row_of_hidden_states_bitwise
 
-echo "==> serving integration suite (bitwise parity, hot-swap under load, registry faults)"
+echo "==> serving integration suite (bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
 # Same rationale as the determinism gates: re-run the serving contract
 # tests by name so a filtered workspace run can never silently drop them.
 cargo test -q -p timekd-serve --test http_serving
 cargo test -q -p timekd-serve --test registry_faults
+cargo test -q -p timekd-serve --test http_framing
 
 echo "==> benchmark package tests (result-line schema, metric tables)"
 # The benchmark package is its own workspace, so the workspace run above
