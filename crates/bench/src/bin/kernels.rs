@@ -10,11 +10,12 @@
 //! chain it replaced (per LM size + encoder geometry, forward and
 //! training step), the compiled student plan against the dynamic graph
 //! engine (per-window predict and a full inference-epoch sweep), the
-//! compiled *training* plan against the dynamic training idiom (one full
-//! step — forward, reverse schedule, fused AdamW update — and a
-//! multi-window training epoch), the batched multi-window training plan
-//! (per-window gradient lanes replayed data-parallel with a pinned
-//! window-order reduction) against the serial per-window planned epoch,
+//! compiled student *objective* plan the trainer replays against the
+//! dynamic objective step (one full step — forward, PKD + forecasting
+//! losses, reverse schedule, clip, fused AdamW update — and a
+//! multi-window training epoch), the batched objective plan (per-window
+//! gradient lanes replayed data-parallel with a pinned window-order
+//! reduction) against the per-window planned epoch,
 //! and the serve-load section, then emits a machine-readable
 //! `BENCH_<unix-seconds>.json` at the repo root so the perf trajectory is
 //! tracked across PRs.
@@ -38,20 +39,19 @@
 //! path `TIMEKD_THREADS=1` selects. `TIMEKD_BENCH_DIR` overrides the
 //! output directory (default: repo root).
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use timekd::{
-    compile_student_training_plan_batched, trace_student_loss, PlannedStudent, PlannedTrainer,
+    student_objective, student_plan_optimizer, trainer_adamw, PlannedBatchTrainer, PlannedStudent,
     QuantizedStudent, Student, TimeKdConfig,
 };
 use timekd_bench::{
     json::Json, validate_kernel_bench, validate_trace_coverage, validate_trace_report, Profile,
 };
-use timekd_nn::{smooth_l1_loss, AdamW, AdamWConfig, Module};
+use timekd_nn::{clip_grad_norm, AdamW, Module};
 use timekd_tensor::parallel::{configured_threads, with_threads};
-use timekd_tensor::{no_grad, seeded_rng, BatchTrainExecutor, PlanOptimizer, Tensor};
+use timekd_tensor::{no_grad, seeded_rng, Tensor};
 
 /// Minimum wall time of `f` in milliseconds over `iters` runs (after one
 /// warmup run). Minimum, not mean: scheduling noise only ever adds time.
@@ -477,59 +477,110 @@ fn bench_planned_student(quick: bool, threads: usize) -> Json {
     ])
 }
 
-/// Planned vs dynamic student *training*: one full step (forward, reverse
-/// schedule, fused optimizer update) and a multi-window epoch. "Dynamic"
-/// runs the graph-engine idiom (`zero_grad` → `forward` → loss →
-/// `backward` → `AdamW::step`, worker pool at `threads`); "planned" replays
-/// the compiled training plan through
-/// [`PlannedTrainer::planned_train_step`] — fixed reverse schedule,
-/// liveness-colored arena shared across forward and backward, zero
-/// allocation. The two produce bitwise-identical parameter updates (the
-/// sanity block asserts it over two steps: the step-2 losses can only
-/// match if the step-1 updates matched), so this row measures scheduling
-/// cost only.
-fn bench_planned_training(quick: bool, threads: usize) -> Json {
-    let (input_len, horizon, num_vars) = (48usize, 24usize, 7usize);
-    let config = TimeKdConfig::default();
-    let optimizer = PlanOptimizer::AdamW {
-        lr: 0.01,
-        beta1: 0.9,
-        beta2: 0.999,
-        eps: 1e-8,
-        weight_decay: 0.01,
-    };
+/// One training window with seeded stand-ins for the teacher's
+/// privileged products: `(x, y, A_PE, E_GT)`.
+type ObjectiveWindow = (Tensor, Tensor, Tensor, Tensor);
 
+/// `n` seeded objective windows at the bench training geometry.
+fn objective_windows(
+    n: usize,
+    config: &TimeKdConfig,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
+) -> Vec<ObjectiveWindow> {
     let mut wrng = seeded_rng(0x7EA1);
-    let windows: Vec<(Tensor, Tensor)> = (0..if quick { 4 } else { 16 })
+    (0..n)
         .map(|_| {
             (
                 Tensor::randn([input_len, num_vars], 1.0, &mut wrng),
                 Tensor::randn([horizon, num_vars], 0.5, &mut wrng),
+                Tensor::randn([num_vars, num_vars], 1.0, &mut wrng).softmax_last(),
+                Tensor::randn([num_vars, config.dim], 1.0, &mut wrng),
             )
         })
-        .collect();
+        .collect()
+}
+
+/// One dynamic student objective step — the trainer's oracle idiom:
+/// `zero_grad` → [`student_objective`] → `backward` → clip → AdamW.
+/// Returns the total loss.
+fn dynamic_objective_step(
+    student: &Student,
+    config: &TimeKdConfig,
+    params: &[Tensor],
+    adamw: &mut AdamW,
+    (x, y, att, emb): &ObjectiveWindow,
+) -> f32 {
+    student.zero_grad();
+    let total = student_objective(student, config, x, y, att, emb).total;
+    total.backward();
+    clip_grad_norm(params, config.grad_clip);
+    adamw.step(params);
+    total.item()
+}
+
+/// Replays `windows` through `trainer` in micro-batches of its capacity:
+/// one fused, clipped optimizer step per batch.
+fn planned_objective_epoch(trainer: &mut PlannedBatchTrainer, windows: &[ObjectiveWindow]) {
+    for chunk in windows.chunks(trainer.batch()) {
+        for (lane, (x, y, att, emb)) in chunk.iter().enumerate() {
+            trainer.stage_window(lane, x, y);
+            trainer.stage_teacher(lane, att, emb);
+        }
+        trainer.run_batch(chunk.len());
+    }
+}
+
+/// Planned vs dynamic student *training* on the objective the trainer
+/// runs (PKD + forecasting, Alg. 2): one full step and a multi-window
+/// epoch. "Dynamic" is the oracle idiom ([`dynamic_objective_step`],
+/// worker pool at `threads`); "planned" replays the compiled objective
+/// plan through a one-window [`PlannedBatchTrainer`] — fixed reverse
+/// schedule, liveness-colored arena shared across forward and backward,
+/// zero allocation. The two produce bitwise-identical updates (the sanity
+/// block asserts it over two steps: the step-2 losses can only match if
+/// the step-1 updates matched), so this row measures scheduling cost
+/// only.
+fn bench_planned_training(quick: bool, threads: usize) -> Json {
+    let (input_len, horizon, num_vars) = (48usize, 24usize, 7usize);
+    let config = TimeKdConfig::default();
+    let optimizer = student_plan_optimizer(&config);
+    let windows = objective_windows(
+        if quick { 4 } else { 16 },
+        &config,
+        input_len,
+        horizon,
+        num_vars,
+    );
     let iters = if quick { 3 } else { 20 };
     let epoch_iters = if quick { 1 } else { 4 };
+    let fresh = || {
+        Student::new(
+            &config,
+            input_len,
+            horizon,
+            num_vars,
+            &mut seeded_rng(0x1A7E),
+        )
+    };
 
     // Sanity: the planned step must track the dynamic engine bitwise
     // before its timings mean anything. Two steps: the second loss agrees
     // only if the first parameter update already agreed.
     {
-        let mut rng = seeded_rng(0x1A7E);
-        let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
-        let mut trainer =
-            PlannedTrainer::new(&student, &config, optimizer).expect("training plan compiles");
+        let student = fresh();
+        let mut trainer = PlannedBatchTrainer::new(&student, &config, optimizer, 1)
+            .expect("objective plan compiles");
         let params = student.params();
-        let mut adamw = AdamW::new(0.01, AdamWConfig::default());
-        for (x, y) in windows.iter().take(2) {
-            student.zero_grad();
-            let loss = smooth_l1_loss(&student.forward(x).forecast, y);
-            loss.backward();
-            adamw.step(&params);
+        let mut adamw = trainer_adamw(&config);
+        for w in windows.iter().take(2) {
+            let loss = dynamic_objective_step(&student, &config, &params, &mut adamw, w);
+            planned_objective_epoch(&mut trainer, std::slice::from_ref(w));
             assert_eq!(
-                trainer.planned_train_step(x, y).to_bits(),
-                loss.item().to_bits(),
-                "planned training step diverged from the dynamic engine"
+                trainer.lane_total(0).to_bits(),
+                loss.to_bits(),
+                "planned objective step diverged from the dynamic engine"
             );
         }
     }
@@ -537,45 +588,37 @@ fn bench_planned_training(quick: bool, threads: usize) -> Json {
     // Dynamic timings: a fresh student + optimizer, graph engine on the
     // worker pool. Each timed call is a genuine step (params move), which
     // is exactly what an epoch does.
-    let mut rng = seeded_rng(0x1A7E);
-    let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
+    let student = fresh();
     let params = student.params();
-    let mut adamw = AdamW::new(0.01, AdamWConfig::default());
-    let (x0, y0) = &windows[0];
+    let mut adamw = trainer_adamw(&config);
+    let w0 = &windows[0];
     let train_step_dynamic_ms = with_threads(threads, || {
         time_min_ms(iters, || {
-            student.zero_grad();
-            let loss = smooth_l1_loss(&student.forward(x0).forecast, y0);
-            loss.backward();
-            adamw.step(&params);
-            std::hint::black_box(loss.item());
+            std::hint::black_box(dynamic_objective_step(
+                &student, &config, &params, &mut adamw, w0,
+            ));
         })
     });
     let train_epoch_dynamic_ms = with_threads(threads, || {
         time_min_ms(epoch_iters, || {
-            for (x, y) in &windows {
-                student.zero_grad();
-                let loss = smooth_l1_loss(&student.forward(x).forecast, y);
-                loss.backward();
-                adamw.step(&params);
-                std::hint::black_box(loss.item());
+            for w in &windows {
+                std::hint::black_box(dynamic_objective_step(
+                    &student, &config, &params, &mut adamw, w,
+                ));
             }
         })
     });
 
-    // Planned timings: a fresh trainer from the same seed, serial (the
-    // plan executor is single-threaded by design).
-    let mut rng = seeded_rng(0x1A7E);
-    let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
+    // Planned timings: a fresh trainer from the same seed, serial (a
+    // one-window batch replays on the calling thread).
     let mut trainer =
-        PlannedTrainer::new(&student, &config, optimizer).expect("training plan compiles");
+        PlannedBatchTrainer::new(&fresh(), &config, optimizer, 1).expect("objective plan compiles");
     let train_step_planned_ms = time_min_ms(iters, || {
-        std::hint::black_box(trainer.planned_train_step(x0, y0));
+        planned_objective_epoch(&mut trainer, std::slice::from_ref(w0));
+        std::hint::black_box(trainer.lane_total(0));
     });
     let train_epoch_planned_ms = time_min_ms(epoch_iters, || {
-        for (x, y) in &windows {
-            std::hint::black_box(trainer.planned_train_step(x, y));
-        }
+        planned_objective_epoch(&mut trainer, &windows);
     });
 
     let plan = trainer.plan();
@@ -603,83 +646,40 @@ fn bench_planned_training(quick: bool, threads: usize) -> Json {
 }
 
 /// Batched multi-window planned training vs the per-window planned epoch:
-/// the same forecast-loss training graph is lowered per micro-batch size
-/// `B` into per-window gradient lanes replayed data-parallel on the worker
-/// pool, folded by the pinned window-order reduction into one fused
-/// optimizer step per batch. The per-window baseline is the serial
-/// [`PlannedTrainer`] epoch (one fused step per window) — the path this
-/// section exists to beat at `B > 1`. Sanity: each batched epoch must be
-/// bitwise thread-invariant (serial fold == pool partition) before its
-/// timings mean anything.
+/// the student objective plan is lowered per micro-batch size `B` into
+/// per-window gradient lanes replayed data-parallel on the worker pool,
+/// folded by the pinned window-order reduction into one clipped, fused
+/// optimizer step per batch. The per-window baseline is the `B = 1`
+/// [`PlannedBatchTrainer`] epoch (one fused step per window, the
+/// trainer's default) — the path this section exists to beat at `B > 1`.
+/// Sanity: each batched epoch must be bitwise thread-invariant (serial
+/// fold == pool partition) before its timings mean anything.
 fn bench_batched_training(quick: bool, threads: usize) -> Vec<Json> {
     let (input_len, horizon, num_vars) = (48usize, 24usize, 7usize);
     let config = TimeKdConfig::default();
-    let optimizer = PlanOptimizer::AdamW {
-        lr: 0.01,
-        beta1: 0.9,
-        beta2: 0.999,
-        eps: 1e-8,
-        weight_decay: 0.01,
-    };
-
     // 16 windows even in QUICK so B = 8 still folds two full batches;
     // QUICK trims the iteration count instead.
-    let mut wrng = seeded_rng(0x7EA1);
-    let windows: Vec<(Tensor, Tensor)> = (0..16)
-        .map(|_| {
-            (
-                Tensor::randn([input_len, num_vars], 1.0, &mut wrng),
-                Tensor::randn([horizon, num_vars], 0.5, &mut wrng),
-            )
-        })
-        .collect();
+    let windows = objective_windows(16, &config, input_len, horizon, num_vars);
     let epoch_iters = if quick { 1 } else { 4 };
-
-    // Per-window baseline: the serial planned epoch, one fused update per
-    // window. Shared by every row (it does not depend on B).
-    let epoch_per_window_ms = {
-        let mut rng = seeded_rng(0x1A7E);
-        let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
-        let mut trainer =
-            PlannedTrainer::new(&student, &config, optimizer).expect("training plan compiles");
-        time_min_ms(epoch_iters, || {
-            for (x, y) in &windows {
-                std::hint::black_box(trainer.planned_train_step(x, y));
-            }
-        })
-    };
-
-    let replay_epoch = |exec: &mut BatchTrainExecutor, b: usize| {
-        for chunk in windows.chunks(b) {
-            for (lane, (x, y)) in chunk.iter().enumerate() {
-                exec.stage_window(lane, &x.data(), &y.data());
-            }
-            exec.run_batch(chunk.len());
-        }
-    };
     let build = |b: usize| {
-        let plan = compile_student_training_plan_batched(
-            &config, input_len, horizon, num_vars, optimizer, b,
-        )
-        .expect("batched training plan compiles");
         let mut rng = seeded_rng(0x1A7E);
         let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
-        let (ctx, _) =
-            trace_student_loss(&config, input_len, horizon, num_vars).expect("student loss traces");
-        let by_label: HashMap<String, Tensor> = ctx
-            .params()
+        PlannedBatchTrainer::new(&student, &config, student_plan_optimizer(&config), b)
+            .expect("batched objective plan compiles")
+    };
+    let params_of = |t: &PlannedBatchTrainer| -> Vec<Vec<f32>> {
+        t.param_labels()
             .iter()
-            .zip(student.params())
-            .map(|(sym, real)| (sym.label().to_string(), real.clone()))
-            .collect();
-        let exec = BatchTrainExecutor::new(&plan, |label, dims| {
-            by_label
-                .get(label)
-                .filter(|t| t.dims() == dims)
-                .map(|t| t.data().clone())
+            .filter_map(|l| t.param_data(l).map(<[f32]>::to_vec))
+            .collect()
+    };
+
+    // Per-window baseline, shared by every row (it does not depend on B).
+    let epoch_per_window_ms = {
+        let mut trainer = build(1);
+        time_min_ms(epoch_iters, || {
+            planned_objective_epoch(&mut trainer, &windows)
         })
-        .expect("batched executor binds");
-        (plan, exec)
     };
 
     let sizes: &[usize] = if quick { &[4] } else { &[1, 4, 8] };
@@ -688,26 +688,25 @@ fn bench_batched_training(quick: bool, threads: usize) -> Vec<Json> {
         // Sanity: one epoch on the serial fold and one on the pool must
         // leave bitwise-identical parameters (the pinned reduction order
         // is window-indexed, never thread-indexed).
-        let serial_params: Vec<Vec<f32>> = {
-            let (_plan, mut exec) = build(b);
-            with_threads(1, || replay_epoch(&mut exec, b));
-            (0..exec.num_params())
-                .map(|i| exec.param_data(i).to_vec())
-                .collect()
+        let serial_params = {
+            let mut trainer = build(b);
+            with_threads(1, || planned_objective_epoch(&mut trainer, &windows));
+            params_of(&trainer)
         };
-        let (plan, mut exec) = build(b);
-        with_threads(threads, || replay_epoch(&mut exec, b));
-        let pool_params: Vec<Vec<f32>> = (0..exec.num_params())
-            .map(|i| exec.param_data(i).to_vec())
-            .collect();
+        let mut trainer = build(b);
+        with_threads(threads, || planned_objective_epoch(&mut trainer, &windows));
         assert_eq!(
-            serial_params, pool_params,
+            serial_params,
+            params_of(&trainer),
             "batched epoch at B={b} diverged between serial and pooled replay"
         );
 
         let epoch_batched_ms = with_threads(threads, || {
-            time_min_ms(epoch_iters, || replay_epoch(&mut exec, b))
+            time_min_ms(epoch_iters, || {
+                planned_objective_epoch(&mut trainer, &windows)
+            })
         });
+        let plan = trainer.plan();
         rows.push(Json::obj(vec![
             ("name", Json::str(format!("batched_b{b}"))),
             ("micro_batch", Json::num(b as f64)),

@@ -3,28 +3,21 @@
 //!
 //! Installs [`PeakAlloc`] as this binary's global allocator and measures
 //! the heap around a batch of [`PlannedStudent::predict_into`] calls and
-//! then a batch of [`PlannedTrainer::planned_train_step`] calls: after
-//! the warm-up call, live bytes must not move and the peak must not
-//! rise — i.e. both hot loops (forward replay, reverse schedule, fused
-//! optimizer update) perform **zero** allocations, as the
-//! `*-in-plan-loop` lint rules promise statically.
+//! then batches of [`PlannedBatchTrainer`] steps (`stage_window`,
+//! `stage_teacher`, `run_batch`) on the objective plan the trainer runs:
+//! after the warm-up call, live bytes must not move and the peak must not
+//! rise — i.e. every hot loop (forward replay, reverse schedule, gradient
+//! reduction, clipping, fused optimizer update) performs **zero**
+//! allocations, as the `*-in-plan-loop` lint rules promise statically.
 //!
 //! Built with `harness = false`: the libtest harness runs a second thread
 //! whose own bookkeeping allocates sporadically, which would show up in
 //! the global counters. A plain single-threaded `main` makes the
 //! measurement window deterministic.
 
-use std::collections::HashMap;
-
-use timekd::{
-    compile_student_training_plan_batched, trace_student_loss, PlannedStudent, PlannedTrainer,
-    Student, TimeKdConfig,
-};
+use timekd::{student_plan_optimizer, PlannedBatchTrainer, PlannedStudent, Student, TimeKdConfig};
 use timekd_bench::PeakAlloc;
-use timekd_nn::Module;
-use timekd_tensor::{
-    parallel::with_threads, seeded_rng, BatchTrainExecutor, PlanOptimizer, Tensor,
-};
+use timekd_tensor::{parallel::with_threads, seeded_rng, Tensor};
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc::new();
@@ -61,121 +54,63 @@ fn main() {
     assert!(out.iter().all(|v| v.is_finite()), "forecast must be finite");
     println!("planned_alloc: 64 predict_into calls, zero heap movement ({live_before} live bytes)");
 
-    // Same proof for the full training step: forward replay + reverse
-    // schedule + fused AdamW update, all from the one pre-sized arena.
-    let mut trainer = PlannedTrainer::new(
-        &student,
-        &config,
-        PlanOptimizer::AdamW {
-            lr: 0.01,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.01,
-        },
-    )
-    .expect("training plan compiles");
-    let y = Tensor::randn([horizon, num_vars], 0.5, &mut rng);
-
-    // Warm-up: binding already happened in `new`; this catches any lazy
-    // first-step setup.
-    trainer.planned_train_step(&x, &y);
-
-    let live_before = ALLOC.live_bytes();
-    ALLOC.reset_peak();
-    let mut last = 0.0f32;
-    for _ in 0..64 {
-        last = trainer.planned_train_step(&x, &y);
-    }
-    let live_after = ALLOC.live_bytes();
-    let peak_after = ALLOC.peak_bytes();
-
-    assert_eq!(
-        live_after, live_before,
-        "planned training step must not leak or allocate"
-    );
-    assert_eq!(
-        peak_after, live_before,
-        "planned training step must not allocate even transiently"
-    );
-    assert!(last.is_finite(), "training loss must be finite");
-    println!(
-        "planned_alloc: 64 planned_train_step calls, zero heap movement ({live_before} live bytes)"
-    );
-
-    // Same proof for the *batched* training path: staging every lane plus
-    // the data-parallel replay, pinned window-order reduction, and fused
-    // update must all run from pre-sized per-lane arenas. Forced onto the
+    // Same proof for the production training step: the student objective
+    // plan the trainer replays, bound through `PlannedBatchTrainer`, at the
+    // trainer's default one-window batch and at B = 4. Staging every lane's
+    // window and teacher products, the (data-parallel) replay, the pinned
+    // window-order reduction, clipping and the fused AdamW update must all
+    // run from pre-sized per-lane arenas. Both runs are forced onto the
     // serial fold (`with_threads(1)`) so pool job bookkeeping — which is
     // outside the plan's zero-alloc promise — stays out of the window.
-    let batch = 4;
-    let plan = compile_student_training_plan_batched(
-        &config,
-        input_len,
-        horizon,
-        num_vars,
-        PlanOptimizer::AdamW {
-            lr: 0.01,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.01,
-        },
-        batch,
-    )
-    .expect("batched training plan compiles");
-    let (ctx, _) =
-        trace_student_loss(&config, input_len, horizon, num_vars).expect("student loss traces");
-    let by_label: HashMap<String, Tensor> = ctx
-        .params()
-        .iter()
-        .zip(student.params())
-        .map(|(sym, real)| (sym.label().to_string(), real.clone()))
+    let windows: Vec<[Tensor; 3]> = (0..4)
+        .map(|_| {
+            [
+                Tensor::randn([horizon, num_vars], 0.5, &mut rng),
+                Tensor::randn([num_vars, num_vars], 1.0, &mut rng).softmax_last(),
+                Tensor::randn([num_vars, config.dim], 1.0, &mut rng),
+            ]
+        })
         .collect();
-    let mut exec = BatchTrainExecutor::new(&plan, |label, dims| {
-        by_label
-            .get(label)
-            .filter(|t| t.dims() == dims)
-            .map(|t| t.data().clone())
-    })
-    .expect("batched executor binds");
-    let ys: Vec<Tensor> = (0..batch)
-        .map(|_| Tensor::randn([horizon, num_vars], 0.5, &mut rng))
-        .collect();
-
-    with_threads(1, || {
-        // Warm-up batch outside the window.
-        for (lane, y) in ys.iter().enumerate() {
-            exec.stage_window(lane, &x.data(), &y.data());
-        }
-        exec.run_batch(batch);
-
-        let live_before = ALLOC.live_bytes();
-        ALLOC.reset_peak();
-        for _ in 0..64 {
-            for (lane, y) in ys.iter().enumerate() {
-                exec.stage_window(lane, &x.data(), &y.data());
+    for batch in [1, 4] {
+        let mut trainer =
+            PlannedBatchTrainer::new(&student, &config, student_plan_optimizer(&config), batch)
+                .expect("objective plan compiles");
+        let mut step = || {
+            for (lane, [y, att, emb]) in windows.iter().take(batch).enumerate() {
+                trainer.stage_window(lane, &x, y);
+                trainer.stage_teacher(lane, att, emb);
             }
-            exec.run_batch(batch);
-        }
-        let live_after = ALLOC.live_bytes();
-        let peak_after = ALLOC.peak_bytes();
+            trainer.run_batch(batch);
+        };
+        with_threads(1, || {
+            // Warm-up batch outside the window: binding already happened
+            // in `new`; this catches any lazy first-step setup.
+            step();
 
-        assert_eq!(
-            live_after, live_before,
-            "batched training step must not leak or allocate"
-        );
-        assert_eq!(
-            peak_after, live_before,
-            "batched training step must not allocate even transiently"
-        );
+            let live_before = ALLOC.live_bytes();
+            ALLOC.reset_peak();
+            for _ in 0..64 {
+                step();
+            }
+            let live_after = ALLOC.live_bytes();
+            let peak_after = ALLOC.peak_bytes();
+
+            assert_eq!(
+                live_after, live_before,
+                "objective training step (B={batch}) must not leak or allocate"
+            );
+            assert_eq!(
+                peak_after, live_before,
+                "objective training step (B={batch}) must not allocate even transiently"
+            );
+            println!(
+                "planned_alloc: 64 objective stage+run_batch calls (B={batch}), zero heap \
+                 movement ({live_before} live bytes)"
+            );
+        });
         assert!(
-            (0..batch).all(|w| exec.lane_loss(w).is_finite()),
-            "batched lane losses must be finite"
+            (0..batch).all(|w| trainer.lane_total(w).is_finite()),
+            "objective lane losses must be finite"
         );
-        println!(
-            "planned_alloc: 64 batched run_batch calls (B={batch}), zero heap movement \
-             ({live_before} live bytes)"
-        );
-    });
+    }
 }

@@ -15,8 +15,9 @@
 //!   independently re-derives liveness over each compiled student plan and
 //!   proves slot interference soundness, def-before-use, the arena bound,
 //!   and a clean diff against the symbolic graph and dynamic execution,
-//!   for the whole configuration matrix. Training plans additionally get
-//!   the chained backward passes: adjoint completeness (frozen parameters
+//!   for the whole configuration matrix. The trainer's objective plans
+//!   (PKD + forecast, clip, AdamW; B=1 and B=4) additionally get the
+//!   chained backward passes: adjoint completeness (frozen parameters
 //!   provably receive no update), reverse-topological validity,
 //!   saved-activation liveness over the combined forward+backward
 //!   timeline, and a bitwise plan-vs-dynamic training diff. Batched
@@ -35,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::rc::Rc;
 
-use timekd::{trace_student_loss, Forecaster, TimeKd, TimeKdConfig};
+use timekd::{trace_student, Forecaster, TimeKd, TimeKdConfig};
 use timekd_check::plan::verify_plans;
 use timekd_check::verify::verify_all;
 use timekd_check::{scan_workspace_with_stale, Allowlist};
@@ -183,8 +184,8 @@ fn run_verify(json: bool) -> Result<(), String> {
 fn run_plan_checks() -> Result<(), String> {
     let report = verify_plans();
     println!(
-        "plan: verified {} compiled forward+training plans ({} geometries executed against \
-         the dynamic engine)",
+        "plan: verified {} configs' forward and objective training plans ({} geometries \
+         executed against the dynamic engine)",
         report.configs_checked, report.geometries_executed
     );
     for f in &report.findings {
@@ -244,12 +245,12 @@ fn run_graph_checks() -> Result<(), String> {
         return Err(format!("graph: {} issue(s)", audit.issues.len()));
     }
 
-    // Cross-check: the symbolic trace of the same student loss must agree
-    // with the executed graph on every structural count. If the tracer and
+    // Cross-check: the `L_fcst` root of the student trace — the same loss —
+    // must agree with the executed graph on every structural count. If the tracer and
     // the kernels ever drift apart, this is the alarm.
-    let (_ctx, sym_loss) = trace_student_loss(model.config(), 24, 8, ds.num_vars())
+    let trace = trace_student(model.config(), 24, 8, ds.num_vars())
         .map_err(|e| format!("graph: symbolic trace failed: {e}"))?;
-    let sym = graph_stats(&sym_loss);
+    let sym = graph_stats(&trace.forecast);
     let dy = &audit.stats;
     if (sym.nodes, sym.edges, sym.leaves, sym.params, sym.max_depth)
         != (dy.nodes, dy.edges, dy.leaves, dy.params, dy.max_depth)

@@ -33,10 +33,14 @@
 //!
 //! ## Backward passes (training plans)
 //!
-//! Training plans compiled by `Plan::compile_training` get four more
-//! passes over the reverse schedule, run as a *chain*: each pass runs
-//! only when every earlier backward pass is clean, so the first firing
-//! pass names the fault class unambiguously.
+//! The training plan proven is the one the trainer replays: the student
+//! objective plan (PKD + forecasting, gradient clipping, the trainer's
+//! fused AdamW) from [`compile_student_objective_plan`], at `B = 1` and
+//! `B = 4`. Each gets the four static passes above (the graph diff against
+//! the objective's loss root) and four more over the reverse schedule,
+//! run as a *chain*: each pass runs only when every earlier backward pass
+//! is clean, so the first firing pass names the fault class
+//! unambiguously.
 //!
 //! 5. **adjoint-incomplete** — every reachable trainable parameter
 //!    receives exactly one well-formed gradient (one `Init` among its
@@ -53,16 +57,16 @@
 //!    live until their last backward reader, gradients from first write
 //!    to last consumer) and prove no two simultaneously-live values share
 //!    an arena slot.
-//! 8. **train-divergence** — run real planned training steps and require
-//!    bitwise-identical parameters vs the dynamic `Student` training
-//!    idiom under the same optimizer.
+//! 8. **train-divergence** — bind the plan through
+//!    [`PlannedBatchTrainer`], run real planned steps on seeded windows
+//!    and teacher products, and require bitwise-identical parameters vs
+//!    the dynamic [`student_objective`] step (backward, clip, the
+//!    trainer's AdamW).
 //!
 //! ## Batched plans
 //!
 //! Plans compiled by `Plan::compile_training_batched` get two more static
-//! passes over their batch metadata, run against both the per-window
-//! training plan (where the metadata must be vacuous) and a `B = 4`
-//! batched compile of the same configuration:
+//! passes over their batch metadata (vacuous on a per-window plan):
 //!
 //! 9. **batch-reduction** — re-derive the full pinned reduction sequence
 //!    from the update schedule (source lanes `1..B` ascending, update
@@ -79,28 +83,19 @@
 use std::collections::{HashMap, HashSet};
 
 use timekd::{
-    student_plan_spec, student_train_spec, trace_student_forecast, trace_student_loss,
-    PlannedStudent, Student, TimeKdConfig,
+    bind_student_params, compile_student_objective_plan, student_objective, student_plan_optimizer,
+    student_plan_spec, trace_student, trainer_adamw, PlannedBatchTrainer, PlannedStudent, Student,
+    StudentTrace, TimeKdConfig,
 };
-use timekd_nn::Module;
 use timekd_tensor::{
-    graph_stats, seeded_rng, GradMode, GraphAudit, Plan, PlanOptimizer, SymbolicTensor, Tensor,
-    TrainExecutor, ValueSource,
+    graph_stats, seeded_rng, GradMode, GraphAudit, Plan, SymbolicTensor, Tensor, ValueSource,
 };
 
 use crate::verify::{config_matrix, Finding};
 
-/// Optimizer every training-plan verification uses (the paper trains with
-/// AdamW; hyper-parameters mirror `timekd_nn::AdamWConfig::default`).
-pub fn verification_optimizer() -> PlanOptimizer {
-    PlanOptimizer::AdamW {
-        lr: 0.01,
-        beta1: 0.9,
-        beta2: 0.999,
-        eps: 1e-8,
-        weight_decay: 0.01,
-    }
-}
+/// Micro-batch sizes every objective plan is proven at: the trainer's
+/// default per-window step and a multi-lane batch.
+const PROVEN_BATCHES: [usize; 2] = [1, 4];
 
 fn finding(kind: &'static str, config: &str, message: String) -> Finding {
     Finding {
@@ -933,11 +928,12 @@ pub fn verify_backward_chain(plan: &Plan, config: &str) -> Vec<Finding> {
     check_saved_liveness(plan, config)
 }
 
-/// Pass 8: plan-vs-dynamic gradient diff. Binds the training plan to a
-/// freshly seeded student, runs two real planned training steps, and
-/// requires every parameter to be bitwise identical to the dynamic
-/// `Student` training idiom (`zero_grad → forward → smooth_l1 → backward →
-/// optimizer step`) under the same optimizer.
+/// Pass 8: plan-vs-dynamic training diff. Binds the objective plan to a
+/// freshly seeded student through [`PlannedBatchTrainer::bind`], runs two
+/// real one-window steps against seeded teacher products, and requires
+/// every parameter to be bitwise identical to the dynamic
+/// [`student_objective`] step (`zero_grad → objective → backward → clip →
+/// AdamW`) under the trainer's optimizer.
 pub fn check_train_divergence(
     plan: &Plan,
     cfg: &TimeKdConfig,
@@ -946,111 +942,56 @@ pub fn check_train_divergence(
     horizon: usize,
     num_vars: usize,
 ) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(&optimizer) = plan.optimizer() else {
-        return vec![finding(
-            "train-divergence",
-            label,
-            "training plan declares no optimizer".to_string(),
-        )];
-    };
-    let (ctx, _loss) = match trace_student_loss(cfg, input_len, horizon, num_vars) {
+    let diverged = |message: String| vec![finding("train-divergence", label, message)];
+    let trainer_opt = student_plan_optimizer(cfg);
+    if plan.optimizer() != Some(&trainer_opt) {
+        return diverged(format!(
+            "plan optimizer {:?} is not the trainer's {trainer_opt:?}",
+            plan.optimizer()
+        ));
+    }
+    let trace = match trace_student(cfg, input_len, horizon, num_vars) {
         Ok(t) => t,
         Err(e) => return vec![finding("plan-compile", label, format!("trace failed: {e}"))],
     };
-    let mut rng = seeded_rng(0xD1CE);
-    let student = Student::new(cfg, input_len, horizon, num_vars, &mut rng);
-    let params = student.params();
-    let sym_params = ctx.params();
-    if sym_params.len() != params.len() {
-        return vec![finding(
-            "train-divergence",
-            label,
-            format!(
-                "symbolic trace registers {} parameters, dynamic student has {}",
-                sym_params.len(),
-                params.len()
-            ),
-        )];
-    }
-    let by_label: HashMap<String, Tensor> = sym_params
-        .iter()
-        .zip(&params)
-        .map(|(s, t)| (s.label().to_string(), t.clone()))
-        .collect();
-    let initial: HashMap<String, Vec<f32>> = by_label
-        .iter()
-        .map(|(l, t)| (l.clone(), t.to_vec()))
-        .collect();
-    // Bind the executor to pre-training copies before the dynamic reference
+    let student = Student::new(cfg, input_len, horizon, num_vars, &mut seeded_rng(0xD1CE));
+    let params = match bind_student_params(&trace, &student) {
+        Ok(p) => p,
+        Err(e) => return diverged(e.message),
+    };
+    let initial: Vec<Vec<f32>> = params.iter().map(|(_, t)| t.to_vec()).collect();
+    // Bind the trainer (it copies the values) before the dynamic reference
     // moves anything.
-    let mut exec = match TrainExecutor::new(plan, |lbl, dims| {
-        by_label
-            .get(lbl)
-            .filter(|t| t.dims() == dims)
-            .map(|t| t.data().clone())
-    }) {
-        Ok(e) => e,
-        Err(e) => {
-            return vec![finding(
-                "train-divergence",
-                label,
-                format!("training plan rejected at bind: {}", e.message),
-            )]
-        }
+    let mut trainer = match PlannedBatchTrainer::bind(&student, cfg, plan.clone()) {
+        Ok(t) => t,
+        Err(e) => return diverged(format!("training plan rejected at bind: {}", e.message)),
     };
 
-    enum DynOpt {
-        Sgd(timekd_nn::Sgd),
-        AdamW(timekd_nn::AdamW),
-    }
-    let mut dyn_opt = match optimizer {
-        PlanOptimizer::Sgd { lr } => DynOpt::Sgd(timekd_nn::Sgd::new(lr)),
-        PlanOptimizer::AdamW {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
-        } => DynOpt::AdamW(timekd_nn::AdamW::new(
-            lr,
-            timekd_nn::AdamWConfig {
-                beta1,
-                beta2,
-                eps,
-                weight_decay,
-            },
-        )),
-    };
-
+    let tensors: Vec<Tensor> = params.iter().map(|(_, t)| t.clone()).collect();
+    let mut adamw = trainer_adamw(cfg);
     let mut wrng = seeded_rng(0x7A17);
     for _ in 0..2 {
         let x = Tensor::randn([input_len, num_vars], 1.0, &mut wrng);
         let y = Tensor::randn([horizon, num_vars], 0.5, &mut wrng);
-        for p in &params {
+        let att = Tensor::randn([num_vars, num_vars], 1.0, &mut wrng).softmax_last();
+        let emb = Tensor::randn([num_vars, cfg.dim], 1.0, &mut wrng);
+        for p in &tensors {
             p.zero_grad();
         }
-        let forecast = student.forward(&x).forecast;
-        timekd_nn::smooth_l1_loss(&forecast, &y).backward();
-        match &mut dyn_opt {
-            DynOpt::Sgd(o) => o.step(&params),
-            DynOpt::AdamW(o) => o.step(&params),
-        }
-        let _ = exec.run_train_step(&x.to_vec(), &y.to_vec());
+        student_objective(&student, cfg, &x, &y, &att, &emb)
+            .total
+            .backward();
+        timekd_nn::clip_grad_norm(&tensors, cfg.grad_clip);
+        adamw.step(&tensors);
+        trainer.stage_window(0, &x, &y);
+        trainer.stage_teacher(0, &att, &emb);
+        trainer.run_batch(1);
     }
 
-    let plan_param_labels: Vec<&str> = plan
-        .values()
-        .iter()
-        .filter(|v| matches!(v.source, ValueSource::Param))
-        .map(|v| v.label.as_str())
-        .collect();
-    for (lbl, t) in &by_label {
+    let mut out = Vec::new();
+    for ((lbl, t), initial) in params.iter().zip(&initial) {
         let dynamic = t.to_vec();
-        let planned: &[f32] = match plan_param_labels.iter().position(|l| l == lbl) {
-            Some(i) => exec.param_data(i),
-            None => &initial[lbl],
-        };
+        let planned = trainer.param_data(lbl).unwrap_or(initial);
         let diverging = planned
             .iter()
             .zip(&dynamic)
@@ -1071,8 +1012,46 @@ pub fn check_train_divergence(
     out
 }
 
-/// Structural verification of one configuration: trace, compile, run the
-/// four static passes.
+/// The four static forward passes over one plan, graph-diffed against
+/// `root`.
+fn static_passes(plan: &Plan, root: &SymbolicTensor, label: &str) -> Vec<Finding> {
+    let mut out = check_slot_interference(plan, label);
+    out.extend(check_topo_validity(plan, label));
+    out.extend(check_arena_bound(plan, label));
+    out.extend(check_graph_diff(plan, root, label));
+    out
+}
+
+/// Traces the student, mapping a shape error to a `plan-compile` finding.
+fn trace_or_finding(
+    cfg: &TimeKdConfig,
+    label: &str,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
+) -> Result<StudentTrace, Finding> {
+    trace_student(cfg, input_len, horizon, num_vars)
+        .map_err(|e| finding("plan-compile", label, format!("student trace failed: {e}")))
+}
+
+/// The objective plan the trainer replays for `cfg` at micro-batch
+/// `batch`: the trainer's optimizer and clip.
+fn objective_plan(
+    cfg: &TimeKdConfig,
+    label: &str,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
+    batch: usize,
+) -> Result<Plan, Finding> {
+    let opt = student_plan_optimizer(cfg);
+    compile_student_objective_plan(cfg, input_len, horizon, num_vars, opt, batch)
+        .map_err(|e| finding("plan-compile", label, e.message))
+}
+
+/// Structural verification of one configuration: trace, compile the
+/// forecast plan and the objective plan at every proven batch size, and
+/// run every static pass on each.
 pub fn verify_plan_config(
     cfg: &TimeKdConfig,
     label: &str,
@@ -1080,73 +1059,32 @@ pub fn verify_plan_config(
     horizon: usize,
     num_vars: usize,
 ) -> Vec<Finding> {
-    let (_ctx, forecast) = match trace_student_forecast(cfg, input_len, horizon, num_vars) {
+    let trace = match trace_or_finding(cfg, label, input_len, horizon, num_vars) {
         Ok(t) => t,
-        Err(e) => {
-            return vec![finding(
-                "plan-compile",
-                label,
-                format!("student trace failed: {e}"),
-            )]
-        }
+        Err(f) => return vec![f],
     };
-    let plan = match Plan::compile(&forecast, &student_plan_spec()) {
+    let plan = match Plan::compile(&trace.prediction, &student_plan_spec()) {
         Ok(p) => p,
         Err(e) => return vec![finding("plan-compile", label, e.message)],
     };
-    let mut out = check_slot_interference(&plan, label);
-    out.extend(check_topo_validity(&plan, label));
-    out.extend(check_arena_bound(&plan, label));
-    out.extend(check_graph_diff(&plan, &forecast, label));
+    let mut out = static_passes(&plan, &trace.prediction, label);
 
-    // Training plan: same forward passes over the extended value set, then
-    // the chained backward passes over the reverse schedule.
-    let (_ctx, loss) = match trace_student_loss(cfg, input_len, horizon, num_vars) {
-        Ok(t) => t,
-        Err(e) => {
-            out.push(finding(
-                "plan-compile",
-                label,
-                format!("student loss trace failed: {e}"),
-            ));
-            return out;
-        }
-    };
-    let train_plan = match Plan::compile_training(
-        &loss,
-        &student_plan_spec(),
-        &student_train_spec(verification_optimizer()),
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            out.push(finding("plan-compile", label, e.message));
-            return out;
-        }
-    };
-    out.extend(check_slot_interference(&train_plan, label));
-    out.extend(check_topo_validity(&train_plan, label));
-    out.extend(check_arena_bound(&train_plan, label));
-    out.extend(check_graph_diff(&train_plan, &loss, label));
-    out.extend(verify_backward_chain(&train_plan, label));
-
-    // Batch metadata: vacuous on the per-window plan, then fully proven
-    // on a B=4 batched compile of the same configuration.
-    out.extend(check_batch_reduction(&train_plan, label));
-    out.extend(check_lane_disjointness(&train_plan, label));
-    let batched = match Plan::compile_training_batched(
-        &loss,
-        &student_plan_spec(),
-        &student_train_spec(verification_optimizer()),
-        4,
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            out.push(finding("plan-compile", label, e.message));
-            return out;
-        }
-    };
-    out.extend(check_batch_reduction(&batched, label));
-    out.extend(check_lane_disjointness(&batched, label));
+    // Objective plans: the same forward passes over the extended value
+    // set, the chained backward passes over the reverse schedule, and the
+    // batch-metadata passes.
+    for batch in PROVEN_BATCHES {
+        let plan = match objective_plan(cfg, label, input_len, horizon, num_vars, batch) {
+            Ok(p) => p,
+            Err(f) => {
+                out.push(f);
+                return out;
+            }
+        };
+        out.extend(static_passes(&plan, &trace.loss, label));
+        out.extend(verify_backward_chain(&plan, label));
+        out.extend(check_batch_reduction(&plan, label));
+        out.extend(check_lane_disjointness(&plan, label));
+    }
     out
 }
 
@@ -1161,11 +1099,12 @@ pub fn check_dynamic_agreement(
     num_vars: usize,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
-    let (_ctx, forecast) = match trace_student_forecast(cfg, input_len, horizon, num_vars) {
+    let trace = match trace_or_finding(cfg, label, input_len, horizon, num_vars) {
         Ok(t) => t,
-        Err(e) => return vec![finding("plan-compile", label, format!("trace failed: {e}"))],
+        Err(f) => return vec![f],
     };
-    let plan = match Plan::compile(&forecast, &student_plan_spec()) {
+    let forecast = &trace.prediction;
+    let plan = match Plan::compile(forecast, &student_plan_spec()) {
         Ok(p) => p,
         Err(e) => return vec![finding("plan-compile", label, e.message)],
     };
@@ -1175,7 +1114,7 @@ pub fn check_dynamic_agreement(
     let x = Tensor::randn([input_len, num_vars], 1.0, &mut rng);
     let audit = GraphAudit::run(&student.forward(&x).forecast);
     let dy = &audit.stats;
-    let sym = graph_stats(&forecast);
+    let sym = graph_stats(forecast);
     let from_plan = plan_grad_stats(&plan);
     let sym_t = (sym.nodes, sym.edges, sym.leaves, sym.params, sym.max_depth);
     let dy_t = (dy.nodes, dy.edges, dy.leaves, dy.params, dy.max_depth);
@@ -1216,10 +1155,10 @@ pub fn check_dynamic_agreement(
     out
 }
 
-/// Training agreement for one student geometry: compile the training plan
-/// and, when the structural backward chain is clean (chain semantics —
-/// divergence is the last pass), require bitwise agreement with dynamic
-/// training.
+/// Training agreement for one student geometry: compile the trainer's
+/// per-window objective plan and, when the structural backward chain is
+/// clean (chain semantics — divergence is the last pass), require bitwise
+/// agreement with the dynamic student objective.
 pub fn check_train_agreement(
     cfg: &TimeKdConfig,
     label: &str,
@@ -1227,17 +1166,9 @@ pub fn check_train_agreement(
     horizon: usize,
     num_vars: usize,
 ) -> Vec<Finding> {
-    let (_ctx, loss) = match trace_student_loss(cfg, input_len, horizon, num_vars) {
-        Ok(t) => t,
-        Err(e) => return vec![finding("plan-compile", label, format!("trace failed: {e}"))],
-    };
-    let plan = match Plan::compile_training(
-        &loss,
-        &student_plan_spec(),
-        &student_train_spec(verification_optimizer()),
-    ) {
+    let plan = match objective_plan(cfg, label, input_len, horizon, num_vars, 1) {
         Ok(p) => p,
-        Err(e) => return vec![finding("plan-compile", label, e.message)],
+        Err(f) => return vec![f],
     };
     if !verify_backward_chain(&plan, label).is_empty() {
         // The structural chain already reported at config level; running a
@@ -1308,7 +1239,8 @@ pub fn verify_plans() -> PlanReport {
                  student geometries)"
             ),
             format!(
-                "every reachable trainable parameter receives exactly one accumulated \
+                "every reachable trainable parameter of the objective plan (PKD + \
+                 forecast, clip, AdamW; B=1 and B=4) receives exactly one accumulated \
                  gradient and one fused update; frozen parameters receive none \
                  ({n}/{n} configs)"
             ),
@@ -1321,12 +1253,12 @@ pub fn verify_plans() -> PlanReport {
                  on the combined timeline ({n}/{n} configs)"
             ),
             format!(
-                "planned training steps are bitwise identical to dynamic Student \
-                 training ({g}/{g} student geometries)"
+                "planned objective steps are bitwise identical to the dynamic student \
+                 objective step ({g}/{g} student geometries)"
             ),
             format!(
                 "every trained gradient is reduced into lane 0 exactly once per extra \
-                 lane, in the pinned window order (B=4, {n}/{n} configs)"
+                 lane, in the pinned window order (B=1 and B=4, {n}/{n} configs)"
             ),
             format!(
                 "per-lane gradient arenas are disjoint: the lane stride covers a full \
@@ -1340,8 +1272,8 @@ pub fn verify_plans() -> PlanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timekd::{compile_student_plan, compile_student_training_plan};
-    use timekd_tensor::PlanFault;
+    use timekd::{compile_student_plan, student_objective_spec};
+    use timekd_tensor::{PlanFault, TrainSpec};
 
     fn tiny_cfg() -> TimeKdConfig {
         TimeKdConfig {
@@ -1356,8 +1288,13 @@ mod tests {
         compile_student_plan(&tiny_cfg(), 24, 8, 3).unwrap()
     }
 
-    fn tiny_train_plan() -> Plan {
-        compile_student_training_plan(&tiny_cfg(), 24, 8, 3, verification_optimizer()).unwrap()
+    fn tiny_trace() -> StudentTrace {
+        trace_student(&tiny_cfg(), 24, 8, 3).unwrap()
+    }
+
+    /// The trainer's objective plan for the tiny configuration.
+    fn tiny_objective_plan(batch: usize) -> Plan {
+        objective_plan(&tiny_cfg(), "t", 24, 8, 3, batch).unwrap()
     }
 
     fn all_static_passes(plan: &Plan) -> Vec<Finding> {
@@ -1411,15 +1348,38 @@ mod tests {
 
     #[test]
     fn drop_edge_fault_trips_graph_diff() {
-        let cfg = tiny_cfg();
-        let (_ctx, forecast) = trace_student_forecast(&cfg, 24, 8, 3).unwrap();
-        let mut plan = Plan::compile(&forecast, &student_plan_spec()).unwrap();
+        let trace = tiny_trace();
+        let mut plan = Plan::compile(&trace.prediction, &student_plan_spec()).unwrap();
         plan.inject_fault(PlanFault::DropEdge);
-        let fs = check_graph_diff(&plan, &forecast, "t");
+        let fs = check_graph_diff(&plan, &trace.prediction, "t");
         assert!(
             fs.iter().any(|f| f.kind == "graph-diff"),
             "expected a graph-diff finding, got {fs:?}"
         );
+    }
+
+    #[test]
+    fn forward_faults_trip_their_pass_on_objective_plans() {
+        // The forward faults are owned by the same passes on the objective
+        // plan the trainer replays, at every proven batch size.
+        let trace = tiny_trace();
+        let owners = [
+            (PlanFault::OverlapSlots, "slot-overlap"),
+            (PlanFault::SwapSchedule, "use-before-def"),
+            (PlanFault::ShrinkArena, "arena-bound-mismatch"),
+            (PlanFault::DropEdge, "graph-diff"),
+        ];
+        for batch in PROVEN_BATCHES {
+            for (fault, owner) in owners {
+                let mut plan = tiny_objective_plan(batch);
+                plan.inject_fault(fault);
+                let fs = static_passes(&plan, &trace.loss, "t");
+                assert!(
+                    fs.iter().any(|f| f.kind == owner),
+                    "B={batch}: {fault:?} expected a `{owner}` finding, got {fs:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1432,12 +1392,36 @@ mod tests {
 
     #[test]
     fn clean_training_plan_passes_backward_chain_and_divergence() {
-        let plan = tiny_train_plan();
-        assert!(plan.is_training());
-        let fs = verify_backward_chain(&plan, "t");
-        assert!(fs.is_empty(), "{fs:?}");
+        let trace = tiny_trace();
+        for batch in PROVEN_BATCHES {
+            let plan = tiny_objective_plan(batch);
+            assert!(plan.is_training());
+            let fs = static_passes(&plan, &trace.loss, "t");
+            assert!(fs.is_empty(), "B={batch}: {fs:?}");
+            let fs = verify_backward_chain(&plan, "t");
+            assert!(fs.is_empty(), "B={batch}: {fs:?}");
+        }
         let fs = check_train_agreement(&tiny_cfg(), "t", 24, 8, 3);
         assert!(fs.is_empty(), "{fs:?}");
+    }
+
+    #[test]
+    fn divergence_pass_rejects_a_foreign_optimizer() {
+        // A plan compiled with any optimizer but the trainer's is not the
+        // plan the trainer replays.
+        let cfg = tiny_cfg();
+        let other = TimeKdConfig {
+            lr: cfg.lr * 2.0,
+            ..cfg
+        };
+        let plan =
+            compile_student_objective_plan(&cfg, 24, 8, 3, student_plan_optimizer(&other), 1)
+                .unwrap();
+        let fs = check_train_divergence(&plan, &cfg, "t", 24, 8, 3);
+        assert!(
+            fs.iter().any(|f| f.kind == "train-divergence"),
+            "expected a train-divergence finding, got {fs:?}"
+        );
     }
 
     #[test]
@@ -1456,7 +1440,7 @@ mod tests {
 
     #[test]
     fn drop_adjoint_fault_trips_adjoint_completeness() {
-        let mut plan = tiny_train_plan();
+        let mut plan = tiny_objective_plan(1);
         plan.inject_fault(PlanFault::DropAdjoint);
         let fs = check_adjoint_completeness(&plan, "t");
         assert!(
@@ -1467,7 +1451,7 @@ mod tests {
 
     #[test]
     fn reorder_backward_fault_trips_reverse_topo() {
-        let mut plan = tiny_train_plan();
+        let mut plan = tiny_objective_plan(1);
         plan.inject_fault(PlanFault::ReorderBackward);
         assert!(check_adjoint_completeness(&plan, "t").is_empty());
         let fs = check_reverse_topo(&plan, "t");
@@ -1479,7 +1463,7 @@ mod tests {
 
     #[test]
     fn clobber_saved_activation_fault_trips_saved_liveness() {
-        let mut plan = tiny_train_plan();
+        let mut plan = tiny_objective_plan(1);
         plan.inject_fault(PlanFault::ClobberSavedActivation);
         assert!(check_adjoint_completeness(&plan, "t").is_empty());
         assert!(check_reverse_topo(&plan, "t").is_empty());
@@ -1493,58 +1477,51 @@ mod tests {
     #[test]
     fn backward_fault_isolation_matrix() {
         // Each backward fault is caught by exactly its owning pass in the
-        // chain, and by no forward pass.
-        let cfg = tiny_cfg();
-        let (_ctx, loss) = trace_student_loss(&cfg, 24, 8, 3).unwrap();
+        // chain, and by no forward pass, at every proven batch size.
+        let trace = tiny_trace();
         let owners = [
             (PlanFault::DropAdjoint, "adjoint-incomplete"),
             (PlanFault::ReorderBackward, "reverse-topo"),
             (PlanFault::ClobberSavedActivation, "saved-liveness"),
         ];
-        for (fault, owner) in owners {
-            let mut plan = Plan::compile_training(
-                &loss,
-                &student_plan_spec(),
-                &student_train_spec(verification_optimizer()),
-            )
-            .unwrap();
-            plan.inject_fault(fault);
-            let mut fwd = all_static_passes(&plan);
-            fwd.extend(check_graph_diff(&plan, &loss, "t"));
-            assert!(
-                fwd.is_empty(),
-                "{fault:?} leaked into a forward pass: {fwd:?}"
-            );
-            let fs = verify_backward_chain(&plan, "t");
-            assert!(!fs.is_empty(), "{fault:?} was not caught by the chain");
-            assert!(
-                fs.iter().all(|f| f.kind == owner),
-                "{fault:?} expected only `{owner}` findings, got {fs:?}"
-            );
+        for batch in PROVEN_BATCHES {
+            for (fault, owner) in owners {
+                let mut plan = tiny_objective_plan(batch);
+                plan.inject_fault(fault);
+                let fwd = static_passes(&plan, &trace.loss, "t");
+                assert!(
+                    fwd.is_empty(),
+                    "B={batch}: {fault:?} leaked into a forward pass: {fwd:?}"
+                );
+                let fs = verify_backward_chain(&plan, "t");
+                assert!(
+                    !fs.is_empty(),
+                    "B={batch}: {fault:?} was not caught by the chain"
+                );
+                assert!(
+                    fs.iter().all(|f| f.kind == owner),
+                    "B={batch}: {fault:?} expected only `{owner}` findings, got {fs:?}"
+                );
+            }
         }
-    }
-
-    fn tiny_batched_plan(batch: usize) -> Plan {
-        let (_ctx, loss) = trace_student_loss(&tiny_cfg(), 24, 8, 3).unwrap();
-        Plan::compile_training_batched(
-            &loss,
-            &student_plan_spec(),
-            &student_train_spec(verification_optimizer()),
-            batch,
-        )
-        .unwrap()
     }
 
     #[test]
     fn clean_batched_plans_pass_batch_passes() {
-        for batch in [1, 4] {
-            let plan = tiny_batched_plan(batch);
+        for batch in PROVEN_BATCHES {
+            let plan = tiny_objective_plan(batch);
             let mut fs = check_batch_reduction(&plan, "t");
             fs.extend(check_lane_disjointness(&plan, "t"));
             assert!(fs.is_empty(), "B={batch}: {fs:?}");
         }
         // Per-window plans must be vacuously clean: no batch metadata.
-        let plan = tiny_train_plan();
+        let cfg = tiny_cfg();
+        let plan = Plan::compile_training(
+            &tiny_trace().loss,
+            &student_objective_spec(),
+            &TrainSpec::new("y", student_plan_optimizer(&cfg)),
+        )
+        .unwrap();
         let mut fs = check_batch_reduction(&plan, "t");
         fs.extend(check_lane_disjointness(&plan, "t"));
         assert!(fs.is_empty(), "per-window: {fs:?}");
@@ -1554,23 +1531,15 @@ mod tests {
     fn batch_fault_isolation_matrix() {
         // Each batch fault is caught by exactly its owning pass, and by no
         // forward, backward, or sibling batch pass.
-        let cfg = tiny_cfg();
-        let (_ctx, loss) = trace_student_loss(&cfg, 24, 8, 3).unwrap();
+        let trace = tiny_trace();
         let owners = [
             (PlanFault::DropReduceStep, "batch-reduction"),
             (PlanFault::OverlapLaneArenas, "lane-disjoint"),
         ];
         for (fault, owner) in owners {
-            let mut plan = Plan::compile_training_batched(
-                &loss,
-                &student_plan_spec(),
-                &student_train_spec(verification_optimizer()),
-                4,
-            )
-            .unwrap();
+            let mut plan = tiny_objective_plan(4);
             plan.inject_fault(fault);
-            let mut other = all_static_passes(&plan);
-            other.extend(check_graph_diff(&plan, &loss, "t"));
+            let mut other = static_passes(&plan, &trace.loss, "t");
             other.extend(verify_backward_chain(&plan, "t"));
             assert!(
                 other.is_empty(),
@@ -1593,16 +1562,10 @@ mod tests {
         // must stay clean; only real execution against the dynamic
         // reference can expose that the wrong parameter was frozen.
         let cfg = tiny_cfg();
-        let (_ctx, loss) = trace_student_loss(&cfg, 24, 8, 3).unwrap();
-        let mut plan = Plan::compile_training(
-            &loss,
-            &student_plan_spec(),
-            &student_train_spec(verification_optimizer()),
-        )
-        .unwrap();
+        let trace = tiny_trace();
+        let mut plan = tiny_objective_plan(1);
         plan.inject_fault(PlanFault::UpdateFrozenParam);
-        let mut fwd = all_static_passes(&plan);
-        fwd.extend(check_graph_diff(&plan, &loss, "t"));
+        let fwd = static_passes(&plan, &trace.loss, "t");
         assert!(fwd.is_empty(), "{fwd:?}");
         let fs = verify_backward_chain(&plan, "t");
         assert!(

@@ -15,6 +15,7 @@ use timekd_nn::smooth_l1_loss;
 use timekd_tensor::Tensor;
 
 use crate::config::TimeKdConfig;
+use crate::student::Student;
 
 /// The PKD loss terms for one window.
 pub struct PkdLosses {
@@ -56,6 +57,54 @@ pub fn pkd_losses(
         correlation,
         feature,
         combined,
+    }
+}
+
+/// The student objective's loss terms for one window (Alg. 2, Eq. 29–30).
+pub struct StudentObjective {
+    /// `λ_p·(λ_c·L_cd + λ_e·L_fd) + λ_f·L_fcst` — the root to backpropagate.
+    pub total: Tensor,
+    /// `L_cd` (zero tensor when disabled by ablation).
+    pub correlation: Tensor,
+    /// `L_fd` (zero tensor when disabled by ablation).
+    pub feature: Tensor,
+    /// `L_fcst`.
+    pub forecast: Tensor,
+}
+
+/// Builds the student objective for one window on the dynamic engine: the
+/// student forward on `x`, PKD against the teacher's privileged products,
+/// and the forecasting loss against `y`. This is the one dynamic
+/// reference the compiled objective plan
+/// ([`PlannedBatchTrainer`](crate::PlannedBatchTrainer)) must match bit
+/// for bit — the trainer's oracle epoch, the plan verifier and the
+/// kernels bench all step it.
+pub fn student_objective(
+    student: &Student,
+    config: &TimeKdConfig,
+    x: &Tensor,
+    y: &Tensor,
+    teacher_attention: &Tensor,
+    teacher_embedding: &Tensor,
+) -> StudentObjective {
+    let out = student.forward(x);
+    let pkd = pkd_losses(
+        teacher_attention,
+        teacher_embedding,
+        &out.attention,
+        &out.embedding,
+        config,
+    );
+    let forecast = smooth_l1_loss(&out.forecast, y);
+    let total = pkd
+        .combined
+        .mul_scalar(config.lambda_pkd)
+        .add(&forecast.mul_scalar(config.lambda_fcst));
+    StudentObjective {
+        total,
+        correlation: pkd.correlation,
+        feature: pkd.feature,
+        forecast,
     }
 }
 

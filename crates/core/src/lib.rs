@@ -44,23 +44,21 @@ mod teacher;
 mod trainer;
 
 pub use config::{AblationConfig, TimeKdConfig};
-pub use distill::{pkd_losses, PkdLosses};
+pub use distill::{pkd_losses, student_objective, PkdLosses, StudentObjective};
 pub use forecaster::Forecaster;
 pub use model_io::{load_checkpoint, save_checkpoint};
 pub use norm_helpers::layer_norm_const;
 pub use plan::{
-    compile_student_plan, compile_student_training_plan, compile_student_training_plan_batched,
-    plan_cache_stats, reset_plan_cache, student_objective_spec, student_plan_spec,
-    student_plan_spec_with_precision, student_train_spec, PlannedBatchTrainer, PlannedStudent,
-    PlannedTrainer, QuantizedStudent, AUX_TEACHER_ATT, AUX_TEACHER_EMB,
+    bind_student_params, compile_student_objective_plan, compile_student_plan, plan_cache_stats,
+    reset_plan_cache, student_objective_spec, student_plan_spec, student_plan_spec_with_precision,
+    PlannedBatchTrainer, PlannedStudent, QuantizedStudent, AUX_TEACHER_ATT, AUX_TEACHER_EMB,
 };
 pub use sca::SubtractiveCrossAttention;
 pub use student::{Student, StudentOutput};
 pub use symbolic::{
-    prompt_token_counts, sym_layer_norm_const, sym_pkd_losses, trace_pipeline,
-    trace_student_forecast, trace_student_loss, trace_student_objective, Fault,
-    StudentObjectiveTrace, SymPkdLosses, SymSca, SymStudent, SymStudentOutput, SymTeacher,
+    prompt_token_counts, sym_layer_norm_const, sym_pkd_losses, trace_pipeline, trace_student,
+    Fault, StudentTrace, SymPkdLosses, SymSca, SymStudent, SymStudentOutput, SymTeacher,
     SymTeacherOutput, SymbolicPipeline, TEACHER_ATT_LABEL, TEACHER_EMB_LABEL,
 };
 pub use teacher::{render_prompts, CrossModalityTeacher, TeacherOutput};
-pub use trainer::{EpochStats, TimeKd};
+pub use trainer::{student_plan_optimizer, trainer_adamw, EpochStats, TimeKd};

@@ -1,4 +1,4 @@
-//! Plan-backed student inference.
+//! Plan-backed student inference and training.
 //!
 //! [`PlannedStudent`] compiles the student's symbolic forecast trace into a
 //! static [`Plan`] (fixed schedule + liveness-colored arena), binds the
@@ -7,6 +7,8 @@
 //! executor invokes the same serial row-block kernels the dynamic engine
 //! partitions across the worker pool, planned forecasts are **bitwise
 //! identical** to [`Student::predict`] at any `TIMEKD_THREADS` setting.
+//! [`PlannedBatchTrainer`] does the same for the student's one training
+//! objective (PKD + forecasting, Alg. 2).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -14,15 +16,12 @@ use std::collections::HashMap;
 use timekd_nn::Module;
 use timekd_tensor::{
     BatchTrainExecutor, Plan, PlanError, PlanExecutor, PlanOptimizer, PlanSpec, Precision, Tensor,
-    TrainExecutor, TrainSpec, ValueSource,
+    TrainSpec, ValueSource,
 };
 
 use crate::config::TimeKdConfig;
 use crate::student::Student;
-use crate::symbolic::{
-    trace_student_forecast, trace_student_loss, trace_student_objective, TEACHER_ATT_LABEL,
-    TEACHER_EMB_LABEL,
-};
+use crate::symbolic::{trace_student, StudentTrace, TEACHER_ATT_LABEL, TEACHER_EMB_LABEL};
 
 /// The plan spec for the student forecast graph: the history window is the
 /// single runtime input, and the RevIN instance statistics (constant
@@ -49,12 +48,11 @@ pub const AUX_TEACHER_ATT: usize = 0;
 /// Aux feed slot of the teacher embedding `E_GT` in objective plans.
 pub const AUX_TEACHER_EMB: usize = 1;
 
-/// The plan spec for the *full* student objective graph
-/// ([`trace_student_objective`]): like [`student_plan_spec`], plus the
-/// teacher's privileged products as per-window auxiliary constants. The
-/// slot order here fixes [`AUX_TEACHER_ATT`] / [`AUX_TEACHER_EMB`];
-/// configurations whose ablation drops an arm simply leave that slot
-/// empty (`aux_len == 0`).
+/// The plan spec for the student objective graph ([`StudentTrace::loss`]):
+/// like [`student_plan_spec`], plus the teacher's privileged products as
+/// per-window auxiliary constants. The slot order here fixes
+/// [`AUX_TEACHER_ATT`] / [`AUX_TEACHER_EMB`]; configurations whose
+/// ablation drops an arm simply leave that slot empty (`aux_len == 0`).
 pub fn student_objective_spec() -> PlanSpec {
     PlanSpec {
         aux_labels: vec![TEACHER_ATT_LABEL.to_string(), TEACHER_EMB_LABEL.to_string()],
@@ -62,12 +60,80 @@ pub fn student_objective_spec() -> PlanSpec {
     }
 }
 
+/// A student geometry: `(input_len, horizon, num_vars)`.
+type Geometry = (usize, usize, usize);
+
+fn geometry(student: &Student) -> Geometry {
+    (student.input_len(), student.horizon(), student.num_vars())
+}
+
+fn trace(
+    config: &TimeKdConfig,
+    (input_len, horizon, num_vars): Geometry,
+) -> Result<StudentTrace, PlanError> {
+    trace_student(config, input_len, horizon, num_vars).map_err(|e| PlanError {
+        message: format!("student trace failed: {e}"),
+    })
+}
+
+/// The one binding between a live [`Student`] and its symbolic trace:
+/// pairs each parameter the trace registered (in registration order) with
+/// the student's tensor at the same [`Module::params`] position — the
+/// symbolic mirrors register in lockstep with the modules — and checks
+/// the count and every shape label by label. The returned handles are
+/// the student's own tensors, not copies.
+pub fn bind_student_params(
+    trace: &StudentTrace,
+    student: &Student,
+) -> Result<Vec<(String, Tensor)>, PlanError> {
+    let sym_params = trace.ctx.params();
+    let real_params = student.params();
+    if sym_params.len() != real_params.len() {
+        return Err(PlanError {
+            message: format!(
+                "parameter count mismatch: trace has {}, student has {}",
+                sym_params.len(),
+                real_params.len()
+            ),
+        });
+    }
+    sym_params
+        .iter()
+        .zip(real_params)
+        .map(|(sym, real)| {
+            if sym.sizes() == real.dims() {
+                Ok((sym.label().to_string(), real))
+            } else {
+                Err(PlanError {
+                    message: format!(
+                        "parameter `{}` shape mismatch: trace {:?}, student {:?}",
+                        sym.label(),
+                        sym.sizes(),
+                        real.dims()
+                    ),
+                })
+            }
+        })
+        .collect()
+}
+
+fn param_named<'a>(params: &'a [(String, Tensor)], label: &str) -> Option<&'a Tensor> {
+    params.iter().find(|(l, _)| l == label).map(|(_, t)| t)
+}
+
+/// Executor resolver over [`bind_student_params`] output: a copy of the
+/// named parameter's data when its shape matches.
+fn resolve(params: &[(String, Tensor)], label: &str, dims: &[usize]) -> Option<Vec<f32>> {
+    param_named(params, label)
+        .filter(|t| t.dims() == dims)
+        .map(|t| t.data().clone())
+}
+
 // ---------------------------------------------------------------------------
 // Compiled-plan cache
 // ---------------------------------------------------------------------------
 
 const KIND_FORECAST: u64 = 1;
-const KIND_TRAIN_FORECAST_LOSS: u64 = 2;
 const KIND_TRAIN_OBJECTIVE: u64 = 3;
 
 thread_local! {
@@ -103,7 +169,7 @@ fn push_f32(key: &mut Vec<u64>, v: f32) {
 /// Everything that shapes a compiled student graph for `config` at this
 /// geometry: plan kind, sizes, encoder architecture, and ablation bits.
 /// Loss weights and optimizer hyper-parameters are appended by the
-/// training-plan key builders (they are baked into plan steps).
+/// training-plan key builder (they are baked into plan steps).
 fn plan_key_base(
     kind: u64,
     config: &TimeKdConfig,
@@ -130,27 +196,6 @@ fn plan_key_base(
     ]
 }
 
-fn push_optimizer(key: &mut Vec<u64>, optimizer: &PlanOptimizer) {
-    match *optimizer {
-        PlanOptimizer::Sgd { lr } => {
-            key.push(1);
-            push_f32(key, lr);
-        }
-        PlanOptimizer::AdamW {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
-        } => {
-            key.push(2);
-            for v in [lr, beta1, beta2, eps, weight_decay] {
-                push_f32(key, v);
-            }
-        }
-    }
-}
-
 /// Returns the cached plan for `key`, compiling (and caching) on first
 /// use. Compilation is deterministic in the key, so a cache hit is
 /// bitwise-equivalent to recompiling — the whole point is that epoch
@@ -170,6 +215,26 @@ fn cached_plan(
     Ok(plan)
 }
 
+/// The forecast plan of `trace` (of `geometry`) at `precision`.
+fn forecast_plan(
+    config: &TimeKdConfig,
+    trace: &StudentTrace,
+    (input_len, horizon, num_vars): Geometry,
+    precision: Precision,
+) -> Result<Plan, PlanError> {
+    let mut key = plan_key_base(KIND_FORECAST, config, input_len, horizon, num_vars);
+    key.push(match precision {
+        Precision::F32 => 0,
+        Precision::Int8 => 1,
+    });
+    cached_plan(key, || {
+        Plan::compile(
+            &trace.prediction,
+            &student_plan_spec_with_precision(precision),
+        )
+    })
+}
+
 /// Traces the student forecast graph for this geometry and compiles it
 /// into a static plan.
 pub fn compile_student_plan(
@@ -178,13 +243,87 @@ pub fn compile_student_plan(
     horizon: usize,
     num_vars: usize,
 ) -> Result<Plan, PlanError> {
-    let (_ctx, forecast) =
-        trace_student_forecast(config, input_len, horizon, num_vars).map_err(|e| PlanError {
-            message: format!("student trace failed: {e}"),
-        })?;
-    let mut key = plan_key_base(KIND_FORECAST, config, input_len, horizon, num_vars);
-    key.push(0); // Precision::F32
-    cached_plan(key, || Plan::compile(&forecast, &student_plan_spec()))
+    let geometry = (input_len, horizon, num_vars);
+    forecast_plan(config, &trace(config, geometry)?, geometry, Precision::F32)
+}
+
+/// Traces the student objective for this geometry and compiles it into
+/// the batched training plan [`PlannedBatchTrainer`] replays: `batch`
+/// per-window gradient lanes, the pinned cross-window reduction, global
+/// gradient-norm clipping at `config.grad_clip` in [`Module::params`]
+/// order, and one fused `optimizer` step. The per-component loss scalars
+/// stay pinned in the arena so they can be read back after a step.
+pub fn compile_student_objective_plan(
+    config: &TimeKdConfig,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
+    optimizer: PlanOptimizer,
+    batch: usize,
+) -> Result<Plan, PlanError> {
+    let geometry = (input_len, horizon, num_vars);
+    objective_plan(
+        config,
+        &trace(config, geometry)?,
+        geometry,
+        optimizer,
+        batch,
+    )
+}
+
+/// [`compile_student_objective_plan`] over an existing trace of
+/// `geometry`, so binding reuses the one trace (tracing twice measurably
+/// raised the trainer's peak RSS).
+fn objective_plan(
+    config: &TimeKdConfig,
+    trace: &StudentTrace,
+    (input_len, horizon, num_vars): Geometry,
+    optimizer: PlanOptimizer,
+    batch: usize,
+) -> Result<Plan, PlanError> {
+    let mut key = plan_key_base(KIND_TRAIN_OBJECTIVE, config, input_len, horizon, num_vars);
+    let PlanOptimizer::AdamW {
+        lr,
+        beta1,
+        beta2,
+        eps,
+        weight_decay,
+    } = optimizer;
+    for v in [
+        config.lambda_cd,
+        config.lambda_fd,
+        config.lambda_pkd,
+        config.lambda_fcst,
+        config.grad_clip,
+        lr,
+        beta1,
+        beta2,
+        eps,
+        weight_decay,
+    ] {
+        push_f32(&mut key, v);
+    }
+    key.push(batch as u64);
+    cached_plan(key, || {
+        let mut train = TrainSpec::new("y", optimizer);
+        train.grad_clip = Some(config.grad_clip);
+        train.clip_param_order = trace
+            .ctx
+            .params()
+            .iter()
+            .map(|p| p.label().to_string())
+            .collect();
+        train.pinned = [
+            trace.correlation.as_ref(),
+            trace.feature.as_ref(),
+            Some(&trace.forecast),
+        ]
+        .into_iter()
+        .flatten()
+        .map(|t| t.id())
+        .collect();
+        Plan::compile_training_batched(&trace.loss, &student_objective_spec(), &train, batch)
+    })
 }
 
 /// A [`Student`] whose predict path runs a compiled [`Plan`] instead of
@@ -199,72 +338,17 @@ pub struct PlannedStudent {
 }
 
 /// Compiles the forecast plan for `student`'s geometry at the given
-/// precision and binds the student's parameters to an executor.
-///
-/// Binding zips the symbolic trace's parameter registration order with
-/// [`Module::params`] order (the module mirrors register in lockstep),
-/// cross-checking label-by-label that every shape agrees.
+/// precision and binds the student's parameters to an executor (see
+/// [`bind_student_params`] for the binding contract).
 fn bind_student_forecast(
     student: &Student,
     config: &TimeKdConfig,
     precision: Precision,
 ) -> Result<(Plan, PlanExecutor), PlanError> {
-    let (ctx, forecast) = trace_student_forecast(
-        config,
-        student.input_len(),
-        student.horizon(),
-        student.num_vars(),
-    )
-    .map_err(|e| PlanError {
-        message: format!("student trace failed: {e}"),
-    })?;
-    let mut key = plan_key_base(
-        KIND_FORECAST,
-        config,
-        student.input_len(),
-        student.horizon(),
-        student.num_vars(),
-    );
-    key.push(match precision {
-        Precision::F32 => 0,
-        Precision::Int8 => 1,
-    });
-    let plan = cached_plan(key, || {
-        Plan::compile(&forecast, &student_plan_spec_with_precision(precision))
-    })?;
-
-    let sym_params = ctx.params();
-    let real_params = student.params();
-    if sym_params.len() != real_params.len() {
-        return Err(PlanError {
-            message: format!(
-                "parameter count mismatch: trace has {}, student has {}",
-                sym_params.len(),
-                real_params.len()
-            ),
-        });
-    }
-    let mut by_label: HashMap<String, Tensor> = HashMap::with_capacity(real_params.len());
-    for (sym, real) in sym_params.iter().zip(&real_params) {
-        if sym.sizes() != real.dims() {
-            return Err(PlanError {
-                message: format!(
-                    "parameter `{}` shape mismatch: trace {:?}, student {:?}",
-                    sym.label(),
-                    sym.sizes(),
-                    real.dims()
-                ),
-            });
-        }
-        by_label.insert(sym.label().to_string(), real.clone());
-    }
-
-    let executor = PlanExecutor::new(&plan, |label, dims| {
-        by_label
-            .get(label)
-            .filter(|t| t.dims() == dims)
-            .map(|t| t.data().clone())
-    })?;
+    let trace = trace(config, geometry(student))?;
+    let plan = forecast_plan(config, &trace, geometry(student), precision)?;
+    let params = bind_student_params(&trace, student)?;
+    let executor = PlanExecutor::new(&plan, |label, dims| resolve(&params, label, dims))?;
     Ok((plan, executor))
 }
 
@@ -403,206 +487,6 @@ impl QuantizedStudent {
     }
 }
 
-/// The train spec for the student loss graph: the horizon window is the
-/// per-step target leaf (`y` in `trace_student_loss`).
-pub fn student_train_spec(optimizer: PlanOptimizer) -> TrainSpec {
-    TrainSpec::new("y", optimizer)
-}
-
-/// Traces the student forecasting loss for this geometry and compiles the
-/// full training plan — forward, reverse schedule, fused optimizer.
-pub fn compile_student_training_plan(
-    config: &TimeKdConfig,
-    input_len: usize,
-    horizon: usize,
-    num_vars: usize,
-    optimizer: PlanOptimizer,
-) -> Result<Plan, PlanError> {
-    let (_ctx, loss) =
-        trace_student_loss(config, input_len, horizon, num_vars).map_err(|e| PlanError {
-            message: format!("student loss trace failed: {e}"),
-        })?;
-    let mut key = plan_key_base(
-        KIND_TRAIN_FORECAST_LOSS,
-        config,
-        input_len,
-        horizon,
-        num_vars,
-    );
-    push_optimizer(&mut key, &optimizer);
-    cached_plan(key, || {
-        Plan::compile_training(&loss, &student_plan_spec(), &student_train_spec(optimizer))
-    })
-}
-
-/// [`compile_student_training_plan`] lowered once more into a batched
-/// multi-window plan: `batch` per-window gradient lanes plus the pinned
-/// cross-window reduction schedule (see
-/// [`Plan::compile_training_batched`]). Cached like every other compile.
-pub fn compile_student_training_plan_batched(
-    config: &TimeKdConfig,
-    input_len: usize,
-    horizon: usize,
-    num_vars: usize,
-    optimizer: PlanOptimizer,
-    batch: usize,
-) -> Result<Plan, PlanError> {
-    let (_ctx, loss) =
-        trace_student_loss(config, input_len, horizon, num_vars).map_err(|e| PlanError {
-            message: format!("student loss trace failed: {e}"),
-        })?;
-    let mut key = plan_key_base(
-        KIND_TRAIN_FORECAST_LOSS,
-        config,
-        input_len,
-        horizon,
-        num_vars,
-    );
-    push_optimizer(&mut key, &optimizer);
-    key.push(batch as u64);
-    cached_plan(key, || {
-        Plan::compile_training_batched(
-            &loss,
-            &student_plan_spec(),
-            &student_train_spec(optimizer),
-            batch,
-        )
-    })
-}
-
-/// A [`Student`] training loop whose every step — forward, backward, and
-/// optimizer update — replays a compiled training [`Plan`] with zero graph
-/// construction and zero heap allocation.
-///
-/// Because the training executor runs the same serial row-block kernels
-/// the dynamic engine partitions across the worker pool, and the fused
-/// optimizer updates restate the dynamic optimizers verbatim, parameters
-/// after any number of [`PlannedTrainer::planned_train_step`] calls are
-/// **bitwise identical** to dynamic [`Student`] training at any
-/// `TIMEKD_THREADS` setting.
-#[derive(Debug)]
-pub struct PlannedTrainer {
-    plan: Plan,
-    executor: TrainExecutor,
-    /// Parameter labels in executor binding order (plan value order).
-    param_labels: Vec<String>,
-    input_len: usize,
-    horizon: usize,
-    num_vars: usize,
-}
-
-impl PlannedTrainer {
-    /// Compiles the training plan for `student`'s geometry and binds its
-    /// current parameter values (copied — the live student is untouched).
-    pub fn new(
-        student: &Student,
-        config: &TimeKdConfig,
-        optimizer: PlanOptimizer,
-    ) -> Result<PlannedTrainer, PlanError> {
-        let (ctx, loss) = trace_student_loss(
-            config,
-            student.input_len(),
-            student.horizon(),
-            student.num_vars(),
-        )
-        .map_err(|e| PlanError {
-            message: format!("student loss trace failed: {e}"),
-        })?;
-        let mut key = plan_key_base(
-            KIND_TRAIN_FORECAST_LOSS,
-            config,
-            student.input_len(),
-            student.horizon(),
-            student.num_vars(),
-        );
-        push_optimizer(&mut key, &optimizer);
-        let plan = cached_plan(key, || {
-            Plan::compile_training(&loss, &student_plan_spec(), &student_train_spec(optimizer))
-        })?;
-
-        let sym_params = ctx.params();
-        let real_params = student.params();
-        if sym_params.len() != real_params.len() {
-            return Err(PlanError {
-                message: format!(
-                    "parameter count mismatch: trace has {}, student has {}",
-                    sym_params.len(),
-                    real_params.len()
-                ),
-            });
-        }
-        let mut by_label: HashMap<String, Tensor> = HashMap::with_capacity(real_params.len());
-        for (sym, real) in sym_params.iter().zip(&real_params) {
-            if sym.sizes() != real.dims() {
-                return Err(PlanError {
-                    message: format!(
-                        "parameter `{}` shape mismatch: trace {:?}, student {:?}",
-                        sym.label(),
-                        sym.sizes(),
-                        real.dims()
-                    ),
-                });
-            }
-            by_label.insert(sym.label().to_string(), real.clone());
-        }
-
-        let executor = TrainExecutor::new(&plan, |label, dims| {
-            by_label
-                .get(label)
-                .filter(|t| t.dims() == dims)
-                .map(|t| t.data().clone())
-        })?;
-        let param_labels: Vec<String> = plan
-            .values()
-            .iter()
-            .filter(|v| v.source == ValueSource::Param)
-            .map(|v| v.label.clone())
-            .collect();
-
-        Ok(PlannedTrainer {
-            plan,
-            executor,
-            param_labels,
-            input_len: student.input_len(),
-            horizon: student.horizon(),
-            num_vars: student.num_vars(),
-        })
-    }
-
-    /// The compiled training plan (for inspection and verification).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// Labels of the bound parameters, in binding order.
-    pub fn param_labels(&self) -> &[String] {
-        &self.param_labels
-    }
-
-    /// Current data of the parameter named `label`, if bound.
-    pub fn param_data(&self, label: &str) -> Option<&[f32]> {
-        let idx = self.param_labels.iter().position(|l| l == label)?;
-        Some(self.executor.param_data(idx))
-    }
-
-    /// Runs one full training step on a `[L, N]` history window and its
-    /// `[M, N]` horizon target, returning the loss. No graph is built and
-    /// no heap allocation happens.
-    pub fn planned_train_step(&mut self, x: &Tensor, y: &Tensor) -> f32 {
-        assert_eq!(
-            x.dims(),
-            &[self.input_len, self.num_vars],
-            "planned trainer input shape"
-        );
-        assert_eq!(
-            y.dims(),
-            &[self.horizon, self.num_vars],
-            "planned trainer target shape"
-        );
-        self.executor.run_train_step(&x.data(), &y.data())
-    }
-}
-
 /// The full student objective (PKD + forecasting, Alg. 2) compiled once
 /// into a *batched* multi-window training plan and bound to a live
 /// [`Student`]'s parameters.
@@ -636,100 +520,51 @@ pub struct PlannedBatchTrainer {
 
 impl PlannedBatchTrainer {
     /// Compiles (or fetches from the plan cache) the batched objective
-    /// plan for `student`'s geometry and binds its current parameter
-    /// values. Gradient clipping and the per-component loss pins mirror
-    /// the dynamic `TimeKd::train_student_epoch_dynamic` loop exactly.
+    /// plan for `student`'s geometry ([`compile_student_objective_plan`])
+    /// and binds its current parameter values. Gradient clipping and the
+    /// per-component loss pins mirror the dynamic
+    /// `TimeKd::train_student_epoch_dynamic` loop exactly.
     pub fn new(
         student: &Student,
         config: &TimeKdConfig,
         optimizer: PlanOptimizer,
         batch: usize,
     ) -> Result<PlannedBatchTrainer, PlanError> {
-        let trace = trace_student_objective(
-            config,
-            student.input_len(),
-            student.horizon(),
-            student.num_vars(),
-        )
-        .map_err(|e| PlanError {
-            message: format!("student objective trace failed: {e}"),
-        })?;
-        let sym_params = trace.ctx.params();
-        let real_params = student.params();
-        if sym_params.len() != real_params.len() {
-            return Err(PlanError {
-                message: format!(
-                    "parameter count mismatch: trace has {}, student has {}",
-                    sym_params.len(),
-                    real_params.len()
-                ),
-            });
-        }
-        let mut by_label: HashMap<String, Tensor> = HashMap::with_capacity(real_params.len());
-        for (sym, real) in sym_params.iter().zip(&real_params) {
-            if sym.sizes() != real.dims() {
-                return Err(PlanError {
-                    message: format!(
-                        "parameter `{}` shape mismatch: trace {:?}, student {:?}",
-                        sym.label(),
-                        sym.sizes(),
-                        real.dims()
-                    ),
-                });
-            }
-            by_label.insert(sym.label().to_string(), real.clone());
-        }
+        let trace = trace(config, geometry(student))?;
+        let plan = objective_plan(config, &trace, geometry(student), optimizer, batch)?;
+        PlannedBatchTrainer::bind_traced(student, &trace, plan)
+    }
 
-        let mut train = TrainSpec::new("y", optimizer);
-        train.grad_clip = Some(config.grad_clip);
-        train.clip_param_order = sym_params.iter().map(|p| p.label().to_string()).collect();
-        train.pinned = [
-            trace.correlation.as_ref(),
-            trace.feature.as_ref(),
-            Some(&trace.forecast),
-        ]
-        .into_iter()
-        .flatten()
-        .map(|t| t.id())
-        .collect();
+    /// Binds `student`'s current parameter values to an already compiled
+    /// objective plan for its geometry under `config` — how the plan
+    /// verifier replays a plan it has inspected (or deliberately broken).
+    pub fn bind(
+        student: &Student,
+        config: &TimeKdConfig,
+        plan: Plan,
+    ) -> Result<PlannedBatchTrainer, PlanError> {
+        PlannedBatchTrainer::bind_traced(student, &trace(config, geometry(student))?, plan)
+    }
 
-        let mut key = plan_key_base(
-            KIND_TRAIN_OBJECTIVE,
-            config,
-            student.input_len(),
-            student.horizon(),
-            student.num_vars(),
-        );
-        for v in [
-            config.lambda_cd,
-            config.lambda_fd,
-            config.lambda_pkd,
-            config.lambda_fcst,
-            config.grad_clip,
-        ] {
-            push_f32(&mut key, v);
-        }
-        push_optimizer(&mut key, &optimizer);
-        key.push(batch as u64);
-        let plan = cached_plan(key, || {
-            Plan::compile_training_batched(&trace.loss, &student_objective_spec(), &train, batch)
-        })?;
-
-        let executor = BatchTrainExecutor::new(&plan, |label, dims| {
-            by_label
-                .get(label)
-                .filter(|t| t.dims() == dims)
-                .map(|t| t.data().clone())
-        })?;
+    /// [`bind`](Self::bind) with an existing trace of the student's
+    /// geometry.
+    fn bind_traced(
+        student: &Student,
+        trace: &StudentTrace,
+        plan: Plan,
+    ) -> Result<PlannedBatchTrainer, PlanError> {
+        let params = bind_student_params(trace, student)?;
+        let executor = BatchTrainExecutor::new(&plan, |label, dims| resolve(&params, label, dims))?;
         let param_labels: Vec<String> = plan
             .values()
             .iter()
             .filter(|v| v.source == ValueSource::Param)
             .map(|v| v.label.clone())
             .collect();
+        // The executor resolved every label above, so none is missing.
         let bound_params: Vec<Tensor> = param_labels
             .iter()
-            .map(|label| by_label[label].clone())
+            .filter_map(|label| param_named(&params, label).cloned())
             .collect();
 
         let range_of = |t: Option<&timekd_tensor::SymbolicTensor>| {
@@ -917,117 +752,113 @@ mod tests {
         assert_eq!(out, student.predict(&x).to_vec());
     }
 
+    /// Seeded windows with stand-in teacher products: `(x, y, A_PE, E_GT)`.
     fn windows(
         n: usize,
+        config: &TimeKdConfig,
         input_len: usize,
         horizon: usize,
         num_vars: usize,
-    ) -> Vec<(Tensor, Tensor)> {
+    ) -> Vec<(Tensor, Tensor, Tensor, Tensor)> {
         let mut rng = seeded_rng(23);
         (0..n)
             .map(|_| {
                 (
                     Tensor::randn([input_len, num_vars], 1.0, &mut rng),
                     Tensor::randn([horizon, num_vars], 1.0, &mut rng),
+                    Tensor::randn([num_vars, num_vars], 1.0, &mut rng).softmax_last(),
+                    Tensor::randn([num_vars, config.dim], 1.0, &mut rng),
                 )
             })
             .collect()
     }
 
-    /// Dynamic reference: the exact `Student` training idiom, returning
-    /// every parameter keyed by its symbolic label.
-    fn dynamic_train(
-        config: &TimeKdConfig,
-        data: &[(Tensor, Tensor)],
-        sgd_lr: Option<f32>,
-    ) -> (HashMap<String, Vec<f32>>, f32) {
-        let (input_len, num_vars) = (data[0].0.dims()[0], data[0].0.dims()[1]);
-        let horizon = data[0].1.dims()[0];
-        let mut rng = seeded_rng(7);
-        let student = Student::new(config, input_len, horizon, num_vars, &mut rng);
-        let params = student.params();
-        let mut adamw = timekd_nn::AdamW::new(0.01, timekd_nn::AdamWConfig::default());
-        let sgd = sgd_lr.map(timekd_nn::Sgd::new);
-        let mut last = 0.0;
-        for (x, y) in data {
-            student.zero_grad();
-            let out = student.forward(x);
-            let loss = timekd_nn::smooth_l1_loss(&out.forecast, y);
-            last = loss.item();
-            loss.backward();
-            match &sgd {
-                Some(s) => s.step(&params),
-                None => adamw.step(&params),
-            }
-        }
-        let (ctx, _) = trace_student_loss(config, input_len, horizon, num_vars).unwrap();
-        let by_label = ctx
-            .params()
-            .iter()
-            .zip(&params)
-            .map(|(sym, real)| (sym.label().to_string(), real.to_vec()))
-            .collect();
-        (by_label, last)
-    }
-
-    fn assert_planned_matches_dynamic(optimizer: PlanOptimizer, sgd_lr: Option<f32>) {
-        let config = small_config();
+    #[test]
+    fn planned_objective_training_is_bitwise_identical_to_dynamic() {
+        // `PlannedBatchTrainer` at B = 1 against the dynamic
+        // `student_objective` step (backward, clip, the trainer's AdamW),
+        // for every combination of distillation arms — so both aux slots
+        // are exercised present and absent — at several thread counts.
+        // The tight clip makes every step rescale its gradients.
         let (input_len, horizon, num_vars) = (24, 8, 5);
-        let data = windows(3, input_len, horizon, num_vars);
-        let (dynamic_params, dynamic_loss) = dynamic_train(&config, &data, sgd_lr);
-        for threads in [1, 2, 5] {
-            let mut rng = seeded_rng(7);
-            let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
-            let mut trainer = PlannedTrainer::new(&student, &config, optimizer).unwrap();
-            let mut last = 0.0;
-            parallel::with_threads(threads, || {
-                for (x, y) in &data {
-                    last = trainer.planned_train_step(x, y);
-                }
-            });
-            assert_eq!(
-                last.to_bits(),
-                dynamic_loss.to_bits(),
-                "loss diverges at {threads} threads"
-            );
-            for label in trainer.param_labels().to_vec() {
-                let planned = trainer.param_data(&label).unwrap();
-                let dynamic = dynamic_params
-                    .get(&label)
-                    .unwrap_or_else(|| panic!("dynamic student has no param `{label}`"));
-                assert_eq!(
-                    planned,
-                    &dynamic[..],
-                    "param `{label}` diverges at {threads} threads"
+        for (cd, fd) in [(true, true), (false, true), (true, false), (false, false)] {
+            let mut config = TimeKdConfig {
+                grad_clip: 0.05,
+                ..small_config()
+            };
+            config.ablation.correlation_distillation = cd;
+            config.ablation.feature_distillation = fd;
+            let data = windows(3, &config, input_len, horizon, num_vars);
+
+            let student = Student::new(&config, input_len, horizon, num_vars, &mut seeded_rng(7));
+            let params = student.params();
+            let mut adamw = crate::trainer_adamw(&config);
+            let mut dynamic_losses = Vec::new();
+            for (x, y, att, emb) in &data {
+                student.zero_grad();
+                let obj = crate::student_objective(&student, &config, x, y, att, emb);
+                dynamic_losses.push(
+                    [&obj.total, &obj.correlation, &obj.feature, &obj.forecast].map(Tensor::item),
                 );
+                obj.total.backward();
+                timekd_nn::clip_grad_norm(&params, config.grad_clip);
+                adamw.step(&params);
+            }
+            let dynamic_params: Vec<Vec<f32>> = params.iter().map(Tensor::to_vec).collect();
+
+            for threads in [1, 2, 5] {
+                let student =
+                    Student::new(&config, input_len, horizon, num_vars, &mut seeded_rng(7));
+                let mut trainer = PlannedBatchTrainer::new(
+                    &student,
+                    &config,
+                    crate::student_plan_optimizer(&config),
+                    1,
+                )
+                .unwrap();
+                let mut planned_losses = Vec::new();
+                parallel::with_threads(threads, || {
+                    for (x, y, att, emb) in &data {
+                        trainer.stage_window(0, x, y);
+                        trainer.stage_teacher(0, att, emb);
+                        trainer.run_batch(1);
+                        planned_losses.push([
+                            trainer.lane_total(0),
+                            trainer.lane_correlation(0),
+                            trainer.lane_feature(0),
+                            trainer.lane_forecast(0),
+                        ]);
+                    }
+                });
+                let bits = |l: &[[f32; 4]]| -> Vec<[u32; 4]> {
+                    l.iter().map(|r| r.map(f32::to_bits)).collect()
+                };
+                let arms = format!("cd={cd} fd={fd} threads={threads}");
+                assert_eq!(
+                    bits(&planned_losses),
+                    bits(&dynamic_losses),
+                    "losses diverge ({arms})"
+                );
+                trainer.write_back();
+                let planned_params: Vec<Vec<f32>> =
+                    student.params().iter().map(Tensor::to_vec).collect();
+                assert_eq!(planned_params, dynamic_params, "params diverge ({arms})");
             }
         }
     }
 
     #[test]
-    fn planned_sgd_training_is_bitwise_identical_to_dynamic() {
-        assert_planned_matches_dynamic(PlanOptimizer::Sgd { lr: 0.05 }, Some(0.05));
-    }
-
-    #[test]
-    fn planned_adamw_training_is_bitwise_identical_to_dynamic() {
-        assert_planned_matches_dynamic(
-            PlanOptimizer::AdamW {
-                lr: 0.01,
-                beta1: 0.9,
-                beta2: 0.999,
-                eps: 1e-8,
-                weight_decay: 0.01,
-            },
-            None,
-        );
-    }
-
-    #[test]
-    fn training_plan_covers_every_student_parameter() {
+    fn objective_plan_updates_every_student_parameter_once() {
         let config = small_config();
-        let plan = compile_student_training_plan(&config, 24, 8, 5, PlanOptimizer::Sgd { lr: 0.1 })
-            .unwrap();
+        let plan = compile_student_objective_plan(
+            &config,
+            24,
+            8,
+            5,
+            crate::student_plan_optimizer(&config),
+            1,
+        )
+        .unwrap();
         let params = plan
             .values()
             .iter()
@@ -1040,6 +871,7 @@ mod tests {
         );
         assert!(plan.is_training());
         assert!(!plan.bwd_steps().is_empty());
+        assert_eq!(plan.grad_clip(), Some(config.grad_clip));
     }
 
     #[test]
@@ -1105,14 +937,17 @@ mod tests {
     #[test]
     fn train_executor_rejects_int8_plans() {
         let config = small_config();
-        let (_ctx, loss) = trace_student_loss(&config, 24, 8, 5).unwrap();
+        let trace = trace_student(&config, 24, 8, 5).unwrap();
         let plan = Plan::compile_training(
-            &loss,
-            &student_plan_spec_with_precision(Precision::Int8),
-            &student_train_spec(PlanOptimizer::Sgd { lr: 0.1 }),
+            &trace.loss,
+            &PlanSpec {
+                precision: Precision::Int8,
+                ..student_objective_spec()
+            },
+            &TrainSpec::new("y", crate::student_plan_optimizer(&config)),
         )
         .unwrap();
-        let err = TrainExecutor::new(&plan, |_, _| None).unwrap_err();
+        let err = timekd_tensor::TrainExecutor::new(&plan, |_, _| None).unwrap_err();
         assert!(
             err.to_string().contains("inference-only"),
             "unexpected error: {err}"
@@ -1120,7 +955,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_compiles_once_per_distinct_key() {
+    fn batch_trainer_reuses_cached_plan_across_rebuilds() {
         // The cache is thread-local, so this test observes only its own
         // compiles; work with deltas to stay robust if the harness ever
         // reuses threads.
@@ -1128,50 +963,29 @@ mod tests {
         let config = small_config();
         let mut rng = seeded_rng(7);
         let student = Student::new(&config, 24, 8, 5, &mut rng);
-        let opt = PlanOptimizer::Sgd { lr: 0.05 };
+        let opt = crate::student_plan_optimizer(&config);
         let (h0, m0) = plan_cache_stats();
-
-        let _a = PlannedTrainer::new(&student, &config, opt).unwrap();
+        let _a = PlannedBatchTrainer::new(&student, &config, opt, 4).unwrap();
         assert_eq!(plan_cache_stats(), (h0, m0 + 1), "first build must compile");
-        let _b = PlannedTrainer::new(&student, &config, opt).unwrap();
+        let _b = PlannedBatchTrainer::new(&student, &config, opt, 4).unwrap();
         assert_eq!(
             plan_cache_stats(),
             (h0 + 1, m0 + 1),
-            "identical geometry+optimizer must reuse the compiled plan"
-        );
-        // A different hyper-parameter is a different plan (fused update
-        // constants are baked in), so it must miss.
-        let _c = PlannedTrainer::new(&student, &config, PlanOptimizer::Sgd { lr: 0.1 }).unwrap();
-        assert_eq!(plan_cache_stats(), (h0 + 1, m0 + 2));
-        reset_plan_cache();
-    }
-
-    #[test]
-    fn batch_trainer_reuses_cached_plan_across_rebuilds() {
-        reset_plan_cache();
-        let config = small_config();
-        let mut rng = seeded_rng(7);
-        let student = Student::new(&config, 24, 8, 5, &mut rng);
-        let opt = PlanOptimizer::AdamW {
-            lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-        };
-        let (h0, m0) = plan_cache_stats();
-        let _a = PlannedBatchTrainer::new(&student, &config, opt, 4).unwrap();
-        let _b = PlannedBatchTrainer::new(&student, &config, opt, 4).unwrap();
-        let (h1, m1) = plan_cache_stats();
-        assert_eq!(
-            (h1 - h0, m1 - m0),
-            (1, 1),
             "epoch-over-epoch rebuild must not recompile the objective plan"
         );
         // A different batch changes the lowered schedule, so it misses.
         let _c = PlannedBatchTrainer::new(&student, &config, opt, 2).unwrap();
-        let (h2, m2) = plan_cache_stats();
-        assert_eq!((h2 - h0, m2 - m0), (1, 2));
+        assert_eq!(plan_cache_stats(), (h0 + 1, m0 + 2));
+        // So does a different hyper-parameter: fused update constants are
+        // baked into the plan.
+        let other = TimeKdConfig {
+            lr: config.lr * 2.0,
+            ..config
+        };
+        let _d =
+            PlannedBatchTrainer::new(&student, &config, crate::student_plan_optimizer(&other), 4)
+                .unwrap();
+        assert_eq!(plan_cache_stats(), (h0 + 1, m0 + 3));
         reset_plan_cache();
     }
 
@@ -1179,12 +993,12 @@ mod tests {
     fn batched_training_plan_has_reduction_and_lane_metadata() {
         let config = small_config();
         let batch = 4;
-        let plan = compile_student_training_plan_batched(
+        let plan = compile_student_objective_plan(
             &config,
             24,
             8,
             5,
-            PlanOptimizer::Sgd { lr: 0.1 },
+            crate::student_plan_optimizer(&config),
             batch,
         )
         .unwrap();

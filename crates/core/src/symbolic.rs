@@ -620,56 +620,32 @@ pub fn trace_pipeline(
     })
 }
 
-/// Traces only the student forecasting loss — the exact graph the dynamic
-/// audit in `timekd-check` executes (`smooth_l1_loss(student(x).forecast,
-/// y)`), for the symbolic-vs-dynamic cross-check.
-pub fn trace_student_loss(
-    config: &TimeKdConfig,
-    input_len: usize,
-    horizon: usize,
-    num_vars: usize,
-) -> Result<(SymCtx, SymbolicTensor), ShapeError> {
-    let ctx = SymCtx::new();
-    let student = SymStudent::new(
-        &ctx,
-        "student",
-        config,
-        input_len,
-        horizon,
-        num_vars,
-        Fault::None,
-    );
-    let x = ctx.constant(
-        "x",
-        vec![SymDim::new("L", input_len), SymDim::new("N", num_vars)],
-    );
-    let y = ctx.constant(
-        "y",
-        vec![SymDim::new("M", horizon), SymDim::new("N", num_vars)],
-    );
-    let out = student.forward(&x)?;
-    let loss = sym_smooth_l1_loss(&out.forecast, &y)?;
-    Ok((ctx, loss))
-}
-
 /// Label of the auxiliary constant carrying the teacher attention `A_PE`
-/// `[N, N]` in [`trace_student_objective`]. Fed per window at run time via
-/// the plan executor's aux slots.
+/// `[N, N]` in [`trace_student`]. Fed per window at run time via the plan
+/// executor's aux slots.
 pub const TEACHER_ATT_LABEL: &str = "teacher_att";
 /// Label of the auxiliary constant carrying the teacher embedding `E_GT`
-/// `[N, D]` in [`trace_student_objective`].
+/// `[N, D]` in [`trace_student`].
 pub const TEACHER_EMB_LABEL: &str = "teacher_emb";
 
-/// The full student objective (Alg. 2, Eq. 29–30) traced for plan
-/// compilation: `λ_p·(λ_c·L_cd + λ_e·L_fd) + λ_f·L_fcst` with the teacher's
-/// privileged products as auxiliary *constants* instead of detached graph
-/// tensors (the plan compiler has no lowering for detach-derived leaves,
-/// and the real trainer runs the teacher under `no_grad` anyway, so a
-/// constant is the faithful mirror).
+/// One symbolic trace of the student: its forecast and its full training
+/// objective (Alg. 2, Eq. 29–30), `λ_p·(λ_c·L_cd + λ_e·L_fd) + λ_f·L_fcst`.
+/// The teacher's privileged products enter as auxiliary *constants*
+/// instead of detached graph tensors (the plan compiler has no lowering
+/// for detach-derived leaves, and the real trainer runs the teacher under
+/// `no_grad` anyway, so a constant is the faithful mirror).
+///
+/// Every consumer lowers the subgraph reachable from the root it needs:
+/// the forecast plan from [`prediction`](Self::prediction), the training
+/// plan from [`loss`](Self::loss), and the symbolic-vs-dynamic graph
+/// cross-check from [`forecast`](Self::forecast).
 #[derive(Debug)]
-pub struct StudentObjectiveTrace {
-    /// The tracing context (student parameter registry).
+pub struct StudentTrace {
+    /// The tracing context (student parameter registry, in
+    /// `Module::params` order).
     pub ctx: SymCtx,
+    /// `student(x).forecast` — exactly what `Student::predict` returns.
+    pub prediction: SymbolicTensor,
     /// The total-loss root.
     pub loss: SymbolicTensor,
     /// `L_cd` scalar, absent when ablated (the zero term is skipped
@@ -679,20 +655,21 @@ pub struct StudentObjectiveTrace {
     pub correlation: Option<SymbolicTensor>,
     /// `L_fd` scalar, absent when ablated.
     pub feature: Option<SymbolicTensor>,
-    /// `L_fcst` scalar (always present).
+    /// `L_fcst = smooth_l1(prediction, y)` (always present).
     pub forecast: SymbolicTensor,
 }
 
-/// Traces the complete student training objective against auxiliary
-/// teacher-product constants ([`TEACHER_ATT_LABEL`], [`TEACHER_EMB_LABEL`]).
-/// Ablated distillation arms are skipped structurally, so only the leaves a
-/// configuration actually consumes appear in the graph.
-pub fn trace_student_objective(
+/// Traces the student forward and its complete training objective against
+/// auxiliary teacher-product constants ([`TEACHER_ATT_LABEL`],
+/// [`TEACHER_EMB_LABEL`]). Ablated distillation arms are skipped
+/// structurally, so only the leaves a configuration actually consumes
+/// appear in the graph.
+pub fn trace_student(
     config: &TimeKdConfig,
     input_len: usize,
     horizon: usize,
     num_vars: usize,
-) -> Result<StudentObjectiveTrace, ShapeError> {
+) -> Result<StudentTrace, ShapeError> {
     let ab = config.ablation;
     let ctx = SymCtx::new();
     let student = SymStudent::new(
@@ -747,41 +724,14 @@ pub fn trace_student_objective(
             .add(&forecast.mul_scalar(config.lambda_fcst))?,
         None => forecast.mul_scalar(config.lambda_fcst),
     };
-    Ok(StudentObjectiveTrace {
+    Ok(StudentTrace {
         ctx,
+        prediction: out.forecast,
         loss,
         correlation,
         feature,
         forecast,
     })
-}
-
-/// Traces only the student *inference* path — `student(x).forecast` with no
-/// loss on top. This is the graph the plan compiler lowers into a static
-/// execution plan, so its root must be exactly what `Student::predict`
-/// returns.
-pub fn trace_student_forecast(
-    config: &TimeKdConfig,
-    input_len: usize,
-    horizon: usize,
-    num_vars: usize,
-) -> Result<(SymCtx, SymbolicTensor), ShapeError> {
-    let ctx = SymCtx::new();
-    let student = SymStudent::new(
-        &ctx,
-        "student",
-        config,
-        input_len,
-        horizon,
-        num_vars,
-        Fault::None,
-    );
-    let x = ctx.constant(
-        "x",
-        vec![SymDim::new("L", input_len), SymDim::new("N", num_vars)],
-    );
-    let out = student.forward(&x)?;
-    Ok((ctx, out.forecast))
 }
 
 #[cfg(test)]
@@ -808,7 +758,7 @@ mod tests {
     #[test]
     fn student_loss_graph_matches_dynamic() {
         let cfg = tiny_config(AblationConfig::full());
-        let (ctx, loss) = trace_student_loss(&cfg, 24, 8, 7).unwrap();
+        let trace = trace_student(&cfg, 24, 8, 7).unwrap();
 
         let mut rng = seeded_rng(cfg.seed);
         let real = Student::new(&cfg, 24, 8, 7, &mut rng);
@@ -816,14 +766,14 @@ mod tests {
         let y = Tensor::randn([8, 7], 1.0, &mut rng);
         let real_loss = smooth_l1_loss(&real.forward(&x).forecast, &y);
 
-        let sym = graph_stats(&loss);
+        let sym = graph_stats(&trace.forecast);
         let dynamic = GraphAudit::run(&real_loss).stats;
         assert_eq!(sym.nodes, dynamic.nodes);
         assert_eq!(sym.edges, dynamic.edges);
         assert_eq!(sym.leaves, dynamic.leaves);
         assert_eq!(sym.params, dynamic.params);
         assert_eq!(sym.max_depth, dynamic.max_depth);
-        assert_eq!(ctx.params().len(), real.params().len());
+        assert_eq!(trace.ctx.params().len(), real.params().len());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use timekd_nn::{clip_grad_norm, smooth_l1_loss, AdamW, AdamWConfig, Module};
 use timekd_tensor::{seeded_rng, PlanOptimizer, Tensor};
 
 use crate::config::TimeKdConfig;
-use crate::distill::pkd_losses;
+use crate::distill::student_objective;
 use crate::forecaster::Forecaster;
 use crate::plan::PlannedBatchTrainer;
 use crate::student::Student;
@@ -28,6 +28,34 @@ pub struct EpochStats {
     pub feature: f32,
     /// Mean forecasting loss `L_fcst`.
     pub forecast: f32,
+}
+
+/// The AdamW every TimeKD training loop steps: default moments, decoupled
+/// weight decay disabled.
+fn adamw_config() -> AdamWConfig {
+    AdamWConfig {
+        weight_decay: 0.0,
+        ..Default::default()
+    }
+}
+
+/// The dynamic optimizer [`TimeKd`] trains with, at `config.lr`.
+pub fn trainer_adamw(config: &TimeKdConfig) -> AdamW {
+    AdamW::new(config.lr, adamw_config())
+}
+
+/// The fused optimizer compiled into the student objective plan: the
+/// trainer's AdamW ([`trainer_adamw`]) at `config.lr`, so planned and
+/// dynamic student steps agree bit for bit.
+pub fn student_plan_optimizer(config: &TimeKdConfig) -> PlanOptimizer {
+    let c = adamw_config();
+    PlanOptimizer::AdamW {
+        lr: config.lr,
+        beta1: c.beta1,
+        beta2: c.beta2,
+        eps: c.eps,
+        weight_decay: c.weight_decay,
+    }
 }
 
 /// The full TimeKD model: a cross-modality teacher distilled into a
@@ -81,13 +109,7 @@ impl TimeKd {
         let mut rng = seeded_rng(config.seed);
         let teacher = CrossModalityTeacher::new(frozen_lm, config, input_len, horizon, &mut rng);
         let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
-        let optimizer = AdamW::new(
-            config.lr,
-            AdamWConfig {
-                weight_decay: 0.0,
-                ..Default::default()
-            },
-        );
+        let optimizer = trainer_adamw(&config);
         TimeKd {
             config,
             tokenizer,
@@ -207,27 +229,13 @@ impl TimeKd {
         }
         let mut trainer = match self.planned.take() {
             Some(t) => t,
-            None => {
-                // Mirror the dynamic optimizer exactly: AdamW at the base
-                // LR with decoupled weight decay disabled.
-                let cfg = AdamWConfig {
-                    weight_decay: 0.0,
-                    ..Default::default()
-                };
-                PlannedBatchTrainer::new(
-                    &self.student,
-                    &self.config,
-                    PlanOptimizer::AdamW {
-                        lr: self.config.lr,
-                        beta1: cfg.beta1,
-                        beta2: cfg.beta2,
-                        eps: cfg.eps,
-                        weight_decay: cfg.weight_decay,
-                    },
-                    batch,
-                )
-                .unwrap_or_else(|e| panic!("batched student training plan: {e}"))
-            }
+            None => PlannedBatchTrainer::new(
+                &self.student,
+                &self.config,
+                student_plan_optimizer(&self.config),
+                batch,
+            )
+            .unwrap_or_else(|e| panic!("batched student training plan: {e}")),
         };
         let mut agg = EpochStats {
             total: 0.0,
@@ -298,24 +306,19 @@ impl TimeKd {
             let prompts = self.prompts_for(w);
             // Teacher provides targets only: no graph, no teacher update.
             let teacher_out = timekd_tensor::no_grad(|| self.teacher.forward(&w.x, &w.y, &prompts));
-            let student_out = self.student.forward(&w.x);
-            let pkd = pkd_losses(
+            let obj = student_objective(
+                &self.student,
+                &self.config,
+                &w.x,
+                &w.y,
                 &teacher_out.attention,
                 &teacher_out.embedding,
-                &student_out.attention,
-                &student_out.embedding,
-                &self.config,
             );
-            let fcst = smooth_l1_loss(&student_out.forecast, &w.y);
-            let loss = pkd
-                .combined
-                .mul_scalar(self.config.lambda_pkd)
-                .add(&fcst.mul_scalar(self.config.lambda_fcst));
-            agg.total += loss.item();
-            agg.correlation += pkd.correlation.item();
-            agg.feature += pkd.feature.item();
-            agg.forecast += fcst.item();
-            loss.backward();
+            agg.total += obj.total.item();
+            agg.correlation += obj.correlation.item();
+            agg.feature += obj.feature.item();
+            agg.forecast += obj.forecast.item();
+            obj.total.backward();
             self.assert_frozen_lm_invariant();
             clip_grad_norm(&params, self.config.grad_clip);
             self.apply_lr_schedule();

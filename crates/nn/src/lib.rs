@@ -37,7 +37,7 @@ pub use linear::{Embedding, Linear};
 pub use losses::{mae_loss, mse_loss, smooth_l1_loss};
 pub use module::{collect_params, Module, ParamList};
 pub use norm::{LayerNorm, RevIn, RevInStats};
-pub use optim::{clip_grad_norm, AdamW, AdamWConfig, LrSchedule, Sgd};
+pub use optim::{clip_grad_norm, AdamW, AdamWConfig, LrSchedule};
 pub use symbolic::{
     sym_smooth_l1_loss, SymAttentionOutput, SymEncoderLayer, SymEncoderOutput, SymFeedForward,
     SymLayerNorm, SymLinear, SymMultiHeadAttention, SymRevIn, SymTransformerEncoder,

@@ -118,47 +118,6 @@ impl AdamW {
     }
 }
 
-/// Plain stochastic gradient descent: `p -= lr · g` for every parameter
-/// with a gradient. The minimal dynamic reference point for the planned
-/// fused update (`PlanOptimizer::Sgd`).
-#[derive(Clone, Copy, Debug)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an optimizer with learning rate `lr`.
-    pub fn new(lr: f32) -> Sgd {
-        Sgd { lr }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Applies one descent step to every parameter that has a gradient,
-    /// leaving gradients untouched (call `zero_grad` before the next
-    /// backward).
-    pub fn step(&self, params: &[Tensor]) {
-        let _span = timekd_obs::span("optim.step");
-        for p in params {
-            let Some(grad) = p.grad() else { continue };
-            let lr = self.lr;
-            p.update_data(|data| {
-                for (d, g) in data.iter_mut().zip(&grad) {
-                    *d -= lr * g;
-                }
-            });
-        }
-    }
-}
-
 /// Scales all gradients so their global L2 norm is at most `max_norm`.
 /// Returns the pre-clip norm.
 pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
@@ -251,21 +210,6 @@ mod tests {
             "{:?}",
             p.to_vec()
         );
-    }
-
-    #[test]
-    fn sgd_matches_manual_update() {
-        let p = Tensor::param(vec![1.0, -2.0], [2]);
-        p.accumulate_grad(&[0.5, -0.25]);
-        Sgd::new(0.1).step(std::slice::from_ref(&p));
-        assert_eq!(p.to_vec(), vec![1.0 - 0.1 * 0.5, -2.0 - 0.1 * (-0.25)]);
-    }
-
-    #[test]
-    fn sgd_skips_params_without_grad() {
-        let p = Tensor::param(vec![3.0], [1]);
-        Sgd::new(0.1).step(std::slice::from_ref(&p));
-        assert_eq!(p.to_vec(), vec![3.0], "untouched without grad");
     }
 
     #[test]

@@ -253,9 +253,49 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|e| format!("bad number `{text}` at byte {start}: {e}"))
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+        Ok(_) => Err(format!("number `{text}` at byte {start} overflows f64")),
+        Err(e) => Err(format!("bad number `{text}` at byte {start}: {e}")),
+    }
+}
+
+/// Reads the four hex digits of a `\u` escape starting at `at`: exactly
+/// four ASCII hex digits, no sign.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    match bytes.get(at..at + 4) {
+        Some(hex) if hex.iter().all(u8::is_ascii_hexdigit) => {
+            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+            u32::from_str_radix(hex, 16).map_err(|e| e.to_string())
+        }
+        _ => Err(format!("\\u escape at byte {at} needs four hex digits")),
+    }
+}
+
+/// Decodes the `\u` escape whose `u` is at `*pos`, leaving `*pos` on its
+/// last hex digit. A UTF-16 high surrogate must be followed by an escaped
+/// low surrogate, and the pair decodes to one non-BMP character; a lone
+/// surrogate of either half is an error.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let at = *pos;
+    let code = hex4(bytes, at + 1)?;
+    *pos += 4;
+    let code = match code {
+        0xd800..=0xdbff => {
+            if bytes.get(*pos + 1..*pos + 3) != Some(&b"\\u"[..]) {
+                return Err(format!("unpaired high surrogate at byte {at}"));
+            }
+            let low = hex4(bytes, *pos + 3)?;
+            if !(0xdc00..=0xdfff).contains(&low) {
+                return Err(format!("unpaired high surrogate at byte {at}"));
+            }
+            *pos += 6;
+            0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+        }
+        0xdc00..=0xdfff => return Err(format!("unpaired low surrogate at byte {at}")),
+        code => code,
+    };
+    char::from_u32(code).ok_or_else(|| format!("invalid \\u escape at byte {at}"))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -276,16 +316,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'n') => out.push('\n'),
                     Some(b't') => out.push('\t'),
                     Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
+                    Some(b'u') => out.push(parse_unicode_escape(bytes, pos)?),
                     other => {
                         return Err(format!("bad escape {:?} at byte {}", other, *pos));
                     }
@@ -565,6 +596,142 @@ mod tests {
             let text = doc.render();
             let back = Json::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
             assert_eq!(back, doc, "case {case}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_are_rejected() {
+        // Two distinct non-BMP characters must stay distinct (tenant IDs
+        // are JSON strings).
+        let grin = Json::parse(r#""\ud83d\ude00""#).expect("pair parses");
+        let beam = Json::parse(r#""\ud83d\ude01""#).expect("pair parses");
+        assert_eq!(grin, Json::str("\u{1f600}"));
+        assert_eq!(beam, Json::str("\u{1f601}"));
+        assert_eq!(
+            Json::parse(r#""a\uD83D\uDE00b""#).expect("upper-case hex"),
+            Json::str("a\u{1f600}b")
+        );
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            assert!(Json::parse(lone).is_err(), "{lone} must be rejected");
+        }
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected() {
+        for text in ["1e999", "-1e999", "[1e400]", "{\"a\": 2e308}"] {
+            assert!(Json::parse(text).is_err(), "{text} must be rejected");
+        }
+        assert_eq!(Json::parse("1e308").unwrap(), Json::Num(1e308));
+        // Underflow is representable (it rounds to zero), not an error.
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
+    }
+
+    #[test]
+    fn unicode_escapes_need_exactly_four_hex_digits() {
+        for text in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004g""#,
+            r#""\u04""#,
+            r#""\u""#,
+        ] {
+            assert!(Json::parse(text).is_err(), "{text} must be rejected");
+        }
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::str("A"));
+        assert_eq!(Json::parse(r#""\u00e9x""#).unwrap(), Json::str("éx"));
+    }
+
+    /// Nesting depth of the deepest value, counted like the parser's
+    /// depth guard: the top-level value sits at depth 0.
+    fn value_depth(v: &Json) -> usize {
+        match v {
+            Json::Arr(items) if !items.is_empty() => {
+                1 + items.iter().map(value_depth).max().unwrap_or(0)
+            }
+            Json::Obj(pairs) if !pairs.is_empty() => {
+                1 + pairs.iter().map(|(_, v)| value_depth(v)).max().unwrap_or(0)
+            }
+            _ => 0,
+        }
+    }
+
+    fn all_finite(v: &Json) -> bool {
+        match v {
+            Json::Num(n) => n.is_finite(),
+            Json::Arr(items) => items.iter().all(all_finite),
+            Json::Obj(pairs) => pairs.iter().all(|(_, v)| all_finite(v)),
+            _ => true,
+        }
+    }
+
+    impl Rng {
+        /// Applies 1–4 seeded byte flips, inserts (single bytes or
+        /// JSON-significant snippets), deletes and truncations.
+        fn mutate(&mut self, text: &str) -> String {
+            const SNIPPETS: [&str; 12] = [
+                "\\ud83d", "\\ude00", "\\u+041", "\\u00", "1e999", "-", "[", "]", "{", "\"", ",",
+                ":",
+            ];
+            let mut bytes = text.as_bytes().to_vec();
+            for _ in 0..1 + self.below(4) {
+                let at = self.below(bytes.len() as u64 + 1) as usize;
+                match self.below(5) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << self.below(8),
+                    1 => bytes.insert(at, self.below(128) as u8),
+                    2 => {
+                        let snippet = SNIPPETS[self.below(SNIPPETS.len() as u64) as usize];
+                        bytes.splice(at..at, snippet.bytes());
+                    }
+                    3 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.truncate(at),
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+    }
+
+    #[test]
+    fn parse_survives_mutated_documents() {
+        // Seeded mutation fuzz over rendered random trees: the parser
+        // never panics, accepts only finite numbers, every accepted value
+        // round-trips through `render`, and nothing nested deeper than
+        // the cap is accepted.
+        let mut rng = Rng(0x5eed_f022);
+        let mut accepted = 0;
+        for case in 0..20_000 {
+            let doc = rng.tree(0);
+            let text = rng.mutate(&doc.render());
+            let Ok(v) = Json::parse(&text) else { continue };
+            accepted += 1;
+            assert!(
+                all_finite(&v),
+                "case {case}: non-finite number from {text:?}"
+            );
+            assert!(value_depth(&v) <= MAX_PARSE_DEPTH, "case {case}: too deep");
+            let back =
+                Json::parse(&v.render()).unwrap_or_else(|e| panic!("case {case}: {e}\n{text:?}"));
+            assert_eq!(back, v, "case {case}: {text:?}");
+        }
+        assert!(accepted > 1_000, "only {accepted} mutants parsed");
+
+        // Wrapping an accepted document in `k` arrays is accepted exactly
+        // while its deepest value stays within the cap.
+        for case in 0..200 {
+            let doc = rng.tree(0);
+            let k = MAX_PARSE_DEPTH - 4 + rng.below(10) as usize;
+            let text = "[".repeat(k) + &doc.render() + &"]".repeat(k);
+            let within = value_depth(&doc) + k <= MAX_PARSE_DEPTH;
+            assert_eq!(Json::parse(&text).is_ok(), within, "case {case}: k={k}");
         }
     }
 

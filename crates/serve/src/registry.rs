@@ -16,8 +16,9 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use timekd::{student_plan_spec_with_precision, trace_student_forecast, Student, TimeKdConfig};
-use timekd_nn::Module;
+use timekd::{
+    bind_student_params, student_plan_spec_with_precision, trace_student, Student, TimeKdConfig,
+};
 use timekd_obs::json::Json;
 use timekd_tensor::bytes::Bytes;
 use timekd_tensor::io::{decode_tensor, encode_tensor};
@@ -342,7 +343,7 @@ pub fn latest_version(root: &Path) -> Option<u64> {
     list_versions(root).pop()
 }
 
-/// Publishes `student` as `v<version>`: traces its forecast graph to fix
+/// Publishes `student` as `v<version>`: traces the student to fix
 /// the parameter label order, writes `params.bin` (concatenated `TKT1`
 /// blobs) and then `manifest.json` (last, so a crashed publish never
 /// leaves a listable version).
@@ -353,38 +354,24 @@ pub fn publish(
     config: &TimeKdConfig,
     precision: Precision,
 ) -> Result<Manifest, RegistryError> {
-    let (ctx, _forecast) = trace_student_forecast(
+    let trace = trace_student(
         config,
         student.input_len(),
         student.horizon(),
         student.num_vars(),
     )
     .map_err(|e| RegistryError::Plan(format!("student trace failed: {e}")))?;
-    let sym_params = ctx.params();
-    let real_params = student.params();
-    if sym_params.len() != real_params.len() {
-        return Err(RegistryError::Plan(format!(
-            "parameter count mismatch: trace has {}, student has {}",
-            sym_params.len(),
-            real_params.len()
-        )));
-    }
+    let params =
+        bind_student_params(&trace, student).map_err(|e| RegistryError::Plan(e.message))?;
 
     let mut blob: Vec<u8> = Vec::new();
-    let mut table = Vec::with_capacity(sym_params.len());
-    for (sym, real) in sym_params.iter().zip(&real_params) {
-        if sym.sizes() != real.dims() {
-            return Err(RegistryError::ShapeMismatch {
-                label: sym.label().to_string(),
-                expected: sym.sizes(),
-                found: real.dims().to_vec(),
-            });
-        }
-        let mut enc = encode_tensor(real);
+    let mut table = Vec::with_capacity(params.len());
+    for (label, real) in params {
+        let mut enc = encode_tensor(&real);
         let mut tmp = vec![0u8; enc.remaining()];
         enc.copy_to_slice(&mut tmp);
         blob.extend_from_slice(&tmp);
-        table.push((sym.label().to_string(), sym.sizes()));
+        table.push((label, real.dims().to_vec()));
     }
 
     let manifest = Manifest {
@@ -467,14 +454,14 @@ pub fn load(root: &Path, version: u64) -> Result<LoadedModel, RegistryError> {
     }
 
     let config = manifest.config();
-    let (ctx, forecast) = trace_student_forecast(
+    let trace = trace_student(
         &config,
         manifest.input_len,
         manifest.horizon,
         manifest.num_vars,
     )
     .map_err(|e| RegistryError::Plan(format!("student trace failed: {e}")))?;
-    for sym in ctx.params() {
+    for sym in trace.ctx.params() {
         match values.get(sym.label()) {
             Some((dims, _)) if *dims == sym.sizes() => {}
             Some((dims, _)) => {
@@ -493,7 +480,7 @@ pub fn load(root: &Path, version: u64) -> Result<LoadedModel, RegistryError> {
         }
     }
     let plan = Plan::compile(
-        &forecast,
+        &trace.prediction,
         &student_plan_spec_with_precision(manifest.precision),
     )
     .map_err(|e| RegistryError::Plan(format!("{e:?}")))?;

@@ -300,7 +300,7 @@ impl BatchTrainExecutor {
         self.lanes[0].param_data(idx)
     }
 
-    /// The optimizer's step count (AdamW; always 0 for SGD).
+    /// The fused AdamW step count.
     pub fn step_count(&self) -> u64 {
         self.lanes[0].step_count()
     }
@@ -445,7 +445,6 @@ mod tests {
         xs: &[Vec<f32>],
         ys: &[Vec<f32>],
         batch: usize,
-        sgd_lr: Option<f32>,
     ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let w = Tensor::param(w0.to_vec(), [3, 2]);
         let b = Tensor::param(b0.to_vec(), [2]);
@@ -464,20 +463,7 @@ mod tests {
                 losses.push(loss.item());
                 loss.backward();
             }
-            match sgd_lr {
-                Some(lr) => {
-                    for p in [&w, &b] {
-                        if let Some(g) = p.grad() {
-                            p.update_data(|data| {
-                                for (pi, gi) in data.iter_mut().zip(&g) {
-                                    *pi -= lr * gi;
-                                }
-                            });
-                        }
-                    }
-                }
-                None => opt.step(&[w.clone(), b.clone()]),
-            }
+            opt.step(&[w.clone(), b.clone()]);
             i += count;
         }
         (w.to_vec(), b.to_vec(), losses)
@@ -547,15 +533,7 @@ mod tests {
         let (xs, ys) = windows(7);
         for &threads in &[1usize, 2, 5] {
             for &batch in &[1usize, 2, 5, 7] {
-                let (dw, db, dl) = dynamic_microbatch_train(&w0, &b0, &xs, &ys, batch, Some(0.1));
-                let (pw, pb, pl) = with_threads(threads, || {
-                    batched_train(PlanOptimizer::Sgd { lr: 0.1 }, &w0, &b0, &xs, &ys, batch)
-                });
-                assert_eq!(dw, pw, "SGD weights t={threads} B={batch}");
-                assert_eq!(db, pb, "SGD bias t={threads} B={batch}");
-                assert_eq!(bits(&dl), bits(&pl), "SGD losses t={threads} B={batch}");
-
-                let (dw, db, dl) = dynamic_microbatch_train(&w0, &b0, &xs, &ys, batch, None);
+                let (dw, db, dl) = dynamic_microbatch_train(&w0, &b0, &xs, &ys, batch);
                 let (pw, pb, pl) = with_threads(threads, || {
                     batched_train(adamw(), &w0, &b0, &xs, &ys, batch)
                 });

@@ -80,11 +80,6 @@ pub struct UpdateStep {
 /// schedule.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PlanOptimizer {
-    /// Plain stochastic gradient descent: `p -= lr · g`.
-    Sgd {
-        /// Learning rate.
-        lr: f32,
-    },
     /// Decoupled-weight-decay Adam, bitwise-matching `timekd_nn::AdamW`.
     AdamW {
         /// Learning rate.
@@ -603,21 +598,18 @@ struct UpdExec {
     state_off: usize,
 }
 
+/// Fused AdamW state: hyper-parameters plus the moment buffers of every
+/// trained parameter, packed at each update's `state_off`.
 #[derive(Debug)]
-enum OptExec {
-    Sgd {
-        lr: f32,
-    },
-    AdamW {
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        weight_decay: f32,
-        m: Vec<f32>,
-        v: Vec<f32>,
-        step_count: u64,
-    },
+struct OptExec {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    weight_decay: f32,
+    m: Vec<f32>,
+    v: Vec<f32>,
+    step_count: u64,
 }
 
 #[inline]
@@ -967,24 +959,22 @@ impl TrainExecutor {
             });
             state_total += grad_len;
         }
-        let opt = match optimizer {
-            PlanOptimizer::Sgd { lr } => OptExec::Sgd { lr },
-            PlanOptimizer::AdamW {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                weight_decay,
-            } => OptExec::AdamW {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                weight_decay,
-                m: vec![0.0; state_total],
-                v: vec![0.0; state_total],
-                step_count: 0,
-            },
+        let PlanOptimizer::AdamW {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            weight_decay,
+        } = optimizer;
+        let opt = OptExec {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            weight_decay,
+            m: vec![0.0; state_total],
+            v: vec![0.0; state_total],
+            step_count: 0,
         };
 
         // Clipping schedule: arena regions in the plan's pinned traversal
@@ -1041,29 +1031,21 @@ impl TrainExecutor {
         &self.fwd.params[idx]
     }
 
-    /// Current step count of the fused optimizer (0 for SGD).
+    /// Current step count of the fused optimizer.
     pub fn step_count(&self) -> u64 {
-        match &self.opt {
-            OptExec::Sgd { .. } => 0,
-            OptExec::AdamW { step_count, .. } => *step_count,
-        }
+        self.opt.step_count
     }
 
     /// Overrides the AdamW step counter — shared-counter semantics when
     /// the surrounding trainer also steps other parameter groups through
-    /// the same dynamic optimizer. No-op for SGD.
+    /// the same dynamic optimizer.
     pub fn set_step_count(&mut self, n: u64) {
-        if let OptExec::AdamW { step_count, .. } = &mut self.opt {
-            *step_count = n;
-        }
+        self.opt.step_count = n;
     }
 
     /// Overrides the fused optimizer's learning rate (lr schedules).
     pub fn set_lr(&mut self, lr: f32) {
-        match &mut self.opt {
-            OptExec::Sgd { lr: l } => *l = lr,
-            OptExec::AdamW { lr: l, .. } => *l = lr,
-        }
+        self.opt.lr = lr;
     }
 
     /// Stages the target window for subsequent replays.
@@ -1574,50 +1556,38 @@ impl TrainExecutor {
         }
     }
 
-    /// Applies the fused optimizer updates in place, bitwise-matching the
-    /// dynamic optimizers (`timekd_nn::AdamW` and plain SGD).
+    /// Applies the fused AdamW updates in place, bitwise-matching the
+    /// dynamic `timekd_nn::AdamW`.
     fn optimizer_plan_loop(&mut self) {
         let TrainExecutor { fwd, upd, opt, .. } = self;
         let arena = &fwd.arena;
         let params = &mut fwd.params;
-        match opt {
-            OptExec::Sgd { lr } => {
-                for u in upd.iter() {
-                    let g = &arena[u.grad_off..u.grad_off + u.grad_len];
-                    let p = &mut params[u.param_idx];
-                    for (pi, &gi) in p.iter_mut().zip(g) {
-                        *pi -= *lr * gi;
-                    }
-                }
-            }
-            OptExec::AdamW {
-                lr,
-                beta1,
-                beta2,
-                eps,
-                weight_decay,
-                m,
-                v,
-                step_count,
-            } => {
-                *step_count += 1;
-                let t = *step_count as f32;
-                let bias1 = 1.0 - beta1.powf(t);
-                let bias2 = 1.0 - beta2.powf(t);
-                for u in upd.iter() {
-                    let grad = &arena[u.grad_off..u.grad_off + u.grad_len];
-                    let p = &mut params[u.param_idx];
-                    let ms = &mut m[u.state_off..u.state_off + u.grad_len];
-                    let vs = &mut v[u.state_off..u.state_off + u.grad_len];
-                    for i in 0..grad.len() {
-                        let gi = grad[i];
-                        ms[i] = *beta1 * ms[i] + (1.0 - *beta1) * gi;
-                        vs[i] = *beta2 * vs[i] + (1.0 - *beta2) * gi * gi;
-                        let m_hat = ms[i] / bias1;
-                        let v_hat = vs[i] / bias2;
-                        p[i] -= *lr * (m_hat / (v_hat.sqrt() + *eps) + *weight_decay * p[i]);
-                    }
-                }
+        let OptExec {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            weight_decay,
+            m,
+            v,
+            step_count,
+        } = opt;
+        *step_count += 1;
+        let t = *step_count as f32;
+        let bias1 = 1.0 - beta1.powf(t);
+        let bias2 = 1.0 - beta2.powf(t);
+        for u in upd.iter() {
+            let grad = &arena[u.grad_off..u.grad_off + u.grad_len];
+            let p = &mut params[u.param_idx];
+            let ms = &mut m[u.state_off..u.state_off + u.grad_len];
+            let vs = &mut v[u.state_off..u.state_off + u.grad_len];
+            for i in 0..grad.len() {
+                let gi = grad[i];
+                ms[i] = *beta1 * ms[i] + (1.0 - *beta1) * gi;
+                vs[i] = *beta2 * vs[i] + (1.0 - *beta2) * gi * gi;
+                let m_hat = ms[i] / bias1;
+                let v_hat = vs[i] / bias2;
+                p[i] -= *lr * (m_hat / (v_hat.sqrt() + *eps) + *weight_decay * p[i]);
             }
         }
     }
@@ -1666,7 +1636,6 @@ mod tests {
         b0: &[f32],
         xs: &[Vec<f32>],
         ys: &[Vec<f32>],
-        sgd_lr: Option<f32>,
     ) -> (Vec<f32>, Vec<f32>, f32) {
         let w = Tensor::param(w0.to_vec(), [3, 2]);
         let b = Tensor::param(b0.to_vec(), [2]);
@@ -1681,20 +1650,7 @@ mod tests {
             let loss = h.smooth_l1(&y).mean();
             last = loss.item();
             loss.backward();
-            match sgd_lr {
-                Some(lr) => {
-                    for p in [&w, &b] {
-                        if let Some(g) = p.grad() {
-                            p.update_data(|data| {
-                                for (pi, gi) in data.iter_mut().zip(&g) {
-                                    *pi -= lr * gi;
-                                }
-                            });
-                        }
-                    }
-                }
-                None => opt.step(&[w.clone(), b.clone()]),
-            }
+            opt.step(&[w.clone(), b.clone()]);
         }
         (w.to_vec(), b.to_vec(), last)
     }
@@ -1792,37 +1748,26 @@ mod tests {
         (xs, ys)
     }
 
-    #[test]
-    fn planned_sgd_training_is_bitwise_dynamic() {
-        let (w0, b0) = param_bank();
-        let (xs, ys) = windows(5);
-        let (dw, db, dloss) = dynamic_train(&w0, &b0, &xs, &ys, Some(0.1));
-        let (pw, pb, ploss) = planned_train(PlanOptimizer::Sgd { lr: 0.1 }, &w0, &b0, &xs, &ys);
-        assert_eq!(dw, pw, "weights diverge under SGD");
-        assert_eq!(db, pb, "bias diverges under SGD");
-        assert_eq!(dloss.to_bits(), ploss.to_bits(), "loss diverges");
+    /// The fused optimizer matching [`dyn_adamw`].
+    fn adamw() -> PlanOptimizer {
+        PlanOptimizer::AdamW {
+            lr: 0.05,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            weight_decay: 0.01,
+        }
     }
 
     #[test]
     fn planned_adamw_training_is_bitwise_dynamic() {
         let (w0, b0) = param_bank();
         let (xs, ys) = windows(7);
-        let (dw, db, _) = dynamic_train(&w0, &b0, &xs, &ys, None);
-        let (pw, pb, _) = planned_train(
-            PlanOptimizer::AdamW {
-                lr: 0.05,
-                beta1: 0.9,
-                beta2: 0.999,
-                eps: 1e-8,
-                weight_decay: 0.01,
-            },
-            &w0,
-            &b0,
-            &xs,
-            &ys,
-        );
+        let (dw, db, dloss) = dynamic_train(&w0, &b0, &xs, &ys);
+        let (pw, pb, ploss) = planned_train(adamw(), &w0, &b0, &xs, &ys);
         assert_eq!(dw, pw, "weights diverge under AdamW");
         assert_eq!(db, pb, "bias diverges under AdamW");
+        assert_eq!(dloss.to_bits(), ploss.to_bits(), "loss diverges");
     }
 
     #[test]
@@ -1842,12 +1787,7 @@ mod tests {
             .smooth_l1(&y)
             .unwrap()
             .sum();
-        let plan = Plan::compile_training(
-            &loss,
-            &spec(),
-            &TrainSpec::new("y", PlanOptimizer::Sgd { lr: 0.2 }),
-        )
-        .unwrap();
+        let plan = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", adamw())).unwrap();
         let mut exec = TrainExecutor::new(&plan, |label, _| {
             (label == "p").then(|| vec![1.5, -2.0, 0.5])
         })
@@ -1863,12 +1803,7 @@ mod tests {
         let loss = p.mul(&p).add(&x).smooth_l1(&y).sum();
         let dloss = loss.item();
         loss.backward();
-        let g = p.grad().unwrap();
-        p.update_data(|data| {
-            for (pi, gi) in data.iter_mut().zip(&g) {
-                *pi -= 0.2 * gi;
-            }
-        });
+        dyn_adamw().step(std::slice::from_ref(&p));
         assert_eq!(planned_loss.to_bits(), dloss.to_bits());
         assert_eq!(exec.param_data(0), &p.to_vec()[..]);
     }
@@ -1888,12 +1823,7 @@ mod tests {
             .smooth_l1(&y)
             .unwrap()
             .mean();
-        let plan = Plan::compile_training(
-            &loss,
-            &spec(),
-            &TrainSpec::new("y", PlanOptimizer::Sgd { lr: 0.1 }),
-        )
-        .unwrap();
+        let plan = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", adamw())).unwrap();
         // The frozen param still receives a gradient buffer (the dynamic
         // engine also accumulates into it) but no update step.
         assert_eq!(plan.update_steps().len(), 1);
@@ -1935,12 +1865,8 @@ mod tests {
         let y = ctx.constant("y", vec![d("n", 4)]);
         let w = ctx.param("w", vec![d("n", 4)]);
         let loss = x.mul(&w).unwrap().smooth_l1(&y).unwrap();
-        let err = Plan::compile_training(
-            &loss,
-            &spec(),
-            &TrainSpec::new("y", PlanOptimizer::Sgd { lr: 0.1 }),
-        )
-        .expect_err("vector loss must be rejected");
+        let err = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", adamw()))
+            .expect_err("vector loss must be rejected");
         assert!(err.message.contains("scalar loss"), "{}", err.message);
     }
 }

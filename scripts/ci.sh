@@ -21,7 +21,7 @@ cargo run -q -p timekd-check -- --verify
 echo "==> timekd-check --graph (dynamic audits + symbolic cross-check)"
 cargo run -q -p timekd-check -- --graph
 
-echo "==> timekd-check --plan (forward: liveness, arena, graph diff; training: adjoint completeness, reverse schedule, saved-activation liveness, bitwise plan-vs-dynamic updates; batched: reduction completeness, per-lane arena disjointness — all configs)"
+echo "==> timekd-check --plan (forward: liveness, arena, graph diff; training proofs on the objective plan the trainer runs (PKD + forecast, clip, AdamW; B=1 and B=4): adjoint completeness, reverse schedule, saved-activation liveness, bitwise plan-vs-dynamic updates; batched: reduction completeness, per-lane arena disjointness — all configs)"
 cargo run -q -p timekd-check -- --plan --strict
 
 echo "==> release build"
@@ -37,6 +37,7 @@ echo "==> bitwise gates (planned vs dynamic oracle, thread invariance, zero-allo
 # thread-count invariant.
 cargo test -q -p timekd -- --exact \
   trainer::tests::planned_student_epoch_is_bitwise_identical_to_dynamic \
+  plan::tests::planned_objective_training_is_bitwise_identical_to_dynamic \
   trainer::tests::batched_student_epoch_is_thread_invariant_with_uneven_tail \
   plan::tests::batch_trainer_reuses_cached_plan_across_rebuilds
 cargo test -q -p timekd-bench --test planned_alloc
