@@ -124,14 +124,19 @@ impl Forecaster for Ofa {
         let lm_params = self.lm.model().params();
         let mut total = 0.0;
         for w in windows {
-            for p in params.iter().chain(&lm_params) {
+            for p in &params {
                 p.zero_grad();
             }
             let loss = mse_loss(&self.forward(&w.x), &w.y);
             total += loss.item();
             loss.backward();
+            // The LM body is frozen and shared with other models: drop the
+            // gradients that flowed through it instead of leaving them on
+            // its parameters.
+            for p in &lm_params {
+                p.zero_grad();
+            }
             clip_grad_norm(&params, 1.0);
-            // Step ONLY the trainable subset — LM grads are discarded.
             self.optimizer.step(&params);
         }
         total / windows.len().max(1) as f32
@@ -181,6 +186,10 @@ mod tests {
         m.train_epoch(&train[..2.min(train.len())]);
         let after: Vec<Vec<f32>> = lm.model().params().iter().map(|p| p.to_vec()).collect();
         assert_eq!(before, after, "frozen LM weights moved");
+        assert!(
+            lm.model().params().iter().all(|p| !p.has_grad()),
+            "training left gradients on the shared frozen LM"
+        );
     }
 
     #[test]

@@ -148,12 +148,18 @@ impl Forecaster for TimeLlm {
         let lm_params = self.lm.model().params();
         let mut total = 0.0;
         for w in windows {
-            for p in params.iter().chain(&lm_params) {
+            for p in &params {
                 p.zero_grad();
             }
             let loss = mse_loss(&self.forward(&w.x), &w.y);
             total += loss.item();
             loss.backward();
+            // The LM body is frozen and shared with other models: drop the
+            // gradients that flowed through it instead of leaving them on
+            // its parameters.
+            for p in &lm_params {
+                p.zero_grad();
+            }
             clip_grad_norm(&params, 1.0);
             self.optimizer.step(&params);
         }
@@ -207,11 +213,16 @@ mod tests {
     #[test]
     fn prototypes_move_during_training() {
         let ds = SplitDataset::new(DatasetKind::EttH1, 500, 3, 24, 8);
-        let mut m = TimeLlm::new(frozen_lm(), TimeLlmConfig::default(), 24, 8, ds.num_vars());
+        let lm = frozen_lm();
+        let mut m = TimeLlm::new(lm.clone(), TimeLlmConfig::default(), 24, 8, ds.num_vars());
         let before = m.prototypes.to_vec();
         let train = ds.windows(Split::Train, 64);
         m.train_epoch(&train[..2.min(train.len())]);
         assert_ne!(m.prototypes.to_vec(), before);
+        assert!(
+            lm.model().params().iter().all(|p| !p.has_grad()),
+            "training left gradients on the shared frozen LM"
+        );
     }
 
     #[test]

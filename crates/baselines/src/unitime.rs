@@ -150,12 +150,18 @@ impl Forecaster for UniTime {
         let lm_params = self.lm.model().params();
         let mut total = 0.0;
         for w in windows {
-            for p in params.iter().chain(&lm_params) {
+            for p in &params {
                 p.zero_grad();
             }
             let loss = mse_loss(&self.forward(&w.x), &w.y);
             total += loss.item();
             loss.backward();
+            // The LM body is frozen and shared with other models: drop the
+            // gradients that flowed through it instead of leaving them on
+            // its parameters.
+            for p in &lm_params {
+                p.zero_grad();
+            }
             clip_grad_norm(&params, 1.0);
             self.optimizer.step(&params);
         }
@@ -224,7 +230,8 @@ mod tests {
     #[test]
     fn learns_on_synthetic_data() {
         let ds = SplitDataset::new(DatasetKind::EttH1, 500, 5, 24, 8);
-        let mut m = UniTime::new(frozen_lm(), UniTimeConfig::default(), 24, 8, ds.num_vars());
+        let lm = frozen_lm();
+        let mut m = UniTime::new(lm.clone(), UniTimeConfig::default(), 24, 8, ds.num_vars());
         let train = ds.windows(Split::Train, 24);
         let val = ds.windows(Split::Val, 24);
         let (before, _) = m.evaluate(&val);
@@ -233,5 +240,9 @@ mod tests {
         }
         let (after, _) = m.evaluate(&val);
         assert!(after < before, "{before} -> {after}");
+        assert!(
+            lm.model().params().iter().all(|p| !p.has_grad()),
+            "training left gradients on the shared frozen LM"
+        );
     }
 }

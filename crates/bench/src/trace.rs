@@ -197,11 +197,13 @@ pub fn validate_trace_report(doc: &Json) -> Result<(), Vec<String>> {
 }
 
 /// Span names a full teacher+student training trace must contain somewhere
-/// in its tree for the pipeline to count as covered. The student epoch runs
-/// through the compiled batched plan, so its distillation terms surface as
-/// the privileged-target staging span (`pkd.stage`) and the batch replay
-/// span (`plan.student_batch`) rather than per-op dynamic spans.
-pub const REQUIRED_PIPELINE_SPANS: [&str; 11] = [
+/// in its tree for the pipeline to count as covered, from CLM pretraining
+/// (`lm.pretrain`) on. The student epoch runs through the compiled batched
+/// plan, so its distillation terms surface as the privileged-target staging
+/// span (`pkd.stage`) and the batch replay span (`plan.student_batch`)
+/// rather than per-op dynamic spans.
+pub const REQUIRED_PIPELINE_SPANS: [&str; 12] = [
+    "lm.pretrain",
     "epoch.teacher",
     "epoch.student",
     "teacher.forward",
@@ -369,6 +371,7 @@ mod tests {
         }
         let problems = validate_trace_coverage(&doc).expect_err("must fail");
         assert!(problems.iter().any(|p| p.contains("`epoch.student`")));
+        assert!(problems.iter().any(|p| p.contains("`lm.pretrain`")));
         assert!(problems.iter().any(|p| p.contains("pool never exercised")));
         // The spans that *were* recorded are not flagged.
         assert!(!problems.iter().any(|p| p.contains("`teacher.forward`")));
@@ -379,6 +382,10 @@ mod tests {
         let _g = locked();
         timekd_obs::set_enabled(true);
         timekd_obs::reset();
+        {
+            let _p = timekd_obs::span("lm.pretrain");
+            let _b = timekd_obs::span("tensor.backward");
+        }
         {
             let _e = timekd_obs::span("epoch.teacher");
             {

@@ -1,11 +1,15 @@
 //! Whole-model checkpointing for [`TimeKd`].
 //!
-//! Layout: magic `TKD1`, format version, then the teacher's trainable
-//! parameters followed by the student's, each as a [`timekd_tensor::io`]
-//! blob. The frozen CLM is *not* part of the checkpoint — it is
-//! reconstructed deterministically from its pretraining seed, exactly like
-//! the paper reloads the public GPT-2 weights rather than shipping them.
+//! Layout: magic `TKD1`, format version, the CLM pretraining recipe
+//! ([`PRETRAIN_RECIPE`]), then the teacher's trainable parameters followed
+//! by the student's, each as a [`timekd_tensor::io`] blob. The frozen CLM
+//! is *not* part of the checkpoint — it is reconstructed deterministically
+//! from its pretraining seed, exactly like the paper reloads the public
+//! GPT-2 weights rather than shipping them. The teacher was trained on that
+//! CLM's embeddings, so a blob written under another pretraining recipe is
+//! rejected rather than loaded onto a differently pretrained CLM.
 
+use timekd_lm::PRETRAIN_RECIPE;
 use timekd_nn::Module;
 use timekd_tensor::bytes::{Bytes, BytesMut};
 use timekd_tensor::io::DecodeError;
@@ -13,22 +17,25 @@ use timekd_tensor::io::DecodeError;
 use crate::trainer::TimeKd;
 
 const MAGIC: &[u8; 4] = b"TKD1";
-const VERSION: u32 = 1;
+/// Version 2 added the pretraining recipe to the header.
+const VERSION: u32 = 2;
 
 /// Serialises the trainable state (teacher heads + student).
 pub fn save_checkpoint(model: &TimeKd) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
+    buf.put_u32_le(PRETRAIN_RECIPE);
     buf.extend_from_slice(&model.teacher().save_params());
     buf.extend_from_slice(&model.student().save_params());
     buf.freeze()
 }
 
 /// Restores trainable state saved by [`save_checkpoint`] into an
-/// identically configured model.
+/// identically configured model. Blobs of another format version or
+/// pretraining recipe are rejected with [`DecodeError::BadShape`].
 pub fn load_checkpoint(model: &TimeKd, blob: &mut Bytes) -> Result<(), DecodeError> {
-    if blob.remaining() < 8 {
+    if blob.remaining() < 12 {
         return Err(DecodeError::Truncated);
     }
     let mut magic = [0u8; 4];
@@ -37,7 +44,8 @@ pub fn load_checkpoint(model: &TimeKd, blob: &mut Bytes) -> Result<(), DecodeErr
         return Err(DecodeError::BadMagic);
     }
     let version = blob.get_u32_le();
-    if version != VERSION {
+    let recipe = blob.get_u32_le();
+    if version != VERSION || recipe != PRETRAIN_RECIPE {
         return Err(DecodeError::BadShape);
     }
     model.teacher().load_params(blob)?;
@@ -108,17 +116,53 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn wrong_version_rejected() {
-        let (model, _) = setup();
+    /// A checkpoint of `model` whose header carries `version` and, if
+    /// given, `recipe`.
+    fn blob_with_header(model: &TimeKd, version: u32, recipe: Option<u32>) -> Bytes {
         let mut buf = BytesMut::new();
         buf.put_slice(MAGIC);
-        buf.put_u32_le(999);
-        let mut blob = buf.freeze();
-        assert!(matches!(
-            load_checkpoint(&model, &mut blob),
-            Err(DecodeError::BadShape)
-        ));
+        buf.put_u32_le(version);
+        if let Some(recipe) = recipe {
+            buf.put_u32_le(recipe);
+        }
+        buf.extend_from_slice(&model.teacher().save_params());
+        buf.extend_from_slice(&model.student().save_params());
+        buf.freeze()
+    }
+
+    #[test]
+    fn wrong_version_rejected() {
+        // Version 1 had no recipe field; its teacher was trained on a CLM
+        // pretrained under recipe 1.
+        let (model, _) = setup();
+        for (version, recipe) in [(1, None), (999, Some(PRETRAIN_RECIPE))] {
+            let mut blob = blob_with_header(&model, version, recipe);
+            assert!(
+                matches!(
+                    load_checkpoint(&model, &mut blob),
+                    Err(DecodeError::BadShape)
+                ),
+                "version {version}"
+            );
+        }
+    }
+
+    #[test]
+    fn foreign_recipe_rejected() {
+        let (model, _) = setup();
+        for recipe in [PRETRAIN_RECIPE - 1, PRETRAIN_RECIPE + 1] {
+            let mut blob = blob_with_header(&model, VERSION, Some(recipe));
+            assert!(
+                matches!(
+                    load_checkpoint(&model, &mut blob),
+                    Err(DecodeError::BadShape)
+                ),
+                "recipe {recipe}"
+            );
+        }
+        // The same body under this recipe loads.
+        let mut blob = blob_with_header(&model, VERSION, Some(PRETRAIN_RECIPE));
+        assert_eq!(load_checkpoint(&model, &mut blob), Ok(()));
     }
 
     #[test]

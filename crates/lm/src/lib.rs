@@ -27,7 +27,7 @@ pub use frozen::FrozenLm;
 pub use model::CausalLm;
 pub use pretrain::{
     install_numeracy_prior, pretrain_lm, sample_corpus_example, sample_corpus_prompt,
-    CorpusExample, PretrainConfig, PretrainReport,
+    CorpusExample, PretrainConfig, PretrainReport, PRETRAIN_RECIPE,
 };
 pub use symbolic::{trace_frozen_lm, SymCausalLm};
 pub use timekd_tensor::NEG_INF;

@@ -82,9 +82,9 @@ impl CausalLm {
     /// Only the last row is computed through the final block
     /// ([`TransformerEncoder::forward_last_row`]); its forward values equal
     /// the last row of [`hidden_states`](Self::hidden_states) bit for bit.
-    /// Gradients through it sum in a different order than through
-    /// `hidden_states`, so LM pretraining differentiates the full forward
-    /// to keep the pretrained weights' bits.
+    /// LM pretraining needs every row for its next-token loss, so it runs
+    /// one `hidden_states` forward and takes its value-regression
+    /// embedding from that forward's last row instead.
     pub fn last_token_embedding(&self, tokens: &[Token], calibrated: bool) -> Tensor {
         let (x, mask) = self.embed_with_mask(tokens, calibrated);
         self.encoder
@@ -123,8 +123,13 @@ impl CausalLm {
     /// Next-token logits `[S, V]` with the output head tied to the token
     /// embedding.
     pub fn logits(&self, tokens: &[Token], calibrated: bool) -> Tensor {
-        let h = self.hidden_states(tokens, calibrated);
-        h.matmul(&self.tok_embedding.weight().transpose_last())
+        self.tied_head(&self.hidden_states(tokens, calibrated))
+    }
+
+    /// The output head, tied to the token embedding: hidden states
+    /// `[S, D]` to logits `[S, V]`.
+    fn tied_head(&self, hidden: &Tensor) -> Tensor {
+        hidden.matmul(&self.tok_embedding.weight().transpose_last())
     }
 
     /// Autoregressively samples `max_new_tokens` continuation tokens.
@@ -188,9 +193,15 @@ impl CausalLm {
 
     /// Mean next-token cross-entropy over the prompt (pretraining loss).
     pub fn next_token_loss(&self, tokens: &[Token], calibrated: bool) -> Tensor {
+        self.next_token_loss_of(&self.hidden_states(tokens, calibrated), tokens)
+    }
+
+    /// [`next_token_loss`](Self::next_token_loss) from the prompt's hidden
+    /// states `[S, D]`, so a caller that also reads them runs one forward.
+    pub(crate) fn next_token_loss_of(&self, hidden: &Tensor, tokens: &[Token]) -> Tensor {
         assert!(tokens.len() >= 2, "need at least two tokens for LM loss");
         let s = tokens.len();
-        let logits = self.logits(tokens, calibrated); // [S, V]
+        let logits = self.tied_head(hidden); // [S, V]
         let inputs = logits.slice(0, 0, s - 1); // predict positions 1..S
         let targets: Vec<usize> = tokens[1..].iter().map(|t| t.id).collect();
         inputs.cross_entropy(&targets)

@@ -25,6 +25,17 @@ use crate::config::LmConfig;
 use crate::model::CausalLm;
 use crate::tokenizer::{PromptPiece, PromptTokenizer, Token};
 
+/// Version of the pretraining recipe: which bits [`pretrain_lm`] produces
+/// for a given [`LmConfig`] and [`PretrainConfig`]. It changes whenever the
+/// pretrained weights' bits do, so state saved against one pretrained CLM
+/// (see `timekd::save_checkpoint`) is never loaded onto another.
+///
+/// - 1: a next-token forward plus a separate full forward for the value
+///   loss in every step.
+/// - 2: one shared forward per step (both losses read the same hidden
+///   states, so one graph is differentiated).
+pub const PRETRAIN_RECIPE: u32 = 2;
+
 /// Pretraining hyper-parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct PretrainConfig {
@@ -217,12 +228,9 @@ pub fn pretrain_lm(
             let mut lm_loss = 0.0f32;
             let mut value_mse = 0.0f32;
             for h in &holdouts {
-                lm_loss += lm.next_token_loss(&h.tokens, true).item();
-                let emb = lm
-                    .last_token_embedding(&h.tokens, true)
-                    .reshape([1, lm_config.dim]);
-                let target = Tensor::from_vec(h.future_values.clone(), [1, config.series_len]);
-                value_mse += head.forward(&emb).sub(&target).square().mean().item();
+                let (loss, value) = example_losses(lm, head, h);
+                lm_loss += loss.item();
+                value_mse += value.item();
             }
             (
                 lm_loss / holdouts.len() as f32,
@@ -236,17 +244,7 @@ pub fn pretrain_lm(
         for p in &params {
             p.zero_grad();
         }
-        let lm_loss = lm.next_token_loss(&example.tokens, true);
-        // The full forward, not `last_token_embedding`: the pruned graph
-        // sums the same gradients in another order, which would change
-        // the pretrained weights' bits.
-        let s = example.tokens.len();
-        let emb = lm
-            .hidden_states(&example.tokens, true)
-            .slice(0, s - 1, 1)
-            .reshape([1, lm_config.dim]);
-        let target = Tensor::from_vec(example.future_values.clone(), [1, config.series_len]);
-        let value_loss = value_head.forward(&emb).sub(&target).square().mean();
+        let (lm_loss, value_loss) = example_losses(&lm, &value_head, &example);
         let loss = lm_loss.add(&value_loss.mul_scalar(config.value_regression_weight));
         loss.backward();
         timekd_nn::clip_grad_norm(&params, 1.0);
@@ -265,6 +263,21 @@ pub fn pretrain_lm(
             steps: config.steps,
         },
     )
+}
+
+/// The next-token loss and the value-regression MSE of one example, both
+/// read from one [`CausalLm::hidden_states`] forward: the loss from every
+/// row, the value head from the last row (bitwise the prompt's
+/// [`CausalLm::last_token_embedding`]). A step differentiates one graph.
+fn example_losses(lm: &CausalLm, value_head: &Linear, example: &CorpusExample) -> (Tensor, Tensor) {
+    let hidden = lm.hidden_states(&example.tokens, true);
+    let lm_loss = lm.next_token_loss_of(&hidden, &example.tokens);
+    let s = example.tokens.len();
+    let last = hidden.slice(0, s - 1, 1); // [1, D]
+    let n = example.future_values.len();
+    let target = Tensor::from_vec(example.future_values.clone(), [1, n]);
+    let value_loss = value_head.forward(&last).sub(&target).square().mean();
+    (lm_loss, value_loss)
 }
 
 #[cfg(test)]
@@ -300,6 +313,46 @@ mod tests {
         let a = sample_corpus_example(&tok, 8, &mut rng);
         let b = sample_corpus_example(&tok, 8, &mut rng);
         assert_ne!(a.tokens, b.tokens);
+    }
+
+    #[test]
+    fn shared_forward_losses_match_separate_forwards_bitwise() {
+        // One `hidden_states` forward must give the same loss values as the
+        // separate forwards it replaces: `next_token_loss` for the LM loss,
+        // and the value head on `last_token_embedding` for the value loss.
+        let tok = PromptTokenizer::new();
+        let series_len = 12;
+        for size in [
+            crate::LmSize::Small,
+            crate::LmSize::Base,
+            crate::LmSize::Large,
+        ] {
+            let mut rng = seeded_rng(21);
+            let lm = CausalLm::new(tok.vocab_size(), LmConfig::for_size(size), &mut rng);
+            install_numeracy_prior(&lm, &tok, &mut rng);
+            let dim = lm.config().dim;
+            let head = Linear::new(dim, series_len, &mut rng);
+            for i in 0..3 {
+                let example = sample_corpus_example(&tok, series_len, &mut rng);
+                let (lm_loss, value_loss) = example_losses(&lm, &head, &example);
+                let want_lm = lm.next_token_loss(&example.tokens, true);
+                let emb = lm
+                    .last_token_embedding(&example.tokens, true)
+                    .reshape([1, dim]);
+                let target = Tensor::from_vec(example.future_values.clone(), [1, series_len]);
+                let want_value = head.forward(&emb).sub(&target).square().mean();
+                assert_eq!(
+                    lm_loss.item().to_bits(),
+                    want_lm.item().to_bits(),
+                    "{size:?} example {i}: LM loss"
+                );
+                assert_eq!(
+                    value_loss.item().to_bits(),
+                    want_value.item().to_bits(),
+                    "{size:?} example {i}: value loss"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! - `QUICK=1` — shrink the dataset and epoch count for a smoke run.
 //! - `TIMEKD_TRACE=1` — record observability spans/counters and print a
-//!   per-epoch summary table (counts are cumulative across epochs: the
-//!   teacher warmup only happens in epoch 1, and the final trace must
-//!   cover it).
+//!   per-epoch summary table (counts are cumulative from model
+//!   construction: LM pretraining and the teacher warmup only happen
+//!   before or in epoch 1, and the final trace must cover them).
 //! - `TIMEKD_TRACE_OUT=<path>` — with tracing on, also write the
 //!   schema-validated `timekd-trace/v1` JSON report there.
 
@@ -46,13 +46,9 @@ fn main() {
     let mut model = TimeKd::new(config, ds.input_len(), ds.horizon(), ds.num_vars());
     println!("trainable parameters: {}", model.num_trainable_params());
 
-    // Model construction (LM pretraining included) is noise for profiling;
-    // start the trace at the first real epoch. `timekd_obs::enabled()`
-    // reads TIMEKD_TRACE on first call.
+    // The trace covers the whole run, LM pretraining (`lm.pretrain`)
+    // included. `timekd_obs::enabled()` reads TIMEKD_TRACE on first call.
     let tracing = timekd_obs::enabled();
-    if tracing {
-        timekd_obs::reset();
-    }
 
     // 3. Train jointly (teacher reconstruction + PKD + forecasting loss).
     let train = ds.windows(Split::Train, 8);

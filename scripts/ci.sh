@@ -30,7 +30,7 @@ cargo build --release --workspace
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> bitwise gates (planned vs dynamic oracle, thread invariance, zero-alloc replay, key skipping, pruned CLM forward)"
+echo "==> bitwise gates (planned vs dynamic oracle, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, one CLM forward per pretraining step)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned epoch must reproduce the
 # dynamic per-window loop bit for bit, and the batched fold must be
@@ -48,6 +48,13 @@ cargo test -q -p timekd-tensor --test attention_key_skip -- --exact \
   key_skipping_gradients_match_full_key_reference_bitwise
 cargo test -q -p timekd-lm --test proptest_lm -- --exact \
   last_token_embedding_is_last_row_of_hidden_states_bitwise
+# A pretraining step reads both losses from one CLM forward: the shared
+# losses equal the separate forwards' bit for bit, and the trace shows one
+# encoder forward per step.
+cargo test -q -p timekd-lm --lib -- --exact \
+  pretrain::tests::shared_forward_losses_match_separate_forwards_bitwise
+cargo test -q -p timekd-lm --test pretrain_trace -- --exact \
+  pretraining_runs_one_encoder_forward_per_step
 
 echo "==> serving integration suite (bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
 # Same rationale as the determinism gates: re-run the serving contract

@@ -181,7 +181,9 @@ fn golden_run_covers_pipeline_and_is_repeatable() {
     // The structural trace is a pure function of the (seeded) pipeline:
     // two fresh model builds must produce identical fixtures, and the
     // trace must satisfy the bench-side coverage validator (modulo the
-    // counters this fixture deliberately omits).
+    // counters this fixture deliberately omits, and CLM pretraining, which
+    // runs before the recorded region; the traced quickstart in
+    // `scripts/trace.sh` covers `lm.pretrain`).
     let a = golden_run();
     let b = golden_run();
     assert!(
@@ -190,7 +192,10 @@ fn golden_run_covers_pipeline_and_is_repeatable() {
         a.render(),
         b.render()
     );
-    for name in timekd_bench::trace::REQUIRED_PIPELINE_SPANS {
+    for name in timekd_bench::trace::REQUIRED_PIPELINE_SPANS
+        .into_iter()
+        .filter(|&name| name != "lm.pretrain")
+    {
         fn present(spans: &[Json], name: &str) -> bool {
             spans.iter().any(|s| {
                 s.get("name").and_then(Json::as_str) == Some(name)
