@@ -15,10 +15,9 @@
 //! losses, reverse schedule, clip, fused AdamW update — and a
 //! multi-window training epoch), the batched objective plan (per-window
 //! gradient lanes replayed data-parallel with a pinned window-order
-//! reduction) against the per-window planned epoch,
-//! and the serve-load section, then emits a machine-readable
-//! `BENCH_<unix-seconds>.json` at the repo root so the perf trajectory is
-//! tracked across PRs.
+//! reduction) against the per-window planned epoch, then emits a
+//! machine-readable `BENCH_<unix-seconds>.json` at the repo root so the
+//! perf trajectory is tracked across PRs.
 //!
 //! Usage:
 //!
@@ -48,6 +47,7 @@ use timekd::{
 };
 use timekd_bench::{
     json::Json, validate_kernel_bench, validate_trace_coverage, validate_trace_report, Profile,
+    KERNEL_BENCH_SCHEMA,
 };
 use timekd_nn::{clip_grad_norm, AdamW, Module};
 use timekd_tensor::parallel::{configured_threads, with_threads};
@@ -1016,37 +1016,11 @@ fn main() {
         }
     }
 
-    println!("  forecast serving load harness …");
-    let serve_spec = if quick {
-        timekd_bench::ServeLoadSpec::quick()
-    } else {
-        timekd_bench::ServeLoadSpec::full()
-    };
-    let serving = timekd_bench::run_serve_load(&serve_spec);
-    {
-        let fmt = |key: &str| serving.get(key).and_then(Json::as_num).unwrap_or(f64::NAN);
-        println!(
-            "    {:.0} req @ {:.0} req/s  p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  occupancy {:.2}/{:.0}  errors {:.0}",
-            fmt("requests_total"),
-            fmt("throughput_rps"),
-            fmt("latency_p50_ms"),
-            fmt("latency_p95_ms"),
-            fmt("latency_p99_ms"),
-            fmt("mean_batch_occupancy"),
-            fmt("micro_batch"),
-            fmt("errors"),
-        );
-        if fmt("errors") > 0.0 {
-            eprintln!("serving load harness saw failed requests");
-            std::process::exit(1);
-        }
-    }
-
     let created = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let doc = Json::obj(vec![
-        ("schema", Json::str("timekd-kernel-bench/v8")),
+        ("schema", Json::str(KERNEL_BENCH_SCHEMA)),
         ("created_unix_s", Json::num(created as f64)),
         ("quick", Json::Bool(quick)),
         (
@@ -1070,15 +1044,13 @@ fn main() {
                      this geometry); the ≥1.5x regime needs ≥2 physical cores",
                 ),
                 Json::str(
-                    "v7: the serving section reports the timekd-serve closed-loop load \
-                     harness (real TCP clients against a registry-booted server); latency \
-                     quantiles are read back from the server's own /metrics histograms, \
-                     not measured client-side",
-                ),
-                Json::str(
                     "v8: the kernels rows drop the scalar-fallback columns (the kernels have \
                      one pinned reduction order), and the end_to_end serial-vs-parallel \
                      epoch section is gone (it measured nothing on a 1-core host)",
+                ),
+                Json::str(
+                    "v9: the serving section is gone; served latency is measured end to end \
+                     by the benchmark package's serve_window and serve_tenant workloads",
                 ),
             ]),
         ),
@@ -1095,7 +1067,6 @@ fn main() {
         ("planned_training", planned_training),
         ("quantized_student", quantized_student),
         ("batched_training", Json::Arr(batched_training)),
-        ("serving", serving),
     ]);
     if let Err(problems) = validate_kernel_bench(&doc) {
         for p in &problems {

@@ -7,147 +7,215 @@
 
 pub use timekd_obs::json::Json;
 
-/// Checks a parsed document against the `timekd-kernel-bench/v8` schema
-/// emitted by `cargo run -p timekd-bench --bin kernels`. Returns every
-/// problem found (not just the first) so a broken baseline is diagnosable
-/// in one pass.
-pub fn validate_kernel_bench(doc: &Json) -> Result<(), Vec<String>> {
-    let mut problems = Vec::new();
-    let mut need_num = |path: &str| match doc.get_path(path).map(Json::as_num) {
+/// Schema identifier the kernels bin writes and the validator requires.
+pub const KERNEL_BENCH_SCHEMA: &str = "timekd-kernel-bench/v9";
+
+/// The fields one section of the document must carry.
+#[derive(Debug)]
+enum Section {
+    /// One object of finite numbers.
+    Object(&'static [&'static str]),
+    /// A non-empty array of rows, each with these finite numbers, strings
+    /// and booleans.
+    Rows {
+        nums: &'static [&'static str],
+        strings: &'static [&'static str],
+        bools: &'static [&'static str],
+    },
+}
+
+/// Every section of `timekd-kernel-bench/v9` besides the top-level
+/// `schema`, `notes`, `created_unix_s` and `quick` fields.
+const SECTIONS: &[(&str, Section)] = &[
+    ("threads", Section::Object(&["configured", "available"])),
+    // v3: planned-vs-dynamic student predict.
+    (
+        "planned_student",
+        Section::Object(&[
+            "input_len",
+            "horizon",
+            "num_vars",
+            "windows",
+            "iters",
+            "predict_dynamic_ms",
+            "predict_planned_ms",
+            "speedup_planned_predict",
+            "epoch_dynamic_ms",
+            "epoch_planned_ms",
+            "speedup_planned_epoch",
+            "plan_steps",
+            "plan_arena_f32",
+        ]),
+    ),
+    // v4: planned-vs-dynamic student training (full step: forward +
+    // reverse schedule + fused optimizer update).
+    (
+        "planned_training",
+        Section::Object(&[
+            "input_len",
+            "horizon",
+            "num_vars",
+            "windows",
+            "iters",
+            "train_step_dynamic_ms",
+            "train_step_planned_ms",
+            "speedup_planned_train_step",
+            "train_epoch_dynamic_ms",
+            "train_epoch_planned_ms",
+            "speedup_planned_train_epoch",
+            "bwd_steps",
+            "update_steps",
+        ]),
+    ),
+    // v5: quantized-vs-f32 compiled student (int8 weight storage, `qmm`
+    // kernels, accuracy gate).
+    (
+        "quantized_student",
+        Section::Object(&[
+            "input_len",
+            "horizon",
+            "num_vars",
+            "windows",
+            "iters",
+            "mse_delta",
+            "mse_delta_bound",
+            "predict_f32_ms",
+            "predict_int8_ms",
+            "speedup_int8_vs_f32",
+            "param_bytes_f32",
+            "param_bytes_int8",
+            "param_compression",
+        ]),
+    ),
+    (
+        "kernels",
+        Section::Rows {
+            nums: &[
+                "m",
+                "k",
+                "n",
+                "batch",
+                "iters",
+                "serial_ms",
+                "parallel_ms",
+                "speedup_parallel",
+                "gflops_serial",
+                "gflops_parallel",
+                "naive_ms",
+                "speedup_blocked_vs_naive",
+                "grad_serial_ms",
+                "grad_parallel_ms",
+                "speedup_grad_parallel",
+            ],
+            strings: &["name"],
+            bools: &[],
+        },
+    ),
+    // v2: fused-vs-composed attention.
+    (
+        "attention",
+        Section::Rows {
+            nums: &[
+                "heads",
+                "tq",
+                "tk",
+                "dh",
+                "iters",
+                "fused_ms",
+                "composed_ms",
+                "speedup_fused",
+                "fused_train_ms",
+                "composed_train_ms",
+                "speedup_fused_train",
+            ],
+            strings: &["name"],
+            bools: &["causal"],
+        },
+    ),
+    // v6: one row per micro-batch size comparing the per-window planned
+    // epoch against the data-parallel batched replay.
+    (
+        "batched_training",
+        Section::Rows {
+            nums: &[
+                "micro_batch",
+                "input_len",
+                "horizon",
+                "num_vars",
+                "windows",
+                "iters",
+                "epoch_per_window_ms",
+                "epoch_batched_ms",
+                "speedup_batched",
+                "reduce_steps",
+                "update_steps",
+            ],
+            strings: &["name"],
+            bools: &[],
+        },
+    ),
+];
+
+fn need_num(doc: &Json, path: &str, problems: &mut Vec<String>) {
+    match doc.get_path(path).map(Json::as_num) {
         Some(Some(v)) if v.is_finite() => {}
         Some(_) => problems.push(format!("`{path}` is not a finite number")),
         None => problems.push(format!("missing key `{path}`")),
-    };
-    need_num("created_unix_s");
-    need_num("threads.configured");
-    need_num("threads.available");
-
-    // v3: the planned-vs-dynamic student predict section. A missing
-    // section reports one `missing key` problem per expected field.
-    for key in [
-        "input_len",
-        "horizon",
-        "num_vars",
-        "windows",
-        "iters",
-        "predict_dynamic_ms",
-        "predict_planned_ms",
-        "speedup_planned_predict",
-        "epoch_dynamic_ms",
-        "epoch_planned_ms",
-        "speedup_planned_epoch",
-        "plan_steps",
-        "plan_arena_f32",
-    ] {
-        need_num(&format!("planned_student.{key}"));
     }
+}
 
-    // v4: the planned-vs-dynamic student *training* section (full step:
-    // forward + reverse schedule + fused optimizer update). A missing
-    // section reports one `missing key` problem per expected field.
-    for key in [
-        "input_len",
-        "horizon",
-        "num_vars",
-        "windows",
-        "iters",
-        "train_step_dynamic_ms",
-        "train_step_planned_ms",
-        "speedup_planned_train_step",
-        "train_epoch_dynamic_ms",
-        "train_epoch_planned_ms",
-        "speedup_planned_train_epoch",
-        "bwd_steps",
-        "update_steps",
-    ] {
-        need_num(&format!("planned_training.{key}"));
-    }
-
-    // v5: the quantized-vs-f32 compiled-student section (int8 weight
-    // storage, `qmm` kernels, accuracy gate). A missing section reports
-    // one `missing key` problem per expected field.
-    for key in [
-        "input_len",
-        "horizon",
-        "num_vars",
-        "windows",
-        "iters",
-        "mse_delta",
-        "mse_delta_bound",
-        "predict_f32_ms",
-        "predict_int8_ms",
-        "speedup_int8_vs_f32",
-        "param_bytes_f32",
-        "param_bytes_int8",
-        "param_compression",
-    ] {
-        need_num(&format!("quantized_student.{key}"));
-    }
-
-    // v7: the serving section — closed-loop load over the HTTP forecast
-    // endpoint with micro-batched planned inference. A missing section
-    // reports one `missing key` problem per expected field; the latency
-    // quantiles come from the same `timekd-obs` histograms `/metrics`
-    // renders.
-    for key in [
-        "clients",
-        "requests_per_client",
-        "requests_total",
-        "forecast_requests",
-        "errors",
-        "duration_ms",
-        "throughput_rps",
-        "latency_p50_ms",
-        "latency_p95_ms",
-        "latency_p99_ms",
-        "micro_batch",
-        "batches",
-        "mean_batch_occupancy",
-    ] {
-        need_num(&format!("serving.{key}"));
-    }
-
-    // v6: the batched-training section — one row per micro-batch size
-    // comparing the per-window planned epoch against the data-parallel
-    // batched replay with pinned window-order gradient reduction.
-    match doc.get("batched_training").map(Json::as_arr) {
-        Some(Some(rows)) if !rows.is_empty() => {
-            for (i, row) in rows.iter().enumerate() {
-                if row.get("name").and_then(Json::as_str).is_none() {
-                    problems.push(format!(
-                        "`batched_training[{i}].name` missing or not a string"
-                    ));
-                }
-                for key in [
-                    "micro_batch",
-                    "input_len",
-                    "horizon",
-                    "num_vars",
-                    "windows",
-                    "iters",
-                    "epoch_per_window_ms",
-                    "epoch_batched_ms",
-                    "speedup_batched",
-                    "reduce_steps",
-                    "update_steps",
-                ] {
-                    match row.get(key).map(Json::as_num) {
-                        Some(Some(v)) if v.is_finite() => {}
-                        _ => problems.push(format!(
-                            "`batched_training[{i}].{key}` missing or not finite"
-                        )),
-                    }
+/// Checks a parsed document against the [`KERNEL_BENCH_SCHEMA`] schema
+/// emitted by `cargo run -p timekd-bench --bin kernels`. Returns every
+/// problem found (not just the first) so a broken baseline is diagnosable
+/// in one pass; a missing object section reports one `missing key`
+/// problem per expected field.
+pub fn validate_kernel_bench(doc: &Json) -> Result<(), Vec<String>> {
+    let mut problems = Vec::new();
+    need_num(doc, "created_unix_s", &mut problems);
+    for (name, section) in SECTIONS {
+        match section {
+            Section::Object(keys) => {
+                for key in *keys {
+                    need_num(doc, &format!("{name}.{key}"), &mut problems);
                 }
             }
+            Section::Rows {
+                nums,
+                strings,
+                bools,
+            } => match doc.get(name).map(Json::as_arr) {
+                Some(Some(rows)) if !rows.is_empty() => {
+                    for (i, row) in rows.iter().enumerate() {
+                        for key in *strings {
+                            if row.get(key).and_then(Json::as_str).is_none() {
+                                problems
+                                    .push(format!("`{name}[{i}].{key}` missing or not a string"));
+                            }
+                        }
+                        for key in *bools {
+                            if !matches!(row.get(key), Some(Json::Bool(_))) {
+                                problems.push(format!("`{name}[{i}].{key}` must be a boolean"));
+                            }
+                        }
+                        for key in *nums {
+                            match row.get(key).map(Json::as_num) {
+                                Some(Some(v)) if v.is_finite() => {}
+                                _ => problems
+                                    .push(format!("`{name}[{i}].{key}` missing or not finite")),
+                            }
+                        }
+                    }
+                }
+                Some(Some(_)) => problems.push(format!("`{name}` must be a non-empty array")),
+                _ => problems.push(format!("missing key `{name}`")),
+            },
         }
-        Some(Some(_)) => problems.push("`batched_training` must be a non-empty array".to_string()),
-        _ => problems.push("missing key `batched_training`".to_string()),
     }
 
     match doc.get("schema").map(Json::as_str) {
-        Some(Some("timekd-kernel-bench/v8")) => {}
+        Some(Some(KERNEL_BENCH_SCHEMA)) => {}
         Some(other) => problems.push(format!(
-            "`schema` must be \"timekd-kernel-bench/v8\", got {other:?}"
+            "`schema` must be {KERNEL_BENCH_SCHEMA:?}, got {other:?}"
         )),
         None => problems.push("missing key `schema`".to_string()),
     }
@@ -169,74 +237,6 @@ pub fn validate_kernel_bench(doc: &Json) -> Result<(), Vec<String>> {
         problems.push("`quick` must be a boolean".to_string());
     }
 
-    match doc.get("kernels").map(Json::as_arr) {
-        Some(Some(rows)) if !rows.is_empty() => {
-            for (i, row) in rows.iter().enumerate() {
-                if row.get("name").and_then(Json::as_str).is_none() {
-                    problems.push(format!("`kernels[{i}].name` missing or not a string"));
-                }
-                for key in [
-                    "m",
-                    "k",
-                    "n",
-                    "batch",
-                    "iters",
-                    "serial_ms",
-                    "parallel_ms",
-                    "speedup_parallel",
-                    "gflops_serial",
-                    "gflops_parallel",
-                    "naive_ms",
-                    "speedup_blocked_vs_naive",
-                    "grad_serial_ms",
-                    "grad_parallel_ms",
-                    "speedup_grad_parallel",
-                ] {
-                    match row.get(key).map(Json::as_num) {
-                        Some(Some(v)) if v.is_finite() => {}
-                        _ => problems.push(format!("`kernels[{i}].{key}` missing or not finite")),
-                    }
-                }
-            }
-        }
-        Some(Some(_)) => problems.push("`kernels` must be a non-empty array".to_string()),
-        _ => problems.push("missing key `kernels`".to_string()),
-    }
-
-    // v2: fused-vs-composed attention timings.
-    match doc.get("attention").map(Json::as_arr) {
-        Some(Some(rows)) if !rows.is_empty() => {
-            for (i, row) in rows.iter().enumerate() {
-                if row.get("name").and_then(Json::as_str).is_none() {
-                    problems.push(format!("`attention[{i}].name` missing or not a string"));
-                }
-                if !matches!(row.get("causal"), Some(Json::Bool(_))) {
-                    problems.push(format!("`attention[{i}].causal` must be a boolean"));
-                }
-                for key in [
-                    "heads",
-                    "tq",
-                    "tk",
-                    "dh",
-                    "iters",
-                    "fused_ms",
-                    "composed_ms",
-                    "speedup_fused",
-                    "fused_train_ms",
-                    "composed_train_ms",
-                    "speedup_fused_train",
-                ] {
-                    match row.get(key).map(Json::as_num) {
-                        Some(Some(v)) if v.is_finite() => {}
-                        _ => problems.push(format!("`attention[{i}].{key}` missing or not finite")),
-                    }
-                }
-            }
-        }
-        Some(Some(_)) => problems.push("`attention` must be a non-empty array".to_string()),
-        _ => problems.push("missing key `attention`".to_string()),
-    }
-
     if problems.is_empty() {
         Ok(())
     } else {
@@ -248,150 +248,76 @@ pub fn validate_kernel_bench(doc: &Json) -> Result<(), Vec<String>> {
 mod tests {
     use super::*;
 
+    /// A document carrying every field of [`SECTIONS`] (one row per row
+    /// section) plus the top-level fields.
     fn minimal_valid_doc() -> Json {
-        let kernel_keys = [
-            "m",
-            "k",
-            "n",
-            "batch",
-            "iters",
-            "serial_ms",
-            "parallel_ms",
-            "speedup_parallel",
-            "gflops_serial",
-            "gflops_parallel",
-            "naive_ms",
-            "speedup_blocked_vs_naive",
-            "grad_serial_ms",
-            "grad_parallel_ms",
-            "speedup_grad_parallel",
-        ];
-        let mut row = vec![("name", Json::str("mm_64"))];
-        row.extend(kernel_keys.iter().map(|k| (*k, Json::num(1.0))));
-        let attn_keys = [
-            "heads",
-            "tq",
-            "tk",
-            "dh",
-            "iters",
-            "fused_ms",
-            "composed_ms",
-            "speedup_fused",
-            "fused_train_ms",
-            "composed_train_ms",
-            "speedup_fused_train",
-        ];
-        let mut attn_row = vec![
-            ("name", Json::str("attn_lm_base")),
-            ("causal", Json::Bool(true)),
-        ];
-        attn_row.extend(attn_keys.iter().map(|k| (*k, Json::num(1.0))));
-        let planned_keys = [
-            "input_len",
-            "horizon",
-            "num_vars",
-            "windows",
-            "iters",
-            "predict_dynamic_ms",
-            "predict_planned_ms",
-            "speedup_planned_predict",
-            "epoch_dynamic_ms",
-            "epoch_planned_ms",
-            "speedup_planned_epoch",
-            "plan_steps",
-            "plan_arena_f32",
-        ];
-        let planned_row: Vec<(&str, Json)> =
-            planned_keys.iter().map(|k| (*k, Json::num(1.0))).collect();
-        let training_keys = [
-            "input_len",
-            "horizon",
-            "num_vars",
-            "windows",
-            "iters",
-            "train_step_dynamic_ms",
-            "train_step_planned_ms",
-            "speedup_planned_train_step",
-            "train_epoch_dynamic_ms",
-            "train_epoch_planned_ms",
-            "speedup_planned_train_epoch",
-            "bwd_steps",
-            "update_steps",
-        ];
-        let training_row: Vec<(&str, Json)> =
-            training_keys.iter().map(|k| (*k, Json::num(1.0))).collect();
-        let quant_keys = [
-            "input_len",
-            "horizon",
-            "num_vars",
-            "windows",
-            "iters",
-            "mse_delta",
-            "mse_delta_bound",
-            "predict_f32_ms",
-            "predict_int8_ms",
-            "speedup_int8_vs_f32",
-            "param_bytes_f32",
-            "param_bytes_int8",
-            "param_compression",
-        ];
-        let quant_row: Vec<(&str, Json)> =
-            quant_keys.iter().map(|k| (*k, Json::num(1.0))).collect();
-        let batched_keys = [
-            "micro_batch",
-            "input_len",
-            "horizon",
-            "num_vars",
-            "windows",
-            "iters",
-            "epoch_per_window_ms",
-            "epoch_batched_ms",
-            "speedup_batched",
-            "reduce_steps",
-            "update_steps",
-        ];
-        let mut batched_row = vec![("name", Json::str("batched_b4"))];
-        batched_row.extend(batched_keys.iter().map(|k| (*k, Json::num(1.0))));
-        let serving_keys = [
-            "clients",
-            "requests_per_client",
-            "requests_total",
-            "forecast_requests",
-            "errors",
-            "duration_ms",
-            "throughput_rps",
-            "latency_p50_ms",
-            "latency_p95_ms",
-            "latency_p99_ms",
-            "micro_batch",
-            "batches",
-            "mean_batch_occupancy",
-        ];
-        let serving_row: Vec<(&str, Json)> =
-            serving_keys.iter().map(|k| (*k, Json::num(1.0))).collect();
-        Json::obj(vec![
-            ("schema", Json::str("timekd-kernel-bench/v8")),
+        let mut pairs = vec![
+            ("schema", Json::str(KERNEL_BENCH_SCHEMA)),
             (
                 "notes",
                 Json::Arr(vec![Json::str("partition-granularity fix")]),
             ),
             ("created_unix_s", Json::num(1_722_000_000.0)),
             ("quick", Json::Bool(true)),
-            (
-                "threads",
-                Json::obj(vec![
-                    ("configured", Json::num(4.0)),
-                    ("available", Json::num(8.0)),
-                ]),
-            ),
-            ("kernels", Json::Arr(vec![Json::obj(row)])),
-            ("attention", Json::Arr(vec![Json::obj(attn_row)])),
-            ("planned_student", Json::obj(planned_row)),
-            ("planned_training", Json::obj(training_row)),
-            ("quantized_student", Json::obj(quant_row)),
-            ("batched_training", Json::Arr(vec![Json::obj(batched_row)])),
-            ("serving", Json::obj(serving_row)),
-        ])
+        ];
+        for (name, section) in SECTIONS {
+            let nums = |keys: &[&'static str]| -> Vec<(&'static str, Json)> {
+                keys.iter().map(|k| (*k, Json::num(1.0))).collect()
+            };
+            pairs.push(match section {
+                Section::Object(keys) => (*name, Json::obj(nums(keys))),
+                Section::Rows {
+                    nums: keys,
+                    strings,
+                    bools,
+                } => {
+                    let mut row = nums(keys);
+                    row.extend(strings.iter().map(|k| (*k, Json::str(*name))));
+                    row.extend(bools.iter().map(|k| (*k, Json::Bool(true))));
+                    (*name, Json::Arr(vec![Json::obj(row)]))
+                }
+            });
+        }
+        Json::obj(pairs)
+    }
+
+    /// The top-level value under `name`.
+    fn section_mut<'a>(doc: &'a mut Json, name: &str) -> &'a mut Json {
+        match doc {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v)
+                .unwrap_or_else(|| panic!("no section {name}")),
+            _ => panic!("document is not an object"),
+        }
+    }
+
+    /// The fields of object section `name`, or of its first row.
+    fn fields_mut<'a>(doc: &'a mut Json, name: &str) -> &'a mut Vec<(String, Json)> {
+        match section_mut(doc, name) {
+            Json::Obj(fields) => fields,
+            Json::Arr(rows) => match &mut rows[0] {
+                Json::Obj(fields) => fields,
+                _ => panic!("{name}[0] is not an object"),
+            },
+            _ => panic!("{name} is neither an object nor rows"),
+        }
+    }
+
+    fn set_field(doc: &mut Json, section: &str, key: &str, value: Json) {
+        let fields = fields_mut(doc, section);
+        let (_, v) = fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("no field {section}.{key}"));
+        *v = value;
+    }
+
+    fn remove_top(doc: &mut Json, keys: &[&str]) {
+        if let Json::Obj(pairs) = doc {
+            pairs.retain(|(k, _)| !keys.contains(&k.as_str()));
+        }
     }
 
     #[test]
@@ -402,8 +328,8 @@ mod tests {
     #[test]
     fn validator_reports_every_problem() {
         let mut doc = minimal_valid_doc();
+        remove_top(&mut doc, &["schema", "threads", "quick"]);
         if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "schema" && k != "threads" && k != "quick");
             pairs.push(("quick".to_string(), Json::str("yes")));
         }
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
@@ -424,9 +350,7 @@ mod tests {
         // exactly that diagnostic — the schema key is load-bearing for
         // forward compatibility and must never be optional.
         let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "schema");
-        }
+        remove_top(&mut doc, &["schema"]);
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems, vec!["missing key `schema`".to_string()]);
     }
@@ -434,17 +358,7 @@ mod tests {
     #[test]
     fn validator_rejects_incomplete_kernel_row() {
         let mut doc = minimal_valid_doc();
-        if let Some(Json::Arr(rows)) = match &mut doc {
-            Json::Obj(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == "kernels")
-                .map(|(_, v)| v),
-            _ => None,
-        } {
-            if let Json::Obj(row) = &mut rows[0] {
-                row.retain(|(k, _)| k != "speedup_parallel");
-            }
-        }
+        fields_mut(&mut doc, "kernels").retain(|(k, _)| k != "speedup_parallel");
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("kernels[0].speedup_parallel"));
@@ -453,17 +367,7 @@ mod tests {
     #[test]
     fn validator_rejects_incomplete_attention_row() {
         let mut doc = minimal_valid_doc();
-        if let Some(Json::Arr(rows)) = match &mut doc {
-            Json::Obj(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == "attention")
-                .map(|(_, v)| v),
-            _ => None,
-        } {
-            if let Json::Obj(row) = &mut rows[0] {
-                row.retain(|(k, _)| k != "speedup_fused" && k != "causal");
-            }
-        }
+        fields_mut(&mut doc, "attention").retain(|(k, _)| k != "speedup_fused" && k != "causal");
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems.len(), 2, "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("attention[0].causal")));
@@ -480,9 +384,7 @@ mod tests {
         // v3 gate: a v2-shaped doc (no planned_student) must fail with one
         // missing-key diagnostic per expected planned field.
         let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "planned_student");
-        }
+        remove_top(&mut doc, &["planned_student"]);
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert!(
             problems
@@ -495,17 +397,12 @@ mod tests {
     #[test]
     fn validator_rejects_non_finite_planned_field() {
         let mut doc = minimal_valid_doc();
-        if let Some(Json::Obj(row)) = match &mut doc {
-            Json::Obj(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == "planned_student")
-                .map(|(_, v)| v),
-            _ => None,
-        } {
-            if let Some((_, v)) = row.iter_mut().find(|(k, _)| k == "predict_planned_ms") {
-                *v = Json::str("fast");
-            }
-        }
+        set_field(
+            &mut doc,
+            "planned_student",
+            "predict_planned_ms",
+            Json::str("fast"),
+        );
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("planned_student.predict_planned_ms"));
@@ -516,9 +413,7 @@ mod tests {
         // v4 gate: a v3-shaped doc (no planned_training) must fail with
         // one missing-key diagnostic per expected training field.
         let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "planned_training");
-        }
+        remove_top(&mut doc, &["planned_training"]);
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems.len(), 13, "{problems:?}");
         assert!(
@@ -538,17 +433,12 @@ mod tests {
     #[test]
     fn validator_rejects_non_finite_training_field() {
         let mut doc = minimal_valid_doc();
-        if let Some(Json::Obj(row)) = match &mut doc {
-            Json::Obj(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == "planned_training")
-                .map(|(_, v)| v),
-            _ => None,
-        } {
-            if let Some((_, v)) = row.iter_mut().find(|(k, _)| k == "train_step_planned_ms") {
-                *v = Json::str("fast");
-            }
-        }
+        set_field(
+            &mut doc,
+            "planned_training",
+            "train_step_planned_ms",
+            Json::str("fast"),
+        );
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("planned_training.train_step_planned_ms"));
@@ -556,7 +446,7 @@ mod tests {
 
     #[test]
     fn validator_rejects_stale_schema_strings() {
-        // The schema bump is load-bearing: an old v3..v7 baseline must be
+        // The schema bump is load-bearing: an old v3..v8 baseline must be
         // rejected by name even if it were otherwise field-complete.
         for stale in [
             "timekd-kernel-bench/v3",
@@ -564,16 +454,13 @@ mod tests {
             "timekd-kernel-bench/v5",
             "timekd-kernel-bench/v6",
             "timekd-kernel-bench/v7",
+            "timekd-kernel-bench/v8",
         ] {
             let mut doc = minimal_valid_doc();
-            if let Json::Obj(pairs) = &mut doc {
-                if let Some((_, v)) = pairs.iter_mut().find(|(k, _)| k == "schema") {
-                    *v = Json::str(stale);
-                }
-            }
+            *section_mut(&mut doc, "schema") = Json::str(stale);
             let problems = validate_kernel_bench(&doc).expect_err("must fail");
             assert_eq!(problems.len(), 1, "{stale}: {problems:?}");
-            assert!(problems[0].contains("timekd-kernel-bench/v8"), "{stale}");
+            assert!(problems[0].contains("timekd-kernel-bench/v9"), "{stale}");
         }
     }
 
@@ -582,9 +469,7 @@ mod tests {
         // v6 gate: a v5-shaped doc (no batched_training) must fail with a
         // missing-section diagnostic.
         let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "batched_training");
-        }
+        remove_top(&mut doc, &["batched_training"]);
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(
             problems,
@@ -594,11 +479,7 @@ mod tests {
 
         // An empty array is just as stale as a missing one.
         let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            if let Some((_, v)) = pairs.iter_mut().find(|(k, _)| k == "batched_training") {
-                *v = Json::Arr(vec![]);
-            }
-        }
+        *section_mut(&mut doc, "batched_training") = Json::Arr(vec![]);
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(
             problems,
@@ -609,19 +490,12 @@ mod tests {
     #[test]
     fn validator_rejects_non_finite_batched_field() {
         let mut doc = minimal_valid_doc();
-        if let Some(Json::Arr(rows)) = match &mut doc {
-            Json::Obj(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == "batched_training")
-                .map(|(_, v)| v),
-            _ => None,
-        } {
-            if let Json::Obj(row) = &mut rows[0] {
-                if let Some((_, v)) = row.iter_mut().find(|(k, _)| k == "speedup_batched") {
-                    *v = Json::str("fast");
-                }
-            }
-        }
+        set_field(
+            &mut doc,
+            "batched_training",
+            "speedup_batched",
+            Json::str("fast"),
+        );
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("batched_training[0].speedup_batched"));
@@ -632,9 +506,7 @@ mod tests {
         // v5 gate: a v4-shaped doc (no quantized_student) must fail with
         // one missing-key diagnostic per expected quantized field.
         let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "quantized_student");
-        }
+        remove_top(&mut doc, &["quantized_student"]);
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems.len(), 13, "{problems:?}");
         assert!(
@@ -652,63 +524,14 @@ mod tests {
     }
 
     #[test]
-    fn validator_requires_serving_section() {
-        // v7 gate: a v6-shaped doc (no serving section) must fail with one
-        // missing-key diagnostic per expected serving field.
-        let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "serving");
-        }
-        let problems = validate_kernel_bench(&doc).expect_err("must fail");
-        assert_eq!(problems.len(), 13, "{problems:?}");
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("serving.latency_p99_ms")),
-            "{problems:?}"
-        );
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("serving.mean_batch_occupancy")),
-            "{problems:?}"
-        );
-    }
-
-    #[test]
-    fn validator_rejects_non_finite_serving_field() {
-        let mut doc = minimal_valid_doc();
-        if let Some(Json::Obj(row)) = match &mut doc {
-            Json::Obj(pairs) => pairs
-                .iter_mut()
-                .find(|(k, _)| k == "serving")
-                .map(|(_, v)| v),
-            _ => None,
-        } {
-            if let Some((_, v)) = row.iter_mut().find(|(k, _)| k == "throughput_rps") {
-                *v = Json::str("fast");
-            }
-        }
-        let problems = validate_kernel_bench(&doc).expect_err("must fail");
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("serving.throughput_rps"));
-    }
-
-    #[test]
     fn validator_requires_non_empty_string_notes() {
         let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "notes");
-        }
+        remove_top(&mut doc, &["notes"]);
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems, vec!["missing key `notes`".to_string()]);
 
         let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            if let Some((_, v)) = pairs.iter_mut().find(|(k, _)| k == "notes") {
-                *v = Json::Arr(vec![Json::num(7.0)]);
-            }
-        }
+        *section_mut(&mut doc, "notes") = Json::Arr(vec![Json::num(7.0)]);
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems, vec!["`notes[0]` must be a string".to_string()]);
     }
@@ -716,9 +539,7 @@ mod tests {
     #[test]
     fn validator_requires_attention_section() {
         let mut doc = minimal_valid_doc();
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "attention");
-        }
+        remove_top(&mut doc, &["attention"]);
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert!(
             problems.iter().any(|p| p.contains("`attention`")),

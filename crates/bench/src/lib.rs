@@ -32,29 +32,21 @@
 //! machine-readable `BENCH_<unix-seconds>.json` validated against the
 //! schema in [`json::validate_kernel_bench`]. `scripts/bench.sh` wraps
 //! a QUICK smoke run plus schema validation for CI.
-//!
-//! A second binary, `--bin serve_load`, runs the closed-loop forecast
-//! serving harness (see [`serving`]) standalone: it boots a real
-//! `timekd-serve` server, drives it with seeded client threads, and
-//! prints the `serving` section the kernels runner embeds in
-//! `BENCH_*.json`.
 
 mod alloc;
 pub mod json;
 mod profile;
 mod runner;
-pub mod serving;
 mod tables;
 pub mod trace;
 
 pub use alloc::PeakAlloc;
-pub use json::{validate_kernel_bench, Json};
+pub use json::{validate_kernel_bench, Json, KERNEL_BENCH_SCHEMA};
 pub use profile::Profile;
 pub use runner::{
     build_model, build_model_seeded, prompt_config, run_experiment, run_experiment_seeds,
     run_model, run_windows, run_zero_shot, timekd_config, ModelKind, RunResult, RunWindows,
     SharedLm,
 };
-pub use serving::{run_serve_load, ServeLoadSpec};
 pub use tables::{argmin, experiments_dir, f3, render_heatmap, secs, ResultTable};
 pub use trace::{trace_report, validate_trace_coverage, validate_trace_report, TRACE_SCHEMA};

@@ -51,12 +51,12 @@
 //!
 //! "Serve loops" are the hot per-request functions of the forecast server
 //! — functions in `serve/src/` whose name ends in `_serve_loop` (the
-//! naming contract `timekd-serve` documents): the micro-batch fused
-//! execution loop and the listener accept loop. They sit on the serving
-//! critical path of every request, where an allocation serialises
-//! concurrent connections on the global allocator, an `unwrap` turns one
-//! bad request into a dead batcher for *all* tenants, and console I/O
-//! blocks the accept thread. Fallible work belongs in the per-connection
+//! naming contract `timekd-serve` documents): the per-request plan
+//! replay and the listener accept loop. They sit on the serving critical
+//! path of every request, where an allocation serialises concurrent
+//! connections on the global allocator, an `unwrap` turns one bad request
+//! into a dead accept thread for *all* tenants, and console I/O blocks
+//! the accept thread. Fallible work belongs in the per-connection
 //! handlers, which reply with an HTTP error instead of panicking.
 //!
 //! Test modules are exempt from every rule. Justified exceptions go in the
@@ -295,7 +295,7 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
         || path_label.contains("tensor/src/plan_train.rs")
         || in_batch_file;
     // Any module of the serving crate may define `*_serve_loop` fns —
-    // the micro-batch execution loop and the accept loop — subject to the
+    // the per-request plan replay and the accept loop — subject to the
     // no-alloc/no-unwrap/no-println serve rules. They run on the serving
     // critical path of every request; fallible work belongs in the
     // per-connection handlers, which answer with an HTTP error instead.
@@ -439,10 +439,10 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
                     });
                 }
             }
-            // The serving hot loops (batcher execution, listener accept)
+            // The serving hot loops (plan replay, listener accept)
             // promise the same: no per-request allocation, no panic paths
-            // that could kill the shared batcher or accept thread, and no
-            // console I/O on the critical path.
+            // that could kill a handler or the shared accept thread, and
+            // no console I/O on the critical path.
             let in_serve_fn = in_serve_file && current_fn.ends_with("_serve_loop");
             if in_serve_fn {
                 if code.contains("vec![")

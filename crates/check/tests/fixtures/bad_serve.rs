@@ -2,7 +2,7 @@
 // hot loops. The *-in-serve-loop rules must trip on allocation,
 // unwrap/expect, and console I/O in `*_serve_loop` fns and nowhere else.
 // Line numbers matter — trip.rs asserts them.
-fn evil_serve_loop(&mut self, jobs: &[ForecastJob]) {
+fn evil_serve_loop(&mut self, jobs: &[Job]) {
     let mut ready = vec![0.0f32; jobs.len()];
     ready.push(0.0);
     let first = jobs.first().unwrap();
@@ -16,7 +16,7 @@ fn evil_serve_loop(&mut self, jobs: &[ForecastJob]) {
 fn handle_request(shared: &Shared, body: &str) -> Response {
     // Per-connection handler code is not a serve loop: allocation, expect
     // and logging are all legal here — a bad request becomes an HTTP
-    // error, not a dead batcher.
+    // error, not a dead accept thread.
     let mut out = Vec::with_capacity(body.len());
     out.push(b'{');
     let doc = Json::parse(body).expect("request body");

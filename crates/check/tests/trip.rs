@@ -672,7 +672,7 @@ fn serve_loop_rules_trip_on_exact_lines() {
     // alloc rule, the .unwrap() (line 8) the unwrap rule, and the
     // println! (line 9) the println rule. Nothing in handle_request
     // (per-connection handler code) or the test module may trip.
-    let vs = scan_source("crates/serve/src/batch.rs", &fixture("bad_serve.rs"));
+    let vs = scan_source("crates/serve/src/registry.rs", &fixture("bad_serve.rs"));
     let of_rule = |rule: &str| -> Vec<usize> {
         vs.iter()
             .filter(|v| v.rule == rule)
@@ -713,10 +713,10 @@ fn serve_loop_rules_do_not_trip_outside_serve_files() {
 
 #[test]
 fn real_serve_modules_pass_their_own_lint() {
-    // The shipped batcher (run_serve_loop) and listener
+    // The shipped plan replay (replay_serve_loop) and listener
     // (accept_serve_loop) promise alloc-free, unwrap-free, I/O-free hot
     // loops — they must stay clean under their own rules.
-    for file in ["batch.rs", "server.rs"] {
+    for file in ["registry.rs", "server.rs"] {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../serve/src")
             .join(file);

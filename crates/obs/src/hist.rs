@@ -105,16 +105,13 @@ pub static SERVE_OBSERVE_LATENCY: Histogram = Histogram::new("serve.observe.late
 pub static SERVE_METRICS_LATENCY: Histogram = Histogram::new("serve.metrics.latency_ns");
 /// Latency of `/admin/*` requests (model activation).
 pub static SERVE_ADMIN_LATENCY: Histogram = Histogram::new("serve.admin.latency_ns");
-/// Requests fused into each executed micro-batch (occupancy, not ns).
-pub static SERVE_BATCH_OCCUPANCY: Histogram = Histogram::new("serve.batch.occupancy");
 
-pub(crate) fn all_histograms() -> [&'static Histogram; 5] {
+pub(crate) fn all_histograms() -> [&'static Histogram; 4] {
     [
         &SERVE_FORECAST_LATENCY,
         &SERVE_OBSERVE_LATENCY,
         &SERVE_METRICS_LATENCY,
         &SERVE_ADMIN_LATENCY,
-        &SERVE_BATCH_OCCUPANCY,
     ]
 }
 

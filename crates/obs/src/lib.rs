@@ -12,10 +12,10 @@
 //! * **Global counters** ([`Counter`] statics) — lock-free atomics for
 //!   cross-thread facts: worker-pool jobs/tasks/serial fallbacks/slot waits,
 //!   per-worker busy time, FrozenLm cache hits/misses/collisions, and the
-//!   serving layer's request/batch/swap totals.
+//!   serving layer's request/error/swap totals.
 //! * **Histograms** ([`Histogram`] statics, in [`hist`]) — lock-free
 //!   fixed log-bucket distributions for the serving layer's per-endpoint
-//!   latencies and micro-batch occupancy.
+//!   latencies.
 //!
 //! Recording is enabled by the `TIMEKD_TRACE` environment variable (any value
 //! other than `0`, `false`, `off` or empty) or programmatically via
@@ -51,7 +51,7 @@ pub mod json;
 
 pub use hist::{
     bucket_bound, bucket_of, Histogram, HistogramSnapshot, HIST_BUCKETS, SERVE_ADMIN_LATENCY,
-    SERVE_BATCH_OCCUPANCY, SERVE_FORECAST_LATENCY, SERVE_METRICS_LATENCY, SERVE_OBSERVE_LATENCY,
+    SERVE_FORECAST_LATENCY, SERVE_METRICS_LATENCY, SERVE_OBSERVE_LATENCY,
 };
 
 // ---------------------------------------------------------------------------
@@ -185,16 +185,12 @@ pub static PLAN_COMPILES: Counter = Counter::new("plan.compiles");
 pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
 /// Serving-layer requests answered with an error status (4xx/5xx).
 pub static SERVE_ERRORS: Counter = Counter::new("serve.errors");
-/// Micro-batches executed by the serving batcher.
-pub static SERVE_BATCHES: Counter = Counter::new("serve.batches");
-/// Forecast requests fused into micro-batches (occupancy numerator).
-pub static SERVE_BATCHED_REQUESTS: Counter = Counter::new("serve.batched_requests");
 /// Successful model hot-swaps (`/admin/activate` accepted).
 pub static SERVE_SWAPS: Counter = Counter::new("serve.swaps");
 /// Rejected hot-swap attempts (registry fault; old version kept serving).
 pub static SERVE_SWAP_REJECTS: Counter = Counter::new("serve.swap_rejects");
 
-fn all_counters() -> [&'static Counter; 14] {
+fn all_counters() -> [&'static Counter; 12] {
     [
         &POOL_JOBS,
         &POOL_TASKS,
@@ -206,8 +202,6 @@ fn all_counters() -> [&'static Counter; 14] {
         &PLAN_COMPILES,
         &SERVE_REQUESTS,
         &SERVE_ERRORS,
-        &SERVE_BATCHES,
-        &SERVE_BATCHED_REQUESTS,
         &SERVE_SWAPS,
         &SERVE_SWAP_REJECTS,
     ]
@@ -796,9 +790,9 @@ mod tests {
         assert!(snapshot().histograms.is_empty());
         SERVE_FORECAST_LATENCY.record(1_500);
         SERVE_FORECAST_LATENCY.record(900);
-        SERVE_BATCH_OCCUPANCY.record(3);
+        SERVE_OBSERVE_LATENCY.record(3_000);
         SERVE_REQUESTS.add(2);
-        SERVE_BATCHES.add(1);
+        SERVE_SWAPS.add(1);
         let snap = snapshot();
         assert_eq!(snap.histograms.len(), 2);
         let fc = snap
@@ -809,7 +803,7 @@ mod tests {
         assert_eq!(fc.count(), 2);
         assert_eq!(fc.sum, 2_400);
         assert_eq!(snap.counter("serve.requests"), 2);
-        assert_eq!(snap.counter("serve.batches"), 1);
+        assert_eq!(snap.counter("serve.swaps"), 1);
         let table = snap.render_table();
         assert!(table.contains("serve.forecast.latency_ns"));
         reset();

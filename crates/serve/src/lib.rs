@@ -9,19 +9,20 @@
 //!   recompiles the forecast plan from the manifest and cross-checks
 //!   every parameter blob, so faults surface as typed
 //!   [`RegistryError`]s at load time, never panics at serve time.
-//! * **Micro-batcher** — concurrent `POST /forecast` requests fuse into
-//!   planned rounds of up to `micro_batch` executor lanes; each response
+//! * **Planned forecasts** — `POST /forecast` replays the plan on the
+//!   connection handler that parsed it, on an executor borrowed from the
+//!   active model's pool (at most one per available core); each response
 //!   is bitwise identical to a single-request `PlannedStudent` forecast.
 //! * **Hot-swap** — `POST /admin/activate` loads and validates a version
-//!   fully before atomically replacing the shared model `Arc`. In-flight
-//!   rounds drain on the version they started with; a rejected swap
-//!   leaves the old version serving.
+//!   fully before atomically replacing the shared model `Arc`. Each
+//!   request holds one model for its whole run; a rejected swap leaves
+//!   the old version serving.
 //! * **Tenant windows** ([`tenants`]) — `/observe` feeds per-tenant
 //!   sliding histories that `/forecast {"tenant": ...}` reads back.
 //!
 //! `GET /metrics` renders the `timekd-obs` counters plus per-endpoint
 //! log-bucket latency histograms as JSON — the same counters the
-//! `serve_load` bench harness reports, so offline and online numbers are
+//! benchmark package reads back, so offline and online numbers are
 //! sourced identically.
 
 #![deny(
@@ -34,13 +35,11 @@
 )]
 #![warn(missing_docs)]
 
-mod batch;
 pub mod http;
 pub mod registry;
 mod server;
 pub mod tenants;
 
-pub use batch::{ForecastJob, ForecastReply};
 pub use registry::{
     fnv1a, latest_version, list_versions, load, publish, LoadedModel, Manifest, RegistryError,
     MANIFEST_SCHEMA,

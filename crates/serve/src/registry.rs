@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use timekd::{
     bind_student_params, student_plan_spec_with_precision, trace_student, Student, TimeKdConfig,
@@ -271,14 +272,49 @@ impl Manifest {
 }
 
 /// A fully validated, servable model version: the manifest, the compiled
-/// [`Plan`], and the parameter values keyed by label. Plain data
-/// throughout, so it crosses threads behind an `Arc` and can mint as many
-/// executors as the micro-batcher needs.
+/// [`Plan`], the parameter values keyed by label, and the idle executors
+/// that serve it. Requests replay on the connection handler that parsed
+/// them: each one borrows an idle executor, and the pool grows lazily to
+/// at most one executor per available core. A handler that finds none
+/// idle at that cap waits for one, so many connections never mean many
+/// arenas.
 #[derive(Debug)]
 pub struct LoadedModel {
     manifest: Manifest,
     plan: Plan,
     values: HashMap<String, (Vec<usize>, Vec<f32>)>,
+    pool: Mutex<ExecutorPool>,
+    returned: Condvar,
+    max_executors: usize,
+}
+
+#[derive(Debug, Default)]
+struct ExecutorPool {
+    idle: Vec<PlanExecutor>,
+    /// Executors bound so far, idle or lent out; never above the cap.
+    bound: usize,
+}
+
+/// An executor lent to one request; dropping it returns it to the pool.
+struct Lease<'a> {
+    model: &'a LoadedModel,
+    exec: Option<PlanExecutor>,
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        if let Some(exec) = self.exec.take() {
+            self.model.lock_pool().idle.push(exec);
+            self.model.returned.notify_one();
+        }
+    }
+}
+
+/// The replay of one forecast: pure schedule replay into a preallocated
+/// output. The `no-*-in-serve-loop` lints hold it to zero allocation, no
+/// unwrap and no I/O, exactly like the plan executor it drives.
+fn replay_serve_loop(exec: &mut PlanExecutor, input: &[f32], out: &mut [f32]) {
+    exec.run(input, out);
 }
 
 impl LoadedModel {
@@ -302,7 +338,7 @@ impl LoadedModel {
         self.manifest.horizon * self.manifest.num_vars
     }
 
-    /// Binds a fresh executor lane over the loaded parameters.
+    /// Binds a fresh executor over the loaded parameters.
     pub fn make_executor(&self) -> Result<PlanExecutor, RegistryError> {
         PlanExecutor::new(&self.plan, |label, dims| {
             self.values
@@ -311,6 +347,54 @@ impl LoadedModel {
                 .map(|(_, data)| data.clone())
         })
         .map_err(|e| RegistryError::Plan(format!("{e:?}")))
+    }
+
+    /// Forecasts one flattened `[input_len * num_vars]` window on the
+    /// calling thread, returning `[horizon * num_vars]` values bitwise
+    /// equal to a fresh executor's `run`.
+    pub fn forecast(&self, input: &[f32]) -> Result<Vec<f32>, String> {
+        if input.len() != self.input_values() {
+            return Err(format!(
+                "input has {} values, model v{} expects {}",
+                input.len(),
+                self.version(),
+                self.input_values()
+            ));
+        }
+        let mut lease = self.lease().map_err(|e| e.to_string())?;
+        let mut out = vec![0.0f32; self.output_values()];
+        if let Some(exec) = lease.exec.as_mut() {
+            replay_serve_loop(exec, input, &mut out);
+        }
+        Ok(out)
+    }
+
+    fn lock_pool(&self) -> MutexGuard<'_, ExecutorPool> {
+        self.pool.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Takes an idle executor, binds a new one below the cap, or waits
+    /// for one to come back.
+    fn lease(&self) -> Result<Lease<'_>, RegistryError> {
+        let mut pool = self.lock_pool();
+        let exec = loop {
+            if let Some(exec) = pool.idle.pop() {
+                break exec;
+            }
+            if pool.bound < self.max_executors {
+                pool.bound += 1;
+                drop(pool);
+                break self.make_executor().inspect_err(|_| {
+                    self.lock_pool().bound -= 1;
+                    self.returned.notify_one();
+                })?;
+            }
+            pool = self.returned.wait(pool).unwrap_or_else(|p| p.into_inner());
+        };
+        Ok(Lease {
+            model: self,
+            exec: Some(exec),
+        })
     }
 }
 
@@ -485,19 +569,94 @@ pub fn load(root: &Path, version: u64) -> Result<LoadedModel, RegistryError> {
     )
     .map_err(|e| RegistryError::Plan(format!("{e:?}")))?;
 
-    let model = LoadedModel {
+    let mut model = LoadedModel {
         manifest,
         plan,
         values,
+        pool: Mutex::default(),
+        returned: Condvar::new(),
+        max_executors: std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
-    // Probe-bind one executor so any residual resolver fault surfaces now.
-    model.make_executor()?;
+    // Probe-bind one executor so any residual resolver fault surfaces now;
+    // it seeds the pool.
+    let probe = model.make_executor()?;
+    model.pool = Mutex::new(ExecutorPool {
+        idle: vec![probe],
+        bound: 1,
+    });
     Ok(model)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timekd_tensor::seeded_rng;
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn pooled_forecasts_are_bitwise_fresh_and_bounded_under_contention() {
+        let root =
+            std::env::temp_dir().join(format!("timekd-registry-pool-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let config = TimeKdConfig {
+            dim: 16,
+            num_layers: 1,
+            num_heads: 2,
+            ffn_hidden: 32,
+            ..TimeKdConfig::default()
+        };
+        let student = Student::new(&config, 8, 4, 3, &mut seeded_rng(61));
+        publish(&root, 1, &student, &config, Precision::F32).expect("publish");
+        let model = load(&root, 1).expect("load");
+        let cap = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(model.max_executors, cap);
+
+        // Four threads per core, each with its own window, so handlers
+        // queue for executors and every executor serves several windows.
+        let windows: Vec<Vec<f32>> = (0..4 * cap)
+            .map(|t| {
+                (0..model.input_values())
+                    .map(|i| ((t * 31 + i * 7) % 17) as f32 * 0.25 - 2.0)
+                    .collect()
+            })
+            .collect();
+        let references: Vec<Vec<u32>> = windows
+            .iter()
+            .map(|w| {
+                let mut out = vec![0.0f32; model.output_values()];
+                model
+                    .make_executor()
+                    .expect("fresh executor")
+                    .run(w, &mut out);
+                bits(&out)
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for (window, reference) in windows.iter().zip(&references) {
+                let model = &model;
+                scope.spawn(move || {
+                    for _ in 0..20 {
+                        let out = model.forecast(window).expect("forecast");
+                        assert_eq!(bits(&out), *reference);
+                    }
+                });
+            }
+        });
+
+        let pool = model.lock_pool();
+        assert!(
+            pool.bound >= 1 && pool.bound <= cap,
+            "{} bound, cap {cap}",
+            pool.bound
+        );
+        assert_eq!(pool.idle.len(), pool.bound, "every lease came back");
+        drop(pool);
+        assert!(model.forecast(&[0.0]).is_err(), "wrong input length");
+        let _ = fs::remove_dir_all(&root);
+    }
 
     #[test]
     fn fnv1a_matches_reference_vectors() {

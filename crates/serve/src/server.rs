@@ -1,19 +1,19 @@
 //! The serving front end: a blocking `TcpListener` accept loop, one
 //! handler thread per connection, and JSON route handlers over the shared
-//! server state. Forecasts are not computed on handler threads — they are
-//! enqueued to the micro-batcher ([`crate::batch`]) and the handler blocks
-//! on its private reply channel, so concurrent clients fuse into planned
-//! batches automatically.
+//! server state. A forecast runs on the handler that parsed it, on an
+//! executor borrowed from the active model's pool
+//! ([`LoadedModel::forecast`]).
 //!
 //! Hot-swap: `/admin/activate` fully loads and validates the requested
-//! registry version *before* swapping the shared `Arc<LoadedModel>` and
-//! bumping the swap generation. A load failure leaves the old version
-//! untouched and serving; the batcher drains any in-flight round on the
-//! lanes it started with, so no response ever mixes versions.
+//! registry version *before* swapping the shared `Arc<LoadedModel>`. A
+//! load failure leaves the old version untouched and serving. Each
+//! forecast holds one `Arc` for the whole request — validation, replay and
+//! the version tag all come from that one model — so no response can mix
+//! versions.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -24,7 +24,6 @@ use timekd_obs::{
     SERVE_METRICS_LATENCY, SERVE_OBSERVE_LATENCY, SERVE_REQUESTS, SERVE_SWAPS, SERVE_SWAP_REJECTS,
 };
 
-use crate::batch::{batcher_thread, ForecastJob};
 use crate::http::{read_request, write_response, ReadOutcome, Request};
 use crate::registry::{self, LoadedModel, RegistryError};
 use crate::tenants::TenantCache;
@@ -39,8 +38,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Registry root directory holding `v<N>/` version dirs.
     pub registry_root: PathBuf,
-    /// Maximum forecast requests fused into one planned round.
-    pub micro_batch: usize,
     /// Largest accepted request body in bytes.
     pub max_body_bytes: usize,
     /// Handler read-timeout (shutdown poll granularity) in milliseconds.
@@ -54,13 +51,12 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: ephemeral loopback port, micro-batch 4, 1 MiB body cap,
+    /// Defaults: ephemeral loopback port, 1 MiB body cap,
     /// 25 ms shutdown poll, 256 concurrent connections, observability on.
     pub fn new(registry_root: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             registry_root: registry_root.into(),
-            micro_batch: 4,
             max_body_bytes: 1 << 20,
             read_timeout_ms: 25,
             max_connections: 256,
@@ -94,38 +90,29 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// State shared between the accept loop, handler threads and the batcher.
+/// State shared between the accept loop and the handler threads.
 #[derive(Debug)]
-pub(crate) struct Shared {
-    pub(crate) registry_root: PathBuf,
-    pub(crate) micro_batch: usize,
-    pub(crate) max_body_bytes: usize,
-    pub(crate) read_timeout_ms: u64,
-    pub(crate) max_connections: usize,
-    pub(crate) tenants: TenantCache,
-    pub(crate) shutdown: AtomicBool,
+struct Shared {
+    registry_root: PathBuf,
+    max_body_bytes: usize,
+    read_timeout_ms: u64,
+    max_connections: usize,
+    tenants: TenantCache,
+    shutdown: AtomicBool,
     current: Mutex<Arc<LoadedModel>>,
-    generation: AtomicU64,
 }
 
 impl Shared {
     /// The currently active model (cheap `Arc` clone).
-    pub(crate) fn current(&self) -> Arc<LoadedModel> {
+    fn current(&self) -> Arc<LoadedModel> {
         self.current
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clone()
     }
 
-    /// Monotonic swap counter; the batcher rebinds lanes when it changes.
-    pub(crate) fn swap_generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
     fn activate(&self, model: LoadedModel) {
-        let mut cur = self.current.lock().unwrap_or_else(|p| p.into_inner());
-        *cur = Arc::new(model);
-        self.generation.fetch_add(1, Ordering::Release);
+        *self.current.lock().unwrap_or_else(|p| p.into_inner()) = Arc::new(model);
     }
 }
 
@@ -137,7 +124,6 @@ pub struct Server {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     dispatch: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -157,26 +143,20 @@ impl Server {
 
         let shared = Arc::new(Shared {
             registry_root: cfg.registry_root,
-            micro_batch: cfg.micro_batch,
             max_body_bytes: cfg.max_body_bytes,
             read_timeout_ms: cfg.read_timeout_ms.max(1),
             max_connections: cfg.max_connections.max(1),
             tenants: TenantCache::new(),
             shutdown: AtomicBool::new(false),
             current: Mutex::new(Arc::new(model)),
-            generation: AtomicU64::new(1),
         });
 
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let (job_tx, job_rx) = mpsc::channel::<ForecastJob>();
 
         let accept_shared = shared.clone();
         let accept = thread::spawn(move || {
             accept_serve_loop(&listener, &conn_tx, &accept_shared.shutdown);
         });
-
-        let batcher_shared = shared.clone();
-        let batcher = thread::spawn(move || batcher_thread(batcher_shared, job_rx));
 
         let dispatch_shared = shared.clone();
         let dispatch = thread::spawn(move || {
@@ -196,13 +176,9 @@ impl Server {
                     continue;
                 }
                 let shared = dispatch_shared.clone();
-                let jobs = job_tx.clone();
-                handlers.push(thread::spawn(move || {
-                    handle_connection(stream, &shared, &jobs);
-                }));
+                handlers.push(thread::spawn(move || handle_connection(stream, &shared)));
             }
-            // Accept loop ended: join the remaining handlers, then drop the
-            // last `job_tx` clone so the batcher drains and exits.
+            // Accept loop ended: join the remaining handlers.
             for h in handlers {
                 let _ = h.join();
             }
@@ -213,7 +189,6 @@ impl Server {
             shared,
             accept: Some(accept),
             dispatch: Some(dispatch),
-            batcher: Some(batcher),
         })
     }
 
@@ -237,9 +212,6 @@ impl Server {
             let _ = h.join();
         }
         if let Some(h) = self.dispatch.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
     }
@@ -288,11 +260,7 @@ fn latency_histogram(path: &str) -> Option<&'static Histogram> {
     }
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    shared: &Arc<Shared>,
-    jobs: &mpsc::Sender<ForecastJob>,
-) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(shared.read_timeout_ms)));
     let _ = stream.set_nodelay(true);
     loop {
@@ -329,7 +297,7 @@ fn handle_connection(
             ReadOutcome::Request(req) => {
                 SERVE_REQUESTS.add(1);
                 let started = now_ns();
-                let (status, body) = route(shared, jobs, &req);
+                let (status, body) = route(shared, &req);
                 if status >= 400 {
                     SERVE_ERRORS.add(1);
                 }
@@ -354,9 +322,9 @@ fn parse_json(body: &[u8]) -> Result<Json, String> {
     Json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))
 }
 
-fn route(shared: &Shared, jobs: &mpsc::Sender<ForecastJob>, req: &Request) -> (u16, Json) {
+fn route(shared: &Shared, req: &Request) -> (u16, Json) {
     match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/forecast") => forecast(shared, jobs, &req.body),
+        ("POST", "/forecast") => forecast(shared, &req.body),
         ("POST", "/observe") => observe(shared, &req.body),
         ("POST", "/admin/activate") => activate(shared, &req.body),
         ("GET", "/metrics") => metrics(shared),
@@ -400,7 +368,7 @@ fn flatten_window(rows: &[Json], input_len: usize, num_vars: usize) -> Result<Ve
     Ok(out)
 }
 
-fn forecast(shared: &Shared, jobs: &mpsc::Sender<ForecastJob>, body: &[u8]) -> (u16, Json) {
+fn forecast(shared: &Shared, body: &[u8]) -> (u16, Json) {
     let doc = match parse_json(body) {
         Ok(d) => d,
         Err(e) => return (400, err_body(e)),
@@ -427,47 +395,57 @@ fn forecast(shared: &Shared, jobs: &mpsc::Sender<ForecastJob>, body: &[u8]) -> (
         );
     };
 
-    let (tx, rx) = mpsc::channel();
-    if jobs.send(ForecastJob { input, reply: tx }).is_err() {
-        return (503, err_body("batcher unavailable"));
+    let values = match model.forecast(&input) {
+        Ok(v) => v,
+        Err(e) => return (500, err_body(e)),
+    };
+    if values.iter().any(|v| !v.is_finite()) {
+        return (
+            500,
+            err_body(format!(
+                "model v{} produced non-finite forecast values",
+                model.version()
+            )),
+        );
     }
-    match rx.recv() {
-        Ok(Ok(reply)) => {
-            if reply.values.iter().any(|v| !v.is_finite()) {
-                return (
-                    500,
-                    err_body(format!(
-                        "model v{} produced non-finite forecast values",
-                        reply.version
-                    )),
-                );
-            }
-            let rows: Vec<Json> = reply
-                .values
-                .chunks(reply.num_vars.max(1))
-                .map(|row| Json::Arr(row.iter().map(|&v| Json::num(v as f64)).collect()))
-                .collect();
-            (
-                200,
-                Json::obj(vec![
-                    ("version", Json::num(reply.version as f64)),
-                    ("horizon", Json::num(reply.horizon as f64)),
-                    ("num_vars", Json::num(reply.num_vars as f64)),
-                    ("forecast", Json::Arr(rows)),
-                ]),
-            )
-        }
-        Ok(Err(msg)) => (400, err_body(msg)),
-        Err(_) => (503, err_body("batcher dropped the request")),
-    }
+    let rows: Vec<Json> = values
+        .chunks(manifest.num_vars.max(1))
+        .map(|row| Json::Arr(row.iter().map(|&v| Json::num(v as f64)).collect()))
+        .collect();
+    (
+        200,
+        Json::obj(vec![
+            ("version", Json::num(model.version() as f64)),
+            ("horizon", Json::num(manifest.horizon as f64)),
+            ("num_vars", Json::num(manifest.num_vars as f64)),
+            ("forecast", Json::Arr(rows)),
+        ]),
+    )
 }
 
+/// Parses an `/observe` row block: at least one row, every row the same
+/// non-zero width, every cell a finite number.
 fn parse_rows(rows: &[Json]) -> Result<Vec<Vec<f32>>, String> {
+    if rows.is_empty() {
+        return Err("`rows` must hold at least one row".to_string());
+    }
     let mut out = Vec::with_capacity(rows.len());
+    let mut width = 0;
     for (i, row) in rows.iter().enumerate() {
         let cells = row
             .as_arr()
             .ok_or_else(|| format!("`rows[{i}]` is not an array"))?;
+        if i == 0 {
+            width = cells.len();
+            if width == 0 {
+                return Err("`rows[0]` is empty".to_string());
+            }
+        } else if cells.len() != width {
+            return Err(format!(
+                "`rows[{i}]` has {} values, `rows[0]` has {width}",
+                cells.len()
+            ));
+        }
         let mut parsed = Vec::with_capacity(cells.len());
         for (j, cell) in cells.iter().enumerate() {
             match cell.as_num() {

@@ -126,6 +126,22 @@ fn error_paths_answer_precisely_and_keep_the_connection() {
     assert_eq!(resp.status, 409, "{}", resp.body);
     assert!(resp.body.contains("ghost"), "{}", resp.body);
 
+    // Malformed /observe row blocks are rejected before the tenant cache
+    // is touched: no rows, zero-width rows, or mixed widths in one body.
+    for (body, needle) in [
+        (r#"{"tenant": "ghost", "rows": []}"#, "at least one row"),
+        (r#"{"tenant": "ghost", "rows": [[], []]}"#, "empty"),
+        (r#"{"tenant": "ghost", "rows": [[1, 2], [3]]}"#, "rows[1]"),
+    ] {
+        let resp = request_on(&mut conn, "POST", "/observe", body);
+        assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+        assert!(resp.body.contains(needle), "{body}: {}", resp.body);
+    }
+    // None of them created the tenant.
+    let resp = request_on(&mut conn, "POST", "/forecast", r#"{"tenant": "ghost"}"#);
+    assert_eq!(resp.status, 409, "{}", resp.body);
+    assert!(resp.body.contains("unknown tenant"), "{}", resp.body);
+
     // Oversized-but-drainable body: 413 and the connection survives.
     let big = format!(r#"{{"pad": "{}"}}"#, "y".repeat(4096));
     let resp = request_on(&mut conn, "POST", "/forecast", &big);
@@ -156,8 +172,9 @@ fn concurrent_clients_get_deterministic_fused_responses() {
     let mut planned = PlannedStudent::new(&student, &tiny_config()).expect("planned");
     const CLIENTS: usize = 8;
     const PER_CLIENT: usize = 5;
-    // Each client sends its own distinct window repeatedly; fusion across
-    // clients must not bleed one client's input into another's output.
+    // Each client sends its own distinct window repeatedly; executors
+    // shared through the model's pool must not bleed one client's input
+    // into another's output.
     let references: Vec<Arc<Vec<u32>>> = (0..CLIENTS)
         .map(|c| {
             let window = demo_window(100 + c as u64);
@@ -183,27 +200,6 @@ fn concurrent_clients_get_deterministic_fused_responses() {
     for w in workers {
         w.join().expect("client thread");
     }
-
-    // Every forecast was batched (occupancy numerator equals request count)
-    // and the batch counters are visible over /metrics.
-    let resp = request(addr, "GET", "/metrics", "");
-    assert_eq!(resp.status, 200);
-    let doc = resp.json();
-    // Counter names contain dots, so they are addressed as literal keys of
-    // the `counters` object rather than through `get_path`.
-    let counter = |name: &str| {
-        doc.get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_num)
-            .unwrap_or_else(|| panic!("counter {name} missing: {}", resp.body))
-    };
-    assert_eq!(
-        counter("serve.batched_requests"),
-        (CLIENTS * PER_CLIENT) as f64
-    );
-    let batches = counter("serve.batches");
-    assert!(batches >= 1.0);
-    assert!(batches <= (CLIENTS * PER_CLIENT) as f64);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -477,8 +473,6 @@ fn metrics_exposes_counters_and_latency_histograms() {
     let p50 = fc.get("p50").and_then(Json::as_num).expect("p50");
     let p99 = fc.get("p99").and_then(Json::as_num).expect("p99");
     assert!(p50 > 0.0 && p50 <= p99, "p50 {p50} p99 {p99}");
-    let occ = find("serve.batch.occupancy");
-    assert!(occ.get("count").and_then(Json::as_num).expect("count") >= 1.0);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);

@@ -56,9 +56,13 @@ cargo test -q -p timekd-lm --lib -- --exact \
 cargo test -q -p timekd-lm --test pretrain_trace -- --exact \
   pretraining_runs_one_encoder_forward_per_step
 
-echo "==> serving integration suite (bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
+echo "==> serving integration suite (pooled executors, bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
 # Same rationale as the determinism gates: re-run the serving contract
 # tests by name so a filtered workspace run can never silently drop them.
+# The executor pool must serve every window bitwise as a fresh executor
+# and never bind more executors than there are cores.
+cargo test -q -p timekd-serve --lib -- --exact \
+  registry::tests::pooled_forecasts_are_bitwise_fresh_and_bounded_under_contention
 cargo test -q -p timekd-serve --test http_serving
 cargo test -q -p timekd-serve --test registry_faults
 cargo test -q -p timekd-serve --test http_framing

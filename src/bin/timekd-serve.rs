@@ -3,7 +3,7 @@
 //!
 //! ```bash
 //! timekd-serve --registry ./registry                  # serve the latest version
-//! timekd-serve --registry ./registry --addr 0.0.0.0:7878 --micro-batch 8
+//! timekd-serve --registry ./registry --addr 0.0.0.0:7878 --max-connections 64
 //! timekd-serve --registry ./registry --bootstrap      # publish a demo v1 first
 //! ```
 //!
@@ -28,7 +28,6 @@ const BOOT_NUM_VARS: usize = 7;
 struct Args {
     registry: String,
     addr: String,
-    micro_batch: usize,
     max_connections: usize,
     bootstrap: bool,
 }
@@ -37,7 +36,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         registry: String::new(),
         addr: "127.0.0.1:7878".to_string(),
-        micro_batch: 4,
         max_connections: 256,
         bootstrap: false,
     };
@@ -49,10 +47,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--addr" => {
                 args.addr = it.next().ok_or("--addr needs host:port")?.clone();
-            }
-            "--micro-batch" => {
-                let v = it.next().ok_or("--micro-batch needs a width")?;
-                args.micro_batch = v.parse().map_err(|_| format!("bad --micro-batch `{v}`"))?;
             }
             "--max-connections" => {
                 let v = it.next().ok_or("--max-connections needs a count")?;
@@ -68,9 +62,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.registry.is_empty() {
         return Err(format!("--registry is required\n{USAGE}"));
     }
-    if args.micro_batch == 0 {
-        return Err("--micro-batch must be at least 1".to_string());
-    }
     if args.max_connections == 0 {
         return Err("--max-connections must be at least 1".to_string());
     }
@@ -78,7 +69,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 const USAGE: &str = "usage: timekd-serve --registry <dir> \
-[--addr host:port] [--micro-batch N] [--max-connections N] [--bootstrap]";
+[--addr host:port] [--max-connections N] [--bootstrap]";
 
 /// Publishes a seeded demo student as the registry's next version.
 fn bootstrap_demo(registry: &str) -> Result<u64, String> {
@@ -132,7 +123,6 @@ fn main() -> ExitCode {
 
     let mut cfg = ServeConfig::new(&args.registry);
     cfg.addr = args.addr;
-    cfg.micro_batch = args.micro_batch;
     cfg.max_connections = args.max_connections;
     let server = match Server::start(cfg) {
         Ok(server) => server,
@@ -145,16 +135,15 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "timekd-serve: listening on http://{} (registry {}, v{} active, micro-batch {})",
+        "timekd-serve: listening on http://{} (registry {}, v{} active)",
         server.addr(),
         args.registry,
-        server.active_version(),
-        args.micro_batch
+        server.active_version()
     );
     println!(
         "endpoints: POST /forecast, POST /observe, POST /admin/activate, GET /metrics, GET /healthz"
     );
-    // Serve until killed; the accept/dispatch/batcher threads do the work.
+    // Serve until killed; the accept, dispatch and handler threads do the work.
     loop {
         std::thread::park();
     }
