@@ -17,15 +17,14 @@
 //!    from the values assigned to it and prove the packing is a gapless
 //!    prefix-sum whose total equals the declared arena length (the
 //!    executor allocates exactly that).
-//! 4. **graph-diff** — re-trace the symbolic graph and prove the plan is a
-//!    bijection of it: every symbolic node maps to exactly one plan value,
-//!    every op's schedule entry carries the same op name and the same
-//!    dependency edges in order, and the only synthesized steps are the
-//!    RevIN stat lowerings. The gradient subgraph derived from the plan's
-//!    `tracked` flags must then agree node-for-node (counts and depth)
-//!    with both the symbolic [`graph_stats`] and a dynamic [`GraphAudit`]
-//!    over a real seeded student forward — the same three-way agreement
-//!    the `--graph` layer enforces for the loss graph.
+//! 4. **graph-diff** — replay the recorded student graph and prove the
+//!    plan is a bijection of it: every IR node maps to exactly one plan
+//!    value, every op's schedule entry carries the same op name and the
+//!    same dependency edges in order, and the only synthesized steps are
+//!    the RevIN stat lowerings. The gradient subgraph derived from the
+//!    plan's `tracked` flags must then agree node-for-node (counts and
+//!    depth) with a dynamic [`GraphAudit`] over a real seeded student
+//!    forward.
 //!
 //! A final execution cross-check replays each distinct student geometry
 //! through [`PlannedStudent`] and requires bitwise equality with the
@@ -83,13 +82,11 @@
 use std::collections::{HashMap, HashSet};
 
 use timekd::{
-    bind_student_params, compile_student_objective_plan, student_objective, student_plan_optimizer,
-    student_plan_spec, trace_student, trainer_adamw, PlannedBatchTrainer, PlannedStudent, Student,
-    StudentTrace, TimeKdConfig,
+    bind_student_params, compile_student_objective_plan, compile_student_plan, student_objective,
+    student_plan_optimizer, student_plan_spec, trace_student, trainer_adamw, PlannedBatchTrainer,
+    PlannedStudent, Student, StudentTrace, TimeKdConfig,
 };
-use timekd_tensor::{
-    graph_stats, seeded_rng, GradMode, GraphAudit, Plan, SymbolicTensor, Tensor, ValueSource,
-};
+use timekd_tensor::{seeded_rng, GradMode, GraphAudit, Plan, SymbolicTensor, Tensor, ValueSource};
 
 use crate::verify::{config_matrix, Finding};
 
@@ -442,8 +439,7 @@ pub fn check_graph_diff(plan: &Plan, root: &SymbolicTensor, config: &str) -> Vec
 }
 
 /// The gradient subgraph implied by the plan's `tracked` flags, accounted
-/// exactly like [`graph_stats`] / [`GraphAudit`]: (nodes, edges, leaves,
-/// params, max depth).
+/// exactly like [`GraphAudit`]: (nodes, edges, leaves, params, max depth).
 pub fn plan_grad_stats(plan: &Plan) -> (usize, usize, usize, usize, usize) {
     let vals = plan.values();
     // Producing *tracked* step per value: untracked producers make the
@@ -462,8 +458,8 @@ pub fn plan_grad_stats(plan: &Plan) -> (usize, usize, usize, usize, usize) {
             Some(&seen) if seen >= d => continue,
             Some(_) => {
                 // Deeper revisit: update and propagate, but — exactly like
-                // `graph_stats` / `GraphAudit` — only first visits feed
-                // the max-depth accounting.
+                // `GraphAudit` — only first visits feed the max-depth
+                // accounting.
                 depth.insert(v, d);
                 if let Some(t) = tracked_step[v] {
                     for &p in &plan.steps()[t].inputs {
@@ -950,15 +946,8 @@ pub fn check_train_divergence(
             plan.optimizer()
         ));
     }
-    let trace = match trace_student(cfg, input_len, horizon, num_vars) {
-        Ok(t) => t,
-        Err(e) => return vec![finding("plan-compile", label, format!("trace failed: {e}"))],
-    };
     let student = Student::new(cfg, input_len, horizon, num_vars, &mut seeded_rng(0xD1CE));
-    let params = match bind_student_params(&trace, &student) {
-        Ok(p) => p,
-        Err(e) => return diverged(e.message),
-    };
+    let params = bind_student_params(&student);
     let initial: Vec<Vec<f32>> = params.iter().map(|(_, t)| t.to_vec()).collect();
     // Bind the trainer (it copies the values) before the dynamic reference
     // moves anything.
@@ -1089,7 +1078,7 @@ pub fn verify_plan_config(
 }
 
 /// Dynamic agreement for one student geometry: the plan's gradient stats
-/// must match the symbolic trace and a real executed forward, and planned
+/// must match a real executed forward, and planned
 /// predict must be bitwise identical to dynamic predict.
 pub fn check_dynamic_agreement(
     cfg: &TimeKdConfig,
@@ -1114,17 +1103,15 @@ pub fn check_dynamic_agreement(
     let x = Tensor::randn([input_len, num_vars], 1.0, &mut rng);
     let audit = GraphAudit::run(&student.forward(&x).forecast);
     let dy = &audit.stats;
-    let sym = graph_stats(forecast);
     let from_plan = plan_grad_stats(&plan);
-    let sym_t = (sym.nodes, sym.edges, sym.leaves, sym.params, sym.max_depth);
     let dy_t = (dy.nodes, dy.edges, dy.leaves, dy.params, dy.max_depth);
-    if from_plan != sym_t || sym_t != dy_t {
+    if from_plan != dy_t {
         out.push(finding(
             "graph-diff",
             label,
             format!(
                 "gradient subgraph disagreement (nodes, edges, leaves, params, depth): \
-                 plan {from_plan:?}, symbolic {sym_t:?}, dynamic {dy_t:?}"
+                 plan {from_plan:?}, dynamic {dy_t:?}"
             ),
         ));
     }
@@ -1176,6 +1163,82 @@ pub fn check_train_agreement(
         return Vec::new();
     }
     check_train_divergence(&plan, cfg, label, input_len, horizon, num_vars)
+}
+
+/// The canonical text of everything a compiled plan executes: each step's
+/// op with its operand and output value ids; each value's source, dims and
+/// slot, plus the label of every param, input, aux and target value; the
+/// arena length; the backward, update and reduce schedules; and the clip
+/// order and pinned values. Symbolic node ids and op-output labels are
+/// left out, so two plans lowered from differently built graphs of the
+/// same computation have the same fingerprint.
+pub fn plan_fingerprint(plan: &Plan) -> String {
+    let mut out = String::new();
+    for (i, v) in plan.values().iter().enumerate() {
+        let label = match v.source {
+            ValueSource::Param | ValueSource::Input | ValueSource::Aux(_) | ValueSource::Target => {
+                v.label.as_str()
+            }
+            _ => "",
+        };
+        out.push_str(&format!(
+            "v{i} {:?} {:?} {:?} {label}\n",
+            v.source, v.dims, v.slot
+        ));
+    }
+    for s in plan.steps() {
+        out.push_str(&format!("s {:?} {:?} -> {}\n", s.op, s.inputs, s.output));
+    }
+    out.push_str(&format!("arena {}\n", plan.arena_len()));
+    for b in plan.bwd_steps() {
+        out.push_str(&format!("b {b:?}\n"));
+    }
+    for u in plan.update_steps() {
+        out.push_str(&format!("u {u:?}\n"));
+    }
+    for r in plan.reduce_steps() {
+        out.push_str(&format!("r {r:?}\n"));
+    }
+    out.push_str(&format!(
+        "clip {:?}\npinned {:?}\n",
+        plan.clip_grads(),
+        plan.pinned()
+    ));
+    out
+}
+
+/// 64-bit FNV-1a of `bytes`, the digest the fingerprint fixture stores.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One line per plan `timekd-check --plan` covers (every matrix config ×
+/// forecast plan, objective plan at B=1 and at B=4): the config label, the
+/// plan kind and the FNV-1a digest of its [`plan_fingerprint`].
+pub fn plan_fingerprint_lines() -> Result<Vec<String>, String> {
+    let (input_len, horizon, num_vars) = (96, 24, 7);
+    let mut lines = Vec::new();
+    for (cfg, label) in config_matrix() {
+        let mut plans = vec![(
+            "forecast".to_string(),
+            compile_student_plan(&cfg, input_len, horizon, num_vars),
+        )];
+        for batch in PROVEN_BATCHES {
+            let opt = student_plan_optimizer(&cfg);
+            plans.push((
+                format!("objective B={batch}"),
+                compile_student_objective_plan(&cfg, input_len, horizon, num_vars, opt, batch),
+            ));
+        }
+        for (kind, plan) in plans {
+            let plan = plan.map_err(|e| format!("{label} {kind}: {e}"))?;
+            let digest = fnv1a(plan_fingerprint(&plan).as_bytes());
+            lines.push(format!("{label} | {kind} | {digest:016x}"));
+        }
+    }
+    Ok(lines)
 }
 
 /// Aggregate result of a `--plan` run.
@@ -1231,8 +1294,8 @@ pub fn verify_plans() -> PlanReport {
             format!("every operand is defined before use in the schedule ({n}/{n} configs)"),
             format!("the declared arena length equals the liveness bound ({n}/{n} configs)"),
             format!(
-                "the plan diffs clean against the symbolic graph, and its gradient \
-                 subgraph matches symbolic and dynamic accounting ({n}/{n} configs)"
+                "the plan diffs clean against the recorded graph, and its gradient \
+                 subgraph matches dynamic accounting ({n}/{n} configs)"
             ),
             format!(
                 "planned predict is bitwise identical to dynamic predict ({g}/{g} \
@@ -1272,7 +1335,7 @@ pub fn verify_plans() -> PlanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timekd::{compile_student_plan, student_objective_spec};
+    use timekd::student_objective_spec;
     use timekd_tensor::{PlanFault, TrainSpec};
 
     fn tiny_cfg() -> TimeKdConfig {
@@ -1302,6 +1365,19 @@ mod tests {
         out.extend(check_topo_validity(plan, "t"));
         out.extend(check_arena_bound(plan, "t"));
         out
+    }
+
+    #[test]
+    fn plan_fingerprints_match_the_committed_fixture() {
+        // Every plan `--plan` covers, lowered from today's recording, must
+        // be the plan the committed fixture pins.
+        let fixture = include_str!("../tests/fixtures/plan_fingerprints.txt");
+        let expected: Vec<&str> = fixture.lines().collect();
+        let actual = plan_fingerprint_lines().unwrap();
+        assert_eq!(actual.len(), expected.len(), "plan count changed");
+        for (a, e) in actual.iter().zip(&expected) {
+            assert_eq!(a, e, "plan fingerprint changed");
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! The symbolic pipeline verifier — static passes over
-//! [`trace_pipeline`](timekd::trace_pipeline)'s graph IR.
+//! The symbolic pipeline verifier — static passes over the IR replayed
+//! from a recording of one real TimeKD training step
+//! ([`record_pipeline`]).
 //!
-//! Three passes, none of which executes a kernel:
+//! Three passes over the replayed graph:
 //!
-//! 1. **shape** — the trace itself type-checks every op of
+//! 1. **shape** — the replay type-checks every op of
 //!    teacher → CLM → SCA → student → losses for each configuration in the
 //!    matrix (LM size presets × head counts × prompt budgets × ablation
-//!    arms). A mismatch surfaces as a [`ShapeError`] with a provenance
-//!    chain naming the offending op.
+//!    arms). A mismatch surfaces as a [`ShapeError`](timekd_tensor::ShapeError)
+//!    with a provenance chain naming the offending op.
 //! 2. **gradient-flow** — walks gradient edges from each loss root and
 //!    proves: every student trainable is reachable from the combined
 //!    student loss, every teacher trainable from the reconstruction loss,
@@ -22,13 +23,73 @@
 //! Every finding carries the configuration label, a message naming the
 //! offending parameter/op, and — where a path exists — the gradient route
 //! or provenance chain that proves it.
+//!
+//! [`Fault`] injects known-bad wirings so the verifier's detection power is
+//! itself testable: each mutates the recording or its replay (never the
+//! real modules) and must be caught by exactly the pass designed for it.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
-use timekd::{trace_pipeline, AblationConfig, Fault, SymbolicPipeline, TimeKdConfig};
+use timekd::{record_pipeline, AblationConfig, SymbolicPipeline, TimeKdConfig};
 use timekd_lm::LmSize;
-use timekd_tensor::{find_path, reachable_params};
+use timekd_tensor::{find_path, reachable_params, RecordedNode, Rewrite, SymbolicTensor, Tensor};
+
+/// Deliberate mis-wirings for fault-injection tests of the verifier.
+/// [`Fault::None`] replays the recording as it is.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Fault {
+    /// Faithful replay — what `timekd-check --verify` proves clean.
+    #[default]
+    None,
+    /// The *student* attention edge into `L_cd` is cut by a detach: the
+    /// loss is computed but can no longer update any student parameter.
+    /// Must be caught by the gradient-flow wiring pass.
+    DetachedDistillationTarget,
+    /// Each recorded CLM embedding is replaced by a grad-enabled replay of the
+    /// `CausalLm::last_token_embedding` forward behind it (the real bug
+    /// would be forgetting the `no_grad` guard in `FrozenLm::embed`):
+    /// frozen LM parameters become reachable from the losses. Must be
+    /// caught by the frozen-parameter pass.
+    UnfrozenLm,
+    /// The student encoder's head-split reshape is replayed with
+    /// `head_dim + 1`: the element count no longer matches. Must be caught
+    /// by the shape pass.
+    MismatchedHeadDim,
+    /// An extra trainable parameter is registered under the student but
+    /// never used by any forward. Must be caught by the dead-parameter
+    /// pass.
+    DanglingParam,
+}
+
+/// How `fault` rewrites one recorded node on replay.
+fn rewrite(fault: Fault, node: &RecordedNode<'_>) -> Rewrite {
+    let op = node.tensor.op_name();
+    let first = node.parents.first();
+    let from_clm = |t: &SymbolicTensor| t.label().starts_with("teacher.clm");
+    match fault {
+        Fault::DetachedDistillationTarget
+            if op == "smooth_l1" && first.is_some_and(|a| a.op_name() == "fused_attention_map") =>
+        {
+            Rewrite::Replace(node.parents[0].detach().smooth_l1(&node.parents[1]))
+        }
+        // The embedding leaf `FrozenLm::embed` hands out is a detach of the
+        // recorded forward: undo it, and track gradients through the CLM.
+        Fault::UnfrozenLm if op == "leaf" && first.is_some_and(from_clm) => {
+            Rewrite::Replace(Ok(node.parents[0].clone()))
+        }
+        Fault::UnfrozenLm if node.component.starts_with("teacher.clm") => Rewrite::LiftNoGrad,
+        Fault::MismatchedHeadDim
+            if op == "reshape"
+                && node.component.starts_with("student.encoder")
+                && node.tensor.dims().len() == 3 =>
+        {
+            let d = node.tensor.dims();
+            Rewrite::Replace(node.parents[0].reshape(vec![d[0], d[1], d[2] + 1]))
+        }
+        _ => Rewrite::Keep,
+    }
+}
 
 /// One verifier finding.
 #[derive(Clone, Debug)]
@@ -182,7 +243,14 @@ pub fn verify_pipeline(
     num_vars: usize,
     fault: Fault,
 ) -> Vec<Finding> {
-    let p = match trace_pipeline(cfg, input_len, horizon, num_vars, fault) {
+    let mut recording = record_pipeline(cfg, input_len, horizon, num_vars);
+    if fault == Fault::DanglingParam {
+        let dangling = Tensor::zeros_param([cfg.dim, cfg.dim]);
+        recording
+            .recorder_mut()
+            .param("student.dangling.weight", &dangling, false);
+    }
+    let p = match recording.replay_with(&mut |node| rewrite(fault, node)) {
         Ok(p) => p,
         Err(e) => {
             return vec![Finding {

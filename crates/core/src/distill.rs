@@ -15,7 +15,7 @@ use timekd_nn::smooth_l1_loss;
 use timekd_tensor::Tensor;
 
 use crate::config::TimeKdConfig;
-use crate::student::Student;
+use crate::student::{Student, StudentOutput};
 
 /// The PKD loss terms for one window.
 pub struct PkdLosses {
@@ -27,9 +27,23 @@ pub struct PkdLosses {
     pub combined: Tensor,
 }
 
+/// Stops gradients into a teacher product. A tensor that carries none —
+/// the trainer's teacher runs under `no_grad` — is already a constant and
+/// passes through as it is.
+fn stop_grad(t: &Tensor) -> Tensor {
+    if t.requires_grad() {
+        t.detach()
+    } else {
+        t.clone()
+    }
+}
+
 /// Computes the PKD losses from teacher and student products.
 ///
-/// `teacher_attention`/`teacher_embedding` are detached internally.
+/// `teacher_attention`/`teacher_embedding` are detached internally. An
+/// ablated term is reported as a zero scalar but left out of `combined`
+/// (adding an exact `+0` to the non-negative remaining terms would change
+/// no bit, only the graph).
 pub fn pkd_losses(
     teacher_attention: &Tensor,
     teacher_embedding: &Tensor,
@@ -38,24 +52,26 @@ pub fn pkd_losses(
     config: &TimeKdConfig,
 ) -> PkdLosses {
     let ab = config.ablation;
-    let correlation = if ab.correlation_distillation {
+    let correlation = ab.correlation_distillation.then(|| {
         let _span = timekd_obs::span("pkd.correlation");
-        smooth_l1_loss(student_attention, &teacher_attention.detach())
-    } else {
-        Tensor::scalar(0.0)
-    };
-    let feature = if ab.feature_distillation {
+        smooth_l1_loss(student_attention, &stop_grad(teacher_attention))
+    });
+    let feature = ab.feature_distillation.then(|| {
         let _span = timekd_obs::span("pkd.feature");
-        smooth_l1_loss(student_embedding, &teacher_embedding.detach())
-    } else {
-        Tensor::scalar(0.0)
+        smooth_l1_loss(student_embedding, &stop_grad(teacher_embedding))
+    });
+    let combined = match (&correlation, &feature) {
+        (Some(c), Some(f)) => c
+            .mul_scalar(config.lambda_cd)
+            .add(&f.mul_scalar(config.lambda_fd)),
+        (Some(c), None) => c.mul_scalar(config.lambda_cd),
+        (None, Some(f)) => f.mul_scalar(config.lambda_fd),
+        (None, None) => Tensor::scalar(0.0),
     };
-    let combined = correlation
-        .mul_scalar(config.lambda_cd)
-        .add(&feature.mul_scalar(config.lambda_fd));
+    let zero = || Tensor::scalar(0.0);
     PkdLosses {
-        correlation,
-        feature,
+        correlation: correlation.unwrap_or_else(zero),
+        feature: feature.unwrap_or_else(zero),
         combined,
     }
 }
@@ -78,7 +94,8 @@ pub struct StudentObjective {
 /// reference the compiled objective plan
 /// ([`PlannedBatchTrainer`](crate::PlannedBatchTrainer)) must match bit
 /// for bit — the trainer's oracle epoch, the plan verifier and the
-/// kernels bench all step it.
+/// kernels bench all step it, and the plan itself is lowered from a
+/// recording of it.
 pub fn student_objective(
     student: &Student,
     config: &TimeKdConfig,
@@ -87,7 +104,23 @@ pub fn student_objective(
     teacher_attention: &Tensor,
     teacher_embedding: &Tensor,
 ) -> StudentObjective {
-    let out = student.forward(x);
+    student_objective_of(
+        &student.forward(x),
+        config,
+        y,
+        teacher_attention,
+        teacher_embedding,
+    )
+}
+
+/// [`student_objective`] over an existing student forward.
+pub(crate) fn student_objective_of(
+    out: &StudentOutput,
+    config: &TimeKdConfig,
+    y: &Tensor,
+    teacher_attention: &Tensor,
+    teacher_embedding: &Tensor,
+) -> StudentObjective {
     let pkd = pkd_losses(
         teacher_attention,
         teacher_embedding,
@@ -96,16 +129,29 @@ pub fn student_objective(
         config,
     );
     let forecast = smooth_l1_loss(&out.forecast, y);
-    let total = pkd
-        .combined
-        .mul_scalar(config.lambda_pkd)
-        .add(&forecast.mul_scalar(config.lambda_fcst));
+    let weighted = forecast.mul_scalar(config.lambda_fcst);
+    let ab = config.ablation;
+    let total = if ab.correlation_distillation || ab.feature_distillation {
+        pkd.combined.mul_scalar(config.lambda_pkd).add(&weighted)
+    } else {
+        weighted
+    };
     StudentObjective {
         total,
         correlation: pkd.correlation,
         feature: pkd.feature,
         forecast,
     }
+}
+
+/// The teacher's reconstruction objective (Alg. 1, Eq. 16):
+/// `λ_r · L_recon` of its reconstruction against the future window.
+pub(crate) fn reconstruction_objective(
+    reconstruction: &Tensor,
+    y: &Tensor,
+    config: &TimeKdConfig,
+) -> Tensor {
+    smooth_l1_loss(reconstruction, y).mul_scalar(config.lambda_recon)
 }
 
 #[cfg(test)]

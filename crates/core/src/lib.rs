@@ -50,15 +50,15 @@ pub use model_io::{load_checkpoint, save_checkpoint};
 pub use norm_helpers::layer_norm_const;
 pub use plan::{
     bind_student_params, compile_student_objective_plan, compile_student_plan, plan_cache_stats,
-    reset_plan_cache, student_objective_spec, student_plan_spec, student_plan_spec_with_precision,
-    PlannedBatchTrainer, PlannedStudent, QuantizedStudent, AUX_TEACHER_ATT, AUX_TEACHER_EMB,
+    reset_plan_cache, student_forecast_plan, student_objective_spec, student_plan_spec,
+    student_plan_spec_with_precision, PlannedBatchTrainer, PlannedStudent, QuantizedStudent,
+    AUX_TEACHER_ATT, AUX_TEACHER_EMB,
 };
 pub use sca::SubtractiveCrossAttention;
 pub use student::{Student, StudentOutput};
 pub use symbolic::{
-    prompt_token_counts, sym_layer_norm_const, sym_pkd_losses, trace_pipeline, trace_student,
-    Fault, StudentTrace, SymPkdLosses, SymSca, SymStudent, SymStudentOutput, SymTeacher,
-    SymTeacherOutput, SymbolicPipeline, TEACHER_ATT_LABEL, TEACHER_EMB_LABEL,
+    record_pipeline, trace_pipeline, trace_student, PipelineRecording, StudentTrace,
+    SymbolicPipeline, TEACHER_ATT_LABEL, TEACHER_EMB_LABEL,
 };
 pub use teacher::{render_prompts, CrossModalityTeacher, TeacherOutput};
 pub use trainer::{student_plan_optimizer, trainer_adamw, EpochStats, TimeKd};

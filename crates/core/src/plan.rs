@@ -1,8 +1,9 @@
 //! Plan-backed student inference and training.
 //!
-//! [`PlannedStudent`] compiles the student's symbolic forecast trace into a
-//! static [`Plan`] (fixed schedule + liveness-colored arena), binds the
-//! real [`Student`] parameters to it by label, and replays it with zero
+//! [`PlannedStudent`] compiles the student's recorded forecast graph
+//! ([`trace_student`]) into a static [`Plan`] (fixed schedule +
+//! liveness-colored arena), binds the real [`Student`] parameters to it by
+//! naming-walk label, and replays it with zero
 //! per-call graph construction and zero allocation. Because the plan
 //! executor invokes the same serial row-block kernels the dynamic engine
 //! partitions across the worker pool, planned forecasts are **bitwise
@@ -25,7 +26,7 @@ use crate::symbolic::{trace_student, StudentTrace, TEACHER_ATT_LABEL, TEACHER_EM
 
 /// The plan spec for the student forecast graph: the history window is the
 /// single runtime input, and the RevIN instance statistics (constant
-/// leaves in the symbolic trace) lower to per-column mean/std steps over
+/// leaves in the recording) lower to per-column mean/std steps over
 /// it — with the same `1e-5` epsilon as the real layer.
 pub fn student_plan_spec() -> PlanSpec {
     student_plan_spec_with_precision(Precision::F32)
@@ -76,45 +77,12 @@ fn trace(
     })
 }
 
-/// The one binding between a live [`Student`] and its symbolic trace:
-/// pairs each parameter the trace registered (in registration order) with
-/// the student's tensor at the same [`Module::params`] position — the
-/// symbolic mirrors register in lockstep with the modules — and checks
-/// the count and every shape label by label. The returned handles are
-/// the student's own tensors, not copies.
-pub fn bind_student_params(
-    trace: &StudentTrace,
-    student: &Student,
-) -> Result<Vec<(String, Tensor)>, PlanError> {
-    let sym_params = trace.ctx.params();
-    let real_params = student.params();
-    if sym_params.len() != real_params.len() {
-        return Err(PlanError {
-            message: format!(
-                "parameter count mismatch: trace has {}, student has {}",
-                sym_params.len(),
-                real_params.len()
-            ),
-        });
-    }
-    sym_params
-        .iter()
-        .zip(real_params)
-        .map(|(sym, real)| {
-            if sym.sizes() == real.dims() {
-                Ok((sym.label().to_string(), real))
-            } else {
-                Err(PlanError {
-                    message: format!(
-                        "parameter `{}` shape mismatch: trace {:?}, student {:?}",
-                        sym.label(),
-                        sym.sizes(),
-                        real.dims()
-                    ),
-                })
-            }
-        })
-        .collect()
+/// The one binding between a live [`Student`] and its plans: every
+/// parameter under its naming-walk label ([`Module::named_params`]), in
+/// [`Module::params`] order — the labels plans and the model registry use.
+/// The returned handles are the student's own tensors, not copies.
+pub fn bind_student_params(student: &Student) -> Vec<(String, Tensor)> {
+    student.named_params("student")
 }
 
 fn param_named<'a>(params: &'a [(String, Tensor)], label: &str) -> Option<&'a Tensor> {
@@ -215,11 +183,13 @@ fn cached_plan(
     Ok(plan)
 }
 
-/// The forecast plan of `trace` (of `geometry`) at `precision`.
-fn forecast_plan(
+/// The forecast plan for this geometry at `precision`, from the plan cache
+/// or — on a miss only — recorded and compiled.
+pub fn student_forecast_plan(
     config: &TimeKdConfig,
-    trace: &StudentTrace,
-    (input_len, horizon, num_vars): Geometry,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
     precision: Precision,
 ) -> Result<Plan, PlanError> {
     let mut key = plan_key_base(KIND_FORECAST, config, input_len, horizon, num_vars);
@@ -228,6 +198,7 @@ fn forecast_plan(
         Precision::Int8 => 1,
     });
     cached_plan(key, || {
+        let trace = trace(config, (input_len, horizon, num_vars))?;
         Plan::compile(
             &trace.prediction,
             &student_plan_spec_with_precision(precision),
@@ -235,49 +206,30 @@ fn forecast_plan(
     })
 }
 
-/// Traces the student forecast graph for this geometry and compiles it
-/// into a static plan.
+/// Records the student forecast graph for this geometry and compiles it
+/// into a static plan (cached like [`student_forecast_plan`]).
 pub fn compile_student_plan(
     config: &TimeKdConfig,
     input_len: usize,
     horizon: usize,
     num_vars: usize,
 ) -> Result<Plan, PlanError> {
-    let geometry = (input_len, horizon, num_vars);
-    forecast_plan(config, &trace(config, geometry)?, geometry, Precision::F32)
+    student_forecast_plan(config, input_len, horizon, num_vars, Precision::F32)
 }
 
-/// Traces the student objective for this geometry and compiles it into
+/// Records the student objective for this geometry and compiles it into
 /// the batched training plan [`PlannedBatchTrainer`] replays: `batch`
 /// per-window gradient lanes, the pinned cross-window reduction, global
 /// gradient-norm clipping at `config.grad_clip` in [`Module::params`]
 /// order, and one fused `optimizer` step. The per-component loss scalars
-/// stay pinned in the arena so they can be read back after a step.
+/// stay pinned in the arena (in the order `L_cd`, `L_fd`, `L_fcst`, absent
+/// arms skipped) so they can be read back after a step. A cache hit
+/// records nothing.
 pub fn compile_student_objective_plan(
     config: &TimeKdConfig,
     input_len: usize,
     horizon: usize,
     num_vars: usize,
-    optimizer: PlanOptimizer,
-    batch: usize,
-) -> Result<Plan, PlanError> {
-    let geometry = (input_len, horizon, num_vars);
-    objective_plan(
-        config,
-        &trace(config, geometry)?,
-        geometry,
-        optimizer,
-        batch,
-    )
-}
-
-/// [`compile_student_objective_plan`] over an existing trace of
-/// `geometry`, so binding reuses the one trace (tracing twice measurably
-/// raised the trainer's peak RSS).
-fn objective_plan(
-    config: &TimeKdConfig,
-    trace: &StudentTrace,
-    (input_len, horizon, num_vars): Geometry,
     optimizer: PlanOptimizer,
     batch: usize,
 ) -> Result<Plan, PlanError> {
@@ -305,6 +257,7 @@ fn objective_plan(
     }
     key.push(batch as u64);
     cached_plan(key, || {
+        let trace = trace(config, (input_len, horizon, num_vars))?;
         let mut train = TrainSpec::new("y", optimizer);
         train.grad_clip = Some(config.grad_clip);
         train.clip_param_order = trace
@@ -345,9 +298,9 @@ fn bind_student_forecast(
     config: &TimeKdConfig,
     precision: Precision,
 ) -> Result<(Plan, PlanExecutor), PlanError> {
-    let trace = trace(config, geometry(student))?;
-    let plan = forecast_plan(config, &trace, geometry(student), precision)?;
-    let params = bind_student_params(&trace, student)?;
+    let (input_len, horizon, num_vars) = geometry(student);
+    let plan = student_forecast_plan(config, input_len, horizon, num_vars, precision)?;
+    let params = bind_student_params(student);
     let executor = PlanExecutor::new(&plan, |label, dims| resolve(&params, label, dims))?;
     Ok((plan, executor))
 }
@@ -530,9 +483,10 @@ impl PlannedBatchTrainer {
         optimizer: PlanOptimizer,
         batch: usize,
     ) -> Result<PlannedBatchTrainer, PlanError> {
-        let trace = trace(config, geometry(student))?;
-        let plan = objective_plan(config, &trace, geometry(student), optimizer, batch)?;
-        PlannedBatchTrainer::bind_traced(student, &trace, plan)
+        let (input_len, horizon, num_vars) = geometry(student);
+        let plan =
+            compile_student_objective_plan(config, input_len, horizon, num_vars, optimizer, batch)?;
+        PlannedBatchTrainer::bind(student, config, plan)
     }
 
     /// Binds `student`'s current parameter values to an already compiled
@@ -543,17 +497,7 @@ impl PlannedBatchTrainer {
         config: &TimeKdConfig,
         plan: Plan,
     ) -> Result<PlannedBatchTrainer, PlanError> {
-        PlannedBatchTrainer::bind_traced(student, &trace(config, geometry(student))?, plan)
-    }
-
-    /// [`bind`](Self::bind) with an existing trace of the student's
-    /// geometry.
-    fn bind_traced(
-        student: &Student,
-        trace: &StudentTrace,
-        plan: Plan,
-    ) -> Result<PlannedBatchTrainer, PlanError> {
-        let params = bind_student_params(trace, student)?;
+        let params = bind_student_params(student);
         let executor = BatchTrainExecutor::new(&plan, |label, dims| resolve(&params, label, dims))?;
         let param_labels: Vec<String> = plan
             .values()
@@ -567,22 +511,21 @@ impl PlannedBatchTrainer {
             .filter_map(|label| param_named(&params, label).cloned())
             .collect();
 
-        let range_of = |t: Option<&timekd_tensor::SymbolicTensor>| {
-            t.and_then(|t| plan.value_for_sym(t.id()))
-                .and_then(|vid| plan.arena_range(vid))
+        // The pinned loss scalars, in compile order: `L_cd` and `L_fd`
+        // when their arm is on, then `L_fcst`.
+        let ab = config.ablation;
+        let mut pinned = plan.pinned().iter().map(|&vid| plan.arena_range(vid));
+        let mut pin = |on: bool, what: &str| -> Result<Option<(usize, usize)>, PlanError> {
+            if !on {
+                return Ok(None);
+            }
+            pinned.next().flatten().map(Some).ok_or_else(|| PlanError {
+                message: format!("pinned {what} loss has no arena slot"),
+            })
         };
-        let correlation = range_of(trace.correlation.as_ref());
-        let feature = range_of(trace.feature.as_ref());
-        if trace.correlation.is_some() && correlation.is_none()
-            || trace.feature.is_some() && feature.is_none()
-        {
-            return Err(PlanError {
-                message: "pinned distillation loss has no arena slot".to_string(),
-            });
-        }
-        let forecast = range_of(Some(&trace.forecast)).ok_or_else(|| PlanError {
-            message: "pinned forecasting loss has no arena slot".to_string(),
-        })?;
+        let correlation = pin(ab.correlation_distillation, "distillation")?;
+        let feature = pin(ab.feature_distillation, "distillation")?;
+        let forecast = pin(true, "forecasting")?.expect("always pinned");
 
         Ok(PlannedBatchTrainer {
             plan,
@@ -937,7 +880,7 @@ mod tests {
     #[test]
     fn train_executor_rejects_int8_plans() {
         let config = small_config();
-        let trace = trace_student(&config, 24, 8, 5).unwrap();
+        let trace = crate::trace_student(&config, 24, 8, 5).unwrap();
         let plan = Plan::compile_training(
             &trace.loss,
             &PlanSpec {

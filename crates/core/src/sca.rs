@@ -6,7 +6,7 @@
 //! cross attention from `L_GT` onto `L_HD` and subtracts it, leaving a
 //! representation dominated by the *future time-series* content.
 
-use timekd_nn::{Linear, Module};
+use timekd_nn::{Linear, Module, ParamVisitor};
 use timekd_tensor::SeededRng;
 use timekd_tensor::Tensor;
 
@@ -66,14 +66,13 @@ impl SubtractiveCrossAttention {
 }
 
 impl Module for SubtractiveCrossAttention {
-    fn params(&self) -> Vec<Tensor> {
-        let mut v = self.phi_q.params();
-        v.extend(self.phi_k.params());
-        v.extend(self.phi_v.params());
-        v.extend(self.theta_c.params());
-        v.extend(self.ln_out.params());
-        v.extend(self.ffn.params());
-        v
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.module("phi_q", &self.phi_q);
+        v.module("phi_k", &self.phi_k);
+        v.module("phi_v", &self.phi_v);
+        v.module("theta_c", &self.theta_c);
+        v.module("ln_out", &self.ln_out);
+        v.module("ffn", &self.ffn);
     }
 }
 

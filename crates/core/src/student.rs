@@ -5,7 +5,7 @@
 //! horizon (Eq. 27–28) → RevIN denormalisation. Only this model runs at
 //! inference time, which is where TimeKD's efficiency comes from.
 
-use timekd_nn::{Activation, Linear, Module, RevIn, TransformerEncoder};
+use timekd_nn::{Activation, Linear, Module, ParamVisitor, RevIn, TransformerEncoder};
 use timekd_tensor::SeededRng;
 use timekd_tensor::Tensor;
 
@@ -106,12 +106,11 @@ impl Student {
 }
 
 impl Module for Student {
-    fn params(&self) -> Vec<Tensor> {
-        let mut v = self.revin.params();
-        v.extend(self.inverted_embedding.params());
-        v.extend(self.encoder.params());
-        v.extend(self.projection.params());
-        v
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.module("revin", &self.revin);
+        v.module("inverted_embedding", &self.inverted_embedding);
+        v.module("encoder", &self.encoder);
+        v.module("projection", &self.projection);
     }
 }
 

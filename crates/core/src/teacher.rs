@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use timekd_data::WindowPrompts;
 use timekd_lm::FrozenLm;
-use timekd_nn::{Activation, Linear, Module, TransformerEncoder};
+use timekd_nn::{Activation, Linear, Module, ParamVisitor, TransformerEncoder};
 use timekd_tensor::SeededRng;
 use timekd_tensor::Tensor;
 
@@ -157,21 +157,19 @@ impl CrossModalityTeacher {
 
 impl Module for CrossModalityTeacher {
     /// Trainable parameters only — the frozen CLM is deliberately absent.
-    fn params(&self) -> Vec<Tensor> {
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
         let ab = self.config.ablation;
-        let mut v = Vec::new();
         if ab.use_clm {
-            v.extend(self.lm_proj.params());
+            v.module("lm_proj", &self.lm_proj);
         } else {
-            v.extend(self.hist_value_proj.params());
+            v.module("hist_value_proj", &self.hist_value_proj);
             if ab.privileged_info {
-                v.extend(self.gt_value_proj.params());
+                v.module("gt_value_proj", &self.gt_value_proj);
             }
         }
-        v.extend(self.sca.params());
-        v.extend(self.pt_encoder.params());
-        v.extend(self.recon_head.params());
-        v
+        v.module("sca", &self.sca);
+        v.module("pt_encoder", &self.pt_encoder);
+        v.module("recon_head", &self.recon_head);
     }
 }
 

@@ -5,11 +5,11 @@ use std::rc::Rc;
 
 use timekd_data::{ForecastWindow, WindowPrompts};
 use timekd_lm::{pretrain_lm, FrozenLm, PretrainConfig, PromptTokenizer};
-use timekd_nn::{clip_grad_norm, smooth_l1_loss, AdamW, AdamWConfig, Module};
+use timekd_nn::{clip_grad_norm, AdamW, AdamWConfig, Module};
 use timekd_tensor::{seeded_rng, PlanOptimizer, Tensor};
 
 use crate::config::TimeKdConfig;
-use crate::distill::student_objective;
+use crate::distill::{reconstruction_objective, student_objective};
 use crate::forecaster::Forecaster;
 use crate::plan::PlannedBatchTrainer;
 use crate::student::Student;
@@ -196,8 +196,7 @@ impl TimeKd {
             }
             let prompts = self.prompts_for(w);
             let out = self.teacher.forward(&w.x, &w.y, &prompts);
-            let recon =
-                smooth_l1_loss(&out.reconstruction, &w.y).mul_scalar(self.config.lambda_recon);
+            let recon = reconstruction_objective(&out.reconstruction, &w.y, &self.config);
             total += recon.item();
             recon.backward();
             self.assert_frozen_lm_invariant();
@@ -406,6 +405,7 @@ mod tests {
     use super::*;
     use timekd_data::{DatasetKind, Split, SplitDataset};
     use timekd_lm::{LmConfig, LmSize};
+    use timekd_nn::smooth_l1_loss;
 
     #[allow(clippy::field_reassign_with_default)]
     fn tiny_config() -> TimeKdConfig {

@@ -104,18 +104,19 @@ impl FrozenLm {
             let _span = timekd_obs::span("lm.forward");
             no_grad(|| self.lm.last_token_embedding(tokens, calibrated))
         };
-        let data = emb.to_vec();
+        // A constant leaf; a recording keeps the forward behind it.
+        let out = emb.detach();
         if caching {
             self.cache.borrow_mut().insert(
                 key,
                 CacheEntry {
                     tokens: tokens.to_vec(),
                     calibrated,
-                    data: data.clone(),
+                    data: out.to_vec(),
                 },
             );
         }
-        Tensor::from_vec(data, [self.lm.config().dim])
+        out
     }
 
     /// Enables or disables the embedding cache (the design-choice ablation

@@ -18,7 +18,6 @@ mod config;
 mod frozen;
 mod model;
 mod pretrain;
-pub mod symbolic;
 mod tokenizer;
 
 pub use calibration::calibrated_mask;
@@ -29,6 +28,5 @@ pub use pretrain::{
     install_numeracy_prior, pretrain_lm, sample_corpus_example, sample_corpus_prompt,
     CorpusExample, PretrainConfig, PretrainReport, PRETRAIN_RECIPE,
 };
-pub use symbolic::{trace_frozen_lm, SymCausalLm};
 pub use timekd_tensor::NEG_INF;
 pub use tokenizer::{Modality, PromptPiece, PromptTokenizer, Token, BIN_MAX, BIN_RESOLUTION};

@@ -1,7 +1,7 @@
 //! The causal language model with calibrated attention — the CLM of the
 //! paper's cross-modality teacher (Fig. 4, Eq. 1–7).
 
-use timekd_nn::{causal_mask, Activation, Embedding, Module, TransformerEncoder};
+use timekd_nn::{causal_mask, Activation, Embedding, Module, ParamVisitor, TransformerEncoder};
 use timekd_tensor::SeededRng;
 use timekd_tensor::Tensor;
 
@@ -209,11 +209,10 @@ impl CausalLm {
 }
 
 impl Module for CausalLm {
-    fn params(&self) -> Vec<Tensor> {
-        let mut v = self.tok_embedding.params();
-        v.push(self.pos_embedding.clone());
-        v.extend(self.encoder.params());
-        v
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.module("tok_embedding", &self.tok_embedding);
+        v.param("pos_embedding", &self.pos_embedding);
+        v.module("encoder", &self.encoder);
     }
 }
 

@@ -10,7 +10,7 @@ use timekd_tensor::SeededRng;
 use timekd_tensor::{Tensor, NEG_INF};
 
 use crate::linear::Linear;
-use crate::module::Module;
+use crate::module::{Module, ParamVisitor};
 
 /// Output of an attention call.
 pub struct AttentionOutput {
@@ -141,12 +141,11 @@ impl MultiHeadAttention {
 }
 
 impl Module for MultiHeadAttention {
-    fn params(&self) -> Vec<Tensor> {
-        let mut v = self.wq.params();
-        v.extend(self.wk.params());
-        v.extend(self.wv.params());
-        v.extend(self.wo.params());
-        v
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.module("wq", &self.wq);
+        v.module("wk", &self.wk);
+        v.module("wv", &self.wv);
+        v.module("wo", &self.wo);
     }
 }
 

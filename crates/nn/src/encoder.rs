@@ -7,7 +7,7 @@ use timekd_tensor::Tensor;
 
 use crate::attention::MultiHeadAttention;
 use crate::linear::Linear;
-use crate::module::Module;
+use crate::module::{Module, ParamVisitor};
 use crate::norm::LayerNorm;
 
 /// Activation used inside feed-forward blocks.
@@ -53,10 +53,9 @@ impl FeedForward {
 }
 
 impl Module for FeedForward {
-    fn params(&self) -> Vec<Tensor> {
-        let mut v = self.fc1.params();
-        v.extend(self.fc2.params());
-        v
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.module("fc1", &self.fc1);
+        v.module("fc2", &self.fc2);
     }
 }
 
@@ -121,12 +120,11 @@ impl EncoderLayer {
 }
 
 impl Module for EncoderLayer {
-    fn params(&self) -> Vec<Tensor> {
-        let mut v = self.ln1.params();
-        v.extend(self.attn.params());
-        v.extend(self.ln2.params());
-        v.extend(self.ffn.params());
-        v
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.module("ln1", &self.ln1);
+        v.module("attn", &self.attn);
+        v.module("ln2", &self.ln2);
+        v.module("ffn", &self.ffn);
     }
 }
 
@@ -203,13 +201,11 @@ impl TransformerEncoder {
 }
 
 impl Module for TransformerEncoder {
-    fn params(&self) -> Vec<Tensor> {
-        let mut v = Vec::new();
-        for l in &self.layers {
-            v.extend(l.params());
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        for (i, l) in self.layers.iter().enumerate() {
+            v.module(&format!("layer{i}"), l);
         }
-        v.extend(self.final_ln.params());
-        v
+        v.module("final_ln", &self.final_ln);
     }
 }
 

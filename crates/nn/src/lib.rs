@@ -28,17 +28,12 @@ mod losses;
 mod module;
 mod norm;
 mod optim;
-pub mod symbolic;
 
 pub use attention::{causal_mask, AttentionOutput, MultiHeadAttention};
 pub use dropout::Dropout;
 pub use encoder::{Activation, EncoderLayer, EncoderOutput, FeedForward, TransformerEncoder};
 pub use linear::{Embedding, Linear};
 pub use losses::{mae_loss, mse_loss, smooth_l1_loss};
-pub use module::{collect_params, Module, ParamList};
+pub use module::{Module, ParamList, ParamVisitor};
 pub use norm::{LayerNorm, RevIn, RevInStats};
 pub use optim::{clip_grad_norm, AdamW, AdamWConfig, LrSchedule};
-pub use symbolic::{
-    sym_smooth_l1_loss, SymAttentionOutput, SymEncoderLayer, SymEncoderOutput, SymFeedForward,
-    SymLayerNorm, SymLinear, SymMultiHeadAttention, SymRevIn, SymTransformerEncoder,
-};

@@ -3,7 +3,7 @@
 use timekd_tensor::SeededRng;
 use timekd_tensor::Tensor;
 
-use crate::module::Module;
+use crate::module::{Module, ParamVisitor};
 
 /// Fully connected layer `y = x W + b` over the last axis.
 ///
@@ -77,12 +77,11 @@ impl Linear {
 }
 
 impl Module for Linear {
-    fn params(&self) -> Vec<Tensor> {
-        let mut v = vec![self.weight.clone()];
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.param("weight", &self.weight);
         if let Some(b) = &self.bias {
-            v.push(b.clone());
+            v.param("bias", b);
         }
-        v
     }
 }
 
@@ -125,8 +124,8 @@ impl Embedding {
 }
 
 impl Module for Embedding {
-    fn params(&self) -> Vec<Tensor> {
-        vec![self.weight.clone()]
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.param("weight", &self.weight);
     }
 }
 

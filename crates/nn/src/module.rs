@@ -4,11 +4,65 @@ use timekd_tensor::bytes::{Bytes, BytesMut};
 use timekd_tensor::io::{decode_tensor, encode_tensor, DecodeError};
 use timekd_tensor::Tensor;
 
+/// The naming walk over a module tree: [`Module::visit_params`] reports
+/// each parameter and submodule by name, and the visitor tracks the dotted
+/// path (`encoder.layer0.attn.wq.weight`).
+pub struct ParamVisitor<'a> {
+    path: String,
+    f: &'a mut dyn FnMut(&str, &Tensor),
+}
+
+impl ParamVisitor<'_> {
+    /// Visits the parameter `name` of the current module.
+    pub fn param(&mut self, name: &str, t: &Tensor) {
+        self.scoped(name, |v| (v.f)(&v.path, t));
+    }
+
+    /// Visits every parameter of the submodule `name`.
+    pub fn module(&mut self, name: &str, m: &dyn Module) {
+        self.scoped(name, |v| m.visit_params(v));
+    }
+
+    fn scoped(&mut self, name: &str, body: impl FnOnce(&mut Self)) {
+        let len = self.path.len();
+        if len > 0 {
+            self.path.push('.');
+        }
+        self.path.push_str(name);
+        body(self);
+        self.path.truncate(len);
+    }
+}
+
 /// Anything that owns trainable parameters.
 pub trait Module {
-    /// All trainable parameters, in a stable order (used by the optimizer
-    /// and by checkpointing).
-    fn params(&self) -> Vec<Tensor>;
+    /// The one naming walk: visits every trainable parameter in a stable
+    /// order under its name within this module. [`Module::params`] and
+    /// [`Module::named_params`] both derive from it, and its labels are
+    /// the model registry's on-disk format.
+    fn visit_params(&self, v: &mut ParamVisitor<'_>);
+
+    /// All trainable parameters, in the walk's order (used by the
+    /// optimizer and by checkpointing).
+    fn params(&self) -> Vec<Tensor> {
+        let mut out = Vec::new();
+        self.visit_params(&mut ParamVisitor {
+            path: String::new(),
+            f: &mut |_, t| out.push(t.clone()),
+        });
+        out
+    }
+
+    /// Every trainable parameter with its dotted label under `prefix`, in
+    /// the walk's order.
+    fn named_params(&self, prefix: &str) -> Vec<(String, Tensor)> {
+        let mut out = Vec::new();
+        self.visit_params(&mut ParamVisitor {
+            path: prefix.to_string(),
+            f: &mut |label, t| out.push((label.to_string(), t.clone())),
+        });
+        out
+    }
 
     /// Total number of trainable scalar parameters.
     fn num_params(&self) -> usize {
@@ -49,18 +103,11 @@ pub trait Module {
 pub struct ParamList(pub Vec<Tensor>);
 
 impl Module for ParamList {
-    fn params(&self) -> Vec<Tensor> {
-        self.0.clone()
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        for (i, p) in self.0.iter().enumerate() {
+            v.param(&i.to_string(), p);
+        }
     }
-}
-
-/// Concatenates the parameters of several modules.
-pub fn collect_params(modules: &[&dyn Module]) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    for m in modules {
-        out.extend(m.params());
-    }
-    out
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use timekd_tensor::Tensor;
 
-use crate::module::Module;
+use crate::module::{Module, ParamVisitor};
 
 /// Layer normalisation over the last axis with learnable gain/offset,
 /// matching Eq. (6): `LN(x) = γ ⊙ (x − μ)/σ + β`.
@@ -45,8 +45,9 @@ impl LayerNorm {
 }
 
 impl Module for LayerNorm {
-    fn params(&self) -> Vec<Tensor> {
-        vec![self.gamma.clone(), self.beta.clone()]
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.param("gamma", &self.gamma);
+        v.param("beta", &self.beta);
     }
 }
 
@@ -108,8 +109,8 @@ impl RevIn {
             std[j] = (v / t as f32 + self.eps).sqrt();
         }
         drop(data);
-        let mu_t = Tensor::from_vec(mean.clone(), [1, n]);
-        let std_t = Tensor::from_vec(std.clone(), [1, n]);
+        let mu_t = Tensor::from_vec(mean.clone(), [1, n]).named("mu", &self.gamma);
+        let std_t = Tensor::from_vec(std.clone(), [1, n]).named("std", &self.gamma);
         let normed = x.sub(&mu_t).div(&std_t).mul(&self.gamma).add(&self.beta);
         (normed, RevInStats { mean, std })
     }
@@ -119,15 +120,16 @@ impl RevIn {
         assert_eq!(y.shape().rank(), 2, "RevIn expects [M, N]");
         let n = self.num_vars;
         assert_eq!(y.dims()[1], n, "RevIn: wrong channel count");
-        let mu_t = Tensor::from_vec(stats.mean.clone(), [1, n]);
-        let std_t = Tensor::from_vec(stats.std.clone(), [1, n]);
+        let mu_t = Tensor::from_vec(stats.mean.clone(), [1, n]).named("mu", &self.gamma);
+        let std_t = Tensor::from_vec(stats.std.clone(), [1, n]).named("std", &self.gamma);
         y.sub(&self.beta).div(&self.gamma).mul(&std_t).add(&mu_t)
     }
 }
 
 impl Module for RevIn {
-    fn params(&self) -> Vec<Tensor> {
-        vec![self.gamma.clone(), self.beta.clone()]
+    fn visit_params(&self, v: &mut ParamVisitor<'_>) {
+        v.param("gamma", &self.gamma);
+        v.param("beta", &self.beta);
     }
 }
 

@@ -39,7 +39,7 @@
 )]
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -301,6 +301,29 @@ impl Recorder {
 thread_local! {
     static RECORDER: RefCell<Recorder> = RefCell::new(Recorder::new());
     static OP_COUNTS: RefCell<BTreeMap<&'static str, u64>> = const { RefCell::new(BTreeMap::new()) };
+    static MUTED: Cell<u32> = const { Cell::new(0) };
+}
+
+/// True when spans and op counts record on this thread.
+fn recording_here() -> bool {
+    enabled() && MUTED.with(|m| m.get() == 0)
+}
+
+/// Runs `f` with this thread's spans and op counts switched off — for
+/// bookkeeping that runs real ops but is not pipeline work (recording a
+/// forward to compile a plan, which only happens on a plan-cache miss).
+/// Global counters are unaffected.
+pub fn muted<T>(f: impl FnOnce() -> T) -> T {
+    MUTED.with(|m| m.set(m.get() + 1));
+    // Restore the depth even if `f` panics.
+    struct Guard;
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            MUTED.with(|m| m.set(m.get() - 1));
+        }
+    }
+    let _guard = Guard;
+    f()
 }
 
 /// RAII handle returned by [`span`]; records count + elapsed time on drop.
@@ -335,7 +358,7 @@ impl Drop for SpanGuard {
 /// recording is disabled this returns an inert guard after one relaxed load.
 #[must_use = "the span ends when the returned guard is dropped"]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !enabled() {
+    if !recording_here() {
         return SpanGuard {
             active: None,
             _not_send: PhantomData,
@@ -354,7 +377,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// Counts one dispatch of tensor op `op` on the current thread.
 #[inline]
 pub fn count_op(op: &'static str) {
-    if enabled() {
+    if recording_here() {
         OP_COUNTS.with(|c| {
             *c.borrow_mut().entry(op).or_insert(0) += 1;
         });
@@ -648,6 +671,32 @@ mod tests {
         assert!(snap.spans.is_empty());
         assert!(snap.ops.is_empty());
         assert_eq!(snap.counter("pool.jobs"), 0);
+    }
+
+    #[test]
+    fn muted_work_records_no_spans_or_ops() {
+        let _g = locked();
+        set_enabled(true);
+        reset();
+        {
+            let _outer = span("kept");
+            muted(|| {
+                let _s = span("hidden");
+                count_op("hidden_op");
+            });
+            count_op("kept_op");
+        }
+        let snap = snapshot();
+        assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.spans[0].name, "kept");
+        assert!(snap.spans[0].children.is_empty());
+        set_enabled(false);
+        let ops: Vec<(&str, u64)> = snap
+            .ops
+            .iter()
+            .map(|o| (o.name.as_str(), o.count))
+            .collect();
+        assert_eq!(ops, [("kept_op", 1)]);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! `timekd-registry/v1`: model/geometry hyperparameters, precision, the
 //! ordered parameter table, and an FNV-1a checksum of the blob file) plus
 //! `params.bin` (the parameters as concatenated `TKT1` tensor blobs in
-//! manifest order). Publishing snapshots a live [`Student`]; loading
-//! re-traces the symbolic forecast graph from the manifest alone,
-//! recompiles the [`Plan`] at the manifest's precision, and cross-checks
-//! every blob label and shape against the fresh trace — so a corrupt
+//! manifest order). Publishing snapshots a live [`Student`] under the
+//! labels of its naming walk; loading fetches the forecast [`Plan`] for
+//! the manifest's geometry and precision from the plan cache (recording
+//! and compiling it on a miss), and cross-checks every blob label and
+//! shape against the plan's parameters — so a corrupt
 //! manifest, a truncated blob, a checksum mismatch, or a shape drift is a
 //! precise [`RegistryError`] at load time, never a panic at serve time.
 
@@ -17,13 +18,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-use timekd::{
-    bind_student_params, student_plan_spec_with_precision, trace_student, Student, TimeKdConfig,
-};
+use timekd::{bind_student_params, student_forecast_plan, Student, TimeKdConfig};
 use timekd_obs::json::Json;
 use timekd_tensor::bytes::Bytes;
 use timekd_tensor::io::{decode_tensor, encode_tensor};
-use timekd_tensor::{Plan, PlanExecutor, Precision, Tensor};
+use timekd_tensor::{Plan, PlanExecutor, Precision, Tensor, ValueSource};
 
 /// Manifest schema identifier written to and required from every version.
 pub const MANIFEST_SCHEMA: &str = "timekd-registry/v1";
@@ -51,16 +50,16 @@ pub enum RegistryError {
         /// Decoder diagnostic.
         reason: String,
     },
-    /// A loaded parameter's shape disagrees with the recompiled plan's trace.
+    /// A loaded parameter's shape disagrees with the recompiled plan's.
     ShapeMismatch {
         /// Parameter label.
         label: String,
-        /// Shape expected by the fresh symbolic trace.
+        /// Shape the plan expects.
         expected: Vec<usize>,
         /// Shape found in the manifest/blob.
         found: Vec<usize>,
     },
-    /// Tracing or compiling the plan from the manifest config failed.
+    /// Recording or compiling the plan from the manifest config failed.
     Plan(String),
 }
 
@@ -427,10 +426,10 @@ pub fn latest_version(root: &Path) -> Option<u64> {
     list_versions(root).pop()
 }
 
-/// Publishes `student` as `v<version>`: traces the student to fix
-/// the parameter label order, writes `params.bin` (concatenated `TKT1`
-/// blobs) and then `manifest.json` (last, so a crashed publish never
-/// leaves a listable version).
+/// Publishes `student` as `v<version>`: writes its parameters in naming-walk
+/// order to `params.bin` (concatenated `TKT1` blobs) and then
+/// `manifest.json` (last, so a crashed publish never leaves a listable
+/// version).
 pub fn publish(
     root: &Path,
     version: u64,
@@ -438,15 +437,7 @@ pub fn publish(
     config: &TimeKdConfig,
     precision: Precision,
 ) -> Result<Manifest, RegistryError> {
-    let trace = trace_student(
-        config,
-        student.input_len(),
-        student.horizon(),
-        student.num_vars(),
-    )
-    .map_err(|e| RegistryError::Plan(format!("student trace failed: {e}")))?;
-    let params =
-        bind_student_params(&trace, student).map_err(|e| RegistryError::Plan(e.message))?;
+    let params = bind_student_params(student);
 
     let mut blob: Vec<u8> = Vec::new();
     let mut table = Vec::with_capacity(params.len());
@@ -486,8 +477,9 @@ pub fn publish(
 /// Validation order (each stage has its own error variant so fault
 /// injection can assert precision): version dir exists → manifest parses
 /// field-by-field → `params.bin` matches the manifest checksum → every
-/// blob decodes with the manifest's label/shape → the forecast plan
-/// recompiles from the manifest config → every plan parameter resolves
+/// blob decodes with the manifest's label/shape → the forecast plan for
+/// the manifest config comes from the plan cache (recorded and compiled on
+/// a miss) → every plan parameter resolves
 /// against the loaded values with matching shapes (probed by binding one
 /// throwaway executor).
 pub fn load(root: &Path, version: u64) -> Result<LoadedModel, RegistryError> {
@@ -538,36 +530,36 @@ pub fn load(root: &Path, version: u64) -> Result<LoadedModel, RegistryError> {
     }
 
     let config = manifest.config();
-    let trace = trace_student(
+    let plan = student_forecast_plan(
         &config,
         manifest.input_len,
         manifest.horizon,
         manifest.num_vars,
+        manifest.precision,
     )
-    .map_err(|e| RegistryError::Plan(format!("student trace failed: {e}")))?;
-    for sym in trace.ctx.params() {
-        match values.get(sym.label()) {
-            Some((dims, _)) if *dims == sym.sizes() => {}
+    .map_err(|e| RegistryError::Plan(format!("{e:?}")))?;
+    for v in plan
+        .values()
+        .iter()
+        .filter(|v| v.source == ValueSource::Param)
+    {
+        match values.get(&v.label) {
+            Some((dims, _)) if *dims == v.dims => {}
             Some((dims, _)) => {
                 return Err(RegistryError::ShapeMismatch {
-                    label: sym.label().to_string(),
-                    expected: sym.sizes(),
+                    label: v.label.clone(),
+                    expected: v.dims.clone(),
                     found: dims.clone(),
                 });
             }
             None => {
                 return Err(RegistryError::Manifest(format!(
                     "plan parameter `{}` missing from manifest",
-                    sym.label()
+                    v.label
                 )));
             }
         }
     }
-    let plan = Plan::compile(
-        &trace.prediction,
-        &student_plan_spec_with_precision(manifest.precision),
-    )
-    .map_err(|e| RegistryError::Plan(format!("{e:?}")))?;
 
     let mut model = LoadedModel {
         manifest,

@@ -60,6 +60,7 @@ pub mod parallel;
 pub mod plan;
 pub mod plan_batch;
 pub mod plan_train;
+pub mod recorder;
 pub mod rng;
 #[cfg(feature = "sanitize")]
 pub mod sanitize;
@@ -79,11 +80,9 @@ pub use plan::{
 };
 pub use plan_batch::{BatchTrainExecutor, ReduceStep};
 pub use plan_train::{BwdStep, GradMode, PlanOptimizer, TrainExecutor, TrainSpec, UpdateStep};
+pub use recorder::{RecordedNode, Recorder, Rewrite};
 pub use rng::SeededRng;
 pub use shape::{IndexIter, Shape};
 pub use simd::F32x8;
-pub use symbolic::{
-    find_path, graph_stats, reachable_params, render_dims, ShapeError, SymCtx, SymDim,
-    SymGraphStats, SymbolicTensor,
-};
-pub use tensor::{is_grad_disabled, no_grad, Tensor};
+pub use symbolic::{find_path, reachable_params, ShapeError, SymAttr, SymCtx, SymbolicTensor};
+pub use tensor::{is_grad_disabled, is_recording, no_grad, record, Tensor};

@@ -88,6 +88,7 @@ use crate::ops::matmul::pack_transpose_into;
 use crate::parallel;
 use crate::shape::Shape;
 use crate::simd::{self, F32x8};
+use crate::symbolic::SymAttr;
 use crate::tensor::Tensor;
 
 /// Additive mask bias that forbids a key. Masks built from it (the causal
@@ -745,7 +746,8 @@ impl Tensor {
                     }
                 }
             }),
-        );
+        )
+        .with_rec(|| SymAttr::None, || mask.cloned());
         let map_t = Tensor::from_op(
             "fused_attention_map",
             map,
@@ -791,7 +793,8 @@ impl Tensor {
                     }
                 }
             }),
-        );
+        )
+        .with_rec(|| SymAttr::None, || Some(out_t.clone()));
         (out_t, map_t)
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::ops::broadcast_offsets;
 use crate::shape::Shape;
+use crate::symbolic::SymAttr;
 use crate::tensor::Tensor;
 
 /// True if `src` broadcasts to `out` purely by repetition along *leading*
@@ -213,11 +214,13 @@ impl Tensor {
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, c: f32) -> Tensor {
         self.unary_op("add_scalar", move |x| x + c, |_, _, g| g)
+            .with_rec(|| SymAttr::Scalar(c), || None)
     }
 
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&self, c: f32) -> Tensor {
         self.unary_op("mul_scalar", move |x| x * c, move |_, _, g| g * c)
+            .with_rec(|| SymAttr::Scalar(c), || None)
     }
 
     /// Element-wise negation.

@@ -1,6 +1,7 @@
 //! Reductions: full and per-axis sums and means.
 
 use crate::shape::Shape;
+use crate::symbolic::SymAttr;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -82,6 +83,7 @@ impl Tensor {
                 x.accumulate_grad(&gx);
             }),
         )
+        .with_rec(|| SymAttr::Axis { axis, keepdim }, || None)
     }
 
     /// Means along `axis`.

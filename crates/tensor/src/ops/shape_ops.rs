@@ -1,6 +1,7 @@
 //! Shape manipulation: reshape, permute/transpose, slice, concat, gather.
 
 use crate::shape::Shape;
+use crate::symbolic::SymAttr;
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -90,6 +91,7 @@ impl Tensor {
                 x.accumulate_grad(&gx.data());
             }),
         )
+        .with_rec(|| SymAttr::Perm(perm.to_vec()), || None)
     }
 
     /// Swaps the last two axes (rank ≥ 2).
@@ -142,6 +144,7 @@ impl Tensor {
                 x.accumulate_grad(&gx);
             }),
         )
+        .with_rec(|| SymAttr::Slice { axis, start, len }, || None)
     }
 
     /// Concatenates tensors along `axis`. All other axes must match.
@@ -203,6 +206,7 @@ impl Tensor {
                 }
             }),
         )
+        .with_rec(|| SymAttr::Concat { axis }, || None)
     }
 
     /// Selects rows of a rank-2 tensor: `self[V, D]` gathered by `indices`

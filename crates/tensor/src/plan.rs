@@ -420,7 +420,7 @@ pub(crate) fn lower_forward(
                 let id = values.len();
                 values.push(PlanValue {
                     source: ValueSource::Input,
-                    dims: node.sizes(),
+                    dims: node.dims().to_vec(),
                     label: node.label().to_string(),
                     sym_ids: vec![node.id()],
                     slot: None,
@@ -438,7 +438,7 @@ pub(crate) fn lower_forward(
             if val_of.contains_key(&node.id()) {
                 continue;
             }
-            if node.sizes().len() > MAX_PLAN_RANK {
+            if node.dims().len() > MAX_PLAN_RANK {
                 return Err(PlanError::new(format!(
                     "`{}` at `{}` exceeds max plan rank {MAX_PLAN_RANK}",
                     node.op_name(),
@@ -450,7 +450,7 @@ pub(crate) fn lower_forward(
                     let id = values.len();
                     values.push(PlanValue {
                         source: ValueSource::Param,
-                        dims: node.sizes(),
+                        dims: node.dims().to_vec(),
                         label: node.label().to_string(),
                         sym_ids: vec![node.id()],
                         slot: None,
@@ -477,7 +477,7 @@ pub(crate) fn lower_forward(
                         let id = values.len();
                         values.push(PlanValue {
                             source: ValueSource::Target,
-                            dims: node.sizes(),
+                            dims: node.dims().to_vec(),
                             label,
                             sym_ids: vec![node.id()],
                             slot: None,
@@ -498,7 +498,7 @@ pub(crate) fn lower_forward(
                         let id = values.len();
                         values.push(PlanValue {
                             source: ValueSource::Aux(k),
-                            dims: node.sizes(),
+                            dims: node.dims().to_vec(),
                             label,
                             sym_ids: vec![node.id()],
                             slot: None,
@@ -533,18 +533,18 @@ pub(crate) fn lower_forward(
                                 ))
                             })?;
                             if values[src].dims.len() != 2
-                                || node.sizes() != vec![1, values[src].dims[1]]
+                                || node.dims() != [1, values[src].dims[1]]
                             {
                                 return Err(PlanError::new(format!(
                                     "stat leaf `{label}` shape {:?} does not match input {:?}",
-                                    node.sizes(),
+                                    node.dims(),
                                     values[src].dims
                                 )));
                             }
                             let vid = values.len();
                             values.push(PlanValue {
                                 source: ValueSource::Step(steps.len()),
-                                dims: node.sizes(),
+                                dims: node.dims().to_vec(),
                                 label: label.clone(),
                                 sym_ids: vec![node.id()],
                                 slot: None,
@@ -586,7 +586,7 @@ pub(crate) fn lower_forward(
                     let vid = values.len();
                     values.push(PlanValue {
                         source: ValueSource::Step(steps.len()),
-                        dims: node.sizes(),
+                        dims: node.dims().to_vec(),
                         label: node.label().to_string(),
                         sym_ids: vec![node.id()],
                         slot: None,
@@ -728,11 +728,6 @@ impl Plan {
     /// follow the update-step order.
     pub fn reduce_steps(&self) -> &[ReduceStep] {
         &self.reduce_steps
-    }
-
-    /// Finds the value realizing symbolic node `sym_id`, if lowered.
-    pub fn value_for_sym(&self, sym_id: u64) -> Option<ValueId> {
-        self.values.iter().position(|v| v.sym_ids.contains(&sym_id))
     }
 
     /// Arena range `(offset, len)` of an arena-backed value.
@@ -878,7 +873,7 @@ fn lower_op(node: &SymbolicTensor) -> Result<PlanOp, PlanError> {
         "fused_attention" => {
             let q = &node.parents()[0];
             let k = &node.parents()[1];
-            let (qd, kd) = (q.sizes(), k.sizes());
+            let (qd, kd) = (q.dims(), k.dims());
             PlanOp::FusedAttention {
                 heads: qd[0],
                 tq: qd[1],
@@ -889,7 +884,7 @@ fn lower_op(node: &SymbolicTensor) -> Result<PlanOp, PlanError> {
         "fused_attention_map" => {
             let q = &node.parents()[0];
             let k = &node.parents()[1];
-            let (qd, kd) = (q.sizes(), k.sizes());
+            let (qd, kd) = (q.dims(), k.dims());
             PlanOp::FusedAttentionMap {
                 heads: qd[0],
                 tq: qd[1],
@@ -1743,12 +1738,8 @@ impl PlanExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbolic::{SymCtx, SymDim};
+    use crate::symbolic::SymCtx;
     use crate::tensor::Tensor;
-
-    fn d(name: &str, size: usize) -> SymDim {
-        SymDim::new(name, size)
-    }
 
     fn spec() -> PlanSpec {
         PlanSpec {
@@ -1765,9 +1756,9 @@ mod tests {
     #[test]
     fn plan_matches_dynamic_small_graph() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("t", 4), d("n", 3)]);
-        let w = ctx.param("w", vec![d("n", 3), d("o", 2)]);
-        let b = ctx.param("b", vec![d("o", 2)]);
+        let x = ctx.constant("x", vec![4, 3]);
+        let w = ctx.param("w", vec![3, 2]);
+        let b = ctx.param("b", vec![2]);
         let root = x
             .matmul(&w)
             .unwrap()
@@ -1803,7 +1794,7 @@ mod tests {
     #[test]
     fn liveness_reuses_slots() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("t", 8), d("n", 8)]);
+        let x = ctx.constant("x", vec![8, 8]);
         let mut cur = x.clone();
         for _ in 0..6 {
             cur = cur.relu().mul_scalar(1.01);
@@ -1827,7 +1818,7 @@ mod tests {
     #[test]
     fn unsupported_op_is_rejected() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("t", 4), d("n", 3)]);
+        let x = ctx.constant("x", vec![4, 3]);
         let root = x.softmax_last();
         let err = Plan::compile(&root, &spec()).unwrap_err();
         assert!(err.message.contains("softmax_last"), "{}", err.message);
@@ -1836,8 +1827,8 @@ mod tests {
     #[test]
     fn unclassified_leaf_is_rejected() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("t", 4), d("n", 3)]);
-        let mystery = ctx.constant("mystery", vec![d("t", 4), d("n", 3)]);
+        let x = ctx.constant("x", vec![4, 3]);
+        let mystery = ctx.constant("mystery", vec![4, 3]);
         let root = x.add(&mystery).unwrap();
         let err = Plan::compile(&root, &spec()).unwrap_err();
         assert!(err.message.contains("mystery"), "{}", err.message);
@@ -1850,8 +1841,8 @@ mod tests {
         let ctx = SymCtx::new();
         let t = 5;
         let n = 3;
-        let x = ctx.constant("x", vec![d("T", t), d("N", n)]);
-        let stat_dims = vec![SymDim::anon(1), d("N", n)];
+        let x = ctx.constant("x", vec![t, n]);
+        let stat_dims = vec![1, n];
         let mu1 = ctx.constant("mu", stat_dims.clone());
         let std1 = ctx.constant("std", stat_dims.clone());
         let normed = x.sub(&mu1).unwrap().div(&std1).unwrap();
@@ -1910,8 +1901,8 @@ mod tests {
     #[test]
     fn faults_corrupt_the_right_axis() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("t", 4), d("n", 4)]);
-        let w = ctx.param("w", vec![d("n", 4), d("o", 4)]);
+        let x = ctx.constant("x", vec![4, 4]);
+        let w = ctx.param("w", vec![4, 4]);
         let root = x.matmul(&w).unwrap().relu().add(&x).unwrap();
         let plan = Plan::compile(&root, &spec()).unwrap();
 
@@ -1944,7 +1935,7 @@ mod tests {
     #[test]
     fn executor_rejects_aliasing_plan() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("t", 4), d("n", 4)]);
+        let x = ctx.constant("x", vec![4, 4]);
         let root = x.relu().mul_scalar(2.0).relu();
         let mut plan = Plan::compile(&root, &spec()).unwrap();
         plan.inject_fault(PlanFault::OverlapSlots);

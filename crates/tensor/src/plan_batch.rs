@@ -322,8 +322,8 @@ impl BatchTrainExecutor {
     }
 
     /// Reads `len` floats at arena offset `off` in window `w`'s lane.
-    /// Pair with [`Plan::value_for_sym`] and [`Plan::arena_range`] to
-    /// pull pinned component values out of a finished batch.
+    /// Pair with [`Plan::pinned`] and [`Plan::arena_range`] to pull
+    /// pinned component values out of a finished batch.
     pub fn lane_value(&self, w: usize, off: usize, len: usize) -> &[f32] {
         self.lanes[w].arena_value(off, len)
     }
@@ -335,12 +335,8 @@ mod tests {
     use crate::parallel::with_threads;
     use crate::plan::{PlanFault, Precision, ValueSource};
     use crate::plan_train::PlanOptimizer;
-    use crate::symbolic::{SymCtx, SymDim};
+    use crate::symbolic::SymCtx;
     use crate::{seeded_rng, Tensor};
-
-    fn d(name: &str, size: usize) -> SymDim {
-        SymDim::new(name, size)
-    }
 
     fn spec() -> PlanSpec {
         PlanSpec {
@@ -365,10 +361,10 @@ mod tests {
     /// Symbolic mirror of the dynamic graph used in the reference below:
     /// loss = mean(smooth_l1(relu(x·w + bias), y)).
     fn mlp_loss(ctx: &SymCtx) -> SymbolicTensor {
-        let x = ctx.constant("x", vec![d("t", 4), d("in", 3)]);
-        let y = ctx.constant("y", vec![d("t", 4), d("out", 2)]);
-        let w = ctx.param("w", vec![d("in", 3), d("out", 2)]);
-        let b = ctx.param("bias", vec![d("out", 2)]);
+        let x = ctx.constant("x", vec![4, 3]);
+        let y = ctx.constant("y", vec![4, 2]);
+        let w = ctx.param("w", vec![3, 2]);
+        let b = ctx.param("bias", vec![2]);
         let h = x.matmul(&w).unwrap().add(&b).unwrap().relu();
         h.smooth_l1(&y).unwrap().mean()
     }

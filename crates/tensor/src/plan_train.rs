@@ -1596,12 +1596,8 @@ impl TrainExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbolic::{SymCtx, SymDim};
+    use crate::symbolic::SymCtx;
     use crate::{seeded_rng, Tensor};
-
-    fn d(name: &str, size: usize) -> SymDim {
-        SymDim::new(name, size)
-    }
 
     fn spec() -> PlanSpec {
         PlanSpec {
@@ -1616,10 +1612,10 @@ mod tests {
     /// Symbolic mirror of the dynamic graph in the tests below:
     /// loss = mean(smooth_l1(relu(x·w + bias), y)).
     fn mlp_loss(ctx: &SymCtx) -> SymbolicTensor {
-        let x = ctx.constant("x", vec![d("t", 4), d("in", 3)]);
-        let y = ctx.constant("y", vec![d("t", 4), d("out", 2)]);
-        let w = ctx.param("w", vec![d("in", 3), d("out", 2)]);
-        let b = ctx.param("bias", vec![d("out", 2)]);
+        let x = ctx.constant("x", vec![4, 3]);
+        let y = ctx.constant("y", vec![4, 2]);
+        let w = ctx.param("w", vec![3, 2]);
+        let b = ctx.param("bias", vec![2]);
         let h = x.matmul(&w).unwrap().add(&b).unwrap().relu();
         h.smooth_l1(&y).unwrap().mean()
     }
@@ -1776,9 +1772,9 @@ mod tests {
         // land on the same buffer (Init then Accum), exactly like the
         // dynamic double `accumulate_grad`.
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("n", 3)]);
-        let y = ctx.constant("y", vec![d("n", 3)]);
-        let p = ctx.param("p", vec![d("n", 3)]);
+        let x = ctx.constant("x", vec![3]);
+        let y = ctx.constant("y", vec![3]);
+        let p = ctx.param("p", vec![3]);
         let loss = p
             .mul(&p)
             .unwrap()
@@ -1811,10 +1807,10 @@ mod tests {
     #[test]
     fn frozen_params_receive_no_updates() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("t", 4), d("in", 3)]);
-        let y = ctx.constant("y", vec![d("t", 4), d("out", 2)]);
-        let w = ctx.frozen(|| ctx.param("w_frozen", vec![d("in", 3), d("out", 2)]));
-        let b = ctx.param("bias", vec![d("out", 2)]);
+        let x = ctx.constant("x", vec![4, 3]);
+        let y = ctx.constant("y", vec![4, 2]);
+        let w = ctx.frozen(|| ctx.param("w_frozen", vec![3, 2]));
+        let b = ctx.param("bias", vec![2]);
         let loss = x
             .matmul(&w)
             .unwrap()
@@ -1848,8 +1844,8 @@ mod tests {
     #[test]
     fn forward_only_plans_reject_training_execution() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("n", 4)]);
-        let w = ctx.param("w", vec![d("n", 4)]);
+        let x = ctx.constant("x", vec![4]);
+        let w = ctx.param("w", vec![4]);
         let out = x.mul(&w).unwrap();
         let plan = Plan::compile(&out, &spec()).unwrap();
         assert!(!plan.is_training());
@@ -1861,9 +1857,9 @@ mod tests {
     #[test]
     fn training_root_must_be_scalar() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("n", 4)]);
-        let y = ctx.constant("y", vec![d("n", 4)]);
-        let w = ctx.param("w", vec![d("n", 4)]);
+        let x = ctx.constant("x", vec![4]);
+        let y = ctx.constant("y", vec![4]);
+        let w = ctx.param("w", vec![4]);
         let loss = x.mul(&w).unwrap().smooth_l1(&y).unwrap();
         let err = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", adamw()))
             .expect_err("vector loss must be rejected");

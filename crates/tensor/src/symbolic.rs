@@ -1,11 +1,10 @@
 //! Symbolic graph IR: shape inference and gradient-flow analysis without
 //! executing kernels.
 //!
-//! A [`SymbolicTensor`] mirrors one autograd node — op name, shape, parents,
-//! `requires_grad` — but carries *named* dimensions ([`SymDim`]) instead of
-//! data, so a whole model forward can be traced in microseconds and
-//! type-checked for every configuration. The op set matches the real
-//! [`Tensor`](crate::Tensor) ops one-for-one, including the tracking rule of
+//! A [`SymbolicTensor`] stands for one autograd node — op name, shape,
+//! parents, `requires_grad` — but carries no data. Graphs are not written by hand: the
+//! [`Recorder`](crate::Recorder) replays a recorded real forward through
+//! these constructors, one per real op, so the tracking rule is that of
 //! `Tensor::from_op`: a node produced under [`SymCtx::no_grad`] or with no
 //! grad-requiring parent records no *gradient* edges (it becomes a frontier
 //! leaf exactly as the real engine's untracked nodes do), though full
@@ -13,62 +12,24 @@
 //!
 //! Three analyses build on the IR:
 //! - every op returns `Result<_, ShapeError>`, so shape inference is the
-//!   trace itself — a mismatch surfaces with a provenance chain naming the
+//!   replay itself — a mismatch surfaces with a provenance chain naming the
 //!   offending op;
 //! - [`reachable_params`] walks gradient edges from a loss root, yielding
 //!   the set of parameters the backward pass would update — the basis for
 //!   loss→parameter flow matrices and frozen-parameter proofs;
-//! - [`graph_stats`] reproduces the counts of the dynamic
-//!   [`GraphAudit`](crate::GraphAudit) (nodes, edges, leaves, params, depth)
-//!   so symbolic and executed graphs can be cross-checked for agreement.
+//! - [`find_path`] names the gradient route from a loss to a parameter,
+//!   the provenance of gradient-flow findings.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
-/// A named symbolic dimension with a concrete size for the configuration
-/// being verified, e.g. `d_model(32)` or `N(7)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SymDim {
-    /// Human-readable dimension name (`"B"`, `"L"`, `"N"`, `"d_model"`, …).
-    pub name: String,
-    /// Concrete size under the traced configuration.
-    pub size: usize,
-}
+use crate::shape::Shape;
 
-impl SymDim {
-    /// Builds a named dimension.
-    pub fn new(name: impl Into<String>, size: usize) -> SymDim {
-        SymDim {
-            name: name.into(),
-            size,
-        }
-    }
-
-    /// An anonymous dimension (shown as just its size).
-    pub fn anon(size: usize) -> SymDim {
-        SymDim {
-            name: String::new(),
-            size,
-        }
-    }
-}
-
-impl fmt::Display for SymDim {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.name.is_empty() {
-            write!(f, "{}", self.size)
-        } else {
-            write!(f, "{}({})", self.name, self.size)
-        }
-    }
-}
-
-/// Renders a symbolic shape as `[L(96), d_model(32)]`.
-pub fn render_dims(dims: &[SymDim]) -> String {
-    let parts: Vec<String> = dims.iter().map(|d| d.to_string()).collect();
-    format!("[{}]", parts.join(", "))
+/// Renders a shape as `[96, 32]`.
+fn render_dims(dims: &[usize]) -> String {
+    format!("{dims:?}")
 }
 
 /// A static shape-inference failure, carrying the op that rejected its
@@ -138,13 +99,27 @@ pub enum SymAttr {
     },
     /// Axis order of `permute`.
     Perm(Vec<usize>),
+    /// Window of `slice`: `start..start + len` along `axis`.
+    Slice {
+        /// Sliced axis.
+        axis: usize,
+        /// First kept index.
+        start: usize,
+        /// Kept length.
+        len: usize,
+    },
+    /// Joined axis of `concat`.
+    Concat {
+        /// Concatenation axis.
+        axis: usize,
+    },
 }
 
 struct SymNode {
     id: u64,
     op: &'static str,
     label: String,
-    dims: Vec<SymDim>,
+    dims: Vec<usize>,
     attr: SymAttr,
     /// Full provenance parents — always recorded, even when untracked.
     parents: Vec<SymbolicTensor>,
@@ -186,8 +161,8 @@ struct CtxInner {
     params: Vec<SymbolicTensor>,
 }
 
-/// Tracing context: id allocation, `no_grad`/frozen scopes, component
-/// labels, and the registry of parameters created during the trace.
+/// Replay context: id allocation, `no_grad`/frozen scopes, component
+/// labels, and the registry of parameters created during the replay.
 #[derive(Clone)]
 pub struct SymCtx {
     inner: Rc<RefCell<CtxInner>>,
@@ -251,19 +226,9 @@ impl SymCtx {
         }
     }
 
-    /// Runs `f` with `name` pushed onto the component-label scope, so nodes
-    /// created inside report labels like `student.encoder.layer0.ln1`.
-    pub fn scoped<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        self.inner.borrow_mut().scope.push(name.to_string());
-        let out = f();
-        self.inner.borrow_mut().scope.pop();
-        out
-    }
-
-    /// Runs `f` with the scope replaced by the absolute `path`. Module
-    /// mirrors capture their construction path and re-enter it in their
-    /// forward methods so ops report the same component labels as the
-    /// parameters they touch.
+    /// Runs `f` with the component-label scope replaced by `path`, so nodes
+    /// created inside report labels like `student.encoder.layer0.ln1` (the
+    /// recorder replays each op under its module's path).
     pub fn with_label<R>(&self, path: &str, f: impl FnOnce() -> R) -> R {
         let saved = std::mem::take(&mut self.inner.borrow_mut().scope);
         if !path.is_empty() {
@@ -272,16 +237,6 @@ impl SymCtx {
         let out = f();
         self.inner.borrow_mut().scope = saved;
         out
-    }
-
-    /// The current component label (joined scope stack).
-    pub fn label(&self) -> String {
-        self.current_label()
-    }
-
-    /// Joins the current scope with `name` (how leaf labels are formed).
-    pub fn label_for(&self, name: &str) -> String {
-        self.scoped_label(name)
     }
 
     /// Runs `f` with gradient tracking disabled, mirroring
@@ -308,7 +263,7 @@ impl SymCtx {
         &self,
         op: &'static str,
         name: &str,
-        dims: Vec<SymDim>,
+        dims: Vec<usize>,
         is_param: bool,
     ) -> SymbolicTensor {
         let frozen = self.inner.borrow().frozen_depth > 0;
@@ -335,18 +290,13 @@ impl SymCtx {
     }
 
     /// Registers a trainable parameter leaf (mirrors `Tensor::param`).
-    pub fn param(&self, name: &str, dims: Vec<SymDim>) -> SymbolicTensor {
+    pub fn param(&self, name: &str, dims: Vec<usize>) -> SymbolicTensor {
         self.leaf("param", name, dims, true)
     }
 
     /// Creates a constant leaf (mirrors `Tensor::from_vec`).
-    pub fn constant(&self, name: &str, dims: Vec<SymDim>) -> SymbolicTensor {
+    pub fn constant(&self, name: &str, dims: Vec<usize>) -> SymbolicTensor {
         self.leaf("leaf", name, dims, false)
-    }
-
-    /// Scalar constant leaf (mirrors `Tensor::scalar`).
-    pub fn scalar(&self, name: &str) -> SymbolicTensor {
-        self.leaf("leaf", name, Vec::new(), false)
     }
 
     /// All parameters registered during the trace, in creation order.
@@ -361,7 +311,7 @@ impl SymbolicTensor {
     fn from_op(
         ctx: &SymCtx,
         op: &'static str,
-        dims: Vec<SymDim>,
+        dims: Vec<usize>,
         parents: Vec<SymbolicTensor>,
     ) -> SymbolicTensor {
         SymbolicTensor::from_op_attr(ctx, op, dims, parents, SymAttr::None)
@@ -370,7 +320,7 @@ impl SymbolicTensor {
     fn from_op_attr(
         ctx: &SymCtx,
         op: &'static str,
-        dims: Vec<SymDim>,
+        dims: Vec<usize>,
         parents: Vec<SymbolicTensor>,
         attr: SymAttr,
     ) -> SymbolicTensor {
@@ -400,11 +350,6 @@ impl SymbolicTensor {
         self.node.id
     }
 
-    /// The tracing context this node belongs to.
-    pub fn ctx(&self) -> &SymCtx {
-        &self.ctx
-    }
-
     /// Producing op name (`"leaf"` / `"param"` for leaves).
     pub fn op_name(&self) -> &'static str {
         self.node.op
@@ -422,18 +367,13 @@ impl SymbolicTensor {
     }
 
     /// Symbolic shape.
-    pub fn dims(&self) -> &[SymDim] {
+    pub fn dims(&self) -> &[usize] {
         &self.node.dims
-    }
-
-    /// Concrete sizes of the symbolic shape.
-    pub fn sizes(&self) -> Vec<usize> {
-        self.node.dims.iter().map(|d| d.size).collect()
     }
 
     /// Product of all dimension sizes.
     pub fn num_elements(&self) -> usize {
-        self.node.dims.iter().map(|d| d.size).product()
+        self.node.dims.iter().product()
     }
 
     /// Mirrors `Tensor::requires_grad`.
@@ -522,49 +462,22 @@ impl SymbolicTensor {
         &self,
         other: &SymbolicTensor,
         op: &'static str,
-    ) -> Result<Vec<SymDim>, ShapeError> {
-        let a = &self.node.dims;
-        let b = &other.node.dims;
-        let rank = a.len().max(b.len());
-        let mut out = Vec::with_capacity(rank);
-        for i in 0..rank {
-            let da = if i < rank - a.len() {
-                None
-            } else {
-                Some(&a[i - (rank - a.len())])
-            };
-            let db = if i < rank - b.len() {
-                None
-            } else {
-                Some(&b[i - (rank - b.len())])
-            };
-            let d = match (da, db) {
-                (Some(x), None) | (None, Some(x)) => x.clone(),
-                (Some(x), Some(y)) if x.size == y.size => {
-                    if x.name.is_empty() {
-                        y.clone()
-                    } else {
-                        x.clone()
-                    }
-                }
-                (Some(x), Some(y)) if x.size == 1 => y.clone(),
-                (Some(x), Some(y)) if y.size == 1 => x.clone(),
-                (Some(x), Some(y)) => {
-                    return Err(self.err(
-                        op,
-                        format!(
-                            "cannot broadcast {} with {}: axis {i} has {x} vs {y}",
-                            render_dims(a),
-                            render_dims(b)
-                        ),
-                        &[self, other],
-                    ));
-                }
-                (None, None) => unreachable!(),
-            };
-            out.push(d);
-        }
-        Ok(out)
+    ) -> Result<Vec<usize>, ShapeError> {
+        let (a, b) = (self.dims(), other.dims());
+        Shape::new(a.to_vec())
+            .broadcast_with(&Shape::new(b.to_vec()))
+            .map(|s| s.dims().to_vec())
+            .ok_or_else(|| {
+                self.err(
+                    op,
+                    format!(
+                        "cannot broadcast {} with {}",
+                        render_dims(a),
+                        render_dims(b)
+                    ),
+                    &[self, other],
+                )
+            })
     }
 
     fn binary(&self, other: &SymbolicTensor, op: &'static str) -> SymResult {
@@ -599,7 +512,7 @@ impl SymbolicTensor {
 
     /// Mirrors `Tensor::smooth_l1` — requires identical shapes.
     pub fn smooth_l1(&self, target: &SymbolicTensor) -> SymResult {
-        if self.sizes() != target.sizes() {
+        if self.dims() != target.dims() {
             return Err(self.err(
                 "smooth_l1",
                 format!(
@@ -696,7 +609,7 @@ impl SymbolicTensor {
         }
         let mut dims = self.node.dims.clone();
         if keepdim {
-            dims[axis] = SymDim::anon(1);
+            dims[axis] = 1;
         } else {
             dims.remove(axis);
         }
@@ -709,13 +622,6 @@ impl SymbolicTensor {
         ))
     }
 
-    /// Mirrors `Tensor::mean_axis` = `sum_axis` + `mul_scalar(1/count)`.
-    pub fn mean_axis(&self, axis: usize, keepdim: bool) -> SymResult {
-        let summed = self.sum_axis(axis, keepdim)?;
-        let count = self.node.dims[axis].size;
-        Ok(summed.mul_scalar(1.0 / count as f32))
-    }
-
     // ---- matmul (rank dispatch mirrors `Tensor::matmul`) ----
 
     /// Mirrors `Tensor::matmul`: `[M,K]@[K,N]`, `[B,M,K]@[B,K,N]`, or
@@ -725,36 +631,36 @@ impl SymbolicTensor {
         let b = &other.node.dims;
         match (a.len(), b.len()) {
             (2, 2) => {
-                self.check_inner("matmul_2d", &a[1], &b[0], other)?;
+                self.check_inner("matmul_2d", a[1], b[0], other)?;
                 Ok(SymbolicTensor::from_op(
                     &self.ctx,
                     "matmul_2d",
-                    vec![a[0].clone(), b[1].clone()],
+                    vec![a[0], b[1]],
                     vec![self.clone(), other.clone()],
                 ))
             }
             (3, 3) => {
-                if a[0].size != b[0].size {
+                if a[0] != b[0] {
                     return Err(self.err(
                         "matmul_batched",
                         format!("batch dims differ: {} vs {}", a[0], b[0]),
                         &[self, other],
                     ));
                 }
-                self.check_inner("matmul_batched", &a[2], &b[1], other)?;
+                self.check_inner("matmul_batched", a[2], b[1], other)?;
                 Ok(SymbolicTensor::from_op(
                     &self.ctx,
                     "matmul_batched",
-                    vec![a[0].clone(), a[1].clone(), b[2].clone()],
+                    vec![a[0], a[1], b[2]],
                     vec![self.clone(), other.clone()],
                 ))
             }
             (3, 2) => {
-                self.check_inner("matmul_3d_2d", &a[2], &b[0], other)?;
+                self.check_inner("matmul_3d_2d", a[2], b[0], other)?;
                 Ok(SymbolicTensor::from_op(
                     &self.ctx,
                     "matmul_3d_2d",
-                    vec![a[0].clone(), a[1].clone(), b[1].clone()],
+                    vec![a[0], a[1], b[1]],
                     vec![self.clone(), other.clone()],
                 ))
             }
@@ -773,11 +679,11 @@ impl SymbolicTensor {
     fn check_inner(
         &self,
         op: &str,
-        lhs: &SymDim,
-        rhs: &SymDim,
+        lhs: usize,
+        rhs: usize,
         other: &SymbolicTensor,
     ) -> Result<(), ShapeError> {
-        if lhs.size != rhs.size {
+        if lhs != rhs {
             return Err(self.err(
                 op,
                 format!(
@@ -795,8 +701,8 @@ impl SymbolicTensor {
 
     /// Mirrors `Tensor::reshape` — element count must be preserved, which
     /// is what catches a head dim that does not divide the model dim.
-    pub fn reshape(&self, dims: Vec<SymDim>) -> SymResult {
-        let new: usize = dims.iter().map(|d| d.size).product();
+    pub fn reshape(&self, dims: Vec<usize>) -> SymResult {
+        let new: usize = dims.iter().product();
         if new != self.num_elements() {
             return Err(self.err(
                 "reshape",
@@ -836,7 +742,7 @@ impl SymbolicTensor {
                 &[self],
             ));
         }
-        let dims = perm.iter().map(|&p| self.node.dims[p].clone()).collect();
+        let dims = perm.iter().map(|&p| self.node.dims[p]).collect();
         Ok(SymbolicTensor::from_op_attr(
             &self.ctx,
             "permute",
@@ -846,28 +752,9 @@ impl SymbolicTensor {
         ))
     }
 
-    /// Mirrors `Tensor::transpose_last` (a permute swapping the last two
-    /// axes).
-    pub fn transpose_last(&self) -> SymResult {
-        let rank = self.node.dims.len();
-        if rank < 2 {
-            return Err(self.err(
-                "permute",
-                format!(
-                    "transpose_last needs rank >= 2, got {}",
-                    render_dims(self.dims())
-                ),
-                &[self],
-            ));
-        }
-        let mut perm: Vec<usize> = (0..rank).collect();
-        perm.swap(rank - 2, rank - 1);
-        self.permute(&perm)
-    }
-
     /// Mirrors `Tensor::slice`.
-    pub fn slice(&self, axis: usize, start: usize, len: usize, name: &str) -> SymResult {
-        if axis >= self.node.dims.len() || start + len > self.node.dims[axis].size {
+    pub fn slice(&self, axis: usize, start: usize, len: usize) -> SymResult {
+        if axis >= self.node.dims.len() || start + len > self.node.dims[axis] {
             return Err(self.err(
                 "slice",
                 format!(
@@ -879,17 +766,18 @@ impl SymbolicTensor {
             ));
         }
         let mut dims = self.node.dims.clone();
-        dims[axis] = SymDim::new(name, len);
-        Ok(SymbolicTensor::from_op(
+        dims[axis] = len;
+        Ok(SymbolicTensor::from_op_attr(
             &self.ctx,
             "slice",
             dims,
             vec![self.clone()],
+            SymAttr::Slice { axis, start, len },
         ))
     }
 
     /// Mirrors `Tensor::concat` along `axis`.
-    pub fn concat(tensors: &[SymbolicTensor], axis: usize, name: &str) -> SymResult {
+    pub fn concat(tensors: &[SymbolicTensor], axis: usize) -> SymResult {
         let first = tensors.first().expect("concat of zero tensors");
         let rank = first.node.dims.len();
         let mut total = 0usize;
@@ -906,7 +794,7 @@ impl SymbolicTensor {
                 ));
             }
             for (i, (a, b)) in first.node.dims.iter().zip(t.node.dims.iter()).enumerate() {
-                if i != axis && a.size != b.size {
+                if i != axis && a != b {
                     return Err(first.err(
                         "concat",
                         format!(
@@ -918,15 +806,16 @@ impl SymbolicTensor {
                     ));
                 }
             }
-            total += t.node.dims[axis].size;
+            total += t.node.dims[axis];
         }
         let mut dims = first.node.dims.clone();
-        dims[axis] = SymDim::new(name, total);
-        Ok(SymbolicTensor::from_op(
+        dims[axis] = total;
+        Ok(SymbolicTensor::from_op_attr(
             &first.ctx,
             "concat",
             dims,
             tensors.to_vec(),
+            SymAttr::Concat { axis },
         ))
     }
 
@@ -954,9 +843,9 @@ impl SymbolicTensor {
                 &[q, k],
             ));
         }
-        let (heads, tq, dh) = (q.node.dims[0].size, &q.node.dims[1], q.node.dims[2].size);
-        let tk = &k.node.dims[1];
-        if k.node.dims[0].size != heads || k.node.dims[2].size != dh {
+        let (heads, tq, dh) = (q.node.dims[0], q.node.dims[1], q.node.dims[2]);
+        let tk = k.node.dims[1];
+        if k.node.dims[0] != heads || k.node.dims[2] != dh {
             return Err(q.err(
                 "fused_attention",
                 format!(
@@ -967,7 +856,7 @@ impl SymbolicTensor {
                 &[q, k],
             ));
         }
-        if v.sizes() != k.sizes() {
+        if v.dims() != k.dims() {
             return Err(k.err(
                 "fused_attention",
                 format!(
@@ -979,14 +868,14 @@ impl SymbolicTensor {
             ));
         }
         if let Some(m) = mask {
-            if m.sizes() != vec![tq.size, tk.size] {
+            if m.dims() != [tq, tk] {
                 return Err(m.err(
                     "fused_attention",
                     format!(
                         "mask {} does not match scores [{}, {}]",
                         render_dims(m.dims()),
-                        tq.size,
-                        tk.size
+                        tq,
+                        tk
                     ),
                     &[q, k, m],
                 ));
@@ -1002,20 +891,20 @@ impl SymbolicTensor {
         let out = SymbolicTensor::from_op(
             &q.ctx,
             "fused_attention",
-            vec![tq.clone(), SymDim::new("d_model", heads * dh)],
+            vec![tq, heads * dh],
             vec![q.clone(), k.clone(), v.clone()],
         );
         let map = SymbolicTensor::from_op(
             &q.ctx,
             "fused_attention_map",
-            vec![tq.clone(), tk.clone()],
+            vec![tq, tk],
             vec![q.clone(), k.clone()],
         );
         Ok((out, map))
     }
 
     /// Mirrors `Tensor::index_select_rows` on a rank-2 table.
-    pub fn index_select_rows(&self, num_indices: usize, name: &str) -> SymResult {
+    pub fn index_select_rows(&self, num_indices: usize) -> SymResult {
         if self.node.dims.len() != 2 {
             return Err(self.err(
                 "index_select_rows",
@@ -1023,7 +912,7 @@ impl SymbolicTensor {
                 &[self],
             ));
         }
-        let dims = vec![SymDim::new(name, num_indices), self.node.dims[1].clone()];
+        let dims = vec![num_indices, self.node.dims[1]];
         Ok(SymbolicTensor::from_op(
             &self.ctx,
             "index_select_rows",
@@ -1052,59 +941,6 @@ impl SymbolicTensor {
             ctx: self.ctx.clone(),
         }
     }
-}
-
-/// Aggregate statistics over the symbolic graph reachable from `root`
-/// through *gradient* edges — directly comparable with the dynamic
-/// [`GraphStats`](crate::GraphStats).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SymGraphStats {
-    /// Total reachable nodes.
-    pub nodes: usize,
-    /// Total gradient edges (sum of recorded parents per node).
-    pub edges: usize,
-    /// Leaves: constants, params, and untracked frontier nodes.
-    pub leaves: usize,
-    /// Trainable leaves.
-    pub params: usize,
-    /// Longest root-to-leaf path length in edges.
-    pub max_depth: usize,
-}
-
-/// Walks the gradient graph reachable from `root`, reproducing the node,
-/// edge, leaf, param and depth accounting of the dynamic
-/// [`GraphAudit`](crate::GraphAudit).
-pub fn graph_stats(root: &SymbolicTensor) -> SymGraphStats {
-    let mut stats = SymGraphStats::default();
-    let mut depth: HashMap<u64, usize> = HashMap::new();
-    let mut stack = vec![(root.clone(), 0usize)];
-    while let Some((t, d)) = stack.pop() {
-        match depth.get(&t.id()) {
-            Some(&seen) if seen >= d => continue,
-            Some(_) => {
-                depth.insert(t.id(), d);
-                for p in t.grad_parents() {
-                    stack.push((p.clone(), d + 1));
-                }
-                continue;
-            }
-            None => {}
-        }
-        depth.insert(t.id(), d);
-        stats.nodes += 1;
-        stats.edges += t.grad_parents().len();
-        stats.max_depth = stats.max_depth.max(d);
-        if t.is_leaf() {
-            stats.leaves += 1;
-            if t.requires_grad() {
-                stats.params += 1;
-            }
-        }
-        for p in t.grad_parents() {
-            stack.push((p.clone(), d + 1));
-        }
-    }
-    stats
 }
 
 /// All parameter leaves reachable from `root` through gradient edges — the
@@ -1163,48 +999,45 @@ pub fn find_path(root: &SymbolicTensor, target_id: u64) -> Option<Vec<String>> {
 mod tests {
     use super::*;
 
-    fn d(name: &str, size: usize) -> SymDim {
-        SymDim::new(name, size)
-    }
-
     #[test]
     fn matmul_shape_inference() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("L", 96), d("N", 7)]);
-        let w = ctx.param("w", vec![d("N", 7), d("d", 32)]);
+        let x = ctx.constant("x", vec![96, 7]);
+        let w = ctx.param("w", vec![7, 32]);
         let y = x.matmul(&w).unwrap();
-        assert_eq!(y.sizes(), vec![96, 32]);
+        assert_eq!(y.dims(), [96, 32]);
         assert_eq!(y.op_name(), "matmul_2d");
     }
 
     #[test]
     fn matmul_mismatch_has_provenance() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("L", 96), d("N", 7)]);
-        let w = ctx.param("w", vec![d("d", 32), d("d", 32)]);
-        let err = ctx.scoped("student.embed", || x.matmul(&w)).unwrap_err();
+        let x = ctx.constant("x", vec![96, 7]);
+        let w = ctx.param("w", vec![32, 32]);
+        let err = ctx
+            .with_label("student.embed", || x.matmul(&w))
+            .unwrap_err();
         assert_eq!(err.op, "matmul_2d");
         assert_eq!(err.label, "student.embed");
-        assert!(err.message.contains("N(7)"), "{}", err.message);
-        assert!(err.message.contains("d(32)"), "{}", err.message);
+        assert!(err.message.contains("(7 != 32)"), "{}", err.message);
         assert!(!err.provenance.is_empty());
     }
 
     #[test]
     fn broadcast_matches_engine_rules() {
         let ctx = SymCtx::new();
-        let a = ctx.constant("a", vec![d("L", 4), d("N", 3)]);
-        let b = ctx.constant("b", vec![SymDim::anon(1), d("N", 3)]);
-        assert_eq!(a.add(&b).unwrap().sizes(), vec![4, 3]);
-        let c = ctx.constant("c", vec![d("M", 5)]);
+        let a = ctx.constant("a", vec![4, 3]);
+        let b = ctx.constant("b", vec![1, 3]);
+        assert_eq!(a.add(&b).unwrap().dims(), [4, 3]);
+        let c = ctx.constant("c", vec![5]);
         assert!(a.add(&c).is_err());
     }
 
     #[test]
     fn tracking_mirrors_from_op() {
         let ctx = SymCtx::new();
-        let p = ctx.param("p", vec![d("n", 4)]);
-        let c = ctx.constant("c", vec![d("n", 4)]);
+        let p = ctx.param("p", vec![4]);
+        let c = ctx.constant("c", vec![4]);
         // Constant-only op: untracked, counts as a leaf.
         let cc = c.mul_scalar(2.0);
         assert!(!cc.requires_grad() && cc.is_leaf());
@@ -1218,23 +1051,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_match_dynamic_audit_on_tiny_graph() {
-        // Mirror of audit::tests::tiny_graph: param -> mul_scalar -> sum.
-        let ctx = SymCtx::new();
-        let p = ctx.param("p", vec![d("n", 3)]);
-        let loss = p.mul_scalar(2.0).sum();
-        let s = graph_stats(&loss);
-        assert_eq!(s.nodes, 3);
-        assert_eq!(s.edges, 2);
-        assert_eq!(s.leaves, 1);
-        assert_eq!(s.params, 1);
-        assert_eq!(s.max_depth, 2);
-    }
-
-    #[test]
     fn detach_blocks_gradient_reachability() {
         let ctx = SymCtx::new();
-        let p = ctx.param("p", vec![d("n", 3)]);
+        let p = ctx.param("p", vec![3]);
         let reachable = p.mul_scalar(2.0).sum();
         let blocked = p.mul_scalar(2.0).detach().sum();
         assert_eq!(reachable_params(&reachable).len(), 1);
@@ -1246,7 +1065,7 @@ mod tests {
     #[test]
     fn find_path_names_route() {
         let ctx = SymCtx::new();
-        let p = ctx.scoped("enc", || ctx.param("w", vec![d("n", 2)]));
+        let p = ctx.with_label("enc", || ctx.param("w", vec![2]));
         let loss = p.relu().sum();
         let path = find_path(&loss, p.id()).unwrap();
         assert_eq!(path.len(), 3);
@@ -1258,8 +1077,8 @@ mod tests {
     #[test]
     fn frozen_scope_marks_params() {
         let ctx = SymCtx::new();
-        let f = ctx.frozen(|| ctx.param("tok", vec![d("V", 10), d("D", 4)]));
-        let t = ctx.param("w", vec![d("D", 4)]);
+        let f = ctx.frozen(|| ctx.param("tok", vec![10, 4]));
+        let t = ctx.param("w", vec![4]);
         assert!(f.is_frozen() && !t.is_frozen());
         assert_eq!(ctx.params().len(), 2);
     }
@@ -1267,25 +1086,21 @@ mod tests {
     #[test]
     fn reshape_rejects_element_count_change() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("t", 5), d("d", 6)]);
-        assert!(x.reshape(vec![d("t", 5), d("h", 2), d("dh", 3)]).is_ok());
-        let err = x
-            .reshape(vec![d("t", 5), d("h", 4), d("dh", 1)])
-            .unwrap_err();
+        let x = ctx.constant("x", vec![5, 6]);
+        assert!(x.reshape(vec![5, 2, 3]).is_ok());
+        let err = x.reshape(vec![5, 4, 1]).unwrap_err();
         assert!(err.message.contains("30 elements"), "{}", err.message);
     }
 
     #[test]
     fn slice_and_concat_shapes() {
         let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![d("s", 10), d("d", 4)]);
-        let last = x.slice(0, 9, 1, "last").unwrap();
-        assert_eq!(last.sizes(), vec![1, 4]);
-        assert!(x.slice(0, 8, 3, "oob").is_err());
-        let rows: Vec<SymbolicTensor> = (0..3)
-            .map(|_| ctx.constant("r", vec![SymDim::anon(1), d("d", 4)]))
-            .collect();
-        let cat = SymbolicTensor::concat(&rows, 0, "N").unwrap();
-        assert_eq!(cat.sizes(), vec![3, 4]);
+        let x = ctx.constant("x", vec![10, 4]);
+        let last = x.slice(0, 9, 1).unwrap();
+        assert_eq!(last.dims(), [1, 4]);
+        assert!(x.slice(0, 8, 3).is_err());
+        let rows: Vec<SymbolicTensor> = (0..3).map(|_| ctx.constant("r", vec![1, 4])).collect();
+        let cat = SymbolicTensor::concat(&rows, 0).unwrap();
+        assert_eq!(cat.dims(), [3, 4]);
     }
 }

@@ -7,6 +7,11 @@
 //! subgraph and propagates gradients. Tensors are reference-counted and
 //! cheap to clone (a clone is a new handle to the same node).
 //!
+//! Inside a [`record`] scope every op keeps its parents whether or not it
+//! tracks gradients, together with the static payload the symbolic IR
+//! needs ([`SymAttr`], the attention mask, a detach's source), so
+//! [`crate::recorder::Recorder`] can replay the real forward as IR.
+//!
 //! Threading model: the *graph* is single-threaded by design — `Rc`
 //! handles, `RefCell` buffers, one thread per graph; experiment-level
 //! parallelism happens across independent model instances, never across
@@ -22,10 +27,12 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::shape::Shape;
+use crate::symbolic::SymAttr;
 
 thread_local! {
     static NEXT_ID: Cell<u64> = const { Cell::new(0) };
     static NO_GRAD_DEPTH: Cell<u32> = const { Cell::new(0) };
+    static RECORD_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 fn next_id() -> u64 {
@@ -47,21 +54,54 @@ pub fn is_grad_disabled() -> bool {
 /// tensors that require grad — used for inference, metric computation, and
 /// cached teacher embeddings.
 pub fn no_grad<T>(f: impl FnOnce() -> T) -> T {
-    NO_GRAD_DEPTH.with(|c| c.set(c.get() + 1));
+    with_depth(&NO_GRAD_DEPTH, f)
+}
+
+/// Returns true while inside a [`record`] scope.
+pub fn is_recording() -> bool {
+    RECORD_DEPTH.with(|c| c.get() > 0)
+}
+
+/// Runs `f` with graph recording on: every op created inside keeps its
+/// parents (tracked or not) and its IR payload, and every detach keeps its
+/// source, so [`crate::recorder::Recorder`] can replay the computation.
+/// Kernels and gradient tracking behave exactly as outside the scope;
+/// spans and op counts are muted ([`timekd_obs::muted`]), since a
+/// recording is plan bookkeeping rather than pipeline work.
+pub fn record<T>(f: impl FnOnce() -> T) -> T {
+    with_depth(&RECORD_DEPTH, || timekd_obs::muted(f))
+}
+
+fn with_depth<T>(depth: &'static std::thread::LocalKey<Cell<u32>>, f: impl FnOnce() -> T) -> T {
+    depth.with(|c| c.set(c.get() + 1));
     // Ensure the depth is restored even if `f` panics.
-    struct Guard;
+    struct Guard(&'static std::thread::LocalKey<Cell<u32>>);
     impl Drop for Guard {
         fn drop(&mut self) {
-            NO_GRAD_DEPTH.with(|c| c.set(c.get() - 1));
+            self.0.with(|c| c.set(c.get() - 1));
         }
     }
-    let _guard = Guard;
+    let _guard = Guard(depth);
     f()
 }
 
 /// Backward closure: receives the output gradient and the parent handles,
 /// and accumulates into each parent's gradient buffer.
 pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[Tensor])>;
+
+/// What a [`record`] scope keeps on a node beyond its op name, shape and
+/// parents.
+pub(crate) struct Rec {
+    /// Static operand payload (scalars, axes, permutations, slices).
+    pub(crate) attr: SymAttr,
+    /// Inputs that are data rather than parents: the additive mask of a
+    /// `fused_attention` node, or the context node a `fused_attention_map`
+    /// was produced with.
+    pub(crate) side: Option<Tensor>,
+    /// Name of a constant leaf inside the module owning `side` (see
+    /// [`Tensor::named`]).
+    pub(crate) name: &'static str,
+}
 
 pub(crate) struct TensorInner {
     id: u64,
@@ -74,6 +114,7 @@ pub(crate) struct TensorInner {
     requires_grad: bool,
     parents: Vec<Tensor>,
     backward: Option<BackwardFn>,
+    rec: Option<Box<Rec>>,
 }
 
 impl Drop for TensorInner {
@@ -119,6 +160,7 @@ impl Tensor {
                 requires_grad: false,
                 parents: Vec::new(),
                 backward: None,
+                rec: None,
             }),
         }
     }
@@ -142,6 +184,7 @@ impl Tensor {
                 requires_grad: true,
                 parents: Vec::new(),
                 backward: None,
+                rec: None,
             }),
         }
     }
@@ -150,7 +193,8 @@ impl Tensor {
     ///
     /// If gradients are globally disabled or no parent requires grad, the
     /// node is constant and records nothing (the op name is kept either
-    /// way so diagnostics work under `no_grad` too).
+    /// way so diagnostics work under `no_grad` too) — except inside a
+    /// [`record`] scope, where the parents are kept regardless.
     pub(crate) fn from_op(
         op: &'static str,
         data: Vec<f32>,
@@ -171,10 +215,56 @@ impl Tensor {
                 data: RefCell::new(data),
                 grad: RefCell::new(None),
                 requires_grad: track,
-                parents: if track { parents } else { Vec::new() },
+                parents: if track || is_recording() {
+                    parents
+                } else {
+                    Vec::new()
+                },
                 backward: if track { Some(backward) } else { None },
+                rec: None,
             }),
         }
+    }
+
+    /// Attaches the IR payload of a freshly created node while recording;
+    /// outside a [`record`] scope neither closure runs.
+    pub(crate) fn with_rec(
+        self,
+        attr: impl FnOnce() -> SymAttr,
+        side: impl FnOnce() -> Option<Tensor>,
+    ) -> Tensor {
+        self.set_rec(|| Rec {
+            attr: attr(),
+            side: side(),
+            name: "",
+        })
+    }
+
+    /// The recorded payload, when this node was created inside a
+    /// [`record`] scope and carries one.
+    pub(crate) fn rec(&self) -> Option<&Rec> {
+        self.inner.rec.as_deref()
+    }
+
+    /// Names a fresh constant leaf `name` inside the module that owns the
+    /// parameter `owner`, so a recording labels it `<owner's module>.<name>`
+    /// (RevIN's instance statistics, for example). Free outside a
+    /// [`record`] scope.
+    pub fn named(self, name: &'static str, owner: &Tensor) -> Tensor {
+        self.set_rec(|| Rec {
+            attr: SymAttr::None,
+            side: Some(owner.clone()),
+            name,
+        })
+    }
+
+    fn set_rec(mut self, rec: impl FnOnce() -> Rec) -> Tensor {
+        if is_recording() {
+            Rc::get_mut(&mut self.inner)
+                .expect("a payload is attached to a fresh node")
+                .rec = Some(Box::new(rec()));
+        }
+        self
     }
 
     /// Zero-filled constant tensor.
@@ -214,7 +304,9 @@ impl Tensor {
         self.inner.op
     }
 
-    /// Recorded parent nodes (empty for leaves and untracked ops).
+    /// Recorded parent nodes: empty for leaves and, outside a [`record`]
+    /// scope, for untracked ops. A detach recorded in a [`record`] scope
+    /// keeps its source as its one parent.
     #[inline]
     pub fn parents(&self) -> &[Tensor] {
         &self.inner.parents
@@ -404,9 +496,17 @@ impl Tensor {
     }
 
     /// Returns a constant tensor sharing this tensor's current values but
-    /// cut off from the graph.
+    /// cut off from the graph. Inside a [`record`] scope the leaf keeps
+    /// its source as a (gradient-free) parent.
     pub fn detach(&self) -> Tensor {
-        Tensor::from_vec(self.to_vec(), self.shape().clone())
+        let mut leaf = Tensor::from_vec(self.to_vec(), self.shape().clone());
+        if is_recording() {
+            Rc::get_mut(&mut leaf.inner)
+                .expect("fresh leaf")
+                .parents
+                .push(self.clone());
+        }
+        leaf
     }
 
     /// Runs reverse-mode autodiff from this tensor.

@@ -15,10 +15,10 @@ fi
 echo "==> timekd-check --lints (source rules, allowlist, tracked artifacts)"
 cargo run -q -p timekd-check -- --lints --strict
 
-echo "==> timekd-check --verify (symbolic shape + gradient-flow proofs)"
+echo "==> timekd-check --verify (shape + gradient-flow proofs over the replayed recording of a real training step)"
 cargo run -q -p timekd-check -- --verify
 
-echo "==> timekd-check --graph (dynamic audits + symbolic cross-check)"
+echo "==> timekd-check --graph (dynamic graph audits + frozen-LM invariant)"
 cargo run -q -p timekd-check -- --graph
 
 echo "==> timekd-check --plan (forward: liveness, arena, graph diff; training proofs on the objective plan the trainer runs (PKD + forecast, clip, AdamW; B=1 and B=4): adjoint completeness, reverse schedule, saved-activation liveness, bitwise plan-vs-dynamic updates; batched: reduction completeness, per-lane arena disjointness — all configs)"
@@ -30,7 +30,7 @@ cargo build --release --workspace
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> bitwise gates (planned vs dynamic oracle, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, one CLM forward per pretraining step)"
+echo "==> bitwise gates (planned vs dynamic oracle, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, one CLM forward per pretraining step, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned epoch must reproduce the
 # dynamic per-window loop bit for bit, and the batched fold must be
@@ -55,6 +55,14 @@ cargo test -q -p timekd-lm --lib -- --exact \
   pretrain::tests::shared_forward_losses_match_separate_forwards_bitwise
 cargo test -q -p timekd-lm --test pretrain_trace -- --exact \
   pretraining_runs_one_encoder_forward_per_step
+# Plans are lowered from a recording of the real modules: every plan the
+# `--plan` matrix covers must match the committed fingerprint fixture, and
+# every op the recorder replays must give the IR node built directly.
+cargo test -q -p timekd-check --lib -- --exact \
+  plan::tests::plan_fingerprints_match_the_committed_fixture
+cargo test -q -p timekd-tensor --lib -- --exact \
+  recorder::tests::every_replayed_op_equals_the_directly_built_ir_node \
+  recorder::tests::unreplayable_op_is_an_error_naming_op_and_component
 
 echo "==> serving integration suite (pooled executors, bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
 # Same rationale as the determinism gates: re-run the serving contract
