@@ -65,6 +65,19 @@ fn bench_clm_prompt() {
     bench("clm_last_token_embedding", 20, || {
         no_grad(|| lm.last_token_embedding(black_box(&prompt), true));
     });
+    // One variable's rendered (ground-truth, historical) prompt pair at the
+    // quickstart geometry (96 steps of history, 24 ahead), as the teacher
+    // embeds it: one family sharing the pair's common prefix.
+    let x = Tensor::randn([96, 1], 1.0, &mut rng);
+    let y = Tensor::randn([24, 1], 1.0, &mut rng);
+    let prompts = timekd::render_prompts(&tok, &x, &y, &TimeKdConfig::default());
+    let pair = [
+        prompts.ground_truth[0].as_slice(),
+        prompts.historical[0].as_slice(),
+    ];
+    bench("clm_prompt_family", 20, || {
+        no_grad(|| lm.last_token_embeddings(black_box(&pair), true));
+    });
 }
 
 fn bench_sca() {

@@ -76,20 +76,28 @@ impl CrossModalityTeacher {
         }
     }
 
-    /// Last-token prompt embeddings `[N, D]` via the frozen CLM + trainable
-    /// projection.
-    fn clm_embeddings(&self, prompts: &[Vec<timekd_lm::Token>]) -> Tensor {
+    /// Last-token embeddings of each variable's (ground-truth, historical)
+    /// prompt pair via the frozen CLM + trainable projection: `(L_GT,
+    /// L_HD)`, `[N, D]` each. A pair runs as one prompt family
+    /// ([`FrozenLm::embed_family`]), so its common prefix — the historical
+    /// prompt's text up to the future values — is computed once.
+    fn clm_embeddings(
+        &self,
+        ground_truth: &[Vec<timekd_lm::Token>],
+        historical: &[Vec<timekd_lm::Token>],
+    ) -> (Tensor, Tensor) {
         let _span = timekd_obs::span("teacher.clm_embed");
         let calibrated = self.config.ablation.calibrated_attention;
         let lm_dim = self.frozen_lm.model().config().dim;
-        let n = prompts.len();
-        let rows: Vec<Tensor> = prompts
-            .iter()
-            .map(|p| self.frozen_lm.embed(p, calibrated).reshape([1, lm_dim]))
-            .collect();
-        let stacked = Tensor::concat(&rows, 0);
-        debug_assert_eq!(stacked.dims(), &[n, lm_dim]);
-        self.lm_proj.forward(&stacked)
+        let mut gt_rows = Vec::with_capacity(ground_truth.len());
+        let mut hd_rows = Vec::with_capacity(historical.len());
+        for (gt, hd) in ground_truth.iter().zip(historical) {
+            let pair = self.frozen_lm.embed_family(&[gt, hd], calibrated);
+            gt_rows.push(pair[0].reshape([1, lm_dim]));
+            hd_rows.push(pair[1].reshape([1, lm_dim]));
+        }
+        let project = |rows: &[Tensor]| self.lm_proj.forward(&Tensor::concat(rows, 0));
+        (project(&gt_rows), project(&hd_rows))
     }
 
     /// Teacher forward for one window.
@@ -109,10 +117,7 @@ impl CrossModalityTeacher {
                 // w/o_PI: the "traditional teacher" only ever sees history.
                 &prompts.historical
             };
-            (
-                self.clm_embeddings(gt_prompts),
-                self.clm_embeddings(&prompts.historical),
-            )
+            self.clm_embeddings(gt_prompts, &prompts.historical)
         } else {
             // w/o_CLM: embed raw value sequences per variable.
             let xt = x.transpose_last(); // [N, H]

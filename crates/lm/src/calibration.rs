@@ -19,18 +19,25 @@ use crate::tokenizer::Token;
 /// - `−delta` when tokens `i` and `j` differ in modality (Eq. 5);
 /// - `0` otherwise.
 pub fn calibrated_mask(tokens: &[Token], delta: f32, causal: bool) -> Tensor {
+    calibrated_mask_rows(tokens, delta, causal, 0)
+}
+
+/// Rows `start..S` `[S − start, S]` of [`calibrated_mask`].
+pub fn calibrated_mask_rows(tokens: &[Token], delta: f32, causal: bool, start: usize) -> Tensor {
     let s = tokens.len();
-    let mut data = vec![0.0f32; s * s];
-    for i in 0..s {
+    assert!(start <= s, "calibrated_mask_rows: start {start} > {s}");
+    let mut data = vec![0.0f32; (s - start) * s];
+    for i in start..s {
+        let row = (i - start) * s;
         for j in 0..s {
             if causal && j > i {
-                data[i * s + j] = NEG_INF;
+                data[row + j] = NEG_INF;
             } else if tokens[i].modality != tokens[j].modality {
-                data[i * s + j] = -delta;
+                data[row + j] = -delta;
             }
         }
     }
-    Tensor::from_vec(data, [s, s])
+    Tensor::from_vec(data, [s - start, s])
 }
 
 #[cfg(test)]

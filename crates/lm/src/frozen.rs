@@ -37,6 +37,16 @@ impl CacheEntry {
     }
 }
 
+/// Where [`FrozenLm::embed_family`] takes one prompt's embedding from.
+enum Source {
+    /// The `n`th miss of the call, computed now.
+    Miss(usize),
+    /// A hit on the `n`th miss of the same call.
+    Repeat(usize),
+    /// A verified hit on a stored entry.
+    Cached(Vec<f32>),
+}
+
 /// A frozen language model with embedding memoisation.
 ///
 /// The model is shared via `Rc` and the tensor engine is single-threaded,
@@ -79,44 +89,101 @@ impl FrozenLm {
     }
 
     /// Last-token embedding `[D]` as a constant tensor, served from the
-    /// cache when this exact prompt has been embedded before.
+    /// cache when this exact prompt has been embedded before. The
+    /// one-prompt case of [`embed_family`](Self::embed_family).
     ///
     /// A digest hit only counts as a cache hit after the stored full key
     /// matches the query; colliding entries are recomputed and replaced.
     pub fn embed(&self, tokens: &[Token], calibrated: bool) -> Tensor {
+        let mut out = self.embed_family(&[tokens], calibrated);
+        out.pop().expect("one prompt, one embedding")
+    }
+
+    /// Last-token embeddings `[D]` of several prompts, in order, as
+    /// constant tensors. Verified hits come from the cache; the misses run
+    /// as one family ([`CausalLm::last_token_embeddings`]), so prompts that
+    /// share a prefix (a variable's ground-truth and historical prompts)
+    /// compute it once.
+    ///
+    /// Hits, misses, collisions and the cache afterwards are exactly those
+    /// of calling [`embed`](Self::embed) on each prompt in turn: a prompt
+    /// that repeats an earlier miss of the same call is a hit on it.
+    pub fn embed_family(&self, prompts: &[&[Token]], calibrated: bool) -> Vec<Tensor> {
         let _span = timekd_obs::span("lm.embed");
         let caching = self.caching_enabled.get();
-        let key = cache_key(tokens, calibrated);
-        if caching {
-            if let Some(entry) = self.cache.borrow().get(&key) {
-                if entry.matches(tokens, calibrated) {
-                    self.hits.set(self.hits.get() + 1);
-                    timekd_obs::LM_CACHE_HITS.add(1);
-                    return Tensor::from_vec(entry.data.clone(), [self.lm.config().dim]);
+        let dim = self.lm.config().dim;
+        let keys: Vec<u64> = prompts.iter().map(|t| cache_key(t, calibrated)).collect();
+        // Prompt indices of the misses, in order.
+        let mut misses: Vec<usize> = Vec::new();
+        let mut sources = Vec::with_capacity(prompts.len());
+        {
+            let cache = self.cache.borrow();
+            for (i, &tokens) in prompts.iter().enumerate() {
+                if caching {
+                    // The entry a sequential `embed` would find: the latest
+                    // earlier miss under this digest, else the stored one.
+                    let found = match misses.iter().rposition(|&m| keys[m] == keys[i]) {
+                        Some(slot) => {
+                            Some((prompts[misses[slot]] == tokens).then_some(Source::Repeat(slot)))
+                        }
+                        None => cache.get(&keys[i]).map(|entry| {
+                            entry
+                                .matches(tokens, calibrated)
+                                .then(|| Source::Cached(entry.data.clone()))
+                        }),
+                    };
+                    match found {
+                        Some(Some(source)) => {
+                            self.hits.set(self.hits.get() + 1);
+                            timekd_obs::LM_CACHE_HITS.add(1);
+                            sources.push(source);
+                            continue;
+                        }
+                        Some(None) => {
+                            self.collisions.set(self.collisions.get() + 1);
+                            timekd_obs::LM_CACHE_COLLISIONS.add(1);
+                        }
+                        None => {}
+                    }
                 }
-                self.collisions.set(self.collisions.get() + 1);
-                timekd_obs::LM_CACHE_COLLISIONS.add(1);
+                self.misses.set(self.misses.get() + 1);
+                timekd_obs::LM_CACHE_MISSES.add(1);
+                sources.push(Source::Miss(misses.len()));
+                misses.push(i);
             }
         }
-        self.misses.set(self.misses.get() + 1);
-        timekd_obs::LM_CACHE_MISSES.add(1);
-        let emb = {
+        let computed: Vec<Tensor> = if misses.is_empty() {
+            Vec::new()
+        } else {
             let _span = timekd_obs::span("lm.forward");
-            no_grad(|| self.lm.last_token_embedding(tokens, calibrated))
+            let family: Vec<&[Token]> = misses.iter().map(|&i| prompts[i]).collect();
+            // Constant leaves; a recording keeps the forward behind each.
+            no_grad(|| self.lm.last_token_embeddings(&family, calibrated))
+                .iter()
+                .map(Tensor::detach)
+                .collect()
         };
-        // A constant leaf; a recording keeps the forward behind it.
-        let out = emb.detach();
         if caching {
-            self.cache.borrow_mut().insert(
-                key,
-                CacheEntry {
-                    tokens: tokens.to_vec(),
-                    calibrated,
-                    data: out.to_vec(),
-                },
-            );
+            let mut cache = self.cache.borrow_mut();
+            for (&i, emb) in misses.iter().zip(&computed) {
+                cache.insert(
+                    keys[i],
+                    CacheEntry {
+                        tokens: prompts[i].to_vec(),
+                        calibrated,
+                        data: emb.to_vec(),
+                    },
+                );
+            }
         }
-        out
+        sources
+            .into_iter()
+            .map(|source| match source {
+                Source::Miss(slot) => computed[slot].clone(),
+                Source::Repeat(slot) => Tensor::from_vec(computed[slot].to_vec(), [dim]),
+                Source::Cached(data) => Tensor::from_vec(data, [dim]),
+            })
+            .collect()
     }
 
     /// Enables or disables the embedding cache (the design-choice ablation
@@ -283,6 +350,72 @@ mod tests {
         assert_eq!(got.to_vec(), again.to_vec());
         assert_eq!(frozen.cache_stats(), (1, 1));
         assert_eq!(frozen.collision_count(), 1);
+    }
+
+    /// Embeds `prompts` as one `embed_family` call on `batch` and as
+    /// sequential `embed` calls on `seq`; values, counters and cache size
+    /// must agree.
+    fn assert_family_matches_sequential(
+        batch: &FrozenLm,
+        seq: &FrozenLm,
+        prompts: &[&[Token]],
+        calibrated: bool,
+    ) {
+        let got = batch.embed_family(prompts, calibrated);
+        let want: Vec<Tensor> = prompts.iter().map(|p| seq.embed(p, calibrated)).collect();
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "prompt {i}");
+            assert!(!g.requires_grad(), "prompt {i} joined the graph");
+        }
+        assert_eq!(batch.cache_stats(), seq.cache_stats(), "hits, misses");
+        assert_eq!(batch.collision_count(), seq.collision_count(), "collisions");
+        assert_eq!(batch.cache_len(), seq.cache_len(), "cache_len");
+    }
+
+    #[test]
+    fn family_batch_matches_sequential_embeds() {
+        let (tok, batch) = setup();
+        let (_, seq) = setup();
+        let series = |vals: &[f32]| {
+            let mut pieces = vec![PromptPiece::Word("values"), PromptPiece::Word("were")];
+            pieces.extend(vals.iter().map(|&v| PromptPiece::Number(v)));
+            tok.encode(&pieces)
+        };
+        let hist = series(&[0.5, 1.0, -0.5, 2.0, 0.25, -1.0, 1.5, 0.0, -2.0, 0.75]);
+        let gt = series(&[
+            0.5, 1.0, -0.5, 2.0, 0.25, -1.0, 1.5, 0.0, -2.0, 0.75, 1.0, 1.25, -0.25,
+        ]);
+        let other = series(&[3.0, -3.0]);
+        for calibrated in [true, false] {
+            // Both miss and share a prefix; then both hit.
+            assert_family_matches_sequential(&batch, &seq, &[&gt, &hist], calibrated);
+            assert_family_matches_sequential(&batch, &seq, &[&hist, &gt], calibrated);
+            // One hit, one miss; a duplicate inside one batch (`w/o_PI`
+            // passes the historical prompt twice) is a hit on its first
+            // occurrence.
+            assert_family_matches_sequential(&batch, &seq, &[&other, &gt], calibrated);
+            batch.clear_cache();
+            seq.clear_cache();
+            assert_family_matches_sequential(&batch, &seq, &[&hist, &hist, &gt], calibrated);
+        }
+        // Caching off: every prompt is a miss, duplicates included.
+        batch.set_caching(false);
+        seq.set_caching(false);
+        assert_family_matches_sequential(&batch, &seq, &[&gt, &hist, &gt], true);
+        batch.set_caching(true);
+        seq.set_caching(true);
+        // A forced digest collision is recomputed, counted and replaced,
+        // and the replacement serves the repeat later in the batch.
+        batch.clear_cache();
+        seq.clear_cache();
+        let dim = batch.model().config().dim;
+        for lm in [&batch, &seq] {
+            lm.inject_cache_entry_for_test(&gt, &other, true, vec![f32::MAX; dim]);
+        }
+        assert_family_matches_sequential(&batch, &seq, &[&gt, &hist, &gt], true);
+        assert_eq!(batch.collision_count(), 1);
     }
 
     #[test]

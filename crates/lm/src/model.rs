@@ -1,11 +1,14 @@
 //! The causal language model with calibrated attention — the CLM of the
 //! paper's cross-modality teacher (Fig. 4, Eq. 1–7).
 
-use timekd_nn::{causal_mask, Activation, Embedding, Module, ParamVisitor, TransformerEncoder};
-use timekd_tensor::SeededRng;
+use timekd_nn::{
+    causal_mask, causal_mask_rows, Activation, Embedding, KeyValues, Module, ParamVisitor,
+    TransformerEncoder,
+};
 use timekd_tensor::Tensor;
+use timekd_tensor::{F32x8, SeededRng};
 
-use crate::calibration::calibrated_mask;
+use crate::calibration::calibrated_mask_rows;
 use crate::config::LmConfig;
 use crate::tokenizer::Token;
 
@@ -42,10 +45,11 @@ impl CausalLm {
         &self.config
     }
 
-    /// The encoder input `I⁰ = I + PE` (Eq. 1) `[S, D]` and the `[S, S]`
-    /// attention mask for a prompt: calibrated (Eq. 5, configured Δ) or,
-    /// without `calibrated`, plain causal (the `w/o_CA` ablation).
-    fn embed_with_mask(&self, tokens: &[Token], calibrated: bool) -> (Tensor, Tensor) {
+    /// Rows `start..S` of a prompt's encoder input `I⁰ = I + PE` (Eq. 1)
+    /// `[S − start, D]` and of its `[S, S]` attention mask: calibrated
+    /// (Eq. 5, configured Δ) or, without `calibrated`, plain causal (the
+    /// `w/o_CA` ablation).
+    fn embed_rows(&self, tokens: &[Token], start: usize, calibrated: bool) -> (Tensor, Tensor) {
         let s = tokens.len();
         assert!(s > 0, "empty prompt");
         assert!(
@@ -53,14 +57,14 @@ impl CausalLm {
             "prompt length {s} exceeds max_seq_len {}",
             self.config.max_seq_len
         );
-        let ids: Vec<usize> = tokens.iter().map(|t| t.id).collect();
-        let tok = self.tok_embedding.forward(&ids); // [S, D]
-        let pos = self.pos_embedding.slice(0, 0, s); // [S, D]
+        let ids: Vec<usize> = tokens[start..].iter().map(|t| t.id).collect();
+        let tok = self.tok_embedding.forward(&ids); // [S - start, D]
+        let pos = self.pos_embedding.slice(0, start, s - start);
         let x = tok.add(&pos); // I⁰ = I + PE (Eq. 1)
         let mask = if calibrated {
-            calibrated_mask(tokens, self.config.calibration_delta, true)
+            calibrated_mask_rows(tokens, self.config.calibration_delta, true, start)
         } else {
-            causal_mask(s)
+            causal_mask_rows(start, s)
         };
         (x, mask)
     }
@@ -71,25 +75,66 @@ impl CausalLm {
     /// configured Δ; otherwise a plain causal mask is used (the `w/o_CA`
     /// ablation).
     pub fn hidden_states(&self, tokens: &[Token], calibrated: bool) -> Tensor {
-        let (x, mask) = self.embed_with_mask(tokens, calibrated);
+        let (x, mask) = self.embed_rows(tokens, 0, calibrated);
         self.encoder.forward(&x, Some(&mask)).output
     }
 
     /// The last-token embedding `[D]` — the paper's last token extractor:
     /// under causal masking the final position has attended to the entire
-    /// prompt and summarises it.
+    /// prompt and summarises it. The one-prompt case of
+    /// [`last_token_embeddings`](Self::last_token_embeddings).
     ///
-    /// Only the last row is computed through the final block
-    /// ([`TransformerEncoder::forward_last_row`]); its forward values equal
-    /// the last row of [`hidden_states`](Self::hidden_states) bit for bit.
     /// LM pretraining needs every row for its next-token loss, so it runs
     /// one `hidden_states` forward and takes its value-regression
     /// embedding from that forward's last row instead.
     pub fn last_token_embedding(&self, tokens: &[Token], calibrated: bool) -> Tensor {
-        let (x, mask) = self.embed_with_mask(tokens, calibrated);
-        self.encoder
-            .forward_last_row(&x, Some(&mask))
-            .reshape([self.config.dim])
+        let mut out = self.last_token_embeddings(&[tokens], calibrated);
+        out.pop().expect("one prompt, one embedding")
+    }
+
+    /// Last-token embeddings `[D]` of a *family* of prompts, in order; each
+    /// equals the last row of that prompt's
+    /// [`hidden_states`](Self::hidden_states) bit for bit.
+    ///
+    /// Members share the keys and values of their common prefix instead of
+    /// recomputing it: the shortest member runs all its rows
+    /// ([`TransformerEncoder::forward_rows`]), and every other member runs
+    /// only its own rows against that run's per-layer keys and values of
+    /// the first `shared_rows` rows. Each member builds only its own
+    /// input and mask rows, and the last block runs its query, FFN and the
+    /// final norm for the last row only.
+    pub fn last_token_embeddings(&self, prompts: &[&[Token]], calibrated: bool) -> Vec<Tensor> {
+        let dim = self.config.dim;
+        let run = |tokens: &[Token], past: &[KeyValues], start: usize| {
+            let (x, mask) = self.embed_rows(tokens, start, calibrated);
+            self.encoder.forward_rows(&x, &mask, past)
+        };
+        let Some(carrier) = (0..prompts.len()).min_by_key(|&i| prompts[i].len()) else {
+            return Vec::new();
+        };
+        let carried = run(prompts[carrier], &[], 0);
+        let shared = shared_rows(prompts);
+        let prefix: Vec<KeyValues> = if shared > 0 {
+            carried
+                .key_values
+                .iter()
+                .map(|kv| kv.prefix(shared))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        prompts
+            .iter()
+            .enumerate()
+            .map(|(i, tokens)| {
+                let last = if i == carrier {
+                    carried.last.clone()
+                } else {
+                    run(tokens, &prefix, shared).last
+                };
+                last.reshape([dim])
+            })
+            .collect()
     }
 
     /// Runs the LM body over pre-computed *continuous* embeddings `[S, D]`
@@ -205,6 +250,35 @@ impl CausalLm {
         let inputs = logits.slice(0, 0, s - 1); // predict positions 1..S
         let targets: Vec<usize> = tokens[1..].iter().map(|t| t.id).collect();
         inputs.cross_entropy(&targets)
+    }
+}
+
+/// Rows a family of prompts (see [`CausalLm::last_token_embeddings`]) runs
+/// once for all members: their longest common prefix, capped so every
+/// member keeps at least one row of its own; 0 for a single prompt.
+///
+/// The shared rows must have visited the same keys in every member's own
+/// forward. A masked attention row visits keys up to its last allowed one
+/// rounded up to the 8-lane width and capped at the sequence length, and
+/// a cap that lands off the lane grid changes the reduction order (see
+/// `Tensor::fused_attention`). So when members differ in length, the
+/// prefix also stops at the last lane boundary of the shortest member,
+/// where no shared row's key range reaches the cap.
+fn shared_rows(prompts: &[&[Token]]) -> usize {
+    let Some(shortest) = prompts.iter().map(|p| p.len()).min() else {
+        return 0;
+    };
+    if prompts.len() < 2 || shortest == 0 {
+        return 0;
+    }
+    let first = prompts[0];
+    let common = (0..shortest - 1)
+        .take_while(|&i| prompts.iter().all(|p| p[i] == first[i]))
+        .count();
+    if prompts.iter().all(|p| p.len() == shortest) {
+        common
+    } else {
+        common.min(shortest / F32x8::LANES * F32x8::LANES)
     }
 }
 

@@ -206,3 +206,91 @@ fn last_token_embedding_is_last_row_of_hidden_states_bitwise() {
         }
     }
 }
+
+#[test]
+fn prompt_family_embeddings_are_last_rows_of_hidden_states_bitwise() {
+    // Members of a family share their common prefix's keys and values;
+    // each member's embedding must still equal the last row of its own
+    // full forward bit for bit. Families cover identical prompts, a prompt
+    // that is a prefix of another, one-token prompts, lengths on both
+    // sides of the 8-lane live-key boundary (the rendered prompt pair is
+    // 49 and 79 tokens with a 44-token common prefix), and random
+    // families whose shared prefix runs from none to the full length.
+    let tok = PromptTokenizer::new();
+    let random_token = |rng: &mut timekd_tensor::SeededRng| {
+        if rng.gen_range(0..2usize) == 0 {
+            tok.word("values")
+        } else {
+            tok.number(rng.gen_range(-3.0f32..3.0))[0]
+        }
+    };
+    for size in [LmSize::Small, LmSize::Base, LmSize::Large] {
+        for seed in 0..3u64 {
+            let mut rng = seeded_rng(200 + seed);
+            let lm = CausalLm::new(tok.vocab_size(), LmConfig::for_size(size), &mut rng);
+            let d = lm.config().dim;
+            let base: Vec<_> = (0..90).map(|_| random_token(&mut rng)).collect();
+            let with_tail = |prefix: usize, tail: usize, rng: &mut timekd_tensor::SeededRng| {
+                let mut p = base[..prefix].to_vec();
+                p.extend((0..tail).map(|_| random_token(rng)));
+                p
+            };
+            let mut families: Vec<Vec<Vec<_>>> = vec![
+                vec![base[..20].to_vec(), base[..20].to_vec()],
+                vec![base[..9].to_vec(), base[..30].to_vec()],
+                vec![base[..30].to_vec(), base[..9].to_vec(), base[..30].to_vec()],
+                vec![base[..1].to_vec(), base[..1].to_vec()],
+                vec![base[..1].to_vec(), base[..12].to_vec()],
+                vec![with_tail(0, 1, &mut rng), with_tail(0, 1, &mut rng)],
+                vec![with_tail(44, 35, &mut rng), with_tail(44, 5, &mut rng)],
+            ];
+            for (short, long) in [
+                (7, 9),
+                (8, 9),
+                (9, 17),
+                (15, 16),
+                (16, 17),
+                (17, 40),
+                (47, 49),
+            ] {
+                families.push(vec![base[..short].to_vec(), base[..long].to_vec()]);
+                families.push(vec![
+                    with_tail(short - 1, 1, &mut rng),
+                    with_tail(short - 1, long - short + 1, &mut rng),
+                ]);
+            }
+            for _ in 0..12 {
+                let members = rng.gen_range(2usize..5);
+                let common = rng.gen_range(0usize..=base.len());
+                families.push(
+                    (0..members)
+                        .map(|_| {
+                            let prefix = rng.gen_range(0..=common);
+                            let tail = rng.gen_range(usize::from(prefix == 0)..12);
+                            with_tail(prefix, tail, &mut rng)
+                        })
+                        .collect(),
+                );
+            }
+            for family in &families {
+                let prompts: Vec<&[_]> = family.iter().map(|p| p.as_slice()).collect();
+                for calibrated in [true, false] {
+                    let got = no_grad(|| lm.last_token_embeddings(&prompts, calibrated));
+                    assert_eq!(got.len(), prompts.len());
+                    for (m, (toks, emb)) in prompts.iter().zip(&got).enumerate() {
+                        let full = no_grad(|| lm.hidden_states(toks, calibrated).to_vec());
+                        let want = &full[(toks.len() - 1) * d..];
+                        let lens: Vec<usize> = prompts.iter().map(|p| p.len()).collect();
+                        for (i, (a, b)) in emb.to_vec().iter().zip(want).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{size:?} seed {seed} lengths {lens:?} member {m} calibrated {calibrated} dim {i}: {a} vs {b}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -20,6 +20,40 @@ pub struct AttentionOutput {
     pub attention: Tensor,
 }
 
+/// Per-head keys and values `[H, T, dh]` of rows `0..T`, as
+/// [`MultiHeadAttention::key_values`] projects them. A causal forward that
+/// continues a sequence attends over the keys and values of its earlier
+/// rows without recomputing them.
+pub struct KeyValues {
+    /// Keys `[H, T, dh]`.
+    pub keys: Tensor,
+    /// Values `[H, T, dh]`.
+    pub values: Tensor,
+}
+
+impl KeyValues {
+    /// Number of rows `T`.
+    fn len(&self) -> usize {
+        self.keys.dims()[1]
+    }
+
+    /// The keys and values of rows `0..rows`.
+    pub fn prefix(&self, rows: usize) -> KeyValues {
+        KeyValues {
+            keys: self.keys.slice(1, 0, rows),
+            values: self.values.slice(1, 0, rows),
+        }
+    }
+
+    /// These rows followed by the rows of `next`.
+    pub fn concat(&self, next: &KeyValues) -> KeyValues {
+        KeyValues {
+            keys: Tensor::concat(&[self.keys.clone(), next.keys.clone()], 1),
+            values: Tensor::concat(&[self.values.clone(), next.values.clone()], 1),
+        }
+    }
+}
+
 /// Multi-head attention (self- or cross-) over rank-2 `[T, D]` inputs.
 pub struct MultiHeadAttention {
     wq: Linear,
@@ -76,17 +110,43 @@ impl MultiHeadAttention {
     /// op-by-op chain as a reference.
     pub fn attend(&self, q_in: &Tensor, kv_in: &Tensor, mask: Option<&Tensor>) -> AttentionOutput {
         let _span = timekd_obs::span("nn.attention");
-        assert_eq!(q_in.shape().rank(), 2, "attention expects [T, D] inputs");
         assert_eq!(kv_in.shape().rank(), 2, "attention expects [T, D] inputs");
-        let tq = q_in.dims()[0];
-        let tk = kv_in.dims()[0];
-        if let Some(m) = mask {
-            assert_eq!(m.dims(), &[tq, tk], "mask shape mismatch");
+        let q = self.queries(q_in);
+        self.attend_queries(&q, &self.key_values(kv_in), mask)
+    }
+
+    /// [`attend`](Self::attend) over precomputed per-head keys and values
+    /// `kv` (`T_k` rows); `mask` is `[T_q, T_k]`.
+    pub fn attend_cached(
+        &self,
+        q_in: &Tensor,
+        kv: &KeyValues,
+        mask: Option<&Tensor>,
+    ) -> AttentionOutput {
+        let _span = timekd_obs::span("nn.attention");
+        self.attend_queries(&self.queries(q_in), kv, mask)
+    }
+
+    /// Projects `kv_in` `[T, D]` into per-head keys and values.
+    pub fn key_values(&self, kv_in: &Tensor) -> KeyValues {
+        KeyValues {
+            keys: self.split_heads(&self.wk.forward(kv_in)),
+            values: self.split_heads(&self.wv.forward(kv_in)),
         }
-        let q = self.split_heads(&self.wq.forward(q_in)); // [H, Tq, dh]
-        let k = self.split_heads(&self.wk.forward(kv_in)); // [H, Tk, dh]
-        let v = self.split_heads(&self.wv.forward(kv_in)); // [H, Tk, dh]
-        let (ctx, attention) = Tensor::fused_attention(&q, &k, &v, mask);
+    }
+
+    /// Projects `q_in` `[T_q, D]` into per-head queries `[H, T_q, dh]`.
+    fn queries(&self, q_in: &Tensor) -> Tensor {
+        assert_eq!(q_in.shape().rank(), 2, "attention expects [T, D] inputs");
+        self.split_heads(&self.wq.forward(q_in))
+    }
+
+    /// The fused attention core and output projection.
+    fn attend_queries(&self, q: &Tensor, kv: &KeyValues, mask: Option<&Tensor>) -> AttentionOutput {
+        if let Some(m) = mask {
+            assert_eq!(m.dims(), &[q.dims()[1], kv.len()], "mask shape mismatch");
+        }
+        let (ctx, attention) = Tensor::fused_attention(q, &kv.keys, &kv.values, mask);
         let output = self.wo.forward(&ctx);
         AttentionOutput { output, attention }
     }
@@ -153,13 +213,18 @@ impl Module for MultiHeadAttention {
 /// [`NEG_INF`] above the diagonal, so the fused kernel skips each row's
 /// future keys.
 pub fn causal_mask(t: usize) -> Tensor {
-    let mut data = vec![0.0f32; t * t];
-    for i in 0..t {
-        for j in (i + 1)..t {
-            data[i * t + j] = NEG_INF;
-        }
+    causal_mask_rows(0, t)
+}
+
+/// Rows `start..t` `[t − start, t]` of [`causal_mask`]`(t)`.
+pub fn causal_mask_rows(start: usize, t: usize) -> Tensor {
+    assert!(start <= t, "causal_mask_rows: start {start} > {t}");
+    let mut data = vec![0.0f32; (t - start) * t];
+    for i in start..t {
+        let row = (i - start) * t;
+        data[row + i + 1..row + t].fill(NEG_INF);
     }
-    Tensor::from_vec(data, [t, t])
+    Tensor::from_vec(data, [t - start, t])
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use timekd_tensor::SeededRng;
 use timekd_tensor::Tensor;
 
-use crate::attention::MultiHeadAttention;
+use crate::attention::{KeyValues, MultiHeadAttention};
 use crate::linear::Linear;
 use crate::module::{Module, ParamVisitor};
 use crate::norm::LayerNorm;
@@ -98,23 +98,44 @@ impl EncoderLayer {
     /// Applies the layer; returns the output and this layer's attention map.
     pub fn forward(&self, x: &Tensor, mask: Option<&Tensor>) -> (Tensor, Tensor) {
         let attended = self.attn.forward(&self.ln1.forward(x), mask);
-        let y = attended.output.add(x);
-        let z = self.ffn.forward(&self.ln2.forward(&y)).add(&y);
-        (z, attended.attention)
+        (self.residual_ffn(&attended.output, x), attended.attention)
     }
 
-    /// [`forward`](Self::forward) for the last row only: keys and values
-    /// come from every row of `LN1(x)`, the query, residual, `LN2` and FFN
-    /// from the last row. Returns `[1, D]`, equal to the last row of
-    /// `forward(x, mask).0`.
-    pub fn forward_last_row(&self, x: &Tensor, mask: Option<&Tensor>) -> Tensor {
-        let last = x.dims()[0] - 1;
+    /// Continues a causal forward (see [`TransformerEncoder::forward_rows`]):
+    /// `x` `[n, D]` holds this layer's input rows `p..p+n`, `past` the keys
+    /// and values of rows `0..p`, `mask` the bias rows `[n, p+n]`. Returns
+    /// the output rows — only the last one with `last_only` — and the keys
+    /// and values of rows `0..p+n`.
+    fn forward_rows(
+        &self,
+        x: &Tensor,
+        mask: &Tensor,
+        past: Option<&KeyValues>,
+        last_only: bool,
+    ) -> (Tensor, KeyValues) {
         let normed = self.ln1.forward(x);
-        let mask_row = mask.map(|m| m.slice(0, last, 1));
-        let attended = self
-            .attn
-            .attend(&normed.slice(0, last, 1), &normed, mask_row.as_ref());
-        let y = attended.output.add(&x.slice(0, last, 1));
+        let own = self.attn.key_values(&normed);
+        let kv = match past {
+            Some(past) => past.concat(&own),
+            None => own,
+        };
+        let (q_in, x, mask) = if last_only {
+            let last = x.dims()[0] - 1;
+            (
+                normed.slice(0, last, 1),
+                x.slice(0, last, 1),
+                mask.slice(0, last, 1),
+            )
+        } else {
+            (normed, x.clone(), mask.clone())
+        };
+        let attended = self.attn.attend_cached(&q_in, &kv, Some(&mask));
+        (self.residual_ffn(&attended.output, &x), kv)
+    }
+
+    /// `y = x + attended`, `z = y + FFN(LN2(y))`.
+    fn residual_ffn(&self, attended: &Tensor, x: &Tensor) -> Tensor {
+        let y = attended.add(x);
         self.ffn.forward(&self.ln2.forward(&y)).add(&y)
     }
 }
@@ -126,6 +147,14 @@ impl Module for EncoderLayer {
         v.module("ln2", &self.ln2);
         v.module("ffn", &self.ffn);
     }
+}
+
+/// Output of [`TransformerEncoder::forward_rows`].
+pub struct RowsOutput {
+    /// The final-normed last row `[1, D]`.
+    pub last: Tensor,
+    /// Each layer's keys and values over every row of the sequence so far.
+    pub key_values: Vec<KeyValues>,
 }
 
 /// Stack of Pre-LN encoder layers with a final layer norm.
@@ -175,18 +204,41 @@ impl TransformerEncoder {
         }
     }
 
-    /// The last row `[1, D]` of [`forward`](Self::forward)'s output: every
-    /// layer but the last runs on all rows, the last one
-    /// ([`EncoderLayer::forward_last_row`]) and the final norm on the last
-    /// row only, and no attention map is returned.
-    pub fn forward_last_row(&self, x: &Tensor, mask: Option<&Tensor>) -> Tensor {
+    /// Continues a causally masked forward from the keys and values of its
+    /// earlier rows. `x` `[n, D]` holds the input rows `p..p+n`, `past`
+    /// each layer's keys and values of rows `0..p` (empty when `p = 0`),
+    /// and `mask` the bias rows `[n, p+n]`. Every layer but the last runs
+    /// on all `n` rows; the last one computes keys and values for all of
+    /// them but its query, residual, `LN2`, FFN and the final norm for the
+    /// last row only. No attention map is returned.
+    ///
+    /// Each row's bits are independent of how many rows run in the call
+    /// (matmul, layer norm, activations and residual adds work row by row,
+    /// and an attention row reads only its own mask row), so the last row
+    /// equals the last row of [`forward`](Self::forward) over all `p + n`
+    /// rows bit for bit when `past` holds that forward's keys and values —
+    /// that is, when rows `0..p` visited the same live keys (see
+    /// `Tensor::fused_attention`) in the call that produced them.
+    pub fn forward_rows(&self, x: &Tensor, mask: &Tensor, past: &[KeyValues]) -> RowsOutput {
         let _span = timekd_obs::span("nn.encoder");
-        let (last, body) = self.layers.split_last().expect("at least one layer");
+        assert!(
+            past.is_empty() || past.len() == self.layers.len(),
+            "forward_rows: {} past layers for {} layers",
+            past.len(),
+            self.layers.len()
+        );
+        let last = self.layers.len() - 1;
         let mut h = x.clone();
-        for layer in body {
-            h = layer.forward(&h, mask).0;
+        let mut key_values = Vec::with_capacity(self.layers.len());
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (out, kv) = layer.forward_rows(&h, mask, past.get(i), i == last);
+            h = out;
+            key_values.push(kv);
         }
-        self.final_ln.forward(&last.forward_last_row(&h, mask))
+        RowsOutput {
+            last: self.final_ln.forward(&h),
+            key_values,
+        }
     }
 
     /// Model width.

@@ -29,9 +29,13 @@ mod module;
 mod norm;
 mod optim;
 
-pub use attention::{causal_mask, AttentionOutput, MultiHeadAttention};
+pub use attention::{
+    causal_mask, causal_mask_rows, AttentionOutput, KeyValues, MultiHeadAttention,
+};
 pub use dropout::Dropout;
-pub use encoder::{Activation, EncoderLayer, EncoderOutput, FeedForward, TransformerEncoder};
+pub use encoder::{
+    Activation, EncoderLayer, EncoderOutput, FeedForward, RowsOutput, TransformerEncoder,
+};
 pub use linear::{Embedding, Linear};
 pub use losses::{mae_loss, mse_loss, smooth_l1_loss};
 pub use module::{Module, ParamList, ParamVisitor};

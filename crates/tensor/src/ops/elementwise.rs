@@ -1,30 +1,73 @@
 //! Element-wise unary and binary operations with NumPy-style broadcasting.
 
-use crate::ops::broadcast_offsets;
-use crate::shape::Shape;
+use crate::shape::{eff_strides, Shape};
 use crate::symbolic::SymAttr;
 use crate::tensor::Tensor;
 
-/// True if `src` broadcasts to `out` purely by repetition along *leading*
-/// axes — i.e. `src`'s dims equal the trailing dims of `out` (after
-/// stripping size-1 leading axes of `src`). In that case the source offset
-/// for output index `i` is simply `i % src_len`, avoiding offset tables.
-///
-/// This covers the hottest broadcasts in the workspace: adding a `[T, T]`
-/// attention mask to `[H, T, T]` scores and adding a `[D]` bias to
-/// `[.., D]` activations.
-fn is_trailing_broadcast(src: &Shape, out: &Shape) -> bool {
-    let s = src.dims();
-    let o = out.dims();
-    // Strip leading 1s of src.
-    let s = {
-        let mut k = 0;
-        while k < s.len() && s[k] == 1 {
-            k += 1;
+/// The broadcast walk of a binary op, shared by its forward and backward:
+/// output rows (the last axis) in row-major order, each with the offset of
+/// the first element it reads from either operand. Along a row an operand
+/// steps by 1, or by 0 where it broadcasts. The per-axis strides come from
+/// [`eff_strides`], the mapping the plan executors use too. Operands with
+/// the output's shape walk it as one row.
+struct BroadcastRows {
+    /// Output dims without the last axis.
+    outer: Vec<usize>,
+    a_str: Vec<usize>,
+    b_str: Vec<usize>,
+    len: usize,
+    a_step: usize,
+    b_step: usize,
+}
+
+impl BroadcastRows {
+    fn new(a: &Shape, b: &Shape, out: &Shape) -> BroadcastRows {
+        let dims = out.dims();
+        if a == out && b == out || dims.is_empty() {
+            return BroadcastRows {
+                outer: Vec::new(),
+                a_str: Vec::new(),
+                b_str: Vec::new(),
+                len: out.num_elements(),
+                a_step: 1,
+                b_step: 1,
+            };
         }
-        &s[k..]
-    };
-    s.len() <= o.len() && o[o.len() - s.len()..] == *s
+        let last = dims.len() - 1;
+        let a_str = eff_strides(a.dims(), dims);
+        let b_str = eff_strides(b.dims(), dims);
+        BroadcastRows {
+            outer: dims[..last].to_vec(),
+            a_step: a_str[last],
+            b_step: b_str[last],
+            a_str: a_str[..last].to_vec(),
+            b_str: b_str[..last].to_vec(),
+            len: dims[last],
+        }
+    }
+
+    /// Calls `row(a_off, b_off, out_off)` for every output row, in order.
+    fn for_each(&self, mut row: impl FnMut(usize, usize, usize)) {
+        let rank = self.outer.len();
+        let rows: usize = self.outer.iter().product();
+        let mut idx = vec![0usize; rank];
+        let (mut a_off, mut b_off) = (0usize, 0usize);
+        for r in 0..rows {
+            row(a_off, b_off, r * self.len);
+            // Odometer increment over the outer axes.
+            for ax in (0..rank).rev() {
+                idx[ax] += 1;
+                a_off += self.a_str[ax];
+                b_off += self.b_str[ax];
+                if idx[ax] < self.outer[ax] {
+                    break;
+                }
+                a_off -= self.a_str[ax] * self.outer[ax];
+                b_off -= self.b_str[ax] * self.outer[ax];
+                idx[ax] = 0;
+            }
+        }
+    }
 }
 
 impl Tensor {
@@ -32,7 +75,9 @@ impl Tensor {
     ///
     /// `f(a, b)` computes the forward value; `df(a, b, g)` returns the
     /// gradient contributions `(∂L/∂a, ∂L/∂b)` for one element given the
-    /// upstream gradient `g`.
+    /// upstream gradient `g`. Both passes visit the output in row-major
+    /// order, so a broadcast operand's gradient accumulates in ascending
+    /// output order.
     fn binary_op(
         &self,
         op: &'static str,
@@ -50,34 +95,30 @@ impl Tensor {
                     other.shape()
                 )
             });
-        let n = out_shape.num_elements();
-        let a_data = self.data();
-        let b_data = other.data();
-        let mut out = Vec::with_capacity(n);
-        if *self.shape() == out_shape && *other.shape() == out_shape {
-            for i in 0..n {
-                out.push(f(a_data[i], b_data[i]));
+        let walk = BroadcastRows::new(self.shape(), other.shape(), &out_shape);
+        let a = self.data();
+        let b = other.data();
+        let mut out = Vec::with_capacity(out_shape.num_elements());
+        let len = walk.len;
+        walk.for_each(|ao, bo, _| match (walk.a_step, walk.b_step) {
+            (1, 1) => out.extend(
+                a[ao..ao + len]
+                    .iter()
+                    .zip(&b[bo..bo + len])
+                    .map(|(&x, &y)| f(x, y)),
+            ),
+            (1, _) => {
+                let y = b[bo];
+                out.extend(a[ao..ao + len].iter().map(|&x| f(x, y)));
             }
-        } else if *self.shape() == out_shape && is_trailing_broadcast(other.shape(), &out_shape) {
-            let bl = b_data.len();
-            for i in 0..n {
-                out.push(f(a_data[i], b_data[i % bl]));
+            (_, 1) => {
+                let x = a[ao];
+                out.extend(b[bo..bo + len].iter().map(|&y| f(x, y)));
             }
-        } else if *other.shape() == out_shape && is_trailing_broadcast(self.shape(), &out_shape) {
-            let al = a_data.len();
-            for i in 0..n {
-                out.push(f(a_data[i % al], b_data[i]));
-            }
-        } else {
-            let a_off = broadcast_offsets(self.shape(), &out_shape);
-            let b_off = broadcast_offsets(other.shape(), &out_shape);
-            for i in 0..n {
-                out.push(f(a_data[a_off[i]], b_data[b_off[i]]));
-            }
-        }
-        drop(a_data);
-        drop(b_data);
-        let out_shape_bw = out_shape.clone();
+            _ => out.extend(std::iter::repeat_n(f(a[ao], b[bo]), len)),
+        });
+        drop(a);
+        drop(b);
         Tensor::from_op(
             op,
             out,
@@ -87,39 +128,17 @@ impl Tensor {
                 let (a, b) = (&parents[0], &parents[1]);
                 let a_data = a.data();
                 let b_data = b.data();
-                let same_a = *a.shape() == out_shape_bw;
-                let same_b = *b.shape() == out_shape_bw;
                 let mut ga = vec![0.0f32; a.num_elements()];
                 let mut gb = vec![0.0f32; b.num_elements()];
-                if same_a && same_b {
-                    for i in 0..grad.len() {
-                        let (da, db) = df(a_data[i], b_data[i], grad[i]);
-                        ga[i] += da;
-                        gb[i] += db;
+                let (sa, sb) = (walk.a_step, walk.b_step);
+                walk.for_each(|ao, bo, o| {
+                    for j in 0..walk.len {
+                        let (ia, ib) = (ao + j * sa, bo + j * sb);
+                        let (da, db) = df(a_data[ia], b_data[ib], grad[o + j]);
+                        ga[ia] += da;
+                        gb[ib] += db;
                     }
-                } else if same_a && is_trailing_broadcast(b.shape(), &out_shape_bw) {
-                    let bl = b_data.len();
-                    for i in 0..grad.len() {
-                        let (da, db) = df(a_data[i], b_data[i % bl], grad[i]);
-                        ga[i] += da;
-                        gb[i % bl] += db;
-                    }
-                } else if same_b && is_trailing_broadcast(a.shape(), &out_shape_bw) {
-                    let al = a_data.len();
-                    for i in 0..grad.len() {
-                        let (da, db) = df(a_data[i % al], b_data[i], grad[i]);
-                        ga[i % al] += da;
-                        gb[i] += db;
-                    }
-                } else {
-                    let a_off = broadcast_offsets(a.shape(), &out_shape_bw);
-                    let b_off = broadcast_offsets(b.shape(), &out_shape_bw);
-                    for i in 0..grad.len() {
-                        let (da, db) = df(a_data[a_off[i]], b_data[b_off[i]], grad[i]);
-                        ga[a_off[i]] += da;
-                        gb[b_off[i]] += db;
-                    }
-                }
+                });
                 drop(a_data);
                 drop(b_data);
                 if a.requires_grad() {
@@ -143,7 +162,12 @@ impl Tensor {
         let data = self.data();
         let out: Vec<f32> = data.iter().map(|&x| f(x)).collect();
         drop(data);
-        let saved_out = out.clone();
+        // Only a tracked op keeps its backward, and only that reads `y`.
+        let saved_out = if Tensor::tracks(std::slice::from_ref(self)) {
+            out.clone()
+        } else {
+            Vec::new()
+        };
         Tensor::from_op(
             op,
             out,
@@ -448,6 +472,46 @@ mod tests {
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([2, 4]);
         let _ = a.add(&b);
+    }
+
+    /// Source offset of every output element, in order, by a per-element
+    /// odometer over the output index.
+    fn reference_offsets(src: &[usize], out: &[usize]) -> Vec<usize> {
+        let eff = eff_strides(src, out);
+        crate::shape::IndexIter::new(&Shape::new(out))
+            .map(|idx| idx.iter().zip(&eff).map(|(i, s)| i * s).sum())
+            .collect()
+    }
+
+    #[test]
+    fn broadcast_walk_visits_reference_offsets_in_order() {
+        for (a, b) in [
+            (vec![2, 3], vec![2, 3]),
+            (vec![2, 3], vec![1, 3]),
+            (vec![2, 3], vec![2, 1]),
+            (vec![2, 3], vec![3]),
+            (vec![2, 1, 4], vec![3, 1]),
+            (vec![4, 3, 3], vec![3, 3]),
+            (vec![1], vec![]),
+            (vec![], vec![]),
+            (vec![5, 1], vec![1, 4]),
+        ] {
+            let (sa, sb) = (Shape::new(a.clone()), Shape::new(b.clone()));
+            let out = sa.broadcast_with(&sb).expect("broadcastable");
+            let walk = BroadcastRows::new(&sa, &sb, &out);
+            let (mut got_a, mut got_b, mut got_o) = (Vec::new(), Vec::new(), Vec::new());
+            walk.for_each(|ao, bo, o| {
+                for j in 0..walk.len {
+                    got_a.push(ao + j * walk.a_step);
+                    got_b.push(bo + j * walk.b_step);
+                    got_o.push(o + j);
+                }
+            });
+            let tag = format!("{a:?} x {b:?}");
+            assert_eq!(got_a, reference_offsets(&a, out.dims()), "{tag}: a");
+            assert_eq!(got_b, reference_offsets(&b, out.dims()), "{tag}: b");
+            assert_eq!(got_o, (0..out.num_elements()).collect::<Vec<_>>(), "{tag}");
+        }
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl Tensor {
         #[cfg(feature = "sanitize")]
         crate::sanitize::check_op_output(op, &data, &parents);
         timekd_obs::count_op(op);
-        let track = !is_grad_disabled() && parents.iter().any(|p| p.requires_grad());
+        let track = Tensor::tracks(&parents);
         Tensor {
             inner: Rc::new(TensorInner {
                 id: next_id(),
@@ -224,6 +224,12 @@ impl Tensor {
                 rec: None,
             }),
         }
+    }
+
+    /// True when an op over `parents` tracks gradients, i.e. when
+    /// [`from_op`](Self::from_op) keeps its backward closure.
+    pub(crate) fn tracks(parents: &[Tensor]) -> bool {
+        !is_grad_disabled() && parents.iter().any(|p| p.requires_grad())
     }
 
     /// Attaches the IR payload of a freshly created node while recording;

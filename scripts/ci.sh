@@ -30,7 +30,7 @@ cargo build --release --workspace
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> bitwise gates (planned vs dynamic oracle, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, one CLM forward per pretraining step, recorded plans, recorder replay)"
+echo "==> bitwise gates (planned vs dynamic oracle, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward, family vs sequential frozen-LM cache, one CLM forward per pretraining step, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned epoch must reproduce the
 # dynamic per-window loop bit for bit, and the batched fold must be
@@ -42,12 +42,18 @@ cargo test -q -p timekd -- --exact \
   plan::tests::batch_trainer_reuses_cached_plan_across_rebuilds
 cargo test -q -p timekd-bench --test planned_alloc
 # Forbidden-key skipping must match the full-key reference bit for bit,
-# and the pruned last-token CLM forward the full forward's last row.
+# and the pruned last-token CLM forward the full forward's last row, also
+# for each member of a prompt family that shares its prefix's keys and
+# values. A family batch through the frozen-LM cache must give the values,
+# counters and entries of sequential `embed` calls.
 cargo test -q -p timekd-tensor --test attention_key_skip -- --exact \
   key_skipping_forward_matches_full_key_reference_bitwise \
   key_skipping_gradients_match_full_key_reference_bitwise
 cargo test -q -p timekd-lm --test proptest_lm -- --exact \
-  last_token_embedding_is_last_row_of_hidden_states_bitwise
+  last_token_embedding_is_last_row_of_hidden_states_bitwise \
+  prompt_family_embeddings_are_last_rows_of_hidden_states_bitwise
+cargo test -q -p timekd-lm --lib -- --exact \
+  frozen::tests::family_batch_matches_sequential_embeds
 # A pretraining step reads both losses from one CLM forward: the shared
 # losses equal the separate forwards' bit for bit, and the trace shows one
 # encoder forward per step.
