@@ -3,10 +3,7 @@
 //! Measures the hot matmul kernels (forward and backward) serial vs
 //! parallel, a naive-kernel reference (the pre-optimisation triple loop
 //! with the `a_ik == 0.0` skip, kept here so the register-blocking win
-//! stays measurable), the int8-quantized
-//! compiled student against the f32 plan (accuracy-gated: the run exits
-//! non-zero if the quantized forecast drifts past the stated MSE bound),
-//! the fused attention kernel against the composed op
+//! stays measurable), the fused attention kernel against the composed op
 //! chain it replaced (per LM size + encoder geometry, forward and
 //! training step), the compiled student plan against the dynamic graph
 //! engine (per-window predict and a full inference-epoch sweep), the
@@ -43,7 +40,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use timekd::{
     student_objective, student_plan_optimizer, trainer_adamw, PlannedBatchTrainer, PlannedStudent,
-    QuantizedStudent, Student, TimeKdConfig,
+    Student, TimeKdConfig,
 };
 use timekd_bench::{
     json::Json, validate_kernel_bench, validate_trace_coverage, validate_trace_report, Profile,
@@ -728,78 +725,6 @@ fn bench_batched_training(quick: bool, threads: usize) -> Vec<Json> {
     rows
 }
 
-/// Accuracy gate for the int8 path: the mean squared forecast delta
-/// (quantized vs f32, averaged over every element of the seeded eval set)
-/// must stay below this bound or the bench exits non-zero. The bound is
-/// deliberately loose against run-to-run noise — it only exists to catch
-/// a broken quantizer (wrong scale, transposed codes), which lands orders
-/// of magnitude above it.
-const QUANT_MSE_DELTA_BOUND: f64 = 1e-2;
-
-/// Quantized vs f32 compiled student: forecast-accuracy delta on a seeded
-/// eval set (gated by [`QUANT_MSE_DELTA_BOUND`]), per-window latency, and
-/// parameter-storage footprint. Both executors replay the same compiled
-/// plan; the quantized one stores Linear weights as int8 codes + one f32
-/// scale per output column and runs them through the `qmm` kernel.
-fn bench_quantized_student(quick: bool) -> Json {
-    let (input_len, horizon, num_vars) = (48usize, 24usize, 7usize);
-    let config = TimeKdConfig::default();
-    let mut rng = seeded_rng(0x1A7E);
-    let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
-    let mut planned = PlannedStudent::new(&student, &config).expect("student plan compiles");
-    let mut quant = QuantizedStudent::new(&student, &config).expect("quantized plan compiles");
-
-    let windows: Vec<Tensor> = (0..if quick { 8 } else { 32 })
-        .map(|_| Tensor::randn([input_len, num_vars], 1.0, &mut rng))
-        .collect();
-    let iters = if quick { 5 } else { 40 };
-
-    let mut out_f = vec![0.0f32; horizon * num_vars];
-    let mut out_q = vec![0.0f32; horizon * num_vars];
-    let mut sq_sum = 0.0f64;
-    let mut count = 0usize;
-    for w in &windows {
-        planned.predict_into(w, &mut out_f);
-        quant.predict_into(w, &mut out_q);
-        for (f, q) in out_f.iter().zip(&out_q) {
-            let d = f64::from(f - q);
-            sq_sum += d * d;
-            count += 1;
-        }
-    }
-    let mse_delta = sq_sum / count as f64;
-
-    let x = &windows[0];
-    let predict_f32_ms = time_min_ms(iters, || {
-        planned.predict_into(std::hint::black_box(x), &mut out_f);
-        std::hint::black_box(&out_f);
-    });
-    let predict_int8_ms = time_min_ms(iters, || {
-        quant.predict_into(std::hint::black_box(x), &mut out_q);
-        std::hint::black_box(&out_q);
-    });
-
-    let (bytes_f32, bytes_int8) = (planned.param_bytes() as f64, quant.param_bytes() as f64);
-    Json::obj(vec![
-        ("input_len", Json::num(input_len as f64)),
-        ("horizon", Json::num(horizon as f64)),
-        ("num_vars", Json::num(num_vars as f64)),
-        ("windows", Json::num(windows.len() as f64)),
-        ("iters", Json::num(f64::from(iters))),
-        ("mse_delta", Json::num(mse_delta)),
-        ("mse_delta_bound", Json::num(QUANT_MSE_DELTA_BOUND)),
-        ("predict_f32_ms", Json::num(predict_f32_ms)),
-        ("predict_int8_ms", Json::num(predict_int8_ms)),
-        (
-            "speedup_int8_vs_f32",
-            Json::num(predict_f32_ms / predict_int8_ms),
-        ),
-        ("param_bytes_f32", Json::num(bytes_f32)),
-        ("param_bytes_int8", Json::num(bytes_int8)),
-        ("param_compression", Json::num(bytes_f32 / bytes_int8)),
-    ])
-}
-
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -987,35 +912,6 @@ fn main() {
         );
     }
 
-    println!("  quantized vs f32 compiled student …");
-    let quantized_student = bench_quantized_student(quick);
-    {
-        let fmt = |key: &str| {
-            quantized_student
-                .get(key)
-                .and_then(Json::as_num)
-                .unwrap_or(f64::NAN)
-        };
-        println!(
-            "    predict: f32 {:>9.3} ms  int8 {:>9.3} ms  x{:<5.2}  mse_delta {:.3e} (bound {:.0e})  params {:.0} -> {:.0} bytes (x{:.2})",
-            fmt("predict_f32_ms"),
-            fmt("predict_int8_ms"),
-            fmt("speedup_int8_vs_f32"),
-            fmt("mse_delta"),
-            fmt("mse_delta_bound"),
-            fmt("param_bytes_f32"),
-            fmt("param_bytes_int8"),
-            fmt("param_compression"),
-        );
-        let mse_delta = fmt("mse_delta");
-        if !(mse_delta <= QUANT_MSE_DELTA_BOUND) {
-            eprintln!(
-                "quantized student failed the accuracy gate: mse_delta {mse_delta} exceeds bound {QUANT_MSE_DELTA_BOUND}"
-            );
-            std::process::exit(1);
-        }
-    }
-
     let created = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -1052,6 +948,10 @@ fn main() {
                     "v9: the serving section is gone; served latency is measured end to end \
                      by the benchmark package's serve_window and serve_tenant workloads",
                 ),
+                Json::str(
+                    "v10: the quantized_student section is gone with the int8 inference \
+                     path; every plan is f32",
+                ),
             ]),
         ),
         (
@@ -1065,7 +965,6 @@ fn main() {
         ("attention", Json::Arr(attention)),
         ("planned_student", planned_student),
         ("planned_training", planned_training),
-        ("quantized_student", quantized_student),
         ("batched_training", Json::Arr(batched_training)),
     ]);
     if let Err(problems) = validate_kernel_bench(&doc) {

@@ -8,7 +8,7 @@
 pub use timekd_obs::json::Json;
 
 /// Schema identifier the kernels bin writes and the validator requires.
-pub const KERNEL_BENCH_SCHEMA: &str = "timekd-kernel-bench/v9";
+pub const KERNEL_BENCH_SCHEMA: &str = "timekd-kernel-bench/v10";
 
 /// The fields one section of the document must carry.
 #[derive(Debug)]
@@ -24,7 +24,7 @@ enum Section {
     },
 }
 
-/// Every section of `timekd-kernel-bench/v9` besides the top-level
+/// Every section of `timekd-kernel-bench/v10` besides the top-level
 /// `schema`, `notes`, `created_unix_s` and `quick` fields.
 const SECTIONS: &[(&str, Section)] = &[
     ("threads", Section::Object(&["configured", "available"])),
@@ -65,26 +65,6 @@ const SECTIONS: &[(&str, Section)] = &[
             "speedup_planned_train_epoch",
             "bwd_steps",
             "update_steps",
-        ]),
-    ),
-    // v5: quantized-vs-f32 compiled student (int8 weight storage, `qmm`
-    // kernels, accuracy gate).
-    (
-        "quantized_student",
-        Section::Object(&[
-            "input_len",
-            "horizon",
-            "num_vars",
-            "windows",
-            "iters",
-            "mse_delta",
-            "mse_delta_bound",
-            "predict_f32_ms",
-            "predict_int8_ms",
-            "speedup_int8_vs_f32",
-            "param_bytes_f32",
-            "param_bytes_int8",
-            "param_compression",
         ]),
     ),
     (
@@ -446,7 +426,7 @@ mod tests {
 
     #[test]
     fn validator_rejects_stale_schema_strings() {
-        // The schema bump is load-bearing: an old v3..v8 baseline must be
+        // The schema bump is load-bearing: an old v3..v9 baseline must be
         // rejected by name even if it were otherwise field-complete.
         for stale in [
             "timekd-kernel-bench/v3",
@@ -455,12 +435,13 @@ mod tests {
             "timekd-kernel-bench/v6",
             "timekd-kernel-bench/v7",
             "timekd-kernel-bench/v8",
+            "timekd-kernel-bench/v9",
         ] {
             let mut doc = minimal_valid_doc();
             *section_mut(&mut doc, "schema") = Json::str(stale);
             let problems = validate_kernel_bench(&doc).expect_err("must fail");
             assert_eq!(problems.len(), 1, "{stale}: {problems:?}");
-            assert!(problems[0].contains("timekd-kernel-bench/v9"), "{stale}");
+            assert!(problems[0].contains("timekd-kernel-bench/v10"), "{stale}");
         }
     }
 
@@ -499,28 +480,6 @@ mod tests {
         let problems = validate_kernel_bench(&doc).expect_err("must fail");
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].contains("batched_training[0].speedup_batched"));
-    }
-
-    #[test]
-    fn validator_requires_quantized_student_section() {
-        // v5 gate: a v4-shaped doc (no quantized_student) must fail with
-        // one missing-key diagnostic per expected quantized field.
-        let mut doc = minimal_valid_doc();
-        remove_top(&mut doc, &["quantized_student"]);
-        let problems = validate_kernel_bench(&doc).expect_err("must fail");
-        assert_eq!(problems.len(), 13, "{problems:?}");
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("quantized_student.mse_delta")),
-            "{problems:?}"
-        );
-        assert!(
-            problems
-                .iter()
-                .any(|p| p.contains("quantized_student.param_bytes_int8")),
-            "{problems:?}"
-        );
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!
 //! "Worker loops" are the hot per-block functions of the parallel kernel
 //! path — functions in `tensor/src/parallel.rs`,
-//! `tensor/src/ops/matmul.rs`, `tensor/src/ops/attention.rs`,
-//! `tensor/src/ops/qmm.rs`, or `tensor/src/simd.rs` whose name ends in
+//! `tensor/src/ops/matmul.rs`, `tensor/src/ops/attention.rs`, or
+//! `tensor/src/simd.rs` whose name ends in
 //! `_block` or `_lanes` or is `drain_tasks` (the naming contract those
 //! files document; `_lanes` fns are the `f32x8` microkernel loops the
 //! `_block` kernels call). They run on
@@ -276,12 +276,11 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
     // Files that may define per-block worker-loop fns (`*_block`,
     // `*_lanes`, `drain_tasks`) subject to the no-lock/no-alloc/no-println
     // rules. `simd.rs` hosts the `_lanes` microkernel loops the `_block`
-    // kernels call, and `qmm.rs` the int8 quantized matmul blocks — both
-    // run inside claimed pool tasks just like the f32 kernels.
+    // kernels call; they run inside claimed pool tasks just like the
+    // kernels themselves.
     let in_worker_file = path_label.contains("tensor/src/parallel.rs")
         || path_label.contains("tensor/src/ops/matmul.rs")
         || path_label.contains("tensor/src/ops/attention.rs")
-        || path_label.contains("tensor/src/ops/qmm.rs")
         || path_label.contains("tensor/src/simd.rs");
     // Files that may define plan-executor hot loops (`*_plan_loop`),
     // subject to the no-alloc/no-unwrap/no-span plan rules. `plan.rs`

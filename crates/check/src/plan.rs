@@ -82,7 +82,7 @@
 use std::collections::{HashMap, HashSet};
 
 use timekd::{
-    bind_student_params, compile_student_objective_plan, compile_student_plan, student_objective,
+    bind_student_params, compile_student_objective_plan, student_forecast_plan, student_objective,
     student_plan_optimizer, student_plan_spec, trace_student, trainer_adamw, PlannedBatchTrainer,
     PlannedStudent, Student, StudentTrace, TimeKdConfig,
 };
@@ -1223,7 +1223,7 @@ pub fn plan_fingerprint_lines() -> Result<Vec<String>, String> {
     for (cfg, label) in config_matrix() {
         let mut plans = vec![(
             "forecast".to_string(),
-            compile_student_plan(&cfg, input_len, horizon, num_vars),
+            student_forecast_plan(&cfg, input_len, horizon, num_vars),
         )];
         for batch in PROVEN_BATCHES {
             let opt = student_plan_optimizer(&cfg);
@@ -1348,7 +1348,7 @@ mod tests {
     }
 
     fn tiny_plan() -> Plan {
-        compile_student_plan(&tiny_cfg(), 24, 8, 3).unwrap()
+        student_forecast_plan(&tiny_cfg(), 24, 8, 3).unwrap()
     }
 
     fn tiny_trace() -> StudentTrace {

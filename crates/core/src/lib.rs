@@ -49,10 +49,9 @@ pub use forecaster::Forecaster;
 pub use model_io::{load_checkpoint, save_checkpoint};
 pub use norm_helpers::layer_norm_const;
 pub use plan::{
-    bind_student_params, compile_student_objective_plan, compile_student_plan, plan_cache_stats,
-    reset_plan_cache, student_forecast_plan, student_objective_spec, student_plan_spec,
-    student_plan_spec_with_precision, PlannedBatchTrainer, PlannedStudent, QuantizedStudent,
-    AUX_TEACHER_ATT, AUX_TEACHER_EMB,
+    bind_student_params, compile_student_objective_plan, plan_cache_stats, reset_plan_cache,
+    student_forecast_plan, student_objective_spec, student_plan_spec, PlannedBatchTrainer,
+    PlannedStudent, AUX_TEACHER_ATT, AUX_TEACHER_EMB,
 };
 pub use sca::SubtractiveCrossAttention;
 pub use student::{Student, StudentOutput};

@@ -16,8 +16,8 @@ use std::collections::HashMap;
 
 use timekd_nn::Module;
 use timekd_tensor::{
-    BatchTrainExecutor, Plan, PlanError, PlanExecutor, PlanOptimizer, PlanSpec, Precision, Tensor,
-    TrainSpec, ValueSource,
+    BatchTrainExecutor, Plan, PlanError, PlanExecutor, PlanOptimizer, PlanSpec, Tensor, TrainSpec,
+    ValueSource,
 };
 
 use crate::config::TimeKdConfig;
@@ -29,18 +29,11 @@ use crate::symbolic::{trace_student, StudentTrace, TEACHER_ATT_LABEL, TEACHER_EM
 /// leaves in the recording) lower to per-column mean/std steps over
 /// it — with the same `1e-5` epsilon as the real layer.
 pub fn student_plan_spec() -> PlanSpec {
-    student_plan_spec_with_precision(Precision::F32)
-}
-
-/// [`student_plan_spec`] with an explicit executor precision — `Int8`
-/// compiles the quantized inference path ([`QuantizedStudent`]).
-pub fn student_plan_spec_with_precision(precision: Precision) -> PlanSpec {
     PlanSpec {
         input_label: "x".to_string(),
         col_mean_leaves: vec!["student.revin.mu".to_string()],
         col_std_leaves: vec![("student.revin.std".to_string(), 1e-5)],
         aux_labels: Vec::new(),
-        precision,
     }
 }
 
@@ -183,38 +176,19 @@ fn cached_plan(
     Ok(plan)
 }
 
-/// The forecast plan for this geometry at `precision`, from the plan cache
-/// or — on a miss only — recorded and compiled.
+/// The forecast plan for this geometry, from the plan cache or — on a
+/// miss only — recorded and compiled.
 pub fn student_forecast_plan(
     config: &TimeKdConfig,
     input_len: usize,
     horizon: usize,
     num_vars: usize,
-    precision: Precision,
 ) -> Result<Plan, PlanError> {
-    let mut key = plan_key_base(KIND_FORECAST, config, input_len, horizon, num_vars);
-    key.push(match precision {
-        Precision::F32 => 0,
-        Precision::Int8 => 1,
-    });
+    let key = plan_key_base(KIND_FORECAST, config, input_len, horizon, num_vars);
     cached_plan(key, || {
         let trace = trace(config, (input_len, horizon, num_vars))?;
-        Plan::compile(
-            &trace.prediction,
-            &student_plan_spec_with_precision(precision),
-        )
+        Plan::compile(&trace.prediction, &student_plan_spec())
     })
-}
-
-/// Records the student forecast graph for this geometry and compiles it
-/// into a static plan (cached like [`student_forecast_plan`]).
-pub fn compile_student_plan(
-    config: &TimeKdConfig,
-    input_len: usize,
-    horizon: usize,
-    num_vars: usize,
-) -> Result<Plan, PlanError> {
-    student_forecast_plan(config, input_len, horizon, num_vars, Precision::F32)
 }
 
 /// Records the student objective for this geometry and compiles it into
@@ -290,32 +264,21 @@ pub struct PlannedStudent {
     num_vars: usize,
 }
 
-/// Compiles the forecast plan for `student`'s geometry at the given
-/// precision and binds the student's parameters to an executor (see
-/// [`bind_student_params`] for the binding contract).
-fn bind_student_forecast(
-    student: &Student,
-    config: &TimeKdConfig,
-    precision: Precision,
-) -> Result<(Plan, PlanExecutor), PlanError> {
-    let (input_len, horizon, num_vars) = geometry(student);
-    let plan = student_forecast_plan(config, input_len, horizon, num_vars, precision)?;
-    let params = bind_student_params(student);
-    let executor = PlanExecutor::new(&plan, |label, dims| resolve(&params, label, dims))?;
-    Ok((plan, executor))
-}
-
 impl PlannedStudent {
-    /// Compiles the plan for `student`'s geometry and binds its parameters
-    /// (see [`bind_student_forecast`] for the binding contract).
+    /// Compiles the forecast plan for `student`'s geometry and binds its
+    /// parameters to an executor (see [`bind_student_params`] for the
+    /// binding contract).
     pub fn new(student: &Student, config: &TimeKdConfig) -> Result<PlannedStudent, PlanError> {
-        let (plan, executor) = bind_student_forecast(student, config, Precision::F32)?;
+        let (input_len, horizon, num_vars) = geometry(student);
+        let plan = student_forecast_plan(config, input_len, horizon, num_vars)?;
+        let params = bind_student_params(student);
+        let executor = PlanExecutor::new(&plan, |label, dims| resolve(&params, label, dims))?;
         Ok(PlannedStudent {
             plan,
             executor,
-            input_len: student.input_len(),
-            horizon: student.horizon(),
-            num_vars: student.num_vars(),
+            input_len,
+            horizon,
+            num_vars,
         })
     }
 
@@ -349,88 +312,6 @@ impl PlannedStudent {
     ///
     /// The executor never touches a `Tensor` op, but the `no_grad` scope
     /// keeps that guarantee even if one ever sneaks in.
-    pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        timekd_tensor::no_grad(|| {
-            let mut out = vec![0.0f32; self.horizon * self.num_vars];
-            self.predict_into(x, &mut out);
-            Tensor::from_vec(out, [self.horizon, self.num_vars])
-        })
-    }
-
-    /// Resident parameter bytes of the bound executor.
-    pub fn param_bytes(&self) -> usize {
-        self.executor.param_bytes()
-    }
-}
-
-/// A [`Student`] whose predict path runs the compiled plan with int8
-/// weight matmuls: every projection weight that feeds a `Matmul2d` step is
-/// quantized once at bind time (per-output-column absmax scales),
-/// activations are row-quantized on the fly into executor scratch, and
-/// products accumulate in exact i32 before dequantizing at the activation
-/// boundary. Attention, RevIN, and element-wise ops stay f32.
-///
-/// Forecasts are approximate — the quantized-vs-f32 MSE delta is gated in
-/// `timekd-bench` — but remain bitwise deterministic at any
-/// `TIMEKD_THREADS` setting: the integer accumulation is order-free, and
-/// the residual f32 steps keep the workspace's one pinned reduction order.
-#[derive(Debug)]
-pub struct QuantizedStudent {
-    plan: Plan,
-    executor: PlanExecutor,
-    input_len: usize,
-    horizon: usize,
-    num_vars: usize,
-}
-
-impl QuantizedStudent {
-    /// Compiles the int8-precision plan for `student`'s geometry and binds
-    /// (quantizing) its parameters.
-    pub fn new(student: &Student, config: &TimeKdConfig) -> Result<QuantizedStudent, PlanError> {
-        let (plan, executor) = bind_student_forecast(student, config, Precision::Int8)?;
-        Ok(QuantizedStudent {
-            plan,
-            executor,
-            input_len: student.input_len(),
-            horizon: student.horizon(),
-            num_vars: student.num_vars(),
-        })
-    }
-
-    /// The compiled plan (for inspection and verification).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// Forecast horizon length.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Channel count.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Resident parameter bytes after bind-time quantization: int8 codes +
-    /// scales for the quantized weights, f32 for everything else (biases,
-    /// norm gains). Compare with [`PlannedStudent::param_bytes`].
-    pub fn param_bytes(&self) -> usize {
-        self.executor.param_bytes()
-    }
-
-    /// Predicts into a caller-provided `[horizon * num_vars]` buffer with
-    /// zero allocation and zero graph construction.
-    pub fn predict_into(&mut self, x: &Tensor, out: &mut [f32]) {
-        assert_eq!(
-            x.dims(),
-            &[self.input_len, self.num_vars],
-            "quantized student input shape"
-        );
-        self.executor.run(&x.data(), out);
-    }
-
-    /// Convenience wrapper returning a `[horizon, num_vars]` tensor.
     pub fn predict(&mut self, x: &Tensor) -> Tensor {
         timekd_tensor::no_grad(|| {
             let mut out = vec![0.0f32; self.horizon * self.num_vars];
@@ -818,86 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_student_tracks_f32_and_shrinks_params() {
-        let config = small_config();
-        let (input_len, horizon, num_vars) = (24, 8, 5);
-        let mut rng = seeded_rng(7);
-        let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
-        let mut planned = PlannedStudent::new(&student, &config).unwrap();
-        let mut quant = QuantizedStudent::new(&student, &config).unwrap();
-
-        // The int8 executor replaces f32 weight copies with codes+scales:
-        // the resident parameter footprint must shrink substantially.
-        assert!(
-            quant.param_bytes() < planned.param_bytes() / 2,
-            "quantized params {} vs f32 {}",
-            quant.param_bytes(),
-            planned.param_bytes()
-        );
-
-        let x = Tensor::randn([input_len, num_vars], 1.0, &mut rng);
-        let exact = planned.predict(&x);
-        let approx = quant.predict(&x);
-        let mse = exact
-            .to_vec()
-            .iter()
-            .zip(approx.to_vec())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f32>()
-            / exact.to_vec().len() as f32;
-        // Untrained-student outputs are O(1); int8 weight+activation
-        // quantization should stay well inside this bound.
-        assert!(mse < 1e-2, "quantized forecast drifted: mse {mse}");
-        assert!(mse.is_finite());
-    }
-
-    #[test]
-    fn quantized_student_is_deterministic_across_threads() {
-        let config = small_config();
-        let (input_len, horizon, num_vars) = (24, 8, 5);
-        let mut rng = seeded_rng(13);
-        let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
-        let x = Tensor::randn([input_len, num_vars], 1.0, &mut rng);
-        // The quantized matmuls are order-free (i32 accumulation); the
-        // remaining f32 steps (attention, RevIN) have one pinned order. So
-        // forecasts are bitwise stable across threads.
-        let predict = || {
-            QuantizedStudent::new(&student, &config)
-                .unwrap()
-                .predict(&x)
-                .to_vec()
-        };
-        let base = predict();
-        for threads in [1, 2, 5] {
-            let out = parallel::with_threads(threads, predict);
-            assert_eq!(
-                out, base,
-                "quantized forecast diverges at threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn train_executor_rejects_int8_plans() {
-        let config = small_config();
-        let trace = crate::trace_student(&config, 24, 8, 5).unwrap();
-        let plan = Plan::compile_training(
-            &trace.loss,
-            &PlanSpec {
-                precision: Precision::Int8,
-                ..student_objective_spec()
-            },
-            &TrainSpec::new("y", crate::student_plan_optimizer(&config)),
-        )
-        .unwrap();
-        let err = timekd_tensor::TrainExecutor::new(&plan, |_, _| None).unwrap_err();
-        assert!(
-            err.to_string().contains("inference-only"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
     fn batch_trainer_reuses_cached_plan_across_rebuilds() {
         // The cache is thread-local, so this test observes only its own
         // compiles; work with deltas to stay robust if the harness ever
@@ -960,7 +761,7 @@ mod tests {
     #[test]
     fn plan_has_no_unlowered_ops_and_reuses_arena() {
         let config = small_config();
-        let plan = compile_student_plan(&config, 24, 8, 5).unwrap();
+        let plan = student_forecast_plan(&config, 24, 8, 5).unwrap();
         let total: usize = plan
             .steps()
             .iter()

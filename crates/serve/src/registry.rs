@@ -1,16 +1,16 @@
 //! Versioned on-disk model registry for frozen student plans.
 //!
 //! Layout: `<root>/v<N>/` holds a `manifest.json` (schema
-//! `timekd-registry/v1`: model/geometry hyperparameters, precision, the
-//! ordered parameter table, and an FNV-1a checksum of the blob file) plus
-//! `params.bin` (the parameters as concatenated `TKT1` tensor blobs in
-//! manifest order). Publishing snapshots a live [`Student`] under the
-//! labels of its naming walk; loading fetches the forecast [`Plan`] for
-//! the manifest's geometry and precision from the plan cache (recording
-//! and compiling it on a miss), and cross-checks every blob label and
-//! shape against the plan's parameters — so a corrupt
-//! manifest, a truncated blob, a checksum mismatch, or a shape drift is a
-//! precise [`RegistryError`] at load time, never a panic at serve time.
+//! `timekd-registry/v1`: model/geometry hyperparameters, the precision
+//! (always `"f32"`), the ordered parameter table, and an FNV-1a checksum
+//! of the blob file) plus `params.bin` (the parameters as concatenated
+//! `TKT1` tensor blobs in manifest order). Publishing snapshots a live
+//! [`Student`] under the labels of its naming walk; loading fetches the
+//! forecast [`Plan`] for the manifest's geometry from the plan cache
+//! (recording and compiling it on a miss), and cross-checks every blob
+//! label and shape against the plan's parameters — so a corrupt manifest,
+//! a truncated blob, a checksum mismatch, or a shape drift is a precise
+//! [`RegistryError`] at load time, never a panic at serve time.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -104,14 +104,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Parsed `manifest.json`: the architecture, geometry, precision and
-/// ordered parameter table of one registered version.
+/// Parsed `manifest.json`: the architecture, geometry and ordered
+/// parameter table of one registered version. Every version is served by
+/// the f32 plan; the file still carries `"precision": "f32"`, and any
+/// other precision is rejected at load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// Version number (matches the `v<N>` directory name).
     pub version: u64,
-    /// Execution precision for the compiled plan.
-    pub precision: Precision,
     /// Student embedding width.
     pub dim: usize,
     /// Encoder layer count.
@@ -164,13 +164,7 @@ impl Manifest {
         Json::obj(vec![
             ("schema", Json::str(MANIFEST_SCHEMA)),
             ("version", Json::num(self.version as f64)),
-            (
-                "precision",
-                Json::str(match self.precision {
-                    Precision::Int8 => "int8",
-                    _ => "f32",
-                }),
-            ),
+            ("precision", Json::str("f32")),
             (
                 "model",
                 Json::obj(vec![
@@ -213,12 +207,11 @@ impl Manifest {
                 None => Err(bad(format!("missing key `{path}`"))),
             }
         };
-        let precision = match doc.get("precision").and_then(Json::as_str) {
-            Some("f32") => Precision::F32,
-            Some("int8") => Precision::Int8,
-            Some(other) => return Err(bad(format!("unknown precision {other:?}"))),
+        match doc.get("precision").and_then(Json::as_str) {
+            Some("f32") => {}
+            Some(other) => return Err(bad(format!("precision must be \"f32\", got {other:?}"))),
             None => return Err(bad("missing key `precision`".to_string())),
-        };
+        }
         let raw_params = match doc.get("params").and_then(Json::as_arr) {
             Some(rows) if !rows.is_empty() => rows,
             Some(_) => return Err(bad("`params` must be a non-empty array".to_string())),
@@ -256,7 +249,6 @@ impl Manifest {
             .to_string();
         Ok(Manifest {
             version: need_usize("version")? as u64,
-            precision,
             dim: need_usize("model.dim")?,
             num_layers: need_usize("model.num_layers")?,
             num_heads: need_usize("model.num_heads")?,
@@ -429,13 +421,14 @@ pub fn latest_version(root: &Path) -> Option<u64> {
 /// Publishes `student` as `v<version>`: writes its parameters in naming-walk
 /// order to `params.bin` (concatenated `TKT1` blobs) and then
 /// `manifest.json` (last, so a crashed publish never leaves a listable
-/// version).
+/// version). `_precision` has one value, [`Precision::F32`]; it stays in
+/// the signature only for callers that still pass it.
 pub fn publish(
     root: &Path,
     version: u64,
     student: &Student,
     config: &TimeKdConfig,
-    precision: Precision,
+    _precision: Precision,
 ) -> Result<Manifest, RegistryError> {
     let params = bind_student_params(student);
 
@@ -451,7 +444,6 @@ pub fn publish(
 
     let manifest = Manifest {
         version,
-        precision,
         dim: config.dim,
         num_layers: config.num_layers,
         num_heads: config.num_heads,
@@ -535,7 +527,6 @@ pub fn load(root: &Path, version: u64) -> Result<LoadedModel, RegistryError> {
         manifest.input_len,
         manifest.horizon,
         manifest.num_vars,
-        manifest.precision,
     )
     .map_err(|e| RegistryError::Plan(format!("{e:?}")))?;
     for v in plan
@@ -662,7 +653,6 @@ mod tests {
     fn manifest_roundtrips_through_json() {
         let m = Manifest {
             version: 3,
-            precision: Precision::Int8,
             dim: 16,
             num_layers: 2,
             num_heads: 2,
@@ -676,7 +666,11 @@ mod tests {
             ],
             checksum: "00000000deadbeef".to_string(),
         };
-        let doc = Json::parse(&m.to_json().render()).expect("parse");
+        // The file keeps naming the precision: `timekd-registry/v1`
+        // readers require the key.
+        let text = m.to_json().render();
+        assert!(text.contains(r#""precision": "f32""#), "{text}");
+        let doc = Json::parse(&text).expect("parse");
         assert_eq!(Manifest::from_json(&doc).expect("from_json"), m);
     }
 
@@ -684,7 +678,6 @@ mod tests {
     fn manifest_rejects_wrong_schema_and_bad_fields() {
         let base = Manifest {
             version: 1,
-            precision: Precision::F32,
             dim: 16,
             num_layers: 2,
             num_heads: 2,
@@ -712,6 +705,20 @@ mod tests {
         let err = Manifest::from_json(&doc).expect_err("missing geometry");
         assert!(
             matches!(err, RegistryError::Manifest(ref m) if m.contains("geometry.input_len")),
+            "{err}"
+        );
+
+        let mut doc = base.to_json();
+        if let Json::Obj(pairs) = &mut doc {
+            for (k, v) in pairs.iter_mut() {
+                if k == "precision" {
+                    *v = Json::str("int8");
+                }
+            }
+        }
+        let err = Manifest::from_json(&doc).expect_err("int8 precision");
+        assert!(
+            matches!(err, RegistryError::Manifest(ref m) if m.contains("int8")),
             "{err}"
         );
     }

@@ -9,10 +9,10 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use common::*;
-use timekd::{PlannedStudent, QuantizedStudent};
+use timekd::PlannedStudent;
 use timekd_obs::json::Json;
 use timekd_serve::{ServeConfig, Server};
-use timekd_tensor::{Precision, Tensor};
+use timekd_tensor::Tensor;
 
 fn window_tensor(rows: &[Vec<f32>]) -> Tensor {
     let flat: Vec<f32> = rows.iter().flatten().copied().collect();
@@ -28,7 +28,7 @@ fn served_forecast_is_bitwise_identical_to_planned_student() {
     let _serial = common::serial();
     timekd_obs::reset();
     let root = temp_registry("bitwise");
-    let student = publish_version(&root, 1, 41, Precision::F32);
+    let student = publish_version(&root, 1, 41);
     let server = Server::start(ServeConfig::new(&root)).expect("start");
 
     let mut planned = PlannedStudent::new(&student, &tiny_config()).expect("planned");
@@ -57,34 +57,11 @@ fn served_forecast_is_bitwise_identical_to_planned_student() {
 }
 
 #[test]
-fn int8_manifest_serves_quantized_forecasts_bitwise() {
-    let _serial = common::serial();
-    timekd_obs::reset();
-    let root = temp_registry("int8");
-    let student = publish_version(&root, 1, 43, Precision::Int8);
-    let server = Server::start(ServeConfig::new(&root)).expect("start");
-
-    let mut quantized = QuantizedStudent::new(&student, &tiny_config()).expect("quantized");
-    let window = demo_window(9);
-    let reference = tensor_bits(&quantized.predict(&window_tensor(&window)));
-
-    let resp = request(server.addr(), "POST", "/forecast", &forecast_body(&window));
-    assert_eq!(resp.status, 200, "{}", resp.body);
-    assert_eq!(
-        forecast_bits(&resp.json()),
-        reference,
-        "int8 manifest must serve QuantizedStudent::predict bit for bit"
-    );
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn error_paths_answer_precisely_and_keep_the_connection() {
     let _serial = common::serial();
     timekd_obs::reset();
     let root = temp_registry("errors");
-    let _student = publish_version(&root, 1, 44, Precision::F32);
+    let _student = publish_version(&root, 1, 44);
     let mut cfg = ServeConfig::new(&root);
     cfg.max_body_bytes = 2048;
     let server = Server::start(cfg).expect("start");
@@ -165,7 +142,7 @@ fn concurrent_clients_get_deterministic_fused_responses() {
     let _serial = common::serial();
     timekd_obs::reset();
     let root = temp_registry("concurrent");
-    let student = publish_version(&root, 1, 45, Precision::F32);
+    let student = publish_version(&root, 1, 45);
     let server = Server::start(ServeConfig::new(&root)).expect("start");
     let addr = server.addr();
 
@@ -209,8 +186,8 @@ fn hot_swap_under_load_never_drops_or_mixes_versions() {
     let _serial = common::serial();
     timekd_obs::reset();
     let root = temp_registry("hotswap");
-    let student_v1 = publish_version(&root, 1, 46, Precision::F32);
-    let student_v2 = publish_version(&root, 2, 47, Precision::F32);
+    let student_v1 = publish_version(&root, 1, 46);
+    let student_v2 = publish_version(&root, 2, 47);
     // Boot pinned to v1: latest_version picks v2, so activate v1 first via
     // a server started on the registry, then swap back. Simpler: publish v2
     // later — instead we just activate v1 explicitly before the load phase.
@@ -288,7 +265,7 @@ fn connections_past_the_cap_are_shed_with_503() {
     let _serial = common::serial();
     timekd_obs::reset();
     let root = temp_registry("conncap");
-    let _student = publish_version(&root, 1, 50, Precision::F32);
+    let _student = publish_version(&root, 1, 50);
     let mut cfg = ServeConfig::new(&root);
     cfg.max_connections = 2;
     let server = Server::start(cfg).expect("start");
@@ -350,7 +327,7 @@ fn deeply_nested_json_body_is_rejected_not_fatal() {
     let _serial = common::serial();
     timekd_obs::reset();
     let root = temp_registry("deepjson");
-    let _student = publish_version(&root, 1, 51, Precision::F32);
+    let _student = publish_version(&root, 1, 51);
     let server = Server::start(ServeConfig::new(&root)).expect("start");
     let addr = server.addr();
 
@@ -376,7 +353,7 @@ fn tenant_observe_then_forecast_matches_explicit_window() {
     let _serial = common::serial();
     timekd_obs::reset();
     let root = temp_registry("tenants");
-    let student = publish_version(&root, 1, 48, Precision::F32);
+    let student = publish_version(&root, 1, 48);
     let server = Server::start(ServeConfig::new(&root)).expect("start");
     let addr = server.addr();
 
@@ -426,7 +403,7 @@ fn metrics_exposes_counters_and_latency_histograms() {
     let _serial = common::serial();
     timekd_obs::reset();
     let root = temp_registry("metrics");
-    let _student = publish_version(&root, 1, 49, Precision::F32);
+    let _student = publish_version(&root, 1, 49);
     let server = Server::start(ServeConfig::new(&root)).expect("start");
     let addr = server.addr();
 

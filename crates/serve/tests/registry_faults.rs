@@ -11,7 +11,6 @@ use common::*;
 use timekd::PlannedStudent;
 use timekd_obs::json::Json;
 use timekd_serve::{fnv1a, load, registry::RegistryError, ServeConfig, Server};
-use timekd_tensor::Precision;
 
 fn manifest_path(root: &Path, version: u64) -> std::path::PathBuf {
     root.join(format!("v{version}")).join("manifest.json")
@@ -24,7 +23,7 @@ fn params_path(root: &Path, version: u64) -> std::path::PathBuf {
 #[test]
 fn missing_version_is_reported_as_such() {
     let root = temp_registry("faults-missing");
-    publish_version(&root, 1, 50, Precision::F32);
+    publish_version(&root, 1, 50);
     match load(&root, 7) {
         Err(RegistryError::MissingVersion(7)) => {}
         other => panic!("expected MissingVersion(7), got {other:?}"),
@@ -35,7 +34,7 @@ fn missing_version_is_reported_as_such() {
 #[test]
 fn corrupt_manifest_json_fails_the_parse_stage() {
     let root = temp_registry("faults-manifest");
-    publish_version(&root, 1, 51, Precision::F32);
+    publish_version(&root, 1, 51);
     fs::write(manifest_path(&root, 1), "{not json at all").expect("corrupt");
     match load(&root, 1) {
         Err(RegistryError::Manifest(msg)) => {
@@ -60,7 +59,7 @@ fn corrupt_manifest_json_fails_the_parse_stage() {
 #[test]
 fn flipped_blob_byte_fails_the_checksum_stage() {
     let root = temp_registry("faults-checksum");
-    publish_version(&root, 1, 52, Precision::F32);
+    publish_version(&root, 1, 52);
     let mut blob = fs::read(params_path(&root, 1)).expect("read blob");
     let mid = blob.len() / 2;
     blob[mid] ^= 0x40;
@@ -78,7 +77,7 @@ fn flipped_blob_byte_fails_the_checksum_stage() {
 #[test]
 fn truncated_blob_fails_the_decode_stage_with_the_param_label() {
     let root = temp_registry("faults-truncated");
-    publish_version(&root, 1, 53, Precision::F32);
+    publish_version(&root, 1, 53);
     let blob = fs::read(params_path(&root, 1)).expect("read blob");
     let truncated = &blob[..blob.len() - blob.len() / 3];
     fs::write(params_path(&root, 1), truncated).expect("truncate blob");
@@ -110,7 +109,7 @@ fn truncated_blob_fails_the_decode_stage_with_the_param_label() {
 #[test]
 fn manifest_geometry_drift_fails_the_plan_crosscheck_stage() {
     let root = temp_registry("faults-shape");
-    publish_version(&root, 1, 54, Precision::F32);
+    publish_version(&root, 1, 54);
     // Widen model.dim 16 -> 24: the blobs still decode against the
     // manifest's own param dims, but the re-traced plan now expects
     // different parameter shapes.
@@ -148,7 +147,7 @@ fn rejected_hot_swap_keeps_the_old_version_serving() {
     let _serial = common::serial();
     timekd_obs::reset();
     let root = temp_registry("faults-swap");
-    let student = publish_version(&root, 1, 55, Precision::F32);
+    let student = publish_version(&root, 1, 55);
     let server = Server::start(ServeConfig::new(&root)).expect("start");
     let addr = server.addr();
 
@@ -162,7 +161,7 @@ fn rejected_hot_swap_keeps_the_old_version_serving() {
     let body = Json::obj(vec![("x", rows_json(&window))]).render();
 
     // Publish a v2 whose blob is then corrupted on disk.
-    publish_version(&root, 2, 56, Precision::F32);
+    publish_version(&root, 2, 56);
     let mut blob = fs::read(params_path(&root, 2)).expect("read blob");
     blob[0] ^= 0xff;
     fs::write(params_path(&root, 2), &blob).expect("corrupt v2");
@@ -175,6 +174,31 @@ fn rejected_hot_swap_keeps_the_old_version_serving() {
         doc.get("error")
             .and_then(Json::as_str)
             .is_some_and(|e| e.contains("checksum")),
+        "{}",
+        resp.body
+    );
+    assert_eq!(doc.get("kept_version").and_then(Json::as_num), Some(1.0));
+
+    // ...so must a v3 whose manifest asks for a precision other than f32
+    // (every version is served by the f32 plan)...
+    publish_version(&root, 3, 57);
+    let text = fs::read_to_string(manifest_path(&root, 3)).expect("read manifest");
+    let mut manifest = Json::parse(&text).expect("parse manifest");
+    if let Json::Obj(pairs) = &mut manifest {
+        for (k, v) in pairs.iter_mut() {
+            if k == "precision" {
+                *v = Json::str("int8");
+            }
+        }
+    }
+    fs::write(manifest_path(&root, 3), manifest.render()).expect("patch precision");
+    let resp = request(addr, "POST", "/admin/activate", r#"{"version": 3}"#);
+    assert_eq!(resp.status, 422, "{}", resp.body);
+    let doc = resp.json();
+    assert!(
+        doc.get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("int8")),
         "{}",
         resp.body
     );
@@ -199,7 +223,7 @@ fn rejected_hot_swap_keeps_the_old_version_serving() {
         doc.get("counters")
             .and_then(|c| c.get("serve.swap_rejects"))
             .and_then(Json::as_num),
-        Some(2.0),
+        Some(3.0),
         "{}",
         resp.body
     );

@@ -19,8 +19,7 @@
 //!   `TIMEKD_THREADS`) while the graph itself stays single-threaded, and
 //!   parallel results are bitwise identical to serial ones;
 //! - explicit-width `f32x8` microkernels ([`simd`]) with one pinned
-//!   lane-blocked reduction order, plus an int8 per-column-absmax
-//!   quantized matmul path for student inference ([`QuantizedMatrix`]);
+//!   lane-blocked reduction order;
 //! - seedable initialisers and finite-difference gradient-check utilities;
 //! - a compact binary tensor format for model checkpoints ([`io`]);
 //! - graph introspection and auditing ([`GraphAudit`]) plus an opt-in
@@ -73,7 +72,6 @@ pub use audit::{AuditIssue, GraphAudit, GraphStats, NodeSummary};
 pub use grad_check::{assert_gradients_close, check_gradient, GradCheckReport};
 pub use init::{sample_standard_normal, seeded_rng};
 pub use ops::attention::NEG_INF;
-pub use ops::qmm::QuantizedMatrix;
 pub use plan::{
     Plan, PlanError, PlanExecutor, PlanFault, PlanOp, PlanSlot, PlanSpec, PlanStep, PlanValue,
     Precision, ValueId, ValueSource,

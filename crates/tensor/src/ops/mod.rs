@@ -9,7 +9,6 @@
 pub(crate) mod attention;
 pub(crate) mod elementwise;
 pub(crate) mod matmul;
-pub(crate) mod qmm;
 pub(crate) mod reduce;
 pub(crate) mod shape_ops;
 pub(crate) mod softmax;

@@ -53,7 +53,6 @@ use std::fmt;
 
 use crate::ops::attention::attn_fwd_row_block;
 use crate::ops::matmul::mm_row_block;
-use crate::ops::qmm::{qmm_row_block, quantize_rows_block, QuantizedMatrix};
 use crate::plan_batch::ReduceStep;
 use crate::plan_train::{BwdStep, PlanOptimizer, UpdateStep};
 use crate::shape::eff_strides;
@@ -88,20 +87,15 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Numeric precision a plan's executor should use for its weight matmuls.
+/// Numeric precision of a published model. Every plan and executor is
+/// f32, so this has one variant; it survives only because the benchmark
+/// package still names `Precision::F32` in its `publish` calls, and goes
+/// once those calls drop the argument.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Precision {
-    /// Full f32 kernels everywhere (the default).
+    /// Full f32 kernels everywhere.
     #[default]
     F32,
-    /// Int8 weight matmuls for inference: parameters feeding `Matmul2d`
-    /// steps are quantized at bind time (per-column absmax scales, see
-    /// [`QuantizedMatrix`]), activations are quantized per row on the
-    /// fly, accumulation is exact i32, and outputs dequantize back to f32
-    /// at the activation boundary. Everything else (attention, RevIN,
-    /// element-wise ops) stays f32. Inference-only: training executors
-    /// reject int8 plans.
-    Int8,
 }
 
 /// How to treat the symbolic graph's constant leaves during lowering.
@@ -121,9 +115,6 @@ pub struct PlanSpec {
     /// absent from a particular graph are tolerated (their slots are
     /// empty).
     pub aux_labels: Vec<String>,
-    /// Executor precision mode for weight matmuls; compiled into the plan
-    /// so executors bound later replay the same numeric contract.
-    pub precision: Precision,
 }
 
 /// The executable operation of one schedule step.
@@ -1067,15 +1058,6 @@ enum ExecOp {
         k: usize,
         n: usize,
     },
-    /// Int8 weight matmul: activations from `srcs[0]` are row-quantized
-    /// into executor scratch and contracted against `qweights[w]` with i32
-    /// accumulation; `srcs[1]` (the f32 param) is not read at run time.
-    QuantMatmul {
-        m: usize,
-        k: usize,
-        n: usize,
-        w: usize,
-    },
     CopyReshape,
     Permute {
         strides: Vec<usize>,
@@ -1148,13 +1130,6 @@ pub struct PlanExecutor {
     /// All-zero `v` operand for `AttentionMap` steps (the kernel packs a
     /// value matrix unconditionally; the map does not depend on it).
     attn_zero_v: Vec<f32>,
-    /// Weights quantized at bind time for `QuantMatmul` steps (int8
-    /// plans only; empty otherwise).
-    qweights: Vec<QuantizedMatrix>,
-    /// Per-run activation-quantization scratch: int8 codes.
-    q_codes: Vec<i8>,
-    /// Per-run activation-quantization scratch: per-row scales.
-    q_scales: Vec<f32>,
 }
 
 impl PlanExecutor {
@@ -1222,15 +1197,6 @@ impl PlanExecutor {
         let mut exec = Vec::with_capacity(plan.steps().len());
         let (mut kt_len, mut vt_len, mut sc_len, mut map_len, mut st_len) = (0, 0, 0, 0, 0);
         let (mut out_sink_len, mut zero_v_len) = (0usize, 0usize);
-        // Int8 plans quantize parameters that feed Matmul2d steps at bind
-        // time. Inference-only: a training plan's backward pass reads the
-        // f32 weights, so quantization is limited to forward-only plans
-        // (TrainExecutor rejects int8 specs outright).
-        let quantize = plan.spec().precision == Precision::Int8 && plan.bwd_steps().is_empty();
-        let mut qweights: Vec<QuantizedMatrix> = Vec::new();
-        let (mut qx_len, mut qs_len) = (0usize, 0usize);
-        let mut param_uses = vec![0usize; params.len()];
-        let mut param_quant_uses = vec![0usize; params.len()];
         for step in plan.steps() {
             let out_v = &plan.values()[step.output];
             let Loc::Arena {
@@ -1246,9 +1212,6 @@ impl PlanExecutor {
             let mut srcs = [Loc::Input; 3];
             for (i, &vid) in step.inputs.iter().enumerate().take(3) {
                 srcs[i] = loc_of(vid)?;
-                if let Loc::Param { idx } = srcs[i] {
-                    param_uses[idx] += 1;
-                }
                 // The executor's raw-pointer split of the arena is sound
                 // only because inputs never alias the output; reject any
                 // plan where they would (a verified plan never does).
@@ -1295,16 +1258,10 @@ impl PlanExecutor {
                 }
                 PlanOp::Matmul2d => {
                     let (a, b) = (in_dims(0), in_dims(1));
-                    let (m, k, n) = (a[0], a[1], b[1]);
-                    if let (true, Loc::Param { idx }) = (quantize, srcs[1]) {
-                        param_quant_uses[idx] += 1;
-                        qx_len = qx_len.max(m * k);
-                        qs_len = qs_len.max(m);
-                        let w = qweights.len();
-                        qweights.push(QuantizedMatrix::quantize(&params[idx], k, n));
-                        ExecOp::QuantMatmul { m, k, n, w }
-                    } else {
-                        ExecOp::Matmul { m, k, n }
+                    ExecOp::Matmul {
+                        m: a[0],
+                        k: a[1],
+                        n: b[1],
                     }
                 }
                 PlanOp::Reshape => ExecOp::CopyReshape,
@@ -1383,15 +1340,6 @@ impl PlanExecutor {
             return Err(PlanError::new("plan root is not arena-backed".to_string()));
         };
 
-        // A parameter whose every use was lowered to a quantized matmul is
-        // dead in f32 form — drop the copy so the int8 executor actually
-        // shrinks its resident footprint.
-        for (idx, p) in params.iter_mut().enumerate() {
-            if param_quant_uses[idx] > 0 && param_quant_uses[idx] == param_uses[idx] {
-                *p = Vec::new();
-            }
-        }
-
         let target_len = plan.target().map_or(0, |vid| plan.values()[vid].len());
         let aux: Vec<Vec<f32>> = (0..plan.spec().aux_labels.len())
             .map(|k| {
@@ -1419,23 +1367,7 @@ impl PlanExecutor {
             attn_stats: vec![0.0f32; 2 * st_len],
             attn_out_sink: vec![0.0f32; out_sink_len],
             attn_zero_v: vec![0.0f32; zero_v_len],
-            qweights,
-            q_codes: vec![0i8; qx_len],
-            q_scales: vec![0.0f32; qs_len],
         })
-    }
-
-    /// Resident parameter bytes: live f32 copies plus quantized weights
-    /// (codes + scales). For an int8 plan this is what the student actually
-    /// keeps in memory after bind-time quantization.
-    pub fn param_bytes(&self) -> usize {
-        let f32_bytes: usize = self
-            .params
-            .iter()
-            .map(|p| p.len() * std::mem::size_of::<f32>())
-            .sum();
-        let q_bytes: usize = self.qweights.iter().map(|q| q.bytes()).sum();
-        f32_bytes + q_bytes
     }
 
     /// Element count the input slice must have.
@@ -1578,28 +1510,6 @@ impl PlanExecutor {
                 ExecOp::Matmul { m, k, n } => {
                     out.fill(0.0);
                     mm_row_block(src(0), src(1), out, 0, *m, *k, *n);
-                }
-                ExecOp::QuantMatmul { m, k, n, w } => {
-                    let (m, k, n) = (*m, *k, *n);
-                    quantize_rows_block(
-                        src(0),
-                        &mut self.q_codes[..m * k],
-                        &mut self.q_scales[..m],
-                        m,
-                        k,
-                    );
-                    let qw = &self.qweights[*w];
-                    qmm_row_block(
-                        &self.q_codes[..m * k],
-                        &self.q_scales[..m],
-                        qw.codes(),
-                        qw.scales(),
-                        out,
-                        0,
-                        m,
-                        k,
-                        n,
-                    );
                 }
                 ExecOp::CopyReshape => {
                     out.copy_from_slice(src(0));
@@ -1747,7 +1657,6 @@ mod tests {
             col_mean_leaves: Vec::new(),
             col_std_leaves: Vec::new(),
             aux_labels: Vec::new(),
-            precision: Precision::F32,
         }
     }
 
@@ -1855,7 +1764,6 @@ mod tests {
             col_mean_leaves: vec!["mu".to_string()],
             col_std_leaves: vec![("std".to_string(), 1e-5)],
             aux_labels: Vec::new(),
-            precision: Precision::F32,
         };
         let plan = Plan::compile(&root, &spec).unwrap();
         let stat_steps = plan.steps().iter().filter(|s| s.sym_id.is_none()).count();

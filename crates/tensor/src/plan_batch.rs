@@ -333,7 +333,7 @@ impl BatchTrainExecutor {
 mod tests {
     use super::*;
     use crate::parallel::with_threads;
-    use crate::plan::{PlanFault, Precision, ValueSource};
+    use crate::plan::{PlanFault, ValueSource};
     use crate::plan_train::PlanOptimizer;
     use crate::symbolic::SymCtx;
     use crate::{seeded_rng, Tensor};
@@ -344,7 +344,6 @@ mod tests {
             col_mean_leaves: Vec::new(),
             col_std_leaves: Vec::new(),
             aux_labels: Vec::new(),
-            precision: Precision::F32,
         }
     }
 

@@ -36,7 +36,7 @@ use crate::ops::attention::{attn_bwd_dkv_block, attn_bwd_dq_block, attn_fwd_row_
 use crate::ops::matmul::{mm_nt_row_block, mm_row_block, pack_transpose_into};
 use crate::plan::{
     assign_slots, lower_forward, BinKind, Loc, Plan, PlanError, PlanExecutor, PlanOp, PlanSlot,
-    PlanSpec, PlanValue, Precision, ValueId, ValueSource, MAX_PLAN_RANK,
+    PlanSpec, PlanValue, ValueId, ValueSource, MAX_PLAN_RANK,
 };
 use crate::shape::eff_strides;
 use crate::symbolic::SymbolicTensor;
@@ -679,11 +679,6 @@ impl TrainExecutor {
         if !plan.is_training() {
             return Err(PlanError::new(
                 "plan has no reverse schedule; use Plan::compile_training",
-            ));
-        }
-        if plan.spec().precision == Precision::Int8 {
-            return Err(PlanError::new(
-                "int8 plans are inference-only: the backward pass reads f32 weights",
             ));
         }
         let optimizer = *plan
@@ -1605,7 +1600,6 @@ mod tests {
             col_mean_leaves: Vec::new(),
             col_std_leaves: Vec::new(),
             aux_labels: Vec::new(),
-            precision: Precision::F32,
         }
     }
 
