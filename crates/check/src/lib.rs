@@ -27,7 +27,8 @@
 //!
 //! "Worker loops" are the hot per-block functions of the parallel kernel
 //! path — functions in `tensor/src/parallel.rs`,
-//! `tensor/src/ops/matmul.rs`, `tensor/src/ops/attention.rs`, or
+//! `tensor/src/ops/matmul.rs`, `tensor/src/ops/attention.rs`,
+//! `tensor/src/ops/kernels.rs` (the slice kernels both engines call), or
 //! `tensor/src/simd.rs` whose name ends in
 //! `_block` or `_lanes` or is `drain_tasks` (the naming contract those
 //! files document; `_lanes` fns are the `f32x8` microkernel loops the
@@ -278,9 +279,13 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
     // rules. `simd.rs` hosts the `_lanes` microkernel loops the `_block`
     // kernels call; they run inside claimed pool tasks just like the
     // kernels themselves.
+    // `ops/kernels.rs` hosts the element-wise, reduction and permute
+    // `_block` kernels the `*_plan_loop` replays call: the plan rules see
+    // only the loop's own body, so these rules keep the kernels alloc-free.
     let in_worker_file = path_label.contains("tensor/src/parallel.rs")
         || path_label.contains("tensor/src/ops/matmul.rs")
         || path_label.contains("tensor/src/ops/attention.rs")
+        || path_label.contains("tensor/src/ops/kernels.rs")
         || path_label.contains("tensor/src/simd.rs");
     // Files that may define plan-executor hot loops (`*_plan_loop`),
     // subject to the no-alloc/no-unwrap/no-span plan rules. `plan.rs`

@@ -702,3 +702,48 @@ fn real_serve_modules_pass_their_own_lint() {
         );
     }
 }
+
+#[test]
+fn slice_kernel_worker_rules_trip() {
+    // ops/kernels.rs `_block` fns run inside the plan replay loops, which
+    // the plan rules check only by name: the lock (line 7), the
+    // allocation (line 8) and the println (line 9) in binary_block each
+    // trip; the geometry builder's allocation (line 17) stays legal.
+    let vs = scan_source(
+        "crates/tensor/src/ops/kernels.rs",
+        &fixture("bad_slice_kernel.rs"),
+    );
+    let of_rule = |rule: &str| -> Vec<usize> {
+        vs.iter()
+            .filter(|v| v.rule == rule)
+            .map(|v| v.line)
+            .collect()
+    };
+    assert_eq!(of_rule("no-lock-in-worker"), vec![7], "{vs:?}");
+    assert_eq!(of_rule("no-alloc-in-worker"), vec![8], "{vs:?}");
+    assert_eq!(of_rule("no-println-in-worker"), vec![9], "{vs:?}");
+    assert_eq!(vs.len(), 3, "test module and geometry stay quiet: {vs:?}");
+}
+
+#[test]
+fn slice_kernel_worker_rules_are_path_scoped() {
+    let vs = scan_source(
+        "crates/tensor/src/ops/elementwise.rs",
+        &fixture("bad_slice_kernel.rs"),
+    );
+    assert!(
+        vs.iter().all(|v| !v.rule.ends_with("-in-worker")),
+        "worker rules cover only the worker files: {vs:?}"
+    );
+}
+
+#[test]
+fn real_slice_kernel_module_passes_its_own_lint() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../tensor/src/ops/kernels.rs");
+    let source = std::fs::read_to_string(&path).expect("read ops/kernels.rs");
+    let vs = scan_source("crates/tensor/src/ops/kernels.rs", &source);
+    assert!(
+        vs.is_empty(),
+        "shipped slice kernels violate their own lint: {vs:?}"
+    );
+}

@@ -3,7 +3,7 @@
 
 use std::rc::Rc;
 
-use timekd_data::{ForecastWindow, WindowPrompts};
+use timekd_data::{ForecastWindow, MetricAccumulator, WindowPrompts};
 use timekd_lm::{pretrain_lm, FrozenLm, PretrainConfig, PromptTokenizer};
 use timekd_nn::{clip_grad_norm, AdamW, AdamWConfig, Module};
 use timekd_tensor::{seeded_rng, PlanOptimizer, Tensor};
@@ -11,7 +11,7 @@ use timekd_tensor::{seeded_rng, PlanOptimizer, Tensor};
 use crate::config::TimeKdConfig;
 use crate::distill::{reconstruction_objective, student_objective};
 use crate::forecaster::Forecaster;
-use crate::plan::PlannedBatchTrainer;
+use crate::plan::{PlannedBatchTrainer, PlannedStudent};
 use crate::student::Student;
 use crate::teacher::{render_prompts, CrossModalityTeacher};
 
@@ -390,6 +390,22 @@ impl Forecaster for TimeKd {
         self.student.predict(x)
     }
 
+    /// Scores every window through one [`PlannedStudent`] — the compiled
+    /// forecast plan that serves — so the reported MSE/MAE come from the
+    /// serving code. Its forecasts equal [`Student::predict`]'s bit for
+    /// bit. Panics with the [`PlanError`](timekd_tensor::PlanError) when
+    /// the student's geometry does not lower.
+    fn evaluate(&self, windows: &[ForecastWindow]) -> (f32, f32) {
+        assert!(!windows.is_empty(), "evaluate() called with no windows");
+        let mut planned = PlannedStudent::new(&self.student, &self.config)
+            .unwrap_or_else(|e| panic!("evaluate: the forecast plan does not lower: {e}"));
+        let mut acc = MetricAccumulator::new();
+        for w in windows {
+            acc.update(&planned.predict(&w.x), &w.y);
+        }
+        (acc.mse(), acc.mae())
+    }
+
     /// Counts what the paper counts: everything updated by
     /// backpropagation (teacher heads + student), excluding the frozen LM.
     fn num_trainable_params(&self) -> usize {
@@ -441,6 +457,30 @@ mod tests {
             ds.num_vars(),
         );
         (model, ds)
+    }
+
+    #[test]
+    fn planned_evaluate_reproduces_dynamic_predict_bitwise() {
+        let (mut model, ds) = tiny_model();
+        model.train_epoch(&ds.windows(Split::Train, 16));
+        let test: Vec<_> = ds.windows(Split::Test, 8);
+        let (mse, mae) = model.evaluate(&test);
+        let mut acc = MetricAccumulator::new();
+        for w in &test {
+            acc.update(&model.predict(&w.x), &w.y);
+        }
+        assert_eq!(
+            mse.to_bits(),
+            acc.mse().to_bits(),
+            "MSE {mse} vs {}",
+            acc.mse()
+        );
+        assert_eq!(
+            mae.to_bits(),
+            acc.mae().to_bits(),
+            "MAE {mae} vs {}",
+            acc.mae()
+        );
     }
 
     #[test]

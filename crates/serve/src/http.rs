@@ -336,7 +336,7 @@ mod tests {
     #[test]
     fn oversized_body_is_drained_for_keepalive() {
         let mut raw = b"POST /forecast HTTP/1.1\r\nContent-Length: 64\r\n\r\n".to_vec();
-        raw.extend(std::iter::repeat(b'x').take(64));
+        raw.extend(std::iter::repeat_n(b'x', 64));
         match framed(&raw, 16) {
             ReadOutcome::TooLarge {
                 declared,

@@ -1,5 +1,6 @@
 //! Reductions: full and per-axis sums and means.
 
+use crate::ops::kernels::{sum_axis_block, sum_axis_bwd_block, AxisSplit};
 use crate::shape::Shape;
 use crate::symbolic::SymAttr;
 use crate::tensor::Tensor;
@@ -39,22 +40,10 @@ impl Tensor {
             self.shape()
         );
         let dims = self.dims().to_vec();
-        let outer: usize = dims[..axis].iter().product();
-        let mid = dims[axis];
-        let inner: usize = dims[axis + 1..].iter().product();
-        let data = self.data();
-        let mut out = vec![0.0f32; outer * inner];
-        for o in 0..outer {
-            for m in 0..mid {
-                let base = (o * mid + m) * inner;
-                let out_base = o * inner;
-                for i in 0..inner {
-                    out[out_base + i] += data[base + i];
-                }
-            }
-        }
-        drop(data);
-        let mut out_dims = dims.clone();
+        let split = AxisSplit::new(&dims, axis);
+        let mut out = vec![0.0f32; split.outer * split.inner];
+        sum_axis_block(&self.data(), &mut out, split);
+        let mut out_dims = dims;
         if keepdim {
             out_dims[axis] = 1;
         } else {
@@ -71,15 +60,7 @@ impl Tensor {
                     return;
                 }
                 let mut gx = vec![0.0f32; x.num_elements()];
-                for o in 0..outer {
-                    for m in 0..mid {
-                        let base = (o * mid + m) * inner;
-                        let g_base = o * inner;
-                        for i in 0..inner {
-                            gx[base + i] += grad[g_base + i];
-                        }
-                    }
-                }
+                sum_axis_bwd_block(grad, &mut gx, split);
                 x.accumulate_grad(&gx);
             }),
         )

@@ -1,5 +1,6 @@
 //! Shape manipulation: reshape, permute/transpose, slice, concat, gather.
 
+use crate::ops::kernels::{inverse_perm, permute_block, permute_walk};
 use crate::shape::Shape;
 use crate::symbolic::SymAttr;
 use crate::tensor::Tensor;
@@ -40,41 +41,12 @@ impl Tensor {
             );
             seen[p] = true;
         }
-        let src_dims = self.dims().to_vec();
-        let out_dims: Vec<usize> = perm.iter().map(|&p| src_dims[p]).collect();
-        let out_shape = Shape::new(out_dims.clone());
-        let src_strides = Shape::new(src_dims.clone()).strides();
-        let n = self.num_elements();
-        let data = self.data();
-        let mut out = vec![0.0f32; n];
-        // Walk the output in row-major order; map each output index to the
-        // source offset via permuted strides.
-        let mut idx = vec![0usize; rank];
-        let perm_strides: Vec<usize> = perm.iter().map(|&p| src_strides[p]).collect();
-        let mut src_off = 0usize;
-        for o in out.iter_mut() {
-            *o = data[src_off];
-            let mut ax = rank;
-            loop {
-                if ax == 0 {
-                    break;
-                }
-                ax -= 1;
-                idx[ax] += 1;
-                src_off += perm_strides[ax];
-                if idx[ax] < out_dims[ax] {
-                    break;
-                }
-                src_off -= perm_strides[ax] * out_dims[ax];
-                idx[ax] = 0;
-            }
-        }
-        drop(data);
+        let walk = permute_walk(self.dims(), perm);
+        let out_shape = Shape::new(perm.iter().map(|&p| self.dims()[p]).collect::<Vec<_>>());
+        let mut out = vec![0.0f32; self.num_elements()];
+        permute_block(&walk, &self.data(), &mut out);
         // Backward: permute the gradient with the inverse permutation.
-        let mut inv = vec![0usize; rank];
-        for (i, &p) in perm.iter().enumerate() {
-            inv[p] = i;
-        }
+        let inv = inverse_perm(perm);
         let out_shape_bw = out_shape.clone();
         Tensor::from_op(
             "permute",

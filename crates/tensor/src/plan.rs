@@ -52,10 +52,13 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::ops::attention::attn_fwd_row_block;
+use crate::ops::kernels::{
+    binary_block, broadcast_walk, permute_block, permute_walk, sum_axis_block, unary_block,
+    AxisSplit, BinKind, RowWalk, UnKind,
+};
 use crate::ops::matmul::mm_row_block;
 use crate::plan_batch::ReduceStep;
 use crate::plan_train::{BwdStep, PlanOptimizer, UpdateStep};
-use crate::shape::eff_strides;
 use crate::symbolic::{SymAttr, SymbolicTensor};
 
 /// Index of a [`PlanValue`] within its plan.
@@ -1006,31 +1009,30 @@ pub(crate) enum Loc {
     Aux(usize),
 }
 
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum BinKind {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    SmoothL1,
-}
+impl PlanOp {
+    /// The element kernel of a broadcasting binary op.
+    pub(crate) fn bin_kind(&self) -> Option<BinKind> {
+        Some(match self {
+            PlanOp::Add => BinKind::Add,
+            PlanOp::Sub => BinKind::Sub,
+            PlanOp::Mul => BinKind::Mul,
+            PlanOp::Div => BinKind::Div,
+            PlanOp::SmoothL1 => BinKind::SmoothL1,
+            _ => return None,
+        })
+    }
 
-#[inline]
-pub(crate) fn bin_apply(kind: BinKind, a: f32, b: f32) -> f32 {
-    match kind {
-        BinKind::Add => a + b,
-        BinKind::Sub => a - b,
-        BinKind::Mul => a * b,
-        BinKind::Div => a / b,
-        BinKind::SmoothL1 => {
-            // Exactly the dynamic smooth_l1 element function.
-            let d = a - b;
-            if d.abs() < 1.0 {
-                0.5 * d * d
-            } else {
-                d.abs() - 0.5
-            }
-        }
+    /// The element kernel of a unary op.
+    pub(crate) fn un_kind(&self) -> Option<UnKind> {
+        Some(match self {
+            PlanOp::AddScalar(c) => UnKind::AddScalar(*c),
+            PlanOp::MulScalar(c) => UnKind::MulScalar(*c),
+            PlanOp::Rsqrt => UnKind::Rsqrt,
+            PlanOp::Square => UnKind::Square,
+            PlanOp::Relu => UnKind::Relu,
+            PlanOp::Gelu => UnKind::Gelu,
+            _ => return None,
+        })
     }
 }
 
@@ -1038,31 +1040,17 @@ pub(crate) fn bin_apply(kind: BinKind, a: f32, b: f32) -> f32 {
 enum ExecOp {
     Binary {
         kind: BinKind,
-        dims: Vec<usize>,
-        a_str: Vec<usize>,
-        b_str: Vec<usize>,
+        walk: RowWalk<2>,
     },
-    AddScalar(f32),
-    MulScalar(f32),
-    Rsqrt,
-    Square,
-    Relu,
-    Gelu,
-    SumAxis {
-        outer: usize,
-        mid: usize,
-        inner: usize,
-    },
+    Unary(UnKind),
+    SumAxis(AxisSplit),
     Matmul {
         m: usize,
         k: usize,
         n: usize,
     },
     CopyReshape,
-    Permute {
-        strides: Vec<usize>,
-        dims: Vec<usize>,
-    },
+    Permute(RowWalk<1>),
     Attention {
         heads: usize,
         tq: usize,
@@ -1226,37 +1214,16 @@ impl PlanExecutor {
                 }
             }
             let in_dims = |i: usize| -> &[usize] { &plan.values()[step.inputs[i]].dims };
-            let op = match &step.op {
-                PlanOp::Add | PlanOp::Sub | PlanOp::Mul | PlanOp::Div | PlanOp::SmoothL1 => {
-                    let kind = match step.op {
-                        PlanOp::Add => BinKind::Add,
-                        PlanOp::Sub => BinKind::Sub,
-                        PlanOp::Mul => BinKind::Mul,
-                        PlanOp::SmoothL1 => BinKind::SmoothL1,
-                        _ => BinKind::Div,
-                    };
-                    ExecOp::Binary {
-                        kind,
-                        dims: out_v.dims.clone(),
-                        a_str: eff_strides(in_dims(0), &out_v.dims),
-                        b_str: eff_strides(in_dims(1), &out_v.dims),
-                    }
+            let op = match (&step.op, step.op.bin_kind(), step.op.un_kind()) {
+                (_, Some(kind), _) => ExecOp::Binary {
+                    kind,
+                    walk: broadcast_walk(in_dims(0), in_dims(1), &out_v.dims),
+                },
+                (_, _, Some(kind)) => ExecOp::Unary(kind),
+                (PlanOp::SumAxis { axis }, ..) => {
+                    ExecOp::SumAxis(AxisSplit::new(in_dims(0), *axis))
                 }
-                PlanOp::AddScalar(c) => ExecOp::AddScalar(*c),
-                PlanOp::MulScalar(c) => ExecOp::MulScalar(*c),
-                PlanOp::Rsqrt => ExecOp::Rsqrt,
-                PlanOp::Square => ExecOp::Square,
-                PlanOp::Relu => ExecOp::Relu,
-                PlanOp::Gelu => ExecOp::Gelu,
-                PlanOp::SumAxis { axis } => {
-                    let dims = in_dims(0);
-                    ExecOp::SumAxis {
-                        outer: dims[..*axis].iter().product(),
-                        mid: dims[*axis],
-                        inner: dims[*axis + 1..].iter().product(),
-                    }
-                }
-                PlanOp::Matmul2d => {
+                (PlanOp::Matmul2d, ..) => {
                     let (a, b) = (in_dims(0), in_dims(1));
                     ExecOp::Matmul {
                         m: a[0],
@@ -1264,21 +1231,9 @@ impl PlanExecutor {
                         n: b[1],
                     }
                 }
-                PlanOp::Reshape => ExecOp::CopyReshape,
-                PlanOp::Permute(perm) => {
-                    let src = in_dims(0);
-                    let mut src_strides = vec![0usize; src.len()];
-                    let mut acc = 1usize;
-                    for i in (0..src.len()).rev() {
-                        src_strides[i] = acc;
-                        acc *= src[i];
-                    }
-                    ExecOp::Permute {
-                        strides: perm.iter().map(|&p| src_strides[p]).collect(),
-                        dims: out_v.dims.clone(),
-                    }
-                }
-                PlanOp::FusedAttention { heads, tq, tk, dh } => {
+                (PlanOp::Reshape, ..) => ExecOp::CopyReshape,
+                (PlanOp::Permute(perm), ..) => ExecOp::Permute(permute_walk(in_dims(0), perm)),
+                (PlanOp::FusedAttention { heads, tq, tk, dh }, ..) => {
                     kt_len = kt_len.max(dh * tk);
                     vt_len = vt_len.max(dh * tk);
                     sc_len = sc_len.max(*tk);
@@ -1292,7 +1247,7 @@ impl PlanExecutor {
                         scale: 1.0 / (*dh as f32).sqrt(),
                     }
                 }
-                PlanOp::FusedAttentionMap { heads, tq, tk, dh } => {
+                (PlanOp::FusedAttentionMap { heads, tq, tk, dh }, ..) => {
                     kt_len = kt_len.max(dh * tk);
                     vt_len = vt_len.max(dh * tk);
                     sc_len = sc_len.max(*tk);
@@ -1307,14 +1262,14 @@ impl PlanExecutor {
                         scale: 1.0 / (*dh as f32).sqrt(),
                     }
                 }
-                PlanOp::ColMean => {
+                (PlanOp::ColMean, ..) => {
                     let dims = in_dims(0);
                     ExecOp::ColMean {
                         t: dims[0],
                         n: dims[1],
                     }
                 }
-                PlanOp::ColStd { eps } => {
+                (PlanOp::ColStd { eps }, ..) => {
                     let dims = in_dims(0);
                     ExecOp::ColStd {
                         t: dims[0],
@@ -1322,7 +1277,10 @@ impl PlanExecutor {
                         eps: *eps,
                     }
                 }
-                PlanOp::Sum => ExecOp::Sum,
+                (PlanOp::Sum, ..) => ExecOp::Sum,
+                (op, ..) => {
+                    return Err(PlanError::new(format!("op {op:?} has no executor kernel")))
+                }
             };
             exec.push(ExecStep {
                 op,
@@ -1431,82 +1389,9 @@ impl PlanExecutor {
                 }
             };
             match &step.op {
-                ExecOp::Binary {
-                    kind,
-                    dims,
-                    a_str,
-                    b_str,
-                } => {
-                    let (a, b) = (src(0), src(1));
-                    let rank = dims.len();
-                    let mut idx = [0usize; MAX_PLAN_RANK];
-                    let (mut a_off, mut b_off) = (0usize, 0usize);
-                    for o in out.iter_mut() {
-                        *o = bin_apply(*kind, a[a_off], b[b_off]);
-                        let mut ax = rank;
-                        loop {
-                            if ax == 0 {
-                                break;
-                            }
-                            ax -= 1;
-                            idx[ax] += 1;
-                            a_off += a_str[ax];
-                            b_off += b_str[ax];
-                            if idx[ax] < dims[ax] {
-                                break;
-                            }
-                            a_off -= a_str[ax] * dims[ax];
-                            b_off -= b_str[ax] * dims[ax];
-                            idx[ax] = 0;
-                        }
-                    }
-                }
-                ExecOp::AddScalar(c) => {
-                    for (o, &x) in out.iter_mut().zip(src(0)) {
-                        *o = x + c;
-                    }
-                }
-                ExecOp::MulScalar(c) => {
-                    for (o, &x) in out.iter_mut().zip(src(0)) {
-                        *o = x * c;
-                    }
-                }
-                ExecOp::Rsqrt => {
-                    for (o, &x) in out.iter_mut().zip(src(0)) {
-                        *o = 1.0 / x.sqrt();
-                    }
-                }
-                ExecOp::Square => {
-                    for (o, &x) in out.iter_mut().zip(src(0)) {
-                        *o = x * x;
-                    }
-                }
-                ExecOp::Relu => {
-                    for (o, &x) in out.iter_mut().zip(src(0)) {
-                        *o = x.max(0.0);
-                    }
-                }
-                ExecOp::Gelu => {
-                    // Same constants as the dynamic kernel.
-                    const C: f32 = 0.797_884_6; // sqrt(2/π)
-                    for (o, &x) in out.iter_mut().zip(src(0)) {
-                        let inner = C * (x + 0.044715 * x * x * x);
-                        *o = 0.5 * x * (1.0 + inner.tanh());
-                    }
-                }
-                ExecOp::SumAxis { outer, mid, inner } => {
-                    let a = src(0);
-                    out.fill(0.0);
-                    for o in 0..*outer {
-                        for m in 0..*mid {
-                            let base = (o * mid + m) * inner;
-                            let out_base = o * inner;
-                            for i in 0..*inner {
-                                out[out_base + i] += a[base + i];
-                            }
-                        }
-                    }
-                }
+                ExecOp::Binary { kind, walk } => binary_block(*kind, walk, src(0), src(1), out),
+                ExecOp::Unary(kind) => unary_block(*kind, src(0), out),
+                ExecOp::SumAxis(split) => sum_axis_block(src(0), out, *split),
                 ExecOp::Matmul { m, k, n } => {
                     out.fill(0.0);
                     mm_row_block(src(0), src(1), out, 0, *m, *k, *n);
@@ -1514,29 +1399,7 @@ impl PlanExecutor {
                 ExecOp::CopyReshape => {
                     out.copy_from_slice(src(0));
                 }
-                ExecOp::Permute { strides, dims } => {
-                    let a = src(0);
-                    let rank = dims.len();
-                    let mut idx = [0usize; MAX_PLAN_RANK];
-                    let mut src_off = 0usize;
-                    for o in out.iter_mut() {
-                        *o = a[src_off];
-                        let mut ax = rank;
-                        loop {
-                            if ax == 0 {
-                                break;
-                            }
-                            ax -= 1;
-                            idx[ax] += 1;
-                            src_off += strides[ax];
-                            if idx[ax] < dims[ax] {
-                                break;
-                            }
-                            src_off -= strides[ax] * dims[ax];
-                            idx[ax] = 0;
-                        }
-                    }
-                }
+                ExecOp::Permute(walk) => permute_block(walk, src(0), out),
                 ExecOp::Attention {
                     heads,
                     tq,

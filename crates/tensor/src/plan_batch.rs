@@ -589,8 +589,7 @@ mod tests {
         assert_eq!(plan.lane_stride(), 0);
         assert!(plan.reduce_steps().is_empty());
         let err = BatchTrainExecutor::new(&plan, |_, _| None)
-            .err()
-            .expect("binding a per-window plan fails");
+            .expect_err("binding a per-window plan fails");
         assert!(
             err.to_string().contains("batch metadata"),
             "unexpected error: {err}"
@@ -602,8 +601,7 @@ mod tests {
         let ctx = SymCtx::new();
         let loss = mlp_loss(&ctx);
         let err = Plan::compile_training_batched(&loss, &spec(), &TrainSpec::new("y", adamw()), 0)
-            .err()
-            .expect("batch 0 rejected");
+            .expect_err("batch 0 rejected");
         assert!(err.to_string().contains("batch ≥ 1"), "unexpected: {err}");
     }
 
@@ -617,8 +615,7 @@ mod tests {
             "bias" => Some(b0.to_vec()),
             _ => None,
         })
-        .err()
-        .expect("overlapping lanes rejected");
+        .expect_err("overlapping lanes rejected");
         assert!(
             err.to_string().contains("lane stride overlaps"),
             "unexpected error: {err}"

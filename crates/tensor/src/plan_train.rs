@@ -33,12 +33,15 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::ops::attention::{attn_bwd_dkv_block, attn_bwd_dq_block, attn_fwd_row_block};
+use crate::ops::kernels::{
+    binary_bwd_block, broadcast_walk, inverse_perm, permute_block, permute_walk,
+    sum_axis_bwd_block, unary_bwd_block, AxisSplit, BinKind, RowWalk, UnKind,
+};
 use crate::ops::matmul::{mm_nt_row_block, mm_row_block, pack_transpose_into};
 use crate::plan::{
-    assign_slots, lower_forward, BinKind, Loc, Plan, PlanError, PlanExecutor, PlanOp, PlanSlot,
-    PlanSpec, PlanValue, ValueId, ValueSource, MAX_PLAN_RANK,
+    assign_slots, lower_forward, Loc, Plan, PlanError, PlanExecutor, PlanOp, PlanSlot, PlanSpec,
+    PlanValue, ValueId, ValueSource,
 };
-use crate::shape::eff_strides;
 use crate::symbolic::SymbolicTensor;
 
 /// How a backward step's write lands in a gradient buffer.
@@ -259,27 +262,33 @@ impl Plan {
             let inputs = steps[fwd_idx].inputs.clone();
             // Saved activations each adjoint kernel reads, and which
             // operands receive gradient (in dynamic accumulation order).
-            let (reads, sides): (Vec<ValueId>, &[usize]) = match &steps[fwd_idx].op {
-                // Pure data movement of the upstream gradient: reads no
+            let op = &steps[fwd_idx].op;
+            let (reads, sides): (Vec<ValueId>, &[usize]) = match (op, op.bin_kind(), op.un_kind()) {
+                // Add/Sub only move the upstream gradient: they read no
                 // forward data at all (operand slots may already be dead).
-                PlanOp::Add | PlanOp::Sub => (Vec::new(), &[0, 1]),
-                // d/da and d/db both need operand data.
-                PlanOp::Mul | PlanOp::Div | PlanOp::SmoothL1 => {
-                    (vec![inputs[0], inputs[1]], &[0, 1])
+                (_, Some(kind), _) => {
+                    let reads = if kind.reads_operands() {
+                        vec![inputs[0], inputs[1]]
+                    } else {
+                        Vec::new()
+                    };
+                    (reads, &[0, 1])
                 }
-                PlanOp::AddScalar(_) | PlanOp::MulScalar(_) => (Vec::new(), &[0]),
-                // d rsqrt reads both the input and its own output.
-                PlanOp::Rsqrt => (vec![inputs[0], out_vid], &[0]),
-                PlanOp::Square | PlanOp::Relu | PlanOp::Gelu => (vec![inputs[0]], &[0]),
-                PlanOp::Sum | PlanOp::SumAxis { .. } | PlanOp::Reshape | PlanOp::Permute(_) => {
-                    (Vec::new(), &[0])
+                (_, _, Some(kind)) => {
+                    let x = kind.reads_input().then_some(inputs[0]);
+                    let y = kind.reads_output().then_some(out_vid);
+                    (x.into_iter().chain(y).collect(), &[0])
                 }
-                PlanOp::Matmul2d => (vec![inputs[0], inputs[1]], &[0, 1]),
-                PlanOp::FusedAttention { .. } => {
+                (
+                    PlanOp::Sum | PlanOp::SumAxis { .. } | PlanOp::Reshape | PlanOp::Permute(_),
+                    ..,
+                ) => (Vec::new(), &[0]),
+                (PlanOp::Matmul2d, ..) => (vec![inputs[0], inputs[1]], &[0, 1]),
+                (PlanOp::FusedAttention { .. }, ..) => {
                     (vec![inputs[0], inputs[1], inputs[2]], &[0, 1, 2])
                 }
-                PlanOp::FusedAttentionMap { .. } => (vec![inputs[0], inputs[1]], &[0, 1]),
-                PlanOp::ColMean | PlanOp::ColStd { .. } => {
+                (PlanOp::FusedAttentionMap { .. }, ..) => (vec![inputs[0], inputs[1]], &[0, 1]),
+                _ => {
                     return Err(PlanError::new(format!(
                         "op `{}` has no adjoint lowering",
                         steps[fwd_idx].sym_op
@@ -531,37 +540,23 @@ enum BwdExecOp {
     Seed,
     Binary {
         kind: BinKind,
-        dims: Vec<usize>,
-        a_str: Vec<usize>,
-        b_str: Vec<usize>,
+        walk: RowWalk<2>,
         a_len: usize,
         b_len: usize,
     },
-    /// `dx = g` (add-scalar, reshape).
+    /// `dx = g` (reshape).
     CopyGrad,
-    /// `dx = g * c` (mul-scalar).
-    ScaleGrad(f32),
-    Rsqrt,
-    Square,
-    Relu,
-    Gelu,
+    Unary(UnKind),
     /// `dx[i] = g[0]` (full-sum broadcast).
     SumFill,
-    SumAxis {
-        outer: usize,
-        mid: usize,
-        inner: usize,
-    },
+    SumAxis(AxisSplit),
     Matmul {
         m: usize,
         k: usize,
         n: usize,
     },
     /// Strided gather realizing `grad.permute(inv)`.
-    PermuteInv {
-        strides: Vec<usize>,
-        dims: Vec<usize>,
-    },
+    PermuteInv(RowWalk<1>),
     Attention {
         heads: usize,
         tq: usize,
@@ -747,56 +742,32 @@ impl TrainExecutor {
                     for (i, &vid) in fstep.inputs.iter().enumerate() {
                         srcs[i] = loc(vid)?;
                     }
-                    match &fstep.op {
-                        PlanOp::Add
-                        | PlanOp::Sub
-                        | PlanOp::Mul
-                        | PlanOp::Div
-                        | PlanOp::SmoothL1 => {
-                            let kind = match fstep.op {
-                                PlanOp::Add => BinKind::Add,
-                                PlanOp::Sub => BinKind::Sub,
-                                PlanOp::Mul => BinKind::Mul,
-                                PlanOp::Div => BinKind::Div,
-                                _ => BinKind::SmoothL1,
-                            };
+                    match (&fstep.op, fstep.op.bin_kind(), fstep.op.un_kind()) {
+                        (_, Some(kind), _) => {
                             let (al, bl) = (in_len(0), in_len(1));
                             (
                                 BwdExecOp::Binary {
                                     kind,
-                                    dims: out_dims.clone(),
-                                    a_str: eff_strides(in_dims(0), out_dims),
-                                    b_str: eff_strides(in_dims(1), out_dims),
+                                    walk: broadcast_walk(in_dims(0), in_dims(1), out_dims),
                                     a_len: al,
                                     b_len: bl,
                                 },
                                 vec![(0, al), (al, bl)],
                             )
                         }
-                        PlanOp::AddScalar(_) | PlanOp::Reshape => {
-                            (BwdExecOp::CopyGrad, vec![(0, in_len(0))])
+                        (_, _, Some(kind)) => {
+                            if kind.reads_output() {
+                                srcs[1] = loc(fstep.output)?;
+                            }
+                            (BwdExecOp::Unary(kind), vec![(0, in_len(0))])
                         }
-                        PlanOp::MulScalar(c) => (BwdExecOp::ScaleGrad(*c), vec![(0, in_len(0))]),
-                        PlanOp::Rsqrt => {
-                            // Reads x and its own forward output y.
-                            srcs[1] = loc(fstep.output)?;
-                            (BwdExecOp::Rsqrt, vec![(0, in_len(0))])
-                        }
-                        PlanOp::Square => (BwdExecOp::Square, vec![(0, in_len(0))]),
-                        PlanOp::Relu => (BwdExecOp::Relu, vec![(0, in_len(0))]),
-                        PlanOp::Gelu => (BwdExecOp::Gelu, vec![(0, in_len(0))]),
-                        PlanOp::Sum => (BwdExecOp::SumFill, vec![(0, in_len(0))]),
-                        PlanOp::SumAxis { axis } => {
-                            let dims = in_dims(0);
-                            let outer: usize = dims[..*axis].iter().product();
-                            let mid = dims[*axis];
-                            let inner: usize = dims[*axis + 1..].iter().product();
-                            (
-                                BwdExecOp::SumAxis { outer, mid, inner },
-                                vec![(0, in_len(0))],
-                            )
-                        }
-                        PlanOp::Matmul2d => {
+                        (PlanOp::Reshape, ..) => (BwdExecOp::CopyGrad, vec![(0, in_len(0))]),
+                        (PlanOp::Sum, ..) => (BwdExecOp::SumFill, vec![(0, in_len(0))]),
+                        (PlanOp::SumAxis { axis }, ..) => (
+                            BwdExecOp::SumAxis(AxisSplit::new(in_dims(0), *axis)),
+                            vec![(0, in_len(0))],
+                        ),
+                        (PlanOp::Matmul2d, ..) => {
                             let (m, k) = (in_dims(0)[0], in_dims(0)[1]);
                             let n = in_dims(1)[1];
                             at_len = at_len.max(m * k);
@@ -805,32 +776,14 @@ impl TrainExecutor {
                                 vec![(0, m * k), (m * k, k * n)],
                             )
                         }
-                        PlanOp::Permute(p) => {
-                            // Realizes the dynamic `grad.permute(inv)`:
-                            // walk the input shape row-major, gathering
-                            // from the gradient with inverse-permuted
-                            // strides.
-                            let mut inv = vec![0usize; p.len()];
-                            for (i, &ax) in p.iter().enumerate() {
-                                inv[ax] = i;
-                            }
-                            let g_dims = out_dims;
-                            let mut g_strides = vec![0usize; g_dims.len()];
-                            let mut acc = 1usize;
-                            for i in (0..g_dims.len()).rev() {
-                                g_strides[i] = acc;
-                                acc *= g_dims[i];
-                            }
-                            let strides: Vec<usize> = inv.iter().map(|&i| g_strides[i]).collect();
-                            (
-                                BwdExecOp::PermuteInv {
-                                    strides,
-                                    dims: in_dims(0).to_vec(),
-                                },
-                                vec![(0, in_len(0))],
-                            )
-                        }
-                        PlanOp::FusedAttention { heads, tq, tk, dh } => {
+                        // Realizes the dynamic `grad.permute(inv)`: the
+                        // input shape in row-major order, gathered from the
+                        // gradient.
+                        (PlanOp::Permute(p), ..) => (
+                            BwdExecOp::PermuteInv(permute_walk(out_dims, &inverse_perm(p))),
+                            vec![(0, in_len(0))],
+                        ),
+                        (PlanOp::FusedAttention { heads, tq, tk, dh }, ..) => {
                             let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                             p_len = p_len.max(heads * tq * tk);
                             kt_len = kt_len.max(tk * dh);
@@ -849,7 +802,7 @@ impl TrainExecutor {
                                 vec![(0, hq), (hq, hk), (hq + hk, hk)],
                             )
                         }
-                        PlanOp::FusedAttentionMap { heads, tq, tk, dh } => {
+                        (PlanOp::FusedAttentionMap { heads, tq, tk, dh }, ..) => {
                             let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                             p_len = p_len.max(heads * tq * tk);
                             kt_len = kt_len.max(tk * dh);
@@ -869,7 +822,7 @@ impl TrainExecutor {
                                 vec![(0, hq), (hq, hk)],
                             )
                         }
-                        PlanOp::ColMean | PlanOp::ColStd { .. } => {
+                        _ => {
                             return Err(PlanError::new(format!(
                                 "op `{}` has no adjoint lowering",
                                 fstep.sym_op
@@ -1181,130 +1134,48 @@ impl TrainExecutor {
                     }
                     BwdExecOp::Binary {
                         kind,
-                        dims,
-                        a_str,
-                        b_str,
+                        walk,
                         a_len,
                         b_len,
                     } => {
                         let (sa, rest) = scratch.split_at_mut(*a_len);
                         let sb = &mut rest[..*b_len];
-                        if wa {
-                            sa.fill(0.0);
-                        }
-                        if wb {
-                            sb.fill(0.0);
-                        }
-                        let rank = dims.len();
-                        let mut idx = [0usize; MAX_PLAN_RANK];
-                        let (mut a_off, mut b_off) = (0usize, 0usize);
-                        let values_read =
-                            matches!(kind, BinKind::Mul | BinKind::Div | BinKind::SmoothL1);
-                        let (a, b) = if values_read {
+                        // Add/Sub read no operand data (their slots may
+                        // already be recycled), so they get `g` in its place.
+                        let (a, b) = if kind.reads_operands() {
                             (
                                 resolve(step.srcs[0], arena_r, params, input, target, aux),
                                 resolve(step.srcs[1], arena_r, params, input, target, aux),
                             )
                         } else {
-                            // Add/Sub never touch operand data (the
-                            // operand slots may already be recycled).
                             (g, g)
                         };
-                        for &gi in g {
-                            let (da, db) = match kind {
-                                BinKind::Add => (gi, gi),
-                                BinKind::Sub => (gi, -gi),
-                                BinKind::Mul => (gi * b[b_off], gi * a[a_off]),
-                                BinKind::Div => {
-                                    let bv = b[b_off];
-                                    (gi / bv, -gi * a[a_off] / (bv * bv))
-                                }
-                                BinKind::SmoothL1 => {
-                                    let d = (a[a_off] - b[b_off]).clamp(-1.0, 1.0);
-                                    (gi * d, -gi * d)
-                                }
-                            };
-                            if wa {
-                                sa[a_off] += da;
-                            }
-                            if wb {
-                                sb[b_off] += db;
-                            }
-                            let mut ax = rank;
-                            loop {
-                                if ax == 0 {
-                                    break;
-                                }
-                                ax -= 1;
-                                idx[ax] += 1;
-                                a_off += a_str[ax];
-                                b_off += b_str[ax];
-                                if idx[ax] < dims[ax] {
-                                    break;
-                                }
-                                a_off -= a_str[ax] * dims[ax];
-                                b_off -= b_str[ax] * dims[ax];
-                                idx[ax] = 0;
-                            }
-                        }
+                        binary_bwd_block(*kind, walk, a, b, g, wa.then_some(sa), wb.then_some(sb));
                     }
                     BwdExecOp::CopyGrad => {
                         scratch[..g.len()].copy_from_slice(g);
                     }
-                    BwdExecOp::ScaleGrad(c) => {
-                        for (s, &gi) in scratch.iter_mut().zip(g) {
-                            *s = gi * c;
-                        }
-                    }
-                    BwdExecOp::Rsqrt => {
-                        let x = resolve(step.srcs[0], arena_r, params, input, target, aux);
-                        let y = resolve(step.srcs[1], arena_r, params, input, target, aux);
-                        for i in 0..g.len() {
-                            scratch[i] = g[i] * (-0.5) * y[i] / x[i];
-                        }
-                    }
-                    BwdExecOp::Square => {
-                        let x = resolve(step.srcs[0], arena_r, params, input, target, aux);
-                        for i in 0..g.len() {
-                            scratch[i] = g[i] * 2.0 * x[i];
-                        }
-                    }
-                    BwdExecOp::Relu => {
-                        let x = resolve(step.srcs[0], arena_r, params, input, target, aux);
-                        for i in 0..g.len() {
-                            scratch[i] = if x[i] > 0.0 { g[i] } else { 0.0 };
-                        }
-                    }
-                    BwdExecOp::Gelu => {
-                        // Same constants as the dynamic kernel.
-                        const C: f32 = 0.797_884_6; // sqrt(2/π)
-                        let x = resolve(step.srcs[0], arena_r, params, input, target, aux);
-                        for i in 0..g.len() {
-                            let xi = x[i];
-                            let x3 = 0.044715 * xi * xi * xi;
-                            let inner = C * (xi + x3);
-                            let t = inner.tanh();
-                            let sech2 = 1.0 - t * t;
-                            let d_inner = C * (1.0 + 3.0 * 0.044715 * xi * xi);
-                            scratch[i] = g[i] * (0.5 * (1.0 + t) + 0.5 * xi * sech2 * d_inner);
-                        }
+                    BwdExecOp::Unary(kind) => {
+                        // Scalar adds and scales read no input data either.
+                        let x = if kind.reads_input() {
+                            resolve(step.srcs[0], arena_r, params, input, target, aux)
+                        } else {
+                            g
+                        };
+                        let y = if kind.reads_output() {
+                            resolve(step.srcs[1], arena_r, params, input, target, aux)
+                        } else {
+                            &[]
+                        };
+                        unary_bwd_block(*kind, x, y, g, &mut scratch[..g.len()]);
                     }
                     BwdExecOp::SumFill => {
                         let n = step.writes[0].map_or(0, |w| w.len);
                         scratch[..n].fill(g[0]);
                     }
-                    BwdExecOp::SumAxis { outer, mid, inner } => {
-                        let n = outer * mid * inner;
-                        scratch[..n].fill(0.0);
-                        for o in 0..*outer {
-                            for m in 0..*mid {
-                                let base = (o * mid + m) * inner;
-                                let g_base = o * inner;
-                                for i in 0..*inner {
-                                    scratch[base + i] += g[g_base + i];
-                                }
-                            }
-                        }
+                    BwdExecOp::SumAxis(split) => {
+                        let n = split.outer * split.mid * split.inner;
+                        sum_axis_bwd_block(g, &mut scratch[..n], *split);
                     }
                     BwdExecOp::Matmul { m, k, n } => {
                         let (sa, rest) = scratch.split_at_mut(m * k);
@@ -1326,28 +1197,8 @@ impl TrainExecutor {
                             mm_row_block(at, g, sb, 0, *k, *m, *n);
                         }
                     }
-                    BwdExecOp::PermuteInv { strides, dims } => {
-                        let rank = dims.len();
-                        let mut idx = [0usize; MAX_PLAN_RANK];
-                        let mut src_off = 0usize;
-                        let total: usize = dims.iter().product();
-                        for s in scratch[..total].iter_mut() {
-                            *s = g[src_off];
-                            let mut ax = rank;
-                            loop {
-                                if ax == 0 {
-                                    break;
-                                }
-                                ax -= 1;
-                                idx[ax] += 1;
-                                src_off += strides[ax];
-                                if idx[ax] < dims[ax] {
-                                    break;
-                                }
-                                src_off -= strides[ax] * dims[ax];
-                                idx[ax] = 0;
-                            }
-                        }
+                    BwdExecOp::PermuteInv(walk) => {
+                        permute_block(walk, g, &mut scratch[..g.len()]);
                     }
                     BwdExecOp::Attention {
                         heads,
@@ -1591,6 +1442,7 @@ impl TrainExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::MAX_PLAN_RANK;
     use crate::symbolic::SymCtx;
     use crate::{seeded_rng, Tensor};
 
@@ -1758,6 +1610,271 @@ mod tests {
         assert_eq!(dw, pw, "weights diverge under AdamW");
         assert_eq!(db, pb, "bias diverges under AdamW");
         assert_eq!(dloss.to_bits(), ploss.to_bits(), "loss diverges");
+    }
+
+    /// The element-wise, reduction or permute op a property case tests.
+    #[derive(Clone, Debug)]
+    enum CoreOp {
+        Binary(&'static str),
+        Permute(Vec<usize>),
+        SumAxis(usize, bool),
+    }
+
+    /// The unary op applied after the core op (`Rsqrt` runs on
+    /// `square + 1` so its input stays positive).
+    const UNARIES: [&str; 7] = ["none", "relu", "gelu", "square", "add", "scale", "rsqrt"];
+
+    fn random_dims(rng: &mut crate::SeededRng, rank: usize) -> Vec<usize> {
+        (0..rank).map(|_| rng.gen_range(1..=3usize)).collect()
+    }
+
+    /// The trailing axes of `out` (any count, down to a scalar), each kept
+    /// or broadcast (size 1).
+    fn broadcast_operand(rng: &mut crate::SeededRng, out: &[usize]) -> Vec<usize> {
+        let rank = rng.gen_range(0..=out.len());
+        out[out.len() - rank..]
+            .iter()
+            .map(|&d| if rng.gen_range(0..3usize) == 0 { 1 } else { d })
+            .collect()
+    }
+
+    fn random_values(rng: &mut crate::SeededRng, dims: &[usize], positive: bool) -> Vec<f32> {
+        let n: usize = dims.iter().product();
+        (0..n)
+            .map(|_| {
+                let v = rng.gen::<f32>();
+                if positive {
+                    0.5 + v
+                } else {
+                    2.0 * v - 1.0
+                }
+            })
+            .collect()
+    }
+
+    /// `loss = sum(smooth_l1(unary(core(a, b)) * x, y))`, built once
+    /// symbolically and once on the dynamic engine.
+    struct PropCase {
+        core: CoreOp,
+        unary: &'static str,
+        params: Vec<(&'static str, Vec<usize>, Vec<f32>)>,
+    }
+
+    impl PropCase {
+        fn out_dims(&self) -> Vec<usize> {
+            let ctx = SymCtx::new();
+            self.symbolic(&ctx).dims().to_vec()
+        }
+
+        fn symbolic(&self, ctx: &SymCtx) -> SymbolicTensor {
+            let p: Vec<SymbolicTensor> = self
+                .params
+                .iter()
+                .map(|(label, dims, _)| ctx.param(label, dims.clone()))
+                .collect();
+            let out = match &self.core {
+                CoreOp::Binary(op) => match *op {
+                    "add" => p[0].add(&p[1]),
+                    "sub" => p[0].sub(&p[1]),
+                    "mul" => p[0].mul(&p[1]),
+                    _ => p[0].div(&p[1]),
+                },
+                CoreOp::Permute(perm) => p[0].permute(perm),
+                CoreOp::SumAxis(axis, keepdim) => p[0].sum_axis(*axis, *keepdim),
+            }
+            .expect("case is well-formed");
+            match self.unary {
+                "relu" => out.relu(),
+                "gelu" => out.gelu(),
+                "square" => out.square(),
+                "add" => out.add_scalar(0.75),
+                "scale" => out.mul_scalar(-1.5),
+                "rsqrt" => out.square().add_scalar(1.0).rsqrt(),
+                _ => out,
+            }
+        }
+
+        fn dynamic(&self, params: &[Tensor]) -> Tensor {
+            let out = match &self.core {
+                CoreOp::Binary(op) => match *op {
+                    "add" => params[0].add(&params[1]),
+                    "sub" => params[0].sub(&params[1]),
+                    "mul" => params[0].mul(&params[1]),
+                    _ => params[0].div(&params[1]),
+                },
+                CoreOp::Permute(perm) => params[0].permute(perm),
+                CoreOp::SumAxis(axis, keepdim) => params[0].sum_axis(*axis, *keepdim),
+            };
+            match self.unary {
+                "relu" => out.relu(),
+                "gelu" => out.gelu(),
+                "square" => out.square(),
+                "add" => out.add_scalar(0.75),
+                "scale" => out.mul_scalar(-1.5),
+                "rsqrt" => out.square().add_scalar(1.0).rsqrt(),
+                _ => out,
+            }
+        }
+
+        fn bind(&self) -> impl FnMut(&str, &[usize]) -> Option<Vec<f32>> + '_ {
+            |label, _| {
+                self.params
+                    .iter()
+                    .find(|(l, ..)| *l == label)
+                    .map(|(.., v)| v.clone())
+            }
+        }
+    }
+
+    fn random_case(rng: &mut crate::SeededRng, i: usize) -> PropCase {
+        // Case `i` has kind `i % 3`; each kind cycles through every rank,
+        // and sum_axis through every axis of each rank.
+        let j = i / 3;
+        let rank = 1 + j % MAX_PLAN_RANK;
+        let unary = UNARIES[rng.gen_range(0..UNARIES.len())];
+        let (core, params) = match i % 3 {
+            0 => {
+                let out = random_dims(rng, rank);
+                let a = broadcast_operand(rng, &out);
+                let b = broadcast_operand(rng, &out);
+                let op = ["add", "sub", "mul", "div"][rng.gen_range(0..4usize)];
+                let (va, vb) = (
+                    random_values(rng, &a, false),
+                    random_values(rng, &b, op == "div"),
+                );
+                (CoreOp::Binary(op), vec![("a", a, va), ("b", b, vb)])
+            }
+            1 => {
+                let dims = random_dims(rng, rank);
+                let mut perm: Vec<usize> = (0..rank).collect();
+                for k in (1..rank).rev() {
+                    perm.swap(k, rng.gen_range(0..=k));
+                }
+                let va = random_values(rng, &dims, false);
+                (CoreOp::Permute(perm), vec![("a", dims, va)])
+            }
+            _ => {
+                let dims = random_dims(rng, rank);
+                let axis = (j / MAX_PLAN_RANK) % rank;
+                let keepdim = rng.gen_range(0..2usize) == 0;
+                let va = random_values(rng, &dims, false);
+                (CoreOp::SumAxis(axis, keepdim), vec![("a", dims, va)])
+            }
+        };
+        PropCase {
+            core,
+            unary,
+            params,
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn planned_kernels_are_bitwise_dynamic_over_random_geometries() {
+        let mut rng = seeded_rng(0x6E0_4E7);
+        let (mut scalar, mut both_broadcast, mut unit_axis) = (0, 0, 0);
+        let mut sum_axes = std::collections::HashSet::new();
+        for i in 0..360 {
+            let case = random_case(&mut rng, i);
+            let tag = format!("case {i}: {:?} then {}", case.core, case.unary);
+            let dims = |k: usize| case.params[k].1.as_slice();
+            match &case.core {
+                CoreOp::Binary(_) => {
+                    let (a, b) = (dims(0), dims(1));
+                    scalar += usize::from(a.is_empty() || b.is_empty());
+                    let out = case.out_dims();
+                    let stretched = |d: &[usize]| {
+                        let tail = &out[out.len() - d.len()..];
+                        d.len() < out.len() || d.iter().zip(tail).any(|(&x, &o)| x < o)
+                    };
+                    both_broadcast += usize::from(stretched(a) && stretched(b));
+                }
+                CoreOp::SumAxis(axis, _) => {
+                    sum_axes.insert((dims(0).len(), *axis));
+                }
+                CoreOp::Permute(_) => {}
+            }
+            unit_axis += usize::from(case.params.iter().any(|(_, d, _)| d.contains(&1)));
+            let out_dims = case.out_dims();
+            let x = random_values(&mut rng, &out_dims, false);
+            let y = random_values(&mut rng, &out_dims, false);
+
+            // Dynamic reference: forward output, loss, operand gradients.
+            let params: Vec<Tensor> = case
+                .params
+                .iter()
+                .map(|(_, dims, v)| Tensor::param(v.clone(), dims.clone()))
+                .collect();
+            let xt = Tensor::from_vec(x.clone(), out_dims.clone());
+            let yt = Tensor::from_vec(y.clone(), out_dims.clone());
+            let fwd = case.dynamic(&params).mul(&xt);
+            let loss = fwd.smooth_l1(&yt).sum();
+            loss.backward();
+
+            // Forward-only plan: the output, element for element.
+            let ctx = SymCtx::new();
+            let sym_fwd = case
+                .symbolic(&ctx)
+                .mul(&ctx.constant("x", out_dims.clone()))
+                .expect("same shape");
+            let plan = Plan::compile(&sym_fwd, &spec()).expect("forward plan compiles");
+            let mut exec = PlanExecutor::new(&plan, case.bind()).expect("forward binds");
+            let mut out = vec![0.0f32; exec.output_len()];
+            exec.run(&x, &mut out);
+            assert_eq!(bits(&out), bits(&fwd.to_vec()), "{tag}: forward");
+
+            // Training plan: the loss and every operand gradient.
+            let ctx = SymCtx::new();
+            let sym_loss = case
+                .symbolic(&ctx)
+                .mul(&ctx.constant("x", out_dims.clone()))
+                .and_then(|f| f.smooth_l1(&ctx.constant("y", out_dims.clone())))
+                .expect("same shape")
+                .sum();
+            let plan = Plan::compile_training(&sym_loss, &spec(), &TrainSpec::new("y", adamw()))
+                .expect("training plan compiles");
+            let mut exec = TrainExecutor::new(&plan, case.bind()).expect("trainer binds");
+            exec.set_target(&y);
+            exec.run_forward_backward(&x);
+            assert_eq!(exec.loss().to_bits(), loss.item().to_bits(), "{tag}: loss");
+            for ((label, ..), p) in case.params.iter().zip(&params) {
+                let vid = plan
+                    .values()
+                    .iter()
+                    .position(|v| v.source == ValueSource::Param && v.label == *label)
+                    .expect("param value");
+                let gvid = plan
+                    .values()
+                    .iter()
+                    .position(|v| v.adjoint_of == Some(vid))
+                    .expect("param gradient");
+                let (off, len) = plan.arena_range(gvid).expect("gradient in the arena");
+                let want = p.grad().expect("dynamic gradient");
+                assert_eq!(
+                    bits(exec.arena_value(off, len)),
+                    bits(&want),
+                    "{tag}: d{label}"
+                );
+            }
+        }
+        // The sweep must reach the row-walk edge cases it exists for.
+        assert!(scalar > 0, "no scalar operand");
+        assert!(
+            both_broadcast > 0,
+            "no case with both operands broadcasting"
+        );
+        assert!(unit_axis > 0, "no size-1 axis");
+        for rank in 1..=MAX_PLAN_RANK {
+            for axis in 0..rank {
+                assert!(
+                    sum_axes.contains(&(rank, axis)),
+                    "sum_axis {axis} of rank {rank}"
+                );
+            }
+        }
     }
 
     #[test]

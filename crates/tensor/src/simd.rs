@@ -75,34 +75,10 @@ impl F32x8 {
         dst[..8].copy_from_slice(&self.0);
     }
 
-    /// Lane-wise addition.
-    #[inline(always)]
-    pub fn add(self, rhs: F32x8) -> F32x8 {
-        let mut out = [0.0f32; 8];
-        for l in 0..8 {
-            out[l] = self.0[l] + rhs.0[l];
-        }
-        F32x8(out)
-    }
-
-    /// Lane-wise multiplication.
-    #[inline(always)]
-    pub fn mul(self, rhs: F32x8) -> F32x8 {
-        let mut out = [0.0f32; 8];
-        for l in 0..8 {
-            out[l] = self.0[l] * rhs.0[l];
-        }
-        F32x8(out)
-    }
-
     /// Lane-wise fused multiply-add: `self * b + c` via [`fmadd`].
     #[inline(always)]
     pub fn fma(self, b: F32x8, c: F32x8) -> F32x8 {
-        let mut out = [0.0f32; 8];
-        for l in 0..8 {
-            out[l] = fmadd(self.0[l], b.0[l], c.0[l]);
-        }
-        F32x8(out)
+        F32x8(std::array::from_fn(|l| fmadd(self.0[l], b.0[l], c.0[l])))
     }
 
     /// Horizontal sum with the pinned tree
@@ -180,9 +156,9 @@ mod tests {
             let mut lanes = [0.0f32; 8];
             let blocks = n / 8;
             for blk in 0..blocks {
-                for l in 0..8 {
+                for (l, lane) in lanes.iter_mut().enumerate() {
                     let i = blk * 8 + l;
-                    lanes[l] = fmadd(a[i], b[i], lanes[l]);
+                    *lane = fmadd(a[i], b[i], *lane);
                 }
             }
             let mut sum = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))

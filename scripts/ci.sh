@@ -12,6 +12,9 @@ else
   echo "==> cargo fmt not available; skipping format check"
 fi
 
+echo "==> cargo clippy (every target, warnings are errors)"
+cargo clippy -q --workspace --all-targets -- -D warnings
+
 echo "==> timekd-check --lints (source rules, allowlist, tracked artifacts)"
 cargo run -q -p timekd-check -- --lints --strict
 
