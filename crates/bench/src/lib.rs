@@ -22,26 +22,14 @@
 //! | `kernels` (dependency-free, `harness = false`) | microbenchmarks of the hot kernels |
 //!
 //! `QUICK=0` switches every target to the larger profile.
-//!
-//! Besides the bench targets there is one binary, `--bin kernels`
-//! (`cargo run -p timekd-bench --release --bin kernels`): the perf
-//! baseline runner. It times the matmul kernels serial vs parallel
-//! (see `TIMEKD_THREADS`), compares them against the naive triple-loop
-//! reference, measures the compiled student plan against the dynamic
-//! graph engine and teacher/student epoch wall time, and writes a
-//! machine-readable `BENCH_<unix-seconds>.json` validated against the
-//! schema in [`json::validate_kernel_bench`]. `scripts/bench.sh` wraps
-//! a QUICK smoke run plus schema validation for CI.
 
 mod alloc;
-pub mod json;
 mod profile;
 mod runner;
 mod tables;
 pub mod trace;
 
 pub use alloc::PeakAlloc;
-pub use json::{validate_kernel_bench, Json, KERNEL_BENCH_SCHEMA};
 pub use profile::Profile;
 pub use runner::{
     build_model, build_model_seeded, prompt_config, run_experiment, run_experiment_seeds,

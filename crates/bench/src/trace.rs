@@ -1,6 +1,5 @@
 //! Trace/metrics reports: `timekd-obs` snapshots rendered as
-//! schema-validated JSON (`timekd-trace/v1`) through the same machinery
-//! that emits the `BENCH_*.json` perf baselines.
+//! schema-validated JSON (`timekd-trace/v1`) through `timekd_obs::json`.
 //!
 //! Two validators are exported:
 //! - [`validate_trace_report`] checks the *shape* of a document (every key
@@ -11,9 +10,8 @@
 //!   section must show pool and LM-cache activity. This is what the e2e
 //!   acceptance gate runs against `examples/quickstart.rs` output.
 
+use timekd_obs::json::Json;
 use timekd_obs::{Snapshot, SpanNode};
-
-use crate::json::Json;
 
 /// Schema identifier emitted and required by the validators.
 pub const TRACE_SCHEMA: &str = "timekd-trace/v1";

@@ -543,24 +543,36 @@ mod tests {
         }
     }
 
+    /// The bitwise oracles' inputs, `(config, (input_len, horizon,
+    /// num_vars))`: the small config, and the default config at 48×7 →
+    /// 24×7 (`timekd-check --plan` covers it at 96×7 → 24×7).
+    fn oracle_geometries() -> [(TimeKdConfig, (usize, usize, usize)); 2] {
+        [
+            (small_config(), (24, 8, 5)),
+            (TimeKdConfig::default(), (48, 24, 7)),
+        ]
+    }
+
     #[test]
     fn planned_predict_is_bitwise_identical_to_dynamic() {
-        let config = small_config();
-        let (input_len, horizon, num_vars) = (24, 8, 5);
-        let mut rng = seeded_rng(7);
-        let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
-        let mut planned = PlannedStudent::new(&student, &config).unwrap();
+        for (config, (input_len, horizon, num_vars)) in oracle_geometries() {
+            let mut rng = seeded_rng(7);
+            let student = Student::new(&config, input_len, horizon, num_vars, &mut rng);
+            let mut planned = PlannedStudent::new(&student, &config).unwrap();
 
-        let x = Tensor::randn([input_len, num_vars], 1.0, &mut rng);
-        let dynamic = student.predict(&x).to_vec();
-        // The dynamic engine saves RevIN stats during predict; run the
-        // plan afterwards so any (unwanted) state coupling would surface.
-        for threads in [1, 2, 5] {
-            let planned_out = parallel::with_threads(threads, || planned.predict(&x).to_vec());
-            assert_eq!(
-                planned_out, dynamic,
-                "planned forecast must be bitwise identical at {threads} threads"
-            );
+            let x = Tensor::randn([input_len, num_vars], 1.0, &mut rng);
+            let dynamic = student.predict(&x).to_vec();
+            // The dynamic engine saves RevIN stats during predict; run the
+            // plan afterwards so any (unwanted) state coupling would surface.
+            for threads in [1, 2, 5] {
+                let planned_out = parallel::with_threads(threads, || planned.predict(&x).to_vec());
+                assert_eq!(
+                    planned_out, dynamic,
+                    "planned forecast must be bitwise identical at {threads} threads \
+                     (dim {}, {input_len}x{num_vars})",
+                    config.dim
+                );
+            }
         }
     }
 
@@ -604,11 +616,14 @@ mod tests {
         // for every combination of distillation arms — so both aux slots
         // are exercised present and absent — at several thread counts.
         // The tight clip makes every step rescale its gradients.
-        let (input_len, horizon, num_vars) = (24, 8, 5);
-        for (cd, fd) in [(true, true), (false, true), (true, false), (false, false)] {
+        for ((base, (input_len, horizon, num_vars)), (cd, fd)) in
+            oracle_geometries().into_iter().flat_map(|g| {
+                [(true, true), (false, true), (true, false), (false, false)].map(|a| (g, a))
+            })
+        {
             let mut config = TimeKdConfig {
                 grad_clip: 0.05,
-                ..small_config()
+                ..base
             };
             config.ablation.correlation_distillation = cd;
             config.ablation.feature_distillation = fd;
@@ -657,7 +672,10 @@ mod tests {
                 let bits = |l: &[[f32; 4]]| -> Vec<[u32; 4]> {
                     l.iter().map(|r| r.map(f32::to_bits)).collect()
                 };
-                let arms = format!("cd={cd} fd={fd} threads={threads}");
+                let arms = format!(
+                    "dim={} {input_len}x{num_vars} cd={cd} fd={fd} threads={threads}",
+                    config.dim
+                );
                 assert_eq!(
                     bits(&planned_losses),
                     bits(&dynamic_losses),

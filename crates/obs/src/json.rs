@@ -1,8 +1,7 @@
 //! Minimal dependency-free JSON: an emitter plus a small recursive-descent
-//! parser. Shared by the bench harness (`BENCH_*.json` perf baselines and
-//! their `--validate` checks), the trace reports, and the serving layer's
-//! `/metrics` endpoint — all of which need stable, diffable output without
-//! pulling in an external crate.
+//! parser. Shared by the trace reports (and their golden fixture) and the
+//! serving layer's `/metrics` endpoint and request bodies — all of which
+//! need stable, diffable output without pulling in an external crate.
 //!
 //! This is deliberately not a general JSON library: it supports exactly
 //! the subset those files use (objects, arrays, strings without exotic

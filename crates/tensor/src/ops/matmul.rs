@@ -50,8 +50,8 @@ fn worth_parallel(m: usize, k: usize, n: usize) -> bool {
 ///
 /// The flat [`MIN_ROWS_PER_BLOCK`] floor let wide-but-short shapes split
 /// into blocks whose pool-dispatch overhead rivalled their kernel time:
-/// the v4 baseline's `mm_rect_512x64x256` row measured parallel *slower*
-/// than serial (18.8 vs 23.6 GFLOP/s in `BENCH_1786107316.json`). The
+/// the v4 kernel baseline's `mm_rect_512x64x256` row (in git history)
+/// measured parallel *slower* than serial (18.8 vs 23.6 GFLOP/s). The
 /// floor now scales so every block carries at least
 /// [`PARALLEL_MULS_CUTOFF`] multiplies — the same "worth dispatching at
 /// all" threshold — before the pool may split finer. Partition granularity

@@ -45,9 +45,10 @@ impl Tensor {
         let out_shape = Shape::new(perm.iter().map(|&p| self.dims()[p]).collect::<Vec<_>>());
         let mut out = vec![0.0f32; self.num_elements()];
         permute_block(&walk, &self.data(), &mut out);
-        // Backward: permute the gradient with the inverse permutation.
-        let inv = inverse_perm(perm);
-        let out_shape_bw = out_shape.clone();
+        // Backward copies the gradient along the inverse permutation's
+        // walk. Only a tracked op keeps its backward, so only it builds one.
+        let inv_walk = Tensor::tracks(std::slice::from_ref(self))
+            .then(|| permute_walk(out_shape.dims(), &inverse_perm(perm)));
         Tensor::from_op(
             "permute",
             out,
@@ -55,12 +56,13 @@ impl Tensor {
             vec![self.clone()],
             Box::new(move |grad, parents| {
                 let x = &parents[0];
+                let Some(inv_walk) = &inv_walk else { return };
                 if !x.requires_grad() {
                     return;
                 }
-                let g = Tensor::from_vec(grad.to_vec(), out_shape_bw.clone());
-                let gx = g.permute(&inv);
-                x.accumulate_grad(&gx.data());
+                let mut gx = vec![0.0f32; grad.len()];
+                permute_block(inv_walk, grad, &mut gx);
+                x.accumulate_grad(&gx);
             }),
         )
         .with_rec(|| SymAttr::Perm(perm.to_vec()), || None)

@@ -33,12 +33,14 @@ cargo build --release --workspace
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> bitwise gates (planned vs dynamic oracle, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward, family vs sequential frozen-LM cache, one CLM forward per pretraining step, recorded plans, recorder replay)"
+echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward, family vs sequential frozen-LM cache, one CLM forward per pretraining step, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
-# run can never silently drop them: the planned epoch must reproduce the
-# dynamic per-window loop bit for bit, and the batched fold must be
-# thread-count invariant.
+# run can never silently drop them: the planned forecast and the planned
+# objective over several steps must reproduce the dynamic engine bit for
+# bit, as must the planned epoch the dynamic per-window loop, and the
+# batched fold must be thread-count invariant.
 cargo test -q -p timekd -- --exact \
+  plan::tests::planned_predict_is_bitwise_identical_to_dynamic \
   trainer::tests::planned_student_epoch_is_bitwise_identical_to_dynamic \
   plan::tests::planned_objective_training_is_bitwise_identical_to_dynamic \
   trainer::tests::batched_student_epoch_is_thread_invariant_with_uneven_tail \
@@ -88,14 +90,6 @@ echo "==> benchmark package tests (result-line schema, metric tables)"
 # The benchmark package is its own workspace, so the workspace run above
 # never reaches its tests; run them here.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
-
-echo "==> bench smoke (QUICK kernel bench + schema validation)"
-# Explicit propagation: a validator failure inside the smoke must fail CI
-# even if this script is ever sourced or run without `set -e` semantics.
-if ! scripts/bench.sh; then
-  echo "ci.sh: bench smoke failed (bench crash or schema-validator rejection)" >&2
-  exit 1
-fi
 
 echo "==> observability gate (golden trace + overhead guard + traced quickstart)"
 if ! scripts/trace.sh; then

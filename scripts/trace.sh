@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Observability gate: the golden-trace regression suite, the tracing
-# overhead guard, and one traced QUICK quickstart whose emitted JSON
-# report must conform to the timekd-trace/v1 schema with full pipeline
-# coverage (teacher, SCA, student, both PKD losses, pool, LM cache).
+# overhead guard, and one traced QUICK quickstart. The quickstart checks
+# the JSON report it writes against the timekd-trace/v1 schema and for
+# full pipeline coverage (teacher, SCA, student, both PKD losses, pool,
+# LM cache), and exits 1 if either check fails.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,12 +25,6 @@ if ! QUICK=1 TIMEKD_TRACE=1 TIMEKD_TRACE_OUT="$out_dir/trace.json" \
 fi
 if [ ! -f "$out_dir/trace.json" ]; then
   echo "trace.sh: quickstart emitted no trace report" >&2
-  exit 1
-fi
-
-echo "==> validating trace.json against the timekd-trace/v1 schema"
-if ! cargo run -q -p timekd-bench --release --bin kernels -- --validate-trace "$out_dir/trace.json"; then
-  echo "trace.sh: trace report failed schema/coverage validation" >&2
   exit 1
 fi
 

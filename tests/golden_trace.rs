@@ -27,9 +27,9 @@ use std::rc::Rc;
 use std::sync::{Mutex, PoisonError};
 
 use timekd::{Forecaster, TimeKd, TimeKdConfig};
-use timekd_bench::Json;
 use timekd_data::{DatasetKind, Split, SplitDataset};
 use timekd_lm::{pretrain_lm, FrozenLm, LmConfig, LmSize, PretrainConfig, PromptTokenizer};
+use timekd_obs::json::Json;
 use timekd_obs::SpanNode;
 use timekd_tensor::parallel::with_threads;
 
