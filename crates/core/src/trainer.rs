@@ -437,9 +437,14 @@ mod tests {
     }
 
     fn tiny_model() -> (TimeKd, SplitDataset) {
-        let ds = SplitDataset::new(DatasetKind::EttH1, 600, 7, 24, 8);
+        model_with(tiny_config(), 24, 8)
+    }
+
+    /// A model with `cfg` over seeded ETTh1 windows of `input_len` →
+    /// `horizon`, its CLM pretrained for three steps.
+    fn model_with(cfg: TimeKdConfig, input_len: usize, horizon: usize) -> (TimeKd, SplitDataset) {
+        let ds = SplitDataset::new(DatasetKind::EttH1, 600, 7, input_len, horizon);
         let tokenizer = Rc::new(PromptTokenizer::new());
-        let cfg = tiny_config();
         let (lm, _) = pretrain_lm(
             &tokenizer,
             cfg.lm,
@@ -452,8 +457,8 @@ mod tests {
             Rc::new(FrozenLm::new(lm)),
             tokenizer,
             cfg,
-            24,
-            8,
+            input_len,
+            horizon,
             ds.num_vars(),
         );
         (model, ds)
@@ -662,23 +667,41 @@ mod tests {
 
     #[test]
     fn batched_student_epoch_is_thread_invariant_with_uneven_tail() {
-        // micro_batch = 5 over 7 windows: one full batch + a 2-window
-        // tail, replayed data-parallel. The pinned window-indexed
-        // reduction order must make every thread count bitwise agree.
-        let run = |threads: usize| {
-            let (mut m, ds) = tiny_model();
-            let mut cfg = *m.config();
-            cfg.micro_batch = 5;
-            m.config = cfg;
-            let train: Vec<_> = ds.windows(Split::Train, 16);
-            let subset = &train[..7.min(train.len())];
-            let stats =
-                timekd_tensor::parallel::with_threads(threads, || m.train_student_epoch(subset));
-            (epoch_bits(&stats), student_param_bits(&m))
-        };
-        let baseline = run(1);
-        for threads in [2, 5] {
-            assert_eq!(run(threads), baseline, "diverges at {threads} threads");
+        // Replayed data-parallel, the pinned window-indexed reduction
+        // order must make every thread count bitwise agree. Two inputs:
+        // the tiny config at micro_batch = 5 over 7 windows (one full
+        // batch + a 2-window tail), and the default student dims at
+        // 48×7 → 24×7 with micro_batch = 4 over 16 windows (four full
+        // batches; a small CLM keeps it fast).
+        let mut default_dims = tiny_config();
+        default_dims.dim = 32;
+        default_dims.num_heads = 4;
+        default_dims.ffn_hidden = 64;
+        let geometries = [
+            (tiny_config(), (24, 8), 5, 7),
+            (default_dims, (48, 24), 4, 16),
+        ];
+        for (base, (input_len, horizon), micro_batch, num_windows) in geometries {
+            let run = |threads: usize| {
+                let (mut m, ds) = model_with(base, input_len, horizon);
+                m.config.micro_batch = micro_batch;
+                let train: Vec<_> = ds.windows(Split::Train, 16);
+                assert!(train.len() >= num_windows, "{} windows", train.len());
+                let subset = &train[..num_windows];
+                let stats = timekd_tensor::parallel::with_threads(threads, || {
+                    m.train_student_epoch(subset)
+                });
+                (epoch_bits(&stats), student_param_bits(&m))
+            };
+            let baseline = run(1);
+            for threads in [2, 5] {
+                assert_eq!(
+                    run(threads),
+                    baseline,
+                    "diverges at {threads} threads (dim {}, B = {micro_batch})",
+                    base.dim
+                );
+            }
         }
     }
 

@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn roundtrip_nested_shape() {
         let doc = Json::obj(vec![
-            ("schema", Json::str("timekd-kernel-bench/v7")),
+            ("schema", Json::str("example/v1")),
             ("created_unix_s", Json::num(1_722_000_000.0)),
             ("quick", Json::Bool(true)),
             (
@@ -433,7 +433,7 @@ mod tests {
         );
         assert_eq!(
             parsed.get_path("schema").and_then(Json::as_str),
-            Some("timekd-kernel-bench/v7")
+            Some("example/v1")
         );
     }
 

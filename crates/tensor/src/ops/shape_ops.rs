@@ -55,14 +55,12 @@ impl Tensor {
             out_shape,
             vec![self.clone()],
             Box::new(move |grad, parents| {
-                let x = &parents[0];
-                let Some(inv_walk) = &inv_walk else { return };
-                if !x.requires_grad() {
-                    return;
-                }
+                let Some(inv_walk) = &inv_walk else {
+                    unreachable!("tracked permute has an inverse walk")
+                };
                 let mut gx = vec![0.0f32; grad.len()];
                 permute_block(inv_walk, grad, &mut gx);
-                x.accumulate_grad(&gx);
+                parents[0].accumulate_grad(&gx);
             }),
         )
         .with_rec(|| SymAttr::Perm(perm.to_vec()), || None)
