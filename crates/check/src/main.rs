@@ -4,9 +4,10 @@
 //! - `--lints`: the source lint pass over `crates/*/src` (rules +
 //!   allowlist in `timekd_check`), stale-allowlist detection, and a check
 //!   that no `target/` build artifact is tracked by git;
-//! - `--verify`: the symbolic verifier (`timekd_check::verify`) — shape
-//!   inference and gradient-flow reachability over the IR replayed from a
-//!   recorded TimeKD training step, for the whole configuration matrix;
+//! - `--verify`: the symbolic verifier (`timekd_check::verify`) — the
+//!   shape check of a recorded real TimeKD training step (the engine's,
+//!   as the forward runs) and gradient-flow reachability over the IR
+//!   replayed from that recording, for the whole configuration matrix;
 //! - `--graph`: dynamic autograd-graph sanity checks — a [`GraphAudit`]
 //!   over a real student loss graph, and the frozen-LM invariant after a
 //!   genuine backward pass (the symbolic graph needs no cross-check: it is

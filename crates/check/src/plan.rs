@@ -1011,7 +1011,7 @@ fn static_passes(plan: &Plan, root: &SymbolicTensor, label: &str) -> Vec<Finding
     out
 }
 
-/// Traces the student, mapping a shape error to a `plan-compile` finding.
+/// Traces the student, mapping a replay error to a `plan-compile` finding.
 fn trace_or_finding(
     cfg: &TimeKdConfig,
     label: &str,

@@ -2,13 +2,16 @@
 //! from a recording of one real TimeKD training step
 //! ([`record_pipeline`]).
 //!
-//! Three passes over the replayed graph:
+//! Three passes per configuration of the matrix (LM size presets × head
+//! counts × prompt budgets × ablation arms):
 //!
-//! 1. **shape** — the replay type-checks every op of
-//!    teacher → CLM → SCA → student → losses for each configuration in the
-//!    matrix (LM size presets × head counts × prompt budgets × ablation
-//!    arms). A mismatch surfaces as a [`ShapeError`](timekd_tensor::ShapeError)
-//!    with a provenance chain naming the offending op.
+//! 1. **shape** — the real forward of teacher → CLM → SCA → student →
+//!    losses runs while it is recorded, and the engine checks every op's
+//!    shapes as it executes. A mismatch panics there, naming the op; the
+//!    panic is caught and becomes that configuration's finding, so one bad
+//!    configuration does not hide the rest of the matrix. A recording the
+//!    replay cannot turn into IR (an unlabelled parameter, an op whose
+//!    parents were not recorded) is reported by this pass too.
 //! 2. **gradient-flow** — walks gradient edges from each loss root and
 //!    proves: every student trainable is reachable from the combined
 //!    student loss, every teacher trainable from the reconstruction loss,
@@ -25,11 +28,13 @@
 //! or provenance chain that proves it.
 //!
 //! [`Fault`] injects known-bad wirings so the verifier's detection power is
-//! itself testable: each mutates the recording or its replay (never the
-//! real modules) and must be caught by exactly the pass designed for it.
+//! itself testable: each mutates the configuration, the recording or its
+//! replay (never the real modules) and must be caught by exactly the pass
+//! designed for it.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use timekd::{record_pipeline, AblationConfig, SymbolicPipeline, TimeKdConfig};
 use timekd_lm::LmSize;
@@ -52,9 +57,9 @@ pub enum Fault {
     /// frozen LM parameters become reachable from the losses. Must be
     /// caught by the frozen-parameter pass.
     UnfrozenLm,
-    /// The student encoder's head-split reshape is replayed with
-    /// `head_dim + 1`: the element count no longer matches. Must be caught
-    /// by the shape pass.
+    /// The head count is raised to the next count that does not divide
+    /// the model width, which `MultiHeadAttention::new` rejects when the
+    /// real modules are built. Must be caught by the shape pass.
     MismatchedHeadDim,
     /// An extra trainable parameter is registered under the student but
     /// never used by any forward. Must be caught by the dead-parameter
@@ -71,22 +76,17 @@ fn rewrite(fault: Fault, node: &RecordedNode<'_>) -> Rewrite {
         Fault::DetachedDistillationTarget
             if op == "smooth_l1" && first.is_some_and(|a| a.op_name() == "fused_attention_map") =>
         {
-            Rewrite::Replace(node.parents[0].detach().smooth_l1(&node.parents[1]))
+            Rewrite::Reparent(vec![
+                node.ctx.detach(&node.parents[0]),
+                node.parents[1].clone(),
+            ])
         }
         // The embedding leaf `FrozenLm::embed` hands out is a detach of the
         // recorded forward: undo it, and track gradients through the CLM.
         Fault::UnfrozenLm if op == "leaf" && first.is_some_and(from_clm) => {
-            Rewrite::Replace(Ok(node.parents[0].clone()))
+            Rewrite::Replace(node.parents[0].clone())
         }
         Fault::UnfrozenLm if node.component.starts_with("teacher.clm") => Rewrite::LiftNoGrad,
-        Fault::MismatchedHeadDim
-            if op == "reshape"
-                && node.component.starts_with("student.encoder")
-                && node.tensor.dims().len() == 3 =>
-        {
-            let d = node.tensor.dims();
-            Rewrite::Replace(node.parents[0].reshape(vec![d[0], d[1], d[2] + 1]))
-        }
         _ => Rewrite::Keep,
     }
 }
@@ -96,8 +96,9 @@ fn rewrite(fault: Fault, node: &RecordedNode<'_>) -> Rewrite {
 pub struct Finding {
     /// Pass that produced it: `shape`, `gradient-flow` or `dead-param`.
     pub pass: &'static str,
-    /// Stable kebab-case kind: `shape-error`, `frozen-reachable`,
-    /// `unreachable-trainable`, `wrong-wiring`, `dead-param`.
+    /// Stable kebab-case kind: `shape-error`, `replay-error`,
+    /// `frozen-reachable`, `unreachable-trainable`, `wrong-wiring`,
+    /// `dead-param`.
     pub kind: &'static str,
     /// Configuration label the finding occurred under.
     pub config: String,
@@ -243,7 +244,39 @@ pub fn verify_pipeline(
     num_vars: usize,
     fault: Fault,
 ) -> Vec<Finding> {
-    let mut recording = record_pipeline(cfg, input_len, horizon, num_vars);
+    let shape_finding = |kind, message| {
+        vec![Finding {
+            pass: "shape",
+            kind,
+            config: label.to_string(),
+            message,
+            provenance: Vec::new(),
+        }]
+    };
+    let mut cfg = *cfg;
+    if fault == Fault::MismatchedHeadDim {
+        let dim = cfg.dim;
+        cfg.num_heads = (cfg.num_heads + 1..=dim + 1)
+            .find(|h| !dim.is_multiple_of(*h))
+            .expect("dim + 1 never divides a nonzero dim");
+    }
+    let recorded = catch_unwind(AssertUnwindSafe(|| {
+        record_pipeline(&cfg, input_len, horizon, num_vars)
+    }));
+    let mut recording = match recorded {
+        Ok(recording) => recording,
+        Err(panic) => {
+            let message = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("non-text panic payload");
+            return shape_finding(
+                "shape-error",
+                format!("recording the real training step panicked: {message}"),
+            );
+        }
+    };
     if fault == Fault::DanglingParam {
         let dangling = Tensor::zeros_param([cfg.dim, cfg.dim]);
         recording
@@ -252,18 +285,10 @@ pub fn verify_pipeline(
     }
     let p = match recording.replay_with(&mut |node| rewrite(fault, node)) {
         Ok(p) => p,
-        Err(e) => {
-            return vec![Finding {
-                pass: "shape",
-                kind: "shape-error",
-                config: label.to_string(),
-                message: format!("`{}` at `{}`: {}", e.op, e.label, e.message),
-                provenance: e.provenance,
-            }];
-        }
+        Err(e) => return shape_finding("replay-error", e.to_string()),
     };
-    let mut findings = gradient_flow_findings(&p, cfg, label);
-    findings.extend(dead_param_findings(&p, cfg, label));
+    let mut findings = gradient_flow_findings(&p, &cfg, label);
+    findings.extend(dead_param_findings(&p, &cfg, label));
     findings
 }
 
@@ -617,14 +642,12 @@ mod tests {
         let cfg = tiny_cfg(AblationConfig::full());
         let fs = verify_pipeline(&cfg, "t", 24, 8, 3, Fault::MismatchedHeadDim);
         assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].pass, "shape");
-        assert!(fs[0].message.contains("`reshape`"), "{}", fs[0].message);
+        assert_eq!((fs[0].pass, fs[0].kind), ("shape", "shape-error"));
         assert!(
-            fs[0].message.contains("student.encoder"),
+            fs[0].message.contains("dim 16 not divisible by heads 3"),
             "{}",
             fs[0].message
         );
-        assert!(!fs[0].provenance.is_empty());
     }
 
     #[test]

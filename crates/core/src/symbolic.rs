@@ -12,15 +12,20 @@
 //!   lowered into the forecast and objective plans;
 //! - [`record_pipeline`] / [`trace_pipeline`] — one teacher + student
 //!   training step (Alg. 1–2) over a randomly initialised frozen CLM, whose
-//!   loss roots feed the shape, gradient-flow and dead-parameter passes.
+//!   loss roots feed the gradient-flow and dead-parameter passes.
 //!   Pretraining would not change the graph, so the CLM is not pretrained.
+//!
+//! Shapes are checked once, by the engine, while the real forward runs:
+//! a mismatch panics there, naming the op, and the replay only copies
+//! what the engine computed.
 
 use std::rc::Rc;
 
 use timekd_lm::{CausalLm, FrozenLm, PromptTokenizer};
 use timekd_nn::Module;
 use timekd_tensor::{
-    record, seeded_rng, RecordedNode, Recorder, Rewrite, ShapeError, SymCtx, SymbolicTensor, Tensor,
+    record, seeded_rng, RecordedNode, Recorder, ReplayError, Rewrite, SymCtx, SymbolicTensor,
+    Tensor,
 };
 
 use crate::config::TimeKdConfig;
@@ -74,7 +79,7 @@ pub fn trace_student(
     input_len: usize,
     horizon: usize,
     num_vars: usize,
-) -> Result<StudentTrace, ShapeError> {
+) -> Result<StudentTrace, ReplayError> {
     let ab = config.ablation;
     let student = Student::new(
         config,
@@ -172,7 +177,7 @@ impl PipelineRecording {
     pub fn replay_with(
         mut self,
         hook: &mut dyn FnMut(&RecordedNode<'_>) -> Rewrite,
-    ) -> Result<SymbolicPipeline, ShapeError> {
+    ) -> Result<SymbolicPipeline, ReplayError> {
         let roots: Vec<&Tensor> = self.roots.iter().collect();
         let mut syms = self.recorder.replay_with(&roots, hook)?.into_iter();
         let mut next = || syms.next().expect("one IR node per root");
@@ -247,14 +252,14 @@ pub fn record_pipeline(
 }
 
 /// Records one full TimeKD training step ([`record_pipeline`]) and
-/// replays it as IR. The replay doubles as the shape proof, and its loss
-/// roots feed the gradient-flow passes.
+/// replays it as IR, whose loss roots feed the gradient-flow passes. The
+/// recorded real forward is the shape check: it panics on a mismatch.
 pub fn trace_pipeline(
     config: &TimeKdConfig,
     input_len: usize,
     horizon: usize,
     num_vars: usize,
-) -> Result<SymbolicPipeline, ShapeError> {
+) -> Result<SymbolicPipeline, ReplayError> {
     record_pipeline(config, input_len, horizon, num_vars).replay_with(&mut |_| Rewrite::Keep)
 }
 

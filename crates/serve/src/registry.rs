@@ -473,7 +473,7 @@ pub fn publish(
 /// the manifest config comes from the plan cache (recorded and compiled on
 /// a miss) → every plan parameter resolves
 /// against the loaded values with matching shapes (probed by binding one
-/// throwaway executor).
+/// executor, which then seeds the pool as its first idle executor).
 pub fn load(root: &Path, version: u64) -> Result<LoadedModel, RegistryError> {
     let dir = version_dir(root, version);
     if !dir.join("manifest.json").is_file() {

@@ -78,9 +78,9 @@ pub use plan::{
 };
 pub use plan_batch::{BatchTrainExecutor, ReduceStep};
 pub use plan_train::{BwdStep, GradMode, PlanOptimizer, TrainExecutor, TrainSpec, UpdateStep};
-pub use recorder::{RecordedNode, Recorder, Rewrite};
+pub use recorder::{RecordedNode, Recorder, ReplayError, Rewrite};
 pub use rng::SeededRng;
 pub use shape::{IndexIter, Shape};
 pub use simd::F32x8;
-pub use symbolic::{find_path, reachable_params, ShapeError, SymAttr, SymCtx, SymbolicTensor};
+pub use symbolic::{find_path, reachable_params, SymAttr, SymCtx, SymbolicTensor};
 pub use tensor::{is_grad_disabled, is_recording, no_grad, record, Tensor};

@@ -698,6 +698,12 @@ impl Tensor {
             );
         }
         let stats = Rc::new(stats);
+        // The mask is captured data, not a parent: record only that there
+        // is one, so plan lowering can refuse it.
+        let payload = || match mask {
+            Some(_) => SymAttr::Masked,
+            None => SymAttr::None,
+        };
 
         let out_t = Tensor::from_op(
             "fused_attention",
@@ -747,7 +753,7 @@ impl Tensor {
                 }
             }),
         )
-        .with_rec(|| SymAttr::None, || mask.cloned());
+        .with_rec(payload);
         let map_t = Tensor::from_op(
             "fused_attention_map",
             map,
@@ -794,7 +800,7 @@ impl Tensor {
                 }
             }),
         )
-        .with_rec(|| SymAttr::None, || Some(out_t.clone()));
+        .with_rec(payload);
         (out_t, map_t)
     }
 }

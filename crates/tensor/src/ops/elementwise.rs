@@ -112,13 +112,13 @@ impl Tensor {
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, c: f32) -> Tensor {
         self.unary(UnKind::AddScalar(c))
-            .with_rec(|| SymAttr::Scalar(c), || None)
+            .with_rec(|| SymAttr::Scalar(c))
     }
 
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&self, c: f32) -> Tensor {
         self.unary(UnKind::MulScalar(c))
-            .with_rec(|| SymAttr::Scalar(c), || None)
+            .with_rec(|| SymAttr::Scalar(c))
     }
 
     /// Element-wise negation.

@@ -64,7 +64,7 @@ impl Tensor {
                 x.accumulate_grad(&gx);
             }),
         )
-        .with_rec(|| SymAttr::Axis { axis, keepdim }, || None)
+        .with_rec(|| SymAttr::Axis { axis, keepdim })
     }
 
     /// Means along `axis`.

@@ -63,7 +63,7 @@ impl Tensor {
                 parents[0].accumulate_grad(&gx);
             }),
         )
-        .with_rec(|| SymAttr::Perm(perm.to_vec()), || None)
+        .with_rec(|| SymAttr::Perm(perm.to_vec()))
     }
 
     /// Swaps the last two axes (rank ≥ 2).
@@ -116,7 +116,7 @@ impl Tensor {
                 x.accumulate_grad(&gx);
             }),
         )
-        .with_rec(|| SymAttr::Slice { axis, start, len }, || None)
+        .with_rec(|| SymAttr::Slice { axis, start, len })
     }
 
     /// Concatenates tensors along `axis`. All other axes must match.
@@ -178,7 +178,7 @@ impl Tensor {
                 }
             }),
         )
-        .with_rec(|| SymAttr::Concat { axis }, || None)
+        .with_rec(|| SymAttr::Concat { axis })
     }
 
     /// Selects rows of a rank-2 tensor: `self[V, D]` gathered by `indices`

@@ -33,8 +33,9 @@
 //! [`PlanOp::ColStd`] step over the plan input (replicating the RevIN
 //! arithmetic bitwise), so a stat value carries several symbolic ids in
 //! [`PlanValue::sym_ids`]. Masks are not representable (the dynamic op
-//! captures them as data, not parents); plans support unmasked attention
-//! only, which is all the student path uses.
+//! captures them as data, not parents, and records [`SymAttr::Masked`]);
+//! plans support unmasked attention only, which is all the student path
+//! uses, and refuse a masked one.
 //!
 //! ## Training plans
 //!
@@ -864,7 +865,7 @@ fn lower_op(node: &SymbolicTensor) -> Result<PlanOp, PlanError> {
             SymAttr::Perm(p) => PlanOp::Permute(p.clone()),
             _ => return Err(unsupported()),
         },
-        "fused_attention" => {
+        "fused_attention" if *node.attr() == SymAttr::None => {
             let q = &node.parents()[0];
             let k = &node.parents()[1];
             let (qd, kd) = (q.dims(), k.dims());
@@ -875,7 +876,7 @@ fn lower_op(node: &SymbolicTensor) -> Result<PlanOp, PlanError> {
                 dh: qd[2],
             }
         }
-        "fused_attention_map" => {
+        "fused_attention_map" if *node.attr() == SymAttr::None => {
             let q = &node.parents()[0];
             let k = &node.parents()[1];
             let (qd, kd) = (q.dims(), k.dims());
@@ -1511,7 +1512,7 @@ impl PlanExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbolic::SymCtx;
+    use crate::recorder::replay_labelled;
     use crate::tensor::Tensor;
 
     fn spec() -> PlanSpec {
@@ -1527,22 +1528,17 @@ mod tests {
     /// execution bitwise.
     #[test]
     fn plan_matches_dynamic_small_graph() {
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![4, 3]);
-        let w = ctx.param("w", vec![3, 2]);
-        let b = ctx.param("b", vec![2]);
-        let root = x
-            .matmul(&w)
-            .unwrap()
-            .add(&b)
-            .unwrap()
-            .relu()
-            .mul_scalar(0.5);
+        let w_data: Vec<f32> = (0..6).map(|i| 0.3 * i as f32 - 0.7).collect();
+        let b_data = vec![0.1f32, -0.2];
+        let x = Tensor::zeros([4, 3]);
+        let w = Tensor::param(w_data.clone(), [3, 2]);
+        let b = Tensor::param(b_data.clone(), [2]);
+        let root = replay_labelled(&[("x", &x), ("w", &w), ("b", &b)], || {
+            x.matmul(&w).add(&b).relu().mul_scalar(0.5)
+        });
         let plan = Plan::compile(&root, &spec()).unwrap();
         assert_eq!(plan.steps().len(), 4);
 
-        let w_data: Vec<f32> = (0..6).map(|i| 0.3 * i as f32 - 0.7).collect();
-        let b_data = vec![0.1f32, -0.2];
         let mut exec = PlanExecutor::new(&plan, |label, _| match label {
             "w" => Some(w_data.clone()),
             "b" => Some(b_data.clone()),
@@ -1565,13 +1561,15 @@ mod tests {
     /// be smaller than the sum of all step outputs.
     #[test]
     fn liveness_reuses_slots() {
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![8, 8]);
-        let mut cur = x.clone();
-        for _ in 0..6 {
-            cur = cur.relu().mul_scalar(1.01);
-        }
-        let plan = Plan::compile(&cur, &spec()).unwrap();
+        let x = Tensor::zeros([8, 8]);
+        let root = replay_labelled(&[("x", &x)], || {
+            let mut cur = x.clone();
+            for _ in 0..6 {
+                cur = cur.relu().mul_scalar(1.01);
+            }
+            cur
+        });
+        let plan = Plan::compile(&root, &spec()).unwrap();
         let total: usize = plan
             .steps()
             .iter()
@@ -1589,19 +1587,39 @@ mod tests {
 
     #[test]
     fn unsupported_op_is_rejected() {
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![4, 3]);
-        let root = x.softmax_last();
+        let x = Tensor::zeros([4, 3]);
+        let w = Tensor::param(vec![0.5; 3], [3]);
+        let root = replay_labelled(&[("x", &x), ("head.w", &w)], || x.add(&w).softmax_last());
         let err = Plan::compile(&root, &spec()).unwrap_err();
-        assert!(err.message.contains("softmax_last"), "{}", err.message);
+        assert!(
+            err.message.contains("`softmax_last` at `head`"),
+            "the error names the op and its component: {}",
+            err.message
+        );
+    }
+
+    #[test]
+    fn masked_attention_is_rejected() {
+        let x = Tensor::zeros([4, 6]);
+        let mask = Tensor::zeros([4, 4]);
+        let w = Tensor::param(vec![0.5; 6], [6]);
+        let root = replay_labelled(&[("x", &x), ("mask", &mask), ("attn.w", &w)], || {
+            let h = x.mul(&w).reshape([4, 2, 3]).permute(&[1, 0, 2]);
+            Tensor::fused_attention(&h, &h, &h, Some(&mask)).0
+        });
+        let err = Plan::compile(&root, &spec()).unwrap_err();
+        assert!(
+            err.message.contains("`fused_attention` at `attn`"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]
     fn unclassified_leaf_is_rejected() {
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![4, 3]);
-        let mystery = ctx.constant("mystery", vec![4, 3]);
-        let root = x.add(&mystery).unwrap();
+        let x = Tensor::zeros([4, 3]);
+        let mystery = Tensor::zeros([4, 3]);
+        let root = replay_labelled(&[("x", &x), ("mystery", &mystery)], || x.add(&mystery));
         let err = Plan::compile(&root, &spec()).unwrap_err();
         assert!(err.message.contains("mystery"), "{}", err.message);
     }
@@ -1610,17 +1628,18 @@ mod tests {
     fn stat_leaves_dedup_and_execute() {
         // Mirror the RevIn normalize/denormalize pattern: mu/std leaves
         // appear twice under the same label but compile to one step each.
-        let ctx = SymCtx::new();
         let t = 5;
         let n = 3;
-        let x = ctx.constant("x", vec![t, n]);
-        let stat_dims = vec![1, n];
-        let mu1 = ctx.constant("mu", stat_dims.clone());
-        let std1 = ctx.constant("std", stat_dims.clone());
-        let normed = x.sub(&mu1).unwrap().div(&std1).unwrap();
-        let mu2 = ctx.constant("mu", stat_dims.clone());
-        let std2 = ctx.constant("std", stat_dims);
-        let root = normed.mul(&std2).unwrap().add(&mu2).unwrap();
+        let x = Tensor::zeros([t, n]);
+        let [mu1, std1, mu2, std2] = [(); 4].map(|_| Tensor::ones([1, n]));
+        let labelled = [
+            ("x", &x),
+            ("mu", &mu1),
+            ("std", &std1),
+            ("mu", &mu2),
+            ("std", &std2),
+        ];
+        let root = replay_labelled(&labelled, || x.sub(&mu1).div(&std1).mul(&std2).add(&mu2));
 
         let spec = PlanSpec {
             input_label: "x".to_string(),
@@ -1671,10 +1690,9 @@ mod tests {
 
     #[test]
     fn faults_corrupt_the_right_axis() {
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![4, 4]);
-        let w = ctx.param("w", vec![4, 4]);
-        let root = x.matmul(&w).unwrap().relu().add(&x).unwrap();
+        let x = Tensor::zeros([4, 4]);
+        let w = Tensor::zeros_param([4, 4]);
+        let root = replay_labelled(&[("x", &x), ("w", &w)], || x.matmul(&w).relu().add(&x));
         let plan = Plan::compile(&root, &spec()).unwrap();
 
         let mut p = plan.clone();
@@ -1705,9 +1723,8 @@ mod tests {
 
     #[test]
     fn executor_rejects_aliasing_plan() {
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![4, 4]);
-        let root = x.relu().mul_scalar(2.0).relu();
+        let x = Tensor::zeros([4, 4]);
+        let root = replay_labelled(&[("x", &x)], || x.relu().mul_scalar(2.0).relu());
         let mut plan = Plan::compile(&root, &spec()).unwrap();
         plan.inject_fault(PlanFault::OverlapSlots);
         let err = PlanExecutor::new(&plan, |_, _| None).unwrap_err();

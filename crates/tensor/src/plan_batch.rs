@@ -334,102 +334,9 @@ mod tests {
     use super::*;
     use crate::parallel::with_threads;
     use crate::plan::{PlanFault, ValueSource};
+    use crate::plan_train::tests::{adamw, bits, dyn_adamw, mlp_loss, param_bank, spec, windows};
     use crate::plan_train::PlanOptimizer;
-    use crate::symbolic::SymCtx;
-    use crate::{seeded_rng, Tensor};
-
-    fn spec() -> PlanSpec {
-        PlanSpec {
-            input_label: "x".to_string(),
-            col_mean_leaves: Vec::new(),
-            col_std_leaves: Vec::new(),
-            aux_labels: Vec::new(),
-        }
-    }
-
-    fn adamw() -> PlanOptimizer {
-        PlanOptimizer::AdamW {
-            lr: 0.05,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.01,
-        }
-    }
-
-    /// Symbolic mirror of the dynamic graph used in the reference below:
-    /// loss = mean(smooth_l1(relu(x·w + bias), y)).
-    fn mlp_loss(ctx: &SymCtx) -> SymbolicTensor {
-        let x = ctx.constant("x", vec![4, 3]);
-        let y = ctx.constant("y", vec![4, 2]);
-        let w = ctx.param("w", vec![3, 2]);
-        let b = ctx.param("bias", vec![2]);
-        let h = x.matmul(&w).unwrap().add(&b).unwrap().relu();
-        h.smooth_l1(&y).unwrap().mean()
-    }
-
-    fn param_bank() -> (Vec<f32>, Vec<f32>) {
-        let mut rng = seeded_rng(0x5EED);
-        let w = Tensor::randn([3, 2], 1.0, &mut rng).to_vec();
-        let b = Tensor::randn([2], 1.0, &mut rng).to_vec();
-        (w, b)
-    }
-
-    fn windows(n: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
-        let mut rng = seeded_rng(0xBEEF);
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for _ in 0..n {
-            xs.push(Tensor::randn([12], 1.0, &mut rng).to_vec());
-            ys.push(Tensor::randn([8], 1.0, &mut rng).to_vec());
-        }
-        (xs, ys)
-    }
-
-    /// Mirror of `timekd_nn::AdamW` (the nn crate is downstream of this
-    /// one, so the dynamic reference is restated here verbatim).
-    struct DynAdamW {
-        lr: f32,
-        step_count: u64,
-        state: std::collections::HashMap<u64, (Vec<f32>, Vec<f32>)>,
-    }
-
-    fn dyn_adamw() -> DynAdamW {
-        DynAdamW {
-            lr: 0.05,
-            step_count: 0,
-            state: std::collections::HashMap::new(),
-        }
-    }
-
-    impl DynAdamW {
-        fn step(&mut self, params: &[Tensor]) {
-            let (beta1, beta2, eps, weight_decay) = (0.9f32, 0.999f32, 1e-8f32, 0.01f32);
-            self.step_count += 1;
-            let t = self.step_count as f32;
-            let bias1 = 1.0 - beta1.powf(t);
-            let bias2 = 1.0 - beta2.powf(t);
-            for p in params {
-                let Some(grad) = p.grad() else { continue };
-                let n = p.num_elements();
-                let (m, v) = self
-                    .state
-                    .entry(p.id())
-                    .or_insert_with(|| (vec![0.0; n], vec![0.0; n]));
-                let lr = self.lr;
-                p.update_data(|data| {
-                    for i in 0..n {
-                        let g = grad[i];
-                        m[i] = beta1 * m[i] + (1.0 - beta1) * g;
-                        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
-                        let m_hat = m[i] / bias1;
-                        let v_hat = v[i] / bias2;
-                        data[i] -= lr * (m_hat / (v_hat.sqrt() + eps) + weight_decay * data[i]);
-                    }
-                });
-            }
-        }
-    }
+    use crate::Tensor;
 
     /// The serial micro-batched oracle: accumulate each chunk's window
     /// gradients in ascending window order on the live autograd graph,
@@ -465,11 +372,13 @@ mod tests {
     }
 
     fn batched_plan(optimizer: PlanOptimizer, batch: usize) -> (Plan, usize, usize) {
-        let ctx = SymCtx::new();
-        let loss = mlp_loss(&ctx);
-        let plan =
-            Plan::compile_training_batched(&loss, &spec(), &TrainSpec::new("y", optimizer), batch)
-                .expect("batched plan compiles");
+        let plan = Plan::compile_training_batched(
+            &mlp_loss(),
+            &spec(),
+            &TrainSpec::new("y", optimizer),
+            batch,
+        )
+        .expect("batched plan compiles");
         let labels: Vec<String> = plan
             .values()
             .iter()
@@ -516,10 +425,6 @@ mod tests {
         )
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
     #[test]
     fn batched_training_matches_dynamic_microbatch_grid() {
         let (w0, b0) = param_bank();
@@ -543,9 +448,7 @@ mod tests {
     fn batch_one_is_bitwise_the_per_window_executor() {
         let (w0, b0) = param_bank();
         let (xs, ys) = windows(5);
-        let ctx = SymCtx::new();
-        let loss = mlp_loss(&ctx);
-        let plan = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", adamw()))
+        let plan = Plan::compile_training(&mlp_loss(), &spec(), &TrainSpec::new("y", adamw()))
             .expect("per-window plan compiles");
         let mut exec = TrainExecutor::new(&plan, |label, _| match label {
             "w" => Some(w0.to_vec()),
@@ -581,9 +484,7 @@ mod tests {
 
     #[test]
     fn per_window_plan_carries_no_batch_metadata() {
-        let ctx = SymCtx::new();
-        let loss = mlp_loss(&ctx);
-        let plan = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", adamw()))
+        let plan = Plan::compile_training(&mlp_loss(), &spec(), &TrainSpec::new("y", adamw()))
             .expect("per-window plan compiles");
         assert_eq!(plan.batch(), 0);
         assert_eq!(plan.lane_stride(), 0);
@@ -598,10 +499,9 @@ mod tests {
 
     #[test]
     fn zero_batch_is_rejected_at_compile() {
-        let ctx = SymCtx::new();
-        let loss = mlp_loss(&ctx);
-        let err = Plan::compile_training_batched(&loss, &spec(), &TrainSpec::new("y", adamw()), 0)
-            .expect_err("batch 0 rejected");
+        let err =
+            Plan::compile_training_batched(&mlp_loss(), &spec(), &TrainSpec::new("y", adamw()), 0)
+                .expect_err("batch 0 rejected");
         assert!(err.to_string().contains("batch ≥ 1"), "unexpected: {err}");
     }
 

@@ -1439,14 +1439,15 @@ impl TrainExecutor {
     }
 }
 
+/// Fixtures the plan-train and plan-batch tests share.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::plan::MAX_PLAN_RANK;
-    use crate::symbolic::SymCtx;
-    use crate::{seeded_rng, Tensor};
+    use crate::recorder::{replay_labelled, Recorder};
+    use crate::{record, seeded_rng, Tensor};
 
-    fn spec() -> PlanSpec {
+    pub(crate) fn spec() -> PlanSpec {
         PlanSpec {
             input_label: "x".to_string(),
             col_mean_leaves: Vec::new(),
@@ -1455,18 +1456,20 @@ mod tests {
         }
     }
 
-    /// Symbolic mirror of the dynamic graph in the tests below:
+    /// The recorded graph of the dynamic references below:
     /// loss = mean(smooth_l1(relu(x·w + bias), y)).
-    fn mlp_loss(ctx: &SymCtx) -> SymbolicTensor {
-        let x = ctx.constant("x", vec![4, 3]);
-        let y = ctx.constant("y", vec![4, 2]);
-        let w = ctx.param("w", vec![3, 2]);
-        let b = ctx.param("bias", vec![2]);
-        let h = x.matmul(&w).unwrap().add(&b).unwrap().relu();
-        h.smooth_l1(&y).unwrap().mean()
+    pub(crate) fn mlp_loss() -> SymbolicTensor {
+        let x = Tensor::zeros([4, 3]);
+        let y = Tensor::zeros([4, 2]);
+        let w = Tensor::zeros_param([3, 2]);
+        let b = Tensor::zeros_param([2]);
+        let labelled = [("x", &x), ("y", &y), ("w", &w), ("bias", &b)];
+        replay_labelled(&labelled, || {
+            x.matmul(&w).add(&b).relu().smooth_l1(&y).mean()
+        })
     }
 
-    fn param_bank() -> (Vec<f32>, Vec<f32>) {
+    pub(crate) fn param_bank() -> (Vec<f32>, Vec<f32>) {
         let mut rng = seeded_rng(0x5EED);
         let w = Tensor::randn([3, 2], 1.0, &mut rng).to_vec();
         let b = Tensor::randn([2], 1.0, &mut rng).to_vec();
@@ -1499,13 +1502,13 @@ mod tests {
 
     /// Mirror of `timekd_nn::AdamW` (the nn crate is downstream of this
     /// one, so the dynamic reference is restated here verbatim).
-    struct DynAdamW {
+    pub(crate) struct DynAdamW {
         lr: f32,
         step_count: u64,
         state: std::collections::HashMap<u64, (Vec<f32>, Vec<f32>)>,
     }
 
-    fn dyn_adamw() -> DynAdamW {
+    pub(crate) fn dyn_adamw() -> DynAdamW {
         DynAdamW {
             lr: 0.05,
             step_count: 0,
@@ -1514,7 +1517,7 @@ mod tests {
     }
 
     impl DynAdamW {
-        fn step(&mut self, params: &[Tensor]) {
+        pub(crate) fn step(&mut self, params: &[Tensor]) {
             let (beta1, beta2, eps, weight_decay) = (0.9f32, 0.999f32, 1e-8f32, 0.01f32);
             self.step_count += 1;
             let t = self.step_count as f32;
@@ -1549,9 +1552,7 @@ mod tests {
         xs: &[Vec<f32>],
         ys: &[Vec<f32>],
     ) -> (Vec<f32>, Vec<f32>, f32) {
-        let ctx = SymCtx::new();
-        let loss = mlp_loss(&ctx);
-        let plan = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", optimizer))
+        let plan = Plan::compile_training(&mlp_loss(), &spec(), &TrainSpec::new("y", optimizer))
             .expect("training plan compiles");
         let mut exec = TrainExecutor::new(&plan, |label, _| match label {
             "w" => Some(w0.to_vec()),
@@ -1579,7 +1580,7 @@ mod tests {
         )
     }
 
-    fn windows(n: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    pub(crate) fn windows(n: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
         let mut rng = seeded_rng(0xBEEF);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
@@ -1591,7 +1592,7 @@ mod tests {
     }
 
     /// The fused optimizer matching [`dyn_adamw`].
-    fn adamw() -> PlanOptimizer {
+    pub(crate) fn adamw() -> PlanOptimizer {
         PlanOptimizer::AdamW {
             lr: 0.05,
             beta1: 0.9,
@@ -1652,8 +1653,8 @@ mod tests {
             .collect()
     }
 
-    /// `loss = sum(smooth_l1(unary(core(a, b)) * x, y))`, built once
-    /// symbolically and once on the dynamic engine.
+    /// `loss = sum(smooth_l1(unary(core(a, b)) * x, y))`, run on the
+    /// dynamic engine and recorded for the plans.
     struct PropCase {
         core: CoreOp,
         unary: &'static str,
@@ -1661,39 +1662,6 @@ mod tests {
     }
 
     impl PropCase {
-        fn out_dims(&self) -> Vec<usize> {
-            let ctx = SymCtx::new();
-            self.symbolic(&ctx).dims().to_vec()
-        }
-
-        fn symbolic(&self, ctx: &SymCtx) -> SymbolicTensor {
-            let p: Vec<SymbolicTensor> = self
-                .params
-                .iter()
-                .map(|(label, dims, _)| ctx.param(label, dims.clone()))
-                .collect();
-            let out = match &self.core {
-                CoreOp::Binary(op) => match *op {
-                    "add" => p[0].add(&p[1]),
-                    "sub" => p[0].sub(&p[1]),
-                    "mul" => p[0].mul(&p[1]),
-                    _ => p[0].div(&p[1]),
-                },
-                CoreOp::Permute(perm) => p[0].permute(perm),
-                CoreOp::SumAxis(axis, keepdim) => p[0].sum_axis(*axis, *keepdim),
-            }
-            .expect("case is well-formed");
-            match self.unary {
-                "relu" => out.relu(),
-                "gelu" => out.gelu(),
-                "square" => out.square(),
-                "add" => out.add_scalar(0.75),
-                "scale" => out.mul_scalar(-1.5),
-                "rsqrt" => out.square().add_scalar(1.0).rsqrt(),
-                _ => out,
-            }
-        }
-
         fn dynamic(&self, params: &[Tensor]) -> Tensor {
             let out = match &self.core {
                 CoreOp::Binary(op) => match *op {
@@ -1768,7 +1736,7 @@ mod tests {
         }
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
+    pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
@@ -1780,12 +1748,18 @@ mod tests {
         for i in 0..360 {
             let case = random_case(&mut rng, i);
             let tag = format!("case {i}: {:?} then {}", case.core, case.unary);
+            let params: Vec<Tensor> = case
+                .params
+                .iter()
+                .map(|(_, dims, v)| Tensor::param(v.clone(), dims.clone()))
+                .collect();
+            let out_dims = case.dynamic(&params).dims().to_vec();
             let dims = |k: usize| case.params[k].1.as_slice();
             match &case.core {
                 CoreOp::Binary(_) => {
                     let (a, b) = (dims(0), dims(1));
                     scalar += usize::from(a.is_empty() || b.is_empty());
-                    let out = case.out_dims();
+                    let out = &out_dims;
                     let stretched = |d: &[usize]| {
                         let tail = &out[out.len() - d.len()..];
                         d.len() < out.len() || d.iter().zip(tail).any(|(&x, &o)| x < o)
@@ -1798,43 +1772,36 @@ mod tests {
                 CoreOp::Permute(_) => {}
             }
             unit_axis += usize::from(case.params.iter().any(|(_, d, _)| d.contains(&1)));
-            let out_dims = case.out_dims();
             let x = random_values(&mut rng, &out_dims, false);
             let y = random_values(&mut rng, &out_dims, false);
 
-            // Dynamic reference: forward output, loss, operand gradients.
-            let params: Vec<Tensor> = case
-                .params
-                .iter()
-                .map(|(_, dims, v)| Tensor::param(v.clone(), dims.clone()))
-                .collect();
+            // Dynamic reference: forward output, loss, operand gradients —
+            // recorded, so the plans are lowered from this very run.
             let xt = Tensor::from_vec(x.clone(), out_dims.clone());
             let yt = Tensor::from_vec(y.clone(), out_dims.clone());
-            let fwd = case.dynamic(&params).mul(&xt);
-            let loss = fwd.smooth_l1(&yt).sum();
+            let (fwd, loss) = record(|| {
+                let fwd = case.dynamic(&params).mul(&xt);
+                let loss = fwd.smooth_l1(&yt).sum();
+                (fwd, loss)
+            });
             loss.backward();
+            let mut rec = Recorder::new();
+            for ((label, ..), p) in case.params.iter().zip(&params) {
+                rec.param(label, p, false);
+            }
+            rec.name("x", &xt);
+            rec.name("y", &yt);
+            let syms = rec.replay(&[&fwd, &loss]).expect("recorded case replays");
 
             // Forward-only plan: the output, element for element.
-            let ctx = SymCtx::new();
-            let sym_fwd = case
-                .symbolic(&ctx)
-                .mul(&ctx.constant("x", out_dims.clone()))
-                .expect("same shape");
-            let plan = Plan::compile(&sym_fwd, &spec()).expect("forward plan compiles");
+            let plan = Plan::compile(&syms[0], &spec()).expect("forward plan compiles");
             let mut exec = PlanExecutor::new(&plan, case.bind()).expect("forward binds");
             let mut out = vec![0.0f32; exec.output_len()];
             exec.run(&x, &mut out);
             assert_eq!(bits(&out), bits(&fwd.to_vec()), "{tag}: forward");
 
             // Training plan: the loss and every operand gradient.
-            let ctx = SymCtx::new();
-            let sym_loss = case
-                .symbolic(&ctx)
-                .mul(&ctx.constant("x", out_dims.clone()))
-                .and_then(|f| f.smooth_l1(&ctx.constant("y", out_dims.clone())))
-                .expect("same shape")
-                .sum();
-            let plan = Plan::compile_training(&sym_loss, &spec(), &TrainSpec::new("y", adamw()))
+            let plan = Plan::compile_training(&syms[1], &spec(), &TrainSpec::new("y", adamw()))
                 .expect("training plan compiles");
             let mut exec = TrainExecutor::new(&plan, case.bind()).expect("trainer binds");
             exec.set_target(&y);
@@ -1882,32 +1849,24 @@ mod tests {
         // loss = sum(smooth_l1(p·p + x, y)): both adjoint sides of `p·p`
         // land on the same buffer (Init then Accum), exactly like the
         // dynamic double `accumulate_grad`.
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![3]);
-        let y = ctx.constant("y", vec![3]);
-        let p = ctx.param("p", vec![3]);
-        let loss = p
-            .mul(&p)
-            .unwrap()
-            .add(&x)
-            .unwrap()
-            .smooth_l1(&y)
-            .unwrap()
-            .sum();
-        let plan = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", adamw())).unwrap();
+        let xv = [0.1f32, -0.2, 0.3];
+        let yv = [0.25f32, 0.5, -0.5];
+        let p = Tensor::param(vec![1.5, -2.0, 0.5], [3]);
+        let x = Tensor::from_vec(xv.to_vec(), [3]);
+        let y = Tensor::from_vec(yv.to_vec(), [3]);
+        let mut loss = None;
+        let sym_loss = replay_labelled(&[("x", &x), ("y", &y), ("p", &p)], || {
+            loss.insert(p.mul(&p).add(&x).smooth_l1(&y).sum()).clone()
+        });
+        let plan =
+            Plan::compile_training(&sym_loss, &spec(), &TrainSpec::new("y", adamw())).unwrap();
         let mut exec = TrainExecutor::new(&plan, |label, _| {
             (label == "p").then(|| vec![1.5, -2.0, 0.5])
         })
         .unwrap();
-        let xv = [0.1f32, -0.2, 0.3];
-        let yv = [0.25f32, 0.5, -0.5];
         let planned_loss = exec.run_train_step(&xv, &yv);
 
-        let p = Tensor::param(vec![1.5, -2.0, 0.5], [3]);
-        let x = Tensor::from_vec(xv.to_vec(), [3]);
-        let y = Tensor::from_vec(yv.to_vec(), [3]);
-        p.zero_grad();
-        let loss = p.mul(&p).add(&x).smooth_l1(&y).sum();
+        let loss = loss.expect("recorded");
         let dloss = loss.item();
         loss.backward();
         dyn_adamw().step(std::slice::from_ref(&p));
@@ -1917,19 +1876,17 @@ mod tests {
 
     #[test]
     fn frozen_params_receive_no_updates() {
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![4, 3]);
-        let y = ctx.constant("y", vec![4, 2]);
-        let w = ctx.frozen(|| ctx.param("w_frozen", vec![3, 2]));
-        let b = ctx.param("bias", vec![2]);
-        let loss = x
-            .matmul(&w)
-            .unwrap()
-            .add(&b)
-            .unwrap()
-            .smooth_l1(&y)
-            .unwrap()
-            .mean();
+        let x = Tensor::zeros([4, 3]);
+        let y = Tensor::zeros([4, 2]);
+        let w = Tensor::zeros_param([3, 2]);
+        let b = Tensor::zeros_param([2]);
+        let mut rec = Recorder::new();
+        rec.name("x", &x);
+        rec.name("y", &y);
+        rec.param("w_frozen", &w, true);
+        rec.param("bias", &b, false);
+        let loss = record(|| x.matmul(&w).add(&b).smooth_l1(&y).mean());
+        let loss = rec.replay(&[&loss]).unwrap().remove(0);
         let plan = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", adamw())).unwrap();
         // The frozen param still receives a gradient buffer (the dynamic
         // engine also accumulates into it) but no update step.
@@ -1954,10 +1911,9 @@ mod tests {
 
     #[test]
     fn forward_only_plans_reject_training_execution() {
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![4]);
-        let w = ctx.param("w", vec![4]);
-        let out = x.mul(&w).unwrap();
+        let x = Tensor::zeros([4]);
+        let w = Tensor::zeros_param([4]);
+        let out = replay_labelled(&[("x", &x), ("w", &w)], || x.mul(&w));
         let plan = Plan::compile(&out, &spec()).unwrap();
         assert!(!plan.is_training());
         let err = TrainExecutor::new(&plan, |_, dims| Some(vec![1.0; dims.iter().product()]))
@@ -1967,11 +1923,12 @@ mod tests {
 
     #[test]
     fn training_root_must_be_scalar() {
-        let ctx = SymCtx::new();
-        let x = ctx.constant("x", vec![4]);
-        let y = ctx.constant("y", vec![4]);
-        let w = ctx.param("w", vec![4]);
-        let loss = x.mul(&w).unwrap().smooth_l1(&y).unwrap();
+        let x = Tensor::zeros([4]);
+        let y = Tensor::zeros([4]);
+        let w = Tensor::zeros_param([4]);
+        let loss = replay_labelled(&[("x", &x), ("y", &y), ("w", &w)], || {
+            x.mul(&w).smooth_l1(&y)
+        });
         let err = Plan::compile_training(&loss, &spec(), &TrainSpec::new("y", adamw()))
             .expect_err("vector loss must be rejected");
         assert!(err.message.contains("scalar loss"), "{}", err.message);

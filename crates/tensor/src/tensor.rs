@@ -8,9 +8,9 @@
 //! cheap to clone (a clone is a new handle to the same node).
 //!
 //! Inside a [`record`] scope every op keeps its parents whether or not it
-//! tracks gradients, together with the static payload the symbolic IR
-//! needs ([`SymAttr`], the attention mask, a detach's source), so
-//! [`crate::recorder::Recorder`] can replay the real forward as IR.
+//! tracks gradients, together with the static payload its plan lowering
+//! reads ([`SymAttr`]), and every detach keeps its source, so
+//! [`crate::recorder::Recorder`] can copy the real forward into IR.
 //!
 //! Threading model: the *graph* is single-threaded by design — `Rc`
 //! handles, `RefCell` buffers, one thread per graph; experiment-level
@@ -94,12 +94,9 @@ pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[Tensor])>;
 pub(crate) struct Rec {
     /// Static operand payload (scalars, axes, permutations, slices).
     pub(crate) attr: SymAttr,
-    /// Inputs that are data rather than parents: the additive mask of a
-    /// `fused_attention` node, or the context node a `fused_attention_map`
-    /// was produced with.
-    pub(crate) side: Option<Tensor>,
-    /// Name of a constant leaf inside the module owning `side` (see
-    /// [`Tensor::named`]).
+    /// The parameter whose module owns a [`Tensor::named`] leaf.
+    pub(crate) owner: Option<Tensor>,
+    /// Name of a constant leaf inside the module of `owner`.
     pub(crate) name: &'static str,
 }
 
@@ -233,15 +230,11 @@ impl Tensor {
     }
 
     /// Attaches the IR payload of a freshly created node while recording;
-    /// outside a [`record`] scope neither closure runs.
-    pub(crate) fn with_rec(
-        self,
-        attr: impl FnOnce() -> SymAttr,
-        side: impl FnOnce() -> Option<Tensor>,
-    ) -> Tensor {
+    /// outside a [`record`] scope the closure does not run.
+    pub(crate) fn with_rec(self, attr: impl FnOnce() -> SymAttr) -> Tensor {
         self.set_rec(|| Rec {
             attr: attr(),
-            side: side(),
+            owner: None,
             name: "",
         })
     }
@@ -259,7 +252,7 @@ impl Tensor {
     pub fn named(self, name: &'static str, owner: &Tensor) -> Tensor {
         self.set_rec(|| Rec {
             attr: SymAttr::None,
-            side: Some(owner.clone()),
+            owner: Some(owner.clone()),
             name,
         })
     }

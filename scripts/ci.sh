@@ -18,7 +18,7 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "==> timekd-check --lints (source rules, allowlist, tracked artifacts)"
 cargo run -q -p timekd-check -- --lints --strict
 
-echo "==> timekd-check --verify (shape + gradient-flow proofs over the replayed recording of a real training step)"
+echo "==> timekd-check --verify (shapes checked by the engine as one real training step runs under recording; gradient-flow proofs over its replay)"
 cargo run -q -p timekd-check -- --verify
 
 echo "==> timekd-check --graph (dynamic graph audits + frozen-LM invariant)"
@@ -68,12 +68,12 @@ cargo test -q -p timekd-lm --test pretrain_trace -- --exact \
   pretraining_runs_one_encoder_forward_per_step
 # Plans are lowered from a recording of the real modules: every plan the
 # `--plan` matrix covers must match the committed fingerprint fixture, and
-# every op the recorder replays must give the IR node built directly.
+# every replayed op must copy the recorded node's op, dims, payload and
+# grad flag.
 cargo test -q -p timekd-check --lib -- --exact \
   plan::tests::plan_fingerprints_match_the_committed_fixture
 cargo test -q -p timekd-tensor --lib -- --exact \
-  recorder::tests::every_replayed_op_equals_the_directly_built_ir_node \
-  recorder::tests::unreplayable_op_is_an_error_naming_op_and_component
+  recorder::tests::every_replayed_op_copies_the_recorded_node
 
 echo "==> serving integration suite (pooled executors, bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
 # Same rationale as the determinism gates: re-run the serving contract
