@@ -12,13 +12,14 @@
 //! versions.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use timekd_obs::json::Json;
+use timekd_obs::json::{self, Body, Json, RowFault, RowWidth};
 use timekd_obs::{
     now_ns, Histogram, SERVE_ADMIN_LATENCY, SERVE_ERRORS, SERVE_FORECAST_LATENCY,
     SERVE_METRICS_LATENCY, SERVE_OBSERVE_LATENCY, SERVE_REQUESTS, SERVE_SWAPS, SERVE_SWAP_REJECTS,
@@ -340,59 +341,72 @@ fn route(shared: &Shared, req: &Request) -> (u16, Json) {
     }
 }
 
-fn flatten_window(rows: &[Json], input_len: usize, num_vars: usize) -> Result<Vec<f32>, String> {
-    if rows.len() != input_len {
+/// Where a `/forecast` takes its window from.
+#[derive(Debug)]
+enum ForecastInput {
+    /// An explicit `x` window, flattened row-major.
+    Window(Vec<f32>),
+    /// A tenant whose cached rows form the window.
+    Tenant(String),
+}
+
+/// The typed read shared by `/forecast` and `/observe`: a non-UTF-8 body
+/// is refused first, then [`json::decode_body`] reads the `rows_key`
+/// matrix and the `str_key` string with [`Json::parse`]'s syntax errors.
+fn decode(body: &[u8], rows_key: &str, width: RowWidth, str_key: &str) -> Result<Body, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
+    json::decode_body(text, rows_key, width, str_key).map_err(|e| format!("invalid JSON body: {e}"))
+}
+
+/// Reads a `/forecast` body. An `x` array must be an `input_len` x
+/// `num_vars` window whose every cell is a number finite as an f32;
+/// without one, a `tenant` string names the cached window. Errors are
+/// 400 texts.
+fn decode_forecast(
+    body: &[u8],
+    input_len: usize,
+    num_vars: usize,
+) -> Result<ForecastInput, String> {
+    let body = decode(body, "x", RowWidth::Fixed(num_vars), "tenant")?;
+    let Some(x) = body.rows else {
+        return body
+            .text
+            .map(ForecastInput::Tenant)
+            .ok_or_else(|| "body must carry `x` (window rows) or `tenant`".to_string());
+    };
+    if x.rows != input_len {
         return Err(format!(
             "`x` has {} rows, model expects {input_len}",
-            rows.len()
+            x.rows
         ));
     }
-    let mut out = Vec::with_capacity(input_len * num_vars);
-    for (i, row) in rows.iter().enumerate() {
-        let cells = row
-            .as_arr()
-            .ok_or_else(|| format!("`x[{i}]` is not an array"))?;
-        if cells.len() != num_vars {
-            return Err(format!(
-                "`x[{i}]` has {} values, model expects {num_vars}",
-                cells.len()
-            ));
-        }
-        for (j, cell) in cells.iter().enumerate() {
-            match cell.as_num() {
-                Some(v) if v.is_finite() => out.push(v as f32),
-                _ => return Err(format!("`x[{i}][{j}]` is not a finite number")),
-            }
+    match x.fault {
+        None => Ok(ForecastInput::Window(x.values)),
+        Some(RowFault::NotArray { row }) => Err(format!("`x[{row}]` is not an array")),
+        Some(RowFault::Width { row, len }) => Err(format!(
+            "`x[{row}]` has {len} values, model expects {num_vars}"
+        )),
+        Some(RowFault::Cell { row, col }) => {
+            Err(format!("`x[{row}][{col}]` is not a finite number"))
         }
     }
-    Ok(out)
 }
 
 fn forecast(shared: &Shared, body: &[u8]) -> (u16, Json) {
-    let doc = match parse_json(body) {
-        Ok(d) => d,
-        Err(e) => return (400, err_body(e)),
-    };
     let model = shared.current();
     let manifest = model.manifest();
-    let input = if let Some(rows) = doc.get("x").and_then(Json::as_arr) {
-        match flatten_window(rows, manifest.input_len, manifest.num_vars) {
-            Ok(v) => v,
-            Err(e) => return (400, err_body(e)),
+    let input = match decode_forecast(body, manifest.input_len, manifest.num_vars) {
+        Ok(ForecastInput::Window(x)) => x,
+        Ok(ForecastInput::Tenant(tenant)) => {
+            match shared
+                .tenants
+                .window(&tenant, manifest.input_len, manifest.num_vars)
+            {
+                Ok(v) => v,
+                Err(e) => return (409, err_body(e)),
+            }
         }
-    } else if let Some(tenant) = doc.get("tenant").and_then(Json::as_str) {
-        match shared
-            .tenants
-            .window(tenant, manifest.input_len, manifest.num_vars)
-        {
-            Ok(v) => v,
-            Err(e) => return (409, err_body(e)),
-        }
-    } else {
-        return (
-            400,
-            err_body("body must carry `x` (window rows) or `tenant`"),
-        );
+        Err(e) => return (400, err_body(e)),
     };
 
     let values = match model.forecast(&input) {
@@ -423,61 +437,60 @@ fn forecast(shared: &Shared, body: &[u8]) -> (u16, Json) {
     )
 }
 
-/// Parses an `/observe` row block: at least one row, every row the same
-/// non-zero width, every cell a finite number.
-fn parse_rows(rows: &[Json]) -> Result<Vec<Vec<f32>>, String> {
-    if rows.is_empty() {
+/// A checked `/observe` row block: the tenant and its rows, row-major.
+#[derive(Debug)]
+struct ObservedRows {
+    tenant: String,
+    values: Vec<f32>,
+    width: NonZeroUsize,
+}
+
+/// Reads an `/observe` body: a `tenant` string and a `rows` block of at
+/// least one row, every row the same non-zero width, every cell a number
+/// finite as an f32. Errors are 400 texts.
+fn decode_observe(body: &[u8]) -> Result<ObservedRows, String> {
+    let body = decode(body, "rows", RowWidth::FirstRow, "tenant")?;
+    let Some(tenant) = body.text else {
+        return Err("`tenant` must be a string".to_string());
+    };
+    let Some(rows) = body.rows else {
+        return Err("`rows` must be an array of rows".to_string());
+    };
+    if rows.rows == 0 {
         return Err("`rows` must hold at least one row".to_string());
     }
-    let mut out = Vec::with_capacity(rows.len());
-    let mut width = 0;
-    for (i, row) in rows.iter().enumerate() {
-        let cells = row
-            .as_arr()
-            .ok_or_else(|| format!("`rows[{i}]` is not an array"))?;
-        if i == 0 {
-            width = cells.len();
-            if width == 0 {
-                return Err("`rows[0]` is empty".to_string());
-            }
-        } else if cells.len() != width {
-            return Err(format!(
-                "`rows[{i}]` has {} values, `rows[0]` has {width}",
-                cells.len()
-            ));
+    match rows.fault {
+        Some(RowFault::NotArray { row }) => Err(format!("`rows[{row}]` is not an array")),
+        Some(RowFault::Width { row, len }) if row > 0 => Err(format!(
+            "`rows[{row}]` has {len} values, `rows[0]` has {}",
+            rows.width
+        )),
+        Some(RowFault::Cell { row, col }) => {
+            Err(format!("`rows[{row}][{col}]` is not a finite number"))
         }
-        let mut parsed = Vec::with_capacity(cells.len());
-        for (j, cell) in cells.iter().enumerate() {
-            match cell.as_num() {
-                Some(v) if v.is_finite() => parsed.push(v as f32),
-                _ => return Err(format!("`rows[{i}][{j}]` is not a finite number")),
-            }
-        }
-        out.push(parsed);
+        // Under `FirstRow` only an empty row 0 is a width fault at row 0.
+        Some(RowFault::Width { .. }) | None => NonZeroUsize::new(rows.width)
+            .map(|width| ObservedRows {
+                tenant,
+                values: rows.values,
+                width,
+            })
+            .ok_or_else(|| "`rows[0]` is empty".to_string()),
     }
-    Ok(out)
 }
 
 fn observe(shared: &Shared, body: &[u8]) -> (u16, Json) {
-    let doc = match parse_json(body) {
-        Ok(d) => d,
-        Err(e) => return (400, err_body(e)),
-    };
-    let Some(tenant) = doc.get("tenant").and_then(Json::as_str) else {
-        return (400, err_body("`tenant` must be a string"));
-    };
-    let Some(raw_rows) = doc.get("rows").and_then(Json::as_arr) else {
-        return (400, err_body("`rows` must be an array of rows"));
-    };
-    let rows = match parse_rows(raw_rows) {
+    let rows = match decode_observe(body) {
         Ok(r) => r,
         Err(e) => return (400, err_body(e)),
     };
-    let total = shared.tenants.observe(tenant, &rows);
+    let total = shared
+        .tenants
+        .observe_rows(&rows.tenant, &rows.values, rows.width);
     (
         200,
         Json::obj(vec![
-            ("tenant", Json::str(tenant)),
+            ("tenant", Json::Str(rows.tenant)),
             ("rows", Json::num(total as f64)),
         ]),
     )
@@ -559,4 +572,261 @@ fn healthz(shared: &Shared) -> (u16, Json) {
             ("version", Json::num(shared.current().version() as f64)),
         ]),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use timekd_obs::json::fuzz::Rng;
+
+    // The tree path the handlers took before the typed decode —
+    // `Json::parse`, then a walk over the parsed rows — kept as the
+    // reference the typed decode must reproduce.
+
+    fn flatten_window(
+        rows: &[Json],
+        input_len: usize,
+        num_vars: usize,
+    ) -> Result<Vec<f32>, String> {
+        if rows.len() != input_len {
+            return Err(format!(
+                "`x` has {} rows, model expects {input_len}",
+                rows.len()
+            ));
+        }
+        let mut out = Vec::with_capacity(input_len * num_vars);
+        for (i, row) in rows.iter().enumerate() {
+            let cells = row
+                .as_arr()
+                .ok_or_else(|| format!("`x[{i}]` is not an array"))?;
+            if cells.len() != num_vars {
+                return Err(format!(
+                    "`x[{i}]` has {} values, model expects {num_vars}",
+                    cells.len()
+                ));
+            }
+            for (j, cell) in cells.iter().enumerate() {
+                match cell.as_num() {
+                    Some(v) if (v as f32).is_finite() => out.push(v as f32),
+                    _ => return Err(format!("`x[{i}][{j}]` is not a finite number")),
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    fn parse_rows(rows: &[Json]) -> Result<Vec<Vec<f32>>, String> {
+        if rows.is_empty() {
+            return Err("`rows` must hold at least one row".to_string());
+        }
+        let mut out = Vec::with_capacity(rows.len());
+        let mut width = 0;
+        for (i, row) in rows.iter().enumerate() {
+            let cells = row
+                .as_arr()
+                .ok_or_else(|| format!("`rows[{i}]` is not an array"))?;
+            if i == 0 {
+                width = cells.len();
+                if width == 0 {
+                    return Err("`rows[0]` is empty".to_string());
+                }
+            } else if cells.len() != width {
+                return Err(format!(
+                    "`rows[{i}]` has {} values, `rows[0]` has {width}",
+                    cells.len()
+                ));
+            }
+            let mut parsed = Vec::with_capacity(cells.len());
+            for (j, cell) in cells.iter().enumerate() {
+                match cell.as_num() {
+                    Some(v) if (v as f32).is_finite() => parsed.push(v as f32),
+                    _ => return Err(format!("`rows[{i}][{j}]` is not a finite number")),
+                }
+            }
+            out.push(parsed);
+        }
+        Ok(out)
+    }
+
+    /// `/forecast` through the tree: the window's bits, or the tenant.
+    fn tree_forecast(
+        body: &[u8],
+        input_len: usize,
+        num_vars: usize,
+    ) -> Result<Result<Vec<u32>, String>, String> {
+        let doc = parse_json(body)?;
+        if let Some(rows) = doc.get("x").and_then(Json::as_arr) {
+            let x = flatten_window(rows, input_len, num_vars)?;
+            Ok(Ok(x.iter().map(|v| v.to_bits()).collect()))
+        } else if let Some(tenant) = doc.get("tenant").and_then(Json::as_str) {
+            Ok(Err(tenant.to_string()))
+        } else {
+            Err("body must carry `x` (window rows) or `tenant`".to_string())
+        }
+    }
+
+    /// `/observe` through the tree: the tenant and its rows' bits.
+    fn tree_observe(body: &[u8]) -> Result<(String, Vec<Vec<u32>>), String> {
+        let doc = parse_json(body)?;
+        let Some(tenant) = doc.get("tenant").and_then(Json::as_str) else {
+            return Err("`tenant` must be a string".to_string());
+        };
+        let Some(raw_rows) = doc.get("rows").and_then(Json::as_arr) else {
+            return Err("`rows` must be an array of rows".to_string());
+        };
+        let rows = parse_rows(raw_rows)?;
+        let bits = rows
+            .iter()
+            .map(|row| row.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        Ok((tenant.to_string(), bits))
+    }
+
+    const INPUT_LEN: usize = 4;
+    const NUM_VARS: usize = 3;
+
+    /// One cell: mostly numbers in the forms clients send, sometimes a
+    /// value that overflows f32 or is not a number.
+    fn cell(rng: &mut Rng) -> String {
+        match rng.below(16) {
+            0 => ["1e39", "-3.5e38", "\"oops\"", "null", "[1]", "true"][rng.below(6) as usize]
+                .to_string(),
+            1 => format!("{:e}", f32::from_bits(rng.next_u64() as u32 & 0x7f7f_ffff)),
+            2 => ["-0", "0", "-0.0", "3.4028235e38", "1e-50"][rng.below(5) as usize].to_string(),
+            3..=9 => f32::from_bits(rng.next_u64() as u32 & 0xbf7f_ffff).to_string(),
+            _ => format!("{}", (rng.below(2_000_001) as f64 - 1e6) / 1e3),
+        }
+    }
+
+    /// A matrix of about `rows` x `width` cells, sometimes one row short
+    /// or long, a row of another width, or a row that is not an array.
+    fn matrix(rng: &mut Rng, rows: usize, width: usize) -> String {
+        let rows = match rng.below(12) {
+            0 => rows + 1,
+            1 => rows.saturating_sub(1 + rng.below(rows as u64 + 1) as usize),
+            _ => rows,
+        };
+        let text: Vec<String> = (0..rows)
+            .map(|_| match rng.below(40) {
+                0 => "\"row\"".to_string(),
+                n => {
+                    let w = match n {
+                        1 => width + 1,
+                        2 => width.saturating_sub(1),
+                        _ => width,
+                    };
+                    let cells: Vec<String> = (0..w).map(|_| cell(rng)).collect();
+                    format!("[{}]", cells.join(", "))
+                }
+            })
+            .collect();
+        format!("[{}]", text.join(",\n "))
+    }
+
+    /// A `/forecast` window body, a tenant body or an `/observe` body,
+    /// its members in random order, with the odd duplicate or extra key.
+    fn body(rng: &mut Rng) -> String {
+        let tenant = || "\"acme-\\u00e9\"".to_string();
+        let mut members: Vec<(&str, String)> = match rng.below(3) {
+            0 => vec![("x", matrix(rng, INPUT_LEN, NUM_VARS))],
+            1 => vec![("tenant", tenant())],
+            _ => {
+                let (rows, width) = (1 + rng.below(5) as usize, 1 + rng.below(4) as usize);
+                vec![("tenant", tenant()), ("rows", matrix(rng, rows, width))]
+            }
+        };
+        for _ in 0..rng.below(3) {
+            let extra = match rng.below(6) {
+                0 => ("x", "7".to_string()),
+                1 => ("x", matrix(rng, INPUT_LEN, NUM_VARS)),
+                2 => ("tenant", "[\"a\"]".to_string()),
+                3 => ("rows", "{}".to_string()),
+                4 => ("tenant", "\"other\"".to_string()),
+                _ => ("pad", "{\"x\": [[1]], \"k\": [null]}".to_string()),
+            };
+            let at = rng.below(members.len() as u64 + 1) as usize;
+            members.insert(at, extra);
+        }
+        let members: Vec<String> = members
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        format!("{{{}}}", members.join(", "))
+    }
+
+    /// Both routes' typed decode against the tree path: same error text
+    /// (and so the same 400), same tenant and bitwise the same values.
+    /// Returns whether the body held a window and whether it was a valid
+    /// `/observe` body.
+    fn assert_decodes_like_the_tree(body: &[u8]) -> (bool, bool) {
+        let what = String::from_utf8_lossy(body);
+        let typed = decode_forecast(body, INPUT_LEN, NUM_VARS).map(|input| match input {
+            ForecastInput::Window(x) => Ok(x.iter().map(|v| v.to_bits()).collect()),
+            ForecastInput::Tenant(t) => Err(t),
+        });
+        let window = matches!(typed, Ok(Ok(_)));
+        assert_eq!(
+            typed,
+            tree_forecast(body, INPUT_LEN, NUM_VARS),
+            "/forecast {what}"
+        );
+        let typed = decode_observe(body).map(|rows| {
+            let bits: Vec<u32> = rows.values.iter().map(|v| v.to_bits()).collect();
+            let rows_bits = bits.chunks(rows.width.get()).map(<[u32]>::to_vec);
+            (rows.tenant, rows_bits.collect::<Vec<_>>())
+        });
+        let observe_ok = typed.is_ok();
+        assert_eq!(typed, tree_observe(body), "/observe {what}");
+        (window, observe_ok)
+    }
+
+    #[test]
+    fn typed_decode_matches_the_tree_reference() {
+        let mut rng = Rng(0xdec0_de24);
+        let (mut windows, mut observes) = (0, 0);
+        for case in 0..20_000 {
+            let text = body(&mut rng);
+            let text = if case % 2 == 0 {
+                rng.mutate(&text)
+            } else {
+                text
+            };
+            let (window, observe) = assert_decodes_like_the_tree(text.as_bytes());
+            windows += usize::from(window);
+            observes += usize::from(observe);
+        }
+        assert!(
+            windows > 1_000 && observes > 1_000,
+            "windows {windows}, observe blocks {observes}"
+        );
+
+        // Hand-picked bodies; `W` stands for a well-formed window.
+        let window = "[[1, 2, 3], [4, 5, 6], [7, 8, 9], [0.5, -0.25, 1e3]]";
+        let bodies = [
+            // Duplicate keys: the first occurrence wins.
+            r#"{"x": W, "x": 5}"#,
+            r#"{"x": 5, "x": W, "tenant": "t"}"#,
+            r#"{"tenant": 1, "tenant": "t", "rows": [[1]]}"#,
+            r#"{"rows": [[1]], "rows": [], "tenant": "t", "tenant": "u"}"#,
+            // A non-array `x` falls through to `tenant`.
+            r#"{"x": {"rows": [[1]]}, "tenant": "t"}"#,
+            r#"{"x": "[[1]]"}"#,
+            // Trailing data, and shape faults before a syntax error.
+            r#"{"x": W} x"#,
+            r#"{"x": [[1, 2]], "tenant": "t", "rows": [[1e39]]} ]"#,
+            r#"{"x": [[1e39, 1, 2], [1, 2]], "tenant": "t", "rows": [[1], [2, 3]]"#,
+            r#"{"x": [1, [1, 2, 3, 4]], "rows": [[1, 2], ["a", 2], [1]], "tenant": "t"}"#,
+            r#"[{"x": W, "tenant": "t"}]"#,
+            "",
+        ]
+        .map(|b| b.replace('W', window).into_bytes());
+        // Non-UTF-8 bytes, inside a string and after the document.
+        let bodies = bodies.iter().map(Vec::as_slice).chain([
+            &b"{\"tenant\": \"\xff\", \"rows\": [[1]]}"[..],
+            &b"{\"tenant\": \"t\", \"rows\": [[1]]}\xc3"[..],
+        ]);
+        for body in bodies {
+            assert_decodes_like_the_tree(body);
+        }
+    }
 }

@@ -14,6 +14,7 @@
 //! could be served before still is, bit for bit.
 
 use std::collections::{HashMap, VecDeque};
+use std::num::NonZeroUsize;
 use std::sync::Mutex;
 
 use crate::registry::fnv1a;
@@ -47,6 +48,14 @@ impl History {
         }
         self.values.extend(row);
     }
+
+    /// Pushes every row and returns the row count after.
+    fn append<'a>(&mut self, rows: impl Iterator<Item = &'a [f32]>) -> usize {
+        for row in rows {
+            self.push(row);
+        }
+        self.rows
+    }
 }
 
 type Shard = Mutex<HashMap<String, History>>;
@@ -78,12 +87,23 @@ impl TenantCache {
     /// Appends observation rows for `tenant`, trimming to the newest
     /// [`MAX_ROWS`]. Returns the tenant's row count after the append.
     pub fn observe(&self, tenant: &str, rows: &[Vec<f32>]) -> usize {
+        self.append(tenant, rows.iter().map(Vec::as_slice))
+    }
+
+    /// [`TenantCache::observe`] for rows packed row-major in one buffer,
+    /// `width` values each (a trailing partial row is dropped).
+    pub fn observe_rows(&self, tenant: &str, values: &[f32], width: NonZeroUsize) -> usize {
+        self.append(tenant, values.chunks_exact(width.get()))
+    }
+
+    /// Pushes `rows` onto the tenant's history, allocating its key only
+    /// the first time the tenant is seen.
+    fn append<'a>(&self, tenant: &str, rows: impl Iterator<Item = &'a [f32]>) -> usize {
         let mut shard = self.shard(tenant).lock().unwrap_or_else(|p| p.into_inner());
-        let history = shard.entry(tenant.to_string()).or_default();
-        for row in rows {
-            history.push(row);
+        if let Some(history) = shard.get_mut(tenant) {
+            return history.append(rows);
         }
-        history.rows
+        shard.entry(tenant.to_string()).or_default().append(rows)
     }
 
     /// The last `input_len` rows flattened row-major into
@@ -174,6 +194,9 @@ mod tests {
     fn rollover_across_wraps_matches_a_naive_row_list() {
         const WIDTH: usize = 7;
         let cache = TenantCache::new();
+        // The same blocks, handed over as one flat buffer per block.
+        let flat = TenantCache::new();
+        let width = NonZeroUsize::new(WIDTH).expect("non-zero width");
         let mut naive: Vec<Vec<f32>> = Vec::new();
         let mut next = 0.0f32;
         // Uneven blocks so the trim point lands mid-block on every wrap.
@@ -192,12 +215,14 @@ mod tests {
             let keep = naive.len().min(MAX_ROWS);
             naive.drain(..naive.len() - keep);
             assert_eq!(cache.observe("t", &rows), naive.len());
+            assert_eq!(flat.observe_rows("t", &rows.concat(), width), naive.len());
             for input_len in [1, 96, naive.len()]
                 .into_iter()
                 .filter(|&l| l <= naive.len())
             {
                 let want: Vec<f32> = naive[naive.len() - input_len..].concat();
                 assert_eq!(cache.window("t", input_len, WIDTH).expect("window"), want);
+                assert_eq!(flat.window("t", input_len, WIDTH).expect("window"), want);
             }
         }
         assert!(

@@ -86,13 +86,20 @@ fn error_paths_answer_precisely_and_keep_the_connection() {
     assert_eq!(resp.status, 400, "{}", resp.body);
     assert!(resp.body.contains("rows"), "{}", resp.body);
 
-    // Non-numeric cell in a correctly shaped window.
-    let mut rows: Vec<String> = vec![r#"[1, 2, "oops"]"#.to_string()];
-    rows.extend((1..INPUT_LEN).map(|_| "[0, 0, 0]".to_string()));
-    let bad = format!(r#"{{"x": [{}]}}"#, rows.join(", "));
-    let resp = request_on(&mut conn, "POST", "/forecast", &bad);
-    assert_eq!(resp.status, 400, "{}", resp.body);
-    assert!(resp.body.contains("finite"), "{}", resp.body);
+    // A non-numeric cell, or one that overflows f32, in a correctly
+    // shaped window.
+    for cell in [r#""oops""#, "1e39"] {
+        let mut rows: Vec<String> = vec![format!("[1, 2, {cell}]")];
+        rows.extend((1..INPUT_LEN).map(|_| "[0, 0, 0]".to_string()));
+        let bad = format!(r#"{{"x": [{}]}}"#, rows.join(", "));
+        let resp = request_on(&mut conn, "POST", "/forecast", &bad);
+        assert_eq!(resp.status, 400, "{cell}: {}", resp.body);
+        assert!(
+            resp.body.contains("`x[0][2]` is not a finite number"),
+            "{cell}: {}",
+            resp.body
+        );
+    }
 
     // Missing both `x` and `tenant`.
     let resp = request_on(&mut conn, "POST", "/forecast", "{}");
@@ -104,11 +111,16 @@ fn error_paths_answer_precisely_and_keep_the_connection() {
     assert!(resp.body.contains("ghost"), "{}", resp.body);
 
     // Malformed /observe row blocks are rejected before the tenant cache
-    // is touched: no rows, zero-width rows, or mixed widths in one body.
+    // is touched: no rows, zero-width rows, mixed widths in one body, or
+    // a value that overflows f32.
     for (body, needle) in [
         (r#"{"tenant": "ghost", "rows": []}"#, "at least one row"),
         (r#"{"tenant": "ghost", "rows": [[], []]}"#, "empty"),
         (r#"{"tenant": "ghost", "rows": [[1, 2], [3]]}"#, "rows[1]"),
+        (
+            r#"{"tenant": "ghost", "rows": [[1, 2], [3, 1e39]]}"#,
+            "`rows[1][1]` is not a finite number",
+        ),
     ] {
         let resp = request_on(&mut conn, "POST", "/observe", body);
         assert_eq!(resp.status, 400, "{body}: {}", resp.body);

@@ -75,12 +75,18 @@ cargo test -q -p timekd-check --lib -- --exact \
 cargo test -q -p timekd-tensor --lib -- --exact \
   recorder::tests::every_replayed_op_copies_the_recorded_node
 
-echo "==> serving integration suite (pooled executors, bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
+echo "==> serving integration suite (number reader vs str::parse, typed body decode vs the Json tree, pooled executors, bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
 # Same rationale as the determinism gates: re-run the serving contract
 # tests by name so a filtered workspace run can never silently drop them.
+# The JSON number reader must give `str::parse::<f64>`'s bits or its
+# rejection, and the typed `/forecast` and `/observe` body decode the
+# status, error text and f32 bits of `Json::parse` plus the tree walkers.
 # The executor pool must serve every window bitwise as a fresh executor
 # and never bind more executors than there are cores.
+cargo test -q -p timekd-obs --lib -- --exact \
+  json::tests::number_reader_matches_str_parse_bit_for_bit
 cargo test -q -p timekd-serve --lib -- --exact \
+  server::tests::typed_decode_matches_the_tree_reference \
   registry::tests::pooled_forecasts_are_bitwise_fresh_and_bounded_under_contention
 cargo test -q -p timekd-serve --test http_serving
 cargo test -q -p timekd-serve --test registry_faults
