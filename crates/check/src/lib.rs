@@ -12,6 +12,7 @@
 //! |------|-------|-------------|
 //! | `no-unwrap-in-kernels` | `tensor/src/ops/*`, `tensor/src/parallel.rs`, `tensor/src/simd.rs` | no `.unwrap()` / `.expect(` in hot kernels |
 //! | `no-instant-in-kernels` | `tensor/src/ops/*`, `tensor/src/parallel.rs`, `tensor/src/simd.rs` | no `Instant::now` timing inside kernels |
+//! | `no-libm-exp-in-kernels` | `tensor/src/ops/*`, `tensor/src/simd.rs`, `tensor/src/plan.rs`, `tensor/src/plan_train.rs` | no `.exp()` / `.tanh()` / `.exp_m1()`: kernel transcendentals go through the pinned `simd::exp` / `simd::tanh` |
 //! | `no-clone-in-forward` | all crates | no tensor-data copies (`.to_vec()`, `.data().clone()`) inside `forward*` fns |
 //! | `no-grad-in-inference` | all crates | `predict` / `evaluate` fns must run under `no_grad` (directly or by delegating to `predict`) |
 //! | `no-lock-in-worker` | worker loops | no lock/condvar acquisition (`.lock(`, `.wait(`) in per-block worker loops |
@@ -59,6 +60,13 @@
 //! into a dead accept thread for *all* tenants, and console I/O blocks
 //! the accept thread. Fallible work belongs in the per-connection
 //! handlers, which reply with an HTTP error instead of panicking.
+//!
+//! The `no-libm-exp-in-kernels` rule keeps the kernel layer on one numeric
+//! contract: libm's `exp`/`tanh` (and the `expm1` its `tanh` calls) give
+//! bits that depend on the host's libm and CPU, while the pinned lane
+//! kernels give the same bits everywhere. It matches the method-call text,
+//! so a `Tensor::exp` call in those files trips it too; none exists
+//! outside tests.
 //!
 //! Test modules are exempt from every rule. Justified exceptions go in the
 //! repo-root `lint-allow.txt` allowlist (see [`Allowlist`]).
@@ -274,6 +282,13 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
     let in_kernels = path_label.contains("tensor/src/ops/")
         || path_label.contains("tensor/src/parallel.rs")
         || path_label.contains("tensor/src/simd.rs");
+    // Files whose element-wise transcendentals must be the pinned lane
+    // kernels: the ops, the lane kernels themselves, and both plan
+    // executors.
+    let in_pinned_math = path_label.contains("tensor/src/ops/")
+        || path_label.contains("tensor/src/simd.rs")
+        || path_label.contains("tensor/src/plan.rs")
+        || path_label.contains("tensor/src/plan_train.rs");
     // Files that may define per-block worker-loop fns (`*_block`,
     // `*_lanes`, `drain_tasks`) subject to the no-lock/no-alloc/no-println
     // rules. `simd.rs` hosts the `_lanes` microkernel loops the `_block`
@@ -343,6 +358,18 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
             if in_kernels && code.contains("Instant::now") {
                 violations.push(Violation {
                     rule: "no-instant-in-kernels",
+                    path: path_label.to_string(),
+                    line: lineno,
+                    text: trimmed.to_string(),
+                });
+            }
+            if in_pinned_math
+                && (code.contains(".exp()")
+                    || code.contains(".tanh()")
+                    || code.contains(".exp_m1()"))
+            {
+                violations.push(Violation {
+                    rule: "no-libm-exp-in-kernels",
                     path: path_label.to_string(),
                     line: lineno,
                     text: trimmed.to_string(),

@@ -747,3 +747,67 @@ fn real_slice_kernel_module_passes_its_own_lint() {
         "shipped slice kernels violate their own lint: {vs:?}"
     );
 }
+
+#[test]
+fn libm_transcendentals_in_kernel_files_trip_on_exact_lines() {
+    // `.exp()` (line 7), `.tanh()` (line 12) and `.exp_m1()` (line 16)
+    // trip in every file of the pinned-math scope; the comment, the
+    // string, the pinned calls and the test module stay quiet.
+    for label in [
+        "crates/tensor/src/ops/kernels.rs",
+        "crates/tensor/src/ops/softmax.rs",
+        "crates/tensor/src/simd.rs",
+        "crates/tensor/src/plan.rs",
+        "crates/tensor/src/plan_train.rs",
+    ] {
+        let vs = scan_source(label, &fixture("bad_libm.rs"));
+        let lines: Vec<usize> = vs
+            .iter()
+            .filter(|v| v.rule == "no-libm-exp-in-kernels")
+            .map(|v| v.line)
+            .collect();
+        assert_eq!(lines, vec![7, 12, 16], "{label}: {vs:?}");
+    }
+}
+
+#[test]
+fn libm_transcendental_rule_is_path_scoped() {
+    // Outside the kernel layer (model code, data generators, the batched
+    // executor) libm stays allowed.
+    for label in [
+        "crates/nn/src/bad_libm.rs",
+        "crates/data/src/generators.rs",
+        "crates/tensor/src/plan_batch.rs",
+        "crates/tensor/src/recorder.rs",
+    ] {
+        let vs = scan_source(label, &fixture("bad_libm.rs"));
+        assert!(
+            vs.iter().all(|v| v.rule != "no-libm-exp-in-kernels"),
+            "{label}: {vs:?}"
+        );
+    }
+}
+
+#[test]
+fn real_kernel_files_use_only_pinned_transcendentals() {
+    // Every shipped file in the rule's scope is clean under it.
+    let tensor_src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../tensor/src");
+    let mut files: Vec<String> = ["simd.rs", "plan.rs", "plan_train.rs"]
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
+    for entry in std::fs::read_dir(tensor_src.join("ops")).expect("read ops/") {
+        let name = entry.expect("ops/ entry").file_name();
+        files.push(format!("ops/{}", name.to_string_lossy()));
+    }
+    assert!(files.len() >= 10, "scanned {files:?}");
+    for file in &files {
+        let source = std::fs::read_to_string(tensor_src.join(file))
+            .unwrap_or_else(|e| panic!("read {file}: {e}"));
+        let vs = scan_source(&format!("crates/tensor/src/{file}"), &source);
+        assert!(
+            vs.iter().all(|v| v.rule != "no-libm-exp-in-kernels"),
+            "shipped {file} calls a libm transcendental: {vs:?}"
+        );
+    }
+}

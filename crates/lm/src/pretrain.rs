@@ -34,7 +34,9 @@ use crate::tokenizer::{PromptPiece, PromptTokenizer, Token};
 ///   loss in every step.
 /// - 2: one shared forward per step (both losses read the same hidden
 ///   states, so one graph is differentiated).
-pub const PRETRAIN_RECIPE: u32 = 2;
+/// - 3: every kernel-layer `exp` and `tanh` (softmax, attention, GELU) is
+///   the pinned lane kernel of `timekd_tensor::simd` instead of libm's.
+pub const PRETRAIN_RECIPE: u32 = 3;
 
 /// Pretraining hyper-parameters.
 #[derive(Clone, Copy, Debug)]

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use timekd_tensor::simd::{adamw_lanes, AdamWStep};
 use timekd_tensor::Tensor;
 
 /// AdamW hyper-parameters.
@@ -91,39 +92,34 @@ impl AdamW {
     pub fn step(&mut self, params: &[Tensor]) {
         let _span = timekd_obs::span("optim.step");
         self.step_count += 1;
-        let t = self.step_count as f32;
         let c = self.config;
-        let bias1 = 1.0 - c.beta1.powf(t);
-        let bias2 = 1.0 - c.beta2.powf(t);
+        let step = AdamWStep::new(
+            self.lr,
+            c.beta1,
+            c.beta2,
+            c.eps,
+            c.weight_decay,
+            self.step_count,
+        );
         for p in params {
-            let Some(grad) = p.grad() else { continue };
+            let Some(grad) = p.grad_ref() else { continue };
             let n = p.num_elements();
             let state = self.state.entry(p.id()).or_insert_with(|| MomentState {
                 m: vec![0.0; n],
                 v: vec![0.0; n],
             });
             debug_assert_eq!(state.m.len(), n);
-            let lr = self.lr;
-            p.update_data(|data| {
-                for i in 0..n {
-                    let g = grad[i];
-                    state.m[i] = c.beta1 * state.m[i] + (1.0 - c.beta1) * g;
-                    state.v[i] = c.beta2 * state.v[i] + (1.0 - c.beta2) * g * g;
-                    let m_hat = state.m[i] / bias1;
-                    let v_hat = state.v[i] / bias2;
-                    data[i] -= lr * (m_hat / (v_hat.sqrt() + c.eps) + c.weight_decay * data[i]);
-                }
-            });
+            p.update_data(|data| adamw_lanes(data, &grad, &mut state.m, &mut state.v, &step));
         }
     }
 }
 
 /// Scales all gradients so their global L2 norm is at most `max_norm`.
-/// Returns the pre-clip norm.
+/// Returns the pre-clip norm. Gradients are read and scaled in place.
 pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
     let mut total = 0.0f32;
     for p in params {
-        if let Some(g) = p.grad() {
+        if let Some(g) = p.grad_ref() {
             total += g.iter().map(|x| x * x).sum::<f32>();
         }
     }
@@ -131,13 +127,11 @@ pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
         for p in params {
-            if let Some(mut g) = p.grad() {
-                for x in &mut g {
+            p.update_grad(|g| {
+                for x in g {
                     *x *= scale;
                 }
-                p.zero_grad();
-                p.accumulate_grad(&g);
-            }
+            });
         }
     }
     norm

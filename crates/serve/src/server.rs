@@ -9,13 +9,14 @@
 //! load failure leaves the old version untouched and serving. Each
 //! forecast holds one `Arc` for the whole request — validation, replay and
 //! the version tag all come from that one model — so no response can mix
-//! versions.
+//! versions. Activations run one at a time in request order, so the active
+//! version is the one the last activation request named.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -101,6 +102,7 @@ struct Shared {
     tenants: TenantCache,
     shutdown: AtomicBool,
     current: Mutex<Arc<LoadedModel>>,
+    activations: ActivationQueue,
 }
 
 impl Shared {
@@ -114,6 +116,49 @@ impl Shared {
 
     fn activate(&self, model: LoadedModel) {
         *self.current.lock().unwrap_or_else(|p| p.into_inner()) = Arc::new(model);
+    }
+}
+
+/// Runs `/admin/activate` calls one at a time, in the order their requests
+/// took a ticket. The active version therefore follows request order: an
+/// earlier activation whose load is slower cannot swap in after a later
+/// one. At most one candidate version is loaded at a time.
+#[derive(Debug, Default)]
+struct ActivationQueue {
+    next_ticket: AtomicU64,
+    /// The ticket whose activation may run now.
+    turn: Mutex<u64>,
+    turn_changed: Condvar,
+}
+
+impl ActivationQueue {
+    /// Takes the next place in the queue.
+    fn ticket(&self) -> u64 {
+        self.next_ticket.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Waits for `ticket`'s turn, runs `activate`, then passes the turn on
+    /// (also if `activate` panics, so one failed call cannot stall the
+    /// queue).
+    fn run<R>(&self, ticket: u64, activate: impl FnOnce() -> R) -> R {
+        let mut turn = self.turn.lock().unwrap_or_else(|p| p.into_inner());
+        while *turn != ticket {
+            turn = self
+                .turn_changed
+                .wait(turn)
+                .unwrap_or_else(|p| p.into_inner());
+        }
+        drop(turn);
+
+        struct PassTurn<'a>(&'a ActivationQueue);
+        impl Drop for PassTurn<'_> {
+            fn drop(&mut self) {
+                *self.0.turn.lock().unwrap_or_else(|p| p.into_inner()) += 1;
+                self.0.turn_changed.notify_all();
+            }
+        }
+        let _pass = PassTurn(self);
+        activate()
     }
 }
 
@@ -150,6 +195,7 @@ impl Server {
             tenants: TenantCache::new(),
             shutdown: AtomicBool::new(false),
             current: Mutex::new(Arc::new(model)),
+            activations: ActivationQueue::default(),
         });
 
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
@@ -505,9 +551,14 @@ fn activate(shared: &Shared, body: &[u8]) -> (u16, Json) {
         Some(v) if v.is_finite() && v >= 0.0 && v.fract() == 0.0 => v as u64,
         _ => return (400, err_body("`version` must be a non-negative integer")),
     };
-    match registry::load(&shared.registry_root, version) {
-        Ok(model) => {
-            shared.activate(model);
+    let ticket = shared.activations.ticket();
+    let loaded: Result<(), RegistryError> = shared.activations.run(ticket, || {
+        let model = registry::load(&shared.registry_root, version)?;
+        shared.activate(model);
+        Ok(())
+    });
+    match loaded {
+        Ok(()) => {
             SERVE_SWAPS.add(1);
             (
                 200,
@@ -828,5 +879,36 @@ mod tests {
         for body in bodies {
             assert_decodes_like_the_tree(body);
         }
+    }
+
+    #[test]
+    fn earlier_slower_activation_cannot_overwrite_a_later_one() {
+        // Two activation requests arrive in order (tickets 0 then 1). The
+        // later one's load is quick, the earlier one's finishes last: the
+        // later activation must still be the one left active.
+        let queue = Arc::new(ActivationQueue::default());
+        let active = Arc::new(Mutex::new(Vec::<u64>::new()));
+        let (earlier, later) = (queue.ticket(), queue.ticket());
+        let later_done = {
+            let (queue, active) = (queue.clone(), active.clone());
+            thread::spawn(move || queue.run(later, || active.lock().unwrap().push(2)))
+        };
+        // Give the later call every chance to jump the queue.
+        thread::sleep(Duration::from_millis(20));
+        assert!(active.lock().unwrap().is_empty(), "later ran first");
+        queue.run(earlier, || active.lock().unwrap().push(1));
+        later_done.join().unwrap();
+        assert_eq!(*active.lock().unwrap(), vec![1, 2]);
+    }
+
+    #[test]
+    fn a_panicking_activation_passes_its_turn_on() {
+        let queue = ActivationQueue::default();
+        let (first, second) = (queue.ticket(), queue.ticket());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            queue.run(first, || panic!())
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(queue.run(second, || 7), 7);
     }
 }

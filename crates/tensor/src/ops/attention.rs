@@ -69,7 +69,8 @@
 //!
 //! The skip is exact, not an approximation. A forbidden score sits about
 //! 1e9 below every allowed one, so it never sets the row max and its
-//! probability `exp(s − m)` underflows to exactly `0`; its `dS` is then
+//! probability `exp(s − m)` is exactly `+0` (the pinned [`simd::exp`]
+//! flushes every input below [`simd::EXP_LO`] to `+0`); its `dS` is then
 //! `±0`, so every skipped term would add `±0` to its accumulator. That is
 //! a no-op: the accumulators start at `+0`, a round-to-nearest sum that
 //! starts at `+0` never becomes `−0`, and `x + ±0 = x` for every other
@@ -244,10 +245,9 @@ pub(crate) fn attn_fwd_row_block(
                     mx = s;
                 }
             }
+            simd::update_lanes(row, |s| simd::exp(s - mx));
             let mut denom = 0.0f32;
-            for slot in row.iter_mut() {
-                let e = (*slot - mx).exp();
-                *slot = e;
+            for &e in row.iter() {
                 denom += e;
             }
             m_block[r * heads + h] = mx;
@@ -321,8 +321,9 @@ pub(crate) fn attn_bwd_dq_block(
         for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
             simd::axpy_lanes(p_row, scale * qd, &kcol[..n]);
         }
+        simd::update_lanes(p_row, |s| simd::exp(s - mx));
         for p in p_row.iter_mut() {
-            *p = (*p - mx).exp() * inv;
+            *p *= inv;
         }
         // dP into the dS slots (converted in place after D is known).
         match (g_out, g_map) {

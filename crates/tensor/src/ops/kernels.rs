@@ -1,16 +1,19 @@
 //! Slice-in / slice-out kernels for the element-wise, reduction and permute
 //! ops, shared by the dynamic engine and both plan executors.
 //!
-//! [`BinKind`] and [`UnKind`] are the one place each element formula and its
-//! derivative is written. The walks over operands are described by a
-//! geometry built once — at bind time by the executors, at op time by the
-//! dynamic engine — so the `*_block` kernels themselves allocate nothing
-//! (the worker-loop lint rules hold them to that).
+//! [`BinKind`] and the [`UnKind`] arms of [`unary_block`] and
+//! [`unary_bwd_block`] are the one place each element formula and its
+//! derivative is written; the transcendental ones call the pinned
+//! [`simd::exp`] and [`simd::tanh`]. The walks over operands are described
+//! by a geometry built once — at bind time by the executors, at op time by
+//! the dynamic engine — so the `*_block` kernels themselves allocate
+//! nothing (the worker-loop lint rules hold them to that).
 //!
 //! Every kernel writes its output in row-major order and accumulates each
 //! adjoint in ascending output order, so both engines produce the same bits.
 
 use crate::shape::Shape;
+use crate::simd::{self, map_lanes};
 
 /// Element-wise binary ops (with broadcasting).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,78 +147,6 @@ impl UnKind {
             self,
             UnKind::Exp | UnKind::Sqrt | UnKind::Rsqrt | UnKind::Tanh | UnKind::Sigmoid
         )
-    }
-
-    #[inline(always)]
-    fn value(self, x: f32) -> f32 {
-        match self {
-            UnKind::AddScalar(c) => x + c,
-            UnKind::MulScalar(c) => x * c,
-            UnKind::Exp => x.exp(),
-            UnKind::Ln => x.ln(),
-            UnKind::Sqrt => x.sqrt(),
-            UnKind::Rsqrt => 1.0 / x.sqrt(),
-            UnKind::Square => x * x,
-            UnKind::Abs => x.abs(),
-            UnKind::Relu => x.max(0.0),
-            UnKind::Gelu => {
-                let inner = GELU_C * (x + 0.044715 * x * x * x);
-                0.5 * x * (1.0 + inner.tanh())
-            }
-            UnKind::Tanh => x.tanh(),
-            UnKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            UnKind::Clamp { lo, hi } => x.clamp(lo, hi),
-        }
-    }
-
-    /// `∂L/∂x` for one element from the input `x`, the output `y` and the
-    /// upstream gradient `g`; `x` and `y` are read only as
-    /// [`reads_input`](Self::reads_input) and
-    /// [`reads_output`](Self::reads_output) say.
-    #[inline(always)]
-    fn grad(self, x: f32, y: f32, g: f32) -> f32 {
-        match self {
-            UnKind::AddScalar(_) => g,
-            UnKind::MulScalar(c) => g * c,
-            UnKind::Exp => g * y,
-            UnKind::Ln => g / x,
-            UnKind::Sqrt => g * 0.5 / y,
-            // d/dx x^(-1/2) = -1/2 x^(-3/2)
-            UnKind::Rsqrt => g * (-0.5) * y / x,
-            UnKind::Square => g * 2.0 * x,
-            UnKind::Abs => {
-                if x > 0.0 {
-                    g
-                } else if x < 0.0 {
-                    -g
-                } else {
-                    0.0
-                }
-            }
-            UnKind::Relu => {
-                if x > 0.0 {
-                    g
-                } else {
-                    0.0
-                }
-            }
-            UnKind::Gelu => {
-                let x3 = 0.044715 * x * x * x;
-                let t = (GELU_C * (x + x3)).tanh();
-                let sech2 = 1.0 - t * t;
-                let d_inner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
-                g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner)
-            }
-            UnKind::Tanh => g * (1.0 - y * y),
-            UnKind::Sigmoid => g * y * (1.0 - y),
-            UnKind::Clamp { lo, hi } => {
-                if x >= lo && x <= hi {
-                    g
-                } else {
-                    0.0
-                }
-            }
-        }
     }
 }
 
@@ -405,24 +336,70 @@ pub(crate) fn binary_bwd_block(
     }
 }
 
-/// `out = f(x)` element-wise.
+/// `out = f(x)` element-wise. One arm per kind, so each kind's loop is
+/// compiled with its formula inlined and vectorizes as an
+/// [`F32x8`](crate::simd::F32x8) body plus a scalar tail of the same
+/// formula ([`map_lanes`]).
 pub(crate) fn unary_block(kind: UnKind, x: &[f32], out: &mut [f32]) {
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o = kind.value(v);
+    match kind {
+        UnKind::AddScalar(c) => map_lanes([x], out, |[x]| x + c),
+        UnKind::MulScalar(c) => map_lanes([x], out, |[x]| x * c),
+        UnKind::Exp => map_lanes([x], out, |[x]| simd::exp(x)),
+        UnKind::Ln => map_lanes([x], out, |[x]| x.ln()),
+        UnKind::Sqrt => map_lanes([x], out, |[x]| x.sqrt()),
+        UnKind::Rsqrt => map_lanes([x], out, |[x]| 1.0 / x.sqrt()),
+        UnKind::Square => map_lanes([x], out, |[x]| x * x),
+        UnKind::Abs => map_lanes([x], out, |[x]| x.abs()),
+        UnKind::Relu => map_lanes([x], out, |[x]| x.max(0.0)),
+        UnKind::Gelu => map_lanes([x], out, |[x]| {
+            let inner = GELU_C * (x + 0.044715 * x * x * x);
+            0.5 * x * (1.0 + simd::tanh(inner))
+        }),
+        UnKind::Tanh => map_lanes([x], out, |[x]| simd::tanh(x)),
+        UnKind::Sigmoid => map_lanes([x], out, |[x]| 1.0 / (1.0 + simd::exp(-x))),
+        UnKind::Clamp { lo, hi } => map_lanes([x], out, |[x]| x.clamp(lo, hi)),
     }
 }
 
-/// The adjoint of [`unary_block`]: `gx = f'(x, y) · g`. `y` is read only
-/// when the kind [`reads_output`](UnKind::reads_output).
+/// The adjoint of [`unary_block`]: `gx = f'(x, y) · g` from the input `x`,
+/// the output `y` and the upstream gradient `g`. `x` and `y` are read only
+/// as [`reads_input`](UnKind::reads_input) and
+/// [`reads_output`](UnKind::reads_output) say; one arm per kind, as in
+/// the forward.
 pub(crate) fn unary_bwd_block(kind: UnKind, x: &[f32], y: &[f32], g: &[f32], gx: &mut [f32]) {
-    if kind.reads_output() {
-        for (((d, &xi), &yi), &gi) in gx.iter_mut().zip(x).zip(y).zip(g) {
-            *d = kind.grad(xi, yi, gi);
-        }
-    } else {
-        for ((d, &xi), &gi) in gx.iter_mut().zip(x).zip(g) {
-            *d = kind.grad(xi, 0.0, gi);
-        }
+    match kind {
+        UnKind::AddScalar(_) => gx.copy_from_slice(&g[..gx.len()]),
+        UnKind::MulScalar(c) => map_lanes([g], gx, |[g]| g * c),
+        UnKind::Exp => map_lanes([y, g], gx, |[y, g]| g * y),
+        UnKind::Ln => map_lanes([x, g], gx, |[x, g]| g / x),
+        UnKind::Sqrt => map_lanes([y, g], gx, |[y, g]| g * 0.5 / y),
+        // d/dx x^(-1/2) = -1/2 x^(-3/2)
+        UnKind::Rsqrt => map_lanes([x, y, g], gx, |[x, y, g]| g * (-0.5) * y / x),
+        UnKind::Square => map_lanes([x, g], gx, |[x, g]| g * 2.0 * x),
+        UnKind::Abs => map_lanes([x, g], gx, |[x, g]| {
+            if x > 0.0 {
+                g
+            } else if x < 0.0 {
+                -g
+            } else {
+                0.0
+            }
+        }),
+        UnKind::Relu => map_lanes([x, g], gx, |[x, g]| if x > 0.0 { g } else { 0.0 }),
+        UnKind::Gelu => map_lanes([x, g], gx, |[x, g]| {
+            let x3 = 0.044715 * x * x * x;
+            let t = simd::tanh(GELU_C * (x + x3));
+            let sech2 = 1.0 - t * t;
+            let d_inner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
+            g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner)
+        }),
+        UnKind::Tanh => map_lanes([y, g], gx, |[y, g]| g * (1.0 - y * y)),
+        UnKind::Sigmoid => map_lanes([y, g], gx, |[y, g]| g * y * (1.0 - y)),
+        UnKind::Clamp { lo, hi } => map_lanes(
+            [x, g],
+            gx,
+            |[x, g]| if x >= lo && x <= hi { g } else { 0.0 },
+        ),
     }
 }
 

@@ -1,6 +1,9 @@
-//! Numerically stable softmax and log-softmax along the last axis.
+//! Numerically stable softmax and log-softmax along the last axis. The
+//! exponentials are the pinned [`simd::exp`]; the log-sum-exp's `ln` is
+//! libm's.
 
 use crate::shape::Shape;
+use crate::simd::{self, map_lanes};
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -19,14 +22,14 @@ impl Tensor {
         for r in 0..rows {
             let row = &data[r * c..(r + 1) * c];
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let out_row = &mut out[r * c..(r + 1) * c];
+            map_lanes([row], out_row, |[x]| simd::exp(x - m));
             let mut denom = 0.0f32;
-            for (o, &x) in out[r * c..(r + 1) * c].iter_mut().zip(row) {
-                let e = (x - m).exp();
-                *o = e;
+            for &e in out_row.iter() {
                 denom += e;
             }
             let inv = 1.0 / denom;
-            for o in &mut out[r * c..(r + 1) * c] {
+            for o in out_row {
                 *o *= inv;
             }
         }
@@ -69,19 +72,18 @@ impl Tensor {
         for r in 0..rows {
             let row = &data[r * c..(r + 1) * c];
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            // The exponentials pass through `probs` before it holds the
+            // probabilities.
+            let p_row = &mut probs[r * c..(r + 1) * c];
+            map_lanes([row], p_row, |[x]| simd::exp(x - m));
             let mut denom = 0.0f32;
-            for &x in row {
-                denom += (x - m).exp();
+            for &e in p_row.iter() {
+                denom += e;
             }
             let lse = m + denom.ln();
-            for ((o, p), &x) in out[r * c..(r + 1) * c]
-                .iter_mut()
-                .zip(&mut probs[r * c..(r + 1) * c])
-                .zip(row)
-            {
-                *o = x - lse;
-                *p = (x - lse).exp();
-            }
+            let out_row = &mut out[r * c..(r + 1) * c];
+            map_lanes([row], out_row, |[x]| x - lse);
+            map_lanes([&*out_row], p_row, |[o]| simd::exp(o));
         }
         drop(data);
         Tensor::from_op(

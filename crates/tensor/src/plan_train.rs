@@ -42,6 +42,7 @@ use crate::plan::{
     assign_slots, lower_forward, Loc, Plan, PlanError, PlanExecutor, PlanOp, PlanSlot, PlanSpec,
     PlanValue, ValueId, ValueSource,
 };
+use crate::simd::{adamw_lanes, AdamWStep};
 use crate::symbolic::SymbolicTensor;
 
 /// How a backward step's write lands in a gradient buffer.
@@ -1419,22 +1420,12 @@ impl TrainExecutor {
             step_count,
         } = opt;
         *step_count += 1;
-        let t = *step_count as f32;
-        let bias1 = 1.0 - beta1.powf(t);
-        let bias2 = 1.0 - beta2.powf(t);
+        let step = AdamWStep::new(*lr, *beta1, *beta2, *eps, *weight_decay, *step_count);
         for u in upd.iter() {
             let grad = &arena[u.grad_off..u.grad_off + u.grad_len];
-            let p = &mut params[u.param_idx];
             let ms = &mut m[u.state_off..u.state_off + u.grad_len];
             let vs = &mut v[u.state_off..u.state_off + u.grad_len];
-            for i in 0..grad.len() {
-                let gi = grad[i];
-                ms[i] = *beta1 * ms[i] + (1.0 - *beta1) * gi;
-                vs[i] = *beta2 * vs[i] + (1.0 - *beta2) * gi * gi;
-                let m_hat = ms[i] / bias1;
-                let v_hat = vs[i] / bias2;
-                p[i] -= *lr * (m_hat / (v_hat.sqrt() + *eps) + *weight_decay * p[i]);
-            }
+            adamw_lanes(&mut params[u.param_idx][..u.grad_len], grad, ms, vs, &step);
         }
     }
 }

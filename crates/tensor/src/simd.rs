@@ -2,8 +2,11 @@
 //!
 //! This module defines [`F32x8`], a fixed-width 8-lane f32 vector written as
 //! a plain array newtype so that rustc/LLVM autovectorize it (no intrinsics,
-//! no `unsafe`), plus the two hot lane loops ([`dot_lanes`], [`axpy_lanes`])
-//! shared by the matmul and fused-attention kernels.
+//! no `unsafe`), the two hot lane loops ([`dot_lanes`], [`axpy_lanes`])
+//! shared by the matmul and fused-attention kernels, the pinned
+//! transcendentals ([`exp`], [`tanh`]) with their element-wise lane loops
+//! ([`map_lanes`], [`update_lanes`]), and the fused AdamW update
+//! ([`adamw_lanes`]).
 //!
 //! ## Reduction-order contract
 //!
@@ -22,6 +25,26 @@
 //!
 //! `crates/tensor/tests/simd_equivalence.rs` restates both orders as plain
 //! scalar loops and proves the kernels match them bitwise.
+//!
+//! ## Element-wise contract
+//!
+//! [`exp`] and [`tanh`] are branch-free mul/add polynomials with no fused
+//! multiply-add and no libm call, so an element's bits depend only on its
+//! input — not on the host's libm, its CPU or the build's target features.
+//! Every element-wise lane loop is an [`F32x8`] body plus a scalar tail that
+//! call the same scalar function, so an element gets the same bits in
+//! either. Bounds against the exact function (the seeded tests assert 2
+//! ULP; a sweep of all 2^32 inputs measured the worst case in brackets):
+//!
+//! - [`exp`]: at most 2 ULP (0.99) wherever the result is a normal float.
+//!   Inputs below [`EXP_LO`], where the result would be subnormal, give
+//!   exactly `+0.0`, as do `−inf` and the attention masks' `−1e9`; inputs
+//!   above [`EXP_HI`] give `+inf`; NaN stays NaN.
+//! - [`tanh`]: at most 2 ULP (1.33); `±inf` give `±1`, `−0.0` stays
+//!   `−0.0`, NaN stays NaN.
+//!
+//! `crates/tensor/tests/simd_equivalence.rs` holds both to an f64 reference
+//! and checks the special values and the lane/tail agreement.
 
 /// Scalar fused multiply-add with a deterministic per-build contract.
 ///
@@ -134,6 +157,222 @@ pub fn axpy_lanes(dst: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
+/// Largest input whose [`exp`] is finite; larger inputs give `+inf`.
+pub const EXP_HI: f32 = 88.722_83;
+
+/// Smallest input [`exp`] evaluates; smaller inputs give exactly `+0.0`.
+/// Just above `ln(f32::MIN_POSITIVE)`, so no result is ever subnormal
+/// (subnormal arithmetic is many times slower on x86).
+pub const EXP_LO: f32 = -87.33;
+
+/// `1.5 · 2^23`: adding it rounds any `|v| < 2^22` to the nearest integer
+/// (ties to even) in the low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// `ln 2` split so that `n · LN2_HI` is exact for every `|n| ≤ 128`
+/// (`LN2_HI` has nine significant bits).
+const LN2_HI: f32 = 355.0 / 512.0;
+const LN2_LO: f32 = -2.121_944_4e-4;
+
+/// `e^r − 1 − r ≈ r² · P(r)` on `|r| ≤ ln 2 / 2` (Cephes `expf`), highest
+/// degree first.
+const EXP_P: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_5e-1,
+    0.5,
+];
+
+/// `tanh(x) ≈ x + x³ · T(x²)` on `|x| < 0.625` (Cephes `tanhf`), highest
+/// degree first.
+const TANH_T: [f32; 5] = [
+    -5.704_988_7e-3,
+    2.063_909e-2,
+    -5.373_971_6e-2,
+    1.333_144_2e-1,
+    -3.333_328e-1,
+];
+
+/// `2^n` for `n` in the normal exponent range `[-126, 127]`.
+#[inline(always)]
+fn pow2(n: i32) -> f32 {
+    f32::from_bits(((n + 127) as u32) << 23)
+}
+
+/// Pinned `e^x`: the element function of every exp lane kernel.
+///
+/// `x = n·ln 2 + r` with `n` the nearest integer to `x·log2 e` and
+/// `|r| ≲ ln 2 / 2` (Cody–Waite reduction, exact in its first step), then
+/// `e^r ≈ 1 + r + r²·P(r)` by Horner and `e^x = e^r · 2^n`, scaled in two
+/// exact power-of-two steps so `n = 128` needs no special case. The input
+/// is clamped to `[EXP_LO, EXP_HI]` first and the ends are selected after,
+/// so the arithmetic never sees an infinity or produces a subnormal. See
+/// the module docs for the accuracy bound and special values.
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    // `clamp` passes NaN through.
+    let xc = x.clamp(EXP_LO, EXP_HI);
+    let k = xc * std::f32::consts::LOG2_E + ROUND_MAGIC;
+    let n = k - ROUND_MAGIC;
+    let r = (xc - n * LN2_HI) - n * LN2_LO;
+    let q =
+        ((((EXP_P[0] * r + EXP_P[1]) * r + EXP_P[2]) * r + EXP_P[3]) * r + EXP_P[4]) * r + EXP_P[5];
+    let er = q * (r * r) + r + 1.0;
+    // `n` as an integer, read back from the rounded sum's mantissa.
+    let ni = k.to_bits() as i32 - ROUND_MAGIC.to_bits() as i32;
+    let half = ni >> 1;
+    let y = er * pow2(half) * pow2(ni - half);
+    let y = if x > EXP_HI { f32::INFINITY } else { y };
+    let y = if x < EXP_LO { 0.0 } else { y };
+    if x.is_nan() {
+        x
+    } else {
+        y
+    }
+}
+
+/// Pinned `tanh x`: the element function of every tanh lane kernel.
+///
+/// An odd polynomial `|x| + |x|³·T(x²)` below `|x| = 0.625`, and
+/// `1 − 2 / (exp(2|x|) + 1)` with the pinned [`exp`] above it; both are
+/// computed and one is selected, then `x`'s sign is copied on. Large `|x|`
+/// needs no cut-off: `exp` saturates to `+inf` and the quotient to `0`.
+#[inline(always)]
+pub fn tanh(x: f32) -> f32 {
+    let ax = x.abs();
+    let z = ax * ax;
+    let poly = (((((TANH_T[0] * z + TANH_T[1]) * z + TANH_T[2]) * z + TANH_T[3]) * z + TANH_T[4])
+        * z)
+        * ax
+        + ax;
+    let sat = 1.0 - 2.0 / (exp(ax + ax) + 1.0);
+    let t = if ax < 0.625 { poly } else { sat };
+    let y = f32::from_bits(t.to_bits() | (x.to_bits() & 0x8000_0000));
+    if x.is_nan() {
+        x
+    } else {
+        y
+    }
+}
+
+/// Element-wise `out[j] = f([ins[0][j], …, ins[N-1][j]])` over
+/// `out.len()` elements: an [`F32x8`] body plus a scalar tail, both calling
+/// `f`, so each element's bits do not depend on where it falls. Every
+/// input must be at least `out.len()` long.
+#[inline(always)]
+pub fn map_lanes<const N: usize>(ins: [&[f32]; N], out: &mut [f32], f: impl Fn([f32; N]) -> f32) {
+    let n = out.len();
+    let mut j = 0;
+    while j + F32x8::LANES <= n {
+        let v: [F32x8; N] = std::array::from_fn(|k| F32x8::load(&ins[k][j..]));
+        F32x8(std::array::from_fn(|l| {
+            f(std::array::from_fn(|k| v[k].0[l]))
+        }))
+        .store(&mut out[j..]);
+        j += F32x8::LANES;
+    }
+    while j < n {
+        out[j] = f(std::array::from_fn(|k| ins[k][j]));
+        j += 1;
+    }
+}
+
+/// In-place element-wise `x[j] = f(x[j])`, with [`map_lanes`]'s
+/// body/tail contract.
+#[inline(always)]
+pub fn update_lanes(x: &mut [f32], f: impl Fn(f32) -> f32) {
+    let n = x.len();
+    let mut j = 0;
+    while j + F32x8::LANES <= n {
+        let v = F32x8::load(&x[j..]);
+        F32x8(std::array::from_fn(|l| f(v.0[l]))).store(&mut x[j..]);
+        j += F32x8::LANES;
+    }
+    while j < n {
+        x[j] = f(x[j]);
+        j += 1;
+    }
+}
+
+/// One AdamW step's scalars: the hyper-parameters and the step's bias
+/// corrections `1 − β^t`.
+#[derive(Clone, Copy, Debug)]
+pub struct AdamWStep {
+    /// Learning rate.
+    pub lr: f32,
+    /// First-moment decay β₁.
+    pub beta1: f32,
+    /// Second-moment decay β₂.
+    pub beta2: f32,
+    /// Numerical stabiliser.
+    pub eps: f32,
+    /// Decoupled weight decay.
+    pub weight_decay: f32,
+    /// `1 − β₁^t`.
+    pub bias1: f32,
+    /// `1 − β₂^t`.
+    pub bias2: f32,
+}
+
+impl AdamWStep {
+    /// The scalars of step `t` (1-based). The bias corrections use libm's
+    /// `powf`, once per step.
+    pub fn new(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32, t: u64) -> AdamWStep {
+        let t = t as f32;
+        AdamWStep {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            weight_decay,
+            bias1: 1.0 - beta1.powf(t),
+            bias2: 1.0 - beta2.powf(t),
+        }
+    }
+
+    /// One element's update: `(p, m, v)` after the step with gradient `g`.
+    #[inline(always)]
+    fn apply(&self, p: f32, g: f32, m: f32, v: f32) -> (f32, f32, f32) {
+        let m = self.beta1 * m + (1.0 - self.beta1) * g;
+        let v = self.beta2 * v + (1.0 - self.beta2) * g * g;
+        let m_hat = m / self.bias1;
+        let v_hat = v / self.bias2;
+        let p = p - self.lr * (m_hat / (v_hat.sqrt() + self.eps) + self.weight_decay * p);
+        (p, m, v)
+    }
+}
+
+/// Fused AdamW over one parameter: updates `p`, its first moment `m` and
+/// second moment `v` in place from the gradient `g`. Each element keeps
+/// the scalar update's operation order (plain mul/add/div/sqrt, no fma),
+/// so the [`F32x8`] body and the scalar tail give the scalar loop's bits.
+pub fn adamw_lanes(p: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], step: &AdamWStep) {
+    let n = p.len();
+    let (g, m, v) = (&g[..n], &mut m[..n], &mut v[..n]);
+    let mut j = 0;
+    while j + F32x8::LANES <= n {
+        let (pv, gv) = (F32x8::load(&p[j..]), F32x8::load(&g[j..]));
+        let (mv, vv) = (F32x8::load(&m[j..]), F32x8::load(&v[j..]));
+        let mut out = [F32x8::ZERO; 3];
+        for l in 0..F32x8::LANES {
+            let (pl, ml, vl) = step.apply(pv.0[l], gv.0[l], mv.0[l], vv.0[l]);
+            out[0].0[l] = pl;
+            out[1].0[l] = ml;
+            out[2].0[l] = vl;
+        }
+        out[0].store(&mut p[j..]);
+        out[1].store(&mut m[j..]);
+        out[2].store(&mut v[j..]);
+        j += F32x8::LANES;
+    }
+    while j < n {
+        (p[j], m[j], v[j]) = step.apply(p[j], g[j], m[j], v[j]);
+        j += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +421,42 @@ mod tests {
             axpy_lanes(&mut dst, 0.8125, &x);
             for j in 0..n {
                 assert_eq!(dst[j].to_bits(), expect[j].to_bits(), "n={n} j={j}");
+            }
+        }
+    }
+
+    #[test]
+    fn adamw_lanes_matches_the_scalar_update_at_every_length() {
+        // The scalar loop the dynamic optimizer and the plan executor ran
+        // before the lane kernel, restated; three steps so the moments and
+        // bias corrections evolve.
+        for n in 0..=33usize {
+            let init = |k: usize| -> Vec<f32> {
+                (0..n).map(|i| ((i * 7 + k) as f32 * 0.31).sin()).collect()
+            };
+            let (mut p, mut m, mut v) = (init(1), vec![0.0f32; n], vec![0.0f32; n]);
+            let (mut p_ref, mut m_ref, mut v_ref) = (p.clone(), m.clone(), v.clone());
+            let (lr, beta1, beta2, eps, wd) = (0.05f32, 0.9f32, 0.999f32, 1e-8f32, 0.01f32);
+            for t in 1..=3u64 {
+                let g = init(t as usize * 5);
+                let step = AdamWStep::new(lr, beta1, beta2, eps, wd, t);
+                adamw_lanes(&mut p, &g, &mut m, &mut v, &step);
+                let bias1 = 1.0 - beta1.powf(t as f32);
+                let bias2 = 1.0 - beta2.powf(t as f32);
+                for i in 0..n {
+                    m_ref[i] = beta1 * m_ref[i] + (1.0 - beta1) * g[i];
+                    v_ref[i] = beta2 * v_ref[i] + (1.0 - beta2) * g[i] * g[i];
+                    let m_hat = m_ref[i] / bias1;
+                    let v_hat = v_ref[i] / bias2;
+                    p_ref[i] -= lr * (m_hat / (v_hat.sqrt() + eps) + wd * p_ref[i]);
+                }
+                for (got, want) in [(&p, &p_ref), (&m, &m_ref), (&v, &v_ref)] {
+                    let (gb, wb): (Vec<u32>, Vec<u32>) = (
+                        got.iter().map(|x| x.to_bits()).collect(),
+                        want.iter().map(|x| x.to_bits()).collect(),
+                    );
+                    assert_eq!(gb, wb, "n={n} t={t}");
+                }
             }
         }
     }

@@ -459,6 +459,19 @@ impl Tensor {
         self.inner.grad.borrow().clone()
     }
 
+    /// The accumulated gradient, if any, borrowed instead of copied.
+    pub fn grad_ref(&self) -> Option<Ref<'_, [f32]>> {
+        Ref::filter_map(self.inner.grad.borrow(), |g| g.as_deref()).ok()
+    }
+
+    /// Rewrites the accumulated gradient in place (e.g. gradient
+    /// clipping); a no-op when there is none.
+    pub fn update_grad(&self, f: impl FnOnce(&mut [f32])) {
+        if let Some(g) = self.inner.grad.borrow_mut().as_deref_mut() {
+            f(g);
+        }
+    }
+
     /// Clears the gradient of this node.
     pub fn zero_grad(&self) {
         *self.inner.grad.borrow_mut() = None;

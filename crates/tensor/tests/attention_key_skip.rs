@@ -3,9 +3,9 @@
 //! Masked query rows visit only their live keys (see the "Forbidden keys"
 //! section of `ops/attention.rs`). These tests restate attention over
 //! *all* `T_k` keys as plain scalar loops in the kernel's pinned orders —
-//! ascending-`dh` fmadd score chains, a sequential softmax, the 8-lane
-//! `dot_lanes` order for context and `dQ`, ascending-query fmadd chains
-//! for `dK`/`dV` — and assert the kernel matches them **bitwise** at 1
+//! ascending-`dh` fmadd score chains, a sequential softmax over the
+//! pinned scalar `simd::exp`, the 8-lane `dot_lanes` order for context
+//! and `dQ`, ascending-query fmadd chains for `dK`/`dV` — and assert the kernel matches them **bitwise** at 1
 //! and 4 threads: forward context and map, and Q/K/V gradients on both
 //! the output and the map path. Masks cover none, causal, calibrated
 //! (−Δ on cross pairs plus causal) and a fully forbidden row, with `T_k`
@@ -14,7 +14,7 @@
 
 use timekd_nn::causal_mask;
 use timekd_tensor::parallel::with_threads;
-use timekd_tensor::simd::fmadd;
+use timekd_tensor::simd::{exp, fmadd};
 use timekd_tensor::{seeded_rng, Tensor, NEG_INF};
 
 const KEY_LENS: [usize; 5] = [1, 7, 8, 9, 79];
@@ -118,7 +118,7 @@ impl Case {
         }
         let mut denom = 0.0f32;
         for &x in &s {
-            denom += (x - mx).exp();
+            denom += exp(x - mx);
         }
         (mx, denom)
     }
@@ -132,7 +132,7 @@ impl Case {
         for h in 0..heads {
             for i in 0..tq {
                 let (mx, denom) = self.stats(h, i);
-                let e: Vec<f32> = self.scores(h, i).iter().map(|x| (x - mx).exp()).collect();
+                let e: Vec<f32> = self.scores(h, i).iter().map(|x| exp(x - mx)).collect();
                 let inv = 1.0 / denom;
                 for (mj, &ej) in map[i * tk..(i + 1) * tk].iter_mut().zip(&e) {
                     *mj = fmadd(inv * inv_heads, ej, *mj);
@@ -167,7 +167,7 @@ impl Case {
                 let p: Vec<f32> = self
                     .scores(h, i)
                     .iter()
-                    .map(|x| (x - mx).exp() * inv)
+                    .map(|x| exp(x - mx) * inv)
                     .collect();
                 let dp: Vec<f32> = match (g_out, g_map) {
                     (Some(g), _) => {

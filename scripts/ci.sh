@@ -33,7 +33,7 @@ cargo build --release --workspace
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward, family vs sequential frozen-LM cache, one CLM forward per pretraining step, recorded plans, recorder replay)"
+echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward, family vs sequential frozen-LM cache, one CLM forward per pretraining step, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned forecast and the planned
 # objective over several steps must reproduce the dynamic engine bit for
@@ -66,6 +66,24 @@ cargo test -q -p timekd-lm --lib -- --exact \
   pretrain::tests::shared_forward_losses_match_separate_forwards_bitwise
 cargo test -q -p timekd-lm --test pretrain_trace -- --exact \
   pretraining_runs_one_encoder_forward_per_step
+# The pinned transcendentals: exp and tanh within 2 ULP of an f64
+# reference over the finite range, their special values, the same bits in
+# a lane kernel's body and its scalar tail at every row length 0..=33, and
+# softmax rows through them; the AdamW lane kernel gives the scalar
+# update's bits. The lint keeps libm's exp/tanh/exp_m1 out of the kernel
+# layer: its rule trips at exact fixture lines and the shipped files pass.
+cargo test -q -p timekd-tensor --test simd_equivalence -- --exact \
+  pinned_exp_is_within_two_ulp_over_the_finite_range \
+  pinned_tanh_is_within_two_ulp_over_the_finite_range \
+  pinned_exp_and_tanh_special_values \
+  lane_body_and_scalar_tail_give_the_same_bits_at_every_length \
+  softmax_rows_use_the_pinned_exp_at_every_length
+cargo test -q -p timekd-tensor --lib -- --exact \
+  simd::tests::adamw_lanes_matches_the_scalar_update_at_every_length
+cargo test -q -p timekd-check --test trip -- --exact \
+  libm_transcendentals_in_kernel_files_trip_on_exact_lines \
+  libm_transcendental_rule_is_path_scoped \
+  real_kernel_files_use_only_pinned_transcendentals
 # Plans are lowered from a recording of the real modules: every plan the
 # `--plan` matrix covers must match the committed fingerprint fixture, and
 # every replayed op must copy the recorded node's op, dims, payload and
@@ -75,18 +93,20 @@ cargo test -q -p timekd-check --lib -- --exact \
 cargo test -q -p timekd-tensor --lib -- --exact \
   recorder::tests::every_replayed_op_copies_the_recorded_node
 
-echo "==> serving integration suite (number reader vs str::parse, typed body decode vs the Json tree, pooled executors, bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
+echo "==> serving integration suite (number reader vs str::parse, typed body decode vs the Json tree, activation order, pooled executors, bitwise parity, hot-swap under load, registry faults, framing differential + fuzz)"
 # Same rationale as the determinism gates: re-run the serving contract
 # tests by name so a filtered workspace run can never silently drop them.
 # The JSON number reader must give `str::parse::<f64>`'s bits or its
 # rejection, and the typed `/forecast` and `/observe` body decode the
 # status, error text and f32 bits of `Json::parse` plus the tree walkers.
 # The executor pool must serve every window bitwise as a fresh executor
-# and never bind more executors than there are cores.
+# and never bind more executors than there are cores. Activations run in
+# request order, so an earlier, slower one cannot overwrite a later one.
 cargo test -q -p timekd-obs --lib -- --exact \
   json::tests::number_reader_matches_str_parse_bit_for_bit
 cargo test -q -p timekd-serve --lib -- --exact \
   server::tests::typed_decode_matches_the_tree_reference \
+  server::tests::earlier_slower_activation_cannot_overwrite_a_later_one \
   registry::tests::pooled_forecasts_are_bitwise_fresh_and_bounded_under_contention
 cargo test -q -p timekd-serve --test http_serving
 cargo test -q -p timekd-serve --test registry_faults
