@@ -106,7 +106,7 @@ impl UniTime {
             self.lm
                 .model()
                 .token_embedding_table()
-                .index_select_rows(&self.instruction_ids)
+                .index_select_rows(&Tensor::indices(&self.instruction_ids))
         })
     }
 

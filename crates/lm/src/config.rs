@@ -30,7 +30,7 @@ impl LmSize {
 }
 
 /// Hyper-parameters of the causal language model.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LmConfig {
     /// Hidden width.
     pub dim: usize,

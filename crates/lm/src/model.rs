@@ -45,11 +45,17 @@ impl CausalLm {
         &self.config
     }
 
-    /// Rows `start..S` of a prompt's encoder input `I⁰ = I + PE` (Eq. 1)
-    /// `[S − start, D]` and of its `[S, S]` attention mask: calibrated
-    /// (Eq. 5, configured Δ) or, without `calibrated`, plain causal (the
-    /// `w/o_CA` ablation).
-    fn embed_rows(&self, tokens: &[Token], start: usize, calibrated: bool) -> (Tensor, Tensor) {
+    /// What rows `start..S` of a prompt feed the model besides its
+    /// weights: their token ids `[S − start]` (exact in f32, see
+    /// [`Tensor::indices`]) and their rows of the `[S, S]` attention mask,
+    /// calibrated (Eq. 5, configured Δ) or, without `calibrated`, plain
+    /// causal (the `w/o_CA` ablation).
+    pub(crate) fn prompt_feeds(
+        &self,
+        tokens: &[Token],
+        start: usize,
+        calibrated: bool,
+    ) -> (Tensor, Tensor) {
         let s = tokens.len();
         assert!(s > 0, "empty prompt");
         assert!(
@@ -58,15 +64,23 @@ impl CausalLm {
             self.config.max_seq_len
         );
         let ids: Vec<usize> = tokens[start..].iter().map(|t| t.id).collect();
-        let tok = self.tok_embedding.forward(&ids); // [S - start, D]
-        let pos = self.pos_embedding.slice(0, start, s - start);
-        let x = tok.add(&pos); // I⁰ = I + PE (Eq. 1)
         let mask = if calibrated {
             calibrated_mask_rows(tokens, self.config.calibration_delta, true, start)
         } else {
             causal_mask_rows(start, s)
         };
-        (x, mask)
+        (Tensor::indices(&ids), mask)
+    }
+
+    /// Encoder input rows `I⁰ = I + PE` (Eq. 1) `[n, D]` for `n` token
+    /// ids and their positional rows `pos` `[n, D]`.
+    fn input_rows(&self, ids: &Tensor, pos: &Tensor) -> Tensor {
+        self.tok_embedding.weight().index_select_rows(ids).add(pos)
+    }
+
+    /// The learnable positional table `PE` `[max_seq_len, D]`.
+    pub(crate) fn positional_table(&self) -> &Tensor {
+        &self.pos_embedding
     }
 
     /// Contextual hidden states `[S, D]` for a prompt.
@@ -75,8 +89,18 @@ impl CausalLm {
     /// configured Δ; otherwise a plain causal mask is used (the `w/o_CA`
     /// ablation).
     pub fn hidden_states(&self, tokens: &[Token], calibrated: bool) -> Tensor {
-        let (x, mask) = self.embed_rows(tokens, 0, calibrated);
-        self.encoder.forward(&x, Some(&mask)).output
+        let (ids, mask) = self.prompt_feeds(tokens, 0, calibrated);
+        let pos = self.pos_embedding.slice(0, 0, tokens.len());
+        self.hidden_states_at(&ids, &pos, &mask)
+    }
+
+    /// [`hidden_states`](Self::hidden_states) from a whole prompt's feeds
+    /// ([`prompt_feeds`](Self::prompt_feeds) with `start` 0) and its
+    /// positional rows `PE[0..S]` `[S, D]`: the slice of the table, or a
+    /// parameter holding just those rows.
+    pub(crate) fn hidden_states_at(&self, ids: &Tensor, pos: &Tensor, mask: &Tensor) -> Tensor {
+        let x = self.input_rows(ids, pos);
+        self.encoder.forward(&x, Some(mask)).output
     }
 
     /// The last-token embedding `[D]` — the paper's last token extractor:
@@ -106,8 +130,10 @@ impl CausalLm {
     pub fn last_token_embeddings(&self, prompts: &[&[Token]], calibrated: bool) -> Vec<Tensor> {
         let dim = self.config.dim;
         let run = |tokens: &[Token], past: &[KeyValues], start: usize| {
-            let (x, mask) = self.embed_rows(tokens, start, calibrated);
-            self.encoder.forward_rows(&x, &mask, past)
+            let (ids, mask) = self.prompt_feeds(tokens, start, calibrated);
+            let pos = self.pos_embedding.slice(0, start, tokens.len() - start);
+            self.encoder
+                .forward_rows(&self.input_rows(&ids, &pos), &mask, past)
         };
         let Some(carrier) = (0..prompts.len()).min_by_key(|&i| prompts[i].len()) else {
             return Vec::new();
@@ -238,18 +264,20 @@ impl CausalLm {
 
     /// Mean next-token cross-entropy over the prompt (pretraining loss).
     pub fn next_token_loss(&self, tokens: &[Token], calibrated: bool) -> Tensor {
-        self.next_token_loss_of(&self.hidden_states(tokens, calibrated), tokens)
+        assert!(tokens.len() >= 2, "need at least two tokens for LM loss");
+        let targets: Vec<usize> = tokens[1..].iter().map(|t| t.id).collect();
+        let hidden = self.hidden_states(tokens, calibrated);
+        self.next_token_loss_of(&hidden, &Tensor::indices(&targets))
     }
 
     /// [`next_token_loss`](Self::next_token_loss) from the prompt's hidden
-    /// states `[S, D]`, so a caller that also reads them runs one forward.
-    pub(crate) fn next_token_loss_of(&self, hidden: &Tensor, tokens: &[Token]) -> Tensor {
-        assert!(tokens.len() >= 2, "need at least two tokens for LM loss");
-        let s = tokens.len();
+    /// states `[S, D]` and its next-token ids `[S − 1]` (exact in f32), so
+    /// a caller that also reads the hidden states runs one forward.
+    pub(crate) fn next_token_loss_of(&self, hidden: &Tensor, targets: &Tensor) -> Tensor {
+        let s = hidden.dims()[0];
         let logits = self.tied_head(hidden); // [S, V]
         let inputs = logits.slice(0, 0, s - 1); // predict positions 1..S
-        let targets: Vec<usize> = tokens[1..].iter().map(|t| t.id).collect();
-        inputs.cross_entropy(&targets)
+        inputs.cross_entropy(targets)
     }
 }
 

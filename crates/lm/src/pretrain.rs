@@ -16,10 +16,17 @@
 //!
 //! The regression head is discarded after pretraining; the frozen LM keeps
 //! only what GPT-2 would have had anyway. See DESIGN.md ("Substitutions").
+//!
+//! A run records its first step — forward, backward, `clip_grad_norm(1.0)`
+//! and AdamW — and compiles it into one training plan (`PretrainPlan`),
+//! which every step replays with no graph and no allocation, bitwise the
+//! dynamic step. The held-out evaluations stay dynamic `no_grad` forwards.
 
-use timekd_nn::{AdamW, AdamWConfig, Linear, Module};
-use timekd_tensor::SeededRng;
-use timekd_tensor::{sample_standard_normal, seeded_rng, Tensor};
+use timekd_nn::{AdamWConfig, Linear, Module};
+use timekd_tensor::{
+    record, sample_standard_normal, seeded_rng, Plan, PlanError, PlanOptimizer, PlanSpec, Recorder,
+    SeededRng, Tensor, TrainExecutor, TrainSpec, ValueSource,
+};
 
 use crate::config::LmConfig;
 use crate::model::CausalLm;
@@ -36,6 +43,9 @@ use crate::tokenizer::{PromptPiece, PromptTokenizer, Token};
 ///   states, so one graph is differentiated).
 /// - 3: every kernel-layer `exp` and `tanh` (softmax, attention, GELU) is
 ///   the pinned lane kernel of `timekd_tensor::simd` instead of libm's.
+///
+/// Replaying the step as a compiled plan moves no bit, so it is still
+/// recipe 3.
 pub const PRETRAIN_RECIPE: u32 = 3;
 
 /// Pretraining hyper-parameters.
@@ -212,15 +222,7 @@ pub fn pretrain_lm(
     let lm = CausalLm::new(vocab.vocab_size(), lm_config, &mut rng);
     install_numeracy_prior(&lm, vocab, &mut rng);
     let value_head = Linear::new(lm_config.dim, config.series_len, &mut rng);
-    let mut params = lm.params();
-    params.extend(value_head.params());
-    let mut opt = AdamW::new(
-        config.lr,
-        AdamWConfig {
-            weight_decay: 0.0,
-            ..Default::default()
-        },
-    );
+    let params = pretrain_params(&lm, &value_head);
     let mut holdout_rng = seeded_rng(config.seed ^ 0xdead_beef);
     let holdouts: Vec<CorpusExample> = (0..8)
         .map(|_| sample_corpus_example(vocab, config.series_len, &mut holdout_rng))
@@ -241,16 +243,22 @@ pub fn pretrain_lm(
         })
     };
     let (initial_loss, initial_value_mse) = eval(&lm, &value_head);
+    // The plan and its arena live for this loop only.
+    let mut planned: Option<PretrainPlan> = None;
     for _ in 0..config.steps {
         let example = sample_corpus_example(vocab, config.series_len, &mut rng);
-        for p in &params {
-            p.zero_grad();
-        }
-        let (lm_loss, value_loss) = example_losses(&lm, &value_head, &example);
-        let loss = lm_loss.add(&value_loss.mul_scalar(config.value_regression_weight));
-        loss.backward();
-        timekd_nn::clip_grad_norm(&params, 1.0);
-        opt.step(&params);
+        let feeds = StepFeeds::new(&lm, &example, true);
+        let plan = match &mut planned {
+            Some(plan) => plan,
+            None => planned.insert(
+                PretrainPlan::compile(&lm, &value_head, &params, &feeds, &config)
+                    .unwrap_or_else(|e| panic!("CLM pretraining step does not plan: {e}")),
+            ),
+        };
+        plan.step(&lm, &feeds);
+    }
+    if let Some(plan) = planned {
+        plan.write_back(&params);
     }
     let (final_loss, final_value_mse) = eval(&lm, &value_head);
     // The model is handed out as frozen: leave no stale gradients behind.
@@ -267,24 +275,353 @@ pub fn pretrain_lm(
     )
 }
 
+/// Every parameter a pretraining step trains, under its naming-walk label:
+/// the LM's (`lm.…`) then the throw-away value head's (`value_head.…`).
+/// This order is the gradient-clipping traversal order.
+fn pretrain_params(lm: &CausalLm, value_head: &Linear) -> Vec<(String, Tensor)> {
+    let mut params = lm.named_params("lm");
+    params.extend(value_head.named_params("value_head"));
+    params
+}
+
+/// The AdamW settings of pretraining: the defaults with no weight decay.
+fn pretrain_adamw() -> AdamWConfig {
+    AdamWConfig {
+        weight_decay: 0.0,
+        ..Default::default()
+    }
+}
+
+/// What one pretraining example feeds a step besides the weights.
+pub(crate) struct StepFeeds {
+    /// Token ids `[S]`, exact in f32.
+    ids: Tensor,
+    /// The attention mask `[S, S]`.
+    mask: Tensor,
+    /// Next-token targets `[S − 1]`, exact in f32.
+    next_ids: Tensor,
+    /// The written future values `[1, n]` the value head regresses.
+    values: Tensor,
+    /// Whether the mask is calibrated (Eq. 5) or plain causal.
+    calibrated: bool,
+}
+
+impl StepFeeds {
+    pub(crate) fn new(lm: &CausalLm, example: &CorpusExample, calibrated: bool) -> StepFeeds {
+        let (ids, mask) = lm.prompt_feeds(&example.tokens, 0, calibrated);
+        let next: Vec<usize> = example.tokens[1..].iter().map(|t| t.id).collect();
+        let n = example.future_values.len();
+        StepFeeds {
+            ids,
+            mask,
+            next_ids: Tensor::indices(&next),
+            values: Tensor::from_vec(example.future_values.clone(), [1, n]),
+            calibrated,
+        }
+    }
+
+    /// Prompt length `S`.
+    fn tokens(&self) -> usize {
+        self.ids.num_elements()
+    }
+
+    /// The positional rows `PE[0..S]` this prompt reads: a slice of the
+    /// table.
+    fn positions(&self, lm: &CausalLm) -> Tensor {
+        lm.positional_table().slice(0, 0, self.tokens())
+    }
+}
+
 /// The next-token loss and the value-regression MSE of one example, both
 /// read from one [`CausalLm::hidden_states`] forward: the loss from every
 /// row, the value head from the last row (bitwise the prompt's
 /// [`CausalLm::last_token_embedding`]). A step differentiates one graph.
 fn example_losses(lm: &CausalLm, value_head: &Linear, example: &CorpusExample) -> (Tensor, Tensor) {
-    let hidden = lm.hidden_states(&example.tokens, true);
-    let lm_loss = lm.next_token_loss_of(&hidden, &example.tokens);
-    let s = example.tokens.len();
-    let last = hidden.slice(0, s - 1, 1); // [1, D]
-    let n = example.future_values.len();
-    let target = Tensor::from_vec(example.future_values.clone(), [1, n]);
-    let value_loss = value_head.forward(&last).sub(&target).square().mean();
+    let feeds = StepFeeds::new(lm, example, true);
+    example_losses_fed(lm, value_head, &feeds, &feeds.positions(lm))
+}
+
+/// [`example_losses`] from an example's [`StepFeeds`], with the
+/// positional rows `pos` `[S, D]` (see [`CausalLm::hidden_states_at`]).
+fn example_losses_fed(
+    lm: &CausalLm,
+    value_head: &Linear,
+    feeds: &StepFeeds,
+    pos: &Tensor,
+) -> (Tensor, Tensor) {
+    let hidden = lm.hidden_states_at(&feeds.ids, pos, &feeds.mask);
+    let lm_loss = lm.next_token_loss_of(&hidden, &feeds.next_ids);
+    let last = hidden.slice(0, feeds.tokens() - 1, 1); // [1, D]
+    let value_loss = value_head.forward(&last).sub(&feeds.values).square().mean();
     (lm_loss, value_loss)
+}
+
+/// A step's total loss: next-token cross-entropy plus the weighted value
+/// regression.
+fn step_loss(
+    lm: &CausalLm,
+    value_head: &Linear,
+    feeds: &StepFeeds,
+    pos: &Tensor,
+    weight: f32,
+) -> Tensor {
+    let (lm_loss, value_loss) = example_losses_fed(lm, value_head, feeds, pos);
+    lm_loss.add(&value_loss.mul_scalar(weight))
+}
+
+/// Plan labels of the [`StepFeeds`]: the token ids are the plan input,
+/// the mask and next-token ids aux feeds (in this slot order), the values
+/// the training target.
+const IDS_LABEL: &str = "lm.ids";
+const MASK_LABEL: &str = "lm.mask";
+const NEXT_IDS_LABEL: &str = "lm.next_ids";
+const VALUES_LABEL: &str = "lm.values";
+/// Label of the positional table (see [`pretrain_params`]).
+const POS_LABEL: &str = "lm.pos_embedding";
+const AUX_MASK: usize = 0;
+const AUX_NEXT_IDS: usize = 1;
+
+/// What a compiled pretraining step is specialised to: the LM geometry,
+/// the prompt length `S` and whether the mask is calibrated. Each word
+/// and each number of a corpus prompt is one token, so every prompt of one
+/// series length has the same `S` and a run compiles once.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PretrainKey {
+    lm: LmConfig,
+    tokens: usize,
+    calibrated: bool,
+}
+
+impl PretrainKey {
+    fn of(lm: &CausalLm, feeds: &StepFeeds) -> PretrainKey {
+        PretrainKey {
+            lm: *lm.config(),
+            tokens: feeds.tokens(),
+            calibrated: feeds.calibrated,
+        }
+    }
+}
+
+/// One pretraining step — the [`step_loss`] forward, its backward,
+/// `clip_grad_norm(1.0)` and AdamW — compiled into a training plan and
+/// replayed with no graph and no allocation. The executor holds the
+/// parameters and the optimizer moments until
+/// [`write_back`](Self::write_back); each step is bitwise the dynamic step
+/// (`tests::dynamic_step`).
+struct PretrainPlan {
+    key: PretrainKey,
+    exec: TrainExecutor,
+    /// Parameter labels in the executor's binding order.
+    labels: Vec<String>,
+}
+
+impl PretrainPlan {
+    /// Records one step's loss on `feeds` (the real modules, under a
+    /// [`record`] scope), replays it and compiles the training plan.
+    fn compile(
+        lm: &CausalLm,
+        value_head: &Linear,
+        params: &[(String, Tensor)],
+        feeds: &StepFeeds,
+        config: &PretrainConfig,
+    ) -> Result<PretrainPlan, PlanError> {
+        let _span = timekd_obs::span("lm.pretrain_compile");
+        let key = PretrainKey::of(lm, feeds);
+        let root = {
+            let mut rec = Recorder::new();
+            for (label, p) in params {
+                rec.param(label, p, false);
+            }
+            rec.name(IDS_LABEL, &feeds.ids);
+            rec.name(MASK_LABEL, &feeds.mask);
+            rec.name(NEXT_IDS_LABEL, &feeds.next_ids);
+            rec.name(VALUES_LABEL, &feeds.values);
+            // The step reads only rows `0..S` of the positional table, so
+            // the plan trains exactly those rows as their own parameter.
+            // The dynamic step also updates the other rows, but with zero
+            // gradients, zero moments and no weight decay AdamW leaves
+            // them bit for bit as they were.
+            let table = lm.positional_table();
+            let rows = Tensor::param(
+                table.data()[..feeds.tokens() * table.dims()[1]].to_vec(),
+                [feeds.tokens(), table.dims()[1]],
+            );
+            rec.param(POS_LABEL, &rows, false);
+            let weight = config.value_regression_weight;
+            let loss = record(|| step_loss(lm, value_head, feeds, &rows, weight));
+            rec.replay(&[&loss])
+                .map_err(|e| PlanError {
+                    message: format!("pretraining step does not replay: {e}"),
+                })?
+                .remove(0)
+            // The recorded graph and its activations are freed here,
+            // before the executor allocates its arena.
+        };
+        let spec = PlanSpec {
+            input_label: IDS_LABEL.to_string(),
+            aux_labels: vec![MASK_LABEL.to_string(), NEXT_IDS_LABEL.to_string()],
+            ..PlanSpec::default()
+        };
+        let adamw = pretrain_adamw();
+        assert_eq!(
+            adamw.weight_decay, 0.0,
+            "training only the positional rows read is exact without weight decay"
+        );
+        let mut train = TrainSpec::new(
+            VALUES_LABEL,
+            PlanOptimizer::AdamW {
+                lr: config.lr,
+                beta1: adamw.beta1,
+                beta2: adamw.beta2,
+                eps: adamw.eps,
+                weight_decay: adamw.weight_decay,
+            },
+        );
+        train.grad_clip = Some(1.0);
+        train.clip_param_order = params.iter().map(|(l, _)| l.clone()).collect();
+        let plan = Plan::compile_training(&root, &spec, &train)?;
+        // A parameter binds its tensor's leading rows (all of them, except
+        // for the positional table).
+        let exec = TrainExecutor::new(&plan, |label, dims| {
+            let (_, t) = params.iter().find(|(l, _)| l == label)?;
+            let len: usize = dims.iter().product();
+            (t.dims()[1..] == dims[1..] && len <= t.num_elements())
+                .then(|| t.data()[..len].to_vec())
+        })?;
+        let labels = plan
+            .values()
+            .iter()
+            .filter(|v| v.source == ValueSource::Param)
+            .map(|v| v.label.clone())
+            .collect();
+        Ok(PretrainPlan { key, exec, labels })
+    }
+
+    /// Runs one training step of `lm` on `feeds` and returns its loss.
+    fn step(&mut self, lm: &CausalLm, feeds: &StepFeeds) -> f32 {
+        assert_eq!(
+            PretrainKey::of(lm, feeds),
+            self.key,
+            "one plan serves a run: corpus prompts of one series length have one length"
+        );
+        let _span = timekd_obs::span("lm.pretrain_step");
+        self.exec.set_aux(AUX_MASK, &feeds.mask.data());
+        self.exec.set_aux(AUX_NEXT_IDS, &feeds.next_ids.data());
+        self.exec
+            .run_train_step(&feeds.ids.data(), &feeds.values.data())
+    }
+
+    /// Copies the trained parameters back into the leading rows of the
+    /// model's tensors.
+    fn write_back(&self, params: &[(String, Tensor)]) {
+        for (idx, label) in self.labels.iter().enumerate() {
+            if let Some((_, t)) = params.iter().find(|(l, _)| l == label) {
+                let trained = self.exec.param_data(idx);
+                t.update_data(|data| data[..trained.len()].copy_from_slice(trained));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timekd_nn::AdamW;
+
+    /// The dynamic pretraining step, the equivalence oracle of
+    /// [`PretrainPlan`]: one graph build, backward, `clip_grad_norm(1.0)`
+    /// and AdamW step over `params` (in [`pretrain_params`] order).
+    fn dynamic_step(
+        lm: &CausalLm,
+        value_head: &Linear,
+        params: &[Tensor],
+        opt: &mut AdamW,
+        feeds: &StepFeeds,
+        weight: f32,
+    ) -> f32 {
+        for p in params {
+            p.zero_grad();
+        }
+        let loss = step_loss(lm, value_head, feeds, &feeds.positions(lm), weight);
+        let value = loss.item();
+        loss.backward();
+        timekd_nn::clip_grad_norm(params, 1.0);
+        opt.step(params);
+        value
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn planned_pretraining_matches_dynamic_steps_bitwise() {
+        let tok = PromptTokenizer::new();
+        let config = PretrainConfig::default();
+        for size in [
+            crate::LmSize::Small,
+            crate::LmSize::Base,
+            crate::LmSize::Large,
+        ] {
+            for calibrated in [true, false] {
+                let tag = format!("{size:?} calibrated={calibrated}");
+                let build = || {
+                    let mut rng = seeded_rng(77);
+                    let lm = CausalLm::new(tok.vocab_size(), LmConfig::for_size(size), &mut rng);
+                    install_numeracy_prior(&lm, &tok, &mut rng);
+                    let head = Linear::new(lm.config().dim, config.series_len, &mut rng);
+                    (lm, head)
+                };
+                let (dyn_lm, dyn_head) = build();
+                let (plan_lm, plan_head) = build();
+                let dyn_params = pretrain_params(&dyn_lm, &dyn_head);
+                let plan_params = pretrain_params(&plan_lm, &plan_head);
+                let tensors: Vec<Tensor> = dyn_params.iter().map(|(_, t)| t.clone()).collect();
+                let mut opt = AdamW::new(config.lr, pretrain_adamw());
+                let mut corpus = seeded_rng(5);
+                let mut plan: Option<PretrainPlan> = None;
+                for step in 0..3 {
+                    let example = sample_corpus_example(&tok, config.series_len, &mut corpus);
+                    let dyn_feeds = StepFeeds::new(&dyn_lm, &example, calibrated);
+                    let want = dynamic_step(
+                        &dyn_lm,
+                        &dyn_head,
+                        &tensors,
+                        &mut opt,
+                        &dyn_feeds,
+                        config.value_regression_weight,
+                    );
+                    let feeds = StepFeeds::new(&plan_lm, &example, calibrated);
+                    let planned = plan.get_or_insert_with(|| {
+                        PretrainPlan::compile(&plan_lm, &plan_head, &plan_params, &feeds, &config)
+                            .expect("the pretraining step plans")
+                    });
+                    let got = planned.step(&plan_lm, &feeds);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{tag} step {step}: loss");
+                }
+                plan.expect("compiled").write_back(&plan_params);
+                for ((label, want), (_, got)) in dyn_params.iter().zip(&plan_params) {
+                    assert_eq!(bits(got), bits(want), "{tag}: {label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corpus_prompts_of_one_series_length_have_one_length() {
+        // One plan serves a pretraining run because of this.
+        let tok = PromptTokenizer::new();
+        for series_len in [1, 6, 12] {
+            let mut rng = seeded_rng(series_len as u64);
+            let first = sample_corpus_example(&tok, series_len, &mut rng)
+                .tokens
+                .len();
+            for _ in 0..200 {
+                let e = sample_corpus_example(&tok, series_len, &mut rng);
+                assert_eq!(e.tokens.len(), first, "series_len {series_len}");
+            }
+        }
+    }
 
     #[test]
     fn corpus_example_well_formed() {

@@ -1,4 +1,4 @@
-//! Pins how much CLM work a pretraining step does, by its trace.
+//! Pins how much CLM work a pretraining run does, by its trace.
 //!
 //! This file is its own test binary (and so its own process): the obs gate
 //! is global, so every traced run holds [`OBS_LOCK`] and nothing else in
@@ -23,9 +23,17 @@ fn count_spans(nodes: &[SpanNode], name: &str) -> u64 {
         .sum()
 }
 
-/// `nn.encoder` spans recorded under `lm.pretrain` by a traced
-/// `pretrain_lm` run of `steps` steps.
-fn pretrain_encoder_spans(steps: usize) -> u64 {
+/// Span counts under `lm.pretrain` of a traced `pretrain_lm` run of
+/// `steps` steps: dynamic encoder forwards, plan compilations, planned
+/// step replays and dynamic backward passes.
+struct PretrainTrace {
+    encoder_forwards: u64,
+    compiles: u64,
+    step_replays: u64,
+    backwards: u64,
+}
+
+fn pretrain_trace(steps: usize) -> PretrainTrace {
     let _g = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     timekd_obs::set_enabled(true);
     timekd_obs::reset();
@@ -44,16 +52,36 @@ fn pretrain_encoder_spans(steps: usize) -> u64 {
     timekd_obs::reset();
     let pretrain = snap.find_span("lm.pretrain").expect("lm.pretrain traced");
     assert_eq!(pretrain.count, 1);
-    count_spans(&pretrain.children, "nn.encoder")
+    let under = |name| count_spans(&pretrain.children, name);
+    PretrainTrace {
+        encoder_forwards: under("nn.encoder"),
+        compiles: under("lm.pretrain_compile"),
+        step_replays: under("lm.pretrain_step"),
+        backwards: under("tensor.backward"),
+    }
 }
 
 #[test]
 fn pretraining_runs_one_encoder_forward_per_step() {
     for steps in [0, 3, 7] {
+        let trace = pretrain_trace(steps);
         assert_eq!(
-            pretrain_encoder_spans(steps),
-            steps as u64 + EVAL_FORWARDS,
-            "{steps} steps: one forward per step plus one per held-out evaluation"
+            trace.step_replays, steps as u64,
+            "{steps} steps: one planned step replay per step"
+        );
+        assert_eq!(
+            trace.compiles,
+            u64::from(steps > 0),
+            "{steps} steps: the step is recorded and compiled once (the \
+             recording's forward is muted), and not at all without steps"
+        );
+        assert_eq!(
+            trace.encoder_forwards, EVAL_FORWARDS,
+            "{steps} steps: the only dynamic forwards are the held-out evaluations"
+        );
+        assert_eq!(
+            trace.backwards, 0,
+            "{steps} steps: no dynamic backward under lm.pretrain"
         );
     }
 }

@@ -104,7 +104,7 @@ impl Embedding {
 
     /// Looks up `ids`, producing `[ids.len(), dim]`.
     pub fn forward(&self, ids: &[usize]) -> Tensor {
-        self.weight.index_select_rows(ids)
+        self.weight.index_select_rows(&Tensor::indices(ids))
     }
 
     /// Vocabulary size.

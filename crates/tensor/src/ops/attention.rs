@@ -19,6 +19,9 @@
 //!   with gradient parents `[Q, K]` — differentiable because correlation
 //!   distillation (paper Eq. 24) trains *through* the student's map.
 //!
+//! A mask, when given, is the last parent of both nodes; it is a constant
+//! and never takes a gradient.
+//!
 //! The two backward closures are fully independent: the softmax Jacobian
 //! is linear in the upstream probability gradient, so each closure derives
 //! its own `dP`, row statistic `D_i = Σ_j dP_ij P_ij`, and
@@ -129,6 +132,28 @@ pub(crate) struct KeyMask<'a> {
     live: &'a [usize],
 }
 
+impl<'a> KeyMask<'a> {
+    /// A mask view over `bias` with the counts [`live_keys`] filled in.
+    pub(crate) fn new(bias: &'a [f32], live: &'a [usize]) -> KeyMask<'a> {
+        KeyMask { bias, live }
+    }
+}
+
+/// Each query row's live key count of a `[T_q, T_k]` bias into `live`:
+/// one past its last key above [`NEG_INF`], rounded up to the 8-lane
+/// width and capped at `T_k`, or `T_k` for a row with no allowed key.
+/// Callers run it once per mask, outside the `_block` workers.
+pub(crate) fn live_keys(bias: &[f32], tk: usize, live: &mut [usize]) {
+    for (row, n) in bias.chunks_exact(tk).zip(live.iter_mut()) {
+        // NaN counts as allowed so a corrupt mask still poisons its row
+        // instead of being skipped.
+        *n = match row.iter().rposition(|&b| b > NEG_INF || b.is_nan()) {
+            Some(last) => (last + 1).next_multiple_of(F32x8::LANES).min(tk),
+            None => tk,
+        };
+    }
+}
+
 /// Owned mask data shared by the forward and both backward closures; the
 /// live counts are computed once, here.
 struct MaskData {
@@ -138,26 +163,13 @@ struct MaskData {
 
 impl MaskData {
     fn new(bias: Vec<f32>, tq: usize, tk: usize) -> MaskData {
-        let live = bias
-            .chunks_exact(tk)
-            .take(tq)
-            .map(|row| {
-                // NaN counts as allowed so a corrupt mask still poisons
-                // its row instead of being skipped.
-                match row.iter().rposition(|&b| b > NEG_INF || b.is_nan()) {
-                    Some(last) => (last + 1).next_multiple_of(F32x8::LANES).min(tk),
-                    None => tk,
-                }
-            })
-            .collect();
+        let mut live = vec![0; tq];
+        live_keys(&bias, tk, &mut live);
         MaskData { bias, live }
     }
 
     fn view(&self) -> KeyMask<'_> {
-        KeyMask {
-            bias: &self.bias,
-            live: &self.live,
-        }
+        KeyMask::new(&self.bias, &self.live)
     }
 }
 
@@ -699,18 +711,22 @@ impl Tensor {
             );
         }
         let stats = Rc::new(stats);
-        // The mask is captured data, not a parent: record only that there
-        // is one, so plan lowering can refuse it.
+        // A mask is the last parent of both nodes (it never takes a
+        // gradient), so a recording keeps it as a leaf a plan can feed.
         let payload = || match mask {
             Some(_) => SymAttr::Masked,
             None => SymAttr::None,
+        };
+        let with_mask = |mut parents: Vec<Tensor>| {
+            parents.extend(mask.cloned());
+            parents
         };
 
         let out_t = Tensor::from_op(
             "fused_attention",
             out,
             Shape::new([tq, d]),
-            vec![q.clone(), k.clone(), v.clone()],
+            with_mask(vec![q.clone(), k.clone(), v.clone()]),
             Box::new({
                 let stats = Rc::clone(&stats);
                 let mask_data = mask_data.clone();
@@ -759,7 +775,7 @@ impl Tensor {
             "fused_attention_map",
             map,
             Shape::new([tq, tk]),
-            vec![q.clone(), k.clone()],
+            with_mask(vec![q.clone(), k.clone()]),
             Box::new({
                 let stats = Rc::clone(&stats);
                 let mask_data = mask_data.clone();

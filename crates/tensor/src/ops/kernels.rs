@@ -304,15 +304,43 @@ pub(crate) fn binary_block(
 
 /// The adjoint of [`binary_block`]: overwrites `ga`/`gb` (when present)
 /// with each operand's gradient from the upstream `g`, accumulating a
-/// broadcast operand's contributions in ascending output order.
+/// broadcast operand's contributions in ascending output order. Each
+/// gradient starts from `0.0`, so an element's first contribution `d`
+/// lands as `0.0 + d` (which maps `−0.0` to `+0.0`).
+///
+/// One arm per kind, so each kind's loops are compiled with its
+/// derivative inlined ([`binary_bwd_rows`]).
 pub(crate) fn binary_bwd_block(
     kind: BinKind,
     walk: &RowWalk<2>,
     a: &[f32],
     b: &[f32],
     g: &[f32],
+    ga: Option<&mut [f32]>,
+    gb: Option<&mut [f32]>,
+) {
+    let ops = (walk, a, b, g);
+    match kind {
+        BinKind::Add => binary_bwd_rows(ops, ga, gb, |x, y, g| BinKind::Add.grad(x, y, g)),
+        BinKind::Sub => binary_bwd_rows(ops, ga, gb, |x, y, g| BinKind::Sub.grad(x, y, g)),
+        BinKind::Mul => binary_bwd_rows(ops, ga, gb, |x, y, g| BinKind::Mul.grad(x, y, g)),
+        BinKind::Div => binary_bwd_rows(ops, ga, gb, |x, y, g| BinKind::Div.grad(x, y, g)),
+        BinKind::SmoothL1 => {
+            binary_bwd_rows(ops, ga, gb, |x, y, g| BinKind::SmoothL1.grad(x, y, g))
+        }
+    }
+}
+
+/// The rows of [`binary_bwd_block`] for one derivative `f`. A contiguous
+/// operand (step 1) gets one element-wise pass per row, which vectorizes;
+/// an operand that broadcasts along the row (step 0) folds the row's
+/// contributions into its one element in ascending order.
+#[inline(always)]
+fn binary_bwd_rows(
+    (walk, a, b, g): (&RowWalk<2>, &[f32], &[f32], &[f32]),
     mut ga: Option<&mut [f32]>,
     mut gb: Option<&mut [f32]>,
+    f: impl Fn(f32, f32, f32) -> (f32, f32),
 ) {
     if let Some(ga) = ga.as_deref_mut() {
         ga.fill(0.0);
@@ -321,16 +349,65 @@ pub(crate) fn binary_bwd_block(
         gb.fill(0.0);
     }
     let len = walk.len;
-    let [sa, sb] = walk.step;
     for (r, &[ao, bo]) in walk.starts.iter().enumerate() {
-        for (j, &gj) in g[r * len..(r + 1) * len].iter().enumerate() {
-            let (ia, ib) = (ao + j * sa, bo + j * sb);
-            let (da, db) = kind.grad(a[ia], b[ib], gj);
-            if let Some(ga) = ga.as_deref_mut() {
-                ga[ia] += da;
+        let gr = &g[r * len..(r + 1) * len];
+        match walk.step {
+            [1, 1] => {
+                let (ar, br) = (&a[ao..ao + len], &b[bo..bo + len]);
+                if let Some(ga) = ga.as_deref_mut() {
+                    for (((d, &x), &y), &gj) in ga[ao..ao + len].iter_mut().zip(ar).zip(br).zip(gr)
+                    {
+                        *d += f(x, y, gj).0;
+                    }
+                }
+                if let Some(gb) = gb.as_deref_mut() {
+                    for (((d, &x), &y), &gj) in gb[bo..bo + len].iter_mut().zip(ar).zip(br).zip(gr)
+                    {
+                        *d += f(x, y, gj).1;
+                    }
+                }
             }
-            if let Some(gb) = gb.as_deref_mut() {
-                gb[ib] += db;
+            [1, _] => {
+                let (ar, y) = (&a[ao..ao + len], b[bo]);
+                if let Some(ga) = ga.as_deref_mut() {
+                    for ((d, &x), &gj) in ga[ao..ao + len].iter_mut().zip(ar).zip(gr) {
+                        *d += f(x, y, gj).0;
+                    }
+                }
+                if let Some(gb) = gb.as_deref_mut() {
+                    let mut acc = gb[bo];
+                    for (&x, &gj) in ar.iter().zip(gr) {
+                        acc += f(x, y, gj).1;
+                    }
+                    gb[bo] = acc;
+                }
+            }
+            [_, 1] => {
+                let (x, br) = (a[ao], &b[bo..bo + len]);
+                if let Some(ga) = ga.as_deref_mut() {
+                    let mut acc = ga[ao];
+                    for (&y, &gj) in br.iter().zip(gr) {
+                        acc += f(x, y, gj).0;
+                    }
+                    ga[ao] = acc;
+                }
+                if let Some(gb) = gb.as_deref_mut() {
+                    for ((d, &y), &gj) in gb[bo..bo + len].iter_mut().zip(br).zip(gr) {
+                        *d += f(x, y, gj).1;
+                    }
+                }
+            }
+            _ => {
+                let (x, y) = (a[ao], b[bo]);
+                for &gj in gr {
+                    let (da, db) = f(x, y, gj);
+                    if let Some(ga) = ga.as_deref_mut() {
+                        ga[ao] += da;
+                    }
+                    if let Some(gb) = gb.as_deref_mut() {
+                        gb[bo] += db;
+                    }
+                }
             }
         }
     }
@@ -463,6 +540,93 @@ pub(crate) fn permute_block(walk: &RowWalk<1>, src: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Gathers rows of a `[V, d]` table: `out[s, :] = table[ids[s], :]`. The
+/// ids are exact integers held in f32.
+pub(crate) fn gather_rows_block(table: &[f32], ids: &[f32], d: usize, out: &mut [f32]) {
+    for (row, &id) in out.chunks_exact_mut(d).zip(ids) {
+        let i = id as usize;
+        row.copy_from_slice(&table[i * d..(i + 1) * d]);
+    }
+}
+
+/// The adjoint of [`gather_rows_block`]: zeroes `gw`, then adds each
+/// gradient row into its table row in ascending `s` order, so a repeated
+/// id accumulates in output order.
+pub(crate) fn gather_rows_bwd_block(ids: &[f32], d: usize, g: &[f32], gw: &mut [f32]) {
+    gw.fill(0.0);
+    for (g_row, &id) in g.chunks_exact(d).zip(ids) {
+        let i = id as usize;
+        for (w, &x) in gw[i * d..(i + 1) * d].iter_mut().zip(g_row) {
+            *w += x;
+        }
+    }
+}
+
+/// Copies the window `start..start + len` of the middle axis of `x`
+/// (viewed as `[outer, mid, inner]`) into `out`.
+pub(crate) fn slice_block(x: &[f32], out: &mut [f32], ax: AxisSplit, start: usize, len: usize) {
+    let AxisSplit { mid, inner, .. } = ax;
+    let chunk = len * inner;
+    for (o, dst) in out
+        .chunks_exact_mut(chunk.max(1))
+        .enumerate()
+        .take(ax.outer)
+    {
+        let base = (o * mid + start) * inner;
+        dst.copy_from_slice(&x[base..base + chunk]);
+    }
+}
+
+/// Log-softmax over rows of `c` elements: each row shifted by its max,
+/// the pinned [`simd::exp`] of the shifted row (staged in `out`), its
+/// ascending sum, `lse = max + ln(sum)`, then `out = x − lse`.
+pub(crate) fn log_softmax_block(x: &[f32], out: &mut [f32], c: usize) {
+    for (row, out_row) in x.chunks_exact(c).zip(out.chunks_exact_mut(c)) {
+        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        map_lanes([row], out_row, |[x]| simd::exp(x - m));
+        let mut denom = 0.0f32;
+        for &e in out_row.iter() {
+            denom += e;
+        }
+        let lse = m + denom.ln();
+        map_lanes([row], out_row, |[x]| x - lse);
+    }
+}
+
+/// The adjoint of [`log_softmax_block`] from its output `y`:
+/// `gx = g − softmax · Σg` per row, with `softmax = exp(y)` recomputed by
+/// the pinned [`simd::exp`].
+pub(crate) fn log_softmax_bwd_block(y: &[f32], g: &[f32], gx: &mut [f32], c: usize) {
+    for ((y_row, g_row), gx_row) in y
+        .chunks_exact(c)
+        .zip(g.chunks_exact(c))
+        .zip(gx.chunks_exact_mut(c))
+    {
+        let gsum: f32 = g_row.iter().sum();
+        map_lanes([y_row], gx_row, |[y]| simd::exp(y));
+        for (o, &gi) in gx_row.iter_mut().zip(g_row) {
+            *o = gi - *o * gsum;
+        }
+    }
+}
+
+/// One element per row of `c`: `out[r] = x[r, ids[r]]`, the ids exact
+/// integers held in f32.
+pub(crate) fn gather_last_block(x: &[f32], ids: &[f32], c: usize, out: &mut [f32]) {
+    for (r, (o, &id)) in out.iter_mut().zip(ids).enumerate() {
+        *o = x[r * c + id as usize];
+    }
+}
+
+/// The adjoint of [`gather_last_block`]: zeroes `gx` and adds `g[r]` at
+/// each row's picked element.
+pub(crate) fn gather_last_bwd_block(ids: &[f32], c: usize, g: &[f32], gx: &mut [f32]) {
+    gx.fill(0.0);
+    for (r, (&gr, &id)) in g.iter().zip(ids).enumerate() {
+        gx[r * c + id as usize] += gr;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,6 +700,91 @@ mod tests {
                 reference_offsets(&perm_strides, &out),
                 "{src:?} {perm:?}"
             );
+        }
+    }
+
+    #[test]
+    fn binary_bwd_block_matches_the_scalar_loop_at_every_length() {
+        // The per-element loop the kernel replaced, restated: zeroed
+        // gradients, then `+=` of each element's derivative in output order.
+        fn scalar(
+            kind: BinKind,
+            walk: &RowWalk<2>,
+            a: &[f32],
+            b: &[f32],
+            g: &[f32],
+            ga: &mut [f32],
+            gb: &mut [f32],
+        ) {
+            ga.fill(0.0);
+            gb.fill(0.0);
+            for (r, &[ao, bo]) in walk.starts.iter().enumerate() {
+                for j in 0..walk.len {
+                    let (ia, ib) = (ao + j * walk.step[0], bo + j * walk.step[1]);
+                    let (da, db) = kind.grad(a[ia], b[ib], g[r * walk.len + j]);
+                    ga[ia] += da;
+                    gb[ib] += db;
+                }
+            }
+        }
+        let special = [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let values = |n: usize, salt: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| match (i * 7 + salt) % 11 {
+                    k @ 0..=4 => special[k],
+                    k => ((i + salt) as f32 * 0.37).sin() * k as f32 * 0.5,
+                })
+                .collect()
+        };
+        // Rust pins no NaN sign or payload (the compiler may commute an
+        // add), so every NaN compares as one value; all other bits exactly.
+        let bits = |v: &[f32]| {
+            v.iter()
+                .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                .collect::<Vec<_>>()
+        };
+        let kinds = [
+            BinKind::Add,
+            BinKind::Sub,
+            BinKind::Mul,
+            BinKind::Div,
+            BinKind::SmoothL1,
+        ];
+        for len in 0..=33usize {
+            // Same shape, a row broadcast on either side, an outer-axis
+            // broadcast (one contiguous operand hit once per row), and a
+            // scalar operand.
+            for (da, db) in [
+                (vec![3, len], vec![3, len]),
+                (vec![3, len], vec![3, 1]),
+                (vec![3, 1], vec![3, len]),
+                (vec![1, len], vec![3, len]),
+                (vec![3, len], vec![]),
+            ] {
+                let out = Shape::new(da.clone())
+                    .broadcast_with(&Shape::new(db.clone()))
+                    .expect("broadcastable");
+                let walk = broadcast_walk(&da, &db, out.dims());
+                let n = |d: &[usize]| d.iter().product::<usize>();
+                let (a, b) = (values(n(&da), 1), values(n(&db), 4));
+                let g = values(out.num_elements(), 9);
+                for kind in kinds {
+                    let tag = format!("{kind:?} {da:?} x {db:?}");
+                    let (mut ga, mut gb) = (vec![1.0f32; a.len()], vec![1.0f32; b.len()]);
+                    let (mut ra, mut rb) = (vec![0.0f32; a.len()], vec![0.0f32; b.len()]);
+                    binary_bwd_block(kind, &walk, &a, &b, &g, Some(&mut ga), Some(&mut gb));
+                    scalar(kind, &walk, &a, &b, &g, &mut ra, &mut rb);
+                    assert_eq!(bits(&ga), bits(&ra), "{tag}: ga");
+                    assert_eq!(bits(&gb), bits(&rb), "{tag}: gb");
+                    // Each side alone gives the same bits.
+                    let mut only_a = vec![1.0f32; a.len()];
+                    binary_bwd_block(kind, &walk, &a, &b, &g, Some(&mut only_a), None);
+                    assert_eq!(bits(&only_a), bits(&ra), "{tag}: ga alone");
+                    let mut only_b = vec![1.0f32; b.len()];
+                    binary_bwd_block(kind, &walk, &a, &b, &g, None, Some(&mut only_b));
+                    assert_eq!(bits(&only_b), bits(&rb), "{tag}: gb alone");
+                }
+            }
         }
     }
 

@@ -6,13 +6,15 @@
 //! attention and linear-layer GEMMs routed through here. They are:
 //!
 //! - **explicit-width microkernels**: the NN loop runs 4-row × 16-column
-//!   [`F32x8`] register tiles of fused multiply-adds and the NT loop runs
-//!   the pinned 8-lane [`simd::dot_lanes`] reduction, each with one pinned
-//!   reduction order (see [`crate::simd`]);
-//! - **packed**: the TN variant transposes its `[K, M]` operand once per
-//!   call so the hot loop streams contiguous rows, turning TN into the NN
-//!   kernel. NT needs no packing — its `[N, K]` operand is already
-//!   contiguous along the contraction axis;
+//!   [`F32x8`] register tiles of fused multiply-adds, and the NT loop runs
+//!   the pinned 8-lane [`simd::dot_lanes`] reduction for 8 outputs at
+//!   once — one accumulator per lane class, combined by the same fixed
+//!   tree — each with one pinned reduction order (see [`crate::simd`]);
+//! - **packed**: both transposed variants pack one operand once per call
+//!   so the hot loop streams contiguous rows. TN transposes its `[K, M]`
+//!   operand, turning TN into the NN kernel; NT packs its `[N, K]` operand
+//!   into 8-column panels `[N/8, K, 8]` ([`pack_nt_operand`]), so 8
+//!   consecutive outputs take one vector load per contraction step;
 //! - **parallel and bitwise deterministic**: work is partitioned into
 //!   disjoint output-row blocks (batched matmul: batch chunks) via
 //!   [`crate::parallel`]; every row is computed by exactly one task
@@ -206,26 +208,122 @@ pub(crate) fn mm_row_block(
     }
 }
 
-/// NT worker loop: `out_block[i - i0, j] += dot(a[i, :], b[j, :])` for
-/// rows `i0..i1`, contracting over the shared last axis of length `k`.
+/// NT worker loop: `out[i - i0, j] += dot(a[i, :], b[j, :])` for rows
+/// `i0..i1`, contracting over the shared last axis of length `k`. `out` is
+/// the caller's exclusive row block and `panels` is `b` packed by
+/// [`pack_nt_operand`].
 ///
-/// Each output element is one [`simd::dot_lanes`] call — lane `i % 8`
-/// blocking, fma chains, fixed combine tree, ascending tail — so the
-/// reduction order is pinned per element and independent of the row split.
+/// Each output element is bitwise one [`simd::dot_lanes`] call: lane
+/// class `l` (the elements `kk ≡ l mod 8`) accumulates ascending with
+/// fma, the classes combine through the fixed tree
+/// `((c0+c1)+(c2+c3)) + ((c4+c5)+(c6+c7))`, and the `k % 8` tail folds
+/// ascending with fma. The kernel runs that order for 8 consecutive
+/// outputs at once: one [`F32x8`] accumulator per lane class holds the 8
+/// outputs' partials and takes one load of the packed panel per
+/// contraction step, and the tree and the tail run as vector adds and
+/// fmas. Two rows share each load. Columns past the last whole group of
+/// 8, and an odd last row, call `dot_lanes` on the unpacked `b` rows. The
+/// order is pinned per element, so it is independent of the row split.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(crate) fn mm_nt_row_block(
     a: &[f32],
     b: &[f32],
-    out_block: &mut [f32],
+    panels: &[f32],
+    out: &mut [f32],
     i0: usize,
     i1: usize,
     k: usize,
     n: usize,
 ) {
-    for i in i0..i1 {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out_block[(i - i0) * n..(i - i0 + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o += simd::dot_lanes(a_row, &b[j * k..(j + 1) * k]);
+    const L: usize = F32x8::LANES;
+    let (a, m) = (&a[i0 * k..i1 * k], i1 - i0);
+    if k == 0 {
+        // Every dot product is empty: `dot_lanes` gives `+0`.
+        for o in out.iter_mut() {
+            *o += 0.0;
+        }
+        return;
+    }
+    let (k8, n8) = (k / L * L, n / L * L);
+    // The exact panel length keeps the accumulators in registers.
+    let panels = &panels[..n8 * k];
+    let tree = |c: [F32x8; L]| {
+        c[0].add(c[1])
+            .add(c[2].add(c[3]))
+            .add(c[4].add(c[5]).add(c[6].add(c[7])))
+    };
+    let mut i = 0;
+    while i + 2 <= m {
+        let r0 = &a[i * k..(i + 1) * k];
+        let r1 = &a[(i + 1) * k..(i + 2) * k];
+        for (g, panel) in panels.chunks_exact(k * L).enumerate() {
+            let (mut c0, mut c1) = ([F32x8::ZERO; L], [F32x8::ZERO; L]);
+            for ((blk, x0), x1) in panel[..k8 * L]
+                .as_chunks::<{ L * L }>()
+                .0
+                .iter()
+                .zip(r0.as_chunks::<L>().0)
+                .zip(r1.as_chunks::<L>().0)
+            {
+                for l in 0..L {
+                    let bv = F32x8::load(&blk[l * L..]);
+                    c0[l] = F32x8::splat(x0[l]).fma(bv, c0[l]);
+                    c1[l] = F32x8::splat(x1[l]).fma(bv, c1[l]);
+                }
+            }
+            let (mut s0, mut s1) = (tree(c0), tree(c1));
+            for kk in k8..k {
+                let bv = F32x8::load(&panel[kk * L..]);
+                s0 = F32x8::splat(r0[kk]).fma(bv, s0);
+                s1 = F32x8::splat(r1[kk]).fma(bv, s1);
+            }
+            let j = g * L;
+            F32x8::load(&out[i * n + j..])
+                .add(s0)
+                .store(&mut out[i * n + j..]);
+            F32x8::load(&out[(i + 1) * n + j..])
+                .add(s1)
+                .store(&mut out[(i + 1) * n + j..]);
+        }
+        for j in n8..n {
+            let b_row = &b[j * k..(j + 1) * k];
+            out[i * n + j] += simd::dot_lanes(r0, b_row);
+            out[(i + 1) * n + j] += simd::dot_lanes(r1, b_row);
+        }
+        i += 2;
+    }
+    if i < m {
+        let r0 = &a[i * k..(i + 1) * k];
+        for j in 0..n {
+            out[i * n + j] += simd::dot_lanes(r0, &b[j * k..(j + 1) * k]);
+        }
+    }
+}
+
+/// Length of the [`pack_nt_operand`] panels of an NT product with
+/// `k`-long rows and `n` outputs: every whole group of 8 columns.
+pub(crate) fn nt_panels_len(k: usize, n: usize) -> usize {
+    n / F32x8::LANES * F32x8::LANES * k
+}
+
+/// Packs the `[n, k]` NT operand `b` into panels of 8 columns:
+/// `panels[g][kk][c] = b[8g + c][kk]`, so one contraction step of 8
+/// consecutive outputs is one contiguous load. `panels` must be
+/// [`nt_panels_len`] long; columns past the last whole group of 8 stay
+/// unpacked.
+pub(crate) fn pack_nt_operand(b: &[f32], panels: &mut [f32], k: usize, n: usize) {
+    const L: usize = F32x8::LANES;
+    if k == 0 {
+        return;
+    }
+    debug_assert_eq!(panels.len(), nt_panels_len(k, n));
+    for (g, panel) in panels.chunks_exact_mut(k * L).enumerate() {
+        let cols = &b[g * L * k..(g + 1) * L * k];
+        for (kk, dst) in panel.as_chunks_mut::<L>().0.iter_mut().enumerate() {
+            for (c, d) in dst.iter_mut().enumerate() {
+                *d = cols[c * k + kk];
+            }
         }
     }
 }
@@ -311,8 +409,10 @@ pub(crate) fn mm_tn_accumulate(
 
 /// `out[m, n] += a[m, k] * b[n, k]ᵀ` (contract over the last axis of both).
 ///
-/// No packing: both operands are already contiguous along the contraction
-/// axis, so each output element is a straight dot product of two rows.
+/// Packs `b` into 8-column panels once per call ([`pack_nt_operand`]),
+/// so the lane-class kernel takes one contiguous load per contraction
+/// step of 8 outputs; every output element keeps its [`simd::dot_lanes`]
+/// order.
 pub(crate) fn mm_nt_accumulate(
     a: &[f32],
     b: &[f32],
@@ -324,13 +424,15 @@ pub(crate) fn mm_nt_accumulate(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
+    let mut panels = vec![0.0f32; nt_panels_len(k, n)];
+    pack_nt_operand(b, &mut panels, k, n);
     if !worth_parallel(m, k, n) {
         timekd_obs::POOL_SERIAL_FALLBACK.add(1);
-        mm_nt_row_block(a, b, out, 0, m, k, n);
+        mm_nt_row_block(a, b, &panels, out, 0, m, k, n);
         return;
     }
     parallel::par_row_blocks(out, m, n, min_rows_per_block(k, n), |i0, i1, block| {
-        mm_nt_row_block(a, b, block, i0, i1, k, n);
+        mm_nt_row_block(a, b, &panels, block, i0, i1, k, n);
     });
 }
 

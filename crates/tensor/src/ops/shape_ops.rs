@@ -1,6 +1,9 @@
 //! Shape manipulation: reshape, permute/transpose, slice, concat, gather.
 
-use crate::ops::kernels::{inverse_perm, permute_block, permute_walk};
+use crate::ops::kernels::{
+    gather_last_block, gather_last_bwd_block, gather_rows_block, gather_rows_bwd_block,
+    inverse_perm, permute_block, permute_walk, slice_block, AxisSplit,
+};
 use crate::shape::Shape;
 use crate::symbolic::SymAttr;
 use crate::tensor::Tensor;
@@ -85,16 +88,10 @@ impl Tensor {
             "slice: {start}+{len} exceeds axis size {}",
             dims[axis]
         );
-        let outer: usize = dims[..axis].iter().product();
-        let mid = dims[axis];
-        let inner: usize = dims[axis + 1..].iter().product();
-        let data = self.data();
-        let mut out = Vec::with_capacity(outer * len * inner);
-        for o in 0..outer {
-            let base = (o * mid + start) * inner;
-            out.extend_from_slice(&data[base..base + len * inner]);
-        }
-        drop(data);
+        let split = AxisSplit::new(&dims, axis);
+        let AxisSplit { outer, mid, inner } = split;
+        let mut out = vec![0.0f32; outer * len * inner];
+        slice_block(&self.data(), &mut out, split, start, len);
         let mut out_dims = dims.clone();
         out_dims[axis] = len;
         Tensor::from_op(
@@ -181,76 +178,84 @@ impl Tensor {
         .with_rec(|| SymAttr::Concat { axis })
     }
 
-    /// Selects rows of a rank-2 tensor: `self[V, D]` gathered by `indices`
-    /// gives `[S, D]` — the embedding lookup.
-    pub fn index_select_rows(&self, indices: &[usize]) -> Tensor {
+    /// Selects rows of a rank-2 tensor: `self[V, D]` gathered by the
+    /// constant `[S]` row ids `ids` (exact integers in f32, see
+    /// [`Tensor::indices`]) gives `[S, D]` — the embedding lookup. The ids
+    /// are the op's second parent, so a recording keeps them as a leaf
+    /// that a plan can feed at run time.
+    pub fn index_select_rows(&self, ids: &Tensor) -> Tensor {
         assert_eq!(self.shape().rank(), 2, "index_select_rows needs rank 2");
+        assert_eq!(ids.shape().rank(), 1, "index_select_rows: ids must be [S]");
+        assert!(
+            !ids.requires_grad(),
+            "index_select_rows: ids must be constant"
+        );
         let (v, d) = (self.dims()[0], self.dims()[1]);
-        for &i in indices {
-            assert!(i < v, "index {i} out of range for {} rows", v);
-        }
-        let data = self.data();
-        let mut out = Vec::with_capacity(indices.len() * d);
-        for &i in indices {
-            out.extend_from_slice(&data[i * d..(i + 1) * d]);
-        }
-        drop(data);
-        let idx = indices.to_vec();
+        check_indices(&ids.data(), v);
+        let mut out = vec![0.0f32; ids.num_elements() * d];
+        gather_rows_block(&self.data(), &ids.data(), d, &mut out);
         Tensor::from_op(
             "index_select_rows",
             out,
-            Shape::new([indices.len(), d]),
-            vec![self.clone()],
+            Shape::new([ids.num_elements(), d]),
+            vec![self.clone(), ids.clone()],
             Box::new(move |grad, parents| {
                 let w = &parents[0];
                 if !w.requires_grad() {
                     return;
                 }
                 let mut gw = vec![0.0f32; w.num_elements()];
-                for (s, &i) in idx.iter().enumerate() {
-                    for j in 0..d {
-                        gw[i * d + j] += grad[s * d + j];
-                    }
-                }
+                gather_rows_bwd_block(&parents[1].data(), d, grad, &mut gw);
                 w.accumulate_grad(&gw);
             }),
         )
     }
 
     /// Gathers one element per row along the last axis: for `self` viewed as
-    /// `[R, C]`, returns `[R]` with `out[r] = self[r, indices[r]]` — used by
-    /// cross-entropy.
-    pub fn gather_last(&self, indices: &[usize]) -> Tensor {
+    /// `[R, C]`, returns `[R]` with `out[r] = self[r, ids[r]]` — used by
+    /// cross-entropy. The constant `[R]` column ids (exact integers in
+    /// f32) are the op's second parent, like those of
+    /// [`index_select_rows`](Self::index_select_rows).
+    pub fn gather_last(&self, ids: &Tensor) -> Tensor {
         let rank = self.shape().rank();
         assert!(rank >= 1);
+        assert!(!ids.requires_grad(), "gather_last: ids must be constant");
         let c = self.dims()[rank - 1];
         let r = self.num_elements() / c;
-        assert_eq!(indices.len(), r, "gather_last: need one index per row");
-        let data = self.data();
-        let mut out = Vec::with_capacity(r);
-        for (row, &i) in indices.iter().enumerate() {
-            assert!(i < c, "gather_last: index {i} out of range {c}");
-            out.push(data[row * c + i]);
-        }
-        drop(data);
-        let idx = indices.to_vec();
+        assert_eq!(ids.num_elements(), r, "gather_last: need one index per row");
+        check_indices(&ids.data(), c);
+        let mut out = vec![0.0f32; r];
+        gather_last_block(&self.data(), &ids.data(), c, &mut out);
         Tensor::from_op(
             "gather_last",
             out,
             Shape::new([r]),
-            vec![self.clone()],
+            vec![self.clone(), ids.clone()],
             Box::new(move |grad, parents| {
                 let x = &parents[0];
                 if !x.requires_grad() {
                     return;
                 }
                 let mut gx = vec![0.0f32; x.num_elements()];
-                for (row, &i) in idx.iter().enumerate() {
-                    gx[row * c + i] += grad[row];
-                }
+                gather_last_bwd_block(&parents[1].data(), c, grad, &mut gx);
                 x.accumulate_grad(&gx);
             }),
         )
+    }
+
+    /// A constant `[n]` tensor holding `indices` as f32, which represents
+    /// every index below 2^24 exactly — the id operand of
+    /// [`index_select_rows`](Self::index_select_rows) and
+    /// [`gather_last`](Self::gather_last).
+    pub fn indices(indices: &[usize]) -> Tensor {
+        let data = indices
+            .iter()
+            .map(|&i| {
+                assert!(i < 1 << 24, "index {i} is not exact in f32");
+                i as f32
+            })
+            .collect::<Vec<_>>();
+        Tensor::from_vec(data, [indices.len()])
     }
 
     /// Materialises a broadcast of this tensor to `target`.
@@ -263,6 +268,16 @@ impl Tensor {
         );
         // add with zeros of the target shape routes gradients correctly.
         self.add(&Tensor::zeros(target))
+    }
+}
+
+/// Panics unless every id is an integer in `0..bound`.
+fn check_indices(ids: &[f32], bound: usize) {
+    for &i in ids {
+        assert!(
+            i >= 0.0 && i.fract() == 0.0 && (i as usize) < bound,
+            "index {i} out of range for {bound}"
+        );
     }
 }
 
@@ -379,7 +394,7 @@ mod tests {
     #[test]
     fn index_select_rows_gathers() {
         let w = Tensor::from_vec((0..6).map(|x| x as f32).collect(), [3, 2]);
-        let e = w.index_select_rows(&[2, 0, 2]);
+        let e = w.index_select_rows(&Tensor::indices(&[2, 0, 2]));
         assert_eq!(e.dims(), &[3, 2]);
         assert_eq!(e.to_vec(), vec![4.0, 5.0, 0.0, 1.0, 4.0, 5.0]);
     }
@@ -387,14 +402,16 @@ mod tests {
     #[test]
     fn index_select_rows_grad_accumulates_dupes() {
         let w = Tensor::param(vec![0.0; 6], [3, 2]);
-        w.index_select_rows(&[2, 0, 2]).sum().backward();
+        w.index_select_rows(&Tensor::indices(&[2, 0, 2]))
+            .sum()
+            .backward();
         assert_eq!(w.grad().unwrap(), vec![1.0, 1.0, 0.0, 0.0, 2.0, 2.0]);
     }
 
     #[test]
     fn gather_last_and_grad() {
         let x = Tensor::param(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2, 3]);
-        let g = x.gather_last(&[2, 0]);
+        let g = x.gather_last(&Tensor::indices(&[2, 0]));
         assert_eq!(g.to_vec(), vec![3.0, 4.0]);
         g.sum().backward();
         assert_eq!(x.grad().unwrap(), vec![0.0, 0.0, 1.0, 1.0, 0.0, 0.0]);

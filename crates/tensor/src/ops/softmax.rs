@@ -2,6 +2,7 @@
 //! exponentials are the pinned [`simd::exp`]; the log-sum-exp's `ln` is
 //! libm's.
 
+use crate::ops::kernels::{log_softmax_block, log_softmax_bwd_block};
 use crate::shape::Shape;
 use crate::simd::{self, map_lanes};
 use crate::tensor::Tensor;
@@ -60,32 +61,16 @@ impl Tensor {
         )
     }
 
-    /// Log-softmax over the last axis (for cross-entropy).
+    /// Log-softmax over the last axis (for cross-entropy). The forward and
+    /// its adjoint are the shared `log_softmax_block` kernels; the
+    /// backward recomputes the probabilities from the saved output.
     pub fn log_softmax_last(&self) -> Tensor {
         let rank = self.shape().rank();
         assert!(rank >= 1, "log_softmax on a scalar");
         let c = self.dims()[rank - 1];
-        let rows = self.num_elements() / c;
-        let data = self.data();
-        let mut out = vec![0.0f32; data.len()];
-        let mut probs = vec![0.0f32; data.len()];
-        for r in 0..rows {
-            let row = &data[r * c..(r + 1) * c];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            // The exponentials pass through `probs` before it holds the
-            // probabilities.
-            let p_row = &mut probs[r * c..(r + 1) * c];
-            map_lanes([row], p_row, |[x]| simd::exp(x - m));
-            let mut denom = 0.0f32;
-            for &e in p_row.iter() {
-                denom += e;
-            }
-            let lse = m + denom.ln();
-            let out_row = &mut out[r * c..(r + 1) * c];
-            map_lanes([row], out_row, |[x]| x - lse);
-            map_lanes([&*out_row], p_row, |[o]| simd::exp(o));
-        }
-        drop(data);
+        let mut out = vec![0.0f32; self.num_elements()];
+        log_softmax_block(&self.data(), &mut out, c);
+        let saved = Tensor::tracks(std::slice::from_ref(self)).then(|| out.clone());
         Tensor::from_op(
             "log_softmax_last",
             out,
@@ -93,32 +78,34 @@ impl Tensor {
             vec![self.clone()],
             Box::new(move |grad, parents| {
                 let x = &parents[0];
-                if !x.requires_grad() {
-                    return;
-                }
-                // dL/dx = g − softmax(x) * Σg per row.
+                let Some(y) = &saved else {
+                    unreachable!("tracked log_softmax_last saves its output")
+                };
                 let mut gx = vec![0.0f32; grad.len()];
-                for r in 0..rows {
-                    let g = &grad[r * c..(r + 1) * c];
-                    let p = &probs[r * c..(r + 1) * c];
-                    let gsum: f32 = g.iter().sum();
-                    for ((o, &gi), &pi) in gx[r * c..(r + 1) * c].iter_mut().zip(g).zip(p) {
-                        *o = gi - pi * gsum;
-                    }
-                }
+                log_softmax_bwd_block(y, grad, &mut gx, c);
                 x.accumulate_grad(&gx);
             }),
         )
     }
 
-    /// Mean negative log-likelihood of `targets` under `self` treated as
-    /// logits of shape `[R, C]` (rows = positions, C = classes).
-    pub fn cross_entropy(&self, targets: &[usize]) -> Tensor {
+    /// Mean negative log-likelihood of `targets` (a constant `[R]` id
+    /// tensor, see [`Tensor::indices`]) under `self` treated as logits of
+    /// shape `[R, C]` (rows = positions, C = classes).
+    pub fn cross_entropy(&self, targets: &Tensor) -> Tensor {
         let rank = self.shape().rank();
         let c = self.dims()[rank - 1];
         let rows = self.num_elements() / c;
-        assert_eq!(targets.len(), rows, "cross_entropy: one target per row");
-        let flat = self.reshape(Shape::new([rows, c]));
+        assert_eq!(
+            targets.num_elements(),
+            rows,
+            "cross_entropy: one target per row"
+        );
+        // Only a tensor that is not already `[R, C]` needs the reshape.
+        let flat = if self.dims() == [rows, c] {
+            self.clone()
+        } else {
+            self.reshape(Shape::new([rows, c]))
+        };
         flat.log_softmax_last().gather_last(targets).mean().neg()
     }
 }
@@ -186,14 +173,14 @@ mod tests {
     #[test]
     fn cross_entropy_perfect_prediction_near_zero() {
         let logits = Tensor::from_vec(vec![100.0, 0.0, 0.0, 0.0, 100.0, 0.0], [2, 3]);
-        let loss = logits.cross_entropy(&[0, 1]);
+        let loss = logits.cross_entropy(&Tensor::indices(&[0, 1]));
         assert!(loss.item() < 1e-4);
     }
 
     #[test]
     fn cross_entropy_uniform_is_ln_c() {
         let logits = Tensor::zeros([4, 5]);
-        let loss = logits.cross_entropy(&[0, 1, 2, 3]);
+        let loss = logits.cross_entropy(&Tensor::indices(&[0, 1, 2, 3]));
         assert!(close(loss.item(), (5.0f32).ln()));
     }
 
@@ -201,7 +188,7 @@ mod tests {
     fn cross_entropy_grad_direction() {
         // Gradient should push the target logit up (negative grad).
         let p = Tensor::param(vec![0.0, 0.0, 0.0], [1, 3]);
-        p.cross_entropy(&[1]).backward();
+        p.cross_entropy(&Tensor::indices(&[1])).backward();
         let g = p.grad().unwrap();
         assert!(g[1] < 0.0);
         assert!(g[0] > 0.0 && g[2] > 0.0);

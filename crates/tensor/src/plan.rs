@@ -32,10 +32,16 @@
 //! each distinct stat *label* to one synthesized [`PlanOp::ColMean`] /
 //! [`PlanOp::ColStd`] step over the plan input (replicating the RevIN
 //! arithmetic bitwise), so a stat value carries several symbolic ids in
-//! [`PlanValue::sym_ids`]. Masks are not representable (the dynamic op
-//! captures them as data, not parents, and records [`SymAttr::Masked`]);
-//! plans support unmasked attention only, which is all the student path
-//! uses, and refuse a masked one.
+//! [`PlanValue::sym_ids`].
+//!
+//! Runtime data operands are leaves like any other: the ids of
+//! `index_select_rows` and `gather_last` and the mask of a masked
+//! `fused_attention` are the ops' last parents, so a plan feeds them as its
+//! input or as aux leaves ([`PlanSpec::aux_labels`]). A masked attention's
+//! mask must be an aux leaf: [`PlanExecutor::set_aux`] counts each query
+//! row's live keys when the mask is fed, outside the replay loop, and the
+//! kernels skip the forbidden keys exactly as the dynamic op does. The
+//! masked attention *map* has no lowering.
 //!
 //! ## Training plans
 //!
@@ -52,10 +58,11 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::ops::attention::attn_fwd_row_block;
+use crate::ops::attention::{attn_fwd_row_block, live_keys, KeyMask};
 use crate::ops::kernels::{
-    binary_block, broadcast_walk, permute_block, permute_walk, sum_axis_block, unary_block,
-    AxisSplit, BinKind, RowWalk, UnKind,
+    binary_block, broadcast_walk, gather_last_block, gather_rows_block, log_softmax_block,
+    permute_block, permute_walk, slice_block, sum_axis_block, unary_block, AxisSplit, BinKind,
+    RowWalk, UnKind,
 };
 use crate::ops::matmul::mm_row_block;
 use crate::plan_batch::ReduceStep;
@@ -191,6 +198,37 @@ pub enum PlanOp {
     /// Full reduction to a single scalar (serial ascending sum, exactly
     /// like the dynamic kernel).
     Sum,
+    /// Row gather from a `[V, d]` table by a runtime `[S]` id vector (the
+    /// second operand; ids are exact integers in f32), e.g. the token
+    /// embedding lookup.
+    IndexSelectRows,
+    /// The window `start..start + len` of one axis.
+    Slice {
+        /// Sliced axis.
+        axis: usize,
+        /// First kept index.
+        start: usize,
+        /// Kept length.
+        len: usize,
+    },
+    /// Log-softmax over the last axis.
+    LogSoftmaxLast,
+    /// One element per row along the last axis, picked by a runtime id
+    /// vector (the second operand).
+    GatherLast,
+    /// Fused multi-head attention under an additive `[T_q, T_k]` mask,
+    /// the fourth operand, which must be an aux leaf fed at run time.
+    /// Each query row visits only its live keys, as in the dynamic op.
+    MaskedAttention {
+        /// Head count.
+        heads: usize,
+        /// Query length.
+        tq: usize,
+        /// Key length.
+        tk: usize,
+        /// Per-head dim.
+        dh: usize,
+    },
 }
 
 /// Where a plan value's bytes come from.
@@ -887,8 +925,24 @@ fn lower_op(node: &SymbolicTensor) -> Result<PlanOp, PlanError> {
                 dh: qd[2],
             }
         }
+        "fused_attention" if *node.attr() == SymAttr::Masked => {
+            let (qd, kd) = (node.parents()[0].dims(), node.parents()[1].dims());
+            PlanOp::MaskedAttention {
+                heads: qd[0],
+                tq: qd[1],
+                tk: kd[1],
+                dh: qd[2],
+            }
+        }
         "smooth_l1" => PlanOp::SmoothL1,
         "sum" => PlanOp::Sum,
+        "index_select_rows" => PlanOp::IndexSelectRows,
+        "slice" => match *node.attr() {
+            SymAttr::Slice { axis, start, len } => PlanOp::Slice { axis, start, len },
+            _ => return Err(unsupported()),
+        },
+        "log_softmax_last" => PlanOp::LogSoftmaxLast,
+        "gather_last" => PlanOp::GatherLast,
         _ => return Err(unsupported()),
     })
 }
@@ -1010,6 +1064,18 @@ pub(crate) enum Loc {
     Aux(usize),
 }
 
+/// The aux slot feeding the mask operand `vid` of a masked attention
+/// step; any other source is a compile error.
+pub(crate) fn mask_slot(plan: &Plan, vid: ValueId, loc: Loc) -> Result<usize, PlanError> {
+    match loc {
+        Loc::Aux(k) => Ok(k),
+        _ => Err(PlanError::new(format!(
+            "attention mask `{}` must be an aux leaf fed at run time",
+            plan.values()[vid].label
+        ))),
+    }
+}
+
 impl PlanOp {
     /// The element kernel of a broadcasting binary op.
     pub(crate) fn bin_kind(&self) -> Option<BinKind> {
@@ -1052,12 +1118,17 @@ enum ExecOp {
     },
     CopyReshape,
     Permute(RowWalk<1>),
+    /// Context of a fused attention; `mask` is the aux slot of its
+    /// additive mask, if any, and `stats` the offset of its softmax
+    /// statistics in `attn_saved`.
     Attention {
         heads: usize,
         tq: usize,
         tk: usize,
         dh: usize,
         scale: f32,
+        mask: Option<usize>,
+        stats: usize,
     },
     /// Head-averaged attention map only: the context output lands in the
     /// `attn_out_sink` scratch (discarded) and `v` is a zero buffer the
@@ -1068,6 +1139,7 @@ enum ExecOp {
         tk: usize,
         dh: usize,
         scale: f32,
+        stats: usize,
     },
     ColMean {
         t: usize,
@@ -1079,12 +1151,26 @@ enum ExecOp {
         eps: f32,
     },
     Sum,
+    GatherRows {
+        d: usize,
+    },
+    Slice {
+        split: AxisSplit,
+        start: usize,
+        len: usize,
+    },
+    LogSoftmax {
+        c: usize,
+    },
+    GatherLast {
+        c: usize,
+    },
 }
 
 #[derive(Debug)]
 struct ExecStep {
     op: ExecOp,
-    srcs: [Loc; 3],
+    srcs: [Loc; 4],
     out_off: usize,
     out_len: usize,
 }
@@ -1109,11 +1195,21 @@ pub struct PlanExecutor {
     /// [`PlanSpec::aux_labels`] (empty slots for labels absent from the
     /// graph).
     pub(crate) aux: Vec<Vec<f32>>,
+    /// Live key counts of every aux slot that is an attention mask
+    /// (`[T_q]` per slot, empty otherwise), recounted by
+    /// [`set_aux`](Self::set_aux).
+    pub(crate) mask_live: Vec<Vec<usize>>,
+    /// Key length `T_k` of each mask slot (0 for other slots).
+    mask_tk: Vec<usize>,
     attn_kt: Vec<f32>,
     attn_vt: Vec<f32>,
     attn_scores: Vec<f32>,
     attn_map: Vec<f32>,
-    attn_stats: Vec<f32>,
+    /// The softmax statistics of every attention step's last run —
+    /// `[m (T_q·H) | l (T_q·H)]` at the step's offset — kept for the
+    /// training executor's backward, which reads them instead of
+    /// recomputing them.
+    pub(crate) attn_saved: Vec<f32>,
     /// Discarded context output of `AttentionMap` steps.
     attn_out_sink: Vec<f32>,
     /// All-zero `v` operand for `AttentionMap` steps (the kernel packs a
@@ -1184,7 +1280,8 @@ impl PlanExecutor {
         };
 
         let mut exec = Vec::with_capacity(plan.steps().len());
-        let (mut kt_len, mut vt_len, mut sc_len, mut map_len, mut st_len) = (0, 0, 0, 0, 0);
+        let mut mask_tk = vec![0usize; plan.spec().aux_labels.len()];
+        let (mut kt_len, mut vt_len, mut sc_len, mut map_len, mut st_len) = (0, 0, 0, 0, 0usize);
         let (mut out_sink_len, mut zero_v_len) = (0usize, 0usize);
         for step in plan.steps() {
             let out_v = &plan.values()[step.output];
@@ -1198,8 +1295,8 @@ impl PlanExecutor {
                     out_v.label
                 )));
             };
-            let mut srcs = [Loc::Input; 3];
-            for (i, &vid) in step.inputs.iter().enumerate().take(3) {
+            let mut srcs = [Loc::Input; 4];
+            for (i, &vid) in step.inputs.iter().enumerate().take(4) {
                 srcs[i] = loc_of(vid)?;
                 // The executor's raw-pointer split of the arena is sound
                 // only because inputs never alias the output; reject any
@@ -1234,25 +1331,41 @@ impl PlanExecutor {
                 }
                 (PlanOp::Reshape, ..) => ExecOp::CopyReshape,
                 (PlanOp::Permute(perm), ..) => ExecOp::Permute(permute_walk(in_dims(0), perm)),
-                (PlanOp::FusedAttention { heads, tq, tk, dh }, ..) => {
+                (
+                    PlanOp::FusedAttention { heads, tq, tk, dh }
+                    | PlanOp::MaskedAttention { heads, tq, tk, dh },
+                    ..,
+                ) => {
                     kt_len = kt_len.max(dh * tk);
                     vt_len = vt_len.max(dh * tk);
                     sc_len = sc_len.max(*tk);
                     map_len = map_len.max(tq * tk);
-                    st_len = st_len.max(tq * heads);
+                    let stats = st_len;
+                    st_len += 2 * tq * heads;
+                    let mask = match step.op {
+                        PlanOp::MaskedAttention { .. } => {
+                            let k = mask_slot(plan, step.inputs[3], srcs[3])?;
+                            mask_tk[k] = *tk;
+                            Some(k)
+                        }
+                        _ => None,
+                    };
                     ExecOp::Attention {
                         heads: *heads,
                         tq: *tq,
                         tk: *tk,
                         dh: *dh,
                         scale: 1.0 / (*dh as f32).sqrt(),
+                        mask,
+                        stats,
                     }
                 }
                 (PlanOp::FusedAttentionMap { heads, tq, tk, dh }, ..) => {
                     kt_len = kt_len.max(dh * tk);
                     vt_len = vt_len.max(dh * tk);
                     sc_len = sc_len.max(*tk);
-                    st_len = st_len.max(tq * heads);
+                    let stats = st_len;
+                    st_len += 2 * tq * heads;
                     out_sink_len = out_sink_len.max(tq * heads * dh);
                     zero_v_len = zero_v_len.max(heads * tk * dh);
                     ExecOp::AttentionMap {
@@ -1261,6 +1374,7 @@ impl PlanExecutor {
                         tk: *tk,
                         dh: *dh,
                         scale: 1.0 / (*dh as f32).sqrt(),
+                        stats,
                     }
                 }
                 (PlanOp::ColMean, ..) => {
@@ -1279,6 +1393,18 @@ impl PlanExecutor {
                     }
                 }
                 (PlanOp::Sum, ..) => ExecOp::Sum,
+                (PlanOp::IndexSelectRows, ..) => ExecOp::GatherRows { d: in_dims(0)[1] },
+                (PlanOp::Slice { axis, start, len }, ..) => ExecOp::Slice {
+                    split: AxisSplit::new(in_dims(0), *axis),
+                    start: *start,
+                    len: *len,
+                },
+                (PlanOp::LogSoftmaxLast, ..) => ExecOp::LogSoftmax {
+                    c: out_v.dims.last().copied().unwrap_or(1),
+                },
+                (PlanOp::GatherLast, ..) => ExecOp::GatherLast {
+                    c: in_dims(0).last().copied().unwrap_or(1),
+                },
                 (op, ..) => {
                     return Err(PlanError::new(format!("op {op:?} has no executor kernel")))
                 }
@@ -1310,6 +1436,18 @@ impl PlanExecutor {
                 vec![0.0f32; len]
             })
             .collect();
+        // Every mask slot starts zeroed: all keys live until it is fed.
+        let mask_live = aux
+            .iter()
+            .zip(&mask_tk)
+            .map(|(bias, &tk)| {
+                let mut live = vec![0usize; bias.len().checked_div(tk).unwrap_or(0)];
+                if tk > 0 {
+                    live_keys(bias, tk, &mut live);
+                }
+                live
+            })
+            .collect();
         Ok(PlanExecutor {
             exec,
             arena: vec![0.0f32; plan.arena_len()],
@@ -1319,14 +1457,25 @@ impl PlanExecutor {
             root_len,
             target: vec![0.0f32; target_len],
             aux,
+            mask_live,
+            mask_tk,
             attn_kt: vec![0.0f32; kt_len],
             attn_vt: vec![0.0f32; vt_len],
             attn_scores: vec![0.0f32; sc_len],
             attn_map: vec![0.0f32; map_len],
-            attn_stats: vec![0.0f32; 2 * st_len],
+            attn_saved: vec![0.0f32; st_len],
             attn_out_sink: vec![0.0f32; out_sink_len],
             attn_zero_v: vec![0.0f32; zero_v_len],
         })
+    }
+
+    /// Offset in `attn_saved` of the softmax statistics plan step `step`
+    /// writes (attention steps only).
+    pub(crate) fn stats_offset(&self, step: usize) -> Option<usize> {
+        match self.exec.get(step)?.op {
+            ExecOp::Attention { stats, .. } | ExecOp::AttentionMap { stats, .. } => Some(stats),
+            _ => None,
+        }
     }
 
     /// Element count the input slice must have.
@@ -1346,10 +1495,15 @@ impl PlanExecutor {
     }
 
     /// Feeds auxiliary constant `k` (index into the spec's `aux_labels`)
-    /// for subsequent runs. Panics on length mismatch.
+    /// for subsequent runs. Panics on length mismatch. When the slot is an
+    /// attention mask, its live key counts are recounted here, once per
+    /// feed, so the replay loop never scans the mask.
     pub fn set_aux(&mut self, k: usize, data: &[f32]) {
         assert_eq!(data.len(), self.aux[k].len(), "aux length mismatch");
         self.aux[k].copy_from_slice(data);
+        if self.mask_tk[k] > 0 {
+            live_keys(&self.aux[k], self.mask_tk[k], &mut self.mask_live[k]);
+        }
     }
 
     /// Executes the plan on `input`, writing the root value into `out`.
@@ -1368,6 +1522,7 @@ impl PlanExecutor {
         let params = &self.params;
         let target = &self.target;
         let aux = &self.aux;
+        let mask_live = &self.mask_live;
         for step in &self.exec {
             // SAFETY: `arena` is allocated to `plan.arena_len()` and every
             // `Loc::Arena` range was bounds-checked at construction; the
@@ -1407,16 +1562,19 @@ impl PlanExecutor {
                     tk,
                     dh,
                     scale,
+                    mask,
+                    stats,
                 } => {
                     let (q, k, v) = (src(0), src(1), src(2));
-                    let half = self.attn_stats.len() / 2;
-                    let (m_sink, l_sink) = self.attn_stats.split_at_mut(half);
+                    let key_mask = mask.map(|m| KeyMask::new(&aux[m], &mask_live[m]));
+                    let saved = &mut self.attn_saved[*stats..*stats + 2 * tq * heads];
+                    let (m_sink, l_sink) = saved.split_at_mut(tq * heads);
                     self.attn_map[..tq * tk].fill(0.0);
                     attn_fwd_row_block(
                         q,
                         k,
                         v,
-                        None,
+                        key_mask,
                         out,
                         &mut self.attn_map[..tq * tk],
                         &mut m_sink[..tq * heads],
@@ -1439,10 +1597,11 @@ impl PlanExecutor {
                     tk,
                     dh,
                     scale,
+                    stats,
                 } => {
                     let (q, k) = (src(0), src(1));
-                    let half = self.attn_stats.len() / 2;
-                    let (m_sink, l_sink) = self.attn_stats.split_at_mut(half);
+                    let saved = &mut self.attn_saved[*stats..*stats + 2 * tq * heads];
+                    let (m_sink, l_sink) = saved.split_at_mut(tq * heads);
                     out.fill(0.0);
                     attn_fwd_row_block(
                         q,
@@ -1504,6 +1663,12 @@ impl PlanExecutor {
                     }
                     out[0] = s;
                 }
+                ExecOp::GatherRows { d } => gather_rows_block(src(0), src(1), *d, out),
+                ExecOp::Slice { split, start, len } => {
+                    slice_block(src(0), out, *split, *start, *len)
+                }
+                ExecOp::LogSoftmax { c } => log_softmax_block(src(0), out, *c),
+                ExecOp::GatherLast { c } => gather_last_block(src(0), src(1), *c, out),
             }
         }
     }
@@ -1599,17 +1764,61 @@ mod tests {
     }
 
     #[test]
-    fn masked_attention_is_rejected() {
-        let x = Tensor::zeros([4, 6]);
-        let mask = Tensor::zeros([4, 4]);
-        let w = Tensor::param(vec![0.5; 6], [6]);
-        let root = replay_labelled(&[("x", &x), ("mask", &mask), ("attn.w", &w)], || {
-            let h = x.mul(&w).reshape([4, 2, 3]).permute(&[1, 0, 2]);
-            Tensor::fused_attention(&h, &h, &h, Some(&mask)).0
-        });
+    fn masked_attention_runs_with_its_mask_fed_at_run_time() {
+        // The mask is the attention node's last parent: a constant leaf
+        // the spec must classify as an aux feed.
+        let (t, h, dh) = (10, 2, 3);
+        let x = Tensor::zeros([t, h * dh]);
+        let mask = Tensor::zeros([t, t]);
+        let w_data: Vec<f32> = (0..h * dh).map(|i| 0.2 * i as f32 - 0.4).collect();
+        let w = Tensor::param(w_data.clone(), [h * dh]);
+        let attend = |x: &Tensor, w: &Tensor, mask: &Tensor| {
+            let heads = x.mul(w).reshape([t, h, dh]).permute(&[1, 0, 2]);
+            Tensor::fused_attention(&heads, &heads, &heads, Some(mask))
+        };
+        let labelled = [("x", &x), ("mask", &mask), ("attn.w", &w)];
+        let root = replay_labelled(&labelled, || attend(&x, &w, &mask).0);
         let err = Plan::compile(&root, &spec()).unwrap_err();
+        assert!(err.message.contains("`mask`"), "{}", err.message);
+
+        let masked_spec = PlanSpec {
+            aux_labels: vec!["mask".to_string()],
+            ..spec()
+        };
+        let plan = Plan::compile(&root, &masked_spec).unwrap();
+        let mut exec = PlanExecutor::new(&plan, |label, _| {
+            (label == "attn.w").then(|| w_data.clone())
+        })
+        .unwrap();
+        // Causal, with the last rows' keys cut further so whole lanes of
+        // forbidden keys are skipped.
+        let mut bias = vec![0.0f32; t * t];
+        for i in 0..t {
+            for j in 0..t {
+                if j > i || (i >= 8 && j < 2) {
+                    bias[i * t + j] = crate::NEG_INF;
+                }
+            }
+        }
+        let x_data: Vec<f32> = (0..t * h * dh).map(|i| (i as f32 * 0.37).sin()).collect();
+        exec.set_aux(0, &bias);
+        let mut got = vec![0.0f32; exec.output_len()];
+        exec.run(&x_data, &mut got);
+        let want = attend(
+            &Tensor::from_vec(x_data, [t, h * dh]),
+            &Tensor::from_vec(w_data.clone(), [h * dh]),
+            &Tensor::from_vec(bias, [t, t]),
+        )
+        .0
+        .to_vec();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "planned masked attention");
+
+        // The masked map has no lowering.
+        let map_root = replay_labelled(&labelled, || attend(&x, &w, &mask).1);
+        let err = Plan::compile(&map_root, &masked_spec).unwrap_err();
         assert!(
-            err.message.contains("`fused_attention` at `attn`"),
+            err.message.contains("`fused_attention_map` at `attn`"),
             "{}",
             err.message
         );

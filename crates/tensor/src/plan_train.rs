@@ -17,10 +17,10 @@
 //! with zero per-step heap allocation, using the *same serial row-block
 //! kernels* as the dynamic engine so parameter updates are bitwise
 //! identical to dynamic [`crate::Tensor`] training at any
-//! `TIMEKD_THREADS`. Fused attention's two-pass backward recomputes the
-//! softmax stats with the deterministic forward kernel instead of saving
-//! them, which is bitwise-equal because the forward row pass is itself
-//! deterministic.
+//! `TIMEKD_THREADS`. Fused attention's two-pass backward reads the
+//! softmax statistics (row max and normaliser) its forward step left in
+//! the forward executor, exactly as the dynamic op's closures share the
+//! statistics its forward saved.
 //!
 //! Adjoint accumulation order mirrors the dynamic engine exactly: every
 //! backward step first materializes each operand's gradient contribution
@@ -32,15 +32,18 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::ops::attention::{attn_bwd_dkv_block, attn_bwd_dq_block, attn_fwd_row_block};
+use crate::ops::attention::{attn_bwd_dkv_block, attn_bwd_dq_block, KeyMask};
 use crate::ops::kernels::{
-    binary_bwd_block, broadcast_walk, inverse_perm, permute_block, permute_walk,
-    sum_axis_bwd_block, unary_bwd_block, AxisSplit, BinKind, RowWalk, UnKind,
+    binary_bwd_block, broadcast_walk, gather_last_bwd_block, gather_rows_bwd_block, inverse_perm,
+    log_softmax_bwd_block, permute_block, permute_walk, sum_axis_bwd_block, unary_bwd_block,
+    AxisSplit, BinKind, RowWalk, UnKind,
 };
-use crate::ops::matmul::{mm_nt_row_block, mm_row_block, pack_transpose_into};
+use crate::ops::matmul::{
+    mm_nt_row_block, mm_row_block, nt_panels_len, pack_nt_operand, pack_transpose_into,
+};
 use crate::plan::{
-    assign_slots, lower_forward, Loc, Plan, PlanError, PlanExecutor, PlanOp, PlanSlot, PlanSpec,
-    PlanValue, ValueId, ValueSource,
+    assign_slots, lower_forward, mask_slot, Loc, Plan, PlanError, PlanExecutor, PlanOp, PlanSlot,
+    PlanSpec, PlanValue, ValueId, ValueSource,
 };
 use crate::simd::{adamw_lanes, AdamWStep};
 use crate::symbolic::SymbolicTensor;
@@ -289,6 +292,15 @@ impl Plan {
                     (vec![inputs[0], inputs[1], inputs[2]], &[0, 1, 2])
                 }
                 (PlanOp::FusedAttentionMap { .. }, ..) => (vec![inputs[0], inputs[1]], &[0, 1]),
+                // The mask is read (it gates the live keys) but never takes
+                // a gradient.
+                (PlanOp::MaskedAttention { .. }, ..) => (inputs.clone(), &[0, 1, 2]),
+                // The runtime ids pick the rows or elements the gradient
+                // scatters to.
+                (PlanOp::IndexSelectRows | PlanOp::GatherLast, ..) => (vec![inputs[1]], &[0]),
+                (PlanOp::Slice { .. }, ..) => (Vec::new(), &[0]),
+                // The probabilities are recomputed from the saved output.
+                (PlanOp::LogSoftmaxLast, ..) => (vec![out_vid], &[0]),
                 _ => {
                     return Err(PlanError::new(format!(
                         "op `{}` has no adjoint lowering",
@@ -533,6 +545,52 @@ struct GradWrite {
     len: usize,
     mode: GradMode,
     scratch_off: usize,
+    /// For a slice's adjoint: the window the compact contribution in
+    /// scratch covers; the rest of the buffer receives zeros.
+    window: Option<SliceWindow>,
+}
+
+/// The window `start..start + len` of the middle axis of a slice's
+/// operand, viewed as `[outer, mid, inner]`.
+#[derive(Clone, Copy, Debug)]
+struct SliceWindow {
+    split: AxisSplit,
+    start: usize,
+    len: usize,
+}
+
+impl SliceWindow {
+    /// Lands the compact window contribution `src` in the full-size `dst`
+    /// exactly as the dynamic slice adjoint's zero-padded gradient would:
+    /// an `Init` write zeroes everything outside the window, an `Accum`
+    /// write adds the window rows and `+0.0` elsewhere (which turns a
+    /// `−0.0` into `+0.0`, as the dynamic add of the padding does).
+    fn apply(self, src: &[f32], dst: &mut [f32], mode: GradMode) {
+        let AxisSplit { mid, inner, .. } = self.split;
+        let (head, chunk) = (self.start * inner, self.len * inner);
+        for (rows, s) in dst
+            .chunks_exact_mut((mid * inner).max(1))
+            .zip(src.chunks_exact(chunk.max(1)))
+        {
+            let (before, rest) = rows.split_at_mut(head);
+            let (win, after) = rest.split_at_mut(chunk);
+            match mode {
+                GradMode::Init => {
+                    before.fill(0.0);
+                    win.copy_from_slice(s);
+                    after.fill(0.0);
+                }
+                GradMode::Accum => {
+                    for d in before.iter_mut().chain(after.iter_mut()) {
+                        *d += 0.0;
+                    }
+                    for (d, &x) in win.iter_mut().zip(s) {
+                        *d += x;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -558,12 +616,30 @@ enum BwdExecOp {
     },
     /// Strided gather realizing `grad.permute(inv)`.
     PermuteInv(RowWalk<1>),
+    /// Scatter-add of gathered rows into the `[V, d]` table gradient.
+    GatherRows {
+        d: usize,
+        table_len: usize,
+    },
+    LogSoftmax {
+        c: usize,
+    },
+    /// Scatter of the per-row gradient to each row's picked element.
+    GatherLast {
+        c: usize,
+        x_len: usize,
+    },
+    /// `mask` is the aux slot of the additive mask, if any; `stats` the
+    /// offset of the forward step's softmax statistics in the forward
+    /// executor's `attn_saved`.
     Attention {
         heads: usize,
         tq: usize,
         tk: usize,
         dh: usize,
         scale: f32,
+        mask: Option<usize>,
+        stats: usize,
     },
     /// Backward of the head-averaged attention map: the upstream gradient
     /// arrives on the `[T_q, T_k]` map (`g_map`), the context output was
@@ -574,6 +650,7 @@ enum BwdExecOp {
         tk: usize,
         dh: usize,
         scale: f32,
+        stats: usize,
     },
 }
 
@@ -582,8 +659,8 @@ struct BwdExec {
     op: BwdExecOp,
     g_off: usize,
     g_len: usize,
-    srcs: [Loc; 3],
-    writes: [Option<GradWrite>; 3],
+    srcs: [Loc; 4],
+    writes: [Option<GradWrite>; 4],
 }
 
 #[derive(Debug)]
@@ -647,6 +724,8 @@ pub struct TrainExecutor {
     scratch: Vec<f32>,
     /// Transposed-A packing buffer for the matmul dB kernel.
     at_buf: Vec<f32>,
+    /// Packed panels of B for the matmul dA (NT) kernel.
+    bt_buf: Vec<f32>,
     // Fused-attention backward scratch (see `fused_attention_backward`).
     attn_p: Vec<f32>,
     attn_ds: Vec<f32>,
@@ -654,12 +733,6 @@ pub struct TrainExecutor {
     attn_vt: Vec<f32>,
     attn_dkt: Vec<f32>,
     attn_dvt: Vec<f32>,
-    attn_stats: Vec<f32>,
-    attn_scores: Vec<f32>,
-    attn_out_sink: Vec<f32>,
-    attn_map_sink: Vec<f32>,
-    /// All-zero `v` operand for map-only attention backward recomputes.
-    attn_zero_v: Vec<f32>,
     input_len: usize,
     target_len: usize,
 }
@@ -723,16 +796,21 @@ impl TrainExecutor {
 
         let mut bwd: Vec<BwdExec> = Vec::new();
         let mut scratch_len = 1usize;
-        let mut at_len = 0usize;
-        let (mut p_len, mut kt_len, mut stat_len) = (0usize, 0usize, 0usize);
-        let (mut out_sink_len, mut map_sink_len, mut score_len) = (0usize, 0usize, 0usize);
-        let mut zero_v_len = 0usize;
+        let (mut at_len, mut bt_len) = (0usize, 0usize);
+        let (mut p_len, mut kt_len) = (0usize, 0usize);
+        // The backward reads the softmax stats its forward step saved.
+        let saved_stats = |fi: usize| {
+            fwd.stats_offset(fi).ok_or_else(|| {
+                PlanError::new(format!("attention step {fi} saves no softmax stats"))
+            })
+        };
         for bstep in plan.bwd_steps() {
             let (g_off, g_len) = match bstep.grad_in {
                 Some(g) => arena_loc(g)?,
                 None => (0, 0),
             };
-            let mut srcs = [Loc::Input; 3];
+            let mut srcs = [Loc::Input; 4];
+            let mut window: Option<SliceWindow> = None;
             let (op, side_layout): (BwdExecOp, Vec<(usize, usize)>) = match bstep.fwd_step {
                 None => (BwdExecOp::Seed, vec![(0, 1)]),
                 Some(fi) => {
@@ -772,6 +850,7 @@ impl TrainExecutor {
                             let (m, k) = (in_dims(0)[0], in_dims(0)[1]);
                             let n = in_dims(1)[1];
                             at_len = at_len.max(m * k);
+                            bt_len = bt_len.max(nt_panels_len(n, k));
                             (
                                 BwdExecOp::Matmul { m, k, n },
                                 vec![(0, m * k), (m * k, k * n)],
@@ -784,14 +863,54 @@ impl TrainExecutor {
                             BwdExecOp::PermuteInv(permute_walk(out_dims, &inverse_perm(p))),
                             vec![(0, in_len(0))],
                         ),
-                        (PlanOp::FusedAttention { heads, tq, tk, dh }, ..) => {
+                        (PlanOp::IndexSelectRows, ..) => (
+                            BwdExecOp::GatherRows {
+                                d: in_dims(0)[1],
+                                table_len: in_len(0),
+                            },
+                            vec![(0, in_len(0))],
+                        ),
+                        (PlanOp::GatherLast, ..) => (
+                            BwdExecOp::GatherLast {
+                                c: in_dims(0).last().copied().unwrap_or(1),
+                                x_len: in_len(0),
+                            },
+                            vec![(0, in_len(0))],
+                        ),
+                        (PlanOp::LogSoftmaxLast, ..) => {
+                            srcs[1] = loc(fstep.output)?;
+                            (
+                                BwdExecOp::LogSoftmax {
+                                    c: out_dims.last().copied().unwrap_or(1),
+                                },
+                                vec![(0, in_len(0))],
+                            )
+                        }
+                        // The window's rows are copied compact into scratch
+                        // and padded as they land (`SliceWindow::apply`).
+                        (PlanOp::Slice { axis, start, len }, ..) => {
+                            window = Some(SliceWindow {
+                                split: AxisSplit::new(in_dims(0), *axis),
+                                start: *start,
+                                len: *len,
+                            });
+                            let g_len = plan.values()[fstep.output].len();
+                            (BwdExecOp::CopyGrad, vec![(0, g_len)])
+                        }
+                        (
+                            PlanOp::FusedAttention { heads, tq, tk, dh }
+                            | PlanOp::MaskedAttention { heads, tq, tk, dh },
+                            ..,
+                        ) => {
+                            let mask = match fstep.op {
+                                PlanOp::MaskedAttention { .. } => {
+                                    Some(mask_slot(plan, fstep.inputs[3], srcs[3])?)
+                                }
+                                _ => None,
+                            };
                             let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                             p_len = p_len.max(heads * tq * tk);
                             kt_len = kt_len.max(tk * dh);
-                            stat_len = stat_len.max(tq * heads);
-                            out_sink_len = out_sink_len.max(tq * heads * dh);
-                            map_sink_len = map_sink_len.max(tq * tk);
-                            score_len = score_len.max(*tk);
                             (
                                 BwdExecOp::Attention {
                                     heads: *heads,
@@ -799,6 +918,8 @@ impl TrainExecutor {
                                     tk: *tk,
                                     dh: *dh,
                                     scale: 1.0 / (*dh as f32).sqrt(),
+                                    mask,
+                                    stats: saved_stats(fi)?,
                                 },
                                 vec![(0, hq), (hq, hk), (hq + hk, hk)],
                             )
@@ -807,11 +928,6 @@ impl TrainExecutor {
                             let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                             p_len = p_len.max(heads * tq * tk);
                             kt_len = kt_len.max(tk * dh);
-                            stat_len = stat_len.max(tq * heads);
-                            out_sink_len = out_sink_len.max(tq * heads * dh);
-                            map_sink_len = map_sink_len.max(tq * tk);
-                            score_len = score_len.max(*tk);
-                            zero_v_len = zero_v_len.max(heads * tk * dh);
                             (
                                 BwdExecOp::AttentionMap {
                                     heads: *heads,
@@ -819,6 +935,7 @@ impl TrainExecutor {
                                     tk: *tk,
                                     dh: *dh,
                                     scale: 1.0 / (*dh as f32).sqrt(),
+                                    stats: saved_stats(fi)?,
                                 },
                                 vec![(0, hq), (hq, hk)],
                             )
@@ -835,7 +952,7 @@ impl TrainExecutor {
             scratch_len = scratch_len.max(side_layout.last().map_or(0, |&(o, l)| o + l));
             // Map declared writes onto operand sides via their adjoint
             // owner; repeated operands fill the first free matching side.
-            let mut writes: [Option<GradWrite>; 3] = [None, None, None];
+            let mut writes: [Option<GradWrite>; 4] = [None; 4];
             for &(gvid, mode) in &bstep.writes {
                 let owner = plan.values()[gvid].adjoint_of.ok_or_else(|| {
                     PlanError::new(format!(
@@ -862,7 +979,9 @@ impl TrainExecutor {
                 };
                 let (off, len) = arena_loc(gvid)?;
                 let (scratch_off, side_len) = side_layout[side];
-                if len != side_len {
+                let full_len =
+                    window.map_or(side_len, |w| w.split.outer * w.split.mid * w.split.inner);
+                if len != full_len {
                     return Err(PlanError::new(format!(
                         "backward write `{}` length mismatch",
                         plan.values()[gvid].label
@@ -873,6 +992,7 @@ impl TrainExecutor {
                     len,
                     mode,
                     scratch_off,
+                    window,
                 });
             }
             bwd.push(BwdExec {
@@ -944,17 +1064,13 @@ impl TrainExecutor {
             clip_max: plan.grad_clip(),
             scratch: vec![0.0; scratch_len],
             at_buf: vec![0.0; at_len],
+            bt_buf: vec![0.0; bt_len],
             attn_p: vec![0.0; p_len],
             attn_ds: vec![0.0; p_len],
             attn_kt: vec![0.0; kt_len],
             attn_vt: vec![0.0; kt_len],
             attn_dkt: vec![0.0; kt_len],
             attn_dvt: vec![0.0; kt_len],
-            attn_stats: vec![0.0; 2 * stat_len],
-            attn_scores: vec![0.0; score_len],
-            attn_out_sink: vec![0.0; out_sink_len],
-            attn_map_sink: vec![0.0; map_sink_len],
-            attn_zero_v: vec![0.0; zero_v_len],
             input_len,
             target_len,
         })
@@ -1106,22 +1222,20 @@ impl TrainExecutor {
             bwd,
             scratch,
             at_buf,
+            bt_buf,
             attn_p,
             attn_ds,
             attn_kt,
             attn_vt,
             attn_dkt,
             attn_dvt,
-            attn_stats,
-            attn_scores,
-            attn_out_sink,
-            attn_map_sink,
-            attn_zero_v,
             ..
         } = self;
         let params = &fwd.params;
         let target = &fwd.target;
         let aux = &fwd.aux;
+        let mask_live = &fwd.mask_live;
+        let attn_saved = &fwd.attn_saved;
         let arena = &mut fwd.arena;
         for step in bwd.iter() {
             {
@@ -1183,10 +1297,12 @@ impl TrainExecutor {
                         let sb = &mut rest[..k * n];
                         if wa {
                             // dA = g · Bᵀ, the dynamic `mm_nt_accumulate`
-                            // serial path.
+                            // serial path, packing B into the arena's panel.
                             let b = resolve(step.srcs[1], arena_r, params, input, target, aux);
+                            let panels = &mut bt_buf[..nt_panels_len(*n, *k)];
+                            pack_nt_operand(b, panels, *n, *k);
                             sa.fill(0.0);
-                            mm_nt_row_block(g, b, sa, 0, *m, *n, *k);
+                            mm_nt_row_block(g, b, panels, sa, 0, *m, *n, *k);
                         }
                         if wb {
                             // dB = Aᵀ · g via the same packed-transpose +
@@ -1201,16 +1317,32 @@ impl TrainExecutor {
                     BwdExecOp::PermuteInv(walk) => {
                         permute_block(walk, g, &mut scratch[..g.len()]);
                     }
+                    BwdExecOp::GatherRows { d, table_len } => {
+                        let ids = resolve(step.srcs[1], arena_r, params, input, target, aux);
+                        gather_rows_bwd_block(ids, *d, g, &mut scratch[..*table_len]);
+                    }
+                    BwdExecOp::LogSoftmax { c } => {
+                        let y = resolve(step.srcs[1], arena_r, params, input, target, aux);
+                        log_softmax_bwd_block(y, g, &mut scratch[..y.len()], *c);
+                    }
+                    BwdExecOp::GatherLast { c, x_len } => {
+                        let ids = resolve(step.srcs[1], arena_r, params, input, target, aux);
+                        gather_last_bwd_block(ids, *c, g, &mut scratch[..*x_len]);
+                    }
                     BwdExecOp::Attention {
                         heads,
                         tq,
                         tk,
                         dh,
                         scale,
+                        mask,
+                        stats,
                     } => {
                         let q = resolve(step.srcs[0], arena_r, params, input, target, aux);
                         let k = resolve(step.srcs[1], arena_r, params, input, target, aux);
                         let v = resolve(step.srcs[2], arena_r, params, input, target, aux);
+                        let key_mask = mask.map(|m| KeyMask::new(&aux[m], &mask_live[m]));
+                        let live = mask.map(|m| mask_live[m].as_slice());
                         let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                         let (dq, rest) = scratch.split_at_mut(hq);
                         let (dk, rest2) = rest.split_at_mut(hk);
@@ -1218,32 +1350,9 @@ impl TrainExecutor {
                         dq.fill(0.0);
                         dk.fill(0.0);
                         dv.fill(0.0);
-                        // Recompute the softmax stats with the forward
-                        // row kernel — deterministic, hence bitwise equal
-                        // to the stats the dynamic engine saved.
-                        let half = attn_stats.len() / 2;
-                        let (m_sink, l_sink) = attn_stats.split_at_mut(half);
-                        attn_map_sink[..tq * tk].fill(0.0);
-                        attn_fwd_row_block(
-                            q,
-                            k,
-                            v,
-                            None,
-                            &mut attn_out_sink[..tq * heads * dh],
-                            &mut attn_map_sink[..tq * tk],
-                            &mut m_sink[..tq * heads],
-                            &mut l_sink[..tq * heads],
-                            &mut attn_kt[..dh * tk],
-                            &mut attn_vt[..dh * tk],
-                            &mut attn_scores[..*tk],
-                            0,
-                            *tq,
-                            *heads,
-                            *tq,
-                            *tk,
-                            *dh,
-                            *scale,
-                        );
+                        // The softmax stats the forward step saved.
+                        let (m_sink, l_sink) =
+                            attn_saved[*stats..*stats + 2 * tq * heads].split_at(tq * heads);
                         // Pass A: dQ plus the saved P/dS row maps, one
                         // full-range block per head (bitwise equal to any
                         // partition of the dynamic pool dispatch).
@@ -1252,7 +1361,7 @@ impl TrainExecutor {
                                 q,
                                 k,
                                 v,
-                                None,
+                                key_mask,
                                 Some(g),
                                 None,
                                 &m_sink[..tq * heads],
@@ -1276,7 +1385,7 @@ impl TrainExecutor {
                         for h in 0..*heads {
                             attn_bwd_dkv_block(
                                 q,
-                                None,
+                                live,
                                 Some(g),
                                 &attn_p[..heads * tq * tk],
                                 &attn_ds[..heads * tq * tk],
@@ -1300,6 +1409,7 @@ impl TrainExecutor {
                         tk,
                         dh,
                         scale,
+                        stats,
                     } => {
                         // The upstream gradient lands on the head-averaged
                         // map; the context output was discarded, so
@@ -1312,32 +1422,9 @@ impl TrainExecutor {
                         let dk = &mut rest[..hk];
                         dq.fill(0.0);
                         dk.fill(0.0);
-                        // Recompute the softmax stats deterministically —
-                        // the map kernel packs `v` unconditionally, so it
-                        // gets the pre-zeroed sink the map never reads.
-                        let half = attn_stats.len() / 2;
-                        let (m_sink, l_sink) = attn_stats.split_at_mut(half);
-                        attn_map_sink[..tq * tk].fill(0.0);
-                        attn_fwd_row_block(
-                            q,
-                            k,
-                            &attn_zero_v[..heads * tk * dh],
-                            None,
-                            &mut attn_out_sink[..tq * heads * dh],
-                            &mut attn_map_sink[..tq * tk],
-                            &mut m_sink[..tq * heads],
-                            &mut l_sink[..tq * heads],
-                            &mut attn_kt[..dh * tk],
-                            &mut attn_vt[..dh * tk],
-                            &mut attn_scores[..*tk],
-                            0,
-                            *tq,
-                            *heads,
-                            *tq,
-                            *tk,
-                            *dh,
-                            *scale,
-                        );
+                        // The softmax stats the forward step saved.
+                        let (m_sink, l_sink) =
+                            attn_saved[*stats..*stats + 2 * tq * heads].split_at(tq * heads);
                         for h in 0..*heads {
                             attn_bwd_dq_block(
                                 q,
@@ -1389,8 +1476,12 @@ impl TrainExecutor {
             // Apply phase: land contributions in declared (dynamic
             // accumulation) order.
             for w in step.writes.iter().flatten() {
-                let src = &scratch[w.scratch_off..w.scratch_off + w.len];
                 let dst = &mut arena[w.off..w.off + w.len];
+                if let Some(window) = w.window {
+                    window.apply(&scratch[w.scratch_off..], dst, w.mode);
+                    continue;
+                }
+                let src = &scratch[w.scratch_off..w.scratch_off + w.len];
                 match w.mode {
                     GradMode::Init => dst.copy_from_slice(src),
                     GradMode::Accum => {
@@ -1832,6 +1923,154 @@ pub(crate) mod tests {
                     "sum_axis {axis} of rank {rank}"
                 );
             }
+        }
+    }
+
+    /// A small causal-LM-shaped loss over the runtime-operand ops: a row
+    /// gather by input ids plus a sliced positional table, masked
+    /// attention, a tied head whose shifted logits feed a cross-entropy
+    /// over aux targets, and two slices of one hidden state (last row and
+    /// a column window), so slice adjoints land both first and added.
+    fn lm_ops_loss(table: &Tensor, pos: &Tensor, w: &Tensor, feeds: [&Tensor; 4]) -> Tensor {
+        let [ids, mask, next, y] = feeds;
+        let s = ids.num_elements();
+        let x = table.index_select_rows(ids).add(&pos.slice(0, 0, s));
+        let heads = x.mul(w).reshape([s, 2, 3]).permute(&[1, 0, 2]);
+        let h = Tensor::fused_attention(&heads, &heads, &heads, Some(mask))
+            .0
+            .add(&x);
+        let lm = h
+            .matmul(&table.transpose_last())
+            .slice(0, 0, s - 1)
+            .cross_entropy(next);
+        let value = h.slice(0, s - 1, 1).sub(y).square().mean();
+        let window = h.slice(1, 1, 3).square().mean();
+        lm.add(&value.mul_scalar(3.0)).add(&window)
+    }
+
+    #[test]
+    fn planned_runtime_operand_ops_train_bitwise_dynamic() {
+        let (v, d, s) = (11, 6, 9);
+        let mut rng = seeded_rng(0x1D5);
+        let init = [
+            Tensor::randn([v, d], 0.5, &mut rng).to_vec(),
+            Tensor::randn([16, d], 0.5, &mut rng).to_vec(),
+            Tensor::randn([d], 0.5, &mut rng).to_vec(),
+        ];
+        let shapes: [&[usize]; 3] = [&[v, d], &[16, d], &[d]];
+        let labels = ["emb.table", "emb.pos", "attn.w"];
+        let params = |data: &[Vec<f32>; 3]| -> Vec<Tensor> {
+            data.iter()
+                .zip(shapes)
+                .map(|(x, dims)| Tensor::param(x.clone(), dims.to_vec()))
+                .collect()
+        };
+        // Per step: ids, a causal mask with a cut-off prefix, next ids and
+        // a value target.
+        let feeds = |step: usize| -> [Tensor; 4] {
+            let ids: Vec<usize> = (0..s).map(|i| (i * 7 + step * 3) % v).collect();
+            let mut bias = vec![0.0f32; s * s];
+            for i in 0..s {
+                for j in 0..s {
+                    if j > i || (step == 1 && j + 3 < i) {
+                        bias[i * s + j] = crate::NEG_INF;
+                    }
+                }
+            }
+            let next: Vec<usize> = ids[1..].to_vec();
+            let y: Vec<f32> = (0..d).map(|j| (j + step) as f32 * 0.1).collect();
+            [
+                Tensor::indices(&ids),
+                Tensor::from_vec(bias, [s, s]),
+                Tensor::indices(&next),
+                Tensor::from_vec(y, [1, d]),
+            ]
+        };
+
+        let dyn_params = params(&init);
+        let mut opt = dyn_adamw();
+        let mut want_losses = Vec::new();
+        for step in 0..3 {
+            let f = feeds(step);
+            for p in &dyn_params {
+                p.zero_grad();
+            }
+            let loss = lm_ops_loss(
+                &dyn_params[0],
+                &dyn_params[1],
+                &dyn_params[2],
+                [&f[0], &f[1], &f[2], &f[3]],
+            );
+            want_losses.push(loss.item());
+            loss.backward();
+            opt.step(&dyn_params);
+        }
+
+        let rec_params = params(&init);
+        let f = feeds(0);
+        let mut rec = Recorder::new();
+        for (label, p) in labels.iter().zip(&rec_params) {
+            rec.param(label, p, false);
+        }
+        for (label, t) in ["ids", "mask", "next", "y"].iter().zip(&f) {
+            rec.name(label, t);
+        }
+        let loss = record(|| {
+            lm_ops_loss(
+                &rec_params[0],
+                &rec_params[1],
+                &rec_params[2],
+                [&f[0], &f[1], &f[2], &f[3]],
+            )
+        });
+        let root = rec.replay(&[&loss]).expect("replays").remove(0);
+        let spec = PlanSpec {
+            input_label: "ids".to_string(),
+            aux_labels: vec!["mask".to_string(), "next".to_string()],
+            ..spec()
+        };
+        let plan = Plan::compile_training(&root, &spec, &TrainSpec::new("y", adamw()))
+            .expect("training plan compiles");
+        let accum_windows = plan
+            .bwd_steps()
+            .iter()
+            .filter(|b| {
+                b.fwd_step
+                    .is_some_and(|t| matches!(plan.steps()[t].op, PlanOp::Slice { .. }))
+                    && b.writes.iter().any(|&(_, m)| m == GradMode::Accum)
+            })
+            .count();
+        assert!(
+            accum_windows > 0,
+            "no slice adjoint lands as an Accum write"
+        );
+        let mut exec = TrainExecutor::new(&plan, |label, _| {
+            labels
+                .iter()
+                .position(|l| *l == label)
+                .map(|i| init[i].clone())
+        })
+        .expect("binds");
+        for (step, want) in want_losses.iter().enumerate() {
+            let f = feeds(step);
+            exec.set_aux(0, &f[1].to_vec());
+            exec.set_aux(1, &f[2].to_vec());
+            let got = exec.run_train_step(&f[0].to_vec(), &f[3].to_vec());
+            assert_eq!(got.to_bits(), want.to_bits(), "step {step}: loss");
+        }
+        let bound: Vec<&str> = plan
+            .values()
+            .iter()
+            .filter(|v| v.source == ValueSource::Param)
+            .map(|v| v.label.as_str())
+            .collect();
+        for (i, label) in bound.iter().enumerate() {
+            let k = labels.iter().position(|l| l == label).expect("known param");
+            assert_eq!(
+                bits(exec.param_data(i)),
+                bits(&dyn_params[k].to_vec()),
+                "{label}"
+            );
         }
     }
 

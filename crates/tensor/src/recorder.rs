@@ -316,7 +316,9 @@ mod tests {
             ("permute", |o| o[3].permute(&[1, 0, 2])),
             ("slice", |o| o[0].slice(1, 2, 3)),
             ("concat", |o| Tensor::concat(&o[..2], 0)),
-            ("index_select_rows", |o| o[7].index_select_rows(&[3, 1, 3])),
+            ("index_select_rows", |o| {
+                o[7].index_select_rows(&Tensor::indices(&[3, 1, 3]))
+            }),
             ("fused_attention", |o| {
                 Tensor::fused_attention(&o[3], &o[4], &o[5], None).0
             }),

@@ -46,20 +46,17 @@
 //! `crates/tensor/tests/simd_equivalence.rs` holds both to an f64 reference
 //! and checks the special values and the lane/tail agreement.
 
-/// Scalar fused multiply-add with a deterministic per-build contract.
+/// Scalar fused multiply-add: `a * b + c` with one rounding, on every
+/// build.
 ///
-/// Compiles to a single `vfmadd` when the build target has FMA (the
-/// committed `.cargo/config.toml` sets `target-cpu=native`); otherwise
-/// falls back to `a * b + c` so that builds without hardware FMA never
-/// hit the slow libm `fma` path. Within one build the choice is fixed,
-/// which is all the determinism contract requires.
+/// `f32::mul_add` is correctly rounded by definition, so its bits do not
+/// depend on the build target: a target with FMA (the committed
+/// `.cargo/config.toml` sets `target-cpu=native`) compiles it to one
+/// `vfmadd`, and a target without it calls the software `fmaf`, which is
+/// slower but gives the same bits.
 #[inline(always)]
 pub fn fmadd(a: f32, b: f32, c: f32) -> f32 {
-    if cfg!(target_feature = "fma") {
-        a.mul_add(b, c)
-    } else {
-        a * b + c
-    }
+    a.mul_add(b, c)
 }
 
 /// Eight f32 lanes in a plain array, aligned for one AVX2 register.
@@ -96,6 +93,13 @@ impl F32x8 {
     #[inline(always)]
     pub fn store(self, dst: &mut [f32]) {
         dst[..8].copy_from_slice(&self.0);
+    }
+
+    /// Lane-wise `self + b`.
+    #[inline(always)]
+    #[allow(clippy::should_implement_trait)]
+    pub fn add(self, b: F32x8) -> F32x8 {
+        F32x8(std::array::from_fn(|l| self.0[l] + b.0[l]))
     }
 
     /// Lane-wise fused multiply-add: `self * b + c` via [`fmadd`].

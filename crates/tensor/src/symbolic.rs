@@ -69,9 +69,10 @@ pub enum SymAttr {
         /// Concatenation axis.
         axis: usize,
     },
-    /// `fused_attention` (and its map) under an additive mask, which the
-    /// op captures as data rather than as a parent. Plans have no masked
-    /// lowering.
+    /// `fused_attention` (and its map) under an additive mask, which is
+    /// the node's last parent: a constant leaf that never takes a
+    /// gradient. Plans lower the masked context node with the mask fed at
+    /// run time (an aux leaf); the masked map has no lowering.
     Masked,
 }
 

@@ -3,7 +3,9 @@
 //! The kernels promise *pinned* reduction orders (see
 //! `timekd_tensor::simd`): NN products accumulate one ascending-`k` fused
 //! multiply-add chain per output element, and NT/dot-style contractions
-//! use the 8-lane blocked `dot_lanes` order. These tests restate both
+//! use the 8-lane blocked `dot_lanes` order — which the NT kernel runs for
+//! 8 outputs at once, one accumulator per lane class, restated here as
+//! plain loops and swept over every shape up to 17 per side. These tests restate both
 //! orders as plain scalar reference loops — no `F32x8`, no register
 //! tiling — and assert the shipped kernels match them **bitwise**, at
 //! thread counts {1, 2, 5}, on shapes with row/column/lane remainders,
@@ -18,7 +20,10 @@
 
 use timekd_tensor::parallel::with_threads;
 use timekd_tensor::simd::{self, fmadd, EXP_HI, EXP_LO};
-use timekd_tensor::{seeded_rng, SeededRng, Tensor};
+use timekd_tensor::{
+    record, seeded_rng, Plan, PlanOptimizer, PlanSpec, Recorder, SeededRng, Tensor, TrainExecutor,
+    TrainSpec, ValueSource,
+};
 
 fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
@@ -145,6 +150,157 @@ fn simd_gradients_match_pinned_references_at_all_threads() {
                 &db,
                 &want_db,
                 &format!("TN dB {m}x{k}x{n} threads={threads}"),
+            );
+        }
+    }
+}
+
+/// Scalar restatement of the lane-class NT kernel (`mm_nt_row_block`):
+/// `out[i, j] = 0 + Σ_kk a[i, kk] · b[j, kk]` for `a` `[m, k]` and `b`
+/// `[n, k]`. For each group of 8 consecutive outputs, lane class `l` (the
+/// elements `kk ≡ l mod 8`) of each output accumulates ascending with
+/// fmadd, the 8 classes combine through the fixed tree
+/// `((c0+c1)+(c2+c3)) + ((c4+c5)+(c6+c7))`, and the `k % 8` tail folds
+/// ascending with fmadd; outputs past the last whole group of 8 take the
+/// `dot_lanes` order of their row pair. Plain loops over plain arrays: no
+/// packing, no `F32x8`.
+fn nt_lane_class_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    let k8 = k / 8 * 8;
+    let n8 = n / 8 * 8;
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for j0 in (0..n8).step_by(8) {
+            // acc[l][o]: lane class l of output j0 + o.
+            let mut acc = [[0.0f32; 8]; 8];
+            for t in (0..k8).step_by(8) {
+                for (l, class) in acc.iter_mut().enumerate() {
+                    for (o, c) in class.iter_mut().enumerate() {
+                        *c = fmadd(a_row[t + l], b[(j0 + o) * k + t + l], *c);
+                    }
+                }
+            }
+            for o in 0..8 {
+                let c = |l: usize| acc[l][o];
+                let mut sum = ((c(0) + c(1)) + (c(2) + c(3))) + ((c(4) + c(5)) + (c(6) + c(7)));
+                for kk in k8..k {
+                    sum = fmadd(a_row[kk], b[(j0 + o) * k + kk], sum);
+                }
+                out[i * n + j0 + o] = 0.0 + sum;
+            }
+        }
+        for j in n8..n {
+            out[i * n + j] = 0.0 + dot_lanes_reference(a_row, &b[j * k..(j + 1) * k]);
+        }
+    }
+    out
+}
+
+/// The NT shapes of the lane-class sweep: `(m, k, n)` rows, contraction
+/// length and outputs, each in `0..=17`, so every row pair, row tail,
+/// column group, column tail and `k % 8` tail occurs, empty ones included.
+fn nt_sweep() -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..=17).flat_map(|m| (0..=17).flat_map(move |k| (0..=17).map(move |n| (m, k, n))))
+}
+
+/// `a` `[m, k]` and `b` `[n, k]` of one sweep shape.
+fn nt_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+    let seed = (m * 400 + k * 20 + n) as u64;
+    let mut rng = seeded_rng(seed);
+    (
+        Tensor::randn([m * k], 1.0, &mut rng).to_vec(),
+        Tensor::randn([n * k], 1.0, &mut rng).to_vec(),
+    )
+}
+
+#[test]
+fn nt_lane_class_kernel_matches_scalar_reference() {
+    // The lane-class order moves no bit against per-element `dot_lanes`,
+    // and the NT kernel (the `dA = g·Bᵀ` adjoint of a matmul, here with
+    // `g` the `[m, k]` operand and `B` the `[n, k]` one) gives it at 1 and
+    // 2 threads.
+    for (m, k, n) in nt_sweep() {
+        let (g, b) = nt_operands(m, k, n);
+        let want = nt_lane_class_reference(&g, &b, m, k, n);
+        let mut per_dot = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                per_dot[i * n + j] =
+                    0.0 + dot_lanes_reference(&g[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+            }
+        }
+        assert_bits_eq(&want, &per_dot, &format!("reference m{m} k{k} n{n}"));
+        let mask = Tensor::from_vec(g.clone(), [m, k]);
+        for threads in [1, 2] {
+            let da = with_threads(threads, || {
+                // C = A·B with A `[m, n]` and B `[n, k]` stored as `b`
+                // `[n, k]`; loss = sum(C ⊙ g), so dA = g·Bᵀ.
+                let a = Tensor::param(vec![0.5; m * n], [m, n]);
+                let bt = Tensor::from_vec(b.clone(), [n, k]);
+                a.matmul(&bt).mul(&mask).sum().backward();
+                a.grad().expect("dA")
+            });
+            assert_bits_eq(&da, &want, &format!("NT m{m} k{k} n{n} threads={threads}"));
+        }
+    }
+}
+
+#[test]
+fn planned_nt_adjoint_matches_lane_class_reference() {
+    // The same sweep through a planned training step: the plan's `dA`
+    // adjoint packs B into its arena panel and runs the lane-class kernel.
+    let spec = PlanSpec {
+        input_label: "g".to_string(),
+        ..PlanSpec::default()
+    };
+    for (m, k, n) in nt_sweep() {
+        let (g, b) = nt_operands(m, k, n);
+        let want = nt_lane_class_reference(&g, &b, m, k, n);
+        let a = Tensor::param(vec![0.5; m * n], [m, n]);
+        let bt = Tensor::param(b.clone(), [n, k]);
+        let (gt, y) = (Tensor::zeros([m, k]), Tensor::zeros([1]));
+        let mut rec = Recorder::new();
+        rec.param("a", &a, false);
+        rec.param("b", &bt, false);
+        rec.name("g", &gt);
+        rec.name("y", &y);
+        let loss = record(|| a.matmul(&bt).mul(&gt).sum().add(&y.sum()));
+        let root = rec.replay(&[&loss]).expect("replays").remove(0);
+        let optimizer = PlanOptimizer::AdamW {
+            lr: 0.0,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            weight_decay: 0.0,
+        };
+        let plan = Plan::compile_training(&root, &spec, &TrainSpec::new("y", optimizer))
+            .expect("training plan compiles");
+        let a_vid = plan
+            .values()
+            .iter()
+            .position(|v| v.source == ValueSource::Param && v.label == "a")
+            .expect("a is bound");
+        let grad = plan
+            .values()
+            .iter()
+            .position(|v| v.adjoint_of == Some(a_vid))
+            .expect("a has a gradient");
+        let (off, len) = plan.arena_range(grad).expect("dA lives in the arena");
+        for threads in [1, 2] {
+            let da = with_threads(threads, || {
+                let mut exec = TrainExecutor::new(&plan, |label, _| match label {
+                    "a" => Some(vec![0.5; m * n]),
+                    "b" => Some(b.clone()),
+                    _ => None,
+                })
+                .expect("binds");
+                exec.run_train_step(&g, &[0.0]);
+                exec.arena_value(off, len).to_vec()
+            });
+            assert_bits_eq(
+                &da,
+                &want,
+                &format!("planned NT m{m} k{k} n{n} threads={threads}"),
             );
         }
     }

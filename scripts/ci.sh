@@ -33,7 +33,7 @@ cargo build --release --workspace
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward, family vs sequential frozen-LM cache, one CLM forward per pretraining step, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
+echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward, family vs sequential frozen-LM cache, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned forecast and the planned
 # objective over several steps must reproduce the dynamic engine bit for
@@ -60,12 +60,22 @@ cargo test -q -p timekd-lm --test proptest_lm -- --exact \
 cargo test -q -p timekd-lm --lib -- --exact \
   frozen::tests::family_batch_matches_sequential_embeds
 # A pretraining step reads both losses from one CLM forward: the shared
-# losses equal the separate forwards' bit for bit, and the trace shows one
-# encoder forward per step.
+# losses equal the separate forwards' bit for bit. The steps replay one
+# compiled plan, which must reproduce the dynamic step's losses and every
+# parameter bit over several steps (every LM size, calibration on and
+# off), and the trace shows one planned step replay per step, one compile
+# and no dynamic backward. The plan's new ops (row gathers, slices with
+# both first and added window writes, log-softmax, masked attention) and
+# their adjoints match the dynamic graph bit for bit.
 cargo test -q -p timekd-lm --lib -- --exact \
-  pretrain::tests::shared_forward_losses_match_separate_forwards_bitwise
+  pretrain::tests::shared_forward_losses_match_separate_forwards_bitwise \
+  pretrain::tests::planned_pretraining_matches_dynamic_steps_bitwise \
+  pretrain::tests::corpus_prompts_of_one_series_length_have_one_length
 cargo test -q -p timekd-lm --test pretrain_trace -- --exact \
   pretraining_runs_one_encoder_forward_per_step
+cargo test -q -p timekd-tensor --lib -- --exact \
+  plan_train::tests::planned_runtime_operand_ops_train_bitwise_dynamic \
+  plan::tests::masked_attention_runs_with_its_mask_fed_at_run_time
 # The pinned transcendentals: exp and tanh within 2 ULP of an f64
 # reference over the finite range, their special values, the same bits in
 # a lane kernel's body and its scalar tail at every row length 0..=33, and
@@ -80,6 +90,16 @@ cargo test -q -p timekd-tensor --test simd_equivalence -- --exact \
   softmax_rows_use_the_pinned_exp_at_every_length
 cargo test -q -p timekd-tensor --lib -- --exact \
   simd::tests::adamw_lanes_matches_the_scalar_update_at_every_length
+# The NT matmul adjoint runs `dot_lanes` for 8 outputs at once (one
+# accumulator per lane class): a plain-loop restatement of that order must
+# match it over every (m, k, n) up to 17, dynamically at 1 and 2 threads
+# and through a planned training step. The binary adjoint's per-kind
+# arms must give the scalar loop's bits at every length 0..=33.
+cargo test -q -p timekd-tensor --test simd_equivalence -- --exact \
+  nt_lane_class_kernel_matches_scalar_reference \
+  planned_nt_adjoint_matches_lane_class_reference
+cargo test -q -p timekd-tensor --lib -- --exact \
+  ops::kernels::tests::binary_bwd_block_matches_the_scalar_loop_at_every_length
 cargo test -q -p timekd-check --test trip -- --exact \
   libm_transcendentals_in_kernel_files_trip_on_exact_lines \
   libm_transcendental_rule_is_path_scoped \
