@@ -51,11 +51,12 @@ pub enum Fault {
     /// loss is computed but can no longer update any student parameter.
     /// Must be caught by the gradient-flow wiring pass.
     DetachedDistillationTarget,
-    /// Each recorded CLM embedding is replaced by a grad-enabled replay of the
-    /// `CausalLm::last_token_embedding` forward behind it (the real bug
-    /// would be forgetting the `no_grad` guard in `FrozenLm::embed`):
-    /// frozen LM parameters become reachable from the losses. Must be
-    /// caught by the frozen-parameter pass.
+    /// Each constant CLM embedding the teacher consumes is replaced by a
+    /// grad-enabled replay of a `CausalLm::last_token_embedding` forward
+    /// (the real bug would be a `FrozenLm` miss path that hands out a
+    /// live graph instead of its compiled forward's constants): frozen LM
+    /// parameters become reachable from the losses. Must be caught by the
+    /// frozen-parameter pass.
     UnfrozenLm,
     /// The head count is raised to the next count that does not divide
     /// the model width, which `MultiHeadAttention::new` rejects when the
@@ -67,13 +68,14 @@ pub enum Fault {
     DanglingParam,
 }
 
-/// How `fault` rewrites one recorded node on replay.
-fn rewrite(fault: Fault, node: &RecordedNode<'_>) -> Rewrite {
+/// How `fault` rewrites one recorded node on replay; `live_clm` is the
+/// gradient-tracking CLM embedding the unfrozen-LM fault splices in.
+fn rewrite(fault: Fault, node: &RecordedNode<'_>, live_clm: Option<&SymbolicTensor>) -> Rewrite {
     let op = node.tensor.op_name();
     let first = node.parents.first();
     let from_clm = |t: &SymbolicTensor| t.label().starts_with("teacher.clm");
-    match fault {
-        Fault::DetachedDistillationTarget
+    match (fault, live_clm) {
+        (Fault::DetachedDistillationTarget, _)
             if op == "smooth_l1" && first.is_some_and(|a| a.op_name() == "fused_attention_map") =>
         {
             Rewrite::Reparent(vec![
@@ -81,12 +83,15 @@ fn rewrite(fault: Fault, node: &RecordedNode<'_>) -> Rewrite {
                 node.parents[1].clone(),
             ])
         }
-        // The embedding leaf `FrozenLm::embed` hands out is a detach of the
-        // recorded forward: undo it, and track gradients through the CLM.
-        Fault::UnfrozenLm if op == "leaf" && first.is_some_and(from_clm) => {
-            Rewrite::Replace(node.parents[0].clone())
+        // The teacher reshapes each constant embedding leaf `FrozenLm`
+        // hands out to `[1, D]`: take a live CLM forward's instead, and
+        // track gradients through what consumes it.
+        (Fault::UnfrozenLm, Some(live))
+            if first.is_some_and(|p| p.op_name() == "leaf" && from_clm(p)) =>
+        {
+            Rewrite::Replace(live.clone())
         }
-        Fault::UnfrozenLm if node.component.starts_with("teacher.clm") => Rewrite::LiftNoGrad,
+        (Fault::UnfrozenLm, _) if node.component.starts_with("teacher.clm") => Rewrite::LiftNoGrad,
         _ => Rewrite::Keep,
     }
 }
@@ -283,7 +288,14 @@ pub fn verify_pipeline(
             .recorder_mut()
             .param("student.dangling.weight", &dangling, false);
     }
-    let p = match recording.replay_with(&mut |node| rewrite(fault, node)) {
+    let live_clm = match fault {
+        Fault::UnfrozenLm => match recording.replay_live_clm_embedding() {
+            Ok(live) => Some(live),
+            Err(e) => return shape_finding("replay-error", e.to_string()),
+        },
+        _ => None,
+    };
+    let p = match recording.replay_with(&mut |node| rewrite(fault, node, live_clm.as_ref())) {
         Ok(p) => p,
         Err(e) => return shape_finding("replay-error", e.to_string()),
     };

@@ -165,12 +165,24 @@ pub struct PipelineRecording {
     /// Reconstruction, correlation, feature, forecast and total-student
     /// loss roots, in [`SymbolicPipeline::loss_roots`] order.
     roots: [Tensor; 5],
+    /// A gradient-tracking forward of the step's CLM on one of its
+    /// prompts: a last-token embedding `[1, D]` as the teacher reshapes
+    /// it, which no root reaches.
+    live_clm_embedding: Tensor,
 }
 
 impl PipelineRecording {
     /// The recorder, for registering extra parameters.
     pub fn recorder_mut(&mut self) -> &mut Recorder {
         &mut self.recorder
+    }
+
+    /// Replays the recording's gradient-tracking CLM forward into its IR:
+    /// a path from a last-token embedding back to the frozen CLM
+    /// parameters, which the constant embeddings `FrozenLm` hands out never
+    /// have. The verifier's unfrozen-LM fault splices it in their place.
+    pub fn replay_live_clm_embedding(&mut self) -> Result<SymbolicTensor, ReplayError> {
+        Ok(self.recorder.replay(&[&self.live_clm_embedding])?.remove(0))
     }
 
     /// Replays the step, letting `hook` rewrite individual nodes.
@@ -196,9 +208,9 @@ impl PipelineRecording {
 /// forward and reconstruction loss (Alg. 1), then the student forward and
 /// its PKD + forecasting objective against the teacher's (detached)
 /// products (Alg. 2, Eq. 29–30). The frozen CLM is a randomly initialised
-/// one; each distinct prompt's `no_grad` forward is in the recording
-/// behind the constant embedding the teacher consumes (a repeated prompt
-/// hits the real embedding cache and comes back as a plain constant).
+/// one; the embeddings the teacher consumes are constants (its compiled
+/// family forward, or the real embedding cache), each labelled as the
+/// CLM's `last_token_embedding`.
 pub fn record_pipeline(
     config: &TimeKdConfig,
     input_len: usize,
@@ -248,7 +260,16 @@ pub fn record_pipeline(
             obj.total,
         ]
     });
-    PipelineRecording { recorder, roots }
+    let live_clm_embedding = record(|| {
+        let lm = teacher.frozen_lm().model();
+        lm.last_token_embedding(&prompts.historical[0], config.ablation.calibrated_attention)
+            .reshape([1, config.lm.dim])
+    });
+    PipelineRecording {
+        recorder,
+        roots,
+        live_clm_embedding,
+    }
 }
 
 /// Records one full TimeKD training step ([`record_pipeline`]) and

@@ -2,9 +2,20 @@
 //!
 //! TimeKD keeps the CLM frozen and, to avoid "repetitive processing with
 //! the frozen CLMs", stores the extracted embeddings for reuse (§IV-B2).
-//! [`FrozenLm`] wraps a pretrained [`CausalLm`], runs it under `no_grad`,
-//! and memoises last-token embeddings keyed by the exact token sequence and
-//! calibration flag.
+//! [`FrozenLm`] wraps a pretrained [`CausalLm`] and memoises last-token
+//! embeddings keyed by the exact token sequence and calibration flag.
+//!
+//! Misses run as a prompt family ([`CausalLm::last_token_embeddings`])
+//! through a compiled forward-only plan of that forward, replayed with no
+//! graph. A plan is specialised to a [`FamilyKey`]: the model geometry,
+//! the calibration flag, the members' lengths in order, which member
+//! carries the shared prefix and how many rows it shares. Every word and
+//! every number of a prompt is one token, so the prompts of one prompt
+//! configuration have fixed lengths and a training run compiles one key,
+//! on its first miss; the plan then lives as long as the `FrozenLm`. The
+//! token ids and mask rows are fed per family from the same
+//! `prompt_feeds` code the dynamic forward reads, which stays the bitwise
+//! oracle (`proptest_lm`).
 //!
 //! The map is indexed by a 64-bit digest for O(1) lookup, but a digest
 //! alone is not a correctness guarantee: two distinct prompts can collide,
@@ -18,9 +29,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use timekd_tensor::{no_grad, Tensor};
+use timekd_nn::Module;
+use timekd_tensor::{no_grad, record, Plan, PlanError, PlanExecutor, PlanSpec, Recorder, Tensor};
 
-use crate::model::CausalLm;
+use crate::config::LmConfig;
+use crate::model::{CausalLm, FamilyFeeds};
 use crate::tokenizer::Token;
 
 /// One memoised embedding plus the full key that produced it, so digest
@@ -39,10 +52,9 @@ impl CacheEntry {
 
 /// Where [`FrozenLm::embed_family`] takes one prompt's embedding from.
 enum Source {
-    /// The `n`th miss of the call, computed now.
-    Miss(usize),
-    /// A hit on the `n`th miss of the same call.
-    Repeat(usize),
+    /// The `n`th miss of the call, computed now: the miss itself, or a
+    /// later hit on it in the same call.
+    Computed(usize),
     /// A verified hit on a stored entry.
     Cached(Vec<f32>),
 }
@@ -50,9 +62,11 @@ enum Source {
 /// A frozen language model with embedding memoisation.
 ///
 /// The model is shared via `Rc` and the tensor engine is single-threaded,
-/// so plain interior mutability suffices for the cache and its counters.
+/// so plain interior mutability suffices for the cache, its counters and
+/// the compiled family plans.
 pub struct FrozenLm {
     lm: CausalLm,
+    plans: RefCell<Vec<FamilyPlan>>,
     cache: RefCell<HashMap<u64, CacheEntry>>,
     caching_enabled: Cell<bool>,
     hits: Cell<u64>,
@@ -75,6 +89,7 @@ impl FrozenLm {
     pub fn new(lm: CausalLm) -> FrozenLm {
         FrozenLm {
             lm,
+            plans: RefCell::new(Vec::new()),
             cache: RefCell::new(HashMap::new()),
             caching_enabled: Cell::new(true),
             hits: Cell::new(0),
@@ -101,9 +116,9 @@ impl FrozenLm {
 
     /// Last-token embeddings `[D]` of several prompts, in order, as
     /// constant tensors. Verified hits come from the cache; the misses run
-    /// as one family ([`CausalLm::last_token_embeddings`]), so prompts that
-    /// share a prefix (a variable's ground-truth and historical prompts)
-    /// compute it once.
+    /// as one family ([`CausalLm::last_token_embeddings`], replayed as its
+    /// compiled plan), so prompts that share a prefix (a variable's
+    /// ground-truth and historical prompts) compute it once.
     ///
     /// Hits, misses, collisions and the cache afterwards are exactly those
     /// of calling [`embed`](Self::embed) on each prompt in turn: a prompt
@@ -123,9 +138,9 @@ impl FrozenLm {
                     // The entry a sequential `embed` would find: the latest
                     // earlier miss under this digest, else the stored one.
                     let found = match misses.iter().rposition(|&m| keys[m] == keys[i]) {
-                        Some(slot) => {
-                            Some((prompts[misses[slot]] == tokens).then_some(Source::Repeat(slot)))
-                        }
+                        Some(slot) => Some(
+                            (prompts[misses[slot]] == tokens).then_some(Source::Computed(slot)),
+                        ),
                         None => cache.get(&keys[i]).map(|entry| {
                             entry
                                 .matches(tokens, calibrated)
@@ -148,20 +163,16 @@ impl FrozenLm {
                 }
                 self.misses.set(self.misses.get() + 1);
                 timekd_obs::LM_CACHE_MISSES.add(1);
-                sources.push(Source::Miss(misses.len()));
+                sources.push(Source::Computed(misses.len()));
                 misses.push(i);
             }
         }
-        let computed: Vec<Tensor> = if misses.is_empty() {
+        let computed: Vec<Vec<f32>> = if misses.is_empty() {
             Vec::new()
         } else {
             let _span = timekd_obs::span("lm.forward");
             let family: Vec<&[Token]> = misses.iter().map(|&i| prompts[i]).collect();
-            // Constant leaves; a recording keeps the forward behind each.
-            no_grad(|| self.lm.last_token_embeddings(&family, calibrated))
-                .iter()
-                .map(Tensor::detach)
-                .collect()
+            self.forward_family(&family, calibrated)
         };
         if caching {
             let mut cache = self.cache.borrow_mut();
@@ -171,19 +182,40 @@ impl FrozenLm {
                     CacheEntry {
                         tokens: prompts[i].to_vec(),
                         calibrated,
-                        data: emb.to_vec(),
+                        data: emb.clone(),
                     },
                 );
             }
         }
         sources
             .into_iter()
-            .map(|source| match source {
-                Source::Miss(slot) => computed[slot].clone(),
-                Source::Repeat(slot) => Tensor::from_vec(computed[slot].to_vec(), [dim]),
-                Source::Cached(data) => Tensor::from_vec(data, [dim]),
+            .map(|source| {
+                let data = match source {
+                    Source::Computed(slot) => computed[slot].clone(),
+                    Source::Cached(data) => data,
+                };
+                self.lm.own_embedding(Tensor::from_vec(data, [dim]))
             })
             .collect()
+    }
+
+    /// Last-token embeddings of a non-empty family, replayed by the plan of
+    /// its [`FamilyKey`], which compiles now if the key is new.
+    fn forward_family(&self, family: &[&[Token]], calibrated: bool) -> Vec<Vec<f32>> {
+        let feeds =
+            FamilyFeeds::new(&self.lm, family, calibrated).expect("a miss family is non-empty");
+        let key = FamilyKey::of(&self.lm, &feeds, calibrated);
+        let mut plans = self.plans.borrow_mut();
+        let slot = match plans.iter().position(|p| p.key == key) {
+            Some(slot) => slot,
+            None => {
+                let plan = FamilyPlan::compile(&self.lm, &feeds, key)
+                    .unwrap_or_else(|e| panic!("the CLM family forward does not plan: {e}"));
+                plans.push(plan);
+                plans.len() - 1
+            }
+        };
+        plans[slot].run(&feeds)
     }
 
     /// Enables or disables the embedding cache (the design-choice ablation
@@ -202,6 +234,12 @@ impl FrozenLm {
     /// whose full key differed). Each one was recomputed, never served.
     pub fn collision_count(&self) -> u64 {
         self.collisions.get()
+    }
+
+    /// Number of family forwards compiled so far: one per distinct
+    /// [`FamilyKey`] a miss has run.
+    pub fn compiled_plans(&self) -> usize {
+        self.plans.borrow().len()
     }
 
     /// Number of distinct prompts embedded.
@@ -236,6 +274,129 @@ impl FrozenLm {
                 data,
             },
         );
+    }
+}
+
+/// What a compiled family forward is specialised to: the LM geometry,
+/// the calibration flag, the members' lengths in order, the carrier (the
+/// member that runs every row) and the rows it shares with the others.
+/// The feeds' shapes, and so the whole recorded graph, follow from these.
+#[derive(Clone, Debug, PartialEq)]
+struct FamilyKey {
+    lm: LmConfig,
+    calibrated: bool,
+    lengths: Vec<usize>,
+    carrier: usize,
+    shared: usize,
+}
+
+impl FamilyKey {
+    fn of(lm: &CausalLm, feeds: &FamilyFeeds, calibrated: bool) -> FamilyKey {
+        FamilyKey {
+            lm: *lm.config(),
+            calibrated,
+            lengths: feeds.members.iter().map(|m| m.len).collect(),
+            carrier: feeds.carrier,
+            shared: feeds.shared,
+        }
+    }
+}
+
+/// Plan label of the positional rows a family reads (see
+/// [`FamilyPlan::compile`]).
+const POS_LABEL: &str = "lm.pos_embedding";
+
+/// Plan label of member `i`'s token ids.
+fn ids_label(i: usize) -> String {
+    format!("lm.ids.{i}")
+}
+
+/// A family's aux feeds in their slot order, with their plan labels:
+/// every member's mask rows, then the ids of every member but the
+/// carrier, whose ids are the plan input.
+fn aux_feeds(feeds: &FamilyFeeds) -> impl Iterator<Item = (String, &Tensor)> {
+    let masks = (feeds.members.iter().enumerate()).map(|(i, m)| (format!("lm.mask.{i}"), &m.mask));
+    let ids = (feeds.members.iter().enumerate())
+        .filter(|&(i, _)| i != feeds.carrier)
+        .map(|(i, m)| (ids_label(i), &m.ids));
+    masks.chain(ids)
+}
+
+/// [`CausalLm::family_embeddings`] compiled for one [`FamilyKey`] into a
+/// forward-only plan, replayed with no graph; each replay is bitwise the
+/// dynamic forward.
+struct FamilyPlan {
+    key: FamilyKey,
+    exec: PlanExecutor,
+    /// The members' embeddings `[n·D]`, in order.
+    out: Vec<f32>,
+}
+
+impl FamilyPlan {
+    /// Records the family forward on `feeds` (the real modules, under a
+    /// [`record`] scope) and compiles it.
+    fn compile(
+        lm: &CausalLm,
+        feeds: &FamilyFeeds,
+        key: FamilyKey,
+    ) -> Result<FamilyPlan, PlanError> {
+        let _span = timekd_obs::span("lm.forward_compile");
+        let params = lm.named_params("lm");
+        let root = {
+            let mut rec = Recorder::new();
+            for (label, p) in &params {
+                rec.param(label, p, true);
+            }
+            rec.name(&ids_label(feeds.carrier), &feeds.members[feeds.carrier].ids);
+            for (label, t) in aux_feeds(feeds) {
+                rec.name(&label, t);
+            }
+            // The family reads only the leading rows of the positional
+            // table, so the plan binds only those.
+            let table = lm.positional_table();
+            let rows = key.lengths.iter().copied().max().unwrap_or(0);
+            let dim = table.dims()[1];
+            let pos = Tensor::param(table.data()[..rows * dim].to_vec(), [rows, dim]);
+            rec.param(POS_LABEL, &pos, true);
+            let out = no_grad(|| record(|| Tensor::concat(&lm.family_embeddings(feeds, &pos), 0)));
+            rec.replay(&[&out])
+                .map_err(|e| PlanError {
+                    message: format!("CLM family forward does not replay: {e}"),
+                })?
+                .remove(0)
+            // The recorded forward is freed here, before the executor
+            // allocates its arena.
+        };
+        let spec = PlanSpec {
+            input_label: ids_label(feeds.carrier),
+            aux_labels: aux_feeds(feeds).map(|(label, _)| label).collect(),
+            ..PlanSpec::default()
+        };
+        let plan = Plan::compile(&root, &spec)?;
+        // A parameter binds its tensor's leading rows (all of them, except
+        // for the positional table).
+        let exec = PlanExecutor::new(&plan, |label, dims| {
+            let (_, t) = params.iter().find(|(l, _)| l == label)?;
+            let len: usize = dims.iter().product();
+            (t.dims()[1..] == dims[1..] && len <= t.num_elements())
+                .then(|| t.data()[..len].to_vec())
+        })?;
+        let out = vec![0.0; exec.output_len()];
+        Ok(FamilyPlan { key, exec, out })
+    }
+
+    /// The members' last-token embeddings `[D]` for `feeds`, which must
+    /// match the plan's key.
+    fn run(&mut self, feeds: &FamilyFeeds) -> Vec<Vec<f32>> {
+        for (k, (_, t)) in aux_feeds(feeds).enumerate() {
+            self.exec.set_aux(k, &t.data());
+        }
+        let input = feeds.members[feeds.carrier].ids.data();
+        self.exec.run(&input, &mut self.out);
+        self.out
+            .chunks_exact(self.key.lm.dim)
+            .map(<[f32]>::to_vec)
+            .collect()
     }
 }
 

@@ -127,40 +127,55 @@ impl CausalLm {
     /// the first `shared_rows` rows. Each member builds only its own
     /// input and mask rows, and the last block runs its query, FFN and the
     /// final norm for the last row only.
+    ///
+    /// This dynamic forward is the bitwise oracle of the compiled family
+    /// plan `FrozenLm` replays.
     pub fn last_token_embeddings(&self, prompts: &[&[Token]], calibrated: bool) -> Vec<Tensor> {
-        let dim = self.config.dim;
-        let run = |tokens: &[Token], past: &[KeyValues], start: usize| {
-            let (ids, mask) = self.prompt_feeds(tokens, start, calibrated);
-            let pos = self.pos_embedding.slice(0, start, tokens.len() - start);
+        match FamilyFeeds::new(self, prompts, calibrated) {
+            Some(feeds) => self.family_embeddings(&feeds, &self.pos_embedding),
+            None => Vec::new(),
+        }
+    }
+
+    /// [`last_token_embeddings`](Self::last_token_embeddings) from a
+    /// family's feeds and positional rows `pos`: the table, or a parameter
+    /// holding its leading rows (at least the longest member's).
+    pub(crate) fn family_embeddings(&self, feeds: &FamilyFeeds, pos: &Tensor) -> Vec<Tensor> {
+        let run = |m: &MemberFeeds, past: &[KeyValues]| {
+            let rows = pos.slice(0, m.start, m.len - m.start);
             self.encoder
-                .forward_rows(&self.input_rows(&ids, &pos), &mask, past)
+                .forward_rows(&self.input_rows(&m.ids, &rows), &m.mask, past)
         };
-        let Some(carrier) = (0..prompts.len()).min_by_key(|&i| prompts[i].len()) else {
-            return Vec::new();
-        };
-        let carried = run(prompts[carrier], &[], 0);
-        let shared = shared_rows(prompts);
-        let prefix: Vec<KeyValues> = if shared > 0 {
+        let carried = run(&feeds.members[feeds.carrier], &[]);
+        let prefix: Vec<KeyValues> = if feeds.shared > 0 {
             carried
                 .key_values
                 .iter()
-                .map(|kv| kv.prefix(shared))
+                .map(|kv| kv.prefix(feeds.shared))
                 .collect()
         } else {
             Vec::new()
         };
-        prompts
+        feeds
+            .members
             .iter()
             .enumerate()
-            .map(|(i, tokens)| {
-                let last = if i == carrier {
+            .map(|(i, member)| {
+                let last = if i == feeds.carrier {
                     carried.last.clone()
                 } else {
-                    run(tokens, &prefix, shared).last
+                    run(member, &prefix).last
                 };
-                last.reshape([dim])
+                last.reshape([self.config.dim])
             })
             .collect()
+    }
+
+    /// Labels a last-token embedding the frozen model hands out as a
+    /// constant of the CLM's own, so a recording replays it as the leaf
+    /// `<the CLM's module>.last_token_embedding` (see [`Tensor::named`]).
+    pub(crate) fn own_embedding(&self, embedding: Tensor) -> Tensor {
+        embedding.named("last_token_embedding", &self.pos_embedding)
     }
 
     /// Runs the LM body over pre-computed *continuous* embeddings `[S, D]`
@@ -278,6 +293,57 @@ impl CausalLm {
         let logits = self.tied_head(hidden); // [S, V]
         let inputs = logits.slice(0, 0, s - 1); // predict positions 1..S
         inputs.cross_entropy(targets)
+    }
+}
+
+/// What one member of a prompt family feeds the model: its length `S`,
+/// the first row it runs (`start`), and the ids and mask rows of rows
+/// `start..S` ([`CausalLm::prompt_feeds`]).
+pub(crate) struct MemberFeeds {
+    pub(crate) len: usize,
+    pub(crate) start: usize,
+    pub(crate) ids: Tensor,
+    pub(crate) mask: Tensor,
+}
+
+/// What a prompt family (see [`CausalLm::last_token_embeddings`]) feeds
+/// the model besides its weights: each member's feeds, the member that
+/// runs every row (`carrier`, the first shortest one) and how many of its
+/// rows the others share ([`shared_rows`]).
+pub(crate) struct FamilyFeeds {
+    pub(crate) members: Vec<MemberFeeds>,
+    pub(crate) carrier: usize,
+    pub(crate) shared: usize,
+}
+
+impl FamilyFeeds {
+    /// The feeds of `prompts`; `None` for an empty family.
+    pub(crate) fn new(
+        lm: &CausalLm,
+        prompts: &[&[Token]],
+        calibrated: bool,
+    ) -> Option<FamilyFeeds> {
+        let carrier = (0..prompts.len()).min_by_key(|&i| prompts[i].len())?;
+        let shared = shared_rows(prompts);
+        let members = prompts
+            .iter()
+            .enumerate()
+            .map(|(i, tokens)| {
+                let start = if i == carrier { 0 } else { shared };
+                let (ids, mask) = lm.prompt_feeds(tokens, start, calibrated);
+                MemberFeeds {
+                    len: tokens.len(),
+                    start,
+                    ids,
+                    mask,
+                }
+            })
+            .collect();
+        Some(FamilyFeeds {
+            members,
+            carrier,
+            shared,
+        })
     }
 }
 

@@ -2,7 +2,8 @@
 //! totality, calibrated-mask structure, and causal-LM invariants.
 
 use timekd_lm::{
-    calibrated_mask, CausalLm, LmConfig, LmSize, Modality, PromptPiece, PromptTokenizer, NEG_INF,
+    calibrated_mask, CausalLm, FrozenLm, LmConfig, LmSize, Modality, PromptPiece, PromptTokenizer,
+    NEG_INF,
 };
 use timekd_nn::causal_mask;
 use timekd_tensor::{no_grad, seeded_rng};
@@ -216,6 +217,9 @@ fn prompt_family_embeddings_are_last_rows_of_hidden_states_bitwise() {
     // sides of the 8-lane live-key boundary (the rendered prompt pair is
     // 49 and 79 tokens with a 44-token common prefix), and random
     // families whose shared prefix runs from none to the full length.
+    // Each family also runs through the frozen LM's compiled family plan
+    // (caching off, so every member is a miss of one family), which must
+    // give the dynamic forward's bits.
     let tok = PromptTokenizer::new();
     let random_token = |rng: &mut timekd_tensor::SeededRng| {
         if rng.gen_range(0..2usize) == 0 {
@@ -227,7 +231,13 @@ fn prompt_family_embeddings_are_last_rows_of_hidden_states_bitwise() {
     for size in [LmSize::Small, LmSize::Base, LmSize::Large] {
         for seed in 0..3u64 {
             let mut rng = seeded_rng(200 + seed);
-            let lm = CausalLm::new(tok.vocab_size(), LmConfig::for_size(size), &mut rng);
+            let frozen = FrozenLm::new(CausalLm::new(
+                tok.vocab_size(),
+                LmConfig::for_size(size),
+                &mut rng,
+            ));
+            frozen.set_caching(false);
+            let lm = frozen.model();
             let d = lm.config().dim;
             let base: Vec<_> = (0..90).map(|_| random_token(&mut rng)).collect();
             let with_tail = |prefix: usize, tail: usize, rng: &mut timekd_tensor::SeededRng| {
@@ -276,21 +286,26 @@ fn prompt_family_embeddings_are_last_rows_of_hidden_states_bitwise() {
                 let prompts: Vec<&[_]> = family.iter().map(|p| p.as_slice()).collect();
                 for calibrated in [true, false] {
                     let got = no_grad(|| lm.last_token_embeddings(&prompts, calibrated));
+                    let planned = frozen.embed_family(&prompts, calibrated);
                     assert_eq!(got.len(), prompts.len());
+                    assert_eq!(planned.len(), prompts.len());
                     for (m, (toks, emb)) in prompts.iter().zip(&got).enumerate() {
                         let full = no_grad(|| lm.hidden_states(toks, calibrated).to_vec());
                         let want = &full[(toks.len() - 1) * d..];
                         let lens: Vec<usize> = prompts.iter().map(|p| p.len()).collect();
-                        for (i, (a, b)) in emb.to_vec().iter().zip(want).enumerate() {
-                            assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "{size:?} seed {seed} lengths {lens:?} member {m} calibrated {calibrated} dim {i}: {a} vs {b}"
-                            );
+                        for (path, emb) in [("dynamic", emb), ("planned", &planned[m])] {
+                            for (i, (a, b)) in emb.to_vec().iter().zip(want).enumerate() {
+                                assert_eq!(
+                                    a.to_bits(),
+                                    b.to_bits(),
+                                    "{size:?} seed {seed} lengths {lens:?} member {m} calibrated {calibrated} {path} dim {i}: {a} vs {b}"
+                                );
+                            }
                         }
                     }
                 }
             }
+            assert!(frozen.compiled_plans() > 0, "{size:?}: no family plan ran");
         }
     }
 }

@@ -212,7 +212,9 @@ fn plan_blocks(rows: usize, heads_outside: usize, worth: bool) -> usize {
 /// the row's share of the head-averaged map. One task owns a row
 /// entirely and heads are visited in ascending order, so the map's
 /// cross-head accumulation order is fixed. A masked row visits only its
-/// live keys; the rest of its map row keeps the caller's zeros.
+/// live keys; the rest of its map row keeps the caller's zeros. Without
+/// `map_block` (a caller that reads only the context) no map is built;
+/// the context and statistics do not depend on it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attn_fwd_row_block(
     q: &[f32],
@@ -220,7 +222,7 @@ pub(crate) fn attn_fwd_row_block(
     v: &[f32],
     mask: Option<KeyMask<'_>>,
     out_block: &mut [f32],
-    map_block: &mut [f32],
+    mut map_block: Option<&mut [f32]>,
     m_block: &mut [f32],
     l_block: &mut [f32],
     kt: &mut [f32],
@@ -265,7 +267,9 @@ pub(crate) fn attn_fwd_row_block(
             m_block[r * heads + h] = mx;
             l_block[r * heads + h] = denom;
             let inv = 1.0 / denom;
-            simd::axpy_lanes(&mut map_block[r * tk..r * tk + n], inv * inv_heads, row);
+            if let Some(map) = map_block.as_deref_mut() {
+                simd::axpy_lanes(&mut map[r * tk..r * tk + n], inv * inv_heads, row);
+            }
             let out_head = &mut out_block[r * d + h * dh..r * d + (h + 1) * dh];
             for (o, vcol) in out_head.iter_mut().zip(vt.chunks_exact(tk)) {
                 *o = inv * simd::dot_lanes(row, &vcol[..n]);
@@ -485,8 +489,24 @@ fn fused_attention_forward(
         let (kt, rest) = scr.split_at_mut(tk * dh);
         let (vt, scores) = rest.split_at_mut(tk * dh);
         attn_fwd_row_block(
-            q, k, v, mask, out_block, map_block, m_block, l_block, kt, vt, scores, i0, i1, heads,
-            tq, tk, dh, scale,
+            q,
+            k,
+            v,
+            mask,
+            out_block,
+            Some(map_block),
+            m_block,
+            l_block,
+            kt,
+            vt,
+            scores,
+            i0,
+            i1,
+            heads,
+            tq,
+            tk,
+            dh,
+            scale,
         );
     });
 }

@@ -38,10 +38,16 @@
 //! `index_select_rows` and `gather_last` and the mask of a masked
 //! `fused_attention` are the ops' last parents, so a plan feeds them as its
 //! input or as aux leaves ([`PlanSpec::aux_labels`]). A masked attention's
-//! mask must be an aux leaf: [`PlanExecutor::set_aux`] counts each query
+//! mask must be an aux leaf or a row window of one (a `slice` along axis
+//! 0, as a forward that runs its last rows only takes): the step reads
+//! those rows of the feed in place. [`PlanExecutor::set_aux`] counts each
 //! row's live keys when the mask is fed, outside the replay loop, and the
 //! kernels skip the forbidden keys exactly as the dynamic op does. The
 //! masked attention *map* has no lowering.
+//!
+//! `concat` lowers to [`PlanOp::Concat`], a forward-only copy (a cached
+//! key/value prefix joined to a continuation's own rows); training plans
+//! reject it.
 //!
 //! ## Training plans
 //!
@@ -217,8 +223,9 @@ pub enum PlanOp {
     /// vector (the second operand).
     GatherLast,
     /// Fused multi-head attention under an additive `[T_q, T_k]` mask,
-    /// the fourth operand, which must be an aux leaf fed at run time.
-    /// Each query row visits only its live keys, as in the dynamic op.
+    /// the fourth operand, which must be an aux leaf fed at run time or a
+    /// row window of one. Each query row visits only its live keys, as in
+    /// the dynamic op.
     MaskedAttention {
         /// Head count.
         heads: usize,
@@ -228,6 +235,12 @@ pub enum PlanOp {
         tk: usize,
         /// Per-head dim.
         dh: usize,
+    },
+    /// Every operand, in order, joined along `axis` (a pure copy).
+    /// Forward only: [`Plan::compile_training`] rejects it.
+    Concat {
+        /// Joined axis.
+        axis: usize,
     },
 }
 
@@ -597,8 +610,15 @@ pub(crate) fn lower_forward(
                             val_of.insert(node.id(), vid);
                         }
                         None => {
+                            let origin = order
+                                .iter()
+                                .find(|n| n.parents().iter().any(|p| p.id() == node.id()))
+                                .map_or("read by no op".to_string(), |reader| {
+                                    format!("read by {}", op_at(reader.op_name(), reader.label()))
+                                });
                             return Err(PlanError::new(format!(
-                                "constant leaf `{label}` is not classified by the plan spec"
+                                "constant leaf {} is not classified by the plan spec",
+                                describe(&label, node.id(), node.dims(), &origin)
                             )));
                         }
                     }
@@ -844,6 +864,27 @@ impl Plan {
     }
 }
 
+/// How a compile error names a value: its label when it has one, its
+/// symbolic node id and dims, and `origin` (the op that made it, or for a
+/// leaf the op that reads it), so an unlabelled value is still findable.
+fn describe(label: &str, id: u64, dims: &[usize], origin: &str) -> String {
+    let name = if label.is_empty() {
+        "(unlabelled)".to_string()
+    } else {
+        format!("`{label}`")
+    };
+    format!("{name} #{id} {dims:?} {origin}")
+}
+
+/// "`op` at `component`", or "`op`" when the component is unlabelled.
+fn op_at(op: &str, component: &str) -> String {
+    if component.is_empty() {
+        format!("`{op}`")
+    } else {
+        format!("`{op}` at `{component}`")
+    }
+}
+
 /// Deterministic postorder (parents before children) over *provenance*
 /// edges — the full computation, not just the gradient subgraph.
 fn provenance_postorder(root: &SymbolicTensor) -> Vec<SymbolicTensor> {
@@ -943,6 +984,10 @@ fn lower_op(node: &SymbolicTensor) -> Result<PlanOp, PlanError> {
         },
         "log_softmax_last" => PlanOp::LogSoftmaxLast,
         "gather_last" => PlanOp::GatherLast,
+        "concat" => match *node.attr() {
+            SymAttr::Concat { axis } => PlanOp::Concat { axis },
+            _ => return Err(unsupported()),
+        },
         _ => return Err(unsupported()),
     })
 }
@@ -1064,16 +1109,79 @@ pub(crate) enum Loc {
     Aux(usize),
 }
 
-/// The aux slot feeding the mask operand `vid` of a masked attention
-/// step; any other source is a compile error.
-pub(crate) fn mask_slot(plan: &Plan, vid: ValueId, loc: Loc) -> Result<usize, PlanError> {
-    match loc {
-        Loc::Aux(k) => Ok(k),
-        _ => Err(PlanError::new(format!(
-            "attention mask `{}` must be an aux leaf fed at run time",
-            plan.values()[vid].label
-        ))),
+/// The rows of an aux feed a masked attention step reads as its
+/// `[T_q, T_k]` mask: feed `slot`, from row `row` on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MaskRows {
+    pub(crate) slot: usize,
+    pub(crate) row: usize,
+}
+
+impl MaskRows {
+    /// The mask rows and their live key counts, out of every aux feed
+    /// and its counts.
+    pub(crate) fn view<'a>(
+        self,
+        aux: &'a [Vec<f32>],
+        live: &'a [Vec<usize>],
+        tq: usize,
+        tk: usize,
+    ) -> KeyMask<'a> {
+        KeyMask::new(
+            &aux[self.slot][self.row * tk..(self.row + tq) * tk],
+            &live[self.slot][self.row..self.row + tq],
+        )
     }
+}
+
+/// Where the `[tq, tk]` mask operand `vid` (at `loc`) of a masked
+/// attention step comes from: an aux feed, or a window of its rows (a
+/// `slice` along axis 0 of one). Any other source is a compile error.
+pub(crate) fn mask_rows(
+    plan: &Plan,
+    vid: ValueId,
+    loc: Loc,
+    tq: usize,
+    tk: usize,
+) -> Result<MaskRows, PlanError> {
+    let value = &plan.values()[vid];
+    // The fed value, its slot and the first of its rows the mask reads.
+    let window = match (loc, &value.source) {
+        (Loc::Aux(slot), _) => Some((vid, slot, 0)),
+        (_, ValueSource::Step(i)) => match &plan.steps()[*i] {
+            PlanStep {
+                op: PlanOp::Slice { axis: 0, start, .. },
+                inputs,
+                ..
+            } => match plan.values()[inputs[0]].source {
+                ValueSource::Aux(slot) => Some((inputs[0], slot, *start)),
+                _ => None,
+            },
+            _ => None,
+        },
+        _ => None,
+    };
+    let Some((fed, slot, row)) = window else {
+        let origin = match value.source {
+            ValueSource::Step(i) => format!("made by `{}`", plan.steps()[i].sym_op),
+            ref source => format!("from {source:?}"),
+        };
+        let id = value.sym_ids.first().copied().unwrap_or_default();
+        return Err(PlanError::new(format!(
+            "attention mask {} must be an aux leaf fed at run time or a row window of one",
+            describe(&value.label, id, &value.dims, &origin)
+        )));
+    };
+    let fed = &plan.values()[fed];
+    if fed.dims.len() != 2 || fed.dims[1] != tk || row + tq > fed.dims[0] {
+        return Err(PlanError::new(format!(
+            "attention mask rows {row}..{} of feed `{}` {:?} do not fit [{tq}, {tk}]",
+            row + tq,
+            fed.label,
+            fed.dims
+        )));
+    }
+    Ok(MaskRows { slot, row })
 }
 
 impl PlanOp {
@@ -1118,7 +1226,7 @@ enum ExecOp {
     },
     CopyReshape,
     Permute(RowWalk<1>),
-    /// Context of a fused attention; `mask` is the aux slot of its
+    /// Context of a fused attention; `mask` is the aux rows of its
     /// additive mask, if any, and `stats` the offset of its softmax
     /// statistics in `attn_saved`.
     Attention {
@@ -1127,7 +1235,7 @@ enum ExecOp {
         tk: usize,
         dh: usize,
         scale: f32,
-        mask: Option<usize>,
+        mask: Option<MaskRows>,
         stats: usize,
     },
     /// Head-averaged attention map only: the context output lands in the
@@ -1164,6 +1272,12 @@ enum ExecOp {
     },
     GatherLast {
         c: usize,
+    },
+    /// `outer` rounds, each copying the next `chunk` elements of every
+    /// operand in turn.
+    Concat {
+        outer: usize,
+        parts: Vec<(Loc, usize)>,
     },
 }
 
@@ -1204,7 +1318,6 @@ pub struct PlanExecutor {
     attn_kt: Vec<f32>,
     attn_vt: Vec<f32>,
     attn_scores: Vec<f32>,
-    attn_map: Vec<f32>,
     /// The softmax statistics of every attention step's last run —
     /// `[m (T_q·H) | l (T_q·H)]` at the step's offset — kept for the
     /// training executor's backward, which reads them instead of
@@ -1281,7 +1394,7 @@ impl PlanExecutor {
 
         let mut exec = Vec::with_capacity(plan.steps().len());
         let mut mask_tk = vec![0usize; plan.spec().aux_labels.len()];
-        let (mut kt_len, mut vt_len, mut sc_len, mut map_len, mut st_len) = (0, 0, 0, 0, 0usize);
+        let (mut kt_len, mut vt_len, mut sc_len, mut st_len) = (0, 0, 0, 0usize);
         let (mut out_sink_len, mut zero_v_len) = (0usize, 0usize);
         for step in plan.steps() {
             let out_v = &plan.values()[step.output];
@@ -1296,12 +1409,13 @@ impl PlanExecutor {
                 )));
             };
             let mut srcs = [Loc::Input; 4];
-            for (i, &vid) in step.inputs.iter().enumerate().take(4) {
-                srcs[i] = loc_of(vid)?;
+            let mut locs = Vec::with_capacity(step.inputs.len());
+            for &vid in &step.inputs {
+                let loc = loc_of(vid)?;
                 // The executor's raw-pointer split of the arena is sound
                 // only because inputs never alias the output; reject any
                 // plan where they would (a verified plan never does).
-                if let Loc::Arena { off, len } = srcs[i] {
+                if let Loc::Arena { off, len } = loc {
                     if off < out_off + out_len && out_off < off + len {
                         return Err(PlanError::new(format!(
                             "input `{}` aliases output `{}` in the arena",
@@ -1310,6 +1424,10 @@ impl PlanExecutor {
                         )));
                     }
                 }
+                locs.push(loc);
+            }
+            for (src, &loc) in srcs.iter_mut().zip(&locs) {
+                *src = loc;
             }
             let in_dims = |i: usize| -> &[usize] { &plan.values()[step.inputs[i]].dims };
             let op = match (&step.op, step.op.bin_kind(), step.op.un_kind()) {
@@ -1339,14 +1457,13 @@ impl PlanExecutor {
                     kt_len = kt_len.max(dh * tk);
                     vt_len = vt_len.max(dh * tk);
                     sc_len = sc_len.max(*tk);
-                    map_len = map_len.max(tq * tk);
                     let stats = st_len;
                     st_len += 2 * tq * heads;
                     let mask = match step.op {
                         PlanOp::MaskedAttention { .. } => {
-                            let k = mask_slot(plan, step.inputs[3], srcs[3])?;
-                            mask_tk[k] = *tk;
-                            Some(k)
+                            let rows = mask_rows(plan, step.inputs[3], srcs[3], *tq, *tk)?;
+                            mask_tk[rows.slot] = *tk;
+                            Some(rows)
                         }
                         _ => None,
                     };
@@ -1405,6 +1522,17 @@ impl PlanExecutor {
                 (PlanOp::GatherLast, ..) => ExecOp::GatherLast {
                     c: in_dims(0).last().copied().unwrap_or(1),
                 },
+                (PlanOp::Concat { axis }, ..) => {
+                    let inner: usize = out_v.dims[axis + 1..].iter().product();
+                    ExecOp::Concat {
+                        outer: out_v.dims[..*axis].iter().product(),
+                        parts: locs
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &loc)| (loc, in_dims(i)[*axis] * inner))
+                            .collect(),
+                    }
+                }
                 (op, ..) => {
                     return Err(PlanError::new(format!("op {op:?} has no executor kernel")))
                 }
@@ -1462,7 +1590,6 @@ impl PlanExecutor {
             attn_kt: vec![0.0f32; kt_len],
             attn_vt: vec![0.0f32; vt_len],
             attn_scores: vec![0.0f32; sc_len],
-            attn_map: vec![0.0f32; map_len],
             attn_saved: vec![0.0f32; st_len],
             attn_out_sink: vec![0.0f32; out_sink_len],
             attn_zero_v: vec![0.0f32; zero_v_len],
@@ -1532,8 +1659,8 @@ impl PlanExecutor {
             let out = unsafe {
                 std::slice::from_raw_parts_mut(arena_ptr.add(step.out_off), step.out_len)
             };
-            let src = |i: usize| -> &[f32] {
-                match step.srcs[i] {
+            let resolve = |loc: Loc| -> &[f32] {
+                match loc {
                     // SAFETY: as above — in-bounds and disjoint from `out`.
                     Loc::Arena { off, len } => unsafe {
                         std::slice::from_raw_parts(arena_ptr.add(off) as *const f32, len)
@@ -1544,6 +1671,7 @@ impl PlanExecutor {
                     Loc::Aux(k) => &aux[k],
                 }
             };
+            let src = |i: usize| resolve(step.srcs[i]);
             match &step.op {
                 ExecOp::Binary { kind, walk } => binary_block(*kind, walk, src(0), src(1), out),
                 ExecOp::Unary(kind) => unary_block(*kind, src(0), out),
@@ -1566,17 +1694,16 @@ impl PlanExecutor {
                     stats,
                 } => {
                     let (q, k, v) = (src(0), src(1), src(2));
-                    let key_mask = mask.map(|m| KeyMask::new(&aux[m], &mask_live[m]));
+                    let key_mask = mask.map(|m| m.view(aux, mask_live, *tq, *tk));
                     let saved = &mut self.attn_saved[*stats..*stats + 2 * tq * heads];
                     let (m_sink, l_sink) = saved.split_at_mut(tq * heads);
-                    self.attn_map[..tq * tk].fill(0.0);
                     attn_fwd_row_block(
                         q,
                         k,
                         v,
                         key_mask,
                         out,
-                        &mut self.attn_map[..tq * tk],
+                        None,
                         &mut m_sink[..tq * heads],
                         &mut l_sink[..tq * heads],
                         &mut self.attn_kt[..dh * tk],
@@ -1609,7 +1736,7 @@ impl PlanExecutor {
                         &self.attn_zero_v[..heads * tk * dh],
                         None,
                         &mut self.attn_out_sink[..tq * heads * dh],
-                        out,
+                        Some(out),
                         &mut m_sink[..tq * heads],
                         &mut l_sink[..tq * heads],
                         &mut self.attn_kt[..dh * tk],
@@ -1669,6 +1796,16 @@ impl PlanExecutor {
                 }
                 ExecOp::LogSoftmax { c } => log_softmax_block(src(0), out, *c),
                 ExecOp::GatherLast { c } => gather_last_block(src(0), src(1), *c, out),
+                ExecOp::Concat { outer, parts } => {
+                    let mut pos = 0;
+                    for o in 0..*outer {
+                        for &(loc, chunk) in parts {
+                            out[pos..pos + chunk]
+                                .copy_from_slice(&resolve(loc)[o * chunk..(o + 1) * chunk]);
+                            pos += chunk;
+                        }
+                    }
+                }
             }
         }
     }
@@ -1811,7 +1948,6 @@ mod tests {
         )
         .0
         .to_vec();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want), "planned masked attention");
 
         // The masked map has no lowering.
@@ -1824,6 +1960,133 @@ mod tests {
         );
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_sliced_masks_read_their_rows_of_the_fed_mask() {
+        // Every row, a window of middle rows and the last row alone attend
+        // under rows of one fed mask, as a forward that runs only its last
+        // rows does: each windowed step reads its rows of the feed in
+        // place, with their live key counts.
+        let (t, h, dh) = (11, 2, 3);
+        let x = Tensor::zeros([t, h * dh]);
+        let mask = Tensor::zeros([t, t]);
+        let w_data: Vec<f32> = (0..h * dh).map(|i| 0.3 - 0.1 * i as f32).collect();
+        let w = Tensor::param(w_data.clone(), [h * dh]);
+        let attend = |x: &Tensor, w: &Tensor, mask: &Tensor| {
+            let heads = x.mul(w).reshape([t, h, dh]).permute(&[1, 0, 2]);
+            let rows = |start: usize, len: usize| {
+                let q = heads.slice(1, start, len);
+                Tensor::fused_attention(&q, &heads, &heads, Some(&mask.slice(0, start, len))).0
+            };
+            let all = Tensor::fused_attention(&heads, &heads, &heads, Some(mask)).0;
+            Tensor::concat(&[all, rows(2, 3), rows(t - 1, 1)], 0)
+        };
+        let labelled = [("x", &x), ("mask", &mask), ("attn.w", &w)];
+        let root = replay_labelled(&labelled, || attend(&x, &w, &mask));
+        let masked_spec = PlanSpec {
+            aux_labels: vec!["mask".to_string()],
+            ..spec()
+        };
+        let plan = Plan::compile(&root, &masked_spec).unwrap();
+        let mut exec = PlanExecutor::new(&plan, |label, _| {
+            (label == "attn.w").then(|| w_data.clone())
+        })
+        .unwrap();
+        let x_data: Vec<f32> = (0..t * h * dh).map(|i| (i as f32 * 0.29).cos()).collect();
+        // Causal, with a cut-off prefix on some rows, so the windows' live
+        // key counts differ from row to row.
+        for cut in [0, 3] {
+            let mut bias = vec![0.0f32; t * t];
+            for i in 0..t {
+                for j in 0..t {
+                    if j > i || (i >= 8 && j < cut) {
+                        bias[i * t + j] = crate::NEG_INF;
+                    }
+                }
+            }
+            exec.set_aux(0, &bias);
+            let mut got = vec![0.0f32; exec.output_len()];
+            exec.run(&x_data, &mut got);
+            let want = attend(
+                &Tensor::from_vec(x_data.clone(), [t, h * dh]),
+                &Tensor::from_vec(w_data.clone(), [h * dh]),
+                &Tensor::from_vec(bias, [t, t]),
+            )
+            .to_vec();
+            assert_eq!(bits(&got), bits(&want), "cut {cut}");
+        }
+
+        // A column window of the mask is not a row window: refused, with
+        // the unlabelled slice named by id, dims and op.
+        let cols_root = replay_labelled(&labelled, || {
+            let heads = x.mul(&w).reshape([t, h, dh]).permute(&[1, 0, 2]);
+            let keys = heads.slice(1, 0, t - 2);
+            let cols = mask.slice(1, 0, t - 2);
+            Tensor::fused_attention(&heads, &keys, &keys, Some(&cols)).0
+        });
+        let plan = Plan::compile(&cols_root, &masked_spec).unwrap();
+        let err = PlanExecutor::new(&plan, |_, _| Some(w_data.clone())).unwrap_err();
+        let dims = format!("{:?}", [t, t - 2]);
+        for part in ["attention mask (unlabelled) #", &dims, "made by `slice`"] {
+            assert!(err.message.contains(part), "{part}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn concat_runs_as_a_copy_and_training_plans_reject_it() {
+        // Operands from the input, a parameter and steps; joined along the
+        // leading axis (one round) and along an inner one (a round per
+        // row).
+        let x = Tensor::zeros([4, 3]);
+        let y = Tensor::zeros([4, 15]);
+        let w_data: Vec<f32> = (0..12).map(|i| 0.1 * i as f32 - 0.5).collect();
+        let w = Tensor::param(w_data.clone(), [4, 3]);
+        let join = |x: &Tensor, w: &Tensor| {
+            let rows = Tensor::concat(&[x.mul(w), x.clone(), w.clone()], 0);
+            Tensor::concat(&[rows.reshape([4, 9]), x.relu(), w.clone()], 1)
+        };
+        let labelled = [("x", &x), ("y", &y), ("head.w", &w)];
+        let root = replay_labelled(&labelled, || join(&x, &w));
+        let plan = Plan::compile(&root, &spec()).unwrap();
+        let concats = plan
+            .steps()
+            .iter()
+            .filter(|s| matches!(s.op, PlanOp::Concat { .. }))
+            .count();
+        assert_eq!(concats, 2);
+        let mut exec = PlanExecutor::new(&plan, |_, _| Some(w_data.clone())).unwrap();
+        let x_data: Vec<f32> = (0..12).map(|i| (i as f32 * 0.7).sin()).collect();
+        let mut got = vec![0.0f32; exec.output_len()];
+        exec.run(&x_data, &mut got);
+        let want = join(
+            &Tensor::from_vec(x_data, [4, 3]),
+            &Tensor::from_vec(w_data.clone(), [4, 3]),
+        )
+        .to_vec();
+        assert_eq!(bits(&got), bits(&want), "planned concat");
+
+        let loss_root = replay_labelled(&labelled, || join(&x, &w).sub(&y).square().sum());
+        let train = crate::plan_train::TrainSpec::new(
+            "y",
+            crate::plan_train::PlanOptimizer::AdamW {
+                lr: 0.1,
+                beta1: 0.9,
+                beta2: 0.999,
+                eps: 1e-8,
+                weight_decay: 0.0,
+            },
+        );
+        let err = Plan::compile_training(&loss_root, &spec(), &train).unwrap_err();
+        assert!(
+            err.message.contains("`concat` at `head` is forward-only"),
+            "{}",
+            err.message
+        );
+    }
+
     #[test]
     fn unclassified_leaf_is_rejected() {
         let x = Tensor::zeros([4, 3]);
@@ -1831,6 +2094,19 @@ mod tests {
         let root = replay_labelled(&[("x", &x), ("mystery", &mystery)], || x.add(&mystery));
         let err = Plan::compile(&root, &spec()).unwrap_err();
         assert!(err.message.contains("mystery"), "{}", err.message);
+
+        // A leaf nobody labelled is named by its id, dims and reader.
+        let w = Tensor::param(vec![0.5; 3], [3]);
+        let unnamed = Tensor::ones([4, 3]);
+        let root = replay_labelled(&[("x", &x), ("proj.w", &w)], || x.mul(&w).add(&unnamed));
+        let err = Plan::compile(&root, &spec()).unwrap_err();
+        for part in [
+            "constant leaf (unlabelled) #",
+            "[4, 3]",
+            "read by `add` at `proj`",
+        ] {
+            assert!(err.message.contains(part), "{part}: {}", err.message);
+        }
     }
 
     #[test]

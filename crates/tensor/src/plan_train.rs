@@ -32,7 +32,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::ops::attention::{attn_bwd_dkv_block, attn_bwd_dq_block, KeyMask};
+use crate::ops::attention::{attn_bwd_dkv_block, attn_bwd_dq_block};
 use crate::ops::kernels::{
     binary_bwd_block, broadcast_walk, gather_last_bwd_block, gather_rows_bwd_block, inverse_perm,
     log_softmax_bwd_block, permute_block, permute_walk, sum_axis_bwd_block, unary_bwd_block,
@@ -42,8 +42,8 @@ use crate::ops::matmul::{
     mm_nt_row_block, mm_row_block, nt_panels_len, pack_nt_operand, pack_transpose_into,
 };
 use crate::plan::{
-    assign_slots, lower_forward, mask_slot, Loc, Plan, PlanError, PlanExecutor, PlanOp, PlanSlot,
-    PlanSpec, PlanValue, ValueId, ValueSource,
+    assign_slots, lower_forward, mask_rows, Loc, MaskRows, Plan, PlanError, PlanExecutor, PlanOp,
+    PlanSlot, PlanSpec, PlanValue, ValueId, ValueSource,
 };
 use crate::simd::{adamw_lanes, AdamWStep};
 use crate::symbolic::SymbolicTensor;
@@ -204,6 +204,12 @@ impl Plan {
         let lowering = lower_forward(root, spec, Some(&train.target_label))?;
         let mut values = lowering.values;
         let steps = lowering.steps;
+        if let Some(step) = steps.iter().find(|s| matches!(s.op, PlanOp::Concat { .. })) {
+            return Err(PlanError::new(format!(
+                "`concat` at `{}` is forward-only: training plans do not lower it",
+                values[step.output].label
+            )));
+        }
         let val_of = lowering.val_of;
         let root_val = lowering.root;
         let target_val = lowering.target.ok_or_else(|| {
@@ -629,7 +635,7 @@ enum BwdExecOp {
         c: usize,
         x_len: usize,
     },
-    /// `mask` is the aux slot of the additive mask, if any; `stats` the
+    /// `mask` is the aux rows of the additive mask, if any; `stats` the
     /// offset of the forward step's softmax statistics in the forward
     /// executor's `attn_saved`.
     Attention {
@@ -638,7 +644,7 @@ enum BwdExecOp {
         tk: usize,
         dh: usize,
         scale: f32,
-        mask: Option<usize>,
+        mask: Option<MaskRows>,
         stats: usize,
     },
     /// Backward of the head-averaged attention map: the upstream gradient
@@ -904,7 +910,7 @@ impl TrainExecutor {
                         ) => {
                             let mask = match fstep.op {
                                 PlanOp::MaskedAttention { .. } => {
-                                    Some(mask_slot(plan, fstep.inputs[3], srcs[3])?)
+                                    Some(mask_rows(plan, fstep.inputs[3], srcs[3], *tq, *tk)?)
                                 }
                                 _ => None,
                             };
@@ -1341,8 +1347,8 @@ impl TrainExecutor {
                         let q = resolve(step.srcs[0], arena_r, params, input, target, aux);
                         let k = resolve(step.srcs[1], arena_r, params, input, target, aux);
                         let v = resolve(step.srcs[2], arena_r, params, input, target, aux);
-                        let key_mask = mask.map(|m| KeyMask::new(&aux[m], &mask_live[m]));
-                        let live = mask.map(|m| mask_live[m].as_slice());
+                        let key_mask = mask.map(|m| m.view(aux, mask_live, *tq, *tk));
+                        let live = mask.map(|m| &mask_live[m.slot][m.row..m.row + tq]);
                         let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                         let (dq, rest) = scratch.split_at_mut(hq);
                         let (dk, rest2) = rest.split_at_mut(hk);

@@ -33,7 +33,7 @@ cargo build --release --workspace
 echo "==> tests"
 cargo test -q --workspace
 
-echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward, family vs sequential frozen-LM cache, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
+echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned forecast and the planned
 # objective over several steps must reproduce the dynamic engine bit for
@@ -49,8 +49,11 @@ cargo test -q -p timekd-bench --test planned_alloc
 # Forbidden-key skipping must match the full-key reference bit for bit,
 # and the pruned last-token CLM forward the full forward's last row, also
 # for each member of a prompt family that shares its prefix's keys and
-# values. A family batch through the frozen-LM cache must give the values,
-# counters and entries of sequential `embed` calls.
+# values. The frozen LM replays that family forward as a compiled plan,
+# which must give the same bits for every family, every LM size, with
+# calibration on and off. A family batch through the frozen-LM cache must
+# give the values, counters and entries of sequential `embed` calls, and a
+# warm-up epoch compiles the family plan once per key.
 cargo test -q -p timekd-tensor --test attention_key_skip -- --exact \
   key_skipping_forward_matches_full_key_reference_bitwise \
   key_skipping_gradients_match_full_key_reference_bitwise
@@ -59,6 +62,8 @@ cargo test -q -p timekd-lm --test proptest_lm -- --exact \
   prompt_family_embeddings_are_last_rows_of_hidden_states_bitwise
 cargo test -q -p timekd-lm --lib -- --exact \
   frozen::tests::family_batch_matches_sequential_embeds
+cargo test -q --test golden_trace -- --exact \
+  warm_up_epoch_compiles_one_clm_plan_per_key
 # A pretraining step reads both losses from one CLM forward: the shared
 # losses equal the separate forwards' bit for bit. The steps replay one
 # compiled plan, which must reproduce the dynamic step's losses and every
@@ -66,7 +71,10 @@ cargo test -q -p timekd-lm --lib -- --exact \
 # off), and the trace shows one planned step replay per step, one compile
 # and no dynamic backward. The plan's new ops (row gathers, slices with
 # both first and added window writes, log-softmax, masked attention) and
-# their adjoints match the dynamic graph bit for bit.
+# their adjoints match the dynamic graph bit for bit. The family plan's
+# forward-only ops match too: `concat` (refused by training plans) and
+# masks read as row windows of a fed mask; a compile error names an
+# unlabelled value by id, dims and op.
 cargo test -q -p timekd-lm --lib -- --exact \
   pretrain::tests::shared_forward_losses_match_separate_forwards_bitwise \
   pretrain::tests::planned_pretraining_matches_dynamic_steps_bitwise \
@@ -75,7 +83,10 @@ cargo test -q -p timekd-lm --test pretrain_trace -- --exact \
   pretraining_runs_one_encoder_forward_per_step
 cargo test -q -p timekd-tensor --lib -- --exact \
   plan_train::tests::planned_runtime_operand_ops_train_bitwise_dynamic \
-  plan::tests::masked_attention_runs_with_its_mask_fed_at_run_time
+  plan::tests::masked_attention_runs_with_its_mask_fed_at_run_time \
+  plan::tests::concat_runs_as_a_copy_and_training_plans_reject_it \
+  plan::tests::row_sliced_masks_read_their_rows_of_the_fed_mask \
+  plan::tests::unclassified_leaf_is_rejected
 # The pinned transcendentals: exp and tanh within 2 ULP of an f64
 # reference over the finite range, their special values, the same bits in
 # a lane kernel's body and its scalar tail at every row length 0..=33, and

@@ -176,6 +176,53 @@ fn golden_trace_matches_fixture() {
     );
 }
 
+fn count_spans(nodes: &[SpanNode], name: &str) -> u64 {
+    nodes
+        .iter()
+        .map(|n| u64::from(n.name == name) * n.count + count_spans(&n.children, name))
+        .sum()
+}
+
+#[test]
+fn warm_up_epoch_compiles_one_clm_plan_per_key() {
+    // Every prompt of one prompt configuration has the same length, so
+    // every miss family of a warm-up epoch has one key: its first miss
+    // compiles the CLM family forward and every later miss replays it. A
+    // second epoch is all cache hits and runs no forward at all.
+    let _guard = GOLDEN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let (mut model, ds) = tiny_model();
+    let train: Vec<_> = ds.windows(Split::Train, 16);
+    let windows = &train[..2];
+    let families = (windows.len() * ds.num_vars()) as u64;
+    let epoch = |model: &mut TimeKd| {
+        timekd_obs::set_enabled(true);
+        timekd_obs::reset();
+        with_threads(1, || {
+            let _ = model.train_teacher_epoch(windows);
+        });
+        let snap = timekd_obs::snapshot();
+        timekd_obs::set_enabled(false);
+        timekd_obs::reset();
+        (
+            count_spans(&snap.spans, "lm.forward"),
+            count_spans(&snap.spans, "lm.forward_compile"),
+        )
+    };
+    assert_eq!(
+        epoch(&mut model),
+        (families, 1),
+        "first epoch: forwards, compiles"
+    );
+    assert_eq!(
+        epoch(&mut model),
+        (0, 0),
+        "second epoch: forwards, compiles"
+    );
+    let frozen = model.teacher().frozen_lm();
+    assert_eq!(frozen.compiled_plans(), 1);
+    assert_eq!(frozen.cache_stats(), (2 * families, 2 * families));
+}
+
 #[test]
 fn golden_run_covers_pipeline_and_is_repeatable() {
     // The structural trace is a pure function of the (seeded) pipeline:
