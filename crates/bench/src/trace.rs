@@ -109,14 +109,13 @@ fn check_span(span: &Json, path: &str, problems: &mut Vec<String>) {
 
 /// Names of the global counters every trace report must carry (the
 /// registry in `timekd-obs`).
-pub const REQUIRED_COUNTERS: [&str; 7] = [
+pub const REQUIRED_COUNTERS: [&str; 6] = [
     "pool.jobs",
     "pool.tasks",
     "pool.serial_fallback",
     "pool.slot_waits",
     "lm_cache.hits",
     "lm_cache.misses",
-    "lm_cache.collisions",
 ];
 
 /// Checks a parsed document against the `timekd-trace/v1` schema shape.

@@ -39,17 +39,13 @@
 //! I/O both blocks and interleaves.
 //!
 //! "Plan loops" are the hot schedule-replay functions of the static plan
-//! executors — functions in `tensor/src/plan.rs` (forward replay),
-//! `tensor/src/plan_train.rs` (backward and optimizer replay), or
-//! `tensor/src/plan_batch.rs` (the batched gradient reduction) whose
+//! executors — functions in `tensor/src/plan.rs` (forward replay) or
+//! `tensor/src/plan_train.rs` (backward and optimizer replay) whose
 //! name ends in `_plan_loop` (the naming contract those files document).
-//! In `plan_batch.rs` the same rules additionally cover `*_block` fns —
-//! the parallel fan-out and parameter-broadcast blocks of the batched
-//! executor, which run inside the per-batch hot path. The executors'
-//! whole point is zero per-call allocation and zero instrumentation; a
-//! stray `Vec::push`, panic path, or span there silently voids the
-//! plan's performance contract — for training plans, on every forward,
-//! backward, *and* optimizer step of every epoch.
+//! The executors' whole point is zero per-call allocation and zero
+//! instrumentation; a stray `Vec::push`, panic path, or span there
+//! silently voids the plan's performance contract — for training plans,
+//! on every forward, backward, *and* optimizer step of every epoch.
 //!
 //! "Serve loops" are the hot per-request functions of the forecast server
 //! — functions in `serve/src/` whose name ends in `_serve_loop` (the
@@ -305,14 +301,9 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
     // Files that may define plan-executor hot loops (`*_plan_loop`),
     // subject to the no-alloc/no-unwrap/no-span plan rules. `plan.rs`
     // hosts the forward replay loop, `plan_train.rs` the backward and
-    // optimizer replay loops of training plans, and `plan_batch.rs` the
-    // batched reduction loop. In the batched module the same rules also
-    // cover `*_block` fns — its fan-out and broadcast blocks run on (or
-    // submit to) pool threads inside the per-batch hot path.
-    let in_batch_file = path_label.contains("tensor/src/plan_batch.rs");
+    // optimizer replay loops of training plans.
     let in_plan_file = path_label.contains("tensor/src/plan.rs")
-        || path_label.contains("tensor/src/plan_train.rs")
-        || in_batch_file;
+        || path_label.contains("tensor/src/plan_train.rs");
     // Any module of the serving crate may define `*_serve_loop` fns —
     // the per-request plan replay and the accept loop — subject to the
     // no-alloc/no-unwrap/no-println serve rules. They run on the serving
@@ -436,9 +427,7 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
             // The plan executor's schedule-replay loop promises zero
             // per-call allocation, no panic paths, and no instrumentation
             // — that promise is the whole reason the plan exists.
-            let in_plan_fn = (in_plan_file && current_fn.ends_with("_plan_loop"))
-                || (in_batch_file && current_fn.ends_with("_block"));
-            if in_plan_fn {
+            if in_plan_file && current_fn.ends_with("_plan_loop") {
                 if code.contains("vec![")
                     || code.contains("Vec::")
                     || code.contains(".push(")

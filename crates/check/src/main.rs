@@ -17,15 +17,11 @@
 //!   proves slot interference soundness, def-before-use, the arena bound,
 //!   and a clean diff against the recorded graph and dynamic execution,
 //!   for the whole configuration matrix. The trainer's objective plans
-//!   (PKD + forecast, clip, AdamW; B=1 and B=4) additionally get the
-//!   chained backward passes: adjoint completeness (frozen parameters
-//!   provably receive no update), reverse-topological validity,
-//!   saved-activation liveness over the combined forward+backward
-//!   timeline, and a bitwise plan-vs-dynamic training diff. Batched
-//!   training plans get two further static passes: batch-reduction
-//!   completeness (every trained gradient folded into lane 0 exactly
-//!   once per extra window, in the pinned window order) and per-lane
-//!   arena disjointness.
+//!   (PKD + forecast, clip, AdamW) additionally get the chained backward
+//!   passes: adjoint completeness (frozen parameters provably receive no
+//!   update), reverse-topological validity, saved-activation liveness
+//!   over the combined forward+backward timeline, and a bitwise
+//!   plan-vs-dynamic training diff.
 //!
 //! Modifiers: `--json` renders the verifier report as stable, diffable
 //! JSON; `--strict` turns stale-allowlist warnings into failures.

@@ -34,12 +34,11 @@
 //!
 //! The training plan proven is the one the trainer replays: the student
 //! objective plan (PKD + forecasting, gradient clipping, the trainer's
-//! fused AdamW) from [`compile_student_objective_plan`], at `B = 1` and
-//! `B = 4`. Each gets the four static passes above (the graph diff against
-//! the objective's loss root) and four more over the reverse schedule,
-//! run as a *chain*: each pass runs only when every earlier backward pass
-//! is clean, so the first firing pass names the fault class
-//! unambiguously.
+//! fused AdamW) from [`compile_student_objective_plan`]. It gets the four
+//! static passes above (the graph diff against the objective's loss root)
+//! and four more over the reverse schedule, run as a *chain*: each pass
+//! runs only when every earlier backward pass is clean, so the first
+//! firing pass names the fault class unambiguously.
 //!
 //! 5. **adjoint-incomplete** — every reachable trainable parameter
 //!    receives exactly one well-formed gradient (one `Init` among its
@@ -62,20 +61,6 @@
 //!    the dynamic [`student_objective`] step (backward, clip, the
 //!    trainer's AdamW).
 //!
-//! ## Batched plans
-//!
-//! Plans compiled by `Plan::compile_training_batched` get two more static
-//! passes over their batch metadata (vacuous on a per-window plan):
-//!
-//! 9. **batch-reduction** — re-derive the full pinned reduction sequence
-//!    from the update schedule (source lanes `1..B` ascending, update
-//!    order within a lane) and require the plan's
-//!    [`ReduceStep`](timekd_tensor::ReduceStep) list to
-//!    match it exactly, so every trained gradient is folded into lane 0
-//!    exactly once per extra window and in the deterministic order.
-//! 10. **lane-disjoint** — require the per-lane arena stride to cover a
-//!     full arena, so no two lanes' gradient buffers can alias.
-//!
 //! Each pass has a fault-injection test (via
 //! [`PlanFault`](timekd_tensor::PlanFault)) proving it actually fires.
 
@@ -89,10 +74,6 @@ use timekd::{
 use timekd_tensor::{seeded_rng, GradMode, GraphAudit, Plan, SymbolicTensor, Tensor, ValueSource};
 
 use crate::verify::{config_matrix, Finding};
-
-/// Micro-batch sizes every objective plan is proven at: the trainer's
-/// default per-window step and a multi-lane batch.
-const PROVEN_BATCHES: [usize; 2] = [1, 4];
 
 fn finding(kind: &'static str, config: &str, message: String) -> Finding {
     Finding {
@@ -814,100 +795,6 @@ pub fn check_saved_liveness(plan: &Plan, config: &str) -> Vec<Finding> {
     out
 }
 
-/// Pass 9: batch-reduction completeness. Per-window plans must carry no
-/// batch metadata at all; batched plans must reduce every trained
-/// gradient into lane 0 exactly once per extra lane, in the pinned order
-/// (ascending source lane — i.e. window index — first, update-schedule
-/// order within a lane). The expected sequence is re-derived from the
-/// update schedule; the compiler's list is only compared against it.
-pub fn check_batch_reduction(plan: &Plan, config: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let batch = plan.batch();
-    if batch == 0 {
-        if !plan.reduce_steps().is_empty() {
-            out.push(finding(
-                "batch-reduction",
-                config,
-                format!(
-                    "per-window plan carries {} reduce step(s); it must carry none",
-                    plan.reduce_steps().len()
-                ),
-            ));
-        }
-        if plan.lane_stride() != 0 {
-            out.push(finding(
-                "batch-reduction",
-                config,
-                format!(
-                    "per-window plan declares a lane stride of {}; it must declare none",
-                    plan.lane_stride()
-                ),
-            ));
-        }
-        return out;
-    }
-    let expected: Vec<(usize, usize)> = (1..batch)
-        .flat_map(|lane| plan.update_steps().iter().map(move |u| (lane, u.grad)))
-        .collect();
-    let actual: Vec<(usize, usize)> = plan
-        .reduce_steps()
-        .iter()
-        .map(|r| (r.src_lane, r.grad))
-        .collect();
-    if actual.len() != expected.len() {
-        out.push(finding(
-            "batch-reduction",
-            config,
-            format!(
-                "batched plan (B={batch}) records {} reduce step(s); the update schedule \
-                 implies {} (one per trained gradient per extra lane)",
-                actual.len(),
-                expected.len()
-            ),
-        ));
-        return out;
-    }
-    for (i, (a, e)) in actual.iter().zip(&expected).enumerate() {
-        if a != e {
-            let vals = plan.values();
-            out.push(finding(
-                "batch-reduction",
-                config,
-                format!(
-                    "reduce step {i} folds `{}` from lane {}, but the pinned order \
-                     requires `{}` from lane {}",
-                    vals[a.1].label, a.0, vals[e.1].label, e.0
-                ),
-            ));
-            return out;
-        }
-    }
-    out
-}
-
-/// Pass 10: per-lane arena disjointness. A batched plan replays one lane
-/// per window; the declared lane stride must cover a full arena so no
-/// two lanes' buffers can alias.
-pub fn check_lane_disjointness(plan: &Plan, config: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    if plan.batch() == 0 {
-        return out;
-    }
-    if plan.lane_stride() < plan.arena_len() {
-        out.push(finding(
-            "lane-disjoint",
-            config,
-            format!(
-                "lane stride {} is smaller than the {}-element arena: adjacent lanes \
-                 would alias",
-                plan.lane_stride(),
-                plan.arena_len()
-            ),
-        ));
-    }
-    out
-}
-
 /// The chained backward verification: completeness, then reverse-topo,
 /// then saved-liveness — each pass runs only when every earlier backward
 /// pass came back clean, so the first firing pass names the fault class
@@ -1023,24 +910,23 @@ fn trace_or_finding(
         .map_err(|e| finding("plan-compile", label, format!("student trace failed: {e}")))
 }
 
-/// The objective plan the trainer replays for `cfg` at micro-batch
-/// `batch`: the trainer's optimizer and clip.
+/// The objective plan the trainer replays for `cfg`: the trainer's
+/// optimizer and clip.
 fn objective_plan(
     cfg: &TimeKdConfig,
     label: &str,
     input_len: usize,
     horizon: usize,
     num_vars: usize,
-    batch: usize,
 ) -> Result<Plan, Finding> {
     let opt = student_plan_optimizer(cfg);
-    compile_student_objective_plan(cfg, input_len, horizon, num_vars, opt, batch)
+    compile_student_objective_plan(cfg, input_len, horizon, num_vars, opt)
         .map_err(|e| finding("plan-compile", label, e.message))
 }
 
 /// Structural verification of one configuration: trace, compile the
-/// forecast plan and the objective plan at every proven batch size, and
-/// run every static pass on each.
+/// forecast plan and the objective plan, and run every static pass on
+/// each.
 pub fn verify_plan_config(
     cfg: &TimeKdConfig,
     label: &str,
@@ -1058,22 +944,17 @@ pub fn verify_plan_config(
     };
     let mut out = static_passes(&plan, &trace.prediction, label);
 
-    // Objective plans: the same forward passes over the extended value
-    // set, the chained backward passes over the reverse schedule, and the
-    // batch-metadata passes.
-    for batch in PROVEN_BATCHES {
-        let plan = match objective_plan(cfg, label, input_len, horizon, num_vars, batch) {
-            Ok(p) => p,
-            Err(f) => {
-                out.push(f);
-                return out;
-            }
-        };
-        out.extend(static_passes(&plan, &trace.loss, label));
-        out.extend(verify_backward_chain(&plan, label));
-        out.extend(check_batch_reduction(&plan, label));
-        out.extend(check_lane_disjointness(&plan, label));
-    }
+    // The objective plan: the same forward passes over the extended value
+    // set, and the chained backward passes over the reverse schedule.
+    let plan = match objective_plan(cfg, label, input_len, horizon, num_vars) {
+        Ok(p) => p,
+        Err(f) => {
+            out.push(f);
+            return out;
+        }
+    };
+    out.extend(static_passes(&plan, &trace.loss, label));
+    out.extend(verify_backward_chain(&plan, label));
     out
 }
 
@@ -1153,7 +1034,7 @@ pub fn check_train_agreement(
     horizon: usize,
     num_vars: usize,
 ) -> Vec<Finding> {
-    let plan = match objective_plan(cfg, label, input_len, horizon, num_vars, 1) {
+    let plan = match objective_plan(cfg, label, input_len, horizon, num_vars) {
         Ok(p) => p,
         Err(f) => return vec![f],
     };
@@ -1168,7 +1049,7 @@ pub fn check_train_agreement(
 /// The canonical text of everything a compiled plan executes: each step's
 /// op with its operand and output value ids; each value's source, dims and
 /// slot, plus the label of every param, input, aux and target value; the
-/// arena length; the backward, update and reduce schedules; and the clip
+/// arena length; the backward and update schedules; and the clip
 /// order and pinned values. Symbolic node ids and op-output labels are
 /// left out, so two plans lowered from differently built graphs of the
 /// same computation have the same fingerprint.
@@ -1196,9 +1077,6 @@ pub fn plan_fingerprint(plan: &Plan) -> String {
     for u in plan.update_steps() {
         out.push_str(&format!("u {u:?}\n"));
     }
-    for r in plan.reduce_steps() {
-        out.push_str(&format!("r {r:?}\n"));
-    }
     out.push_str(&format!(
         "clip {:?}\npinned {:?}\n",
         plan.clip_grads(),
@@ -1215,23 +1093,24 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One line per plan `timekd-check --plan` covers (every matrix config ×
-/// forecast plan, objective plan at B=1 and at B=4): the config label, the
-/// plan kind and the FNV-1a digest of its [`plan_fingerprint`].
+/// forecast plan and objective plan): the config label, the plan kind and
+/// the FNV-1a digest of its [`plan_fingerprint`]. The objective kind keeps
+/// its `B=1` tag so the committed fixture's lines stay byte-identical.
 pub fn plan_fingerprint_lines() -> Result<Vec<String>, String> {
     let (input_len, horizon, num_vars) = (96, 24, 7);
     let mut lines = Vec::new();
     for (cfg, label) in config_matrix() {
-        let mut plans = vec![(
-            "forecast".to_string(),
-            student_forecast_plan(&cfg, input_len, horizon, num_vars),
-        )];
-        for batch in PROVEN_BATCHES {
-            let opt = student_plan_optimizer(&cfg);
-            plans.push((
-                format!("objective B={batch}"),
-                compile_student_objective_plan(&cfg, input_len, horizon, num_vars, opt, batch),
-            ));
-        }
+        let opt = student_plan_optimizer(&cfg);
+        let plans = [
+            (
+                "forecast",
+                student_forecast_plan(&cfg, input_len, horizon, num_vars),
+            ),
+            (
+                "objective B=1",
+                compile_student_objective_plan(&cfg, input_len, horizon, num_vars, opt),
+            ),
+        ];
         for (kind, plan) in plans {
             let plan = plan.map_err(|e| format!("{label} {kind}: {e}"))?;
             let digest = fnv1a(plan_fingerprint(&plan).as_bytes());
@@ -1303,7 +1182,7 @@ pub fn verify_plans() -> PlanReport {
             ),
             format!(
                 "every reachable trainable parameter of the objective plan (PKD + \
-                 forecast, clip, AdamW; B=1 and B=4) receives exactly one accumulated \
+                 forecast, clip, AdamW) receives exactly one accumulated \
                  gradient and one fused update; frozen parameters receive none \
                  ({n}/{n} configs)"
             ),
@@ -1319,14 +1198,6 @@ pub fn verify_plans() -> PlanReport {
                 "planned objective steps are bitwise identical to the dynamic student \
                  objective step ({g}/{g} student geometries)"
             ),
-            format!(
-                "every trained gradient is reduced into lane 0 exactly once per extra \
-                 lane, in the pinned window order (B=1 and B=4, {n}/{n} configs)"
-            ),
-            format!(
-                "per-lane gradient arenas are disjoint: the lane stride covers a full \
-                 arena ({n}/{n} configs)"
-            ),
         ];
     }
     report
@@ -1335,8 +1206,7 @@ pub fn verify_plans() -> PlanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timekd::student_objective_spec;
-    use timekd_tensor::{PlanFault, TrainSpec};
+    use timekd_tensor::PlanFault;
 
     fn tiny_cfg() -> TimeKdConfig {
         TimeKdConfig {
@@ -1356,8 +1226,8 @@ mod tests {
     }
 
     /// The trainer's objective plan for the tiny configuration.
-    fn tiny_objective_plan(batch: usize) -> Plan {
-        objective_plan(&tiny_cfg(), "t", 24, 8, 3, batch).unwrap()
+    fn tiny_objective_plan() -> Plan {
+        objective_plan(&tiny_cfg(), "t", 24, 8, 3).unwrap()
     }
 
     fn all_static_passes(plan: &Plan) -> Vec<Finding> {
@@ -1437,7 +1307,7 @@ mod tests {
     #[test]
     fn forward_faults_trip_their_pass_on_objective_plans() {
         // The forward faults are owned by the same passes on the objective
-        // plan the trainer replays, at every proven batch size.
+        // plan the trainer replays.
         let trace = tiny_trace();
         let owners = [
             (PlanFault::OverlapSlots, "slot-overlap"),
@@ -1445,16 +1315,14 @@ mod tests {
             (PlanFault::ShrinkArena, "arena-bound-mismatch"),
             (PlanFault::DropEdge, "graph-diff"),
         ];
-        for batch in PROVEN_BATCHES {
-            for (fault, owner) in owners {
-                let mut plan = tiny_objective_plan(batch);
-                plan.inject_fault(fault);
-                let fs = static_passes(&plan, &trace.loss, "t");
-                assert!(
-                    fs.iter().any(|f| f.kind == owner),
-                    "B={batch}: {fault:?} expected a `{owner}` finding, got {fs:?}"
-                );
-            }
+        for (fault, owner) in owners {
+            let mut plan = tiny_objective_plan();
+            plan.inject_fault(fault);
+            let fs = static_passes(&plan, &trace.loss, "t");
+            assert!(
+                fs.iter().any(|f| f.kind == owner),
+                "{fault:?} expected a `{owner}` finding, got {fs:?}"
+            );
         }
     }
 
@@ -1469,14 +1337,12 @@ mod tests {
     #[test]
     fn clean_training_plan_passes_backward_chain_and_divergence() {
         let trace = tiny_trace();
-        for batch in PROVEN_BATCHES {
-            let plan = tiny_objective_plan(batch);
-            assert!(plan.is_training());
-            let fs = static_passes(&plan, &trace.loss, "t");
-            assert!(fs.is_empty(), "B={batch}: {fs:?}");
-            let fs = verify_backward_chain(&plan, "t");
-            assert!(fs.is_empty(), "B={batch}: {fs:?}");
-        }
+        let plan = tiny_objective_plan();
+        assert!(plan.is_training());
+        let fs = static_passes(&plan, &trace.loss, "t");
+        assert!(fs.is_empty(), "{fs:?}");
+        let fs = verify_backward_chain(&plan, "t");
+        assert!(fs.is_empty(), "{fs:?}");
         let fs = check_train_agreement(&tiny_cfg(), "t", 24, 8, 3);
         assert!(fs.is_empty(), "{fs:?}");
     }
@@ -1491,8 +1357,7 @@ mod tests {
             ..cfg
         };
         let plan =
-            compile_student_objective_plan(&cfg, 24, 8, 3, student_plan_optimizer(&other), 1)
-                .unwrap();
+            compile_student_objective_plan(&cfg, 24, 8, 3, student_plan_optimizer(&other)).unwrap();
         let fs = check_train_divergence(&plan, &cfg, "t", 24, 8, 3);
         assert!(
             fs.iter().any(|f| f.kind == "train-divergence"),
@@ -1516,7 +1381,7 @@ mod tests {
 
     #[test]
     fn drop_adjoint_fault_trips_adjoint_completeness() {
-        let mut plan = tiny_objective_plan(1);
+        let mut plan = tiny_objective_plan();
         plan.inject_fault(PlanFault::DropAdjoint);
         let fs = check_adjoint_completeness(&plan, "t");
         assert!(
@@ -1527,7 +1392,7 @@ mod tests {
 
     #[test]
     fn reorder_backward_fault_trips_reverse_topo() {
-        let mut plan = tiny_objective_plan(1);
+        let mut plan = tiny_objective_plan();
         plan.inject_fault(PlanFault::ReorderBackward);
         assert!(check_adjoint_completeness(&plan, "t").is_empty());
         let fs = check_reverse_topo(&plan, "t");
@@ -1539,7 +1404,7 @@ mod tests {
 
     #[test]
     fn clobber_saved_activation_fault_trips_saved_liveness() {
-        let mut plan = tiny_objective_plan(1);
+        let mut plan = tiny_objective_plan();
         plan.inject_fault(PlanFault::ClobberSavedActivation);
         assert!(check_adjoint_completeness(&plan, "t").is_empty());
         assert!(check_reverse_topo(&plan, "t").is_empty());
@@ -1553,77 +1418,23 @@ mod tests {
     #[test]
     fn backward_fault_isolation_matrix() {
         // Each backward fault is caught by exactly its owning pass in the
-        // chain, and by no forward pass, at every proven batch size.
+        // chain, and by no forward pass.
         let trace = tiny_trace();
         let owners = [
             (PlanFault::DropAdjoint, "adjoint-incomplete"),
             (PlanFault::ReorderBackward, "reverse-topo"),
             (PlanFault::ClobberSavedActivation, "saved-liveness"),
         ];
-        for batch in PROVEN_BATCHES {
-            for (fault, owner) in owners {
-                let mut plan = tiny_objective_plan(batch);
-                plan.inject_fault(fault);
-                let fwd = static_passes(&plan, &trace.loss, "t");
-                assert!(
-                    fwd.is_empty(),
-                    "B={batch}: {fault:?} leaked into a forward pass: {fwd:?}"
-                );
-                let fs = verify_backward_chain(&plan, "t");
-                assert!(
-                    !fs.is_empty(),
-                    "B={batch}: {fault:?} was not caught by the chain"
-                );
-                assert!(
-                    fs.iter().all(|f| f.kind == owner),
-                    "B={batch}: {fault:?} expected only `{owner}` findings, got {fs:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn clean_batched_plans_pass_batch_passes() {
-        for batch in PROVEN_BATCHES {
-            let plan = tiny_objective_plan(batch);
-            let mut fs = check_batch_reduction(&plan, "t");
-            fs.extend(check_lane_disjointness(&plan, "t"));
-            assert!(fs.is_empty(), "B={batch}: {fs:?}");
-        }
-        // Per-window plans must be vacuously clean: no batch metadata.
-        let cfg = tiny_cfg();
-        let plan = Plan::compile_training(
-            &tiny_trace().loss,
-            &student_objective_spec(),
-            &TrainSpec::new("y", student_plan_optimizer(&cfg)),
-        )
-        .unwrap();
-        let mut fs = check_batch_reduction(&plan, "t");
-        fs.extend(check_lane_disjointness(&plan, "t"));
-        assert!(fs.is_empty(), "per-window: {fs:?}");
-    }
-
-    #[test]
-    fn batch_fault_isolation_matrix() {
-        // Each batch fault is caught by exactly its owning pass, and by no
-        // forward, backward, or sibling batch pass.
-        let trace = tiny_trace();
-        let owners = [
-            (PlanFault::DropReduceStep, "batch-reduction"),
-            (PlanFault::OverlapLaneArenas, "lane-disjoint"),
-        ];
         for (fault, owner) in owners {
-            let mut plan = tiny_objective_plan(4);
+            let mut plan = tiny_objective_plan();
             plan.inject_fault(fault);
-            let mut other = static_passes(&plan, &trace.loss, "t");
-            other.extend(verify_backward_chain(&plan, "t"));
+            let fwd = static_passes(&plan, &trace.loss, "t");
             assert!(
-                other.is_empty(),
-                "{fault:?} leaked into a non-batch pass: {other:?}"
+                fwd.is_empty(),
+                "{fault:?} leaked into a forward pass: {fwd:?}"
             );
-            let mut fs = check_batch_reduction(&plan, "t");
-            fs.extend(check_lane_disjointness(&plan, "t"));
-            assert!(!fs.is_empty(), "{fault:?} was not caught");
+            let fs = verify_backward_chain(&plan, "t");
+            assert!(!fs.is_empty(), "{fault:?} was not caught by the chain");
             assert!(
                 fs.iter().all(|f| f.kind == owner),
                 "{fault:?} expected only `{owner}` findings, got {fs:?}"
@@ -1639,7 +1450,7 @@ mod tests {
         // reference can expose that the wrong parameter was frozen.
         let cfg = tiny_cfg();
         let trace = tiny_trace();
-        let mut plan = tiny_objective_plan(1);
+        let mut plan = tiny_objective_plan();
         plan.inject_fault(PlanFault::UpdateFrozenParam);
         let fwd = static_passes(&plan, &trace.loss, "t");
         assert!(fwd.is_empty(), "{fwd:?}");

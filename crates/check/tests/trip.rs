@@ -501,78 +501,6 @@ fn real_train_plan_module_passes_its_own_lint() {
 }
 
 #[test]
-fn batch_plan_rules_trip_on_exact_lines() {
-    // In tensor/src/plan_batch.rs the plan rules cover both `*_plan_loop`
-    // and `*_block` fns: the vec! (line 6) and .push( (line 7) trip the
-    // alloc rule inside reduce_plan_loop, as does the .to_vec() (line 17)
-    // inside replay_lanes_block; the .unwrap() (line 8) trips the unwrap
-    // rule and the span (line 9) the span rule. Nothing in bind_batched
-    // (bind-time code) or the test module may trip.
-    let vs = scan_source(
-        "crates/tensor/src/plan_batch.rs",
-        &fixture("bad_batch_plan.rs"),
-    );
-    let of_rule = |rule: &str| -> Vec<usize> {
-        vs.iter()
-            .filter(|v| v.rule == rule)
-            .map(|v| v.line)
-            .collect()
-    };
-    assert_eq!(of_rule("no-alloc-in-plan-loop"), vec![6, 7, 17], "{vs:?}");
-    assert_eq!(of_rule("no-unwrap-in-plan-loop"), vec![8], "{vs:?}");
-    assert_eq!(of_rule("no-span-in-plan-loop"), vec![9], "{vs:?}");
-    assert!(
-        vs.iter().all(|v| v.line < 21),
-        "bind_batched and the test module are out of scope: {vs:?}"
-    );
-}
-
-#[test]
-fn batch_block_rule_is_scoped_to_the_batched_module() {
-    // The same fixture labelled as plan_train.rs: `*_plan_loop` fns are
-    // still plan loops there, but the `_block` extension is exclusive to
-    // plan_batch.rs — replay_lanes_block (line 17) must not trip.
-    let vs = scan_source(
-        "crates/tensor/src/plan_train.rs",
-        &fixture("bad_batch_plan.rs"),
-    );
-    let alloc: Vec<usize> = vs
-        .iter()
-        .filter(|v| v.rule == "no-alloc-in-plan-loop")
-        .map(|v| v.line)
-        .collect();
-    assert_eq!(alloc, vec![6, 7], "{vs:?}");
-}
-
-#[test]
-fn batch_plan_rules_do_not_trip_outside_plan_files() {
-    // Same source labelled outside tensor/src/plan*.rs: the plan rules
-    // are path-scoped, like the worker rules.
-    let vs = scan_source(
-        "crates/nn/src/bad_batch_plan.rs",
-        &fixture("bad_batch_plan.rs"),
-    );
-    assert!(
-        vs.iter().all(|v| !v.rule.ends_with("-in-plan-loop")),
-        "plan rules are scoped to the tensor plan modules: {vs:?}"
-    );
-}
-
-#[test]
-fn real_batch_plan_module_passes_its_own_lint() {
-    // The shipped batched executor promises zero-alloc, unwrap-free,
-    // uninstrumented reduction and fan-out paths — it must stay clean
-    // under its own rules.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../tensor/src/plan_batch.rs");
-    let source = std::fs::read_to_string(&path).expect("read plan_batch.rs");
-    let vs = scan_source("crates/tensor/src/plan_batch.rs", &source);
-    assert!(
-        vs.is_empty(),
-        "shipped batched executor violates its own lint: {vs:?}"
-    );
-}
-
-#[test]
 fn simd_lane_loop_rules_trip_on_exact_lines() {
     // tensor/src/simd.rs is both a kernel file (no-unwrap/no-Instant
     // file-wide) and a worker file whose `_lanes` fns are worker loops:
@@ -772,12 +700,12 @@ fn libm_transcendentals_in_kernel_files_trip_on_exact_lines() {
 
 #[test]
 fn libm_transcendental_rule_is_path_scoped() {
-    // Outside the kernel layer (model code, data generators, the batched
-    // executor) libm stays allowed.
+    // Outside the kernel layer (model code, data generators, the worker
+    // pool) libm stays allowed.
     for label in [
         "crates/nn/src/bad_libm.rs",
         "crates/data/src/generators.rs",
-        "crates/tensor/src/plan_batch.rs",
+        "crates/tensor/src/parallel.rs",
         "crates/tensor/src/recorder.rs",
     ] {
         let vs = scan_source(label, &fixture("bad_libm.rs"));

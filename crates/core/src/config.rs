@@ -153,10 +153,6 @@ pub struct TimeKdConfig {
     pub lr_schedule: LrSchedule,
     /// Gradient-clipping norm.
     pub grad_clip: f32,
-    /// Student training micro-batch `B`: how many windows the batched
-    /// planned trainer replays before one optimizer step folds their
-    /// accumulated gradients. `1` reproduces the per-window loop bitwise.
-    pub micro_batch: usize,
     /// Parameter init / shuffling seed.
     pub seed: u64,
     /// Ablation switches.
@@ -183,7 +179,6 @@ impl Default for TimeKdConfig {
             lr: 1e-3,
             lr_schedule: LrSchedule::Constant,
             grad_clip: 1.0,
-            micro_batch: 1,
             seed: 2025,
             ablation: AblationConfig::default(),
         }

@@ -15,8 +15,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
 use timekd_nn::Module;
+use timekd_tensor::parallel::with_serial_region;
 use timekd_tensor::{
-    BatchTrainExecutor, Plan, PlanError, PlanExecutor, PlanOptimizer, PlanSpec, Tensor, TrainSpec,
+    Plan, PlanError, PlanExecutor, PlanOptimizer, PlanSpec, Tensor, TrainExecutor, TrainSpec,
     ValueSource,
 };
 
@@ -192,20 +193,18 @@ pub fn student_forecast_plan(
 }
 
 /// Records the student objective for this geometry and compiles it into
-/// the batched training plan [`PlannedBatchTrainer`] replays: `batch`
-/// per-window gradient lanes, the pinned cross-window reduction, global
-/// gradient-norm clipping at `config.grad_clip` in [`Module::params`]
-/// order, and one fused `optimizer` step. The per-component loss scalars
-/// stay pinned in the arena (in the order `L_cd`, `L_fd`, `L_fcst`, absent
-/// arms skipped) so they can be read back after a step. A cache hit
-/// records nothing.
+/// the training plan [`PlannedBatchTrainer`] replays once per window:
+/// forward, reverse schedule, global gradient-norm clipping at
+/// `config.grad_clip` in [`Module::params`] order, and one fused
+/// `optimizer` step. The per-component loss scalars stay pinned in the
+/// arena (in the order `L_cd`, `L_fd`, `L_fcst`, absent arms skipped) so
+/// they can be read back after a step. A cache hit records nothing.
 pub fn compile_student_objective_plan(
     config: &TimeKdConfig,
     input_len: usize,
     horizon: usize,
     num_vars: usize,
     optimizer: PlanOptimizer,
-    batch: usize,
 ) -> Result<Plan, PlanError> {
     let mut key = plan_key_base(KIND_TRAIN_OBJECTIVE, config, input_len, horizon, num_vars);
     let PlanOptimizer::AdamW {
@@ -229,7 +228,6 @@ pub fn compile_student_objective_plan(
     ] {
         push_f32(&mut key, v);
     }
-    key.push(batch as u64);
     cached_plan(key, || {
         let trace = trace(config, (input_len, horizon, num_vars))?;
         let mut train = TrainSpec::new("y", optimizer);
@@ -249,7 +247,7 @@ pub fn compile_student_objective_plan(
         .flatten()
         .map(|t| t.id())
         .collect();
-        Plan::compile_training_batched(&trace.loss, &student_objective_spec(), &train, batch)
+        Plan::compile_training(&trace.loss, &student_objective_spec(), &train)
     })
 }
 
@@ -322,21 +320,18 @@ impl PlannedStudent {
 }
 
 /// The full student objective (PKD + forecasting, Alg. 2) compiled once
-/// into a *batched* multi-window training plan and bound to a live
-/// [`Student`]'s parameters.
+/// into a training plan and bound to a live [`Student`]'s parameters.
 ///
-/// One [`run_batch`](PlannedBatchTrainer::run_batch) call replays up to
-/// `batch` staged windows — data-parallel across the worker pool, one
-/// private gradient lane per window — folds every extra lane's gradients
-/// into lane 0 in the pinned ascending window order, clips, and applies
-/// one fused optimizer step. The reduction order is keyed by window index,
-/// never thread id, so results are bitwise identical to the serial
-/// replay-and-accumulate loop at any `TIMEKD_THREADS` setting, and
-/// `batch == 1` degenerates bitwise to the per-window path.
+/// Each [`run_batch`](PlannedBatchTrainer::run_batch) call takes one
+/// training step on the staged window: forward, backward, clipping and
+/// one fused optimizer step, with every kernel on its serial path. The
+/// steps are bitwise identical to the dynamic per-window loop at any
+/// `TIMEKD_THREADS` setting. The batch size, window index and count
+/// arguments accept only a single window (1, 0 and 1).
 #[derive(Debug)]
 pub struct PlannedBatchTrainer {
     plan: Plan,
-    executor: BatchTrainExecutor,
+    executor: TrainExecutor,
     /// Parameter labels in executor binding order (plan value order).
     param_labels: Vec<String>,
     /// The student's parameter tensors in executor binding order, kept so
@@ -347,26 +342,34 @@ pub struct PlannedBatchTrainer {
     correlation: Option<(usize, usize)>,
     feature: Option<(usize, usize)>,
     forecast: (usize, usize),
+    /// The staged window's flattened history and target.
+    x: Vec<f32>,
+    y: Vec<f32>,
     input_len: usize,
     horizon: usize,
     num_vars: usize,
 }
 
 impl PlannedBatchTrainer {
-    /// Compiles (or fetches from the plan cache) the batched objective
-    /// plan for `student`'s geometry ([`compile_student_objective_plan`])
-    /// and binds its current parameter values. Gradient clipping and the
+    /// Compiles (or fetches from the plan cache) the objective plan for
+    /// `student`'s geometry ([`compile_student_objective_plan`]) and binds
+    /// its current parameter values. Gradient clipping and the
     /// per-component loss pins mirror the dynamic
-    /// `TimeKd::train_student_epoch_dynamic` loop exactly.
+    /// `TimeKd::train_student_epoch_dynamic` loop exactly. `batch` must
+    /// be 1.
     pub fn new(
         student: &Student,
         config: &TimeKdConfig,
         optimizer: PlanOptimizer,
         batch: usize,
     ) -> Result<PlannedBatchTrainer, PlanError> {
+        if batch != 1 {
+            return Err(PlanError {
+                message: format!("the student trainer takes one window per step, not {batch}"),
+            });
+        }
         let (input_len, horizon, num_vars) = geometry(student);
-        let plan =
-            compile_student_objective_plan(config, input_len, horizon, num_vars, optimizer, batch)?;
+        let plan = compile_student_objective_plan(config, input_len, horizon, num_vars, optimizer)?;
         PlannedBatchTrainer::bind(student, config, plan)
     }
 
@@ -379,7 +382,7 @@ impl PlannedBatchTrainer {
         plan: Plan,
     ) -> Result<PlannedBatchTrainer, PlanError> {
         let params = bind_student_params(student);
-        let executor = BatchTrainExecutor::new(&plan, |label, dims| resolve(&params, label, dims))?;
+        let executor = TrainExecutor::new(&plan, |label, dims| resolve(&params, label, dims))?;
         let param_labels: Vec<String> = plan
             .values()
             .iter()
@@ -409,6 +412,8 @@ impl PlannedBatchTrainer {
         let forecast = pin(true, "forecasting")?.expect("always pinned");
 
         Ok(PlannedBatchTrainer {
+            x: vec![0.0; executor.input_len()],
+            y: vec![0.0; executor.target_len()],
             plan,
             executor,
             param_labels,
@@ -422,14 +427,9 @@ impl PlannedBatchTrainer {
         })
     }
 
-    /// The compiled batched training plan (for inspection/verification).
+    /// The compiled training plan (for inspection/verification).
     pub fn plan(&self) -> &Plan {
         &self.plan
-    }
-
-    /// Window capacity `B` of one batch.
-    pub fn batch(&self) -> usize {
-        self.executor.batch()
     }
 
     /// Labels of the bound parameters, in binding order.
@@ -443,33 +443,34 @@ impl PlannedBatchTrainer {
         Some(self.executor.param_data(idx))
     }
 
-    /// Stages window `w`'s `[L, N]` history and `[M, N]` target for the
-    /// next [`run_batch`](PlannedBatchTrainer::run_batch).
+    /// Stages the `[L, N]` history and `[M, N]` target of the next
+    /// [`run_batch`](PlannedBatchTrainer::run_batch). `w` must be 0.
     pub fn stage_window(&mut self, w: usize, x: &Tensor, y: &Tensor) {
+        assert_eq!(w, 0, "the student trainer stages one window, at index 0");
         assert_eq!(
             x.dims(),
             &[self.input_len, self.num_vars],
-            "batched trainer input shape"
+            "planned trainer input shape"
         );
         assert_eq!(
             y.dims(),
             &[self.horizon, self.num_vars],
-            "batched trainer target shape"
+            "planned trainer target shape"
         );
-        self.executor.stage_window(w, &x.data(), &y.data());
+        self.x.copy_from_slice(&x.data());
+        self.y.copy_from_slice(&y.data());
     }
 
-    /// Stages the teacher's privileged products for window `w`. Slots an
-    /// ablation dropped from the graph are skipped (their aux length is
-    /// zero).
+    /// Stages the teacher's privileged products for the next step. Slots
+    /// an ablation dropped from the graph are skipped (their aux length is
+    /// zero). `w` must be 0.
     pub fn stage_teacher(&mut self, w: usize, attention: &Tensor, embedding: &Tensor) {
+        assert_eq!(w, 0, "the student trainer stages one window, at index 0");
         if self.executor.aux_len(AUX_TEACHER_ATT) > 0 {
-            self.executor
-                .stage_aux(w, AUX_TEACHER_ATT, &attention.data());
+            self.executor.set_aux(AUX_TEACHER_ATT, &attention.data());
         }
         if self.executor.aux_len(AUX_TEACHER_EMB) > 0 {
-            self.executor
-                .stage_aux(w, AUX_TEACHER_EMB, &embedding.data());
+            self.executor.set_aux(AUX_TEACHER_EMB, &embedding.data());
         }
     }
 
@@ -484,37 +485,40 @@ impl PlannedBatchTrainer {
         self.executor.set_step_count(n);
     }
 
-    /// Replays the first `count` staged windows, reduces, clips, and
-    /// applies one fused optimizer step.
+    /// Takes one training step on the staged window: forward, backward,
+    /// clipping and one fused optimizer step. `count` must be 1.
     pub fn run_batch(&mut self, count: usize) {
-        self.executor.run_batch(count);
+        assert_eq!(count, 1, "the student trainer takes one window per step");
+        let (executor, x, y) = (&mut self.executor, &self.x, &self.y);
+        with_serial_region(|| executor.run_train_step(x, y));
     }
 
-    fn lane_component(&self, w: usize, range: Option<(usize, usize)>) -> f32 {
+    fn component(&self, range: Option<(usize, usize)>) -> f32 {
         match range {
-            Some((off, len)) => self.executor.lane_value(w, off, len)[0],
+            Some((off, len)) => self.executor.arena_value(off, len)[0],
             None => 0.0,
         }
     }
 
-    /// Window `w`'s total loss from the last batch.
-    pub fn lane_total(&self, w: usize) -> f32 {
-        self.executor.lane_loss(w)
+    /// The last step's total loss.
+    pub fn total_loss(&self) -> f32 {
+        self.executor.loss()
     }
 
-    /// Window `w`'s correlation distillation loss `L_cd` (0 when ablated).
-    pub fn lane_correlation(&self, w: usize) -> f32 {
-        self.lane_component(w, self.correlation)
+    /// The last step's correlation distillation loss `L_cd` (0 when
+    /// ablated).
+    pub fn correlation_loss(&self) -> f32 {
+        self.component(self.correlation)
     }
 
-    /// Window `w`'s feature distillation loss `L_fd` (0 when ablated).
-    pub fn lane_feature(&self, w: usize) -> f32 {
-        self.lane_component(w, self.feature)
+    /// The last step's feature distillation loss `L_fd` (0 when ablated).
+    pub fn feature_loss(&self) -> f32 {
+        self.component(self.feature)
     }
 
-    /// Window `w`'s forecasting loss `L_fcst`.
-    pub fn lane_forecast(&self, w: usize) -> f32 {
-        self.lane_component(w, Some(self.forecast))
+    /// The last step's forecasting loss `L_fcst`.
+    pub fn forecast_loss(&self) -> f32 {
+        self.component(Some(self.forecast))
     }
 
     /// Copies the executor's current parameter values back into the bound
@@ -611,7 +615,7 @@ mod tests {
 
     #[test]
     fn planned_objective_training_is_bitwise_identical_to_dynamic() {
-        // `PlannedBatchTrainer` at B = 1 against the dynamic
+        // `PlannedBatchTrainer` against the dynamic
         // `student_objective` step (backward, clip, the trainer's AdamW),
         // for every combination of distillation arms — so both aux slots
         // are exercised present and absent — at several thread counts.
@@ -662,10 +666,10 @@ mod tests {
                         trainer.stage_teacher(0, att, emb);
                         trainer.run_batch(1);
                         planned_losses.push([
-                            trainer.lane_total(0),
-                            trainer.lane_correlation(0),
-                            trainer.lane_feature(0),
-                            trainer.lane_forecast(0),
+                            trainer.total_loss(),
+                            trainer.correlation_loss(),
+                            trainer.feature_loss(),
+                            trainer.forecast_loss(),
                         ]);
                     }
                 });
@@ -698,7 +702,6 @@ mod tests {
             8,
             5,
             crate::student_plan_optimizer(&config),
-            1,
         )
         .unwrap();
         let params = plan
@@ -727,53 +730,36 @@ mod tests {
         let student = Student::new(&config, 24, 8, 5, &mut rng);
         let opt = crate::student_plan_optimizer(&config);
         let (h0, m0) = plan_cache_stats();
-        let _a = PlannedBatchTrainer::new(&student, &config, opt, 4).unwrap();
+        let _a = PlannedBatchTrainer::new(&student, &config, opt, 1).unwrap();
         assert_eq!(plan_cache_stats(), (h0, m0 + 1), "first build must compile");
-        let _b = PlannedBatchTrainer::new(&student, &config, opt, 4).unwrap();
+        let _b = PlannedBatchTrainer::new(&student, &config, opt, 1).unwrap();
         assert_eq!(
             plan_cache_stats(),
             (h0 + 1, m0 + 1),
             "epoch-over-epoch rebuild must not recompile the objective plan"
         );
-        // A different batch changes the lowered schedule, so it misses.
-        let _c = PlannedBatchTrainer::new(&student, &config, opt, 2).unwrap();
-        assert_eq!(plan_cache_stats(), (h0 + 1, m0 + 2));
-        // So does a different hyper-parameter: fused update constants are
+        // A different hyper-parameter misses: fused update constants are
         // baked into the plan.
         let other = TimeKdConfig {
             lr: config.lr * 2.0,
             ..config
         };
-        let _d =
-            PlannedBatchTrainer::new(&student, &config, crate::student_plan_optimizer(&other), 4)
+        let _c =
+            PlannedBatchTrainer::new(&student, &config, crate::student_plan_optimizer(&other), 1)
                 .unwrap();
-        assert_eq!(plan_cache_stats(), (h0 + 1, m0 + 3));
+        assert_eq!(plan_cache_stats(), (h0 + 1, m0 + 2));
         reset_plan_cache();
     }
 
     #[test]
-    fn batched_training_plan_has_reduction_and_lane_metadata() {
+    fn trainer_refuses_more_than_one_window_per_step() {
         let config = small_config();
-        let batch = 4;
-        let plan = compile_student_objective_plan(
-            &config,
-            24,
-            8,
-            5,
-            crate::student_plan_optimizer(&config),
-            batch,
-        )
-        .unwrap();
-        assert_eq!(plan.batch(), batch);
-        let params = plan
-            .values()
-            .iter()
-            .filter(|v| v.source == ValueSource::Param)
-            .count();
-        // Every parameter gradient gets (batch - 1) lane reductions and
-        // exactly one fused update per batch.
-        assert_eq!(plan.reduce_steps().len(), params * (batch - 1));
-        assert_eq!(plan.update_steps().len(), params);
+        let student = Student::new(&config, 24, 8, 5, &mut seeded_rng(7));
+        let opt = crate::student_plan_optimizer(&config);
+        for batch in [0, 4] {
+            let err = PlannedBatchTrainer::new(&student, &config, opt, batch).unwrap_err();
+            assert!(err.message.contains("one window per step"), "{err}");
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub struct TimeKd {
     student: Student,
     optimizer: AdamW,
     warmup_done: bool,
-    /// The batched planned student trainer, built lazily on the first
+    /// The planned student trainer, built lazily on the first
     /// student epoch and reused for every following one (it owns the
     /// fused AdamW moment state, so it must survive across epochs).
     planned: Option<PlannedBatchTrainer>,
@@ -211,30 +211,23 @@ impl TimeKd {
     /// `λ_p·(λ_c·L_cd + λ_e·L_fd) + λ_f·L_fcst` against the (frozen for
     /// this pass) teacher's privileged outputs.
     ///
-    /// The whole step — forward, backward, gradient reduction, clipping,
-    /// fused AdamW — replays a compiled batched training plan
-    /// ([`PlannedBatchTrainer`]): windows are processed in micro-batches
-    /// of [`TimeKdConfig::micro_batch`] with one optimizer step per batch.
-    /// At `micro_batch == 1` (the default) this is bitwise identical to
-    /// the dynamic per-window loop
+    /// Each window's step — forward, backward, clipping, fused AdamW —
+    /// replays a compiled training plan ([`PlannedBatchTrainer`]), bitwise
+    /// identical to the dynamic per-window loop
     /// ([`train_student_epoch_dynamic`](Self::train_student_epoch_dynamic)),
     /// which stays as the equivalence oracle.
     pub fn train_student_epoch(&mut self, windows: &[ForecastWindow]) -> EpochStats {
         let _span = timekd_obs::span("epoch.student");
         assert!(!windows.is_empty(), "no training windows");
-        let batch = self.config.micro_batch.max(1);
-        if self.planned.as_ref().is_some_and(|t| t.batch() != batch) {
-            self.planned = None;
-        }
         let mut trainer = match self.planned.take() {
             Some(t) => t,
             None => PlannedBatchTrainer::new(
                 &self.student,
                 &self.config,
                 student_plan_optimizer(&self.config),
-                batch,
+                1,
             )
-            .unwrap_or_else(|e| panic!("batched student training plan: {e}")),
+            .unwrap_or_else(|e| panic!("student training plan: {e}")),
         };
         let mut agg = EpochStats {
             total: 0.0,
@@ -243,15 +236,14 @@ impl TimeKd {
             feature: 0.0,
             forecast: 0.0,
         };
-        for chunk in windows.chunks(batch) {
-            let count = chunk.len();
-            for (lane, w) in chunk.iter().enumerate() {
-                let prompts = self.prompts_for(w);
-                // Teacher provides targets only: no graph, no update.
-                let t_out = timekd_tensor::no_grad(|| self.teacher.forward(&w.x, &w.y, &prompts));
-                trainer.stage_window(lane, &w.x, &w.y);
+        for w in windows {
+            let prompts = self.prompts_for(w);
+            // Teacher provides targets only: no graph, no update.
+            let t_out = timekd_tensor::no_grad(|| self.teacher.forward(&w.x, &w.y, &prompts));
+            trainer.stage_window(0, &w.x, &w.y);
+            {
                 let _stage = timekd_obs::span("pkd.stage");
-                trainer.stage_teacher(lane, &t_out.attention, &t_out.embedding);
+                trainer.stage_teacher(0, &t_out.attention, &t_out.embedding);
             }
             let lr = self.config.lr * self.config.lr_schedule.factor(self.optimizer.steps());
             self.optimizer.set_lr(lr);
@@ -259,16 +251,14 @@ impl TimeKd {
             trainer.set_step_count(self.optimizer.steps());
             {
                 let _batch = timekd_obs::span("plan.student_batch");
-                trainer.run_batch(count);
+                trainer.run_batch(1);
             }
             self.optimizer.note_external_step();
             self.assert_frozen_lm_invariant();
-            for lane in 0..count {
-                agg.total += trainer.lane_total(lane);
-                agg.correlation += trainer.lane_correlation(lane);
-                agg.feature += trainer.lane_feature(lane);
-                agg.forecast += trainer.lane_forecast(lane);
-            }
+            agg.total += trainer.total_loss();
+            agg.correlation += trainer.correlation_loss();
+            agg.feature += trainer.feature_loss();
+            agg.forecast += trainer.forecast_loss();
         }
         trainer.write_back();
         self.planned = Some(trainer);
@@ -640,85 +630,42 @@ mod tests {
 
     #[test]
     fn planned_student_epoch_is_bitwise_identical_to_dynamic() {
-        // The batched planned path at micro_batch = 1 must reproduce the
-        // dynamic per-window loop bit for bit — losses, per-component
-        // stats, and every student parameter — at any thread count.
-        let (mut reference, ds) = tiny_model();
-        let train: Vec<_> = ds.windows(Split::Train, 16);
-        let subset = &train[..5.min(train.len())];
-        let dyn_stats = reference.train_student_epoch_dynamic(subset);
-        let dyn_params = student_param_bits(&reference);
-        for threads in [1, 2, 5] {
-            let (mut m, _) = tiny_model();
-            let stats =
-                timekd_tensor::parallel::with_threads(threads, || m.train_student_epoch(subset));
-            assert_eq!(
-                epoch_bits(&stats),
-                epoch_bits(&dyn_stats),
-                "epoch stats diverge at {threads} threads"
-            );
-            assert_eq!(
-                student_param_bits(&m),
-                dyn_params,
-                "student params diverge at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_student_epoch_is_thread_invariant_with_uneven_tail() {
-        // Replayed data-parallel, the pinned window-indexed reduction
-        // order must make every thread count bitwise agree. Two inputs:
-        // the tiny config at micro_batch = 5 over 7 windows (one full
-        // batch + a 2-window tail), and the default student dims at
-        // 48×7 → 24×7 with micro_batch = 4 over 16 windows (four full
-        // batches; a small CLM keeps it fast).
+        // The planned path must reproduce the dynamic per-window loop bit
+        // for bit — losses, per-component stats, and every student
+        // parameter — at any thread count. Two inputs: the tiny config
+        // over 5 windows, and the default student dims at 48×7 → 24×7
+        // over 16 windows (a small CLM keeps it fast).
         let mut default_dims = tiny_config();
         default_dims.dim = 32;
         default_dims.num_heads = 4;
         default_dims.ffn_hidden = 64;
-        let geometries = [
-            (tiny_config(), (24, 8), 5, 7),
-            (default_dims, (48, 24), 4, 16),
-        ];
-        for (base, (input_len, horizon), micro_batch, num_windows) in geometries {
-            let run = |threads: usize| {
-                let (mut m, ds) = model_with(base, input_len, horizon);
-                m.config.micro_batch = micro_batch;
-                let train: Vec<_> = ds.windows(Split::Train, 16);
-                assert!(train.len() >= num_windows, "{} windows", train.len());
-                let subset = &train[..num_windows];
+        let geometries = [(tiny_config(), (24, 8), 5), (default_dims, (48, 24), 16)];
+        for (base, (input_len, horizon), num_windows) in geometries {
+            let (mut reference, ds) = model_with(base, input_len, horizon);
+            let train: Vec<_> = ds.windows(Split::Train, 16);
+            assert!(train.len() >= num_windows, "{} windows", train.len());
+            let subset = &train[..num_windows];
+            let dyn_stats = reference.train_student_epoch_dynamic(subset);
+            let dyn_params = student_param_bits(&reference);
+            for threads in [1, 2, 5] {
+                let (mut m, _) = model_with(base, input_len, horizon);
                 let stats = timekd_tensor::parallel::with_threads(threads, || {
                     m.train_student_epoch(subset)
                 });
-                (epoch_bits(&stats), student_param_bits(&m))
-            };
-            let baseline = run(1);
-            for threads in [2, 5] {
                 assert_eq!(
-                    run(threads),
-                    baseline,
-                    "diverges at {threads} threads (dim {}, B = {micro_batch})",
+                    epoch_bits(&stats),
+                    epoch_bits(&dyn_stats),
+                    "epoch stats diverge at {threads} threads (dim {})",
+                    base.dim
+                );
+                assert_eq!(
+                    student_param_bits(&m),
+                    dyn_params,
+                    "student params diverge at {threads} threads (dim {})",
                     base.dim
                 );
             }
         }
-    }
-
-    #[test]
-    fn batched_epoch_still_improves_validation() {
-        let (mut model, ds) = tiny_model();
-        let mut cfg = *model.config();
-        cfg.micro_batch = 4;
-        model.config = cfg;
-        let train: Vec<_> = ds.windows(Split::Train, 16);
-        let val: Vec<_> = ds.windows(Split::Val, 8);
-        let (mse0, _) = model.evaluate(&val);
-        for _ in 0..3 {
-            model.train_epoch(&train);
-        }
-        let (mse1, _) = model.evaluate(&val);
-        assert!(mse1 < mse0, "val MSE {mse0} -> {mse1}");
     }
 
     #[test]

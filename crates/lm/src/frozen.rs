@@ -17,17 +17,11 @@
 //! `prompt_feeds` code the dynamic forward reads, which stays the bitwise
 //! oracle (`proptest_lm`).
 //!
-//! The map is indexed by a 64-bit digest for O(1) lookup, but a digest
-//! alone is not a correctness guarantee: two distinct prompts can collide,
-//! and a collision would silently return the *wrong* prompt's embedding.
-//! Every hit therefore verifies the stored `(tokens, calibrated)` key
-//! against the query; a mismatch is treated as a miss, counted in
-//! [`FrozenLm::collision_count`], and the entry is overwritten with the
-//! recomputed embedding.
+//! The cache keeps one map per calibration flag, keyed by the prompt's
+//! tokens themselves, so a hit is always the same prompt.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use timekd_nn::Module;
 use timekd_tensor::{no_grad, record, Plan, PlanError, PlanExecutor, PlanSpec, Recorder, Tensor};
@@ -36,26 +30,12 @@ use crate::config::LmConfig;
 use crate::model::{CausalLm, FamilyFeeds};
 use crate::tokenizer::Token;
 
-/// One memoised embedding plus the full key that produced it, so digest
-/// collisions are detectable.
-struct CacheEntry {
-    tokens: Vec<Token>,
-    calibrated: bool,
-    data: Vec<f32>,
-}
-
-impl CacheEntry {
-    fn matches(&self, tokens: &[Token], calibrated: bool) -> bool {
-        self.calibrated == calibrated && self.tokens == tokens
-    }
-}
-
 /// Where [`FrozenLm::embed_family`] takes one prompt's embedding from.
 enum Source {
     /// The `n`th miss of the call, computed now: the miss itself, or a
     /// later hit on it in the same call.
     Computed(usize),
-    /// A verified hit on a stored entry.
+    /// A hit on a stored entry.
     Cached(Vec<f32>),
 }
 
@@ -67,21 +47,11 @@ enum Source {
 pub struct FrozenLm {
     lm: CausalLm,
     plans: RefCell<Vec<FamilyPlan>>,
-    cache: RefCell<HashMap<u64, CacheEntry>>,
+    /// Embeddings by prompt, indexed by the calibration flag.
+    cache: RefCell<[HashMap<Vec<Token>, Vec<f32>>; 2]>,
     caching_enabled: Cell<bool>,
     hits: Cell<u64>,
     misses: Cell<u64>,
-    collisions: Cell<u64>,
-}
-
-fn cache_key(tokens: &[Token], calibrated: bool) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for t in tokens {
-        t.id.hash(&mut h);
-        t.modality.hash(&mut h);
-    }
-    calibrated.hash(&mut h);
-    h.finish()
 }
 
 impl FrozenLm {
@@ -90,11 +60,10 @@ impl FrozenLm {
         FrozenLm {
             lm,
             plans: RefCell::new(Vec::new()),
-            cache: RefCell::new(HashMap::new()),
+            cache: RefCell::new([HashMap::new(), HashMap::new()]),
             caching_enabled: Cell::new(true),
             hits: Cell::new(0),
             misses: Cell::new(0),
-            collisions: Cell::new(0),
         }
     }
 
@@ -106,59 +75,42 @@ impl FrozenLm {
     /// Last-token embedding `[D]` as a constant tensor, served from the
     /// cache when this exact prompt has been embedded before. The
     /// one-prompt case of [`embed_family`](Self::embed_family).
-    ///
-    /// A digest hit only counts as a cache hit after the stored full key
-    /// matches the query; colliding entries are recomputed and replaced.
     pub fn embed(&self, tokens: &[Token], calibrated: bool) -> Tensor {
         let mut out = self.embed_family(&[tokens], calibrated);
         out.pop().expect("one prompt, one embedding")
     }
 
     /// Last-token embeddings `[D]` of several prompts, in order, as
-    /// constant tensors. Verified hits come from the cache; the misses run
+    /// constant tensors. Hits come from the cache; the misses run
     /// as one family ([`CausalLm::last_token_embeddings`], replayed as its
     /// compiled plan), so prompts that share a prefix (a variable's
     /// ground-truth and historical prompts) compute it once.
     ///
-    /// Hits, misses, collisions and the cache afterwards are exactly those
+    /// Hits, misses and the cache afterwards are exactly those
     /// of calling [`embed`](Self::embed) on each prompt in turn: a prompt
     /// that repeats an earlier miss of the same call is a hit on it.
     pub fn embed_family(&self, prompts: &[&[Token]], calibrated: bool) -> Vec<Tensor> {
         let _span = timekd_obs::span("lm.embed");
         let caching = self.caching_enabled.get();
         let dim = self.lm.config().dim;
-        let keys: Vec<u64> = prompts.iter().map(|t| cache_key(t, calibrated)).collect();
         // Prompt indices of the misses, in order.
         let mut misses: Vec<usize> = Vec::new();
         let mut sources = Vec::with_capacity(prompts.len());
         {
-            let cache = self.cache.borrow();
+            let cache = &self.cache.borrow()[usize::from(calibrated)];
             for (i, &tokens) in prompts.iter().enumerate() {
                 if caching {
-                    // The entry a sequential `embed` would find: the latest
-                    // earlier miss under this digest, else the stored one.
-                    let found = match misses.iter().rposition(|&m| keys[m] == keys[i]) {
-                        Some(slot) => Some(
-                            (prompts[misses[slot]] == tokens).then_some(Source::Computed(slot)),
-                        ),
-                        None => cache.get(&keys[i]).map(|entry| {
-                            entry
-                                .matches(tokens, calibrated)
-                                .then(|| Source::Cached(entry.data.clone()))
-                        }),
+                    // The entry a sequential `embed` would find: an earlier
+                    // miss of this call, else the stored one.
+                    let found = match misses.iter().position(|&m| prompts[m] == tokens) {
+                        Some(slot) => Some(Source::Computed(slot)),
+                        None => cache.get(tokens).map(|data| Source::Cached(data.clone())),
                     };
-                    match found {
-                        Some(Some(source)) => {
-                            self.hits.set(self.hits.get() + 1);
-                            timekd_obs::LM_CACHE_HITS.add(1);
-                            sources.push(source);
-                            continue;
-                        }
-                        Some(None) => {
-                            self.collisions.set(self.collisions.get() + 1);
-                            timekd_obs::LM_CACHE_COLLISIONS.add(1);
-                        }
-                        None => {}
+                    if let Some(source) = found {
+                        self.hits.set(self.hits.get() + 1);
+                        timekd_obs::LM_CACHE_HITS.add(1);
+                        sources.push(source);
+                        continue;
                     }
                 }
                 self.misses.set(self.misses.get() + 1);
@@ -175,16 +127,9 @@ impl FrozenLm {
             self.forward_family(&family, calibrated)
         };
         if caching {
-            let mut cache = self.cache.borrow_mut();
+            let cache = &mut self.cache.borrow_mut()[usize::from(calibrated)];
             for (&i, emb) in misses.iter().zip(&computed) {
-                cache.insert(
-                    keys[i],
-                    CacheEntry {
-                        tokens: prompts[i].to_vec(),
-                        calibrated,
-                        data: emb.clone(),
-                    },
-                );
+                cache.insert(prompts[i].to_vec(), emb.clone());
             }
         }
         sources
@@ -230,50 +175,21 @@ impl FrozenLm {
         (self.hits.get(), self.misses.get())
     }
 
-    /// Number of digest collisions detected (a digest matched an entry
-    /// whose full key differed). Each one was recomputed, never served.
-    pub fn collision_count(&self) -> u64 {
-        self.collisions.get()
-    }
-
     /// Number of family forwards compiled so far: one per distinct
     /// [`FamilyKey`] a miss has run.
     pub fn compiled_plans(&self) -> usize {
         self.plans.borrow().len()
     }
 
-    /// Number of distinct prompts embedded.
+    /// Number of distinct prompts embedded (a prompt embedded with and
+    /// without calibration counts twice).
     pub fn cache_len(&self) -> usize {
-        self.cache.borrow().len()
+        self.cache.borrow().iter().map(HashMap::len).sum()
     }
 
     /// Drops all cached embeddings.
     pub fn clear_cache(&self) {
-        self.cache.borrow_mut().clear();
-    }
-
-    /// Test hook: plants `data` in the cache under the digest of
-    /// `(stored_tokens, calibrated)` as if `stored_tokens` had been
-    /// embedded. Forced-collision regression tests use this to simulate two
-    /// prompts hashing to the same digest (infeasible to construct for the
-    /// real 64-bit hasher).
-    #[doc(hidden)]
-    pub fn inject_cache_entry_for_test(
-        &self,
-        digest_of: &[Token],
-        stored_tokens: &[Token],
-        calibrated: bool,
-        data: Vec<f32>,
-    ) {
-        let key = cache_key(digest_of, calibrated);
-        self.cache.borrow_mut().insert(
-            key,
-            CacheEntry {
-                tokens: stored_tokens.to_vec(),
-                calibrated,
-                data,
-            },
-        );
+        self.cache.borrow_mut().iter_mut().for_each(HashMap::clear);
     }
 }
 
@@ -439,7 +355,6 @@ mod tests {
         assert_eq!(a.to_vec(), b.to_vec());
         let (hits, misses) = frozen.cache_stats();
         assert_eq!((hits, misses), (1, 1));
-        assert_eq!(frozen.collision_count(), 0);
     }
 
     #[test]
@@ -460,6 +375,15 @@ mod tests {
         let _ = frozen.embed(&a, true);
         let _ = frozen.embed(&b, true);
         assert_eq!(frozen.cache_len(), 2);
+        // Tokens that differ only in modality are different prompts.
+        use crate::tokenizer::Modality;
+        let id = a[0].id;
+        let [text, numeric] =
+            [Modality::Text, Modality::Numeric].map(|modality| [Token { id, modality }]);
+        let _ = frozen.embed(&text, true);
+        let _ = frozen.embed(&numeric, true);
+        assert_eq!(frozen.cache_stats(), (0, 4));
+        assert_eq!(frozen.cache_len(), 4);
     }
 
     #[test]
@@ -485,34 +409,6 @@ mod tests {
         assert_eq!(frozen.cache_len(), 0);
     }
 
-    #[test]
-    fn digest_collision_is_not_served() {
-        // Simulate prompts A and B hashing to the same 64-bit digest: plant
-        // poison data under A's digest, key-stamped as belonging to B. The
-        // pre-fix cache would return the poison for A; the verified cache
-        // must detect the key mismatch, recompute A, and never serve B's
-        // data.
-        let (tok, frozen) = setup();
-        let a = tok.encode(&[PromptPiece::Number(1.0)]);
-        let b = tok.encode(&[PromptPiece::Number(2.0)]);
-        let dim = frozen.model().config().dim;
-        let poison = vec![f32::MAX; dim];
-        frozen.inject_cache_entry_for_test(&a, &b, true, poison.clone());
-
-        let got = frozen.embed(&a, true);
-        assert_ne!(got.to_vec(), poison, "collision served the wrong prompt");
-        assert_eq!(frozen.collision_count(), 1);
-        let (hits, misses) = frozen.cache_stats();
-        assert_eq!((hits, misses), (0, 1), "a collision is a miss, not a hit");
-
-        // The colliding entry was overwritten with A's true embedding, so a
-        // repeat is a genuine verified hit.
-        let again = frozen.embed(&a, true);
-        assert_eq!(got.to_vec(), again.to_vec());
-        assert_eq!(frozen.cache_stats(), (1, 1));
-        assert_eq!(frozen.collision_count(), 1);
-    }
-
     /// Embeds `prompts` as one `embed_family` call on `batch` and as
     /// sequential `embed` calls on `seq`; values, counters and cache size
     /// must agree.
@@ -531,7 +427,6 @@ mod tests {
             assert!(!g.requires_grad(), "prompt {i} joined the graph");
         }
         assert_eq!(batch.cache_stats(), seq.cache_stats(), "hits, misses");
-        assert_eq!(batch.collision_count(), seq.collision_count(), "collisions");
         assert_eq!(batch.cache_len(), seq.cache_len(), "cache_len");
     }
 
@@ -565,39 +460,5 @@ mod tests {
         batch.set_caching(false);
         seq.set_caching(false);
         assert_family_matches_sequential(&batch, &seq, &[&gt, &hist, &gt], true);
-        batch.set_caching(true);
-        seq.set_caching(true);
-        // A forced digest collision is recomputed, counted and replaced,
-        // and the replacement serves the repeat later in the batch.
-        batch.clear_cache();
-        seq.clear_cache();
-        let dim = batch.model().config().dim;
-        for lm in [&batch, &seq] {
-            lm.inject_cache_entry_for_test(&gt, &other, true, vec![f32::MAX; dim]);
-        }
-        assert_family_matches_sequential(&batch, &seq, &[&gt, &hist, &gt], true);
-        assert_eq!(batch.collision_count(), 1);
-    }
-
-    #[test]
-    fn colliding_keys_differing_only_in_modality_are_distinguished() {
-        // Same ids, different modalities — the digest input differs here,
-        // but force them onto one digest anyway to prove the full-key
-        // comparison (not the hash) is what decides a hit.
-        use crate::tokenizer::Modality;
-        let (_, frozen) = setup();
-        let a = [Token {
-            id: 5,
-            modality: Modality::Text,
-        }];
-        let b = [Token {
-            id: 5,
-            modality: Modality::Numeric,
-        }];
-        let dim = frozen.model().config().dim;
-        frozen.inject_cache_entry_for_test(&a, &b, true, vec![-1.0; dim]);
-        let got = frozen.embed(&a, true);
-        assert_ne!(got.to_vec(), vec![-1.0; dim]);
-        assert_eq!(frozen.collision_count(), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! Neural-network building blocks on top of [`timekd_tensor`]: linear and
 //! embedding layers, layer/reversible-instance normalisation, multi-head
 //! attention with differentiable attention-map export, Pre-LN Transformer
-//! encoders, dropout, AdamW with LR schedules and the Smooth-L1 / MSE / MAE
+//! encoders, AdamW with LR schedules and the Smooth-L1 / MSE / MAE
 //! losses the TimeKD paper uses.
 //!
 //! ## Example
@@ -21,7 +21,6 @@
 //! ```
 
 mod attention;
-mod dropout;
 mod encoder;
 mod linear;
 mod losses;
@@ -32,7 +31,6 @@ mod optim;
 pub use attention::{
     causal_mask, causal_mask_rows, AttentionOutput, KeyValues, MultiHeadAttention,
 };
-pub use dropout::Dropout;
 pub use encoder::{
     Activation, EncoderLayer, EncoderOutput, FeedForward, RowsOutput, TransformerEncoder,
 };

@@ -11,7 +11,7 @@
 //!   `&'static str` op name that `Tensor::from_op` already records.
 //! * **Global counters** ([`Counter`] statics) — lock-free atomics for
 //!   cross-thread facts: worker-pool jobs/tasks/serial fallbacks/slot waits,
-//!   per-worker busy time, FrozenLm cache hits/misses/collisions, and the
+//!   per-worker busy time, FrozenLm cache hits/misses, and the
 //!   serving layer's request/error/swap totals.
 //! * **Histograms** ([`Histogram`] statics, in [`hist`]) — lock-free
 //!   fixed log-bucket distributions for the serving layer's per-endpoint
@@ -171,12 +171,10 @@ pub static POOL_SERIAL_FALLBACK: Counter = Counter::new("pool.serial_fallback");
 /// Spin iterations the submitter spent waiting for a free job slot — a proxy
 /// for queue depth / contention.
 pub static POOL_SLOT_WAITS: Counter = Counter::new("pool.slot_waits");
-/// FrozenLm embedding-cache hits (digest + full token-sequence match).
+/// FrozenLm embedding-cache hits (the same token sequence seen before).
 pub static LM_CACHE_HITS: Counter = Counter::new("lm_cache.hits");
 /// FrozenLm embedding-cache misses (recomputed through the LM).
 pub static LM_CACHE_MISSES: Counter = Counter::new("lm_cache.misses");
-/// FrozenLm digest collisions (digest matched but token sequence differed).
-pub static LM_CACHE_COLLISIONS: Counter = Counter::new("lm_cache.collisions");
 /// Execution-plan compilations (cache misses in the core plan cache).
 /// Epoch loops must reuse compiled plans, so this stays flat across epochs
 /// of a fixed geometry — the plan-cache tests assert exactly that.
@@ -190,7 +188,7 @@ pub static SERVE_SWAPS: Counter = Counter::new("serve.swaps");
 /// Rejected hot-swap attempts (registry fault; old version kept serving).
 pub static SERVE_SWAP_REJECTS: Counter = Counter::new("serve.swap_rejects");
 
-fn all_counters() -> [&'static Counter; 12] {
+fn all_counters() -> [&'static Counter; 11] {
     [
         &POOL_JOBS,
         &POOL_TASKS,
@@ -198,7 +196,6 @@ fn all_counters() -> [&'static Counter; 12] {
         &POOL_SLOT_WAITS,
         &LM_CACHE_HITS,
         &LM_CACHE_MISSES,
-        &LM_CACHE_COLLISIONS,
         &PLAN_COMPILES,
         &SERVE_REQUESTS,
         &SERVE_ERRORS,

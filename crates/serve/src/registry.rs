@@ -207,6 +207,22 @@ impl Manifest {
                 None => Err(bad(format!("missing key `{path}`"))),
             }
         };
+        // The student cannot be built with a zero width, depth, head
+        // count, window or channel count, nor with heads that do not split
+        // the width evenly.
+        let need_positive = |path: &str| -> Result<usize, RegistryError> {
+            match need_usize(path)? {
+                0 => Err(bad(format!("`{path}` must be positive, got 0"))),
+                n => Ok(n),
+            }
+        };
+        let dim = need_positive("model.dim")?;
+        let num_heads = need_positive("model.num_heads")?;
+        if dim % num_heads != 0 {
+            return Err(bad(format!(
+                "`model.num_heads` ({num_heads}) must divide `model.dim` ({dim})"
+            )));
+        }
         match doc.get("precision").and_then(Json::as_str) {
             Some("f32") => {}
             Some(other) => return Err(bad(format!("precision must be \"f32\", got {other:?}"))),
@@ -249,13 +265,13 @@ impl Manifest {
             .to_string();
         Ok(Manifest {
             version: need_usize("version")? as u64,
-            dim: need_usize("model.dim")?,
-            num_layers: need_usize("model.num_layers")?,
-            num_heads: need_usize("model.num_heads")?,
-            ffn_hidden: need_usize("model.ffn_hidden")?,
-            input_len: need_usize("geometry.input_len")?,
-            horizon: need_usize("geometry.horizon")?,
-            num_vars: need_usize("geometry.num_vars")?,
+            dim,
+            num_layers: need_positive("model.num_layers")?,
+            num_heads,
+            ffn_hidden: need_positive("model.ffn_hidden")?,
+            input_len: need_positive("geometry.input_len")?,
+            horizon: need_positive("geometry.horizon")?,
+            num_vars: need_positive("geometry.num_vars")?,
             params,
             checksum,
         })
@@ -337,7 +353,7 @@ impl LoadedModel {
                 .filter(|(d, _)| d == dims)
                 .map(|(_, data)| data.clone())
         })
-        .map_err(|e| RegistryError::Plan(format!("{e:?}")))
+        .map_err(|e| RegistryError::Plan(format!("{e}")))
     }
 
     /// Forecasts one flattened `[input_len * num_vars]` window on the
@@ -528,7 +544,7 @@ pub fn load(root: &Path, version: u64) -> Result<LoadedModel, RegistryError> {
         manifest.horizon,
         manifest.num_vars,
     )
-    .map_err(|e| RegistryError::Plan(format!("{e:?}")))?;
+    .map_err(|e| RegistryError::Plan(format!("{e}")))?;
     for v in plan
         .values()
         .iter()
@@ -719,6 +735,37 @@ mod tests {
         let err = Manifest::from_json(&doc).expect_err("int8 precision");
         assert!(
             matches!(err, RegistryError::Manifest(ref m) if m.contains("int8")),
+            "{err}"
+        );
+
+        // Every field the student is built from must be positive, and the
+        // head count must divide the width.
+        type Zero = fn(&mut Manifest);
+        let zeroed: [(&str, Zero); 7] = [
+            ("model.dim", |m| m.dim = 0),
+            ("model.num_layers", |m| m.num_layers = 0),
+            ("model.num_heads", |m| m.num_heads = 0),
+            ("model.ffn_hidden", |m| m.ffn_hidden = 0),
+            ("geometry.input_len", |m| m.input_len = 0),
+            ("geometry.horizon", |m| m.horizon = 0),
+            ("geometry.num_vars", |m| m.num_vars = 0),
+        ];
+        for (field, zero) in zeroed {
+            let mut manifest = base.clone();
+            zero(&mut manifest);
+            let err = Manifest::from_json(&manifest.to_json()).expect_err(field);
+            assert!(
+                matches!(err, RegistryError::Manifest(ref m) if m.contains(field)),
+                "{field}: {err}"
+            );
+        }
+        let uneven = Manifest {
+            num_heads: 3,
+            ..base.clone()
+        };
+        let err = Manifest::from_json(&uneven.to_json()).expect_err("3 heads over width 16");
+        assert!(
+            matches!(err, RegistryError::Manifest(ref m) if m.contains("must divide")),
             "{err}"
         );
     }

@@ -143,6 +143,36 @@ fn manifest_geometry_drift_fails_the_plan_crosscheck_stage() {
 }
 
 #[test]
+fn manifest_head_count_that_does_not_divide_the_width_fails_the_manifest_stage() {
+    let root = temp_registry("faults-heads");
+    publish_version(&root, 1, 55);
+    // Three heads cannot split the width of 16: the student could not be
+    // built, so load must refuse the manifest instead of panicking.
+    let text = fs::read_to_string(manifest_path(&root, 1)).expect("read manifest");
+    let mut doc = Json::parse(&text).expect("parse manifest");
+    if let Some(Json::Obj(model)) = match &mut doc {
+        Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == "model").map(|(_, v)| v),
+        _ => None,
+    } {
+        for (k, v) in model.iter_mut() {
+            if k == "num_heads" {
+                *v = Json::num(3.0);
+            }
+        }
+    } else {
+        panic!("manifest has no model object");
+    }
+    fs::write(manifest_path(&root, 1), doc.render()).expect("patch num_heads");
+    match load(&root, 1) {
+        Err(RegistryError::Manifest(msg)) => {
+            assert!(msg.contains("model.num_heads"), "{msg}")
+        }
+        other => panic!("expected Manifest error, got {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn rejected_hot_swap_keeps_the_old_version_serving() {
     let _serial = common::serial();
     timekd_obs::reset();

@@ -57,7 +57,6 @@ pub mod io;
 mod ops;
 pub mod parallel;
 pub mod plan;
-pub mod plan_batch;
 pub mod plan_train;
 pub mod recorder;
 pub mod rng;
@@ -76,7 +75,6 @@ pub use plan::{
     Plan, PlanError, PlanExecutor, PlanFault, PlanOp, PlanSlot, PlanSpec, PlanStep, PlanValue,
     Precision, ValueId, ValueSource,
 };
-pub use plan_batch::{BatchTrainExecutor, ReduceStep};
 pub use plan_train::{BwdStep, GradMode, PlanOptimizer, TrainExecutor, TrainSpec, UpdateStep};
 pub use recorder::{RecordedNode, Recorder, ReplayError, Rewrite};
 pub use rng::SeededRng;

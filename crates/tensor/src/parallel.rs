@@ -79,28 +79,11 @@ pub fn effective_threads() -> usize {
         .clamp(1, MAX_THREADS)
 }
 
-/// Number of hardware threads actually available to this process
-/// (affinity/cgroup aware), clamped to `[1, 128]`. Shard-count heuristics
-/// use this so an oversubscribed `TIMEKD_THREADS` never fans coarse
-/// blocks wider than the machine can physically run: extra shards on a
-/// smaller machine would only time-slice the same cores and thrash each
-/// shard's working set through the cache. Results never depend on the
-/// shard count — this is purely a scheduling bound.
-pub fn hardware_threads() -> usize {
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(MAX_THREADS)
-    })
-}
-
 /// Runs `f` with nested parallelism suppressed on this thread, exactly as
-/// if it were executing inside a claimed pool task. The batched trainer
-/// uses this when its lane shards collapse to a single block, so lane
-/// replays keep the batch region's "no op-level fan-out" contract
-/// regardless of how many shards the replay was split into.
-pub(crate) fn with_serial_region<T>(f: impl FnOnce() -> T) -> T {
+/// if it were executing inside a claimed pool task: every kernel `f`
+/// calls takes its serial path. The planned student trainer runs each
+/// window's training step inside one.
+pub fn with_serial_region<T>(f: impl FnOnce() -> T) -> T {
     struct Restore(bool);
     impl Drop for Restore {
         fn drop(&mut self) {

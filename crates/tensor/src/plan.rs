@@ -71,7 +71,6 @@ use crate::ops::kernels::{
     RowWalk, UnKind,
 };
 use crate::ops::matmul::mm_row_block;
-use crate::plan_batch::ReduceStep;
 use crate::plan_train::{BwdStep, PlanOptimizer, UpdateStep};
 use crate::symbolic::{SymAttr, SymbolicTensor};
 
@@ -355,14 +354,6 @@ pub enum PlanFault {
     /// the dynamic engine trains (caught only by the plan-vs-dynamic
     /// gradient diff; training plans only).
     UpdateFrozenParam,
-    /// Remove one cross-lane reduction step from a batched training plan
-    /// — one trainable parameter's gradient from one window never lands
-    /// (breaks batch-reduction completeness; batched plans only).
-    DropReduceStep,
-    /// Shrink the per-lane arena stride below the arena extent so
-    /// neighbouring lane arenas overlap (breaks per-worker lane
-    /// disjointness; batched plans only).
-    OverlapLaneArenas,
 }
 
 /// A compiled, shape-specialized execution plan. See the module docs.
@@ -382,9 +373,6 @@ pub struct Plan {
     pub(crate) grad_clip: Option<f32>,
     pub(crate) clip_grads: Vec<ValueId>,
     pub(crate) pinned: Vec<ValueId>,
-    pub(crate) batch: usize,
-    pub(crate) lane_stride: usize,
-    pub(crate) reduce_steps: Vec<ReduceStep>,
 }
 
 /// Intermediate result of forward lowering, shared by [`Plan::compile`]
@@ -428,9 +416,6 @@ impl Plan {
             grad_clip: None,
             clip_grads: Vec::new(),
             pinned: Vec::new(),
-            batch: 0,
-            lane_stride: 0,
-            reduce_steps: Vec::new(),
         })
     }
 }
@@ -763,26 +748,6 @@ impl Plan {
         &self.pinned
     }
 
-    /// Windows per batch for batched training plans (0 = non-batched).
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Per-lane arena stride, in elements, for batched training plans
-    /// (0 = non-batched). Lane `w` conceptually occupies
-    /// `[w·stride, w·stride + arena_len)`.
-    pub fn lane_stride(&self) -> usize {
-        self.lane_stride
-    }
-
-    /// The pinned cross-lane gradient-reduction schedule (empty for
-    /// non-batched plans). Order is the determinism contract: source
-    /// lanes ascend by window index, and within a lane the gradients
-    /// follow the update-step order.
-    pub fn reduce_steps(&self) -> &[ReduceStep] {
-        &self.reduce_steps
-    }
-
     /// Arena range `(offset, len)` of an arena-backed value.
     pub fn arena_range(&self, vid: ValueId) -> Option<(usize, usize)> {
         let value = self.values.get(vid)?;
@@ -848,18 +813,6 @@ impl Plan {
             }
             PlanFault::ReorderBackward => crate::plan_train::inject_reorder_backward(self),
             PlanFault::UpdateFrozenParam => crate::plan_train::inject_update_frozen_param(self),
-            PlanFault::DropReduceStep => {
-                assert!(
-                    self.batch > 1 && !self.reduce_steps.is_empty(),
-                    "plan is not batched"
-                );
-                let mid = self.reduce_steps.len() / 2;
-                self.reduce_steps.remove(mid);
-            }
-            PlanFault::OverlapLaneArenas => {
-                assert!(self.batch > 1, "plan is not batched");
-                self.lane_stride = self.arena_len - 1;
-            }
         }
     }
 }

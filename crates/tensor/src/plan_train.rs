@@ -415,9 +415,6 @@ impl Plan {
             grad_clip: train.grad_clip,
             clip_grads,
             pinned,
-            batch: 0,
-            lane_stride: 0,
-            reduce_steps: Vec::new(),
         })
     }
 }
@@ -717,7 +714,7 @@ fn resolve<'a>(
 /// are bitwise identical to dynamic training at any `TIMEKD_THREADS`.
 #[derive(Debug)]
 pub struct TrainExecutor {
-    pub(crate) fwd: PlanExecutor,
+    fwd: PlanExecutor,
     bwd: Vec<BwdExec>,
     upd: Vec<UpdExec>,
     opt: OptExec,
@@ -1092,19 +1089,9 @@ impl TrainExecutor {
         self.target_len
     }
 
-    /// Number of bound parameters (plan value order).
-    pub fn num_params(&self) -> usize {
-        self.fwd.params.len()
-    }
-
     /// Current data of parameter `idx` in binding order.
     pub fn param_data(&self, idx: usize) -> &[f32] {
         &self.fwd.params[idx]
-    }
-
-    /// Current step count of the fused optimizer.
-    pub fn step_count(&self) -> u64 {
-        self.opt.step_count
     }
 
     /// Overrides the AdamW step counter — shared-counter semantics when
@@ -1117,16 +1104,6 @@ impl TrainExecutor {
     /// Overrides the fused optimizer's learning rate (lr schedules).
     pub fn set_lr(&mut self, lr: f32) {
         self.opt.lr = lr;
-    }
-
-    /// Stages the target window for subsequent replays.
-    pub fn set_target(&mut self, target: &[f32]) {
-        assert_eq!(
-            target.len(),
-            self.target_len,
-            "train target length mismatch"
-        );
-        self.fwd.target.copy_from_slice(target);
     }
 
     /// Feeds auxiliary constant `k` for subsequent replays.
@@ -1148,23 +1125,6 @@ impl TrainExecutor {
     /// whose ranges come from [`Plan::arena_range`].
     pub fn arena_value(&self, off: usize, len: usize) -> &[f32] {
         &self.fwd.arena[off..off + len]
-    }
-
-    /// Forward + reverse schedules only — no clipping, no optimizer. The
-    /// per-lane replay of the batched executor.
-    pub(crate) fn run_forward_backward(&mut self, input: &[f32]) {
-        self.fwd.execute_plan_loop(input);
-        self.backward_plan_loop(input);
-    }
-
-    /// The fused optimizer sweep alone.
-    pub(crate) fn run_optimizer(&mut self) {
-        self.optimizer_plan_loop();
-    }
-
-    /// The gradient-clipping pass alone (no-op unless compiled in).
-    pub(crate) fn run_grad_clip(&mut self) {
-        self.clip_plan_loop();
     }
 
     /// Runs one full training step — forward, reverse schedule, gradient
@@ -1527,15 +1487,14 @@ impl TrainExecutor {
     }
 }
 
-/// Fixtures the plan-train and plan-batch tests share.
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::plan::MAX_PLAN_RANK;
     use crate::recorder::{replay_labelled, Recorder};
     use crate::{record, seeded_rng, Tensor};
 
-    pub(crate) fn spec() -> PlanSpec {
+    fn spec() -> PlanSpec {
         PlanSpec {
             input_label: "x".to_string(),
             col_mean_leaves: Vec::new(),
@@ -1546,7 +1505,7 @@ pub(crate) mod tests {
 
     /// The recorded graph of the dynamic references below:
     /// loss = mean(smooth_l1(relu(x·w + bias), y)).
-    pub(crate) fn mlp_loss() -> SymbolicTensor {
+    fn mlp_loss() -> SymbolicTensor {
         let x = Tensor::zeros([4, 3]);
         let y = Tensor::zeros([4, 2]);
         let w = Tensor::zeros_param([3, 2]);
@@ -1557,7 +1516,7 @@ pub(crate) mod tests {
         })
     }
 
-    pub(crate) fn param_bank() -> (Vec<f32>, Vec<f32>) {
+    fn param_bank() -> (Vec<f32>, Vec<f32>) {
         let mut rng = seeded_rng(0x5EED);
         let w = Tensor::randn([3, 2], 1.0, &mut rng).to_vec();
         let b = Tensor::randn([2], 1.0, &mut rng).to_vec();
@@ -1590,13 +1549,13 @@ pub(crate) mod tests {
 
     /// Mirror of `timekd_nn::AdamW` (the nn crate is downstream of this
     /// one, so the dynamic reference is restated here verbatim).
-    pub(crate) struct DynAdamW {
+    struct DynAdamW {
         lr: f32,
         step_count: u64,
         state: std::collections::HashMap<u64, (Vec<f32>, Vec<f32>)>,
     }
 
-    pub(crate) fn dyn_adamw() -> DynAdamW {
+    fn dyn_adamw() -> DynAdamW {
         DynAdamW {
             lr: 0.05,
             step_count: 0,
@@ -1605,7 +1564,7 @@ pub(crate) mod tests {
     }
 
     impl DynAdamW {
-        pub(crate) fn step(&mut self, params: &[Tensor]) {
+        fn step(&mut self, params: &[Tensor]) {
             let (beta1, beta2, eps, weight_decay) = (0.9f32, 0.999f32, 1e-8f32, 0.01f32);
             self.step_count += 1;
             let t = self.step_count as f32;
@@ -1668,7 +1627,7 @@ pub(crate) mod tests {
         )
     }
 
-    pub(crate) fn windows(n: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    fn windows(n: usize) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
         let mut rng = seeded_rng(0xBEEF);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
@@ -1680,7 +1639,7 @@ pub(crate) mod tests {
     }
 
     /// The fused optimizer matching [`dyn_adamw`].
-    pub(crate) fn adamw() -> PlanOptimizer {
+    fn adamw() -> PlanOptimizer {
         PlanOptimizer::AdamW {
             lr: 0.05,
             beta1: 0.9,
@@ -1824,7 +1783,7 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
+    fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
@@ -1892,9 +1851,8 @@ pub(crate) mod tests {
             let plan = Plan::compile_training(&syms[1], &spec(), &TrainSpec::new("y", adamw()))
                 .expect("training plan compiles");
             let mut exec = TrainExecutor::new(&plan, case.bind()).expect("trainer binds");
-            exec.set_target(&y);
-            exec.run_forward_backward(&x);
-            assert_eq!(exec.loss().to_bits(), loss.item().to_bits(), "{tag}: loss");
+            let planned_loss = exec.run_train_step(&x, &y);
+            assert_eq!(planned_loss.to_bits(), loss.item().to_bits(), "{tag}: loss");
             for ((label, ..), p) in case.params.iter().zip(&params) {
                 let vid = plan
                     .values()

@@ -24,7 +24,7 @@ cargo run -q -p timekd-check -- --verify
 echo "==> timekd-check --graph (dynamic graph audits + frozen-LM invariant)"
 cargo run -q -p timekd-check -- --graph
 
-echo "==> timekd-check --plan (forward: liveness, arena, graph diff; training proofs on the objective plan the trainer runs (PKD + forecast, clip, AdamW; B=1 and B=4): adjoint completeness, reverse schedule, saved-activation liveness, bitwise plan-vs-dynamic updates; batched: reduction completeness, per-lane arena disjointness — all configs)"
+echo "==> timekd-check --plan (forward: liveness, arena, graph diff; training proofs on the objective plan the trainer runs (PKD + forecast, clip, AdamW): adjoint completeness, reverse schedule, saved-activation liveness, bitwise plan-vs-dynamic updates — all configs)"
 cargo run -q -p timekd-check -- --plan --strict
 
 echo "==> release build"
@@ -33,17 +33,20 @@ cargo build --release --workspace
 echo "==> tests"
 cargo test -q --workspace
 
+echo "==> sanitizer (timekd-tensor's opt-in \`sanitize\` feature)"
+# The feature is off in every other step, so compile and test it here.
+cargo test -q -p timekd-tensor --features sanitize --lib sanitize
+
 echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned forecast and the planned
 # objective over several steps must reproduce the dynamic engine bit for
-# bit, as must the planned epoch the dynamic per-window loop, and the
-# batched fold must be thread-count invariant.
+# bit, as must the planned epoch the dynamic per-window loop (on the tiny
+# and the default student dims, at 1, 2 and 5 threads).
 cargo test -q -p timekd -- --exact \
   plan::tests::planned_predict_is_bitwise_identical_to_dynamic \
   trainer::tests::planned_student_epoch_is_bitwise_identical_to_dynamic \
   plan::tests::planned_objective_training_is_bitwise_identical_to_dynamic \
-  trainer::tests::batched_student_epoch_is_thread_invariant_with_uneven_tail \
   plan::tests::batch_trainer_reuses_cached_plan_across_rebuilds
 cargo test -q -p timekd-bench --test planned_alloc
 # Forbidden-key skipping must match the full-key reference bit for bit,
