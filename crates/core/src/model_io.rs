@@ -32,9 +32,10 @@ pub fn save_checkpoint(model: &TimeKd) -> Bytes {
 }
 
 /// Restores trainable state saved by [`save_checkpoint`] into an
-/// identically configured model. Blobs of another format version or
+/// identically configured model, and drops the teacher targets the model
+/// stored for its training windows. Blobs of another format version or
 /// pretraining recipe are rejected with [`DecodeError::BadShape`].
-pub fn load_checkpoint(model: &TimeKd, blob: &mut Bytes) -> Result<(), DecodeError> {
+pub fn load_checkpoint(model: &mut TimeKd, blob: &mut Bytes) -> Result<(), DecodeError> {
     if blob.remaining() < 12 {
         return Err(DecodeError::Truncated);
     }
@@ -48,6 +49,7 @@ pub fn load_checkpoint(model: &TimeKd, blob: &mut Bytes) -> Result<(), DecodeErr
     if version != VERSION || recipe != PRETRAIN_RECIPE {
         return Err(DecodeError::BadShape);
     }
+    model.drop_stored_targets();
     model.teacher().load_params(blob)?;
     model.student().load_params(blob)?;
     Ok(())
@@ -100,18 +102,54 @@ mod tests {
         let before = model.predict(&w.x);
         let mut blob = save_checkpoint(&model);
 
-        let (model2, _) = setup();
-        load_checkpoint(&model2, &mut blob).unwrap();
+        let (mut model2, _) = setup();
+        load_checkpoint(&mut model2, &mut blob).unwrap();
         let after = model2.predict(&w.x);
         assert_eq!(before.to_vec(), after.to_vec());
     }
 
     #[test]
+    fn planned_epochs_train_a_loaded_checkpoint_like_dynamic_ones() {
+        // A planned trainer kept across epochs must train the values a
+        // load put into the live model, as the dynamic loop does. Each
+        // model runs: epoch, save, epoch, load, epoch, then a teacher
+        // epoch and a student epoch, all of one kind.
+        let run = |planned: bool| {
+            let (mut model, ds) = setup();
+            let train = ds.windows(Split::Train, 16);
+            let windows = &train[..4];
+            let epoch = |m: &mut TimeKd| {
+                if planned {
+                    m.train_student_epoch(windows);
+                } else {
+                    m.train_student_epoch_dynamic(windows);
+                }
+            };
+            epoch(&mut model);
+            let mut blob = save_checkpoint(&model);
+            epoch(&mut model);
+            load_checkpoint(&mut model, &mut blob).unwrap();
+            epoch(&mut model);
+            model.train_teacher_epoch(windows);
+            epoch(&mut model);
+            model
+                .trainable_params()
+                .iter()
+                .map(|p| p.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        assert!(
+            run(true) == run(false),
+            "planned and dynamic params diverge"
+        );
+    }
+
+    #[test]
     fn bad_magic_rejected() {
-        let (model, _) = setup();
+        let (mut model, _) = setup();
         let mut blob = Bytes::from_static(b"XXXX\x01\x00\x00\x00rest");
         assert!(matches!(
-            load_checkpoint(&model, &mut blob),
+            load_checkpoint(&mut model, &mut blob),
             Err(DecodeError::BadMagic)
         ));
     }
@@ -134,12 +172,12 @@ mod tests {
     fn wrong_version_rejected() {
         // Version 1 had no recipe field; its teacher was trained on a CLM
         // pretrained under recipe 1.
-        let (model, _) = setup();
+        let (mut model, _) = setup();
         for (version, recipe) in [(1, None), (999, Some(PRETRAIN_RECIPE))] {
             let mut blob = blob_with_header(&model, version, recipe);
             assert!(
                 matches!(
-                    load_checkpoint(&model, &mut blob),
+                    load_checkpoint(&mut model, &mut blob),
                     Err(DecodeError::BadShape)
                 ),
                 "version {version}"
@@ -149,12 +187,12 @@ mod tests {
 
     #[test]
     fn foreign_recipe_rejected() {
-        let (model, _) = setup();
+        let (mut model, _) = setup();
         for recipe in [PRETRAIN_RECIPE - 1, PRETRAIN_RECIPE + 1] {
             let mut blob = blob_with_header(&model, VERSION, Some(recipe));
             assert!(
                 matches!(
-                    load_checkpoint(&model, &mut blob),
+                    load_checkpoint(&mut model, &mut blob),
                     Err(DecodeError::BadShape)
                 ),
                 "recipe {recipe}"
@@ -162,14 +200,14 @@ mod tests {
         }
         // The same body under this recipe loads.
         let mut blob = blob_with_header(&model, VERSION, Some(PRETRAIN_RECIPE));
-        assert_eq!(load_checkpoint(&model, &mut blob), Ok(()));
+        assert_eq!(load_checkpoint(&mut model, &mut blob), Ok(()));
     }
 
     #[test]
     fn truncated_rejected() {
-        let (model, _) = setup();
+        let (mut model, _) = setup();
         let full = save_checkpoint(&model);
         let mut cut = full.slice(0..full.len() / 2);
-        assert!(load_checkpoint(&model, &mut cut).is_err());
+        assert!(load_checkpoint(&mut model, &mut cut).is_err());
     }
 }

@@ -15,7 +15,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
 use timekd_nn::Module;
-use timekd_tensor::parallel::with_serial_region;
 use timekd_tensor::{
     Plan, PlanError, PlanExecutor, PlanOptimizer, PlanSpec, Tensor, TrainExecutor, TrainSpec,
     ValueSource,
@@ -324,7 +323,8 @@ impl PlannedStudent {
 ///
 /// Each [`run_batch`](PlannedBatchTrainer::run_batch) call takes one
 /// training step on the staged window: forward, backward, clipping and
-/// one fused optimizer step, with every kernel on its serial path. The
+/// one fused optimizer step. The executor calls the serial kernels
+/// directly and never reaches the thread pool. The
 /// steps are bitwise identical to the dynamic per-window loop at any
 /// `TIMEKD_THREADS` setting. The batch size, window index and count
 /// arguments accept only a single window (1, 0 and 1).
@@ -489,8 +489,7 @@ impl PlannedBatchTrainer {
     /// clipping and one fused optimizer step. `count` must be 1.
     pub fn run_batch(&mut self, count: usize) {
         assert_eq!(count, 1, "the student trainer takes one window per step");
-        let (executor, x, y) = (&mut self.executor, &self.x, &self.y);
-        with_serial_region(|| executor.run_train_step(x, y));
+        self.executor.run_train_step(&self.x, &self.y);
     }
 
     fn component(&self, range: Option<(usize, usize)>) -> f32 {
@@ -519,6 +518,16 @@ impl PlannedBatchTrainer {
     /// The last step's forecasting loss `L_fcst`.
     pub fn forecast_loss(&self) -> f32 {
         self.component(Some(self.forecast))
+    }
+
+    /// Copies the bound student tensors' current values into the executor,
+    /// the inverse of [`write_back`](PlannedBatchTrainer::write_back): a
+    /// trainer kept across epochs then trains what the live model holds,
+    /// also after a checkpoint load. The optimizer state is kept.
+    pub fn read_params(&mut self) {
+        for (i, p) in self.bound_params.iter().enumerate() {
+            self.executor.set_param_data(i, &p.data());
+        }
     }
 
     /// Copies the executor's current parameter values back into the bound

@@ -76,60 +76,76 @@ impl CrossModalityTeacher {
         }
     }
 
-    /// Last-token embeddings of each variable's (ground-truth, historical)
-    /// prompt pair via the frozen CLM + trainable projection: `(L_GT,
-    /// L_HD)`, `[N, D]` each. A pair runs as one prompt family
-    /// ([`FrozenLm::embed_family`]), so its common prefix — the historical
-    /// prompt's text up to the future values — is computed once.
-    fn clm_embeddings(
-        &self,
-        ground_truth: &[Vec<timekd_lm::Token>],
-        historical: &[Vec<timekd_lm::Token>],
-    ) -> (Tensor, Tensor) {
+    /// The frozen CLM's last-token rows of each variable's (ground-truth,
+    /// historical) prompt pair: `(L_GT, L_HD)` before the projection,
+    /// `[N, D_lm]` each, or `None` on `w/o_CLM`, which embeds no prompt. A
+    /// pair runs as one prompt family ([`FrozenLm::embed_family`]), so its
+    /// common prefix — the historical prompt's text up to the future
+    /// values — is computed once. The rows depend only on the prompts, so
+    /// a caller may keep them for later [`forward_rows`](Self::forward_rows)
+    /// calls on the same window.
+    pub fn clm_rows(&self, prompts: &WindowPrompts) -> Option<(Tensor, Tensor)> {
+        if !self.config.ablation.use_clm {
+            return None;
+        }
         let _span = timekd_obs::span("teacher.clm_embed");
+        let ground_truth = if self.config.ablation.privileged_info {
+            &prompts.ground_truth
+        } else {
+            // w/o_PI: the "traditional teacher" only ever sees history.
+            &prompts.historical
+        };
         let calibrated = self.config.ablation.calibrated_attention;
         let lm_dim = self.frozen_lm.model().config().dim;
         let mut gt_rows = Vec::with_capacity(ground_truth.len());
-        let mut hd_rows = Vec::with_capacity(historical.len());
-        for (gt, hd) in ground_truth.iter().zip(historical) {
+        let mut hd_rows = Vec::with_capacity(prompts.historical.len());
+        for (gt, hd) in ground_truth.iter().zip(&prompts.historical) {
             let pair = self.frozen_lm.embed_family(&[gt, hd], calibrated);
             gt_rows.push(pair[0].reshape([1, lm_dim]));
             hd_rows.push(pair[1].reshape([1, lm_dim]));
         }
-        let project = |rows: &[Tensor]| self.lm_proj.forward(&Tensor::concat(rows, 0));
-        (project(&gt_rows), project(&hd_rows))
+        Some((Tensor::concat(&gt_rows, 0), Tensor::concat(&hd_rows, 0)))
     }
 
     /// Teacher forward for one window.
     ///
     /// `x` is the history `[H, N]`, `y` the ground truth `[M, N]`
     /// (privileged, training only), and `prompts` their textual renderings.
+    /// [`clm_rows`](Self::clm_rows) then [`forward_rows`](Self::forward_rows).
     pub fn forward(&self, x: &Tensor, y: &Tensor, prompts: &WindowPrompts) -> TeacherOutput {
         let _span = timekd_obs::span("teacher.forward");
+        self.forward_rows(x, y, self.clm_rows(prompts).as_ref())
+    }
+
+    /// The teacher forward past the frozen CLM: projection (or, on
+    /// `w/o_CLM`, the value embeddings of `x` and `y`), SCA, `PTEncoder`
+    /// and the reconstruction head, on the window's
+    /// [`clm_rows`](Self::clm_rows).
+    pub fn forward_rows(
+        &self,
+        x: &Tensor,
+        y: &Tensor,
+        rows: Option<&(Tensor, Tensor)>,
+    ) -> TeacherOutput {
         let ab = self.config.ablation;
         let n = x.dims()[1];
         assert_eq!(x.dims()[0], self.input_len, "history length mismatch");
         assert_eq!(y.dims()[0], self.horizon, "horizon mismatch");
-        let (l_gt, l_hd) = if ab.use_clm {
-            let gt_prompts = if ab.privileged_info {
-                &prompts.ground_truth
-            } else {
-                // w/o_PI: the "traditional teacher" only ever sees history.
-                &prompts.historical
-            };
-            self.clm_embeddings(gt_prompts, &prompts.historical)
-        } else {
-            // w/o_CLM: embed raw value sequences per variable.
-            let xt = x.transpose_last(); // [N, H]
-            let l_hd = self.hist_value_proj.forward(&xt);
-            let l_gt = if ab.privileged_info {
-                let yt = y.transpose_last(); // [N, M]
-                let joint = Tensor::concat(&[xt, yt], 1); // [N, H+M]
-                self.gt_value_proj.forward(&joint)
-            } else {
-                self.hist_value_proj.forward(&x.transpose_last())
-            };
-            (l_gt, l_hd)
+        let (l_gt, l_hd) = match rows {
+            Some((gt, hd)) => (self.lm_proj.forward(gt), self.lm_proj.forward(hd)),
+            None => {
+                // w/o_CLM: embed raw value sequences per variable.
+                let xt = x.transpose_last(); // [N, H]
+                let l_hd = self.hist_value_proj.forward(&xt);
+                let l_gt = if ab.privileged_info {
+                    let yt = y.transpose_last(); // [N, M]
+                    let joint = Tensor::concat(&[xt, yt], 1); // [N, H+M]
+                    self.gt_value_proj.forward(&joint)
+                } else {
+                    self.hist_value_proj.forward(&x.transpose_last())
+                };
+                (l_gt, l_hd)
+            }
         };
         debug_assert_eq!(l_gt.dims(), &[n, self.config.dim]);
         let refined = {

@@ -13,7 +13,7 @@ use crate::distill::{reconstruction_objective, student_objective};
 use crate::forecaster::Forecaster;
 use crate::plan::{PlannedBatchTrainer, PlannedStudent};
 use crate::student::Student;
-use crate::teacher::{render_prompts, CrossModalityTeacher};
+use crate::teacher::{render_prompts, CrossModalityTeacher, TeacherOutput};
 
 /// Loss breakdown of one training epoch.
 #[derive(Debug, Clone, Copy)]
@@ -58,6 +58,31 @@ pub fn student_plan_optimizer(config: &TimeKdConfig) -> PlanOptimizer {
     }
 }
 
+/// What [`TimeKd`] keeps of one training window between epochs: the
+/// teacher's inputs from the frozen CLM and its outputs, the *stored*
+/// privileged information of §IV-B2.
+struct StoredWindow {
+    /// The window the entry was built for (`Rc` clones, no data copied).
+    x: Tensor,
+    y: Tensor,
+    /// The frozen CLM's rows ([`CrossModalityTeacher::clm_rows`]).
+    rows: Option<(Tensor, Tensor)>,
+    /// The teacher's no-grad `(attention, embedding)`, kept until the
+    /// teacher next changes.
+    targets: Option<(Tensor, Tensor)>,
+}
+
+impl StoredWindow {
+    /// Whether the entry was built for bitwise this window.
+    fn holds(&self, w: &ForecastWindow) -> bool {
+        let same = |a: &Tensor, b: &Tensor| {
+            a.dims() == b.dims()
+                && (a.data().iter().zip(b.data().iter())).all(|(p, q)| p.to_bits() == q.to_bits())
+        };
+        same(&self.x, &w.x) && same(&self.y, &w.y)
+    }
+}
+
 /// The full TimeKD model: a cross-modality teacher distilled into a
 /// lightweight student. Construct with [`TimeKd::new`] (pretrains a fresh
 /// CLM) or [`TimeKd::with_frozen_lm`] (shares one across models — the
@@ -73,6 +98,9 @@ pub struct TimeKd {
     /// student epoch and reused for every following one (it owns the
     /// fused AdamW moment state, so it must survive across epochs).
     planned: Option<PlannedBatchTrainer>,
+    /// One entry per position in the last epoch's window slice; empty
+    /// while the frozen CLM's cache is off.
+    store: Vec<Option<StoredWindow>>,
 }
 
 impl TimeKd {
@@ -118,6 +146,7 @@ impl TimeKd {
             optimizer,
             warmup_done: false,
             planned: None,
+            store: Vec::new(),
         }
     }
 
@@ -143,6 +172,72 @@ impl TimeKd {
 
     fn prompts_for(&self, w: &ForecastWindow) -> WindowPrompts {
         render_prompts(&self.tokenizer, &w.x, &w.y, &self.config)
+    }
+
+    /// Readies the store for an epoch over `windows`: an entry that does
+    /// not hold bitwise the window at its position is dropped, and so is
+    /// every entry while the frozen CLM's cache is off (the `ablation_cache`
+    /// no-cache arm then recomputes everything each epoch).
+    fn sync_store(&mut self, windows: &[ForecastWindow]) {
+        if !self.teacher.frozen_lm().caching() {
+            self.store.clear();
+            return;
+        }
+        if self.store.len() < windows.len() {
+            self.store.resize_with(windows.len(), || None);
+        }
+        for (slot, w) in self.store.iter_mut().zip(windows) {
+            if slot.as_ref().is_some_and(|e| !e.holds(w)) {
+                *slot = None;
+            }
+        }
+    }
+
+    /// Drops every stored teacher target: the teacher has changed.
+    pub(crate) fn drop_stored_targets(&mut self) {
+        for entry in self.store.iter_mut().flatten() {
+            entry.targets = None;
+        }
+    }
+
+    /// The teacher forward on window `i` of the epoch's slice, `w`, with
+    /// the frozen CLM's rows read from its store entry. A window seen for
+    /// the first time renders its prompts and runs the CLM; its entry is
+    /// kept while the store is on.
+    fn teacher_forward(&mut self, i: usize, w: &ForecastWindow) -> TeacherOutput {
+        let _span = timekd_obs::span("teacher.forward");
+        let rows = match self.store.get(i).and_then(Option::as_ref) {
+            Some(entry) => entry.rows.clone(),
+            None => {
+                let rows = self.teacher.clm_rows(&self.prompts_for(w));
+                if let Some(slot) = self.store.get_mut(i) {
+                    *slot = Some(StoredWindow {
+                        x: w.x.clone(),
+                        y: w.y.clone(),
+                        rows: rows.clone(),
+                        targets: None,
+                    });
+                }
+                rows
+            }
+        };
+        self.teacher.forward_rows(&w.x, &w.y, rows.as_ref())
+    }
+
+    /// The teacher's no-grad `(attention, embedding)` for window `i`, `w`:
+    /// computed in the first student epoch after a teacher change, then
+    /// read from the store.
+    fn teacher_targets(&mut self, i: usize, w: &ForecastWindow) -> (Tensor, Tensor) {
+        let stored = self.store.get(i).and_then(Option::as_ref);
+        if let Some(targets) = stored.and_then(|e| e.targets.clone()) {
+            return targets;
+        }
+        let out = timekd_tensor::no_grad(|| self.teacher_forward(i, w));
+        let targets = (out.attention, out.embedding);
+        if let Some(Some(entry)) = self.store.get_mut(i) {
+            entry.targets = Some(targets.clone());
+        }
+        targets
     }
 
     /// Applies the configured LR schedule for the upcoming optimizer step.
@@ -188,14 +283,15 @@ impl TimeKd {
     pub fn train_teacher_epoch(&mut self, windows: &[ForecastWindow]) -> f32 {
         let _span = timekd_obs::span("epoch.teacher");
         assert!(!windows.is_empty(), "no training windows");
+        self.sync_store(windows);
+        self.drop_stored_targets();
         let params = self.teacher.params();
         let mut total = 0.0f32;
-        for w in windows {
+        for (i, w) in windows.iter().enumerate() {
             for p in &params {
                 p.zero_grad();
             }
-            let prompts = self.prompts_for(w);
-            let out = self.teacher.forward(&w.x, &w.y, &prompts);
+            let out = self.teacher_forward(i, w);
             let recon = reconstruction_objective(&out.reconstruction, &w.y, &self.config);
             total += recon.item();
             recon.backward();
@@ -215,12 +311,19 @@ impl TimeKd {
     /// replays a compiled training plan ([`PlannedBatchTrainer`]), bitwise
     /// identical to the dynamic per-window loop
     /// ([`train_student_epoch_dynamic`](Self::train_student_epoch_dynamic)),
-    /// which stays as the equivalence oracle.
+    /// which stays as the equivalence oracle. The teacher's targets are
+    /// computed once per window after each teacher change and stored.
     pub fn train_student_epoch(&mut self, windows: &[ForecastWindow]) -> EpochStats {
         let _span = timekd_obs::span("epoch.student");
         assert!(!windows.is_empty(), "no training windows");
+        self.sync_store(windows);
         let mut trainer = match self.planned.take() {
-            Some(t) => t,
+            // A checkpoint load may have replaced the student's values
+            // since the last epoch; the AdamW moments carry over.
+            Some(mut t) => {
+                t.read_params();
+                t
+            }
             None => PlannedBatchTrainer::new(
                 &self.student,
                 &self.config,
@@ -236,14 +339,13 @@ impl TimeKd {
             feature: 0.0,
             forecast: 0.0,
         };
-        for w in windows {
-            let prompts = self.prompts_for(w);
+        for (i, w) in windows.iter().enumerate() {
             // Teacher provides targets only: no graph, no update.
-            let t_out = timekd_tensor::no_grad(|| self.teacher.forward(&w.x, &w.y, &prompts));
+            let (attention, embedding) = self.teacher_targets(i, w);
             trainer.stage_window(0, &w.x, &w.y);
             {
                 let _stage = timekd_obs::span("pkd.stage");
-                trainer.stage_teacher(0, &t_out.attention, &t_out.embedding);
+                trainer.stage_teacher(0, &attention, &embedding);
             }
             let lr = self.config.lr * self.config.lr_schedule.factor(self.optimizer.steps());
             self.optimizer.set_lr(lr);
@@ -273,9 +375,10 @@ impl TimeKd {
     /// The dynamic per-window reference implementation of
     /// [`train_student_epoch`](Self::train_student_epoch): one graph
     /// build, backward, clip, and optimizer step per window. Kept as the
-    /// equivalence oracle for the planned path. Calling it invalidates
-    /// any live planned trainer (its bound parameters would go stale), so
-    /// use one path per model instance when comparing.
+    /// equivalence oracle for the planned path: it renders each window's
+    /// prompts and runs the teacher afresh, reading nothing stored.
+    /// Calling it drops any live planned trainer (its AdamW moments would
+    /// go stale), so use one path per model instance when comparing.
     pub fn train_student_epoch_dynamic(&mut self, windows: &[ForecastWindow]) -> EpochStats {
         let _span = timekd_obs::span("epoch.student");
         assert!(!windows.is_empty(), "no training windows");
@@ -665,6 +768,114 @@ mod tests {
                     base.dim
                 );
             }
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The bits of the teacher targets stored for position `i`, if any.
+    fn stored_targets(model: &TimeKd, i: usize) -> Option<[Vec<u32>; 2]> {
+        let entry = model.store.get(i)?.as_ref()?;
+        let (attention, embedding) = entry.targets.as_ref()?;
+        Some([bits(attention), bits(embedding)])
+    }
+
+    /// The bits of a fresh no-grad teacher forward on `w`.
+    fn fresh_targets(model: &TimeKd, w: &ForecastWindow) -> [Vec<u32>; 2] {
+        let out =
+            timekd_tensor::no_grad(|| model.teacher().forward(&w.x, &w.y, &model.prompts_for(w)));
+        [bits(&out.attention), bits(&out.embedding)]
+    }
+
+    fn assert_stored_targets_are_fresh(model: &TimeKd, windows: &[ForecastWindow]) {
+        for (i, w) in windows.iter().enumerate() {
+            assert_eq!(
+                stored_targets(model, i),
+                Some(fresh_targets(model, w)),
+                "window {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn stored_targets_equal_a_fresh_teacher_forward() {
+        let (mut model, ds) = tiny_model();
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let windows = &train[..4];
+        model.train_teacher_epoch(windows);
+        model.train_student_epoch(windows);
+        assert_stored_targets_are_fresh(&model, windows);
+        // A teacher epoch drops them, and the next student epoch stores
+        // the changed teacher's.
+        model.train_teacher_epoch(windows);
+        assert!((0..windows.len()).all(|i| stored_targets(&model, i).is_none()));
+        model.train_student_epoch(windows);
+        assert_stored_targets_are_fresh(&model, windows);
+    }
+
+    #[test]
+    fn a_moved_or_changed_window_rebuilds_its_entry() {
+        let (mut model, ds) = tiny_model();
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let mut windows = train[..3].to_vec();
+        // Two prompts per variable; a rebuilt entry looks each up again.
+        let lookups = 2 * ds.num_vars() as u64;
+        let rows_id = |m: &TimeKd, i: usize| {
+            let entry = m.store[i].as_ref().expect("an entry per window");
+            entry.rows.as_ref().map(|(gt, _)| gt.id())
+        };
+        let cache = |m: &TimeKd| m.teacher().frozen_lm().cache_stats();
+        model.train_student_epoch(&windows);
+        let ids: Vec<_> = (0..3).map(|i| rows_id(&model, i)).collect();
+        let (hits, misses) = cache(&model);
+
+        windows.swap(0, 1);
+        model.train_student_epoch(&windows);
+        assert_eq!(cache(&model), (hits + 2 * lookups, misses));
+        assert_ne!(rows_id(&model, 0), ids[0]);
+        assert_ne!(rows_id(&model, 1), ids[1]);
+        assert_eq!(
+            rows_id(&model, 2),
+            ids[2],
+            "an unmoved window keeps its entry"
+        );
+        assert_stored_targets_are_fresh(&model, &windows);
+
+        let (hits, misses) = cache(&model);
+        let w = &windows[2];
+        let mut y = w.y.to_vec();
+        y[0] += 1.0;
+        windows[2] = ForecastWindow {
+            y: Tensor::from_vec(y, w.y.dims()),
+            ..w.clone()
+        };
+        model.train_student_epoch(&windows);
+        let (hits2, misses2) = cache(&model);
+        assert_eq!(hits2 + misses2, hits + misses + lookups);
+        assert_ne!(rows_id(&model, 2), ids[2], "a changed window is rebuilt");
+        assert_stored_targets_are_fresh(&model, &windows);
+    }
+
+    #[test]
+    fn nothing_is_stored_while_the_clm_cache_is_off() {
+        let (mut model, ds) = tiny_model();
+        model.teacher().frozen_lm().set_caching(false);
+        let train: Vec<_> = ds.windows(Split::Train, 16);
+        let windows = &train[..2];
+        // Every prompt of every window is a miss in every epoch.
+        let per_epoch = (2 * ds.num_vars() * windows.len()) as u64;
+        let mut expected = 0;
+        for teacher in [true, true, false, false] {
+            if teacher {
+                model.train_teacher_epoch(windows);
+            } else {
+                model.train_student_epoch(windows);
+            }
+            expected += per_epoch;
+            assert_eq!(model.teacher().frozen_lm().cache_stats(), (0, expected));
+            assert!(model.store.is_empty());
         }
     }
 

@@ -18,7 +18,8 @@
 //! oracle (`proptest_lm`).
 //!
 //! The cache keeps one map per calibration flag, keyed by the prompt's
-//! tokens themselves, so a hit is always the same prompt.
+//! tokens themselves, one `u32` each ([`encode_key`]), so a hit is always
+//! the same prompt.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -39,6 +40,9 @@ enum Source {
     Cached(Vec<f32>),
 }
 
+/// Embeddings `[D]` by encoded prompt ([`encode_key`]).
+type EmbeddingCache = HashMap<Box<[u32]>, Vec<f32>>;
+
 /// A frozen language model with embedding memoisation.
 ///
 /// The model is shared via `Rc` and the tensor engine is single-threaded,
@@ -47,8 +51,8 @@ enum Source {
 pub struct FrozenLm {
     lm: CausalLm,
     plans: RefCell<Vec<FamilyPlan>>,
-    /// Embeddings by prompt, indexed by the calibration flag.
-    cache: RefCell<[HashMap<Vec<Token>, Vec<f32>>; 2]>,
+    /// One cache per calibration flag, indexed by it.
+    cache: RefCell<[EmbeddingCache; 2]>,
     caching_enabled: Cell<bool>,
     hits: Cell<u64>,
     misses: Cell<u64>,
@@ -96,6 +100,7 @@ impl FrozenLm {
         // Prompt indices of the misses, in order.
         let mut misses: Vec<usize> = Vec::new();
         let mut sources = Vec::with_capacity(prompts.len());
+        let mut key = Vec::new();
         {
             let cache = &self.cache.borrow()[usize::from(calibrated)];
             for (i, &tokens) in prompts.iter().enumerate() {
@@ -104,7 +109,10 @@ impl FrozenLm {
                     // miss of this call, else the stored one.
                     let found = match misses.iter().position(|&m| prompts[m] == tokens) {
                         Some(slot) => Some(Source::Computed(slot)),
-                        None => cache.get(tokens).map(|data| Source::Cached(data.clone())),
+                        None => {
+                            encode_key(tokens, &mut key);
+                            (cache.get(key.as_slice())).map(|data| Source::Cached(data.clone()))
+                        }
                     };
                     if let Some(source) = found {
                         self.hits.set(self.hits.get() + 1);
@@ -129,7 +137,8 @@ impl FrozenLm {
         if caching {
             let cache = &mut self.cache.borrow_mut()[usize::from(calibrated)];
             for (&i, emb) in misses.iter().zip(&computed) {
-                cache.insert(prompts[i].to_vec(), emb.clone());
+                encode_key(prompts[i], &mut key);
+                cache.insert(key.as_slice().into(), emb.clone());
             }
         }
         sources
@@ -170,6 +179,11 @@ impl FrozenLm {
         self.caching_enabled.set(enabled);
     }
 
+    /// Whether the embedding cache is on ([`set_caching`](Self::set_caching)).
+    pub fn caching(&self) -> bool {
+        self.caching_enabled.get()
+    }
+
     /// (cache hits, cache misses) so far.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
@@ -191,6 +205,17 @@ impl FrozenLm {
     pub fn clear_cache(&self) {
         self.cache.borrow_mut().iter_mut().for_each(HashMap::clear);
     }
+}
+
+/// Writes `tokens` into `key` as cache-key words, one per token: the id
+/// shifted left by one with the modality in the low bit, so prompts that
+/// differ only in a token's modality get different keys.
+fn encode_key(tokens: &[Token], key: &mut Vec<u32>) {
+    key.clear();
+    key.extend(tokens.iter().map(|t| {
+        let id = u32::try_from(t.id).expect("token id fits in u32");
+        id << 1 | t.modality as u32
+    }));
 }
 
 /// What a compiled family forward is specialised to: the LM geometry,

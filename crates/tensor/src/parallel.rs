@@ -79,22 +79,6 @@ pub fn effective_threads() -> usize {
         .clamp(1, MAX_THREADS)
 }
 
-/// Runs `f` with nested parallelism suppressed on this thread, exactly as
-/// if it were executing inside a claimed pool task: every kernel `f`
-/// calls takes its serial path. The planned student trainer runs each
-/// window's training step inside one.
-pub fn with_serial_region<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            IN_PARALLEL_REGION.with(|c| c.set(self.0));
-        }
-    }
-    let prev = IN_PARALLEL_REGION.with(|c| c.replace(true));
-    let _restore = Restore(prev);
-    f()
-}
-
 /// Runs `f` with the effective thread count overridden to `n` on this
 /// thread. `with_threads(1, …)` forces the serial path; benchmarks and
 /// determinism tests use this to compare serial and parallel execution in

@@ -1094,6 +1094,12 @@ impl TrainExecutor {
         &self.fwd.params[idx]
     }
 
+    /// Overwrites parameter `idx` (binding order) with `data`, e.g. values
+    /// loaded into the live model since binding.
+    pub fn set_param_data(&mut self, idx: usize, data: &[f32]) {
+        self.fwd.params[idx].copy_from_slice(data);
+    }
+
     /// Overrides the AdamW step counter — shared-counter semantics when
     /// the surrounding trainer also steps other parameter groups through
     /// the same dynamic optimizer.

@@ -37,15 +37,23 @@ echo "==> sanitizer (timekd-tensor's opt-in \`sanitize\` feature)"
 # The feature is off in every other step, so compile and test it here.
 cargo test -q -p timekd-tensor --features sanitize --lib sanitize
 
-echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
+echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, stored teacher targets vs a fresh teacher forward, store rebuilds and no-cache arm, planned vs dynamic epochs across a checkpoint load, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned forecast and the planned
 # objective over several steps must reproduce the dynamic engine bit for
 # bit, as must the planned epoch the dynamic per-window loop (on the tiny
-# and the default student dims, at 1, 2 and 5 threads).
+# and the default student dims, at 1, 2 and 5 threads). The teacher targets
+# a model stores per training window must equal a fresh teacher forward
+# bit for bit; a moved or changed window rebuilds its entry, and with the
+# CLM cache off nothing is stored. Planned and dynamic epochs around a
+# checkpoint save and load must reach the same parameters.
 cargo test -q -p timekd -- --exact \
   plan::tests::planned_predict_is_bitwise_identical_to_dynamic \
   trainer::tests::planned_student_epoch_is_bitwise_identical_to_dynamic \
+  trainer::tests::stored_targets_equal_a_fresh_teacher_forward \
+  trainer::tests::a_moved_or_changed_window_rebuilds_its_entry \
+  trainer::tests::nothing_is_stored_while_the_clm_cache_is_off \
+  model_io::tests::planned_epochs_train_a_loaded_checkpoint_like_dynamic_ones \
   plan::tests::planned_objective_training_is_bitwise_identical_to_dynamic \
   plan::tests::batch_trainer_reuses_cached_plan_across_rebuilds
 cargo test -q -p timekd-bench --test planned_alloc
