@@ -1,5 +1,5 @@
 //! Trace/metrics reports: `timekd-obs` snapshots rendered as
-//! schema-validated JSON (`timekd-trace/v1`) through `timekd_obs::json`.
+//! schema-validated JSON (`timekd-trace/v2`) through `timekd_obs::json`.
 //!
 //! Two validators are exported:
 //! - [`validate_trace_report`] checks the *shape* of a document (every key
@@ -7,14 +7,14 @@
 //! - [`validate_trace_coverage`] checks the *content* of a training-run
 //!   trace: the span tree must cover the whole TimeKD pipeline (teacher,
 //!   SCA, student, both PKD losses, backward, optimizer) and the counter
-//!   section must show pool and LM-cache activity. This is what the e2e
+//!   section must show LM-cache activity. This is what the e2e
 //!   acceptance gate runs against `examples/quickstart.rs` output.
 
 use timekd_obs::json::Json;
 use timekd_obs::{Snapshot, SpanNode};
 
 /// Schema identifier emitted and required by the validators.
-pub const TRACE_SCHEMA: &str = "timekd-trace/v1";
+pub const TRACE_SCHEMA: &str = "timekd-trace/v2";
 
 fn span_to_json(node: &SpanNode) -> Json {
     Json::obj(vec![
@@ -28,7 +28,7 @@ fn span_to_json(node: &SpanNode) -> Json {
     ])
 }
 
-/// Renders an observability [`Snapshot`] as a `timekd-trace/v1` document.
+/// Renders an observability [`Snapshot`] as a `timekd-trace/v2` document.
 ///
 /// `label` names the run (e.g. `"quickstart"`); the caller supplies
 /// `created_unix_s` so report creation stays clock-free and deterministic
@@ -67,21 +67,6 @@ pub fn trace_report(snapshot: &Snapshot, label: &str, created_unix_s: u64) -> Js
                     .collect(),
             ),
         ),
-        (
-            "workers",
-            Json::Arr(
-                snapshot
-                    .workers
-                    .iter()
-                    .map(|w| {
-                        Json::obj(vec![
-                            ("worker", Json::num(w.worker as f64)),
-                            ("busy_ms", Json::num(w.busy_ns as f64 / 1e6)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
     ])
 }
 
@@ -109,16 +94,9 @@ fn check_span(span: &Json, path: &str, problems: &mut Vec<String>) {
 
 /// Names of the global counters every trace report must carry (the
 /// registry in `timekd-obs`).
-pub const REQUIRED_COUNTERS: [&str; 6] = [
-    "pool.jobs",
-    "pool.tasks",
-    "pool.serial_fallback",
-    "pool.slot_waits",
-    "lm_cache.hits",
-    "lm_cache.misses",
-];
+pub const REQUIRED_COUNTERS: [&str; 2] = ["lm_cache.hits", "lm_cache.misses"];
 
-/// Checks a parsed document against the `timekd-trace/v1` schema shape.
+/// Checks a parsed document against the `timekd-trace/v2` schema shape.
 /// Returns every problem found, not just the first.
 pub fn validate_trace_report(doc: &Json) -> Result<(), Vec<String>> {
     let mut problems = Vec::new();
@@ -173,19 +151,6 @@ pub fn validate_trace_report(doc: &Json) -> Result<(), Vec<String>> {
         }
         _ => problems.push("missing key `counters` (object)".to_string()),
     }
-    match doc.get("workers").map(Json::as_arr) {
-        Some(Some(rows)) => {
-            for (i, row) in rows.iter().enumerate() {
-                for key in ["worker", "busy_ms"] {
-                    match row.get(key).map(Json::as_num) {
-                        Some(Some(v)) if v.is_finite() && v >= 0.0 => {}
-                        _ => problems.push(format!("`workers[{i}].{key}` missing or not finite")),
-                    }
-                }
-            }
-        }
-        _ => problems.push("missing key `workers` (array)".to_string()),
-    }
     if problems.is_empty() {
         Ok(())
     } else {
@@ -224,9 +189,8 @@ fn span_name_present(spans: &[Json], name: &str) -> bool {
 }
 
 /// Checks that a shape-valid trace of a training run + predict covers the
-/// whole TimeKD pipeline: every required span present, LM cache exercised,
-/// and some pool activity (parallel jobs or — on small boxes — serial
-/// fallbacks). Run [`validate_trace_report`] first.
+/// whole TimeKD pipeline: every required span present and the LM cache
+/// exercised. Run [`validate_trace_report`] first.
 pub fn validate_trace_coverage(doc: &Json) -> Result<(), Vec<String>> {
     let mut problems = Vec::new();
     let spans = doc.get("spans").and_then(Json::as_arr).unwrap_or(&[]);
@@ -243,9 +207,6 @@ pub fn validate_trace_coverage(doc: &Json) -> Result<(), Vec<String>> {
     };
     if counter("lm_cache.hits") + counter("lm_cache.misses") == 0.0 {
         problems.push("LM cache never exercised (hits + misses == 0)".to_string());
-    }
-    if counter("pool.jobs") + counter("pool.serial_fallback") == 0.0 {
-        problems.push("worker pool never exercised (jobs + serial_fallback == 0)".to_string());
     }
     if doc
         .get("ops")
@@ -335,14 +296,15 @@ mod tests {
             ),
             ("ops", Json::Arr(vec![])),
             ("counters", Json::obj(vec![])),
-            ("workers", Json::Arr(vec![])),
         ]);
         let problems = validate_trace_report(&doc).expect_err("must fail");
         assert!(problems.iter().any(|p| p.contains("`schema` must be")));
         assert!(problems.iter().any(|p| p.contains("spans[0].count")));
         assert!(problems.iter().any(|p| p.contains("spans[0].children")));
         assert!(
-            problems.iter().any(|p| p.contains("counters.pool.jobs")),
+            problems
+                .iter()
+                .any(|p| p.contains("counters.lm_cache.hits")),
             "{problems:?}"
         );
     }
@@ -351,25 +313,12 @@ mod tests {
     fn coverage_flags_missing_pipeline_spans() {
         let _g = locked();
         let snap = recorded_snapshot();
-        let mut doc = trace_report(&snap, "unit", 1_722_000_000);
+        let doc = trace_report(&snap, "unit", 1_722_000_000);
         // Shape is fine but the pipeline is not covered: only two spans
-        // were recorded and the pool counters are zero. The counters are
-        // process-global and other tests in this binary run pool work in
-        // parallel, so zero them here instead of relying on the recording.
-        if let Json::Obj(pairs) = &mut doc {
-            if let Some((_, Json::Obj(counters))) = pairs.iter_mut().find(|(k, _)| k == "counters")
-            {
-                for (k, v) in counters.iter_mut() {
-                    if k.starts_with("pool.") {
-                        *v = Json::num(0.0);
-                    }
-                }
-            }
-        }
+        // were recorded.
         let problems = validate_trace_coverage(&doc).expect_err("must fail");
         assert!(problems.iter().any(|p| p.contains("`epoch.student`")));
         assert!(problems.iter().any(|p| p.contains("`lm.pretrain`")));
-        assert!(problems.iter().any(|p| p.contains("pool never exercised")));
         // The spans that *were* recorded are not flagged.
         assert!(!problems.iter().any(|p| p.contains("`teacher.forward`")));
     }
@@ -414,7 +363,6 @@ mod tests {
         }
         timekd_obs::count_op("matmul");
         timekd_obs::LM_CACHE_MISSES.add(2);
-        timekd_obs::POOL_SERIAL_FALLBACK.add(1);
         let snap = timekd_obs::snapshot();
         timekd_obs::set_enabled(false);
         timekd_obs::reset();

@@ -10,8 +10,8 @@
 //!
 //! | rule | scope | requirement |
 //! |------|-------|-------------|
-//! | `no-unwrap-in-kernels` | `tensor/src/ops/*`, `tensor/src/parallel.rs`, `tensor/src/simd.rs` | no `.unwrap()` / `.expect(` in hot kernels |
-//! | `no-instant-in-kernels` | `tensor/src/ops/*`, `tensor/src/parallel.rs`, `tensor/src/simd.rs` | no `Instant::now` timing inside kernels |
+//! | `no-unwrap-in-kernels` | `tensor/src/ops/*`, `tensor/src/simd.rs` | no `.unwrap()` / `.expect(` in hot kernels |
+//! | `no-instant-in-kernels` | `tensor/src/ops/*`, `tensor/src/simd.rs` | no `Instant::now` timing inside kernels |
 //! | `no-libm-exp-in-kernels` | `tensor/src/ops/*`, `tensor/src/simd.rs`, `tensor/src/plan.rs`, `tensor/src/plan_train.rs` | no `.exp()` / `.tanh()` / `.exp_m1()`: kernel transcendentals go through the pinned `simd::exp` / `simd::tanh` |
 //! | `no-clone-in-forward` | all crates | no tensor-data copies (`.to_vec()`, `.data().clone()`) inside `forward*` fns |
 //! | `no-grad-in-inference` | all crates | `predict` / `evaluate` fns must run under `no_grad` (directly or by delegating to `predict`) |
@@ -26,17 +26,15 @@
 //! | `no-unwrap-in-serve-loop` | serve loops | no `.unwrap()` / `.expect(` in the serving hot loops |
 //! | `no-println-in-serve-loop` | serve loops | no `print!`/`println!`/`dbg!` I/O in the serving hot loops |
 //!
-//! "Worker loops" are the hot per-block functions of the parallel kernel
-//! path — functions in `tensor/src/parallel.rs`,
+//! "Worker loops" are the hot per-block kernel functions — functions in
 //! `tensor/src/ops/matmul.rs`, `tensor/src/ops/attention.rs`,
 //! `tensor/src/ops/kernels.rs` (the slice kernels both engines call), or
-//! `tensor/src/simd.rs` whose name ends in
-//! `_block` or `_lanes` or is `drain_tasks` (the naming contract those
-//! files document; `_lanes` fns are the `f32x8` microkernel loops the
-//! `_block` kernels call). They run on
-//! pool threads inside a claimed task, where a lock could deadlock the
-//! pool, an allocation serialises on the global allocator, and console
-//! I/O both blocks and interleaves.
+//! `tensor/src/simd.rs` whose name ends in `_block` or `_lanes` (the
+//! naming contract those files document; `_lanes` fns are the `f32x8`
+//! microkernel loops the `_block` kernels call). Every training step and
+//! every forecast runs them, so an allocation there goes to the global
+//! allocator on every call, a lock can stall the serving threads that
+//! share it, and console I/O both blocks and interleaves.
 //!
 //! "Plan loops" are the hot schedule-replay functions of the static plan
 //! executors — functions in `tensor/src/plan.rs` (forward replay) or
@@ -275,9 +273,8 @@ struct OpenFn {
 /// un-filtered by any allowlist. `path_label` is used for reporting and
 /// for path-scoped rules, so pass a repo-relative path.
 pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
-    let in_kernels = path_label.contains("tensor/src/ops/")
-        || path_label.contains("tensor/src/parallel.rs")
-        || path_label.contains("tensor/src/simd.rs");
+    let in_kernels =
+        path_label.contains("tensor/src/ops/") || path_label.contains("tensor/src/simd.rs");
     // Files whose element-wise transcendentals must be the pinned lane
     // kernels: the ops, the lane kernels themselves, and both plan
     // executors.
@@ -286,15 +283,12 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
         || path_label.contains("tensor/src/plan.rs")
         || path_label.contains("tensor/src/plan_train.rs");
     // Files that may define per-block worker-loop fns (`*_block`,
-    // `*_lanes`, `drain_tasks`) subject to the no-lock/no-alloc/no-println
-    // rules. `simd.rs` hosts the `_lanes` microkernel loops the `_block`
-    // kernels call; they run inside claimed pool tasks just like the
-    // kernels themselves.
-    // `ops/kernels.rs` hosts the element-wise, reduction and permute
+    // `*_lanes`) subject to the no-lock/no-alloc/no-println rules.
+    // `simd.rs` hosts the `_lanes` microkernel loops the `_block` kernels
+    // call. `ops/kernels.rs` hosts the element-wise, reduction and permute
     // `_block` kernels the `*_plan_loop` replays call: the plan rules see
     // only the loop's own body, so these rules keep the kernels alloc-free.
-    let in_worker_file = path_label.contains("tensor/src/parallel.rs")
-        || path_label.contains("tensor/src/ops/matmul.rs")
+    let in_worker_file = path_label.contains("tensor/src/ops/matmul.rs")
         || path_label.contains("tensor/src/ops/attention.rs")
         || path_label.contains("tensor/src/ops/kernels.rs")
         || path_label.contains("tensor/src/simd.rs");
@@ -377,9 +371,7 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
                 });
             }
             let in_worker_fn = in_worker_file
-                && (current_fn.ends_with("_block")
-                    || current_fn.ends_with("_lanes")
-                    || current_fn == "drain_tasks");
+                && (current_fn.ends_with("_block") || current_fn.ends_with("_lanes"));
             if in_worker_fn {
                 if code.contains(".lock(") || code.contains(".wait(") {
                     violations.push(Violation {
@@ -410,11 +402,11 @@ pub fn scan_source(path_label: &str, source: &str) -> Vec<Violation> {
                         text: trimmed.to_string(),
                     });
                 }
-                // Observability hooks stay at the job boundary (worker_loop,
-                // parallel_for): a span records through a thread-local trie
-                // and an op count through a thread-local map, both of which
-                // may allocate on first touch — never inside a claimed
-                // block. Counter `.add(` is a lone atomic and stays legal.
+                // Observability hooks stay at the op boundary: a span
+                // records through a thread-local trie and an op count
+                // through a thread-local map, both of which may allocate
+                // on first touch — never inside a kernel. Counter `.add(`
+                // is a lone atomic and stays legal.
                 if code.contains("obs::span(") || code.contains("obs::count_op(") {
                     violations.push(Violation {
                         rule: "no-span-in-worker",

@@ -15,7 +15,7 @@ fn attn_fwd_row_block(out: &mut [f32], q: &[f32], state: &SharedState) {
 
 fn plan_attention(rows: usize) -> Vec<(usize, usize)> {
     // Not a worker-loop fn (name matches neither `*_block` nor
-    // `drain_tasks`): allocation and printing are fine here, but the
+    // `*_lanes`): allocation and printing are fine here, but the
     // file-wide kernel rules still catch the expect below.
     let ranges = vec![(0, rows)];
     println!("blocks: {}", ranges.len());

@@ -10,23 +10,23 @@ fn traced_row_block(out: &mut [f32]) {
     }
 }
 
-fn drain_tasks(queue: &JobQueue) {
-    let _span = obs::span("pool.drain");
+fn drain_queue_block(queue: &JobQueue) {
+    let _span = obs::span("queue.drain");
     queue.run_claimed();
 }
 
-fn worker_loop(shared: &Shared, id: usize) {
-    // The job boundary is not a `*_block`/`drain_tasks` fn: spans and
+fn op_boundary(shared: &Shared, id: usize) {
+    // The op boundary is not a `*_block`/`*_lanes` fn: spans and
     // counter hooks belong here and must not trip.
-    let _span = timekd_obs::span("pool.job");
-    timekd_obs::count_op("pool.job");
-    timekd_obs::POOL_JOBS.add(1);
+    let _span = timekd_obs::span("op.call");
+    timekd_obs::count_op("op.call");
+    timekd_obs::PLAN_COMPILES.add(1);
     let _ = (shared, id);
 }
 
 fn fast_path_block(out: &mut [f32]) {
     // Bare atomic counters are a single relaxed add: legal in workers.
-    timekd_obs::POOL_TASKS.add(out.len() as u64);
+    timekd_obs::LM_CACHE_HITS.add(out.len() as u64);
 }
 
 #[cfg(test)]

@@ -11,13 +11,13 @@ fn evil_row_block(out: &mut [f32], state: &SharedState) {
     }
 }
 
-fn drain_tasks(queue: &JobQueue) {
+fn drain_queue_block(queue: &JobQueue) {
     let _job = queue.cv.wait(queue.guard());
 }
 
 fn setup_ranges(rows: usize) -> Vec<(usize, usize)> {
     // Not a worker-loop fn (name matches neither `*_block` nor
-    // `drain_tasks`): allocation and printing are allowed here.
+    // `*_lanes`): allocation and printing are allowed here.
     let ranges = vec![(0, rows)];
     println!("blocks: {}", ranges.len());
     ranges

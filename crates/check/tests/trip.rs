@@ -219,8 +219,9 @@ fn lock_in_worker_loop_trips() {
         .iter()
         .filter(|v| v.rule == "no-lock-in-worker")
         .collect();
-    // `.lock(` in evil_row_block (line 6) and `.wait(` in drain_tasks
-    // (line 15); nothing in setup_ranges or the test module.
+    // `.lock(` in evil_row_block (line 6) and `.wait(` in
+    // drain_queue_block (line 15); nothing in setup_ranges or the test
+    // module.
     assert_eq!(locks.len(), 2, "{vs:?}");
     assert_eq!(locks[0].line, 6, "{locks:?}");
     assert_eq!(locks[1].line, 15, "{locks:?}");
@@ -228,7 +229,10 @@ fn lock_in_worker_loop_trips() {
 
 #[test]
 fn alloc_in_worker_loop_trips() {
-    let vs = scan_source("crates/tensor/src/parallel.rs", &fixture("bad_worker.rs"));
+    let vs = scan_source(
+        "crates/tensor/src/ops/kernels.rs",
+        &fixture("bad_worker.rs"),
+    );
     let allocs: Vec<_> = vs
         .iter()
         .filter(|v| v.rule == "no-alloc-in-worker")
@@ -254,28 +258,12 @@ fn println_in_worker_loop_trips() {
 
 #[test]
 fn worker_rules_do_not_trip_outside_worker_files() {
-    // Same source labelled as a file outside the parallel kernel path:
-    // worker-loop fns there are not subject to the rules.
+    // Same source labelled as a file outside the kernel files: worker-loop
+    // fns there are not subject to the rules.
     let vs = scan_source("crates/nn/src/bad_worker.rs", &fixture("bad_worker.rs"));
     assert!(
         vs.iter().all(|v| !v.rule.ends_with("-in-worker")),
-        "worker rules are scoped to parallel.rs/matmul.rs: {vs:?}"
-    );
-}
-
-#[test]
-fn kernel_rules_cover_parallel_module() {
-    // The no-unwrap/no-instant kernel rules extend to
-    // tensor/src/parallel.rs (the pool shares the kernel hot path).
-    let vs = scan_source("crates/tensor/src/parallel.rs", &fixture("bad_kernel.rs"));
-    let rules = rules_of(&vs);
-    assert!(
-        rules.contains(&"no-unwrap-in-kernels"),
-        "unwrap in parallel.rs must trip: {vs:?}"
-    );
-    assert!(
-        rules.contains(&"no-instant-in-kernels"),
-        "Instant::now in parallel.rs must trip: {vs:?}"
+        "worker rules are scoped to the kernel files: {vs:?}"
     );
 }
 
@@ -353,16 +341,16 @@ fn attention_rules_do_not_trip_outside_kernel_files() {
 
 #[test]
 fn obs_hooks_in_worker_loop_trip() {
-    let vs = scan_source("crates/tensor/src/parallel.rs", &fixture("bad_obs.rs"));
+    let vs = scan_source("crates/tensor/src/ops/attention.rs", &fixture("bad_obs.rs"));
     let spans: Vec<usize> = vs
         .iter()
         .filter(|v| v.rule == "no-span-in-worker")
         .map(|v| v.line)
         .collect();
     // span + count_op inside traced_row_block (lines 6-7) and the aliased
-    // `obs::span(` in drain_tasks (line 14). The same hooks in worker_loop
-    // (the job boundary, not a worker fn) and the test module are legal,
-    // as is the bare counter add in fast_path_block.
+    // `obs::span(` in drain_queue_block (line 14). The same hooks in
+    // op_boundary (not a worker fn) and the test module are legal, as is
+    // the bare counter add in fast_path_block.
     assert_eq!(spans, vec![6, 7, 14], "{vs:?}");
     assert!(
         vs.iter()
@@ -373,27 +361,13 @@ fn obs_hooks_in_worker_loop_trip() {
 
 #[test]
 fn obs_rule_does_not_trip_outside_worker_files() {
-    // Same source labelled outside the parallel kernel path: the rule is
-    // scoped to worker files, and instrumented library code (nn, lm, core)
+    // Same source labelled outside the kernel files: the rule is scoped
+    // to worker files, and instrumented library code (nn, lm, core)
     // uses these hooks freely.
     let vs = scan_source("crates/nn/src/bad_obs.rs", &fixture("bad_obs.rs"));
     assert!(
         vs.iter().all(|v| v.rule != "no-span-in-worker"),
         "no-span-in-worker is scoped to worker files: {vs:?}"
-    );
-}
-
-#[test]
-fn real_parallel_module_passes_obs_rule() {
-    // The actual pool instruments worker_loop and parallel_for (legal)
-    // but never drain_tasks or a `*_block` fn — the shipped source must
-    // stay clean under its own lint.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../tensor/src/parallel.rs");
-    let source = std::fs::read_to_string(&path).expect("read parallel.rs");
-    let vs = scan_source("crates/tensor/src/parallel.rs", &source);
-    assert!(
-        vs.iter().all(|v| v.rule != "no-span-in-worker"),
-        "shipped pool violates its own obs lint: {vs:?}"
     );
 }
 
@@ -700,8 +674,8 @@ fn libm_transcendentals_in_kernel_files_trip_on_exact_lines() {
 
 #[test]
 fn libm_transcendental_rule_is_path_scoped() {
-    // Outside the kernel layer (model code, data generators, the worker
-    // pool) libm stays allowed.
+    // Outside the kernel layer (model code, data generators, the
+    // thread-count module, the recorder) libm stays allowed.
     for label in [
         "crates/nn/src/bad_libm.rs",
         "crates/data/src/generators.rs",

@@ -5,9 +5,8 @@
 //! liveness-colored arena), binds the real [`Student`] parameters to it by
 //! naming-walk label, and replays it with zero
 //! per-call graph construction and zero allocation. Because the plan
-//! executor invokes the same serial row-block kernels the dynamic engine
-//! partitions across the worker pool, planned forecasts are **bitwise
-//! identical** to [`Student::predict`] at any `TIMEKD_THREADS` setting.
+//! executor invokes the same row-block kernels as the dynamic engine,
+//! planned forecasts are **bitwise identical** to [`Student::predict`].
 //! [`PlannedBatchTrainer`] does the same for the student's one training
 //! objective (PKD + forecasting, Alg. 2).
 
@@ -323,10 +322,8 @@ impl PlannedStudent {
 ///
 /// Each [`run_batch`](PlannedBatchTrainer::run_batch) call takes one
 /// training step on the staged window: forward, backward, clipping and
-/// one fused optimizer step. The executor calls the serial kernels
-/// directly and never reaches the thread pool. The
-/// steps are bitwise identical to the dynamic per-window loop at any
-/// `TIMEKD_THREADS` setting. The batch size, window index and count
+/// one fused optimizer step. The steps are bitwise identical to the
+/// dynamic per-window loop. The batch size, window index and count
 /// arguments accept only a single window (1, 0 and 1).
 #[derive(Debug)]
 pub struct PlannedBatchTrainer {
@@ -544,7 +541,7 @@ impl PlannedBatchTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timekd_tensor::{parallel, seeded_rng};
+    use timekd_tensor::seeded_rng;
 
     fn small_config() -> TimeKdConfig {
         TimeKdConfig {
@@ -577,15 +574,12 @@ mod tests {
             let dynamic = student.predict(&x).to_vec();
             // The dynamic engine saves RevIN stats during predict; run the
             // plan afterwards so any (unwanted) state coupling would surface.
-            for threads in [1, 2, 5] {
-                let planned_out = parallel::with_threads(threads, || planned.predict(&x).to_vec());
-                assert_eq!(
-                    planned_out, dynamic,
-                    "planned forecast must be bitwise identical at {threads} threads \
-                     (dim {}, {input_len}x{num_vars})",
-                    config.dim
-                );
-            }
+            assert_eq!(
+                planned.predict(&x).to_vec(),
+                dynamic,
+                "planned forecast must be bitwise identical (dim {}, {input_len}x{num_vars})",
+                config.dim
+            );
         }
     }
 
@@ -627,7 +621,7 @@ mod tests {
         // `PlannedBatchTrainer` against the dynamic
         // `student_objective` step (backward, clip, the trainer's AdamW),
         // for every combination of distillation arms — so both aux slots
-        // are exercised present and absent — at several thread counts.
+        // are exercised present and absent.
         // The tight clip makes every step rescale its gradients.
         for ((base, (input_len, horizon, num_vars)), (cd, fd)) in
             oracle_geometries().into_iter().flat_map(|g| {
@@ -658,47 +652,39 @@ mod tests {
             }
             let dynamic_params: Vec<Vec<f32>> = params.iter().map(Tensor::to_vec).collect();
 
-            for threads in [1, 2, 5] {
-                let student =
-                    Student::new(&config, input_len, horizon, num_vars, &mut seeded_rng(7));
-                let mut trainer = PlannedBatchTrainer::new(
-                    &student,
-                    &config,
-                    crate::student_plan_optimizer(&config),
-                    1,
-                )
-                .unwrap();
-                let mut planned_losses = Vec::new();
-                parallel::with_threads(threads, || {
-                    for (x, y, att, emb) in &data {
-                        trainer.stage_window(0, x, y);
-                        trainer.stage_teacher(0, att, emb);
-                        trainer.run_batch(1);
-                        planned_losses.push([
-                            trainer.total_loss(),
-                            trainer.correlation_loss(),
-                            trainer.feature_loss(),
-                            trainer.forecast_loss(),
-                        ]);
-                    }
-                });
-                let bits = |l: &[[f32; 4]]| -> Vec<[u32; 4]> {
-                    l.iter().map(|r| r.map(f32::to_bits)).collect()
-                };
-                let arms = format!(
-                    "dim={} {input_len}x{num_vars} cd={cd} fd={fd} threads={threads}",
-                    config.dim
-                );
-                assert_eq!(
-                    bits(&planned_losses),
-                    bits(&dynamic_losses),
-                    "losses diverge ({arms})"
-                );
-                trainer.write_back();
-                let planned_params: Vec<Vec<f32>> =
-                    student.params().iter().map(Tensor::to_vec).collect();
-                assert_eq!(planned_params, dynamic_params, "params diverge ({arms})");
+            let student = Student::new(&config, input_len, horizon, num_vars, &mut seeded_rng(7));
+            let mut trainer = PlannedBatchTrainer::new(
+                &student,
+                &config,
+                crate::student_plan_optimizer(&config),
+                1,
+            )
+            .unwrap();
+            let mut planned_losses = Vec::new();
+            for (x, y, att, emb) in &data {
+                trainer.stage_window(0, x, y);
+                trainer.stage_teacher(0, att, emb);
+                trainer.run_batch(1);
+                planned_losses.push([
+                    trainer.total_loss(),
+                    trainer.correlation_loss(),
+                    trainer.feature_loss(),
+                    trainer.forecast_loss(),
+                ]);
             }
+            let bits = |l: &[[f32; 4]]| -> Vec<[u32; 4]> {
+                l.iter().map(|r| r.map(f32::to_bits)).collect()
+            };
+            let arms = format!("dim={} {input_len}x{num_vars} cd={cd} fd={fd}", config.dim);
+            assert_eq!(
+                bits(&planned_losses),
+                bits(&dynamic_losses),
+                "losses diverge ({arms})"
+            );
+            trainer.write_back();
+            let planned_params: Vec<Vec<f32>> =
+                student.params().iter().map(Tensor::to_vec).collect();
+            assert_eq!(planned_params, dynamic_params, "params diverge ({arms})");
         }
     }
 

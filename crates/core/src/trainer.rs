@@ -735,7 +735,7 @@ mod tests {
     fn planned_student_epoch_is_bitwise_identical_to_dynamic() {
         // The planned path must reproduce the dynamic per-window loop bit
         // for bit — losses, per-component stats, and every student
-        // parameter — at any thread count. Two inputs: the tiny config
+        // parameter. Two inputs: the tiny config
         // over 5 windows, and the default student dims at 48×7 → 24×7
         // over 16 windows (a small CLM keeps it fast).
         let mut default_dims = tiny_config();
@@ -750,24 +750,20 @@ mod tests {
             let subset = &train[..num_windows];
             let dyn_stats = reference.train_student_epoch_dynamic(subset);
             let dyn_params = student_param_bits(&reference);
-            for threads in [1, 2, 5] {
-                let (mut m, _) = model_with(base, input_len, horizon);
-                let stats = timekd_tensor::parallel::with_threads(threads, || {
-                    m.train_student_epoch(subset)
-                });
-                assert_eq!(
-                    epoch_bits(&stats),
-                    epoch_bits(&dyn_stats),
-                    "epoch stats diverge at {threads} threads (dim {})",
-                    base.dim
-                );
-                assert_eq!(
-                    student_param_bits(&m),
-                    dyn_params,
-                    "student params diverge at {threads} threads (dim {})",
-                    base.dim
-                );
-            }
+            let (mut m, _) = model_with(base, input_len, horizon);
+            let stats = m.train_student_epoch(subset);
+            assert_eq!(
+                epoch_bits(&stats),
+                epoch_bits(&dyn_stats),
+                "epoch stats diverge (dim {})",
+                base.dim
+            );
+            assert_eq!(
+                student_param_bits(&m),
+                dyn_params,
+                "student params diverge (dim {})",
+                base.dim
+            );
         }
     }
 

@@ -10,9 +10,8 @@
 //! * **Op counters** ([`count_op`]) — per-thread dispatch counts keyed by the
 //!   `&'static str` op name that `Tensor::from_op` already records.
 //! * **Global counters** ([`Counter`] statics) — lock-free atomics for
-//!   cross-thread facts: worker-pool jobs/tasks/serial fallbacks/slot waits,
-//!   per-worker busy time, FrozenLm cache hits/misses, and the
-//!   serving layer's request/error/swap totals.
+//!   cross-thread facts: FrozenLm cache hits/misses, plan compilations, and
+//!   the serving layer's request/error/swap totals.
 //! * **Histograms** ([`Histogram`] statics, in [`hist`]) — lock-free
 //!   fixed log-bucket distributions for the serving layer's per-endpoint
 //!   latencies.
@@ -24,10 +23,9 @@
 //! allocation. This is the contract the overhead-guard test enforces.
 //!
 //! Spans and op counts are thread-local by design: the autograd graph (and so
-//! every instrumented phase) runs on one thread, while worker threads only
-//! touch the atomic counters. Worker-loop code must never call [`span`] or
-//! [`count_op`] — those can allocate — and `timekd-check` lints for this
-//! (`no-span-in-worker`).
+//! every instrumented phase) runs on one thread. Kernel loops must never
+//! call [`span`] or [`count_op`] — those can allocate — and `timekd-check`
+//! lints for this (`no-span-in-worker`).
 
 #![deny(
     unused_must_use,
@@ -110,9 +108,7 @@ fn clock_epoch() -> Instant {
 
 /// Nanoseconds since an arbitrary process-local monotonic epoch.
 ///
-/// This is the only clock the observability layer uses. It also lets
-/// instrumented kernel files (e.g. the worker pool) measure busy time without
-/// naming `Instant` directly, which the `no-instant-in-kernels` lint forbids.
+/// This is the only clock the observability layer uses.
 pub fn now_ns() -> u64 {
     clock_epoch().elapsed().as_nanos() as u64
 }
@@ -161,16 +157,6 @@ impl Counter {
     }
 }
 
-/// Jobs submitted to the worker pool (`parallel_for` / `par_row_blocks` parallel path).
-pub static POOL_JOBS: Counter = Counter::new("pool.jobs");
-/// Individual tasks (block ranges) executed across all pool jobs.
-pub static POOL_TASKS: Counter = Counter::new("pool.tasks");
-/// Pool entry points that degraded to the serial path (small size, one thread,
-/// or a nested parallel region).
-pub static POOL_SERIAL_FALLBACK: Counter = Counter::new("pool.serial_fallback");
-/// Spin iterations the submitter spent waiting for a free job slot — a proxy
-/// for queue depth / contention.
-pub static POOL_SLOT_WAITS: Counter = Counter::new("pool.slot_waits");
 /// FrozenLm embedding-cache hits (the same token sequence seen before).
 pub static LM_CACHE_HITS: Counter = Counter::new("lm_cache.hits");
 /// FrozenLm embedding-cache misses (recomputed through the LM).
@@ -188,12 +174,8 @@ pub static SERVE_SWAPS: Counter = Counter::new("serve.swaps");
 /// Rejected hot-swap attempts (registry fault; old version kept serving).
 pub static SERVE_SWAP_REJECTS: Counter = Counter::new("serve.swap_rejects");
 
-fn all_counters() -> [&'static Counter; 11] {
+fn all_counters() -> [&'static Counter; 7] {
     [
-        &POOL_JOBS,
-        &POOL_TASKS,
-        &POOL_SERIAL_FALLBACK,
-        &POOL_SLOT_WAITS,
         &LM_CACHE_HITS,
         &LM_CACHE_MISSES,
         &PLAN_COMPILES,
@@ -202,24 +184,6 @@ fn all_counters() -> [&'static Counter; 11] {
         &SERVE_SWAPS,
         &SERVE_SWAP_REJECTS,
     ]
-}
-
-/// Upper bound on tracked pool workers; busy time for workers past this is dropped.
-pub const MAX_TRACKED_WORKERS: usize = 128;
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_U64: AtomicU64 = AtomicU64::new(0);
-static WORKER_BUSY_NS: [AtomicU64; MAX_TRACKED_WORKERS] = [ZERO_U64; MAX_TRACKED_WORKERS];
-
-/// Records `ns` nanoseconds of busy time for pool worker `worker`.
-///
-/// The caller is expected to have gated the surrounding clock reads on
-/// [`enabled`]; this only performs the atomic add.
-#[inline]
-pub fn worker_busy_add(worker: usize, ns: u64) {
-    if worker < MAX_TRACKED_WORKERS {
-        WORKER_BUSY_NS[worker].fetch_add(ns, Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -411,23 +375,14 @@ pub struct OpCount {
 /// One global counter value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterValue {
-    /// Counter name, e.g. `"pool.jobs"`.
+    /// Counter name, e.g. `"lm_cache.hits"`.
     pub name: String,
     /// Value since the last [`reset`].
     pub value: u64,
 }
 
-/// Busy time of one pool worker.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerBusy {
-    /// Worker index (spawn order).
-    pub worker: usize,
-    /// Nanoseconds spent executing tasks since the last [`reset`].
-    pub busy_ns: u64,
-}
-
 /// A point-in-time copy of everything recorded: the calling thread's span trie
-/// and op counts, plus the global counters and worker busy times.
+/// and op counts, plus the global counters and histograms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Root spans of the calling thread, in first-entered order.
@@ -436,8 +391,6 @@ pub struct Snapshot {
     pub ops: Vec<OpCount>,
     /// All global counters (including zero-valued ones), in registry order.
     pub counters: Vec<CounterValue>,
-    /// Workers with nonzero busy time, by index.
-    pub workers: Vec<WorkerBusy>,
     /// Histograms with at least one observation, in registry order.
     pub histograms: Vec<HistogramSnapshot>,
 }
@@ -480,14 +433,6 @@ pub fn snapshot() -> Snapshot {
             value: c.get(),
         })
         .collect();
-    let workers = WORKER_BUSY_NS
-        .iter()
-        .enumerate()
-        .filter_map(|(i, ns)| {
-            let busy_ns = ns.load(Ordering::Relaxed);
-            (busy_ns > 0).then_some(WorkerBusy { worker: i, busy_ns })
-        })
-        .collect();
     let histograms = hist::all_histograms()
         .iter()
         .map(|h| h.snapshot())
@@ -497,13 +442,12 @@ pub fn snapshot() -> Snapshot {
         spans,
         ops,
         counters,
-        workers,
         histograms,
     }
 }
 
 /// Clears the calling thread's span trie and op counts, and zeroes all global
-/// counters and worker busy times. Spans still open when this runs are
+/// counters and histograms. Spans still open when this runs are
 /// invalidated (their guards become no-ops) rather than corrupting the trie.
 pub fn reset() {
     RECORDER.with(|r| {
@@ -516,9 +460,6 @@ pub fn reset() {
     OP_COUNTS.with(|c| c.borrow_mut().clear());
     for c in all_counters() {
         c.reset();
-    }
-    for w in WORKER_BUSY_NS.iter() {
-        w.store(0, Ordering::Relaxed);
     }
     for h in hist::all_histograms() {
         h.reset();
@@ -557,7 +498,7 @@ impl Snapshot {
     }
 
     /// Renders a human-readable summary table: the span tree with counts and
-    /// times, op-dispatch totals, global counters, and worker busy times.
+    /// times, op-dispatch totals, global counters, and histograms.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -608,16 +549,6 @@ impl Snapshot {
             .map(|c| format!("{}={}", c.name, c.value))
             .collect();
         out.push_str(&format!("counters: {}\n", counters.join(" ")));
-        if self.workers.is_empty() {
-            out.push_str("workers: (no pool activity recorded)\n");
-        } else {
-            let cols: Vec<String> = self
-                .workers
-                .iter()
-                .map(|w| format!("{}={:.1}ms", w.worker, w.busy_ns as f64 / 1e6))
-                .collect();
-            out.push_str(&format!("workers: {}\n", cols.join(" ")));
-        }
         if !self.histograms.is_empty() {
             let cols: Vec<String> = self
                 .histograms
@@ -662,12 +593,12 @@ mod tests {
         {
             let _s = span("off.root");
             count_op("off_op");
-            POOL_JOBS.add(3);
+            LM_CACHE_HITS.add(3);
         }
         let snap = snapshot();
         assert!(snap.spans.is_empty());
         assert!(snap.ops.is_empty());
-        assert_eq!(snap.counter("pool.jobs"), 0);
+        assert_eq!(snap.counter("lm_cache.hits"), 0);
     }
 
     #[test]
@@ -761,29 +692,20 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_workers_roundtrip_through_reset() {
+    fn counters_roundtrip_through_reset() {
         let _g = locked();
         set_enabled(true);
         reset();
-        POOL_JOBS.add(2);
+        PLAN_COMPILES.add(2);
         LM_CACHE_HITS.add(5);
-        worker_busy_add(1, 1_000);
-        worker_busy_add(MAX_TRACKED_WORKERS + 7, 99); // silently dropped
         let snap = snapshot();
-        assert_eq!(snap.counter("pool.jobs"), 2);
+        assert_eq!(snap.counter("plan.compiles"), 2);
         assert_eq!(snap.counter("lm_cache.hits"), 5);
-        assert_eq!(
-            snap.workers,
-            vec![WorkerBusy {
-                worker: 1,
-                busy_ns: 1_000
-            }]
-        );
         reset();
         set_enabled(false);
         let snap = snapshot();
-        assert_eq!(snap.counter("pool.jobs"), 0);
-        assert!(snap.workers.is_empty());
+        assert_eq!(snap.counter("plan.compiles"), 0);
+        assert_eq!(snap.counter("lm_cache.hits"), 0);
     }
 
     #[test]
@@ -814,14 +736,14 @@ mod tests {
             let _c = span("table.child");
         }
         count_op("matmul");
-        POOL_TASKS.add(4);
+        PLAN_COMPILES.add(4);
         let snap = snapshot();
         set_enabled(false);
         let table = snap.render_table();
         assert!(table.contains("table.root"));
         assert!(table.contains("  table.child"));
         assert!(table.contains("matmul=1"));
-        assert!(table.contains("pool.tasks=4"));
+        assert!(table.contains("plan.compiles=4"));
         reset();
     }
 

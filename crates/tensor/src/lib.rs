@@ -14,10 +14,8 @@
 //!   gradient scatter;
 //! - reverse-mode autodiff over the recorded DAG with a [`no_grad`]
 //!   inference scope;
-//! - deterministic kernel-level parallelism: the dense matmul kernels fan
-//!   out over a persistent worker pool ([`parallel`], sized by
-//!   `TIMEKD_THREADS`) while the graph itself stays single-threaded, and
-//!   parallel results are bitwise identical to serial ones;
+//! - single-threaded, bitwise deterministic kernels that the dynamic
+//!   engine and the compiled plans ([`plan`], [`plan_train`]) share;
 //! - explicit-width `f32x8` microkernels ([`simd`]) with one pinned
 //!   lane-blocked reduction order;
 //! - seedable initialisers and finite-difference gradient-check utilities;

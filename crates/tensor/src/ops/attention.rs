@@ -29,32 +29,26 @@
 //! the two contributions on `Q` and `K` in (deterministic) topological
 //! order.
 //!
-//! ## Parallelism and determinism
+//! ## Kernels and determinism
 //!
-//! Work is partitioned into disjoint output blocks via [`crate::parallel`]
-//! under the same contract as the matmul kernels: every output element is
-//! written by exactly one task running the same serial code as the
-//! `TIMEKD_THREADS=1` path, so results are bitwise identical under any
-//! thread count. Each task packs the head panels it reads into `[dh,
-//! T_k]` scratch so the hot loops are contiguous length-`T_k` `axpy`/dot
-//! sweeps (vectorizable), instead of `T_k` short length-`dh` dots. The
-//! forward partitions over query-row ranges only (the head loop stays
-//! inside each task because the averaged map row accumulates across
-//! heads). The backward runs two passes with `parallel_for`'s completion
-//! barrier between them: pass A over (head, query-row-range) tasks
-//! recomputes `P` from the saved statistics (same packed accumulation
-//! order as the forward, so bit-identical scores), computes `dQ`, and
-//! stores `P` and `dS` into transient scratch — freed when the closure
-//! returns, never retained across forward/backward like the composed
-//! chain's saved softmax output; pass B over (head, key-row-range) tasks
-//! is then pure accumulation of `dK`/`dV`, with a fixed-order query loop
-//! inside and every output element an independent sum, so the key split
-//! cannot change results.
+//! Every call runs on the calling thread, through the same `_block`
+//! kernels the plan executors call, so planned and dynamic attention
+//! agree bit for bit. The kernels pack the head panels they read into
+//! `[dh, T_k]` scratch so the hot loops are contiguous length-`T_k`
+//! `axpy`/dot sweeps (vectorizable), instead of `T_k` short length-`dh`
+//! dots. The forward ([`attn_fwd_row_block`]) visits heads outermost, and
+//! each row accumulates its share of the averaged map across heads in
+//! ascending order. The backward ([`attn_bwd_block`]) runs two passes per
+//! head: pass A recomputes `P` from the saved statistics (same packed
+//! accumulation order as the forward, so bit-identical scores), computes
+//! `dQ`, and stores `P` and `dS` into transient scratch — never retained
+//! across forward/backward like the composed chain's saved softmax
+//! output; pass B is then pure accumulation of `dK`/`dV`, with a
+//! fixed-order query loop and every output element an independent sum.
 //!
 //! The length-`T_k` dot/axpy sweeps are [`simd::dot_lanes`] and
 //! [`simd::axpy_lanes`], whose 8-lane fused-multiply-add blocking is the
-//! one pinned reduction order (see [`crate::simd`]), so every task of a
-//! call reduces identically at any thread count. The head panels are
+//! one pinned reduction order (see [`crate::simd`]). The head panels are
 //! packed with the matmul kernels' cache-blocked transpose.
 //!
 //! ## Forbidden keys
@@ -62,13 +56,13 @@
 //! A mask bias at or below [`NEG_INF`] (−1e9) forbids a key. Each query
 //! row visits only its *live* keys: `0..n` where `n` is one past the last
 //! key whose bias is above `NEG_INF`, rounded up to the 8-lane width and
-//! capped at `T_k`. The forward worker and pass A truncate their score,
+//! capped at `T_k`. The forward kernel and pass A truncate their score,
 //! probability and `dS` rows to `n`; pass B truncates (or skips) each
-//! query row's contribution to its key range the same way. Unmasked calls
+//! query row's contribution to its keys the same way. Unmasked calls
 //! — which includes every plan executor — keep all `T_k` keys, and so
 //! does a row with no allowed key at all (its softmax spreads over the
-//! forbidden keys as before). The counts are computed once per call by
-//! the dispatcher, never inside a `_block` worker.
+//! forbidden keys as before). The counts are computed once per mask,
+//! never inside a `_block` kernel.
 //!
 //! The skip is exact, not an approximation. A forbidden score sits about
 //! 1e9 below every allowed one, so it never sets the row max and its
@@ -82,14 +76,13 @@
 //! gradients are bitwise identical to visiting all `T_k` keys.
 //!
 //! Naming contract with `timekd-check`: functions ending in `_block` are
-//! per-block worker loops — no locks, no allocation, no I/O inside them.
-//! Per-task scratch is preallocated by the dispatching code and carved
-//! into disjoint slices, like the output buffers.
+//! kernel loops — no locks, no allocation, no I/O inside them. Their
+//! scratch is preallocated by the caller ([`AttnBwdScratch`] for the
+//! backward).
 
 use std::rc::Rc;
 
 use crate::ops::matmul::pack_transpose_into;
-use crate::parallel;
 use crate::shape::Shape;
 use crate::simd::{self, F32x8};
 use crate::symbolic::SymAttr;
@@ -100,22 +93,6 @@ use crate::tensor::Tensor;
 /// the module docs ("Forbidden keys").
 pub const NEG_INF: f32 = -1e9;
 
-/// Minimum score-count (`H · T_q · T_k · dh`) before a fused attention
-/// call fans out to the worker pool; mirrors the matmul cutoff so tiny
-/// (test-scale) calls never pay pool dispatch.
-const PARALLEL_ATTN_CUTOFF: usize = 64 * 64 * 64;
-
-/// True when a `[H, T_q, dh] x [H, T_k, dh]` attention is worth pool
-/// dispatch.
-#[inline]
-fn worth_parallel(heads: usize, tq: usize, tk: usize, dh: usize) -> bool {
-    heads
-        .saturating_mul(tq)
-        .saturating_mul(tk)
-        .saturating_mul(dh)
-        >= PARALLEL_ATTN_CUTOFF
-}
-
 /// Per-row softmax statistics saved by the forward pass and shared (via
 /// `Rc`) by both backward closures: `m[i·H + h]` is the row max of the
 /// scaled masked scores, `l[i·H + h]` the sum of `exp(s − m)` over keys.
@@ -124,7 +101,7 @@ struct SoftmaxStats {
     l: Vec<f32>,
 }
 
-/// An additive `[T_q, T_k]` mask as the workers read it: the bias rows
+/// An additive `[T_q, T_k]` mask as the kernels read it: the bias rows
 /// plus each row's live key count (see the module docs).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct KeyMask<'a> {
@@ -142,7 +119,7 @@ impl<'a> KeyMask<'a> {
 /// Each query row's live key count of a `[T_q, T_k]` bias into `live`:
 /// one past its last key above [`NEG_INF`], rounded up to the 8-lane
 /// width and capped at `T_k`, or `T_k` for a row with no allowed key.
-/// Callers run it once per mask, outside the `_block` workers.
+/// Callers run it once per mask, outside the `_block` kernels.
 pub(crate) fn live_keys(bias: &[f32], tk: usize, live: &mut [usize]) {
     for (row, n) in bias.chunks_exact(tk).zip(live.iter_mut()) {
         // NaN counts as allowed so a corrupt mask still poisons its row
@@ -173,63 +150,33 @@ impl MaskData {
     }
 }
 
-/// Runs `task(0..total)` on the pool when the shape is `worth` it, else as
-/// a plain serial loop (so sub-cutoff calls never touch the pool even
-/// when multiple tasks exist). Either way every task runs exactly once.
-fn run_tasks(total: usize, worth: bool, task: impl Fn(usize) + Sync) {
-    if worth {
-        parallel::parallel_for(total, task);
-    } else {
-        // Below-cutoff calls are a serial fallback too: count them so the
-        // pool counters reflect every dispatch decision, even on hosts
-        // where nothing ever crosses the parallel threshold.
-        timekd_obs::POOL_SERIAL_FALLBACK.add(1);
-        for t in 0..total {
-            task(t);
-        }
-    }
-}
-
-/// Row-range count for partitioning `rows` across the pool; 1 when the
-/// call is below the parallel cutoff. `per_head` tasks multiply with the
-/// head count, so each head needs only `threads / heads` ranges.
-fn plan_blocks(rows: usize, heads_outside: usize, worth: bool) -> usize {
-    if !worth {
-        return 1;
-    }
-    let threads = parallel::effective_threads();
-    threads.div_ceil(heads_outside.max(1)).clamp(1, rows.max(1))
-}
-
-/// Serial forward worker: computes output rows `i0..i1` across all heads.
+/// Forward kernel: computes every output row across all heads.
 ///
 /// The head loop is outermost so each head's `K`/`V` panels are packed
-/// once (into `kt`/`vt`, `[dh, T_k]` layout) and reused by every row in
-/// the block; the score, softmax and context loops then run contiguously
-/// over keys. For each (head, row): scaled masked scores into `scores`
-/// scratch, a max-shifted softmax (statistics recorded into
-/// `m_block`/`l_block`), the head's slice of the merged context row, and
-/// the row's share of the head-averaged map. One task owns a row
-/// entirely and heads are visited in ascending order, so the map's
-/// cross-head accumulation order is fixed. A masked row visits only its
-/// live keys; the rest of its map row keeps the caller's zeros. Without
-/// `map_block` (a caller that reads only the context) no map is built;
-/// the context and statistics do not depend on it.
+/// once (into `kt`/`vt`, `[dh, T_k]` layout) and reused by every row;
+/// the score, softmax and context loops then run contiguously over keys.
+/// For each (head, row): scaled masked scores into `scores` scratch, a
+/// max-shifted softmax (statistics recorded into `stats_m`/`stats_l`),
+/// the head's slice of the merged context row, and the row's share of
+/// the head-averaged map. Heads are visited in
+/// ascending order, so the map's cross-head accumulation order is fixed.
+/// A masked row visits only its live keys; the rest of its map row
+/// keeps the caller's zeros. Without `map_out` (a caller that reads only
+/// the context) no map is built; the context and statistics do not depend
+/// on it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attn_fwd_row_block(
     q: &[f32],
     k: &[f32],
     v: &[f32],
     mask: Option<KeyMask<'_>>,
-    out_block: &mut [f32],
-    mut map_block: Option<&mut [f32]>,
-    m_block: &mut [f32],
-    l_block: &mut [f32],
+    out: &mut [f32],
+    mut map_out: Option<&mut [f32]>,
+    stats_m: &mut [f32],
+    stats_l: &mut [f32],
     kt: &mut [f32],
     vt: &mut [f32],
     scores: &mut [f32],
-    i0: usize,
-    i1: usize,
     heads: usize,
     tq: usize,
     tk: usize,
@@ -241,8 +188,7 @@ pub(crate) fn attn_fwd_row_block(
     for h in 0..heads {
         pack_transpose_into(&k[h * tk * dh..(h + 1) * tk * dh], kt, tk, dh);
         pack_transpose_into(&v[h * tk * dh..(h + 1) * tk * dh], vt, tk, dh);
-        for i in i0..i1 {
-            let r = i - i0;
+        for i in 0..tq {
             let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
             let n = mask.map_or(tk, |mk| mk.live[i]);
             let row = &mut scores[..n];
@@ -264,13 +210,13 @@ pub(crate) fn attn_fwd_row_block(
             for &e in row.iter() {
                 denom += e;
             }
-            m_block[r * heads + h] = mx;
-            l_block[r * heads + h] = denom;
+            stats_m[i * heads + h] = mx;
+            stats_l[i * heads + h] = denom;
             let inv = 1.0 / denom;
-            if let Some(map) = map_block.as_deref_mut() {
-                simd::axpy_lanes(&mut map[r * tk..r * tk + n], inv * inv_heads, row);
+            if let Some(map) = map_out.as_deref_mut() {
+                simd::axpy_lanes(&mut map[i * tk..i * tk + n], inv * inv_heads, row);
             }
-            let out_head = &mut out_block[r * d + h * dh..r * d + (h + 1) * dh];
+            let out_head = &mut out[i * d + h * dh..i * d + (h + 1) * dh];
             for (o, vcol) in out_head.iter_mut().zip(vt.chunks_exact(tk)) {
                 *o = inv * simd::dot_lanes(row, &vcol[..n]);
             }
@@ -278,7 +224,7 @@ pub(crate) fn attn_fwd_row_block(
     }
 }
 
-/// Serial backward worker, pass A: `dQ` rows `i0..i1` of head `h`.
+/// Backward kernel, pass A: `dQ` of head `h`.
 ///
 /// `g_out` is the upstream gradient on the merged `[T_q, H·dh]` output
 /// when `Some`, in which case `dP_ij = g_out[i, h·dh..] · V[h, j, :]`;
@@ -286,12 +232,12 @@ pub(crate) fn attn_fwd_row_block(
 /// The head's `K` (and, on the output path, `V`) panel is packed once
 /// into `kt`/`vt` so every inner loop runs contiguously over keys.
 /// Probabilities are recomputed from the saved statistics with the same
-/// packed-score accumulation as the forward, then stored into `p_block`,
+/// packed-score accumulation as the forward, then stored into `p_rows`,
 /// and the scaled score gradients `dS_ij = P_ij (dP_ij − D_i) · scale`
-/// into `ds_block`, so pass B is pure accumulation. A masked row fills
+/// into `ds_rows`, so pass B is pure accumulation. A masked row fills
 /// only its live keys; pass B never reads past them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn attn_bwd_dq_block(
+fn attn_bwd_dq_block(
     q: &[f32],
     k: &[f32],
     v: &[f32],
@@ -300,14 +246,12 @@ pub(crate) fn attn_bwd_dq_block(
     g_map: Option<&[f32]>,
     stats_m: &[f32],
     stats_l: &[f32],
-    dq_block: &mut [f32],
-    p_block: &mut [f32],
-    ds_block: &mut [f32],
+    dq: &mut [f32],
+    p_rows: &mut [f32],
+    ds_rows: &mut [f32],
     kt: &mut [f32],
     vt: &mut [f32],
     h: usize,
-    i0: usize,
-    i1: usize,
     heads: usize,
     tq: usize,
     tk: usize,
@@ -320,14 +264,13 @@ pub(crate) fn attn_bwd_dq_block(
     if g_out.is_some() {
         pack_transpose_into(&v[h * tk * dh..(h + 1) * tk * dh], vt, tk, dh);
     }
-    for i in i0..i1 {
-        let r = i - i0;
+    for i in 0..tq {
         let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
         let inv = 1.0 / stats_l[i * heads + h];
         let mx = stats_m[i * heads + h];
         let n = mask.map_or(tk, |mk| mk.live[i]);
-        let p_row = &mut p_block[r * tk..r * tk + n];
-        let ds_row = &mut ds_block[r * tk..r * tk + n];
+        let p_row = &mut p_rows[i * tk..i * tk + n];
+        let ds_row = &mut ds_rows[i * tk..i * tk + n];
         // Scores rebuilt with the forward's exact packed accumulation
         // order, then normalized against the saved statistics.
         match mask {
@@ -361,278 +304,189 @@ pub(crate) fn attn_bwd_dq_block(
         for (ds, &p) in ds_row.iter_mut().zip(p_row.iter()) {
             *ds = p * (*ds - dsum) * scale;
         }
-        let dq_row = &mut dq_block[r * dh..(r + 1) * dh];
+        let dq_row = &mut dq[i * dh..(i + 1) * dh];
         for (o, kcol) in dq_row.iter_mut().zip(kt.chunks_exact(tk)) {
             *o += simd::dot_lanes(ds_row, &kcol[..n]);
         }
     }
 }
 
-/// Serial backward worker, pass B: `dK` (and, on the output path, `dV`)
-/// rows `j0..j1` of head `h`, reading the `P`/`dS` buffers pass A filled.
-/// Accumulates into `[dh, rows]` panels (`dkt`/`dvt`) so the inner loops
-/// are contiguous `axpy`s over keys, then unpacks into the `[rows, dh]`
+/// Backward kernel, pass B: `dK` (and, on the output path, `dV`) of
+/// head `h`, reading the `P`/`dS` buffers pass A filled. Accumulates
+/// into `[dh, T_k]` panels (`dkt`/`dvt`) so the inner loops are
+/// contiguous `axpy`s over keys, then unpacks into the `[T_k, dh]`
 /// gradient layout. The query loop is outermost and runs in fixed
 /// `0..tq` order, and each `dK[h, j, d]` element is an independent sum
-/// over queries, so results do not depend on the key split. `dS` already
-/// carries the `scale` factor, so `dK_j = Σ_i dS_ij Q_i` and
-/// `dV_j = Σ_i P_ij g_i` are plain accumulations. With `live` counts (a
-/// masked call), query `i` contributes only to keys below `live[i]`.
+/// over queries. `dS` already carries the `scale` factor, so
+/// `dK_j = Σ_i dS_ij Q_i` and `dV_j = Σ_i P_ij g_i` are plain
+/// accumulations. With `live` counts (a masked call), query `i`
+/// contributes only to keys below `live[i]`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn attn_bwd_dkv_block(
+fn attn_bwd_dkv_block(
     q: &[f32],
     live: Option<&[usize]>,
     g_out: Option<&[f32]>,
     p_buf: &[f32],
     ds_buf: &[f32],
-    dk_block: &mut [f32],
-    dv_block: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
     dkt: &mut [f32],
     dvt: &mut [f32],
     h: usize,
-    j0: usize,
-    j1: usize,
     heads: usize,
     tq: usize,
     tk: usize,
     dh: usize,
 ) {
     let d = heads * dh;
-    let rows = j1 - j0;
-    let dkt = &mut dkt[..dh * rows];
-    let dvt = &mut dvt[..if g_out.is_some() { dh * rows } else { 0 }];
+    let dkt = &mut dkt[..dh * tk];
+    let dvt = &mut dvt[..if g_out.is_some() { dh * tk } else { 0 }];
     dkt.fill(0.0);
     dvt.fill(0.0);
     for i in 0..tq {
-        let end = live.map_or(j1, |l| l[i].min(j1));
-        if end <= j0 {
-            continue;
-        }
-        let len = end - j0;
+        let n = live.map_or(tk, |l| l[i]);
         let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
         let base = (h * tq + i) * tk;
-        let ds_row = &ds_buf[base + j0..base + end];
-        for (kcol, &qd) in dkt.chunks_exact_mut(rows).zip(q_row) {
-            simd::axpy_lanes(&mut kcol[..len], qd, ds_row);
+        let ds_row = &ds_buf[base..base + n];
+        for (kcol, &qd) in dkt.chunks_exact_mut(tk).zip(q_row) {
+            simd::axpy_lanes(&mut kcol[..n], qd, ds_row);
         }
         if let Some(g) = g_out {
             let g_head = &g[i * d + h * dh..i * d + (h + 1) * dh];
-            let p_row = &p_buf[base + j0..base + end];
-            for (vcol, &gd) in dvt.chunks_exact_mut(rows).zip(g_head) {
-                simd::axpy_lanes(&mut vcol[..len], gd, p_row);
+            let p_row = &p_buf[base..base + n];
+            for (vcol, &gd) in dvt.chunks_exact_mut(tk).zip(g_head) {
+                simd::axpy_lanes(&mut vcol[..n], gd, p_row);
             }
         }
     }
-    for (jb, dk_row) in dk_block.chunks_exact_mut(dh).enumerate() {
-        for (o, kcol) in dk_row.iter_mut().zip(dkt.chunks_exact(rows)) {
-            *o += kcol[jb];
+    for (j, dk_row) in dk.chunks_exact_mut(dh).enumerate() {
+        for (o, kcol) in dk_row.iter_mut().zip(dkt.chunks_exact(tk)) {
+            *o += kcol[j];
         }
     }
     if g_out.is_some() {
-        for (jb, dv_row) in dv_block.chunks_exact_mut(dh).enumerate() {
-            for (o, vcol) in dv_row.iter_mut().zip(dvt.chunks_exact(rows)) {
-                *o += vcol[jb];
+        for (j, dv_row) in dv.chunks_exact_mut(dh).enumerate() {
+            for (o, vcol) in dv_row.iter_mut().zip(dvt.chunks_exact(tk)) {
+                *o += vcol[j];
             }
         }
     }
 }
 
-/// Dispatches the forward: query rows are split into disjoint ranges and
-/// each task computes its rows across all heads, writing exclusive slices
-/// of the output, map and statistics buffers plus its own preallocated
-/// score scratch.
-#[allow(clippy::too_many_arguments)]
-fn fused_attention_forward(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    mask: Option<KeyMask<'_>>,
-    out: &mut [f32],
-    map: &mut [f32],
-    stats: &mut SoftmaxStats,
-    heads: usize,
-    tq: usize,
-    tk: usize,
-    dh: usize,
-    scale: f32,
-) {
-    let worth = worth_parallel(heads, tq, tk, dh);
-    let ranges = parallel::block_ranges(tq, plan_blocks(tq, 1, worth));
-    let d = heads * dh;
-    // Per task: packed K and V panels ([dh, T_k] each) plus a score row.
-    let per_task = 2 * tk * dh + tk;
-    let mut scratch = vec![0.0f32; ranges.len() * per_task];
-    let out_base = out.as_mut_ptr() as usize;
-    let map_base = map.as_mut_ptr() as usize;
-    let m_base = stats.m.as_mut_ptr() as usize;
-    let l_base = stats.l.as_mut_ptr() as usize;
-    let scratch_base = scratch.as_mut_ptr() as usize;
-    run_tasks(ranges.len(), worth, |t| {
-        let (i0, i1) = ranges[t];
-        let rows = i1 - i0;
-        // SAFETY: row ranges are disjoint, so each task receives exclusive
-        // sub-slices of out/map/m/l; the scratch slice is task `t`'s own
-        // segment. All base pointers outlive the call because both
-        // `parallel_for` and the serial loop complete before returning.
-        let (out_block, map_block, m_block, l_block, scr) = unsafe {
-            (
-                std::slice::from_raw_parts_mut((out_base as *mut f32).add(i0 * d), rows * d),
-                std::slice::from_raw_parts_mut((map_base as *mut f32).add(i0 * tk), rows * tk),
-                std::slice::from_raw_parts_mut((m_base as *mut f32).add(i0 * heads), rows * heads),
-                std::slice::from_raw_parts_mut((l_base as *mut f32).add(i0 * heads), rows * heads),
-                std::slice::from_raw_parts_mut(
-                    (scratch_base as *mut f32).add(t * per_task),
-                    per_task,
-                ),
-            )
-        };
-        let (kt, rest) = scr.split_at_mut(tk * dh);
-        let (vt, scores) = rest.split_at_mut(tk * dh);
-        attn_fwd_row_block(
-            q,
-            k,
-            v,
-            mask,
-            out_block,
-            Some(map_block),
-            m_block,
-            l_block,
-            kt,
-            vt,
-            scores,
-            i0,
-            i1,
-            heads,
-            tq,
-            tk,
-            dh,
-            scale,
-        );
-    });
+/// Scratch of [`attn_bwd_block`]: the `P`/`dS` row maps pass A fills for
+/// pass B (`[H, T_q, T_k]` each) and four `[dh, T_k]` head panels. Sized
+/// once for the largest attention a caller runs.
+#[derive(Debug)]
+pub(crate) struct AttnBwdScratch {
+    p: Vec<f32>,
+    ds: Vec<f32>,
+    kt: Vec<f32>,
+    vt: Vec<f32>,
+    dkt: Vec<f32>,
+    dvt: Vec<f32>,
 }
 
-/// Dispatches the shared backward: pass A over (head, query-range) tasks
-/// fills `dq` plus transient `P`/`dS` buffers; pass B over (head,
-/// key-range) tasks is pure accumulation of `dk`/`dv` from those buffers.
-/// `parallel_for` returning is the barrier between the passes, and the
-/// buffers are freed when this function returns — they never outlive the
-/// backward call. `g_out` drives the output path, `g_map` the map path
-/// (exactly one is `Some`); on the map path `dv` is untouched and may be
-/// empty.
+impl AttnBwdScratch {
+    /// Room for row maps of `p_len` floats and panels of `kt_len`.
+    pub(crate) fn new(p_len: usize, kt_len: usize) -> AttnBwdScratch {
+        AttnBwdScratch {
+            p: vec![0.0; p_len],
+            ds: vec![0.0; p_len],
+            kt: vec![0.0; kt_len],
+            vt: vec![0.0; kt_len],
+            dkt: vec![0.0; kt_len],
+            dvt: vec![0.0; kt_len],
+        }
+    }
+}
+
+/// The attention backward, both passes over every head: pass A
+/// ([`attn_bwd_dq_block`]) writes `dq` and the `P`/`dS` row maps, then
+/// pass B ([`attn_bwd_dkv_block`]) accumulates `dk` (and, on the output
+/// path, `dv`) from them. `g_out` drives the output path, `g_map` the map
+/// path (exactly one is `Some`); on the map path `v` and `dv` are never
+/// read and may be empty. `dq`, `dk` and `dv` are overwritten. The
+/// dynamic op and both planned backward arms call this one driver.
 #[allow(clippy::too_many_arguments)]
-fn fused_attention_backward(
+pub(crate) fn attn_bwd_block(
     q: &[f32],
     k: &[f32],
     v: &[f32],
     mask: Option<KeyMask<'_>>,
     g_out: Option<&[f32]>,
     g_map: Option<&[f32]>,
-    stats: &SoftmaxStats,
+    stats_m: &[f32],
+    stats_l: &[f32],
     dq: &mut [f32],
     dk: &mut [f32],
     dv: &mut [f32],
+    scratch: &mut AttnBwdScratch,
     heads: usize,
     tq: usize,
     tk: usize,
     dh: usize,
     scale: f32,
 ) {
-    let worth = worth_parallel(heads, tq, tk, dh);
-
-    // Pass A: dQ plus the P/dS scratch, partitioned by (head,
-    // query-row-range).
-    let ranges_i = parallel::block_ranges(tq, plan_blocks(tq, heads, worth));
-    let tasks_a = heads * ranges_i.len();
-    let mut p_buf = vec![0.0f32; heads * tq * tk];
-    let mut ds_buf = vec![0.0f32; heads * tq * tk];
-    // Per task: packed K and V panels ([dh, T_k] each).
-    let per_task_a = 2 * tk * dh;
-    let mut scratch_a = vec![0.0f32; tasks_a * per_task_a];
-    let dq_base = dq.as_mut_ptr() as usize;
-    let p_base = p_buf.as_mut_ptr() as usize;
-    let ds_base = ds_buf.as_mut_ptr() as usize;
-    let scratch_a_base = scratch_a.as_mut_ptr() as usize;
-    run_tasks(tasks_a, worth, |t| {
-        let h = t / ranges_i.len();
-        let (i0, i1) = ranges_i[t % ranges_i.len()];
-        let rows = i1 - i0;
-        // SAFETY: (head, row-range) pairs are disjoint, so each task gets
-        // exclusive slices of dq ([H, T_q, dh] layout) and of the P/dS
-        // buffers ([H, T_q, T_k] layout); the scratch segment is
-        // task-private. Base pointers outlive the call (the dispatcher
-        // blocks until all tasks finish).
-        let (dq_block, p_block, ds_block, scr) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(
-                    (dq_base as *mut f32).add((h * tq + i0) * dh),
-                    rows * dh,
-                ),
-                std::slice::from_raw_parts_mut(
-                    (p_base as *mut f32).add((h * tq + i0) * tk),
-                    rows * tk,
-                ),
-                std::slice::from_raw_parts_mut(
-                    (ds_base as *mut f32).add((h * tq + i0) * tk),
-                    rows * tk,
-                ),
-                std::slice::from_raw_parts_mut(
-                    (scratch_a_base as *mut f32).add(t * per_task_a),
-                    per_task_a,
-                ),
-            )
-        };
-        let (kt, vt) = scr.split_at_mut(tk * dh);
+    let (hq, hk, hp) = (tq * dh, tk * dh, tq * tk);
+    let dv_len = if g_out.is_some() { heads * hk } else { 0 };
+    dq[..heads * hq].fill(0.0);
+    dk[..heads * hk].fill(0.0);
+    dv[..dv_len].fill(0.0);
+    let AttnBwdScratch {
+        p,
+        ds,
+        kt,
+        vt,
+        dkt,
+        dvt,
+    } = scratch;
+    for h in 0..heads {
         attn_bwd_dq_block(
-            q, k, v, mask, g_out, g_map, &stats.m, &stats.l, dq_block, p_block, ds_block, kt, vt,
-            h, i0, i1, heads, tq, tk, dh, scale,
+            q,
+            k,
+            v,
+            mask,
+            g_out,
+            g_map,
+            stats_m,
+            stats_l,
+            &mut dq[h * hq..(h + 1) * hq],
+            &mut p[h * hp..(h + 1) * hp],
+            &mut ds[h * hp..(h + 1) * hp],
+            &mut kt[..hk],
+            &mut vt[..hk],
+            h,
+            heads,
+            tq,
+            tk,
+            dh,
+            scale,
         );
-    });
-
-    // Pass B: dK/dV, partitioned by (head, key-row-range); the P/dS
-    // buffers are complete because run_tasks blocks until pass A finished,
-    // and pass B only reads them.
-    let ranges_j = parallel::block_ranges(tk, plan_blocks(tk, heads, worth));
-    let tasks_b = heads * ranges_j.len();
-    // Per task: [dh, rows] accumulation panels for dK and dV (rows ≤ T_k).
-    let per_task_b = 2 * tk * dh;
-    let mut scratch_b = vec![0.0f32; tasks_b * per_task_b];
-    let dk_base = dk.as_mut_ptr() as usize;
-    let dv_base = dv.as_mut_ptr() as usize;
-    let scratch_b_base = scratch_b.as_mut_ptr() as usize;
-    let p_ref: &[f32] = &p_buf;
-    let ds_ref: &[f32] = &ds_buf;
+    }
     let live = mask.map(|mk| mk.live);
-    run_tasks(tasks_b, worth, |t| {
-        let h = t / ranges_j.len();
-        let (j0, j1) = ranges_j[t % ranges_j.len()];
-        let rows = j1 - j0;
-        let dv_rows = if g_out.is_some() { rows } else { 0 };
-        // SAFETY: (head, key-range) pairs are disjoint slices of dk and dv
-        // ([H, T_k, dh] layout); on the map path dv is an empty slice and
-        // never written. The scratch segment is task-private. Base
-        // pointers outlive the call.
-        let (dk_block, dv_block, scr) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(
-                    (dk_base as *mut f32).add((h * tk + j0) * dh),
-                    rows * dh,
-                ),
-                std::slice::from_raw_parts_mut(
-                    (dv_base as *mut f32).add(if dv_rows == 0 { 0 } else { (h * tk + j0) * dh }),
-                    dv_rows * dh,
-                ),
-                std::slice::from_raw_parts_mut(
-                    (scratch_b_base as *mut f32).add(t * per_task_b),
-                    per_task_b,
-                ),
-            )
+    for h in 0..heads {
+        let dv_head = if g_out.is_some() {
+            &mut dv[h * hk..(h + 1) * hk]
+        } else {
+            &mut []
         };
-        let (dkt, dvt) = scr.split_at_mut(tk * dh);
         attn_bwd_dkv_block(
-            q, live, g_out, p_ref, ds_ref, dk_block, dv_block, dkt, dvt, h, j0, j1, heads, tq, tk,
+            q,
+            live,
+            g_out,
+            &p[..heads * hp],
+            &ds[..heads * hp],
+            &mut dk[h * hk..(h + 1) * hk],
+            dv_head,
+            &mut dkt[..hk],
+            &mut dvt[..hk],
+            h,
+            heads,
+            tq,
+            tk,
             dh,
         );
-    });
+    }
 }
 
 impl Tensor {
@@ -648,8 +502,7 @@ impl Tensor {
     ///   respect to `q` and `k`.
     ///
     /// The mask must not require gradients (attention masks are
-    /// constants); both outputs are bitwise deterministic across
-    /// `TIMEKD_THREADS` settings.
+    /// constants); both outputs are bitwise the planned executors'.
     pub fn fused_attention(
         q: &Tensor,
         k: &Tensor,
@@ -715,14 +568,22 @@ impl Tensor {
             mask.map(|m| Rc::new(MaskData::new(m.to_vec(), tq, tk)));
         {
             let (q_ref, k_ref, v_ref) = (q.data(), k.data(), v.data());
-            fused_attention_forward(
+            // Packed K and V panels ([dh, T_k] each) plus a score row.
+            let mut scratch = vec![0.0f32; 2 * tk * dh + tk];
+            let (kt, rest) = scratch.split_at_mut(tk * dh);
+            let (vt, scores) = rest.split_at_mut(tk * dh);
+            attn_fwd_row_block(
                 &q_ref,
                 &k_ref,
                 &v_ref,
                 mask_data.as_deref().map(MaskData::view),
                 &mut out,
-                &mut map,
-                &mut stats,
+                Some(&mut map),
+                &mut stats.m,
+                &mut stats.l,
+                kt,
+                vt,
+                scores,
                 heads,
                 tq,
                 tk,
@@ -760,17 +621,19 @@ impl Tensor {
                     let mut dv = vec![0.0f32; heads * tk * dh];
                     {
                         let (q_ref, k_ref, v_ref) = (q.data(), k.data(), v.data());
-                        fused_attention_backward(
+                        attn_bwd_block(
                             &q_ref,
                             &k_ref,
                             &v_ref,
                             mask_data.as_deref().map(MaskData::view),
                             Some(grad),
                             None,
-                            &stats,
+                            &stats.m,
+                            &stats.l,
                             &mut dq,
                             &mut dk,
                             &mut dv,
+                            &mut AttnBwdScratch::new(heads * tq * tk, tk * dh),
                             heads,
                             tq,
                             tk,
@@ -807,20 +670,21 @@ impl Tensor {
                     }
                     let mut dq = vec![0.0f32; heads * tq * dh];
                     let mut dk = vec![0.0f32; heads * tk * dh];
-                    let mut dv = Vec::new();
                     {
                         let (q_ref, k_ref) = (q.data(), k.data());
-                        fused_attention_backward(
+                        attn_bwd_block(
                             &q_ref,
                             &k_ref,
                             &[],
                             mask_data.as_deref().map(MaskData::view),
                             None,
                             Some(grad),
-                            &stats,
+                            &stats.m,
+                            &stats.l,
                             &mut dq,
                             &mut dk,
-                            &mut dv,
+                            &mut [],
+                            &mut AttnBwdScratch::new(heads * tq * tk, tk * dh),
                             heads,
                             tq,
                             tk,
@@ -1038,15 +902,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shape_matches_composed() {
-        // Above the parallel cutoff so the pool path runs in CI; results
-        // must still agree with the composed reference.
+    fn clm_sized_call_matches_composed() {
+        // A CLM-sized call; results must still agree with the composed
+        // reference.
         let (heads, tq, tk, dh) = (4, 40, 40, 48);
         let (q, k, v) = rand_qkv(heads, tq, tk, dh, 53);
-        assert!(worth_parallel(heads, tq, tk, dh));
         let (fo, fm) = no_grad(|| Tensor::fused_attention(&q, &k, &v, None));
         let (co, cm) = no_grad(|| composed(&q, &k, &v, None));
-        assert_close(&fo.to_vec(), &co.to_vec(), 1e-4, "parallel output");
-        assert_close(&fm.to_vec(), &cm.to_vec(), 1e-4, "parallel map");
+        assert_close(&fo.to_vec(), &co.to_vec(), 1e-4, "output");
+        assert_close(&fm.to_vec(), &cm.to_vec(), 1e-4, "map");
     }
 }

@@ -15,58 +15,20 @@
 //!   operand, turning TN into the NN kernel; NT packs its `[N, K]` operand
 //!   into 8-column panels `[N/8, K, 8]` ([`pack_nt_operand`]), so 8
 //!   consecutive outputs take one vector load per contraction step;
-//! - **parallel and bitwise deterministic**: work is partitioned into
-//!   disjoint output-row blocks (batched matmul: batch chunks) via
-//!   [`crate::parallel`]; every row is computed by exactly one task
-//!   running the same serial code as the `TIMEKD_THREADS=1` path, so
-//!   parallel results are bitwise identical to serial ones. Sizes below
-//!   [`PARALLEL_MULS_CUTOFF`] never touch the pool, and
-//!   [`min_rows_per_block`] keeps parallel blocks coarse enough to
-//!   amortise dispatch.
+//! - **serial and bitwise deterministic**: each call runs its `_block`
+//!   loop over every output row on the calling thread, the same code the
+//!   plan executors call, so planned and dynamic products agree bit for
+//!   bit.
 //!
 //! Naming contract with `timekd-check`: functions ending in `_block` are
-//! per-block worker loops — no locks, no allocation, no I/O inside them
+//! per-block kernel loops — no locks, no allocation, no I/O inside them
 //! (enforced by the `no-*-in-worker` lint rules).
 
-use crate::parallel;
 use crate::shape::Shape;
 use crate::simd::{self, F32x8};
 use crate::tensor::Tensor;
 
-/// Minimum multiply count (`m * k * n`) before a kernel call fans out to
-/// the worker pool; below this, pool dispatch overhead would exceed the
-/// kernel time, so tiny (test-scale) matrices always run serial.
-const PARALLEL_MULS_CUTOFF: usize = 64 * 64 * 64;
-
-/// Minimum output rows per parallel block, so the split never gets finer
-/// than the register-blocked inner loops can amortise.
-const MIN_ROWS_PER_BLOCK: usize = 4;
-
-/// True when a `[m, k] x [k, n]` product is worth pool dispatch.
-#[inline]
-fn worth_parallel(m: usize, k: usize, n: usize) -> bool {
-    m.saturating_mul(k).saturating_mul(n) >= PARALLEL_MULS_CUTOFF
-}
-
-/// Work-aware minimum rows per parallel block.
-///
-/// The flat [`MIN_ROWS_PER_BLOCK`] floor let wide-but-short shapes split
-/// into blocks whose pool-dispatch overhead rivalled their kernel time:
-/// the v4 kernel baseline's `mm_rect_512x64x256` row (in git history)
-/// measured parallel *slower* than serial (18.8 vs 23.6 GFLOP/s). The
-/// floor now scales so every block carries at least
-/// [`PARALLEL_MULS_CUTOFF`] multiplies — the same "worth dispatching at
-/// all" threshold — before the pool may split finer. Partition granularity
-/// never affects results: every row block runs the same serial code at any
-/// split, so this is purely a scheduling heuristic.
-#[inline]
-fn min_rows_per_block(k: usize, n: usize) -> usize {
-    MIN_ROWS_PER_BLOCK.max(PARALLEL_MULS_CUTOFF.div_ceil(k.saturating_mul(n).max(1)))
-}
-
-/// NN worker loop: `out_block[i - i0, n] += a[i, k] * b[k, n]` for rows
-/// `i0..i1`. `a` and `b` are the full operands; `out_block` is the
-/// caller's exclusive row block.
+/// NN kernel loop: `out[m, n] += a[m, k] * b[k, n]`.
 ///
 /// Runs 4-row × 16-column [`F32x8`] register tiles of fused multiply-adds,
 /// with 8-wide and scalar column tails and a single-row loop for
@@ -74,25 +36,23 @@ fn min_rows_per_block(k: usize, n: usize) -> usize {
 /// ascending-`k` fmadd chain (`acc = fmadd(a[i,kk], b[kk,j], acc)`) no
 /// matter which tile path computes it — register tiling reorders the
 /// *schedule*, never a chain — so the pinned order for NN is simply "one
-/// fused round per `k`-step, ascending", identical at any thread count and
-/// tile boundary.
+/// fused round per `k`-step, ascending", identical at any tile boundary.
 pub(crate) fn mm_row_block(
     a: &[f32],
     b: &[f32],
     out_block: &mut [f32],
-    i0: usize,
-    i1: usize,
+    m: usize,
     k: usize,
     n: usize,
 ) {
     const L: usize = F32x8::LANES;
-    let mut i = i0;
-    while i + 4 <= i1 {
+    let mut i = 0;
+    while i + 4 <= m {
         let a0 = &a[i * k..(i + 1) * k];
         let a1 = &a[(i + 1) * k..(i + 2) * k];
         let a2 = &a[(i + 2) * k..(i + 3) * k];
         let a3 = &a[(i + 3) * k..(i + 4) * k];
-        let r0 = (i - i0) * n;
+        let r0 = i * n;
         let (r1, r2, r3) = (r0 + n, r0 + 2 * n, r0 + 3 * n);
         let mut j = 0;
         while j + 2 * L <= n {
@@ -171,9 +131,9 @@ pub(crate) fn mm_row_block(
         }
         i += 4;
     }
-    while i < i1 {
+    while i < m {
         let a_row = &a[i * k..(i + 1) * k];
-        let r0 = (i - i0) * n;
+        let r0 = i * n;
         let mut j = 0;
         while j + 2 * L <= n {
             let mut c0 = F32x8::load(&out_block[r0 + j..]);
@@ -208,10 +168,9 @@ pub(crate) fn mm_row_block(
     }
 }
 
-/// NT worker loop: `out[i - i0, j] += dot(a[i, :], b[j, :])` for rows
-/// `i0..i1`, contracting over the shared last axis of length `k`. `out` is
-/// the caller's exclusive row block and `panels` is `b` packed by
-/// [`pack_nt_operand`].
+/// NT kernel loop: `out[i, j] += dot(a[i, :], b[j, :])` for rows `0..m`,
+/// contracting over the shared last axis of length `k`. `panels` is `b`
+/// packed by [`pack_nt_operand`].
 ///
 /// Each output element is bitwise one [`simd::dot_lanes`] call: lane
 /// class `l` (the elements `kk ≡ l mod 8`) accumulates ascending with
@@ -223,21 +182,19 @@ pub(crate) fn mm_row_block(
 /// contraction step, and the tree and the tail run as vector adds and
 /// fmas. Two rows share each load. Columns past the last whole group of
 /// 8, and an odd last row, call `dot_lanes` on the unpacked `b` rows. The
-/// order is pinned per element, so it is independent of the row split.
-#[allow(clippy::too_many_arguments)]
+/// order is pinned per element.
 #[inline(always)]
 pub(crate) fn mm_nt_row_block(
     a: &[f32],
     b: &[f32],
     panels: &[f32],
     out: &mut [f32],
-    i0: usize,
-    i1: usize,
+    m: usize,
     k: usize,
     n: usize,
 ) {
     const L: usize = F32x8::LANES;
-    let (a, m) = (&a[i0 * k..i1 * k], i1 - i0);
+    let a = &a[..m * k];
     if k == 0 {
         // Every dot product is empty: `dot_lanes` gives `+0`.
         for o in out.iter_mut() {
@@ -339,7 +296,7 @@ fn pack_transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 
 /// Cache-blocked transpose into a caller-provided `[cols, rows]` buffer —
 /// the allocation-free form used by plan executors and the attention
-/// workers' head-panel packing. `dst` must be exactly `rows * cols` long.
+/// kernels' head-panel packing. `dst` must be exactly `rows * cols` long.
 pub(crate) fn pack_transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), rows * cols);
@@ -361,23 +318,13 @@ pub(crate) fn pack_transpose_into(src: &[f32], dst: &mut [f32], rows: usize, col
     }
 }
 
-/// `out[m, n] += a[m, k] * b[k, n]` over dense row-major buffers.
-///
-/// Partitioned across the worker pool by disjoint output-row blocks; each
-/// row is computed by [`mm_row_block`] regardless of the split, so the
-/// result is bitwise identical to the serial (`TIMEKD_THREADS=1`) path.
+/// `out[m, n] += a[m, k] * b[k, n]` over dense row-major buffers, one
+/// [`mm_row_block`] call over every row.
 pub(crate) fn mm_accumulate(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if !worth_parallel(m, k, n) {
-        timekd_obs::POOL_SERIAL_FALLBACK.add(1);
-        mm_row_block(a, b, out, 0, m, k, n);
-        return;
-    }
-    parallel::par_row_blocks(out, m, n, min_rows_per_block(k, n), |i0, i1, block| {
-        mm_row_block(a, b, block, i0, i1, k, n);
-    });
+    mm_row_block(a, b, out, m, k, n);
 }
 
 /// `out[m, n] += a[k, m]ᵀ * b[k, n]` (contract over the first axis of both).
@@ -397,14 +344,7 @@ pub(crate) fn mm_tn_accumulate(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     let at = pack_transpose(a, k, m);
-    if !worth_parallel(m, k, n) {
-        timekd_obs::POOL_SERIAL_FALLBACK.add(1);
-        mm_row_block(&at, b, out, 0, m, k, n);
-        return;
-    }
-    parallel::par_row_blocks(out, m, n, min_rows_per_block(k, n), |i0, i1, block| {
-        mm_row_block(&at, b, block, i0, i1, k, n);
-    });
+    mm_row_block(&at, b, out, m, k, n);
 }
 
 /// `out[m, n] += a[m, k] * b[n, k]ᵀ` (contract over the last axis of both).
@@ -426,36 +366,7 @@ pub(crate) fn mm_nt_accumulate(
     debug_assert_eq!(out.len(), m * n);
     let mut panels = vec![0.0f32; nt_panels_len(k, n)];
     pack_nt_operand(b, &mut panels, k, n);
-    if !worth_parallel(m, k, n) {
-        timekd_obs::POOL_SERIAL_FALLBACK.add(1);
-        mm_nt_row_block(a, b, &panels, out, 0, m, k, n);
-        return;
-    }
-    parallel::par_row_blocks(out, m, n, min_rows_per_block(k, n), |i0, i1, block| {
-        mm_nt_row_block(a, b, &panels, block, i0, i1, k, n);
-    });
-}
-
-/// Runs `body(t, chunk_t)` over the `batch` disjoint chunks of `out`,
-/// parallelising over the batch axis when there are at least as many
-/// batches as threads (each per-batch kernel then runs serially inside
-/// its task); otherwise the batch loop stays serial and the per-batch
-/// kernels parallelise internally over rows. Both schedules are bitwise
-/// identical because every output row is computed by the same serial
-/// worker loop either way.
-fn for_each_batch(
-    out: &mut [f32],
-    chunk_len: usize,
-    batch: usize,
-    body: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    if batch >= parallel::effective_threads() {
-        parallel::par_chunks(out, chunk_len, batch, body);
-    } else {
-        for (t, chunk) in out.chunks_mut(chunk_len).enumerate() {
-            body(t, chunk);
-        }
-    }
+    mm_nt_row_block(a, b, &panels, out, m, k, n);
 }
 
 impl Tensor {
@@ -527,16 +438,16 @@ impl Tensor {
             let a_ref = self.data();
             let b_ref = other.data();
             let (a, b): (&[f32], &[f32]) = (&a_ref, &b_ref);
-            for_each_batch(&mut out, m * n, ba, |t, chunk| {
+            for t in 0..ba {
                 mm_accumulate(
                     &a[t * m * k..(t + 1) * m * k],
                     &b[t * k * n..(t + 1) * k * n],
-                    chunk,
+                    &mut out[t * m * n..(t + 1) * m * n],
                     m,
                     k,
                     n,
                 );
-            });
+            }
         }
         Tensor::from_op(
             "matmul_batched",
@@ -549,16 +460,16 @@ impl Tensor {
                     let b_ref = b.data();
                     let b_data: &[f32] = &b_ref;
                     let mut ga = vec![0.0f32; ba * m * k];
-                    for_each_batch(&mut ga, m * k, ba, |t, chunk| {
+                    for t in 0..ba {
                         mm_nt_accumulate(
                             &grad[t * m * n..(t + 1) * m * n],
                             &b_data[t * k * n..(t + 1) * k * n],
-                            chunk,
+                            &mut ga[t * m * k..(t + 1) * m * k],
                             m,
                             n,
                             k,
                         );
-                    });
+                    }
                     drop(b_ref);
                     a.accumulate_grad(&ga);
                 }
@@ -566,16 +477,16 @@ impl Tensor {
                     let a_ref = a.data();
                     let a_data: &[f32] = &a_ref;
                     let mut gb = vec![0.0f32; ba * k * n];
-                    for_each_batch(&mut gb, k * n, ba, |t, chunk| {
+                    for t in 0..ba {
                         mm_tn_accumulate(
                             &a_data[t * m * k..(t + 1) * m * k],
                             &grad[t * m * n..(t + 1) * m * n],
-                            chunk,
+                            &mut gb[t * k * n..(t + 1) * k * n],
                             k,
                             m,
                             n,
                         );
-                    });
+                    }
                     drop(a_ref);
                     b.accumulate_grad(&gb);
                 }

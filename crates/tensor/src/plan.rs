@@ -8,9 +8,8 @@
 //! interference relation (two values interfere when their intervals
 //! overlap), and first-fit slot coloring. [`PlanExecutor`] then replays the
 //! schedule with *zero* graph construction and *zero* allocation per call,
-//! invoking the same serial row-block kernels the dynamic engine
-//! partitions across the worker pool, so planned outputs are bitwise
-//! identical to dynamic execution at any `TIMEKD_THREADS`.
+//! invoking the same row-block kernels as the dynamic engine, so planned
+//! outputs are bitwise identical to dynamic execution.
 //!
 //! The plan is deliberately easy to distrust: every structural fact
 //! (schedule order, slot assignment, arena bound, dependency edges) is
@@ -1246,8 +1245,8 @@ struct ExecStep {
 ///
 /// All buffers — the arena, parameter copies, and attention scratch — are
 /// allocated once at construction; [`PlanExecutor::run`] only indexes into
-/// them and calls the serial row-block kernels, so its output is bitwise
-/// identical to the dynamic engine at any thread count.
+/// them and calls the dynamic engine's row-block kernels, so its output is
+/// bitwise identical to the dynamic engine's.
 #[derive(Debug)]
 pub struct PlanExecutor {
     exec: Vec<ExecStep>,
@@ -1631,7 +1630,7 @@ impl PlanExecutor {
                 ExecOp::SumAxis(split) => sum_axis_block(src(0), out, *split),
                 ExecOp::Matmul { m, k, n } => {
                     out.fill(0.0);
-                    mm_row_block(src(0), src(1), out, 0, *m, *k, *n);
+                    mm_row_block(src(0), src(1), out, *m, *k, *n);
                 }
                 ExecOp::CopyReshape => {
                     out.copy_from_slice(src(0));
@@ -1662,8 +1661,6 @@ impl PlanExecutor {
                         &mut self.attn_kt[..dh * tk],
                         &mut self.attn_vt[..dh * tk],
                         &mut self.attn_scores[..*tk],
-                        0,
-                        *tq,
                         *heads,
                         *tq,
                         *tk,
@@ -1695,8 +1692,6 @@ impl PlanExecutor {
                         &mut self.attn_kt[..dh * tk],
                         &mut self.attn_vt[..dh * tk],
                         &mut self.attn_scores[..*tk],
-                        0,
-                        *tq,
                         *heads,
                         *tq,
                         *tk,

@@ -14,10 +14,10 @@
 //! an activation slot before its last backward consumer.
 //!
 //! [`TrainExecutor`] replays the combined schedule from pre-sized buffers
-//! with zero per-step heap allocation, using the *same serial row-block
+//! with zero per-step heap allocation, using the *same row-block
 //! kernels* as the dynamic engine so parameter updates are bitwise
-//! identical to dynamic [`crate::Tensor`] training at any
-//! `TIMEKD_THREADS`. Fused attention's two-pass backward reads the
+//! identical to dynamic [`crate::Tensor`] training. Fused attention's
+//! two-pass backward (the one driver the dynamic op calls) reads the
 //! softmax statistics (row max and normaliser) its forward step left in
 //! the forward executor, exactly as the dynamic op's closures share the
 //! statistics its forward saved.
@@ -32,7 +32,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::ops::attention::{attn_bwd_dkv_block, attn_bwd_dq_block};
+use crate::ops::attention::{attn_bwd_block, AttnBwdScratch};
 use crate::ops::kernels::{
     binary_bwd_block, broadcast_walk, gather_last_bwd_block, gather_rows_bwd_block, inverse_perm,
     log_softmax_bwd_block, permute_block, permute_walk, sum_axis_bwd_block, unary_bwd_block,
@@ -710,8 +710,8 @@ fn resolve<'a>(
 /// fused optimizer — with zero per-step heap allocation. Every buffer
 /// (arena, parameter copies, adjoint scratch, attention backward scratch,
 /// optimizer moments) is sized at construction; the step loops only index
-/// into them and call the serial row-block kernels, so parameter updates
-/// are bitwise identical to dynamic training at any `TIMEKD_THREADS`.
+/// into them and call the dynamic engine's row-block kernels, so parameter
+/// updates are bitwise identical to dynamic training.
 #[derive(Debug)]
 pub struct TrainExecutor {
     fwd: PlanExecutor,
@@ -729,13 +729,8 @@ pub struct TrainExecutor {
     at_buf: Vec<f32>,
     /// Packed panels of B for the matmul dA (NT) kernel.
     bt_buf: Vec<f32>,
-    // Fused-attention backward scratch (see `fused_attention_backward`).
-    attn_p: Vec<f32>,
-    attn_ds: Vec<f32>,
-    attn_kt: Vec<f32>,
-    attn_vt: Vec<f32>,
-    attn_dkt: Vec<f32>,
-    attn_dvt: Vec<f32>,
+    /// Fused-attention backward scratch (see `attn_bwd_block`).
+    attn: AttnBwdScratch,
     input_len: usize,
     target_len: usize,
 }
@@ -1068,12 +1063,7 @@ impl TrainExecutor {
             scratch: vec![0.0; scratch_len],
             at_buf: vec![0.0; at_len],
             bt_buf: vec![0.0; bt_len],
-            attn_p: vec![0.0; p_len],
-            attn_ds: vec![0.0; p_len],
-            attn_kt: vec![0.0; kt_len],
-            attn_vt: vec![0.0; kt_len],
-            attn_dkt: vec![0.0; kt_len],
-            attn_dvt: vec![0.0; kt_len],
+            attn: AttnBwdScratch::new(p_len, kt_len),
             input_len,
             target_len,
         })
@@ -1195,12 +1185,7 @@ impl TrainExecutor {
             scratch,
             at_buf,
             bt_buf,
-            attn_p,
-            attn_ds,
-            attn_kt,
-            attn_vt,
-            attn_dkt,
-            attn_dvt,
+            attn,
             ..
         } = self;
         let params = &fwd.params;
@@ -1269,12 +1254,12 @@ impl TrainExecutor {
                         let sb = &mut rest[..k * n];
                         if wa {
                             // dA = g · Bᵀ, the dynamic `mm_nt_accumulate`
-                            // serial path, packing B into the arena's panel.
+                            // kernel, packing B into the arena's panel.
                             let b = resolve(step.srcs[1], arena_r, params, input, target, aux);
                             let panels = &mut bt_buf[..nt_panels_len(*n, *k)];
                             pack_nt_operand(b, panels, *n, *k);
                             sa.fill(0.0);
-                            mm_nt_row_block(g, b, panels, sa, 0, *m, *n, *k);
+                            mm_nt_row_block(g, b, panels, sa, *m, *n, *k);
                         }
                         if wb {
                             // dB = Aᵀ · g via the same packed-transpose +
@@ -1283,7 +1268,7 @@ impl TrainExecutor {
                             let at = &mut at_buf[..m * k];
                             pack_transpose_into(a, at, *m, *k);
                             sb.fill(0.0);
-                            mm_row_block(at, g, sb, 0, *k, *m, *n);
+                            mm_row_block(at, g, sb, *k, *m, *n);
                         }
                     }
                     BwdExecOp::PermuteInv(walk) => {
@@ -1314,66 +1299,31 @@ impl TrainExecutor {
                         let k = resolve(step.srcs[1], arena_r, params, input, target, aux);
                         let v = resolve(step.srcs[2], arena_r, params, input, target, aux);
                         let key_mask = mask.map(|m| m.view(aux, mask_live, *tq, *tk));
-                        let live = mask.map(|m| &mask_live[m.slot][m.row..m.row + tq]);
                         let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                         let (dq, rest) = scratch.split_at_mut(hq);
                         let (dk, rest2) = rest.split_at_mut(hk);
-                        let dv = &mut rest2[..hk];
-                        dq.fill(0.0);
-                        dk.fill(0.0);
-                        dv.fill(0.0);
                         // The softmax stats the forward step saved.
                         let (m_sink, l_sink) =
                             attn_saved[*stats..*stats + 2 * tq * heads].split_at(tq * heads);
-                        // Pass A: dQ plus the saved P/dS row maps, one
-                        // full-range block per head (bitwise equal to any
-                        // partition of the dynamic pool dispatch).
-                        for h in 0..*heads {
-                            attn_bwd_dq_block(
-                                q,
-                                k,
-                                v,
-                                key_mask,
-                                Some(g),
-                                None,
-                                &m_sink[..tq * heads],
-                                &l_sink[..tq * heads],
-                                &mut dq[h * tq * dh..(h + 1) * tq * dh],
-                                &mut attn_p[h * tq * tk..(h + 1) * tq * tk],
-                                &mut attn_ds[h * tq * tk..(h + 1) * tq * tk],
-                                &mut attn_kt[..tk * dh],
-                                &mut attn_vt[..tk * dh],
-                                h,
-                                0,
-                                *tq,
-                                *heads,
-                                *tq,
-                                *tk,
-                                *dh,
-                                *scale,
-                            );
-                        }
-                        // Pass B: dK/dV from the saved row maps.
-                        for h in 0..*heads {
-                            attn_bwd_dkv_block(
-                                q,
-                                live,
-                                Some(g),
-                                &attn_p[..heads * tq * tk],
-                                &attn_ds[..heads * tq * tk],
-                                &mut dk[h * tk * dh..(h + 1) * tk * dh],
-                                &mut dv[h * tk * dh..(h + 1) * tk * dh],
-                                &mut attn_dkt[..tk * dh],
-                                &mut attn_dvt[..tk * dh],
-                                h,
-                                0,
-                                *tk,
-                                *heads,
-                                *tq,
-                                *tk,
-                                *dh,
-                            );
-                        }
+                        attn_bwd_block(
+                            q,
+                            k,
+                            v,
+                            key_mask,
+                            Some(g),
+                            None,
+                            m_sink,
+                            l_sink,
+                            dq,
+                            dk,
+                            &mut rest2[..hk],
+                            attn,
+                            *heads,
+                            *tq,
+                            *tk,
+                            *dh,
+                            *scale,
+                        );
                     }
                     BwdExecOp::AttentionMap {
                         heads,
@@ -1391,57 +1341,28 @@ impl TrainExecutor {
                         let k = resolve(step.srcs[1], arena_r, params, input, target, aux);
                         let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                         let (dq, rest) = scratch.split_at_mut(hq);
-                        let dk = &mut rest[..hk];
-                        dq.fill(0.0);
-                        dk.fill(0.0);
                         // The softmax stats the forward step saved.
                         let (m_sink, l_sink) =
                             attn_saved[*stats..*stats + 2 * tq * heads].split_at(tq * heads);
-                        for h in 0..*heads {
-                            attn_bwd_dq_block(
-                                q,
-                                k,
-                                &[],
-                                None,
-                                None,
-                                Some(g),
-                                &m_sink[..tq * heads],
-                                &l_sink[..tq * heads],
-                                &mut dq[h * tq * dh..(h + 1) * tq * dh],
-                                &mut attn_p[h * tq * tk..(h + 1) * tq * tk],
-                                &mut attn_ds[h * tq * tk..(h + 1) * tq * tk],
-                                &mut attn_kt[..tk * dh],
-                                &mut attn_vt[..tk * dh],
-                                h,
-                                0,
-                                *tq,
-                                *heads,
-                                *tq,
-                                *tk,
-                                *dh,
-                                *scale,
-                            );
-                        }
-                        for h in 0..*heads {
-                            attn_bwd_dkv_block(
-                                q,
-                                None,
-                                None,
-                                &attn_p[..heads * tq * tk],
-                                &attn_ds[..heads * tq * tk],
-                                &mut dk[h * tk * dh..(h + 1) * tk * dh],
-                                &mut [],
-                                &mut attn_dkt[..tk * dh],
-                                &mut attn_dvt[..tk * dh],
-                                h,
-                                0,
-                                *tk,
-                                *heads,
-                                *tq,
-                                *tk,
-                                *dh,
-                            );
-                        }
+                        attn_bwd_block(
+                            q,
+                            k,
+                            &[],
+                            None,
+                            None,
+                            Some(g),
+                            m_sink,
+                            l_sink,
+                            dq,
+                            &mut rest[..hk],
+                            &mut [],
+                            attn,
+                            *heads,
+                            *tq,
+                            *tk,
+                            *dh,
+                            *scale,
+                        );
                     }
                 }
             }

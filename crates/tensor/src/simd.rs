@@ -10,10 +10,9 @@
 //!
 //! ## Reduction-order contract
 //!
-//! The parallel-determinism suite proves every kernel produces bitwise
-//! identical results at any `TIMEKD_THREADS`. SIMD does not weaken that
-//! contract — it *re-pins* it: lane-width blocking is part of the defined
-//! reduction order, and each dense kernel has exactly one such order.
+//! Every dense kernel has exactly one reduction order, and lane-width
+//! blocking is part of it, so planned and dynamic execution (which call
+//! the same kernels) agree bit for bit.
 //!
 //! - Dot-style reductions assign element `i` to lane `i % 8`; each lane
 //!   accumulates in ascending order with a fused multiply-add chain; the 8

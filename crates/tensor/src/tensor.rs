@@ -16,11 +16,7 @@
 //! handles, `RefCell` buffers, one thread per graph; experiment-level
 //! parallelism happens across independent model instances, never across
 //! one graph. The dense *kernels underneath* an op (matmul and friends)
-//! may fan out over the [`crate::parallel`] worker pool, but they
-//! partition work into disjoint output blocks and join before the op
-//! returns, so nothing concurrent ever touches a tensor: ops stay
-//! externally synchronous and bitwise deterministic (`TIMEKD_THREADS=1`
-//! forces the fully serial path and produces identical bits).
+//! run on the calling thread too, so ops are bitwise deterministic.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::fmt;

@@ -5,23 +5,20 @@
 //! *all* `T_k` keys as plain scalar loops in the kernel's pinned orders —
 //! ascending-`dh` fmadd score chains, a sequential softmax over the
 //! pinned scalar `simd::exp`, the 8-lane `dot_lanes` order for context
-//! and `dQ`, ascending-query fmadd chains for `dK`/`dV` — and assert the kernel matches them **bitwise** at 1
-//! and 4 threads: forward context and map, and Q/K/V gradients on both
-//! the output and the map path. Masks cover none, causal, calibrated
+//! and `dQ`, ascending-query fmadd chains for `dK`/`dV` — and assert the
+//! kernel matches them **bitwise**: forward context and map, and Q/K/V
+//! gradients on both the output and the map path. Masks cover none, causal, calibrated
 //! (−Δ on cross pairs plus causal) and a fully forbidden row, with `T_k`
 //! in {1, 7, 8, 9, 79} so live ranges end inside the lane tail, and
 //! single-row queries against the last mask row (the pruned CLM block).
 
 use timekd_nn::causal_mask;
-use timekd_tensor::parallel::with_threads;
 use timekd_tensor::simd::{exp, fmadd};
 use timekd_tensor::{seeded_rng, Tensor, NEG_INF};
 
 const KEY_LENS: [usize; 5] = [1, 7, 8, 9, 79];
-/// (heads, head dim); `4 · 79 · 79 · 16` crosses the pool cutoff, so the
-/// 4-thread runs split the largest calls across workers.
+/// (heads, head dim).
 const HEADS_DH: [(usize, usize); 2] = [(4, 16), (3, 5)];
-const THREADS: [usize; 2] = [1, 4];
 
 fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
@@ -303,16 +300,10 @@ fn tensors(c: &Case) -> (Tensor, Tensor, Tensor, Option<Tensor>) {
 fn key_skipping_forward_matches_full_key_reference_bitwise() {
     for c in cases() {
         let (want_out, want_map) = c.forward_reference();
-        for threads in THREADS {
-            let (out, map) = with_threads(threads, || {
-                let (q, k, v, mask) = tensors(&c);
-                let (out, map) = Tensor::fused_attention(&q, &k, &v, mask.as_ref());
-                (out.to_vec(), map.to_vec())
-            });
-            let what = format!("{} threads={threads}", c.name);
-            assert_bits_eq(&out, &want_out, &format!("context {what}"));
-            assert_bits_eq(&map, &want_map, &format!("map {what}"));
-        }
+        let (q, k, v, mask) = tensors(&c);
+        let (out, map) = Tensor::fused_attention(&q, &k, &v, mask.as_ref());
+        assert_bits_eq(&out.to_vec(), &want_out, &format!("context {}", c.name));
+        assert_bits_eq(&map.to_vec(), &want_map, &format!("map {}", c.name));
     }
 }
 
@@ -324,32 +315,26 @@ fn key_skipping_gradients_match_full_key_reference_bitwise() {
         let g_map = Tensor::randn([c.tq, c.tk], 1.0, &mut rng);
         let (want_dq, want_dk, want_dv) = c.backward_reference(Some(&g_out.to_vec()), None);
         let (want_mq, want_mk, _) = c.backward_reference(None, Some(&g_map.to_vec()));
-        for threads in THREADS {
-            let what = format!("{} threads={threads}", c.name);
-            // Output path: d(sum(out ⊙ G))/d(out) = G exactly.
-            let (dq, dk, dv) = with_threads(threads, || {
-                let (q, k, v, mask) = tensors(&c);
-                let (out, _) = Tensor::fused_attention(&q, &k, &v, mask.as_ref());
-                out.mul(&g_out).sum().backward();
-                (
-                    q.grad().expect("dq"),
-                    k.grad().expect("dk"),
-                    v.grad().expect("dv"),
-                )
-            });
-            assert_bits_eq(&dq, &want_dq, &format!("output-path dQ {what}"));
-            assert_bits_eq(&dk, &want_dk, &format!("output-path dK {what}"));
-            assert_bits_eq(&dv, &want_dv, &format!("output-path dV {what}"));
-            // Map path: V receives no gradient at all.
-            let (mq, mk, mv) = with_threads(threads, || {
-                let (q, k, v, mask) = tensors(&c);
-                let (_, map) = Tensor::fused_attention(&q, &k, &v, mask.as_ref());
-                map.mul(&g_map).sum().backward();
-                (q.grad().expect("dq"), k.grad().expect("dk"), v.grad())
-            });
-            assert_bits_eq(&mq, &want_mq, &format!("map-path dQ {what}"));
-            assert_bits_eq(&mk, &want_mk, &format!("map-path dK {what}"));
-            assert!(mv.is_none(), "map path reached V: {what}");
-        }
+        let what = &c.name;
+        // Output path: d(sum(out ⊙ G))/d(out) = G exactly.
+        let (q, k, v, mask) = tensors(&c);
+        let (out, _) = Tensor::fused_attention(&q, &k, &v, mask.as_ref());
+        out.mul(&g_out).sum().backward();
+        let (dq, dk, dv) = (
+            q.grad().expect("dq"),
+            k.grad().expect("dk"),
+            v.grad().expect("dv"),
+        );
+        assert_bits_eq(&dq, &want_dq, &format!("output-path dQ {what}"));
+        assert_bits_eq(&dk, &want_dk, &format!("output-path dK {what}"));
+        assert_bits_eq(&dv, &want_dv, &format!("output-path dV {what}"));
+        // Map path: V receives no gradient at all.
+        let (q, k, v, mask) = tensors(&c);
+        let (_, map) = Tensor::fused_attention(&q, &k, &v, mask.as_ref());
+        map.mul(&g_map).sum().backward();
+        let (mq, mk, mv) = (q.grad().expect("dq"), k.grad().expect("dk"), v.grad());
+        assert_bits_eq(&mq, &want_mq, &format!("map-path dQ {what}"));
+        assert_bits_eq(&mk, &want_mk, &format!("map-path dK {what}"));
+        assert!(mv.is_none(), "map path reached V: {what}");
     }
 }

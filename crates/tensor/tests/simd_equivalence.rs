@@ -5,12 +5,11 @@
 //! multiply-add chain per output element, and NT/dot-style contractions
 //! use the 8-lane blocked `dot_lanes` order — which the NT kernel runs for
 //! 8 outputs at once, one accumulator per lane class, restated here as
-//! plain loops and swept over every shape up to 17 per side. These tests restate both
-//! orders as plain scalar reference loops — no `F32x8`, no register
-//! tiling — and assert the shipped kernels match them **bitwise**, at
-//! thread counts {1, 2, 5}, on shapes with row/column/lane remainders,
-//! through the forward kernel and both gradient kernels (NT for `dA`, TN
-//! for `dB`).
+//! plain loops and swept over every shape up to 17 per side. These tests
+//! restate both orders as plain scalar reference loops — no `F32x8`, no
+//! register tiling — and assert the shipped kernels match them
+//! **bitwise**, on shapes with row/column/lane remainders, through the
+//! forward kernel and both gradient kernels (NT for `dA`, TN for `dB`).
 //!
 //! The pinned transcendentals (`simd::exp`, `simd::tanh`) are held to an
 //! f64 reference over seeded samples of the whole finite f32 range, to
@@ -18,7 +17,6 @@
 //! same bits whether it falls in a lane kernel's `F32x8` body or in its
 //! scalar tail, for every row length from 0 to 33.
 
-use timekd_tensor::parallel::with_threads;
 use timekd_tensor::simd::{self, fmadd, EXP_HI, EXP_LO};
 use timekd_tensor::{
     record, seeded_rng, Plan, PlanOptimizer, PlanSpec, Recorder, SeededRng, Tensor, TrainExecutor,
@@ -77,8 +75,7 @@ fn dot_lanes_reference(a: &[f32], b: &[f32]) -> f32 {
 
 /// Remainder-heavy geometries: rows not divisible by the 4-row tiling,
 /// columns hitting the 16-wide, 8-wide, and scalar column tails, `k % 4`
-/// and `k % 8` tails — plus one shape above the parallel cutoff
-/// (`80·64·72 ≥ 64³`) so the pool genuinely engages at threads 2 and 5.
+/// and `k % 8` tails — plus one student-sized shape (`80·64·72`).
 const SHAPES: [(usize, usize, usize); 5] =
     [(5, 7, 19), (4, 8, 16), (9, 13, 33), (3, 9, 7), (80, 64, 72)];
 
@@ -91,21 +88,18 @@ fn seeded_pair(m: usize, k: usize, n: usize, seed: u64) -> (Vec<f32>, Vec<f32>) 
 }
 
 #[test]
-fn simd_forward_matches_chain_reference_at_all_threads() {
+fn simd_forward_matches_chain_reference() {
     for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
         let (a0, b0) = seeded_pair(m, k, n, 40 + si as u64);
         let want = nn_chain_reference(&a0, &b0, m, k, n);
         let a = Tensor::from_vec(a0, [m, k]);
         let b = Tensor::from_vec(b0, [k, n]);
-        for threads in [1, 2, 5] {
-            let got = with_threads(threads, || a.matmul(&b).to_vec());
-            assert_bits_eq(&got, &want, &format!("NN {m}x{k}x{n} threads={threads}"));
-        }
+        assert_bits_eq(&a.matmul(&b).to_vec(), &want, &format!("NN {m}x{k}x{n}"));
     }
 }
 
 #[test]
-fn simd_gradients_match_pinned_references_at_all_threads() {
+fn simd_gradients_match_pinned_references() {
     // Loss = sum(A@B ⊙ M), so the upstream gradient is the mask M itself:
     // dA = M·Bᵀ runs the NT kernel (dot_lanes order, one dot per element)
     // and dB = Aᵀ·M runs packed-transpose + the NN kernel (fmadd chains
@@ -134,24 +128,12 @@ fn simd_gradients_match_pinned_references_at_all_threads() {
             }
         }
 
-        for threads in [1, 2, 5] {
-            let (da, db) = with_threads(threads, || {
-                let a = Tensor::param(a0.clone(), [m, k]);
-                let b = Tensor::param(b0.clone(), [k, n]);
-                a.matmul(&b).mul(&mask).sum().backward();
-                (a.grad().expect("dA"), b.grad().expect("dB"))
-            });
-            assert_bits_eq(
-                &da,
-                &want_da,
-                &format!("NT dA {m}x{k}x{n} threads={threads}"),
-            );
-            assert_bits_eq(
-                &db,
-                &want_db,
-                &format!("TN dB {m}x{k}x{n} threads={threads}"),
-            );
-        }
+        let a = Tensor::param(a0, [m, k]);
+        let b = Tensor::param(b0, [k, n]);
+        a.matmul(&b).mul(&mask).sum().backward();
+        let (da, db) = (a.grad().expect("dA"), b.grad().expect("dB"));
+        assert_bits_eq(&da, &want_da, &format!("NT dA {m}x{k}x{n}"));
+        assert_bits_eq(&db, &want_db, &format!("TN dB {m}x{k}x{n}"));
     }
 }
 
@@ -217,8 +199,7 @@ fn nt_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
 fn nt_lane_class_kernel_matches_scalar_reference() {
     // The lane-class order moves no bit against per-element `dot_lanes`,
     // and the NT kernel (the `dA = g·Bᵀ` adjoint of a matmul, here with
-    // `g` the `[m, k]` operand and `B` the `[n, k]` one) gives it at 1 and
-    // 2 threads.
+    // `g` the `[m, k]` operand and `B` the `[n, k]` one) gives it.
     for (m, k, n) in nt_sweep() {
         let (g, b) = nt_operands(m, k, n);
         let want = nt_lane_class_reference(&g, &b, m, k, n);
@@ -231,17 +212,13 @@ fn nt_lane_class_kernel_matches_scalar_reference() {
         }
         assert_bits_eq(&want, &per_dot, &format!("reference m{m} k{k} n{n}"));
         let mask = Tensor::from_vec(g.clone(), [m, k]);
-        for threads in [1, 2] {
-            let da = with_threads(threads, || {
-                // C = A·B with A `[m, n]` and B `[n, k]` stored as `b`
-                // `[n, k]`; loss = sum(C ⊙ g), so dA = g·Bᵀ.
-                let a = Tensor::param(vec![0.5; m * n], [m, n]);
-                let bt = Tensor::from_vec(b.clone(), [n, k]);
-                a.matmul(&bt).mul(&mask).sum().backward();
-                a.grad().expect("dA")
-            });
-            assert_bits_eq(&da, &want, &format!("NT m{m} k{k} n{n} threads={threads}"));
-        }
+        // C = A·B with A `[m, n]` and B `[n, k]` stored as `b` `[n, k]`;
+        // loss = sum(C ⊙ g), so dA = g·Bᵀ.
+        let a = Tensor::param(vec![0.5; m * n], [m, n]);
+        let bt = Tensor::from_vec(b, [n, k]);
+        a.matmul(&bt).mul(&mask).sum().backward();
+        let da = a.grad().expect("dA");
+        assert_bits_eq(&da, &want, &format!("NT m{m} k{k} n{n}"));
     }
 }
 
@@ -286,23 +263,15 @@ fn planned_nt_adjoint_matches_lane_class_reference() {
             .position(|v| v.adjoint_of == Some(a_vid))
             .expect("a has a gradient");
         let (off, len) = plan.arena_range(grad).expect("dA lives in the arena");
-        for threads in [1, 2] {
-            let da = with_threads(threads, || {
-                let mut exec = TrainExecutor::new(&plan, |label, _| match label {
-                    "a" => Some(vec![0.5; m * n]),
-                    "b" => Some(b.clone()),
-                    _ => None,
-                })
-                .expect("binds");
-                exec.run_train_step(&g, &[0.0]);
-                exec.arena_value(off, len).to_vec()
-            });
-            assert_bits_eq(
-                &da,
-                &want,
-                &format!("planned NT m{m} k{k} n{n} threads={threads}"),
-            );
-        }
+        let mut exec = TrainExecutor::new(&plan, |label, _| match label {
+            "a" => Some(vec![0.5; m * n]),
+            "b" => Some(b.clone()),
+            _ => None,
+        })
+        .expect("binds");
+        exec.run_train_step(&g, &[0.0]);
+        let da = exec.arena_value(off, len);
+        assert_bits_eq(da, &want, &format!("planned NT m{m} k{k} n{n}"));
     }
 }
 

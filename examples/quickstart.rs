@@ -13,7 +13,7 @@
 //!   construction: LM pretraining and the teacher warmup only happen
 //!   before or in epoch 1, and the final trace must cover them).
 //! - `TIMEKD_TRACE_OUT=<path>` — with tracing on, also write the
-//!   schema-validated `timekd-trace/v1` JSON report there.
+//!   schema-validated `timekd-trace/v2` JSON report there.
 
 use timekd::{Forecaster, TimeKd, TimeKdConfig};
 use timekd_bench::{trace_report, validate_trace_coverage, validate_trace_report};

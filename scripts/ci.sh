@@ -37,12 +37,12 @@ echo "==> sanitizer (timekd-tensor's opt-in \`sanitize\` feature)"
 # The feature is off in every other step, so compile and test it here.
 cargo test -q -p timekd-tensor --features sanitize --lib sanitize
 
-echo "==> bitwise gates (planned vs dynamic predict and objective, thread invariance, stored teacher targets vs a fresh teacher forward, store rebuilds and no-cache arm, planned vs dynamic epochs across a checkpoint load, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
+echo "==> bitwise gates (planned vs dynamic predict and objective, stored teacher targets vs a fresh teacher forward, store rebuilds and no-cache arm, planned vs dynamic epochs across a checkpoint load, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned forecast and the planned
 # objective over several steps must reproduce the dynamic engine bit for
 # bit, as must the planned epoch the dynamic per-window loop (on the tiny
-# and the default student dims, at 1, 2 and 5 threads). The teacher targets
+# and the default student dims). The teacher targets
 # a model stores per training window must equal a fresh teacher forward
 # bit for bit; a moved or changed window rebuilds its entry, and with the
 # CLM cache off nothing is stored. Planned and dynamic epochs around a
@@ -114,8 +114,8 @@ cargo test -q -p timekd-tensor --lib -- --exact \
   simd::tests::adamw_lanes_matches_the_scalar_update_at_every_length
 # The NT matmul adjoint runs `dot_lanes` for 8 outputs at once (one
 # accumulator per lane class): a plain-loop restatement of that order must
-# match it over every (m, k, n) up to 17, dynamically at 1 and 2 threads
-# and through a planned training step. The binary adjoint's per-kind
+# match it over every (m, k, n) up to 17, dynamically and through a
+# planned training step. The binary adjoint's per-kind
 # arms must give the scalar loop's bits at every length 0..=33.
 cargo test -q -p timekd-tensor --test simd_equivalence -- --exact \
   nt_lane_class_kernel_matches_scalar_reference \

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Observability gate: the golden-trace regression suite, the tracing
 # overhead guard, and one traced QUICK quickstart. The quickstart checks
-# the JSON report it writes against the timekd-trace/v1 schema and for
-# full pipeline coverage (teacher, SCA, student, both PKD losses, pool,
-# LM cache), and exits 1 if either check fails.
+# the JSON report it writes against the timekd-trace/v2 schema and for
+# full pipeline coverage (teacher, SCA, student, both PKD losses, LM
+# cache), and exits 1 if either check fails.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

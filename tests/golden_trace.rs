@@ -18,10 +18,9 @@
 //! This file is its own test binary (and so its own process): the obs
 //! gate is global, and nothing else may record while the golden run is
 //! traced. Its tests run in parallel under the default harness, so every
-//! golden run holds [`GOLDEN_LOCK`]. The run itself is forced onto the
-//! serial path (`with_threads(1)`) so pool scheduling cannot shift counter
-//! values; global pool/cache counters are still excluded from the fixture
-//! because the span/op structure is what the suite guards.
+//! golden run holds [`GOLDEN_LOCK`]. Global cache counters are excluded
+//! from the fixture because the span/op structure is what the suite
+//! guards.
 
 use std::rc::Rc;
 use std::sync::{Mutex, PoisonError};
@@ -31,7 +30,6 @@ use timekd_data::{DatasetKind, Split, SplitDataset};
 use timekd_lm::{pretrain_lm, FrozenLm, LmConfig, LmSize, PretrainConfig, PromptTokenizer};
 use timekd_obs::json::Json;
 use timekd_obs::SpanNode;
-use timekd_tensor::parallel::with_threads;
 
 const FIXTURE_SCHEMA: &str = "timekd-golden-trace/v1";
 
@@ -102,11 +100,9 @@ fn golden_run() -> Json {
     // epoch and one predict.
     timekd_obs::set_enabled(true);
     timekd_obs::reset();
-    with_threads(1, || {
-        let _ = model.train_teacher_epoch(windows);
-        let _ = model.train_student_epoch(windows);
-        let _ = model.predict(&probe);
-    });
+    let _ = model.train_teacher_epoch(windows);
+    let _ = model.train_student_epoch(windows);
+    let _ = model.predict(&probe);
     let snap = timekd_obs::snapshot();
     timekd_obs::set_enabled(false);
     timekd_obs::reset();
@@ -198,9 +194,7 @@ fn warm_up_epoch_compiles_one_clm_plan_per_key() {
     let epoch = |model: &mut TimeKd| {
         timekd_obs::set_enabled(true);
         timekd_obs::reset();
-        with_threads(1, || {
-            let _ = model.train_teacher_epoch(windows);
-        });
+        let _ = model.train_teacher_epoch(windows);
         let snap = timekd_obs::snapshot();
         timekd_obs::set_enabled(false);
         timekd_obs::reset();

@@ -32,7 +32,7 @@ use timekd_data::{DatasetKind, ForecastWindow, Split, SplitDataset};
 use timekd_lm::{pretrain_lm, FrozenLm, LmConfig, LmSize, PretrainConfig, PromptTokenizer};
 use timekd_nn::smooth_l1_loss;
 use timekd_obs::SpanNode;
-use timekd_tensor::{parallel::with_threads, GraphAudit};
+use timekd_tensor::GraphAudit;
 
 /// Serializes the tests: both set, reset and read the process-global obs
 /// gate, so one test switching tracing off mid-run would drop the other's
@@ -75,10 +75,8 @@ fn tiny_model() -> (TimeKd, SplitDataset) {
 }
 
 fn run_epoch(model: &mut TimeKd, windows: &[ForecastWindow]) {
-    with_threads(1, || {
-        let _ = model.train_teacher_epoch(windows);
-        let _ = model.train_student_epoch(windows);
-    });
+    let _ = model.train_teacher_epoch(windows);
+    let _ = model.train_student_epoch(windows);
 }
 
 fn span_events(nodes: &[SpanNode]) -> u64 {
@@ -105,7 +103,7 @@ fn disabled_tracing_costs_under_one_percent_of_epoch_time() {
     for _ in 0..PROBES {
         let _g = timekd_obs::span("overhead.probe");
         timekd_obs::count_op("overhead.probe_op");
-        timekd_obs::POOL_JOBS.add(1);
+        timekd_obs::LM_CACHE_HITS.add(1);
     }
     let per_event_ns = t0.elapsed().as_nanos() as f64 / (PROBES * 3) as f64;
 
@@ -158,12 +156,10 @@ fn tracing_adds_zero_graph_nodes_and_leaves_outputs_bitwise_identical() {
     let probe = ds.windows(Split::Test, 16)[0].x.clone();
 
     let audit_and_predict = || {
-        with_threads(1, || {
-            let out = model.student().forward(&w.x);
-            let loss = smooth_l1_loss(&out.forecast, &w.y);
-            let stats = GraphAudit::run(&loss).stats;
-            (stats, model.predict(&probe).to_vec())
-        })
+        let out = model.student().forward(&w.x);
+        let loss = smooth_l1_loss(&out.forecast, &w.y);
+        let stats = GraphAudit::run(&loss).stats;
+        (stats, model.predict(&probe).to_vec())
     };
 
     timekd_obs::set_enabled(false);
