@@ -33,23 +33,43 @@
 //!
 //! Every call runs on the calling thread, through the same `_block`
 //! kernels the plan executors call, so planned and dynamic attention
-//! agree bit for bit. The kernels pack the head panels they read into
-//! `[dh, T_k]` scratch so the hot loops are contiguous length-`T_k`
-//! `axpy`/dot sweeps (vectorizable), instead of `T_k` short length-`dh`
-//! dots. The forward ([`attn_fwd_row_block`]) visits heads outermost, and
-//! each row accumulates its share of the averaged map across heads in
-//! ascending order. The backward ([`attn_bwd_block`]) runs two passes per
-//! head: pass A recomputes `P` from the saved statistics (same packed
-//! accumulation order as the forward, so bit-identical scores), computes
-//! `dQ`, and stores `P` and `dS` into transient scratch — never retained
-//! across forward/backward like the composed chain's saved softmax
-//! output; pass B is then pure accumulation of `dK`/`dV`, with a
+//! agree bit for bit. Each row has one operation order, and two kernel
+//! paths give it:
+//!
+//! - **Lane groups.** A run of 2–8 consecutive query rows with one live
+//!   key count (see "Forbidden keys") runs side by side, one row per
+//!   [`F32x8`] lane ([`attn_fwd_group_block`], [`attn_bwd_dq_group_block`]).
+//!   Each lane keeps the one-row order below for its own row: the score
+//!   chain, the sequential max and denominator, the pinned [`simd::exp`],
+//!   and [`simd::dot_rows_lanes`] for the context and `dQ`, which restates
+//!   [`simd::dot_lanes`] per lane (8 class accumulators per output, the
+//!   `hsum` tree lane-wise, then the tail). A group's spare lanes repeat
+//!   its last row and are never stored. Causal masks, and the row windows
+//!   a prompt family feeds, split into such runs almost everywhere: rows
+//!   `8b..8b + 8` of a causal mask all have live count `8b + 8`.
+//! - **One row.** Any other row (a lone row, such as the last row of an
+//!   odd-length call) runs alone. The head's `K`/`V` panels are packed
+//!   into `[dh, T_k]` scratch so the loops are contiguous length-`T_k`
+//!   `axpy`/dot sweeps: `dh` ascending-`d` fmadd score sweeps from the
+//!   bias, a sequential max, `exp(s − m)`, a sequential denominator, and
+//!   one [`simd::dot_lanes`] per context element.
+//!
+//! The forward ([`attn_fwd_row_block`]) runs every group over all heads
+//! (the group's bias is interleaved once), then the lone rows head by
+//! head; every row accumulates its share of the averaged map across heads
+//! in ascending order. The backward ([`attn_bwd_block`]) runs two passes:
+//! pass A ([`attn_bwd_dq_block`], grouped the same way) recomputes `P`
+//! from the saved statistics (same accumulation order as the forward, so
+//! bit-identical scores), computes `dQ`, and stores `P` and `dS` into
+//! transient scratch — never retained across forward/backward like the
+//! composed chain's saved softmax output; pass B is then pure
+//! accumulation of `dK`/`dV` per head, vectorised over keys, with a
 //! fixed-order query loop and every output element an independent sum.
 //!
-//! The length-`T_k` dot/axpy sweeps are [`simd::dot_lanes`] and
-//! [`simd::axpy_lanes`], whose 8-lane fused-multiply-add blocking is the
-//! one pinned reduction order (see [`crate::simd`]). The head panels are
-//! packed with the matmul kernels' cache-blocked transpose.
+//! The dot/axpy sweeps are [`simd::dot_lanes`], [`simd::dot_rows_lanes`]
+//! and [`simd::axpy_lanes`], whose 8-lane fused-multiply-add blocking is
+//! the one pinned reduction order (see [`crate::simd`]). The head panels
+//! are packed with the matmul kernels' cache-blocked transpose.
 //!
 //! ## Forbidden keys
 //!
@@ -58,11 +78,16 @@
 //! key whose bias is above `NEG_INF`, rounded up to the 8-lane width and
 //! capped at `T_k`. The forward kernel and pass A truncate their score,
 //! probability and `dS` rows to `n`; pass B truncates (or skips) each
-//! query row's contribution to its keys the same way. Unmasked calls
-//! — which includes every plan executor — keep all `T_k` keys, and so
-//! does a row with no allowed key at all (its softmax spreads over the
-//! forbidden keys as before). The counts are computed once per mask,
-//! never inside a `_block` kernel.
+//! query row's contribution to its keys the same way. Unmasked calls keep
+//! all `T_k` keys, and so does a row with no allowed key at all (its
+//! softmax spreads over the forbidden keys as before). The counts are
+//! computed once per mask, never inside a `_block` kernel.
+//!
+//! A lane group holds only rows with equal counts, so every lane stops at
+//! the same key and no lane needs a stop of its own: a group reads keys
+//! `0..n` and nothing past them (`attention_key_skip.rs` fills the keys
+//! past a group's count with NaN to check it). Rows whose counts differ
+//! end a run, and a run of one row takes the one-row path.
 //!
 //! The skip is exact, not an approximation. A forbidden score sits about
 //! 1e9 below every allowed one, so it never sets the row max and its
@@ -77,8 +102,8 @@
 //!
 //! Naming contract with `timekd-check`: functions ending in `_block` are
 //! kernel loops — no locks, no allocation, no I/O inside them. Their
-//! scratch is preallocated by the caller ([`AttnBwdScratch`] for the
-//! backward).
+//! scratch is preallocated by the caller ([`attn_fwd_lanes_len`] floats of
+//! lane buffers for the forward, [`AttnBwdScratch`] for the backward).
 
 use std::rc::Rc;
 
@@ -150,20 +175,178 @@ impl MaskData {
     }
 }
 
+/// Query rows one lane group holds: one row per [`F32x8`] lane.
+const GROUP: usize = F32x8::LANES;
+
+/// Fewest rows a lane group runs; a shorter run of rows takes the one-row
+/// path.
+const MIN_GROUP: usize = 2;
+
+/// Floats of lane scratch the forward of an attention call with `tk` keys
+/// and head dim `dh` needs: the group's interleaved bias, a `[T_k, 8]`
+/// score buffer (the one-row path's score row too) and the `[dh, 8]`
+/// query panel.
+pub(crate) fn attn_fwd_lanes_len(tk: usize, dh: usize) -> usize {
+    GROUP * (2 * tk + dh)
+}
+
+/// Floats of lane scratch pass A of an attention call needs: the
+/// interleaved bias, `[T_k, 8]` `P` and `dS` buffers, and the `[dh, 8]`
+/// query and output-gradient panels.
+pub(crate) fn attn_bwd_lanes_len(tk: usize, dh: usize) -> usize {
+    GROUP * (3 * tk + 2 * dh)
+}
+
+/// The query rows `0..tq` as ascending runs `(start, len)` of at most
+/// [`GROUP`] consecutive rows with equal live key counts (every row of an
+/// unmasked call sees all keys).
+fn row_runs(live: Option<&[usize]>, tq: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let count = move |i: usize| live.map_or(0, |l| l[i]);
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        if i >= tq {
+            return None;
+        }
+        let start = i;
+        i += 1;
+        while i < tq && i - start < GROUP && count(i) == count(start) {
+            i += 1;
+        }
+        Some((start, i - start))
+    })
+}
+
+/// Rows `first..first + len` of `src` (rows of `stride` floats) over
+/// columns `0..n`, interleaved into `dst`: `dst[8·j + l]` is row
+/// `first + l`'s column `j`, and spare lanes repeat the last row.
+fn interleave_rows_block(
+    src: &[f32],
+    stride: usize,
+    first: usize,
+    len: usize,
+    n: usize,
+    dst: &mut [f32],
+) {
+    let row = |l: usize| &src[(first + l.min(len - 1)) * stride..][..n];
+    let body = n - n % GROUP;
+    for jb in (0..body).step_by(GROUP) {
+        let block = simd::transpose8(std::array::from_fn(|l| F32x8::load(&row(l)[jb..])));
+        for (c, x) in block.into_iter().enumerate() {
+            x.store(&mut dst[(jb + c) * GROUP..]);
+        }
+    }
+    for j in body..n {
+        for l in 0..GROUP {
+            dst[j * GROUP + l] = row(l)[j];
+        }
+    }
+}
+
+/// The inverse of [`interleave_rows_block`] for the `len` real lanes:
+/// `dst[(first + l)·stride + j] = src[8·j + l]`.
+fn deinterleave_rows_block(
+    src: &[f32],
+    n: usize,
+    dst: &mut [f32],
+    stride: usize,
+    first: usize,
+    len: usize,
+) {
+    let body = n - n % GROUP;
+    for jb in (0..body).step_by(GROUP) {
+        let block = simd::transpose8(std::array::from_fn(|c| {
+            F32x8::load(&src[(jb + c) * GROUP..])
+        }));
+        for (l, x) in block.into_iter().enumerate().take(len) {
+            x.store(&mut dst[(first + l) * stride + jb..]);
+        }
+    }
+    for j in body..n {
+        for l in 0..len {
+            dst[(first + l) * stride + j] = src[j * GROUP + l];
+        }
+    }
+}
+
+/// Lane `l` of `panel[dd]` (a `[dh, 8]` panel) is element `dd` of row
+/// `first + l` of `src` (rows of `stride` floats from `offset`), times
+/// `factor`; spare lanes repeat the last row.
+#[allow(clippy::too_many_arguments)]
+fn gather_panel_block(
+    src: &[f32],
+    panel: &mut [f32],
+    first: usize,
+    len: usize,
+    stride: usize,
+    offset: usize,
+    dh: usize,
+    factor: f32,
+) {
+    for (dd, lanes) in panel[..GROUP * dh].chunks_exact_mut(GROUP).enumerate() {
+        for (l, x) in lanes.iter_mut().enumerate() {
+            *x = factor * src[(first + l.min(len - 1)) * stride + offset + dd];
+        }
+    }
+}
+
+/// Scaled masked scores of one lane group into `s_buf` (`[n, 8]`, `n`
+/// the keys `bias_t` covers): each lane's bias, then one ascending-`dh`
+/// fmadd chain per score, as the one-row path's `axpy` sweeps build them.
+/// `sq` holds the group's scaled `[dh, 8]` query panel and `k` the head's
+/// `[T_k, dh]` keys. Four keys run side by side to overlap their chains.
+fn group_scores_block(bias_t: &[f32], sq: &[f32], k: &[f32], dh: usize, s_buf: &mut [f32]) {
+    const KEYS: usize = 4;
+    let n = bias_t.len() / GROUP;
+    let body = n - n % KEYS;
+    let (s_body, s_tail) = s_buf[..GROUP * n].split_at_mut(GROUP * body);
+    let (b_body, b_tail) = bias_t.split_at(GROUP * body);
+    let (k_body, k_tail) = k[..n * dh].split_at(body * dh);
+    for ((s, b), k4) in s_body
+        .chunks_exact_mut(KEYS * GROUP)
+        .zip(b_body.chunks_exact(KEYS * GROUP))
+        .zip(k_body.chunks_exact(KEYS * dh))
+    {
+        let mut acc: [F32x8; KEYS] = std::array::from_fn(|c| F32x8::load(&b[c * GROUP..]));
+        for (dd, qd) in sq.chunks_exact(GROUP).enumerate() {
+            let qd = F32x8::load(qd);
+            for (c, a) in acc.iter_mut().enumerate() {
+                *a = qd.fma(F32x8::splat(k4[c * dh + dd]), *a);
+            }
+        }
+        for (c, a) in acc.into_iter().enumerate() {
+            a.store(&mut s[c * GROUP..]);
+        }
+    }
+    for ((s, b), k_row) in s_tail
+        .chunks_exact_mut(GROUP)
+        .zip(b_tail.chunks_exact(GROUP))
+        .zip(k_tail.chunks_exact(dh))
+    {
+        let mut acc = F32x8::load(b);
+        for (qd, &kd) in sq.chunks_exact(GROUP).zip(k_row) {
+            acc = F32x8::load(qd).fma(F32x8::splat(kd), acc);
+        }
+        acc.store(s);
+    }
+}
+
 /// Forward kernel: computes every output row across all heads.
 ///
-/// The head loop is outermost so each head's `K`/`V` panels are packed
-/// once (into `kt`/`vt`, `[dh, T_k]` layout) and reused by every row;
-/// the score, softmax and context loops then run contiguously over keys.
-/// For each (head, row): scaled masked scores into `scores` scratch, a
-/// max-shifted softmax (statistics recorded into `stats_m`/`stats_l`),
-/// the head's slice of the merged context row, and the row's share of
-/// the head-averaged map. Heads are visited in
+/// Rows run in lane groups ([`attn_fwd_group_block`]) where a run of at
+/// least [`MIN_GROUP`] consecutive rows shares one live key count, and one
+/// row at a time otherwise; both give a row the same bits. On the one-row
+/// path the head loop is outermost so each head's `K`/`V` panels are
+/// packed once (into `kt`/`vt`, `[dh, T_k]` layout) and reused by every
+/// such row; the score, softmax and context loops then run contiguously
+/// over keys. For each (head, row): scaled masked
+/// scores, a max-shifted softmax (statistics recorded into
+/// `stats_m`/`stats_l`), the head's slice of the merged context row, and
+/// the row's share of the head-averaged map. Every row visits heads in
 /// ascending order, so the map's cross-head accumulation order is fixed.
-/// A masked row visits only its live keys; the rest of its map row
-/// keeps the caller's zeros. Without `map_out` (a caller that reads only
-/// the context) no map is built; the context and statistics do not depend
-/// on it.
+/// A masked row visits only its live keys; the rest of its map row keeps
+/// the caller's zeros. Without `map_out` (a caller that reads only the
+/// context) no map is built; the context and statistics do not depend on
+/// it. `lanes` holds at least [`attn_fwd_lanes_len`] floats.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn attn_fwd_row_block(
     q: &[f32],
@@ -176,66 +359,195 @@ pub(crate) fn attn_fwd_row_block(
     stats_l: &mut [f32],
     kt: &mut [f32],
     vt: &mut [f32],
-    scores: &mut [f32],
+    lanes: &mut [f32],
     heads: usize,
     tq: usize,
     tk: usize,
     dh: usize,
     scale: f32,
 ) {
-    let d = heads * dh;
+    let (d, hk) = (heads * dh, tk * dh);
     let inv_heads = 1.0 / heads as f32;
+    let live = mask.map(|mk| mk.live);
+    let (bias_t, lanes) = lanes.split_at_mut(GROUP * tk);
+    let mut one_row = false;
+    for (i0, len) in row_runs(live, tq) {
+        if len < MIN_GROUP {
+            one_row = true;
+            continue;
+        }
+        let n = live.map_or(tk, |l| l[i0]);
+        match mask {
+            Some(mk) => interleave_rows_block(mk.bias, tk, i0, len, n, bias_t),
+            None => bias_t[..GROUP * n].fill(0.0),
+        }
+        for h in 0..heads {
+            attn_fwd_group_block(
+                &q[h * tq * dh..(h + 1) * tq * dh],
+                &k[h * hk..(h + 1) * hk],
+                &v[h * hk..(h + 1) * hk],
+                bias_t,
+                lanes,
+                out,
+                map_out.as_deref_mut(),
+                stats_m,
+                stats_l,
+                i0,
+                len,
+                n,
+                h,
+                heads,
+                tk,
+                dh,
+                scale,
+            );
+        }
+    }
+    if !one_row {
+        return;
+    }
     for h in 0..heads {
-        pack_transpose_into(&k[h * tk * dh..(h + 1) * tk * dh], kt, tk, dh);
-        pack_transpose_into(&v[h * tk * dh..(h + 1) * tk * dh], vt, tk, dh);
-        for i in 0..tq {
-            let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
-            let n = mask.map_or(tk, |mk| mk.live[i]);
-            let row = &mut scores[..n];
-            match mask {
-                Some(mk) => row.copy_from_slice(&mk.bias[i * tk..i * tk + n]),
-                None => row.fill(0.0),
-            }
-            for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
-                simd::axpy_lanes(row, scale * qd, &kcol[..n]);
-            }
-            let mut mx = f32::NEG_INFINITY;
-            for &s in row.iter() {
-                if s > mx {
-                    mx = s;
+        pack_transpose_into(&k[h * hk..(h + 1) * hk], kt, tk, dh);
+        pack_transpose_into(&v[h * hk..(h + 1) * hk], vt, tk, dh);
+        for (i0, len) in row_runs(live, tq).filter(|&(_, len)| len < MIN_GROUP) {
+            for i in i0..i0 + len {
+                let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
+                let n = live.map_or(tk, |l| l[i]);
+                let row = &mut lanes[..n];
+                match mask {
+                    Some(mk) => row.copy_from_slice(&mk.bias[i * tk..i * tk + n]),
+                    None => row.fill(0.0),
                 }
-            }
-            simd::update_lanes(row, |s| simd::exp(s - mx));
-            let mut denom = 0.0f32;
-            for &e in row.iter() {
-                denom += e;
-            }
-            stats_m[i * heads + h] = mx;
-            stats_l[i * heads + h] = denom;
-            let inv = 1.0 / denom;
-            if let Some(map) = map_out.as_deref_mut() {
-                simd::axpy_lanes(&mut map[i * tk..i * tk + n], inv * inv_heads, row);
-            }
-            let out_head = &mut out[i * d + h * dh..i * d + (h + 1) * dh];
-            for (o, vcol) in out_head.iter_mut().zip(vt.chunks_exact(tk)) {
-                *o = inv * simd::dot_lanes(row, &vcol[..n]);
+                for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
+                    simd::axpy_lanes(row, scale * qd, &kcol[..n]);
+                }
+                let mut mx = f32::NEG_INFINITY;
+                for &s in row.iter() {
+                    if s > mx {
+                        mx = s;
+                    }
+                }
+                simd::update_lanes(row, |s| simd::exp(s - mx));
+                let mut denom = 0.0f32;
+                for &e in row.iter() {
+                    denom += e;
+                }
+                stats_m[i * heads + h] = mx;
+                stats_l[i * heads + h] = denom;
+                let inv = 1.0 / denom;
+                if let Some(map) = map_out.as_deref_mut() {
+                    simd::axpy_lanes(&mut map[i * tk..i * tk + n], inv * inv_heads, row);
+                }
+                let out_head = &mut out[i * d + h * dh..i * d + (h + 1) * dh];
+                for (o, vcol) in out_head.iter_mut().zip(vt.chunks_exact(tk)) {
+                    *o = inv * simd::dot_lanes(row, &vcol[..n]);
+                }
             }
         }
     }
 }
 
-/// Backward kernel, pass A: `dQ` of head `h`.
+/// One lane group of the forward, head `h`: query rows `i0..i0 + len`
+/// (`len ≤ 8`, one live key count `n`), lane `l` holding row `i0 + l`.
+/// `q`, `k` and `v` are the head's `[T_q, dh]`, `[T_k, dh]` and
+/// `[T_k, dh]` blocks and `bias_t` the group's interleaved bias. Spare lanes repeat the last row and are never stored.
+///
+/// Each lane keeps the one-row path's operation order for its row: the
+/// bias plus an ascending-`dh` fmadd chain per score, the sequential max,
+/// the pinned [`simd::exp`] of `s − m`, the sequential denominator, one
+/// fmadd per map element, and [`simd::dot_rows_lanes`] (the
+/// [`simd::dot_lanes`] order) per context element.
+#[allow(clippy::too_many_arguments)]
+fn attn_fwd_group_block(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    bias_t: &[f32],
+    lanes: &mut [f32],
+    out: &mut [f32],
+    map_out: Option<&mut [f32]>,
+    stats_m: &mut [f32],
+    stats_l: &mut [f32],
+    i0: usize,
+    len: usize,
+    n: usize,
+    h: usize,
+    heads: usize,
+    tk: usize,
+    dh: usize,
+    scale: f32,
+) {
+    let d = heads * dh;
+    let inv_heads = 1.0 / heads as f32;
+    let (e_buf, rest) = lanes.split_at_mut(GROUP * tk);
+    let (e_buf, sq) = (&mut e_buf[..GROUP * n], &mut rest[..GROUP * dh]);
+    gather_panel_block(q, sq, i0, len, dh, 0, dh, scale);
+    group_scores_block(&bias_t[..GROUP * n], sq, k, dh, e_buf);
+    let mut mx = F32x8::splat(f32::NEG_INFINITY);
+    for e in e_buf.chunks_exact(GROUP) {
+        let s = F32x8::load(e);
+        mx = F32x8(std::array::from_fn(|l| {
+            if s.0[l] > mx.0[l] {
+                s.0[l]
+            } else {
+                mx.0[l]
+            }
+        }));
+    }
+    let mut denom = F32x8::ZERO;
+    for e in e_buf.chunks_exact_mut(GROUP) {
+        let x = F32x8::load(e).sub(mx).map(simd::exp);
+        denom = denom.add(x);
+        x.store(e);
+    }
+    let inv = denom.map(|x| 1.0 / x);
+    for l in 0..len {
+        let i = i0 + l;
+        stats_m[i * heads + h] = mx.0[l];
+        stats_l[i * heads + h] = denom.0[l];
+    }
+    if let Some(map) = map_out {
+        let a = inv.map(|x| x * inv_heads);
+        let body = n - n % GROUP;
+        for jb in (0..body).step_by(GROUP) {
+            let rows = simd::transpose8(std::array::from_fn(|c| {
+                F32x8::load(&e_buf[(jb + c) * GROUP..])
+            }));
+            for (l, e) in rows.into_iter().enumerate().take(len) {
+                let m = &mut map[(i0 + l) * tk + jb..];
+                F32x8::splat(a.0[l]).fma(e, F32x8::load(m)).store(m);
+            }
+        }
+        for j in body..n {
+            for l in 0..len {
+                let m = &mut map[(i0 + l) * tk + j];
+                *m = simd::fmadd(a.0[l], e_buf[j * GROUP + l], *m);
+            }
+        }
+    }
+    for dd in 0..dh {
+        let c = simd::dot_rows_lanes(e_buf, &v[dd..], n, dh);
+        for l in 0..len {
+            out[(i0 + l) * d + h * dh + dd] = inv.0[l] * c.0[l];
+        }
+    }
+}
+
+/// Backward kernel, pass A: `dQ` of every head.
 ///
 /// `g_out` is the upstream gradient on the merged `[T_q, H·dh]` output
 /// when `Some`, in which case `dP_ij = g_out[i, h·dh..] · V[h, j, :]`;
 /// otherwise `g_map` drives the map path with `dP_ij = g_map[i, j] / H`.
-/// The head's `K` (and, on the output path, `V`) panel is packed once
-/// into `kt`/`vt` so every inner loop runs contiguously over keys.
-/// Probabilities are recomputed from the saved statistics with the same
-/// packed-score accumulation as the forward, then stored into `p_rows`,
-/// and the scaled score gradients `dS_ij = P_ij (dP_ij − D_i) · scale`
-/// into `ds_rows`, so pass B is pure accumulation. A masked row fills
-/// only its live keys; pass B never reads past them.
+/// Probabilities are recomputed from the saved statistics with the
+/// forward's exact score accumulation, then stored into `p_rows`, and the
+/// scaled score gradients `dS_ij = P_ij (dP_ij − D_i) · scale` into
+/// `ds_rows` (`[H, T_q, T_k]` each), so pass B is pure accumulation. A
+/// masked row fills only its live keys; pass B never reads past them.
+/// Rows run in lane groups ([`attn_bwd_dq_group_block`]) where the
+/// forward does, and one row at a time otherwise, with the head's `K`
+/// (and, on the output path, `V`) panel packed once into `kt`/`vt` so
+/// every inner loop runs contiguously over keys. `lanes` holds at least
+/// [`attn_bwd_lanes_len`] floats.
 #[allow(clippy::too_many_arguments)]
 fn attn_bwd_dq_block(
     q: &[f32],
@@ -251,64 +563,204 @@ fn attn_bwd_dq_block(
     ds_rows: &mut [f32],
     kt: &mut [f32],
     vt: &mut [f32],
-    h: usize,
+    lanes: &mut [f32],
     heads: usize,
     tq: usize,
     tk: usize,
     dh: usize,
     scale: f32,
 ) {
+    let (d, hk, hp) = (heads * dh, tk * dh, tq * tk);
+    let inv_heads = 1.0 / heads as f32;
+    let live = mask.map(|mk| mk.live);
+    let (bias_t, lanes) = lanes.split_at_mut(GROUP * tk);
+    let mut one_row = false;
+    for (i0, len) in row_runs(live, tq) {
+        if len < MIN_GROUP {
+            one_row = true;
+            continue;
+        }
+        let n = live.map_or(tk, |l| l[i0]);
+        match mask {
+            Some(mk) => interleave_rows_block(mk.bias, tk, i0, len, n, bias_t),
+            None => bias_t[..GROUP * n].fill(0.0),
+        }
+        for h in 0..heads {
+            attn_bwd_dq_group_block(
+                &q[h * tq * dh..(h + 1) * tq * dh],
+                &k[h * hk..(h + 1) * hk],
+                if g_out.is_some() {
+                    &v[h * hk..(h + 1) * hk]
+                } else {
+                    &[]
+                },
+                bias_t,
+                lanes,
+                g_out,
+                g_map,
+                stats_m,
+                stats_l,
+                &mut dq[h * tq * dh..(h + 1) * tq * dh],
+                &mut p_rows[h * hp..(h + 1) * hp],
+                &mut ds_rows[h * hp..(h + 1) * hp],
+                i0,
+                len,
+                n,
+                h,
+                heads,
+                tk,
+                dh,
+                scale,
+            );
+        }
+    }
+    if !one_row {
+        return;
+    }
+    for h in 0..heads {
+        pack_transpose_into(&k[h * hk..(h + 1) * hk], kt, tk, dh);
+        if g_out.is_some() {
+            pack_transpose_into(&v[h * hk..(h + 1) * hk], vt, tk, dh);
+        }
+        for (i0, len) in row_runs(live, tq).filter(|&(_, len)| len < MIN_GROUP) {
+            for i in i0..i0 + len {
+                let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
+                let inv = 1.0 / stats_l[i * heads + h];
+                let mx = stats_m[i * heads + h];
+                let n = live.map_or(tk, |l| l[i]);
+                let base = h * hp + i * tk;
+                let p_row = &mut p_rows[base..base + n];
+                let ds_row = &mut ds_rows[base..base + n];
+                // Scores rebuilt with the forward's exact packed
+                // accumulation order, then normalized against the saved
+                // statistics.
+                match mask {
+                    Some(mk) => p_row.copy_from_slice(&mk.bias[i * tk..i * tk + n]),
+                    None => p_row.fill(0.0),
+                }
+                for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
+                    simd::axpy_lanes(p_row, scale * qd, &kcol[..n]);
+                }
+                simd::update_lanes(p_row, |s| simd::exp(s - mx));
+                for p in p_row.iter_mut() {
+                    *p *= inv;
+                }
+                // dP into the dS slots (converted in place after D is known).
+                match (g_out, g_map) {
+                    (Some(g), _) => {
+                        let g_head = &g[i * d + h * dh..i * d + (h + 1) * dh];
+                        ds_row.fill(0.0);
+                        for (vcol, &gd) in vt.chunks_exact(tk).zip(g_head) {
+                            simd::axpy_lanes(ds_row, gd, &vcol[..n]);
+                        }
+                    }
+                    (None, Some(g)) => {
+                        for (dp, &gm) in ds_row.iter_mut().zip(&g[i * tk..i * tk + n]) {
+                            *dp = gm * inv_heads;
+                        }
+                    }
+                    (None, None) => ds_row.fill(0.0),
+                }
+                let dsum = simd::dot_lanes(p_row, ds_row);
+                for (ds, &p) in ds_row.iter_mut().zip(p_row.iter()) {
+                    *ds = p * (*ds - dsum) * scale;
+                }
+                let dq_row = &mut dq[(h * tq + i) * dh..(h * tq + i + 1) * dh];
+                for (o, kcol) in dq_row.iter_mut().zip(kt.chunks_exact(tk)) {
+                    *o += simd::dot_lanes(ds_row, &kcol[..n]);
+                }
+            }
+        }
+    }
+}
+
+/// One lane group of pass A, head `h`: query rows `i0..i0 + len` (`len ≤
+/// 8`, one live key count `n`), lane `l` holding row `i0 + l`. `q`, `k`
+/// and `v` are the head's blocks (`v` empty on the map path), `bias_t`
+/// the group's interleaved bias, and `dq`, `p_rows` and `ds_rows` the
+/// head's slices. Spare lanes repeat the
+/// last row and are never stored.
+///
+/// Each lane keeps the one-row path's operation order for its row: the
+/// forward's score chain, `exp(s − m) · (1/l)`, `dP` as an ascending-`dh`
+/// fmadd chain (or `g_map · (1/H)`), `D` in the [`simd::dot_lanes`] order,
+/// `dS = P (dP − D) · scale`, and each `dQ` element as a
+/// [`simd::dot_lanes`]-ordered sum added to the caller's zero. `P` and
+/// `dS` are then written out as rows for pass B.
+#[allow(clippy::too_many_arguments)]
+fn attn_bwd_dq_group_block(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    bias_t: &[f32],
+    lanes: &mut [f32],
+    g_out: Option<&[f32]>,
+    g_map: Option<&[f32]>,
+    stats_m: &[f32],
+    stats_l: &[f32],
+    dq: &mut [f32],
+    p_rows: &mut [f32],
+    ds_rows: &mut [f32],
+    i0: usize,
+    len: usize,
+    n: usize,
+    h: usize,
+    heads: usize,
+    tk: usize,
+    dh: usize,
+    scale: f32,
+) {
     let d = heads * dh;
     let inv_heads = 1.0 / heads as f32;
-    pack_transpose_into(&k[h * tk * dh..(h + 1) * tk * dh], kt, tk, dh);
-    if g_out.is_some() {
-        pack_transpose_into(&v[h * tk * dh..(h + 1) * tk * dh], vt, tk, dh);
+    let (p_buf, rest) = lanes.split_at_mut(GROUP * tk);
+    let (ds_buf, rest) = rest.split_at_mut(GROUP * tk);
+    let (sq, gq) = rest[..2 * GROUP * dh].split_at_mut(GROUP * dh);
+    let (p_buf, ds_buf) = (&mut p_buf[..GROUP * n], &mut ds_buf[..GROUP * n]);
+    gather_panel_block(q, sq, i0, len, dh, 0, dh, scale);
+    let stat = |l: usize| (i0 + l.min(len - 1)) * heads + h;
+    let mx = F32x8(std::array::from_fn(|l| stats_m[stat(l)]));
+    let inv = F32x8(std::array::from_fn(|l| 1.0 / stats_l[stat(l)]));
+    group_scores_block(&bias_t[..GROUP * n], sq, k, dh, p_buf);
+    for p in p_buf.chunks_exact_mut(GROUP) {
+        F32x8::load(p).sub(mx).map(simd::exp).mul(inv).store(p);
     }
-    for i in 0..tq {
-        let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
-        let inv = 1.0 / stats_l[i * heads + h];
-        let mx = stats_m[i * heads + h];
-        let n = mask.map_or(tk, |mk| mk.live[i]);
-        let p_row = &mut p_rows[i * tk..i * tk + n];
-        let ds_row = &mut ds_rows[i * tk..i * tk + n];
-        // Scores rebuilt with the forward's exact packed accumulation
-        // order, then normalized against the saved statistics.
-        match mask {
-            Some(mk) => p_row.copy_from_slice(&mk.bias[i * tk..i * tk + n]),
-            None => p_row.fill(0.0),
-        }
-        for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
-            simd::axpy_lanes(p_row, scale * qd, &kcol[..n]);
-        }
-        simd::update_lanes(p_row, |s| simd::exp(s - mx));
-        for p in p_row.iter_mut() {
-            *p *= inv;
-        }
-        // dP into the dS slots (converted in place after D is known).
-        match (g_out, g_map) {
-            (Some(g), _) => {
-                let g_head = &g[i * d + h * dh..i * d + (h + 1) * dh];
-                ds_row.fill(0.0);
-                for (vcol, &gd) in vt.chunks_exact(tk).zip(g_head) {
-                    simd::axpy_lanes(ds_row, gd, &vcol[..n]);
+    match (g_out, g_map) {
+        (Some(g), _) => {
+            gather_panel_block(g, gq, i0, len, d, h * dh, dh, 1.0);
+            for (dp, v_row) in ds_buf.chunks_exact_mut(GROUP).zip(v.chunks_exact(dh)) {
+                let mut acc = F32x8::ZERO;
+                for (gd, &vd) in gq.chunks_exact(GROUP).zip(v_row) {
+                    acc = F32x8::load(gd).fma(F32x8::splat(vd), acc);
                 }
+                acc.store(dp);
             }
-            (None, Some(g)) => {
-                for (dp, &gm) in ds_row.iter_mut().zip(&g[i * tk..i * tk + n]) {
-                    *dp = gm * inv_heads;
-                }
+        }
+        (None, Some(g)) => {
+            interleave_rows_block(g, tk, i0, len, n, ds_buf);
+            let ih = F32x8::splat(inv_heads);
+            for dp in ds_buf.chunks_exact_mut(GROUP) {
+                F32x8::load(dp).mul(ih).store(dp);
             }
-            (None, None) => ds_row.fill(0.0),
         }
-        let dsum = simd::dot_lanes(p_row, ds_row);
-        for (ds, &p) in ds_row.iter_mut().zip(p_row.iter()) {
-            *ds = p * (*ds - dsum) * scale;
-        }
-        let dq_row = &mut dq[i * dh..(i + 1) * dh];
-        for (o, kcol) in dq_row.iter_mut().zip(kt.chunks_exact(tk)) {
-            *o += simd::dot_lanes(ds_row, &kcol[..n]);
+        (None, None) => ds_buf.fill(0.0),
+    }
+    let dsum = simd::dot_rows_rows_lanes(p_buf, ds_buf, n);
+    let scale_v = F32x8::splat(scale);
+    for (ds, p) in ds_buf
+        .chunks_exact_mut(GROUP)
+        .zip(p_buf.chunks_exact(GROUP))
+    {
+        let p = F32x8::load(p);
+        p.mul(F32x8::load(ds).sub(dsum)).mul(scale_v).store(ds);
+    }
+    for dd in 0..dh {
+        let c = simd::dot_rows_lanes(ds_buf, &k[dd..], n, dh);
+        for l in 0..len {
+            dq[(i0 + l) * dh + dd] += c.0[l];
         }
     }
+    deinterleave_rows_block(p_buf, n, p_rows, tk, i0, len);
+    deinterleave_rows_block(ds_buf, n, ds_rows, tk, i0, len);
 }
 
 /// Backward kernel, pass B: `dK` (and, on the output path, `dV`) of
@@ -374,8 +826,9 @@ fn attn_bwd_dkv_block(
 }
 
 /// Scratch of [`attn_bwd_block`]: the `P`/`dS` row maps pass A fills for
-/// pass B (`[H, T_q, T_k]` each) and four `[dh, T_k]` head panels. Sized
-/// once for the largest attention a caller runs.
+/// pass B (`[H, T_q, T_k]` each), four `[dh, T_k]` head panels and pass
+/// A's lane buffers. Sized once for the largest attention a caller
+/// runs.
 #[derive(Debug)]
 pub(crate) struct AttnBwdScratch {
     p: Vec<f32>,
@@ -384,11 +837,13 @@ pub(crate) struct AttnBwdScratch {
     vt: Vec<f32>,
     dkt: Vec<f32>,
     dvt: Vec<f32>,
+    lanes: Vec<f32>,
 }
 
 impl AttnBwdScratch {
-    /// Room for row maps of `p_len` floats and panels of `kt_len`.
-    pub(crate) fn new(p_len: usize, kt_len: usize) -> AttnBwdScratch {
+    /// Room for row maps of `p_len` floats, panels of `kt_len` and lane
+    /// buffers of `lanes_len` (see [`attn_bwd_lanes_len`]).
+    pub(crate) fn new(p_len: usize, kt_len: usize, lanes_len: usize) -> AttnBwdScratch {
         AttnBwdScratch {
             p: vec![0.0; p_len],
             ds: vec![0.0; p_len],
@@ -396,6 +851,7 @@ impl AttnBwdScratch {
             vt: vec![0.0; kt_len],
             dkt: vec![0.0; kt_len],
             dvt: vec![0.0; kt_len],
+            lanes: vec![0.0; lanes_len],
         }
     }
 }
@@ -439,30 +895,29 @@ pub(crate) fn attn_bwd_block(
         vt,
         dkt,
         dvt,
+        lanes,
     } = scratch;
-    for h in 0..heads {
-        attn_bwd_dq_block(
-            q,
-            k,
-            v,
-            mask,
-            g_out,
-            g_map,
-            stats_m,
-            stats_l,
-            &mut dq[h * hq..(h + 1) * hq],
-            &mut p[h * hp..(h + 1) * hp],
-            &mut ds[h * hp..(h + 1) * hp],
-            &mut kt[..hk],
-            &mut vt[..hk],
-            h,
-            heads,
-            tq,
-            tk,
-            dh,
-            scale,
-        );
-    }
+    attn_bwd_dq_block(
+        q,
+        k,
+        v,
+        mask,
+        g_out,
+        g_map,
+        stats_m,
+        stats_l,
+        &mut dq[..heads * hq],
+        &mut p[..heads * hp],
+        &mut ds[..heads * hp],
+        &mut kt[..hk],
+        &mut vt[..hk],
+        &mut lanes[..attn_bwd_lanes_len(tk, dh)],
+        heads,
+        tq,
+        tk,
+        dh,
+        scale,
+    );
     let live = mask.map(|mk| mk.live);
     for h in 0..heads {
         let dv_head = if g_out.is_some() {
@@ -568,10 +1023,11 @@ impl Tensor {
             mask.map(|m| Rc::new(MaskData::new(m.to_vec(), tq, tk)));
         {
             let (q_ref, k_ref, v_ref) = (q.data(), k.data(), v.data());
-            // Packed K and V panels ([dh, T_k] each) plus a score row.
-            let mut scratch = vec![0.0f32; 2 * tk * dh + tk];
+            // Packed K and V panels ([dh, T_k] each) plus the lane
+            // buffers.
+            let mut scratch = vec![0.0f32; 2 * tk * dh + attn_fwd_lanes_len(tk, dh)];
             let (kt, rest) = scratch.split_at_mut(tk * dh);
-            let (vt, scores) = rest.split_at_mut(tk * dh);
+            let (vt, lanes) = rest.split_at_mut(tk * dh);
             attn_fwd_row_block(
                 &q_ref,
                 &k_ref,
@@ -583,7 +1039,7 @@ impl Tensor {
                 &mut stats.l,
                 kt,
                 vt,
-                scores,
+                lanes,
                 heads,
                 tq,
                 tk,
@@ -633,7 +1089,11 @@ impl Tensor {
                             &mut dq,
                             &mut dk,
                             &mut dv,
-                            &mut AttnBwdScratch::new(heads * tq * tk, tk * dh),
+                            &mut AttnBwdScratch::new(
+                                heads * tq * tk,
+                                tk * dh,
+                                attn_bwd_lanes_len(tk, dh),
+                            ),
                             heads,
                             tq,
                             tk,
@@ -684,7 +1144,11 @@ impl Tensor {
                             &mut dq,
                             &mut dk,
                             &mut [],
-                            &mut AttnBwdScratch::new(heads * tq * tk, tk * dh),
+                            &mut AttnBwdScratch::new(
+                                heads * tq * tk,
+                                tk * dh,
+                                attn_bwd_lanes_len(tk, dh),
+                            ),
                             heads,
                             tq,
                             tk,

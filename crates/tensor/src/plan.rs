@@ -63,7 +63,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::ops::attention::{attn_fwd_row_block, live_keys, KeyMask};
+use crate::ops::attention::{attn_fwd_lanes_len, attn_fwd_row_block, live_keys, KeyMask};
 use crate::ops::kernels::{
     binary_block, broadcast_walk, gather_last_block, gather_rows_block, log_softmax_block,
     permute_block, permute_walk, slice_block, sum_axis_block, unary_block, AxisSplit, BinKind,
@@ -1269,7 +1269,8 @@ pub struct PlanExecutor {
     mask_tk: Vec<usize>,
     attn_kt: Vec<f32>,
     attn_vt: Vec<f32>,
-    attn_scores: Vec<f32>,
+    /// Lane-group buffers of the attention kernels (see `attn_fwd_lanes_len`).
+    attn_lanes: Vec<f32>,
     /// The softmax statistics of every attention step's last run —
     /// `[m (T_q·H) | l (T_q·H)]` at the step's offset — kept for the
     /// training executor's backward, which reads them instead of
@@ -1346,7 +1347,7 @@ impl PlanExecutor {
 
         let mut exec = Vec::with_capacity(plan.steps().len());
         let mut mask_tk = vec![0usize; plan.spec().aux_labels.len()];
-        let (mut kt_len, mut vt_len, mut sc_len, mut st_len) = (0, 0, 0, 0usize);
+        let (mut kt_len, mut vt_len, mut lanes_len, mut st_len) = (0, 0, 0, 0usize);
         let (mut out_sink_len, mut zero_v_len) = (0usize, 0usize);
         for step in plan.steps() {
             let out_v = &plan.values()[step.output];
@@ -1408,7 +1409,7 @@ impl PlanExecutor {
                 ) => {
                     kt_len = kt_len.max(dh * tk);
                     vt_len = vt_len.max(dh * tk);
-                    sc_len = sc_len.max(*tk);
+                    lanes_len = lanes_len.max(attn_fwd_lanes_len(*tk, *dh));
                     let stats = st_len;
                     st_len += 2 * tq * heads;
                     let mask = match step.op {
@@ -1432,7 +1433,7 @@ impl PlanExecutor {
                 (PlanOp::FusedAttentionMap { heads, tq, tk, dh }, ..) => {
                     kt_len = kt_len.max(dh * tk);
                     vt_len = vt_len.max(dh * tk);
-                    sc_len = sc_len.max(*tk);
+                    lanes_len = lanes_len.max(attn_fwd_lanes_len(*tk, *dh));
                     let stats = st_len;
                     st_len += 2 * tq * heads;
                     out_sink_len = out_sink_len.max(tq * heads * dh);
@@ -1541,7 +1542,7 @@ impl PlanExecutor {
             mask_tk,
             attn_kt: vec![0.0f32; kt_len],
             attn_vt: vec![0.0f32; vt_len],
-            attn_scores: vec![0.0f32; sc_len],
+            attn_lanes: vec![0.0f32; lanes_len],
             attn_saved: vec![0.0f32; st_len],
             attn_out_sink: vec![0.0f32; out_sink_len],
             attn_zero_v: vec![0.0f32; zero_v_len],
@@ -1660,7 +1661,7 @@ impl PlanExecutor {
                         &mut l_sink[..tq * heads],
                         &mut self.attn_kt[..dh * tk],
                         &mut self.attn_vt[..dh * tk],
-                        &mut self.attn_scores[..*tk],
+                        &mut self.attn_lanes[..attn_fwd_lanes_len(*tk, *dh)],
                         *heads,
                         *tq,
                         *tk,
@@ -1691,7 +1692,7 @@ impl PlanExecutor {
                         &mut l_sink[..tq * heads],
                         &mut self.attn_kt[..dh * tk],
                         &mut self.attn_vt[..dh * tk],
-                        &mut self.attn_scores[..*tk],
+                        &mut self.attn_lanes[..attn_fwd_lanes_len(*tk, *dh)],
                         *heads,
                         *tq,
                         *tk,

@@ -32,7 +32,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::ops::attention::{attn_bwd_block, AttnBwdScratch};
+use crate::ops::attention::{attn_bwd_block, attn_bwd_lanes_len, AttnBwdScratch};
 use crate::ops::kernels::{
     binary_bwd_block, broadcast_walk, gather_last_bwd_block, gather_rows_bwd_block, inverse_perm,
     log_softmax_bwd_block, permute_block, permute_walk, sum_axis_bwd_block, unary_bwd_block,
@@ -795,7 +795,7 @@ impl TrainExecutor {
         let mut bwd: Vec<BwdExec> = Vec::new();
         let mut scratch_len = 1usize;
         let (mut at_len, mut bt_len) = (0usize, 0usize);
-        let (mut p_len, mut kt_len) = (0usize, 0usize);
+        let (mut p_len, mut kt_len, mut lanes_len) = (0usize, 0usize, 0usize);
         // The backward reads the softmax stats its forward step saved.
         let saved_stats = |fi: usize| {
             fwd.stats_offset(fi).ok_or_else(|| {
@@ -909,6 +909,7 @@ impl TrainExecutor {
                             let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                             p_len = p_len.max(heads * tq * tk);
                             kt_len = kt_len.max(tk * dh);
+                            lanes_len = lanes_len.max(attn_bwd_lanes_len(*tk, *dh));
                             (
                                 BwdExecOp::Attention {
                                     heads: *heads,
@@ -926,6 +927,7 @@ impl TrainExecutor {
                             let (hq, hk) = (heads * tq * dh, heads * tk * dh);
                             p_len = p_len.max(heads * tq * tk);
                             kt_len = kt_len.max(tk * dh);
+                            lanes_len = lanes_len.max(attn_bwd_lanes_len(*tk, *dh));
                             (
                                 BwdExecOp::AttentionMap {
                                     heads: *heads,
@@ -1063,7 +1065,7 @@ impl TrainExecutor {
             scratch: vec![0.0; scratch_len],
             at_buf: vec![0.0; at_len],
             bt_buf: vec![0.0; bt_len],
-            attn: AttnBwdScratch::new(p_len, kt_len),
+            attn: AttnBwdScratch::new(p_len, kt_len, lanes_len),
             input_len,
             target_len,
         })

@@ -3,7 +3,9 @@
 //! This module defines [`F32x8`], a fixed-width 8-lane f32 vector written as
 //! a plain array newtype so that rustc/LLVM autovectorize it (no intrinsics,
 //! no `unsafe`), the two hot lane loops ([`dot_lanes`], [`axpy_lanes`])
-//! shared by the matmul and fused-attention kernels, the pinned
+//! shared by the matmul and fused-attention kernels, their eight-row
+//! restatement for attention's lane groups ([`dot_rows_lanes`],
+//! [`dot_rows_rows_lanes`], with [`transpose8`]), the pinned
 //! transcendentals ([`exp`], [`tanh`]) with their element-wise lane loops
 //! ([`map_lanes`], [`update_lanes`]), and the fused AdamW update
 //! ([`adamw_lanes`]).
@@ -19,11 +21,20 @@
 //!   lane partials combine with the fixed tree
 //!   `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`; the `len % 8` tail folds in
 //!   ascending order with scalar [`fmadd`].
+//! - A row group (eight rows side by side, one per lane, as attention's
+//!   lane groups run them) restates the dot-style order per lane:
+//!   [`dot_rows_lanes`] keeps 8 class accumulators per output, element
+//!   `j` feeding class `j % 8`, combines them with the same tree applied
+//!   lane-wise, and folds the tail, so each lane gets its row's
+//!   [`dot_lanes`] bits.
 //! - Matmul NN-style loops use one ascending-`k` fmadd chain per output
 //!   element (register tiling over rows/columns never reorders a chain).
 //!
-//! `crates/tensor/tests/simd_equivalence.rs` restates both orders as plain
-//! scalar loops and proves the kernels match them bitwise.
+//! `crates/tensor/tests/simd_equivalence.rs` restates the dot-style and
+//! NN orders as plain scalar loops and proves the kernels match them
+//! bitwise; this module's tests hold each row-group lane to
+//! [`dot_lanes`], and `attention_key_skip.rs` the attention kernels to a
+//! scalar reference.
 //!
 //! ## Element-wise contract
 //!
@@ -101,6 +112,26 @@ impl F32x8 {
         F32x8(std::array::from_fn(|l| self.0[l] + b.0[l]))
     }
 
+    /// Lane-wise `self - b`.
+    #[inline(always)]
+    #[allow(clippy::should_implement_trait)]
+    pub fn sub(self, b: F32x8) -> F32x8 {
+        F32x8(std::array::from_fn(|l| self.0[l] - b.0[l]))
+    }
+
+    /// Lane-wise `self * b`.
+    #[inline(always)]
+    #[allow(clippy::should_implement_trait)]
+    pub fn mul(self, b: F32x8) -> F32x8 {
+        F32x8(std::array::from_fn(|l| self.0[l] * b.0[l]))
+    }
+
+    /// Lane-wise `f(self)`.
+    #[inline(always)]
+    pub fn map(self, f: impl Fn(f32) -> f32) -> F32x8 {
+        F32x8(std::array::from_fn(|l| f(self.0[l])))
+    }
+
     /// Lane-wise fused multiply-add: `self * b + c` via [`fmadd`].
     #[inline(always)]
     pub fn fma(self, b: F32x8, c: F32x8) -> F32x8 {
@@ -137,6 +168,63 @@ pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
         i += 1;
     }
     sum
+}
+
+/// [`dot_lanes`] for eight rows at once, one row per lane: lane `l` of
+/// the result is bitwise `dot_lanes(a_l, b)` over `n` elements, where
+/// `a` holds the rows interleaved (`a[8·j + l]` is element `j` of row
+/// `l`) and `b` is one column all rows share, its element `j` at
+/// `b[stride·j]`.
+///
+/// Each row keeps [`dot_lanes`]' order: element `j` feeds class
+/// accumulator `j % 8`, each class accumulates ascending with fma, the 8
+/// class partials combine with [`F32x8::hsum`]'s tree (here lane-wise,
+/// so every row gets its own tree), and the tail folds ascending.
+#[inline(always)]
+pub fn dot_rows_lanes(a: &[f32], b: &[f32], n: usize, stride: usize) -> F32x8 {
+    dot_rows_by_lanes(a, b, n, stride, |x| F32x8::splat(x[0]))
+}
+
+/// [`dot_rows_lanes`] with both operands interleaved: lane `l` is bitwise
+/// `dot_lanes(a_l, b_l)` over `n` elements.
+#[inline(always)]
+pub fn dot_rows_rows_lanes(a: &[f32], b: &[f32], n: usize) -> F32x8 {
+    dot_rows_by_lanes(a, b, n, F32x8::LANES, F32x8::load)
+}
+
+/// The shared body of the row-group dots: `elem` reads element `j` of the
+/// second operand from `b[stride·j..]`.
+#[inline(always)]
+fn dot_rows_by_lanes(
+    a: &[f32],
+    b: &[f32],
+    n: usize,
+    stride: usize,
+    elem: impl Fn(&[f32]) -> F32x8,
+) -> F32x8 {
+    const L: usize = F32x8::LANES;
+    let body = n - n % L;
+    let (a_body, a_tail) = a[..n * L].split_at(body * L);
+    let mut acc = [F32x8::ZERO; L];
+    for (jb, ab) in a_body.chunks_exact(L * L).enumerate() {
+        let bb = &b[jb * L * stride..];
+        for (c, acc_c) in acc.iter_mut().enumerate() {
+            *acc_c = F32x8::load(&ab[c * L..]).fma(elem(&bb[c * stride..]), *acc_c);
+        }
+    }
+    let [a0, a1, a2, a3, a4, a5, a6, a7] = acc;
+    let mut sum = (a0.add(a1).add(a2.add(a3))).add(a4.add(a5).add(a6.add(a7)));
+    for (j, at) in a_tail.chunks_exact(L).enumerate() {
+        sum = F32x8::load(at).fma(elem(&b[(body + j) * stride..]), sum);
+    }
+    sum
+}
+
+/// The 8×8 block `rows` transposed: lane `c` of output `r` is lane `r` of
+/// input `c`.
+#[inline(always)]
+pub fn transpose8(rows: [F32x8; 8]) -> [F32x8; 8] {
+    std::array::from_fn(|r| F32x8(std::array::from_fn(|c| rows[c].0[r])))
 }
 
 /// Pinned lane-wise axpy: `dst[j] += a * x[j]` with one fma per element.
@@ -409,6 +497,41 @@ mod tests {
                 sum = fmadd(a[i], b[i], sum);
             }
             assert_eq!(dot_lanes(&a, &b).to_bits(), sum.to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn row_group_dots_match_dot_lanes_per_lane() {
+        for n in 0..=33usize {
+            // Eight rows, interleaved, against a strided shared column and
+            // against eight more interleaved rows.
+            let a: Vec<f32> = (0..8 * n).map(|i| (i as f32 * 0.37).sin()).collect();
+            let b: Vec<f32> = (0..8 * n).map(|i| (i as f32 * 0.11).cos()).collect();
+            let row = |x: &[f32], l: usize| -> Vec<f32> { (0..n).map(|j| x[8 * j + l]).collect() };
+            let stride = 3;
+            let col: Vec<f32> = (0..n * stride).map(|i| (i as f32 * 0.23).sin()).collect();
+            let col_n: Vec<f32> = (0..n).map(|j| col[j * stride]).collect();
+            let by_col = dot_rows_lanes(&a, &col, n, stride);
+            let by_rows = dot_rows_rows_lanes(&a, &b, n);
+            for l in 0..8 {
+                let a_l = row(&a, l);
+                let want = dot_lanes(&a_l, &col_n);
+                assert_eq!(by_col.0[l].to_bits(), want.to_bits(), "n={n} l={l}");
+                let want = dot_lanes(&a_l, &row(&b, l));
+                assert_eq!(by_rows.0[l].to_bits(), want.to_bits(), "n={n} l={l}");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose8_swaps_rows_and_lanes() {
+        let rows: [F32x8; 8] =
+            std::array::from_fn(|r| F32x8(std::array::from_fn(|c| (r * 8 + c) as f32)));
+        let t = transpose8(rows);
+        for (r, row) in t.iter().enumerate() {
+            for (c, &x) in row.0.iter().enumerate() {
+                assert_eq!(x, rows[c].0[r]);
+            }
         }
     }
 

@@ -11,6 +11,17 @@
 //! (−Δ on cross pairs plus causal) and a fully forbidden row, with `T_k`
 //! in {1, 7, 8, 9, 79} so live ranges end inside the lane tail, and
 //! single-row queries against the last mask row (the pruned CLM block).
+//!
+//! The kernels run runs of rows with one live key count eight at a time,
+//! one row per lane, and every other row alone. So the cases also cover
+//! `(heads, dh) = (4, 8)` (the Base CLM), row windows `start..79` of a
+//! 79×79 mask (start 40, as a prompt family's ground-truth member feeds
+//! it, and start 3, whose first group mixes live counts), and `T_q` in
+//! {7, 15, 16, 17} against the last rows of a 79-key mask or without one:
+//! full groups, partial groups, groups cut by a count change, and lone
+//! rows all meet the scalar reference. A last test fills the keys past
+//! the first group's live count with NaN and checks that group reads
+//! none of them.
 
 use timekd_nn::causal_mask;
 use timekd_tensor::simd::{exp, fmadd};
@@ -18,7 +29,16 @@ use timekd_tensor::{seeded_rng, Tensor, NEG_INF};
 
 const KEY_LENS: [usize; 5] = [1, 7, 8, 9, 79];
 /// (heads, head dim).
-const HEADS_DH: [(usize, usize); 2] = [(4, 16), (3, 5)];
+const HEADS_DH: [(usize, usize); 3] = [(4, 16), (3, 5), (4, 8)];
+/// Key count of the row-window cases.
+const WINDOW_KEYS: usize = 79;
+/// First rows of the row-window cases: the ground-truth member's row
+/// window of a 79-token family, and an unaligned start.
+const WINDOW_STARTS: [usize; 2] = [40, 3];
+/// Query counts run against the last rows of a `WINDOW_KEYS` mask: a
+/// partial group, a full group plus a partial one, two full groups, and
+/// two full groups plus a lone row.
+const QUERY_LENS: [usize; 4] = [7, 15, 16, 17];
 
 fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
@@ -244,43 +264,72 @@ fn with_forbidden_row(t: usize) -> Vec<f32> {
     m
 }
 
+/// Rows `start..` of a `[t, t]` mask.
+fn window(mask: &[f32], t: usize, start: usize) -> Vec<f32> {
+    mask[start * t..].to_vec()
+}
+
+/// A case with seeded inputs.
+fn case(
+    label: &str,
+    (heads, dh): (usize, usize),
+    tq: usize,
+    tk: usize,
+    mask: Option<Vec<f32>>,
+    seed: u64,
+) -> Case {
+    let mut rng = seeded_rng(0x5C1B + seed);
+    let mut draw = |n: usize| Tensor::randn([n], 1.0, &mut rng).to_vec();
+    Case {
+        name: format!("{label} H={heads} dh={dh} tq={tq} tk={tk}"),
+        heads,
+        tq,
+        tk,
+        dh,
+        q: draw(heads * tq * dh),
+        k: draw(heads * tk * dh),
+        v: draw(heads * tk * dh),
+        mask,
+    }
+}
+
+/// The masks of a `t`-key case, each as a full `[t, t]` mask.
+fn masks(t: usize) -> [(&'static str, Option<Vec<f32>>); 4] {
+    [
+        ("none", None),
+        ("causal", Some(causal_mask(t).to_vec())),
+        ("calibrated", Some(calibrated(t))),
+        ("forbidden_row", Some(with_forbidden_row(t))),
+    ]
+}
+
 fn cases() -> Vec<Case> {
     let mut out = Vec::new();
     let mut seed = 0u64;
-    for &(heads, dh) in &HEADS_DH {
+    let mut next = || {
+        seed += 1;
+        seed
+    };
+    for &hd in &HEADS_DH {
         for &tk in &KEY_LENS {
-            let masks: [(&str, Option<Vec<f32>>); 4] = [
-                ("none", None),
-                ("causal", Some(causal_mask(tk).to_vec())),
-                ("calibrated", Some(calibrated(tk))),
-                ("forbidden_row", Some(with_forbidden_row(tk))),
-            ];
-            for (label, mask) in masks {
+            for (label, mask) in masks(tk) {
                 // All rows, then the last row alone against every key.
-                for last_only in [false, true] {
-                    let tq = if last_only { 1 } else { tk };
-                    let mask = mask.as_ref().map(|m| {
-                        if last_only {
-                            m[(tk - 1) * tk..].to_vec()
-                        } else {
-                            m.clone()
-                        }
-                    });
-                    seed += 1;
-                    let mut rng = seeded_rng(0x5C1B + seed);
-                    let mut draw = |n: usize| Tensor::randn([n], 1.0, &mut rng).to_vec();
-                    out.push(Case {
-                        name: format!("{label} H={heads} dh={dh} tq={tq} tk={tk}"),
-                        heads,
-                        tq,
-                        tk,
-                        dh,
-                        q: draw(heads * tq * dh),
-                        k: draw(heads * tk * dh),
-                        v: draw(heads * tk * dh),
-                        mask,
-                    });
+                for tq in [tk, 1] {
+                    let mask = mask.as_ref().map(|m| window(m, tk, tk - tq));
+                    out.push(case(label, hd, tq, tk, mask, next()));
                 }
+            }
+        }
+        let tk = WINDOW_KEYS;
+        for (label, mask) in masks(tk) {
+            for start in WINDOW_STARTS {
+                let mask = mask.as_ref().map(|m| window(m, tk, start));
+                let label = format!("{label} rows {start}..{tk}");
+                out.push(case(&label, hd, tk - start, tk, mask, next()));
+            }
+            for tq in QUERY_LENS {
+                let mask = mask.as_ref().map(|m| window(m, tk, tk - tq));
+                out.push(case(label, hd, tq, tk, mask, next()));
             }
         }
     }
@@ -337,4 +386,61 @@ fn key_skipping_gradients_match_full_key_reference_bitwise() {
         assert_bits_eq(&mk, &want_mk, &format!("map-path dK {what}"));
         assert!(mv.is_none(), "map path reached V: {what}");
     }
+}
+
+#[test]
+fn rows_read_no_key_past_their_live_count() {
+    // Causal 24×24: rows 0..8 see keys 0..8 (their live count, 8), rows
+    // 8..24 see more. Keys 8..24 of K and V turn NaN; the first group's
+    // context, map rows and dQ rows must keep the finite inputs' bits.
+    let (heads, dh, t) = (4, 8, 24);
+    let mut rng = seeded_rng(0x7A11);
+    let mut draw = |n: usize| Tensor::randn([n], 1.0, &mut rng).to_vec();
+    let (q, k, v) = (
+        draw(heads * t * dh),
+        draw(heads * t * dh),
+        draw(heads * t * dh),
+    );
+    let g_out = draw(t * heads * dh);
+    let g_map = draw(t * t);
+    let poison = |x: &[f32]| {
+        let mut x = x.to_vec();
+        for h in 0..heads {
+            x[(h * t + 8) * dh..(h + 1) * t * dh].fill(f32::NAN);
+        }
+        x
+    };
+    let mask = causal_mask(t);
+    // (context, map, output-path dQ, map-path dQ) of one K/V pair.
+    let run = |k: &[f32], v: &[f32]| {
+        let param = |x: &[f32], rows: usize| Tensor::param(x.to_vec(), [heads, rows, dh]);
+        let (qt, kt, vt) = (param(&q, t), param(k, t), param(v, t));
+        let (out, map) = Tensor::fused_attention(&qt, &kt, &vt, Some(&mask));
+        out.mul(&Tensor::from_vec(g_out.clone(), [t, heads * dh]))
+            .sum()
+            .backward();
+        let dq_out = qt.grad().expect("dq");
+        let (qt, kt, vt) = (param(&q, t), param(k, t), param(v, t));
+        let (_, map2) = Tensor::fused_attention(&qt, &kt, &vt, Some(&mask));
+        map2.mul(&Tensor::from_vec(g_map.clone(), [t, t]))
+            .sum()
+            .backward();
+        let dq_map = qt.grad().expect("dq");
+        (out.to_vec(), map.to_vec(), dq_out, dq_map)
+    };
+    let (out, map, dq_out, dq_map) = run(&k, &v);
+    let (p_out, p_map, p_dq_out, p_dq_map) = run(&poison(&k), &poison(&v));
+    let d = heads * dh;
+    assert_bits_eq(&p_out[..8 * d], &out[..8 * d], "context rows 0..8");
+    assert_bits_eq(&p_map[..8 * t], &map[..8 * t], "map rows 0..8");
+    for h in 0..heads {
+        let rows = h * t * dh..(h * t + 8) * dh;
+        let what = format!("head {h} dQ rows 0..8");
+        assert_bits_eq(&p_dq_out[rows.clone()], &dq_out[rows.clone()], &what);
+        assert_bits_eq(&p_dq_map[rows.clone()], &dq_map[rows], &what);
+    }
+    assert!(
+        p_out[8 * d..].iter().any(|x| x.is_nan()),
+        "later rows read the poisoned keys"
+    );
 }

@@ -37,7 +37,7 @@ echo "==> sanitizer (timekd-tensor's opt-in \`sanitize\` feature)"
 # The feature is off in every other step, so compile and test it here.
 cargo test -q -p timekd-tensor --features sanitize --lib sanitize
 
-echo "==> bitwise gates (planned vs dynamic predict and objective, stored teacher targets vs a fresh teacher forward, store rebuilds and no-cache arm, planned vs dynamic epochs across a checkpoint load, zero-alloc replay, key skipping, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh and AdamW lane kernels, libm lint, recorded plans, recorder replay)"
+echo "==> bitwise gates (planned vs dynamic predict and objective, stored teacher targets vs a fresh teacher forward, store rebuilds and no-cache arm, planned vs dynamic epochs across a checkpoint load, zero-alloc replay, key skipping and eight-row attention groups, a group reading no key past its live count, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh, AdamW and row-group dot lane kernels, libm lint, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned forecast and the planned
 # objective over several steps must reproduce the dynamic engine bit for
@@ -58,7 +58,11 @@ cargo test -q -p timekd -- --exact \
   plan::tests::batch_trainer_reuses_cached_plan_across_rebuilds
 cargo test -q -p timekd-bench --test planned_alloc
 # Forbidden-key skipping must match the full-key reference bit for bit,
-# and the pruned last-token CLM forward the full forward's last row, also
+# on every kernel path: full and partial eight-row lane groups, groups cut
+# by a live-count change, and lone rows, over row windows of a mask and
+# the Base CLM's head geometry. A group must read no key past its live
+# count: NaN keys there leave its context, map and dQ rows bitwise
+# unchanged. The pruned last-token CLM forward the full forward's last row, also
 # for each member of a prompt family that shares its prefix's keys and
 # values. The frozen LM replays that family forward as a compiled plan,
 # which must give the same bits for every family, every LM size, with
@@ -67,7 +71,8 @@ cargo test -q -p timekd-bench --test planned_alloc
 # warm-up epoch compiles the family plan once per key.
 cargo test -q -p timekd-tensor --test attention_key_skip -- --exact \
   key_skipping_forward_matches_full_key_reference_bitwise \
-  key_skipping_gradients_match_full_key_reference_bitwise
+  key_skipping_gradients_match_full_key_reference_bitwise \
+  rows_read_no_key_past_their_live_count
 cargo test -q -p timekd-lm --test proptest_lm -- --exact \
   last_token_embedding_is_last_row_of_hidden_states_bitwise \
   prompt_family_embeddings_are_last_rows_of_hidden_states_bitwise
@@ -102,7 +107,7 @@ cargo test -q -p timekd-tensor --lib -- --exact \
 # reference over the finite range, their special values, the same bits in
 # a lane kernel's body and its scalar tail at every row length 0..=33, and
 # softmax rows through them; the AdamW lane kernel gives the scalar
-# update's bits. The lint keeps libm's exp/tanh/exp_m1 out of the kernel
+# update's bits, and the row-group dots give each lane `dot_lanes`' bits. The lint keeps libm's exp/tanh/exp_m1 out of the kernel
 # layer: its rule trips at exact fixture lines and the shipped files pass.
 cargo test -q -p timekd-tensor --test simd_equivalence -- --exact \
   pinned_exp_is_within_two_ulp_over_the_finite_range \
@@ -111,7 +116,9 @@ cargo test -q -p timekd-tensor --test simd_equivalence -- --exact \
   lane_body_and_scalar_tail_give_the_same_bits_at_every_length \
   softmax_rows_use_the_pinned_exp_at_every_length
 cargo test -q -p timekd-tensor --lib -- --exact \
-  simd::tests::adamw_lanes_matches_the_scalar_update_at_every_length
+  simd::tests::adamw_lanes_matches_the_scalar_update_at_every_length \
+  simd::tests::row_group_dots_match_dot_lanes_per_lane \
+  simd::tests::transpose8_swaps_rows_and_lanes
 # The NT matmul adjoint runs `dot_lanes` for 8 outputs at once (one
 # accumulator per lane class): a plain-loop restatement of that order must
 # match it over every (m, k, n) up to 17, dynamically and through a
