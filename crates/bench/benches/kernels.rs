@@ -1,7 +1,6 @@
 //! Microbenchmarks of the hot kernels underneath every experiment:
-//! batched matmul, fused attention at the CLM's and the student's
-//! shapes, calibrated-LM prompt encoding, subtractive cross attention,
-//! and the full student forward pass.
+//! batched matmul, calibrated-LM prompt encoding, subtractive cross
+//! attention, and the full student forward pass.
 //!
 //! Dependency-free harness: each benchmark is warmed up, then timed over a
 //! fixed iteration budget, reporting the mean wall time per iteration.
@@ -13,7 +12,6 @@ use std::time::Instant;
 
 use timekd::{SubtractiveCrossAttention, TimeKdConfig};
 use timekd_lm::{pretrain_lm, LmConfig, LmSize, PretrainConfig, PromptTokenizer};
-use timekd_nn::{causal_mask, causal_mask_rows};
 use timekd_tensor::{no_grad, seeded_rng, Tensor};
 
 /// Times `f` and prints mean ns/iter. Warmup runs are discarded so cold
@@ -50,48 +48,6 @@ fn bench_softmax() {
     bench("softmax_64x128", 500, || {
         no_grad(|| black_box(&x).softmax_last());
     });
-}
-
-/// Fused attention at the Base CLM's head geometry (4 heads, dh = 8):
-/// a calibrated causal prompt, a pretraining layer, the row window a
-/// family's ground-truth member feeds, and the served student's 7 rows.
-/// Forward alone, then forward plus both backward passes.
-fn bench_attention() {
-    let mut rng = seeded_rng(5);
-    let calibrated = |t: usize| {
-        let mut m = causal_mask(t).to_vec();
-        for i in 0..t {
-            for j in 0..=i {
-                if (i % 3 == 1) != (j % 3 == 1) {
-                    m[i * t + j] = -2.0;
-                }
-            }
-        }
-        Tensor::from_vec(m, [t, t])
-    };
-    let cases = [
-        ("attention_4x49x49_calibrated", 49, 49, Some(calibrated(49))),
-        ("attention_4x62x62_causal", 62, 62, Some(causal_mask(62))),
-        (
-            "attention_4x39x79_row_window",
-            39,
-            79,
-            Some(causal_mask_rows(40, 79)),
-        ),
-        ("attention_4x7x7_student", 7, 7, None),
-    ];
-    for (name, tq, tk, mask) in cases {
-        let q = Tensor::randn_param([4, tq, 8], 1.0, &mut rng);
-        let k = Tensor::randn_param([4, tk, 8], 1.0, &mut rng);
-        let v = Tensor::randn_param([4, tk, 8], 1.0, &mut rng);
-        bench(&format!("{name}_fwd"), 2000, || {
-            no_grad(|| Tensor::fused_attention(black_box(&q), &k, &v, mask.as_ref()));
-        });
-        bench(&format!("{name}_fwd_bwd"), 1000, || {
-            let (out, map) = Tensor::fused_attention(black_box(&q), &k, &v, mask.as_ref());
-            out.sum().add(&map.sum()).backward();
-        });
-    }
 }
 
 fn bench_clm_prompt() {
@@ -149,7 +105,6 @@ fn bench_student_forward() {
 fn main() {
     bench_matmul();
     bench_softmax();
-    bench_attention();
     bench_clm_prompt();
     bench_sca();
     bench_student_forward();

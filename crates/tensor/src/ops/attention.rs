@@ -33,43 +33,39 @@
 //!
 //! Every call runs on the calling thread, through the same `_block`
 //! kernels the plan executors call, so planned and dynamic attention
-//! agree bit for bit. Each row has one operation order, and two kernel
-//! paths give it:
+//! agree bit for bit.
 //!
-//! - **Lane groups.** A run of 2–8 consecutive query rows with one live
-//!   key count (see "Forbidden keys") runs side by side, one row per
-//!   [`F32x8`] lane ([`attn_fwd_group_block`], [`attn_bwd_dq_group_block`]).
-//!   Each lane keeps the one-row order below for its own row: the score
-//!   chain, the sequential max and denominator, the pinned [`simd::exp`],
-//!   and [`simd::dot_rows_lanes`] for the context and `dQ`, which restates
-//!   [`simd::dot_lanes`] per lane (8 class accumulators per output, the
-//!   `hsum` tree lane-wise, then the tail). A group's spare lanes repeat
-//!   its last row and are never stored. Causal masks, and the row windows
-//!   a prompt family feeds, split into such runs almost everywhere: rows
-//!   `8b..8b + 8` of a causal mask all have live count `8b + 8`.
-//! - **One row.** Any other row (a lone row, such as the last row of an
-//!   odd-length call) runs alone. The head's `K`/`V` panels are packed
-//!   into `[dh, T_k]` scratch so the loops are contiguous length-`T_k`
-//!   `axpy`/dot sweeps: `dh` ascending-`d` fmadd score sweeps from the
-//!   bias, a sequential max, `exp(s − m)`, a sequential denominator, and
-//!   one [`simd::dot_lanes`] per context element.
+//! Query rows run in lane groups: a run of up to 8 consecutive rows with
+//! one live key count (see "Forbidden keys") runs side by side, one row
+//! per [`F32x8`] lane ([`attn_fwd_group_block`], [`attn_bwd_dq_group_block`]).
+//! Each lane keeps one operation order for its own row: the bias plus an
+//! ascending-`d` fmadd chain per score, a sequential max, the pinned
+//! [`simd::exp`] of `s − m`, a sequential denominator, and
+//! [`simd::dot_rows_lanes`] for each context and `dQ` element, which
+//! restates [`simd::dot_lanes`] per lane (8 class accumulators per output,
+//! the `hsum` tree lane-wise, then the tail). A group's spare lanes repeat
+//! its last row and are never stored, so a row's bits do not depend on the
+//! size of its group; a lone row (such as the last row of an odd-length
+//! call, or a one-row query) is a group of one. Causal masks, and the row
+//! windows a prompt family feeds, split into full groups almost
+//! everywhere: rows `8b..8b + 8` of a causal mask all have live count
+//! `8b + 8`.
 //!
 //! The forward ([`attn_fwd_row_block`]) runs every group over all heads
-//! (the group's bias is interleaved once), then the lone rows head by
-//! head; every row accumulates its share of the averaged map across heads
-//! in ascending order. The backward ([`attn_bwd_block`]) runs two passes:
-//! pass A ([`attn_bwd_dq_block`], grouped the same way) recomputes `P`
-//! from the saved statistics (same accumulation order as the forward, so
-//! bit-identical scores), computes `dQ`, and stores `P` and `dS` into
-//! transient scratch — never retained across forward/backward like the
-//! composed chain's saved softmax output; pass B is then pure
-//! accumulation of `dK`/`dV` per head, vectorised over keys, with a
-//! fixed-order query loop and every output element an independent sum.
+//! (the group's bias is interleaved once); every row accumulates its share
+//! of the averaged map across heads in ascending order. The backward
+//! ([`attn_bwd_block`]) runs two passes: pass A ([`attn_bwd_dq_block`],
+//! grouped the same way) recomputes `P` from the saved statistics (same
+//! accumulation order as the forward, so bit-identical scores), computes
+//! `dQ`, and stores `P` and `dS` into transient scratch — never retained
+//! across forward/backward like the composed chain's saved softmax output;
+//! pass B is then pure accumulation of `dK`/`dV` per head, vectorised over
+//! keys, with a fixed-order query loop and every output element an
+//! independent sum.
 //!
-//! The dot/axpy sweeps are [`simd::dot_lanes`], [`simd::dot_rows_lanes`]
-//! and [`simd::axpy_lanes`], whose 8-lane fused-multiply-add blocking is
-//! the one pinned reduction order (see [`crate::simd`]). The head panels
-//! are packed with the matmul kernels' cache-blocked transpose.
+//! The dot/axpy sweeps are [`simd::dot_rows_lanes`] and
+//! [`simd::axpy_lanes`], whose 8-lane fused-multiply-add blocking is the
+//! one pinned reduction order (see [`crate::simd`]).
 //!
 //! ## Forbidden keys
 //!
@@ -87,7 +83,7 @@
 //! the same key and no lane needs a stop of its own: a group reads keys
 //! `0..n` and nothing past them (`attention_key_skip.rs` fills the keys
 //! past a group's count with NaN to check it). Rows whose counts differ
-//! end a run, and a run of one row takes the one-row path.
+//! end a group.
 //!
 //! The skip is exact, not an approximation. A forbidden score sits about
 //! 1e9 below every allowed one, so it never sets the row max and its
@@ -107,7 +103,6 @@
 
 use std::rc::Rc;
 
-use crate::ops::matmul::pack_transpose_into;
 use crate::shape::Shape;
 use crate::simd::{self, F32x8};
 use crate::symbolic::SymAttr;
@@ -178,14 +173,9 @@ impl MaskData {
 /// Query rows one lane group holds: one row per [`F32x8`] lane.
 const GROUP: usize = F32x8::LANES;
 
-/// Fewest rows a lane group runs; a shorter run of rows takes the one-row
-/// path.
-const MIN_GROUP: usize = 2;
-
 /// Floats of lane scratch the forward of an attention call with `tk` keys
 /// and head dim `dh` needs: the group's interleaved bias, a `[T_k, 8]`
-/// score buffer (the one-row path's score row too) and the `[dh, 8]`
-/// query panel.
+/// score buffer and the `[dh, 8]` query panel.
 pub(crate) fn attn_fwd_lanes_len(tk: usize, dh: usize) -> usize {
     GROUP * (2 * tk + dh)
 }
@@ -291,7 +281,7 @@ fn gather_panel_block(
 
 /// Scaled masked scores of one lane group into `s_buf` (`[n, 8]`, `n`
 /// the keys `bias_t` covers): each lane's bias, then one ascending-`dh`
-/// fmadd chain per score, as the one-row path's `axpy` sweeps build them.
+/// fmadd chain per score.
 /// `sq` holds the group's scaled `[dh, 8]` query panel and `k` the head's
 /// `[T_k, dh]` keys. Four keys run side by side to overlap their chains.
 fn group_scores_block(bias_t: &[f32], sq: &[f32], k: &[f32], dh: usize, s_buf: &mut [f32]) {
@@ -332,13 +322,8 @@ fn group_scores_block(bias_t: &[f32], sq: &[f32], k: &[f32], dh: usize, s_buf: &
 
 /// Forward kernel: computes every output row across all heads.
 ///
-/// Rows run in lane groups ([`attn_fwd_group_block`]) where a run of at
-/// least [`MIN_GROUP`] consecutive rows shares one live key count, and one
-/// row at a time otherwise; both give a row the same bits. On the one-row
-/// path the head loop is outermost so each head's `K`/`V` panels are
-/// packed once (into `kt`/`vt`, `[dh, T_k]` layout) and reused by every
-/// such row; the score, softmax and context loops then run contiguously
-/// over keys. For each (head, row): scaled masked
+/// Rows run in lane groups ([`attn_fwd_group_block`]), one per run of
+/// [`row_runs`], each over all heads. For each (head, row): scaled masked
 /// scores, a max-shifted softmax (statistics recorded into
 /// `stats_m`/`stats_l`), the head's slice of the merged context row, and
 /// the row's share of the head-averaged map. Every row visits heads in
@@ -357,8 +342,6 @@ pub(crate) fn attn_fwd_row_block(
     mut map_out: Option<&mut [f32]>,
     stats_m: &mut [f32],
     stats_l: &mut [f32],
-    kt: &mut [f32],
-    vt: &mut [f32],
     lanes: &mut [f32],
     heads: usize,
     tq: usize,
@@ -366,16 +349,10 @@ pub(crate) fn attn_fwd_row_block(
     dh: usize,
     scale: f32,
 ) {
-    let (d, hk) = (heads * dh, tk * dh);
-    let inv_heads = 1.0 / heads as f32;
+    let hk = tk * dh;
     let live = mask.map(|mk| mk.live);
     let (bias_t, lanes) = lanes.split_at_mut(GROUP * tk);
-    let mut one_row = false;
     for (i0, len) in row_runs(live, tq) {
-        if len < MIN_GROUP {
-            one_row = true;
-            continue;
-        }
         let n = live.map_or(tk, |l| l[i0]);
         match mask {
             Some(mk) => interleave_rows_block(mk.bias, tk, i0, len, n, bias_t),
@@ -403,56 +380,15 @@ pub(crate) fn attn_fwd_row_block(
             );
         }
     }
-    if !one_row {
-        return;
-    }
-    for h in 0..heads {
-        pack_transpose_into(&k[h * hk..(h + 1) * hk], kt, tk, dh);
-        pack_transpose_into(&v[h * hk..(h + 1) * hk], vt, tk, dh);
-        for (i0, len) in row_runs(live, tq).filter(|&(_, len)| len < MIN_GROUP) {
-            for i in i0..i0 + len {
-                let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
-                let n = live.map_or(tk, |l| l[i]);
-                let row = &mut lanes[..n];
-                match mask {
-                    Some(mk) => row.copy_from_slice(&mk.bias[i * tk..i * tk + n]),
-                    None => row.fill(0.0),
-                }
-                for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
-                    simd::axpy_lanes(row, scale * qd, &kcol[..n]);
-                }
-                let mut mx = f32::NEG_INFINITY;
-                for &s in row.iter() {
-                    if s > mx {
-                        mx = s;
-                    }
-                }
-                simd::update_lanes(row, |s| simd::exp(s - mx));
-                let mut denom = 0.0f32;
-                for &e in row.iter() {
-                    denom += e;
-                }
-                stats_m[i * heads + h] = mx;
-                stats_l[i * heads + h] = denom;
-                let inv = 1.0 / denom;
-                if let Some(map) = map_out.as_deref_mut() {
-                    simd::axpy_lanes(&mut map[i * tk..i * tk + n], inv * inv_heads, row);
-                }
-                let out_head = &mut out[i * d + h * dh..i * d + (h + 1) * dh];
-                for (o, vcol) in out_head.iter_mut().zip(vt.chunks_exact(tk)) {
-                    *o = inv * simd::dot_lanes(row, &vcol[..n]);
-                }
-            }
-        }
-    }
 }
 
 /// One lane group of the forward, head `h`: query rows `i0..i0 + len`
 /// (`len ≤ 8`, one live key count `n`), lane `l` holding row `i0 + l`.
 /// `q`, `k` and `v` are the head's `[T_q, dh]`, `[T_k, dh]` and
-/// `[T_k, dh]` blocks and `bias_t` the group's interleaved bias. Spare lanes repeat the last row and are never stored.
+/// `[T_k, dh]` blocks and `bias_t` the group's interleaved bias. Spare
+/// lanes repeat the last row and are never stored.
 ///
-/// Each lane keeps the one-row path's operation order for its row: the
+/// Each lane keeps its row's operation order (see the module docs): the
 /// bias plus an ascending-`dh` fmadd chain per score, the sequential max,
 /// the pinned [`simd::exp`] of `s − m`, the sequential denominator, one
 /// fmadd per map element, and [`simd::dot_rows_lanes`] (the
@@ -543,11 +479,8 @@ fn attn_fwd_group_block(
 /// scaled score gradients `dS_ij = P_ij (dP_ij − D_i) · scale` into
 /// `ds_rows` (`[H, T_q, T_k]` each), so pass B is pure accumulation. A
 /// masked row fills only its live keys; pass B never reads past them.
-/// Rows run in lane groups ([`attn_bwd_dq_group_block`]) where the
-/// forward does, and one row at a time otherwise, with the head's `K`
-/// (and, on the output path, `V`) panel packed once into `kt`/`vt` so
-/// every inner loop runs contiguously over keys. `lanes` holds at least
-/// [`attn_bwd_lanes_len`] floats.
+/// Rows run in the forward's lane groups ([`attn_bwd_dq_group_block`]).
+/// `lanes` holds at least [`attn_bwd_lanes_len`] floats.
 #[allow(clippy::too_many_arguments)]
 fn attn_bwd_dq_block(
     q: &[f32],
@@ -561,8 +494,6 @@ fn attn_bwd_dq_block(
     dq: &mut [f32],
     p_rows: &mut [f32],
     ds_rows: &mut [f32],
-    kt: &mut [f32],
-    vt: &mut [f32],
     lanes: &mut [f32],
     heads: usize,
     tq: usize,
@@ -570,16 +501,10 @@ fn attn_bwd_dq_block(
     dh: usize,
     scale: f32,
 ) {
-    let (d, hk, hp) = (heads * dh, tk * dh, tq * tk);
-    let inv_heads = 1.0 / heads as f32;
+    let (hk, hp) = (tk * dh, tq * tk);
     let live = mask.map(|mk| mk.live);
     let (bias_t, lanes) = lanes.split_at_mut(GROUP * tk);
-    let mut one_row = false;
     for (i0, len) in row_runs(live, tq) {
-        if len < MIN_GROUP {
-            one_row = true;
-            continue;
-        }
         let n = live.map_or(tk, |l| l[i0]);
         match mask {
             Some(mk) => interleave_rows_block(mk.bias, tk, i0, len, n, bias_t),
@@ -614,74 +539,15 @@ fn attn_bwd_dq_block(
             );
         }
     }
-    if !one_row {
-        return;
-    }
-    for h in 0..heads {
-        pack_transpose_into(&k[h * hk..(h + 1) * hk], kt, tk, dh);
-        if g_out.is_some() {
-            pack_transpose_into(&v[h * hk..(h + 1) * hk], vt, tk, dh);
-        }
-        for (i0, len) in row_runs(live, tq).filter(|&(_, len)| len < MIN_GROUP) {
-            for i in i0..i0 + len {
-                let q_row = &q[(h * tq + i) * dh..(h * tq + i + 1) * dh];
-                let inv = 1.0 / stats_l[i * heads + h];
-                let mx = stats_m[i * heads + h];
-                let n = live.map_or(tk, |l| l[i]);
-                let base = h * hp + i * tk;
-                let p_row = &mut p_rows[base..base + n];
-                let ds_row = &mut ds_rows[base..base + n];
-                // Scores rebuilt with the forward's exact packed
-                // accumulation order, then normalized against the saved
-                // statistics.
-                match mask {
-                    Some(mk) => p_row.copy_from_slice(&mk.bias[i * tk..i * tk + n]),
-                    None => p_row.fill(0.0),
-                }
-                for (kcol, &qd) in kt.chunks_exact(tk).zip(q_row) {
-                    simd::axpy_lanes(p_row, scale * qd, &kcol[..n]);
-                }
-                simd::update_lanes(p_row, |s| simd::exp(s - mx));
-                for p in p_row.iter_mut() {
-                    *p *= inv;
-                }
-                // dP into the dS slots (converted in place after D is known).
-                match (g_out, g_map) {
-                    (Some(g), _) => {
-                        let g_head = &g[i * d + h * dh..i * d + (h + 1) * dh];
-                        ds_row.fill(0.0);
-                        for (vcol, &gd) in vt.chunks_exact(tk).zip(g_head) {
-                            simd::axpy_lanes(ds_row, gd, &vcol[..n]);
-                        }
-                    }
-                    (None, Some(g)) => {
-                        for (dp, &gm) in ds_row.iter_mut().zip(&g[i * tk..i * tk + n]) {
-                            *dp = gm * inv_heads;
-                        }
-                    }
-                    (None, None) => ds_row.fill(0.0),
-                }
-                let dsum = simd::dot_lanes(p_row, ds_row);
-                for (ds, &p) in ds_row.iter_mut().zip(p_row.iter()) {
-                    *ds = p * (*ds - dsum) * scale;
-                }
-                let dq_row = &mut dq[(h * tq + i) * dh..(h * tq + i + 1) * dh];
-                for (o, kcol) in dq_row.iter_mut().zip(kt.chunks_exact(tk)) {
-                    *o += simd::dot_lanes(ds_row, &kcol[..n]);
-                }
-            }
-        }
-    }
 }
 
 /// One lane group of pass A, head `h`: query rows `i0..i0 + len` (`len ≤
 /// 8`, one live key count `n`), lane `l` holding row `i0 + l`. `q`, `k`
 /// and `v` are the head's blocks (`v` empty on the map path), `bias_t`
 /// the group's interleaved bias, and `dq`, `p_rows` and `ds_rows` the
-/// head's slices. Spare lanes repeat the
-/// last row and are never stored.
+/// head's slices. Spare lanes repeat the last row and are never stored.
 ///
-/// Each lane keeps the one-row path's operation order for its row: the
+/// Each lane keeps its row's operation order (see the module docs): the
 /// forward's score chain, `exp(s − m) · (1/l)`, `dP` as an ascending-`dh`
 /// fmadd chain (or `g_map · (1/H)`), `D` in the [`simd::dot_lanes`] order,
 /// `dS = P (dP − D) · scale`, and each `dQ` element as a
@@ -826,15 +692,13 @@ fn attn_bwd_dkv_block(
 }
 
 /// Scratch of [`attn_bwd_block`]: the `P`/`dS` row maps pass A fills for
-/// pass B (`[H, T_q, T_k]` each), four `[dh, T_k]` head panels and pass
-/// A's lane buffers. Sized once for the largest attention a caller
+/// pass B (`[H, T_q, T_k]` each), pass B's two `[dh, T_k]` gradient
+/// panels and pass A's lane buffers. Sized once for the largest attention a caller
 /// runs.
 #[derive(Debug)]
 pub(crate) struct AttnBwdScratch {
     p: Vec<f32>,
     ds: Vec<f32>,
-    kt: Vec<f32>,
-    vt: Vec<f32>,
     dkt: Vec<f32>,
     dvt: Vec<f32>,
     lanes: Vec<f32>,
@@ -847,8 +711,6 @@ impl AttnBwdScratch {
         AttnBwdScratch {
             p: vec![0.0; p_len],
             ds: vec![0.0; p_len],
-            kt: vec![0.0; kt_len],
-            vt: vec![0.0; kt_len],
             dkt: vec![0.0; kt_len],
             dvt: vec![0.0; kt_len],
             lanes: vec![0.0; lanes_len],
@@ -891,8 +753,6 @@ pub(crate) fn attn_bwd_block(
     let AttnBwdScratch {
         p,
         ds,
-        kt,
-        vt,
         dkt,
         dvt,
         lanes,
@@ -909,8 +769,6 @@ pub(crate) fn attn_bwd_block(
         &mut dq[..heads * hq],
         &mut p[..heads * hp],
         &mut ds[..heads * hp],
-        &mut kt[..hk],
-        &mut vt[..hk],
         &mut lanes[..attn_bwd_lanes_len(tk, dh)],
         heads,
         tq,
@@ -1023,11 +881,7 @@ impl Tensor {
             mask.map(|m| Rc::new(MaskData::new(m.to_vec(), tq, tk)));
         {
             let (q_ref, k_ref, v_ref) = (q.data(), k.data(), v.data());
-            // Packed K and V panels ([dh, T_k] each) plus the lane
-            // buffers.
-            let mut scratch = vec![0.0f32; 2 * tk * dh + attn_fwd_lanes_len(tk, dh)];
-            let (kt, rest) = scratch.split_at_mut(tk * dh);
-            let (vt, lanes) = rest.split_at_mut(tk * dh);
+            let mut lanes = vec![0.0f32; attn_fwd_lanes_len(tk, dh)];
             attn_fwd_row_block(
                 &q_ref,
                 &k_ref,
@@ -1037,9 +891,7 @@ impl Tensor {
                 Some(&mut map),
                 &mut stats.m,
                 &mut stats.l,
-                kt,
-                vt,
-                lanes,
+                &mut lanes,
                 heads,
                 tq,
                 tk,

@@ -1267,8 +1267,6 @@ pub struct PlanExecutor {
     pub(crate) mask_live: Vec<Vec<usize>>,
     /// Key length `T_k` of each mask slot (0 for other slots).
     mask_tk: Vec<usize>,
-    attn_kt: Vec<f32>,
-    attn_vt: Vec<f32>,
     /// Lane-group buffers of the attention kernels (see `attn_fwd_lanes_len`).
     attn_lanes: Vec<f32>,
     /// The softmax statistics of every attention step's last run —
@@ -1347,7 +1345,7 @@ impl PlanExecutor {
 
         let mut exec = Vec::with_capacity(plan.steps().len());
         let mut mask_tk = vec![0usize; plan.spec().aux_labels.len()];
-        let (mut kt_len, mut vt_len, mut lanes_len, mut st_len) = (0, 0, 0, 0usize);
+        let (mut lanes_len, mut st_len) = (0, 0usize);
         let (mut out_sink_len, mut zero_v_len) = (0usize, 0usize);
         for step in plan.steps() {
             let out_v = &plan.values()[step.output];
@@ -1407,8 +1405,6 @@ impl PlanExecutor {
                     | PlanOp::MaskedAttention { heads, tq, tk, dh },
                     ..,
                 ) => {
-                    kt_len = kt_len.max(dh * tk);
-                    vt_len = vt_len.max(dh * tk);
                     lanes_len = lanes_len.max(attn_fwd_lanes_len(*tk, *dh));
                     let stats = st_len;
                     st_len += 2 * tq * heads;
@@ -1431,8 +1427,6 @@ impl PlanExecutor {
                     }
                 }
                 (PlanOp::FusedAttentionMap { heads, tq, tk, dh }, ..) => {
-                    kt_len = kt_len.max(dh * tk);
-                    vt_len = vt_len.max(dh * tk);
                     lanes_len = lanes_len.max(attn_fwd_lanes_len(*tk, *dh));
                     let stats = st_len;
                     st_len += 2 * tq * heads;
@@ -1540,8 +1534,6 @@ impl PlanExecutor {
             aux,
             mask_live,
             mask_tk,
-            attn_kt: vec![0.0f32; kt_len],
-            attn_vt: vec![0.0f32; vt_len],
             attn_lanes: vec![0.0f32; lanes_len],
             attn_saved: vec![0.0f32; st_len],
             attn_out_sink: vec![0.0f32; out_sink_len],
@@ -1659,8 +1651,6 @@ impl PlanExecutor {
                         None,
                         &mut m_sink[..tq * heads],
                         &mut l_sink[..tq * heads],
-                        &mut self.attn_kt[..dh * tk],
-                        &mut self.attn_vt[..dh * tk],
                         &mut self.attn_lanes[..attn_fwd_lanes_len(*tk, *dh)],
                         *heads,
                         *tq,
@@ -1690,8 +1680,6 @@ impl PlanExecutor {
                         Some(out),
                         &mut m_sink[..tq * heads],
                         &mut l_sink[..tq * heads],
-                        &mut self.attn_kt[..dh * tk],
-                        &mut self.attn_vt[..dh * tk],
                         &mut self.attn_lanes[..attn_fwd_lanes_len(*tk, *dh)],
                         *heads,
                         *tq,

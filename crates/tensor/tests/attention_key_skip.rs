@@ -12,8 +12,9 @@
 //! in {1, 7, 8, 9, 79} so live ranges end inside the lane tail, and
 //! single-row queries against the last mask row (the pruned CLM block).
 //!
-//! The kernels run runs of rows with one live key count eight at a time,
-//! one row per lane, and every other row alone. So the cases also cover
+//! The kernels run each run of up to eight rows with one live key count
+//! side by side, one row per lane; a lone row is a group of one. So the
+//! cases also cover
 //! `(heads, dh) = (4, 8)` (the Base CLM), row windows `start..79` of a
 //! 79×79 mask (start 40, as a prompt family's ground-truth member feeds
 //! it, and start 3, whose first group mixes live counts), and `T_q` in

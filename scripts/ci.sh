@@ -58,17 +58,18 @@ cargo test -q -p timekd -- --exact \
   plan::tests::batch_trainer_reuses_cached_plan_across_rebuilds
 cargo test -q -p timekd-bench --test planned_alloc
 # Forbidden-key skipping must match the full-key reference bit for bit,
-# on every kernel path: full and partial eight-row lane groups, groups cut
-# by a live-count change, and lone rows, over row windows of a mask and
-# the Base CLM's head geometry. A group must read no key past its live
-# count: NaN keys there leave its context, map and dQ rows bitwise
-# unchanged. The pruned last-token CLM forward the full forward's last row, also
-# for each member of a prompt family that shares its prefix's keys and
-# values. The frozen LM replays that family forward as a compiled plan,
-# which must give the same bits for every family, every LM size, with
-# calibration on and off. A family batch through the frozen-LM cache must
-# give the values, counters and entries of sequential `embed` calls, and a
-# warm-up epoch compiles the family plan once per key.
+# for every lane-group shape: full and partial eight-row groups, groups
+# cut by a live-count change, and lone rows (groups of one), over row
+# windows of a mask and the Base CLM's head geometry. A group must read no
+# key past its live count: NaN keys there leave its context, map and dQ
+# rows bitwise unchanged. The pruned last-token CLM forward must match the
+# full forward's last row, also for each member of a prompt family that
+# shares its prefix's keys and values. The frozen LM replays that family
+# forward as a compiled plan, which must give the same bits for every
+# family, every LM size, with calibration on and off. A family batch
+# through the frozen-LM cache must give the values, counters and entries of
+# sequential `embed` calls, and a warm-up epoch compiles the family plan
+# once per key.
 cargo test -q -p timekd-tensor --test attention_key_skip -- --exact \
   key_skipping_forward_matches_full_key_reference_bitwise \
   key_skipping_gradients_match_full_key_reference_bitwise \
@@ -107,8 +108,9 @@ cargo test -q -p timekd-tensor --lib -- --exact \
 # reference over the finite range, their special values, the same bits in
 # a lane kernel's body and its scalar tail at every row length 0..=33, and
 # softmax rows through them; the AdamW lane kernel gives the scalar
-# update's bits, and the row-group dots give each lane `dot_lanes`' bits. The lint keeps libm's exp/tanh/exp_m1 out of the kernel
-# layer: its rule trips at exact fixture lines and the shipped files pass.
+# update's bits, and the row-group dots give each lane `dot_lanes`' bits.
+# The lint keeps libm's exp/tanh/exp_m1 out of the kernel layer: its rule
+# trips at exact fixture lines and the shipped files pass.
 cargo test -q -p timekd-tensor --test simd_equivalence -- --exact \
   pinned_exp_is_within_two_ulp_over_the_finite_range \
   pinned_tanh_is_within_two_ulp_over_the_finite_range \
