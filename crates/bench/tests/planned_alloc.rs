@@ -1,10 +1,11 @@
-//! Proves the compiled-plan student predict *and training* paths are
-//! allocation-free.
+//! Proves the compiled-plan student predict *and training* paths, and the
+//! teacher's planned warm-up step, are allocation-free.
 //!
 //! Installs [`PeakAlloc`] as this binary's global allocator and measures
-//! the heap around a batch of [`PlannedStudent::predict_into`] calls and
+//! the heap around a batch of [`PlannedStudent::predict_into`] calls,
 //! then [`PlannedBatchTrainer`] steps (`stage_window`,
-//! `stage_teacher`, `run_batch`) on the objective plan the trainer runs:
+//! `stage_teacher`, `run_batch`) on the objective plan the trainer runs,
+//! then [`PlannedTeacherTrainer::run_step`] calls on a window's CLM rows:
 //! after the warm-up call, live bytes must not move and the peak must not
 //! rise — i.e. every hot loop (forward replay, reverse schedule,
 //! clipping, fused optimizer update) performs **zero**
@@ -15,8 +16,14 @@
 //! the global counters. A plain single-threaded `main` makes the
 //! measurement window deterministic.
 
-use timekd::{student_plan_optimizer, PlannedBatchTrainer, PlannedStudent, Student, TimeKdConfig};
+use std::rc::Rc;
+
+use timekd::{
+    trainer_plan_optimizer, CrossModalityTeacher, PlannedBatchTrainer, PlannedStudent,
+    PlannedTeacherTrainer, Student, TimeKdConfig,
+};
 use timekd_bench::PeakAlloc;
+use timekd_lm::{CausalLm, FrozenLm, PromptTokenizer};
 use timekd_tensor::{seeded_rng, Tensor};
 
 #[global_allocator]
@@ -62,7 +69,7 @@ fn main() {
     let att = Tensor::randn([num_vars, num_vars], 1.0, &mut rng).softmax_last();
     let emb = Tensor::randn([num_vars, config.dim], 1.0, &mut rng);
     let mut trainer =
-        PlannedBatchTrainer::new(&student, &config, student_plan_optimizer(&config), 1)
+        PlannedBatchTrainer::new(&student, &config, trainer_plan_optimizer(&config), 1)
             .expect("objective plan compiles");
     let mut step = || {
         trainer.stage_window(0, &x, &y);
@@ -96,5 +103,46 @@ fn main() {
     println!(
         "planned_alloc: 64 objective stage+run_batch calls, zero heap movement \
          ({live_before} live bytes)"
+    );
+
+    // And for the teacher's warm-up step on a window's CLM rows, bound
+    // through `PlannedTeacherTrainer`. The CLM itself never runs: the rows
+    // are the step's input.
+    let lm = CausalLm::new(PromptTokenizer::new().vocab_size(), config.lm, &mut rng);
+    let teacher = CrossModalityTeacher::new(
+        Rc::new(FrozenLm::new(lm)),
+        config,
+        input_len,
+        horizon,
+        &mut rng,
+    );
+    let rows = (
+        Tensor::randn([num_vars, config.lm.dim], 1.0, &mut rng),
+        Tensor::randn([num_vars, config.lm.dim], 1.0, &mut rng),
+    );
+    let mut teacher_trainer =
+        PlannedTeacherTrainer::new(&teacher, &config, num_vars, trainer_plan_optimizer(&config))
+            .expect("teacher plan compiles");
+    let mut loss = teacher_trainer.run_step(&x, &y, Some(&rows));
+
+    let live_before = ALLOC.live_bytes();
+    ALLOC.reset_peak();
+    for _ in 0..64 {
+        loss = teacher_trainer.run_step(&x, &y, Some(&rows));
+    }
+    let live_after = ALLOC.live_bytes();
+    let peak_after = ALLOC.peak_bytes();
+
+    assert_eq!(
+        live_after, live_before,
+        "teacher training step must not leak or allocate"
+    );
+    assert_eq!(
+        peak_after, live_before,
+        "teacher training step must not allocate even transiently"
+    );
+    assert!(loss.is_finite(), "teacher loss must be finite");
+    println!(
+        "planned_alloc: 64 teacher run_step calls, zero heap movement ({live_before} live bytes)"
     );
 }

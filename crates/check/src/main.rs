@@ -17,7 +17,8 @@
 //!   proves slot interference soundness, def-before-use, the arena bound,
 //!   and a clean diff against the recorded graph and dynamic execution,
 //!   for the whole configuration matrix. The trainer's objective plans
-//!   (PKD + forecast, clip, AdamW) additionally get the chained backward
+//!   (PKD + forecast, clip, AdamW) and the teacher's warm-up plans
+//!   (reconstruction, clip, AdamW) additionally get the chained backward
 //!   passes: adjoint completeness (frozen parameters provably receive no
 //!   update), reverse-topological validity, saved-activation liveness
 //!   over the combined forward+backward timeline, and a bitwise
@@ -181,8 +182,8 @@ fn run_verify(json: bool) -> Result<(), String> {
 fn run_plan_checks() -> Result<(), String> {
     let report = verify_plans();
     println!(
-        "plan: verified {} configs' forward and objective training plans ({} geometries \
-         executed against the dynamic engine)",
+        "plan: verified {} configs' forward, objective and teacher training plans ({} \
+         geometries executed against the dynamic engine)",
         report.configs_checked, report.geometries_executed
     );
     for f in &report.findings {

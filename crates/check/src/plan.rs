@@ -32,13 +32,15 @@
 //!
 //! ## Backward passes (training plans)
 //!
-//! The training plan proven is the one the trainer replays: the student
-//! objective plan (PKD + forecasting, gradient clipping, the trainer's
-//! fused AdamW) from [`compile_student_objective_plan`]. It gets the four
-//! static passes above (the graph diff against the objective's loss root)
-//! and four more over the reverse schedule, run as a *chain*: each pass
-//! runs only when every earlier backward pass is clean, so the first
-//! firing pass names the fault class unambiguously.
+//! The training plans proven are the two the trainer replays: the
+//! student objective plan (PKD + forecasting, gradient clipping, the
+//! trainer's fused AdamW) from [`compile_student_objective_plan`], and the
+//! teacher's warm-up plan (projection, SCA, `PTEncoder`, reconstruction
+//! head, `λ_r · L_recon`, clipping, AdamW) from [`compile_teacher_plan`].
+//! Each gets the four static passes above (the graph diff against its
+//! recorded loss root) and four more over the reverse schedule, run as a
+//! *chain*: each pass runs only when every earlier backward pass is
+//! clean, so the first firing pass names the fault class unambiguously.
 //!
 //! 5. **adjoint-incomplete** — every reachable trainable parameter
 //!    receives exactly one well-formed gradient (one `Init` among its
@@ -56,21 +58,28 @@
 //!    to last consumer) and prove no two simultaneously-live values share
 //!    an arena slot.
 //! 8. **train-divergence** — bind the plan through
-//!    [`PlannedBatchTrainer`], run real planned steps on seeded windows
-//!    and teacher products, and require bitwise-identical parameters vs
-//!    the dynamic [`student_objective`] step (backward, clip, the
-//!    trainer's AdamW).
+//!    [`PlannedBatchTrainer`] (or [`PlannedTeacherTrainer`]), run real
+//!    planned steps on seeded windows and teacher products (or CLM rows),
+//!    and require bitwise-identical parameters vs the dynamic
+//!    [`student_objective`] (or [`teacher_objective`]) step (backward,
+//!    clip, the trainer's AdamW). The student pass runs once per student
+//!    geometry, the teacher pass for every configuration.
 //!
 //! Each pass has a fault-injection test (via
 //! [`PlanFault`](timekd_tensor::PlanFault)) proving it actually fires.
 
 use std::collections::{HashMap, HashSet};
 
+use std::rc::Rc;
+
 use timekd::{
-    bind_student_params, compile_student_objective_plan, student_forecast_plan, student_objective,
-    student_plan_optimizer, student_plan_spec, trace_student, trainer_adamw, PlannedBatchTrainer,
-    PlannedStudent, Student, StudentTrace, TimeKdConfig,
+    bind_student_params, bind_teacher_params, compile_student_objective_plan, compile_teacher_plan,
+    student_forecast_plan, student_objective, student_plan_spec, teacher_objective, trace_student,
+    trace_teacher, trainer_adamw, trainer_plan_optimizer, CrossModalityTeacher,
+    PlannedBatchTrainer, PlannedStudent, PlannedTeacherTrainer, Student, StudentTrace,
+    TimeKdConfig,
 };
+use timekd_lm::{CausalLm, FrozenLm, PromptTokenizer};
 use timekd_tensor::{seeded_rng, GradMode, GraphAudit, Plan, SymbolicTensor, Tensor, ValueSource};
 
 use crate::verify::{config_matrix, Finding};
@@ -811,6 +820,55 @@ pub fn verify_backward_chain(plan: &Plan, config: &str) -> Vec<Finding> {
     check_saved_liveness(plan, config)
 }
 
+/// A `train-divergence` finding when `plan` was not compiled with the
+/// trainer's fused optimizer ([`trainer_plan_optimizer`]).
+fn foreign_optimizer(plan: &Plan, cfg: &TimeKdConfig, label: &str) -> Option<Finding> {
+    let trainer_opt = trainer_plan_optimizer(cfg);
+    (plan.optimizer() != Some(&trainer_opt)).then(|| {
+        finding(
+            "train-divergence",
+            label,
+            format!(
+                "plan optimizer {:?} is not the trainer's {trainer_opt:?}",
+                plan.optimizer()
+            ),
+        )
+    })
+}
+
+/// One `train-divergence` finding per parameter whose planned values
+/// (`planned(label)`; the `initial` values when the plan left it unbound)
+/// differ in any bit from the dynamically trained `params`.
+fn diverging_params<'a>(
+    label: &str,
+    params: &[(String, Tensor)],
+    initial: &[Vec<f32>],
+    planned: impl Fn(&str) -> Option<&'a [f32]>,
+) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for ((lbl, t), initial) in params.iter().zip(initial) {
+        let dynamic = t.to_vec();
+        let planned = planned(lbl).unwrap_or(initial);
+        let diverging = planned
+            .iter()
+            .zip(&dynamic)
+            .filter(|(a, b)| a.to_bits() != b.to_bits())
+            .count();
+        if diverging > 0 {
+            out.push(finding(
+                "train-divergence",
+                label,
+                format!(
+                    "parameter `{lbl}` diverges from dynamic training on {diverging}/{} \
+                     elements after 2 steps",
+                    dynamic.len()
+                ),
+            ));
+        }
+    }
+    out
+}
+
 /// Pass 8: plan-vs-dynamic training diff. Binds the objective plan to a
 /// freshly seeded student through [`PlannedBatchTrainer::bind`], runs two
 /// real one-window steps against seeded teacher products, and requires
@@ -825,13 +883,8 @@ pub fn check_train_divergence(
     horizon: usize,
     num_vars: usize,
 ) -> Vec<Finding> {
-    let diverged = |message: String| vec![finding("train-divergence", label, message)];
-    let trainer_opt = student_plan_optimizer(cfg);
-    if plan.optimizer() != Some(&trainer_opt) {
-        return diverged(format!(
-            "plan optimizer {:?} is not the trainer's {trainer_opt:?}",
-            plan.optimizer()
-        ));
+    if let Some(f) = foreign_optimizer(plan, cfg, label) {
+        return vec![f];
     }
     let student = Student::new(cfg, input_len, horizon, num_vars, &mut seeded_rng(0xD1CE));
     let params = bind_student_params(&student);
@@ -840,7 +893,10 @@ pub fn check_train_divergence(
     // moves anything.
     let mut trainer = match PlannedBatchTrainer::bind(&student, cfg, plan.clone()) {
         Ok(t) => t,
-        Err(e) => return diverged(format!("training plan rejected at bind: {}", e.message)),
+        Err(e) => {
+            let message = format!("training plan rejected at bind: {}", e.message);
+            return vec![finding("train-divergence", label, message)];
+        }
     };
 
     let tensors: Vec<Tensor> = params.iter().map(|(_, t)| t.clone()).collect();
@@ -863,29 +919,67 @@ pub fn check_train_divergence(
         trainer.stage_teacher(0, &att, &emb);
         trainer.run_batch(1);
     }
+    diverging_params(label, &params, &initial, |lbl| trainer.param_data(lbl))
+}
 
-    let mut out = Vec::new();
-    for ((lbl, t), initial) in params.iter().zip(&initial) {
-        let dynamic = t.to_vec();
-        let planned = trainer.param_data(lbl).unwrap_or(initial);
-        let diverging = planned
-            .iter()
-            .zip(&dynamic)
-            .filter(|(a, b)| a.to_bits() != b.to_bits())
-            .count();
-        if diverging > 0 {
-            out.push(finding(
-                "train-divergence",
-                label,
-                format!(
-                    "parameter `{lbl}` diverges from dynamic training on {diverging}/{} \
-                     elements after 2 steps",
-                    dynamic.len()
-                ),
-            ));
-        }
+/// Pass 8 for the teacher's warm-up plan: binds it to a freshly seeded
+/// teacher through [`PlannedTeacherTrainer::bind`], runs two real steps on
+/// seeded windows and CLM rows (none on `w/o_CLM`), and requires every
+/// teacher parameter to be bitwise identical to the dynamic
+/// [`teacher_objective`] step (`zero_grad → objective → backward → clip →
+/// AdamW`) under the trainer's optimizer. The teacher's CLM is randomly
+/// initialised and never runs: the rows are the plan's inputs.
+pub fn check_teacher_train_divergence(
+    plan: &Plan,
+    cfg: &TimeKdConfig,
+    label: &str,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
+) -> Vec<Finding> {
+    if let Some(f) = foreign_optimizer(plan, cfg, label) {
+        return vec![f];
     }
-    out
+    let mut rng = seeded_rng(0xD1CE);
+    let lm = CausalLm::new(PromptTokenizer::new().vocab_size(), cfg.lm, &mut rng);
+    let teacher = CrossModalityTeacher::new(
+        Rc::new(FrozenLm::new(lm)),
+        *cfg,
+        input_len,
+        horizon,
+        &mut rng,
+    );
+    let params = bind_teacher_params(&teacher);
+    let initial: Vec<Vec<f32>> = params.iter().map(|(_, t)| t.to_vec()).collect();
+    let mut trainer = match PlannedTeacherTrainer::bind(&teacher, cfg, plan.clone()) {
+        Ok(t) => t,
+        Err(e) => {
+            let message = format!("teacher plan rejected at bind: {}", e.message);
+            return vec![finding("train-divergence", label, message)];
+        }
+    };
+
+    let tensors: Vec<Tensor> = params.iter().map(|(_, t)| t.clone()).collect();
+    let mut adamw = trainer_adamw(cfg);
+    let mut wrng = seeded_rng(0x7A17);
+    for _ in 0..2 {
+        let x = Tensor::randn([input_len, num_vars], 1.0, &mut wrng);
+        let y = Tensor::randn([horizon, num_vars], 0.5, &mut wrng);
+        let rows = cfg.ablation.use_clm.then(|| {
+            (
+                Tensor::randn([num_vars, cfg.lm.dim], 1.0, &mut wrng),
+                Tensor::randn([num_vars, cfg.lm.dim], 1.0, &mut wrng),
+            )
+        });
+        for p in &tensors {
+            p.zero_grad();
+        }
+        teacher_objective(&teacher, cfg, &x, &y, rows.as_ref()).backward();
+        timekd_nn::clip_grad_norm(&tensors, cfg.grad_clip);
+        adamw.step(&tensors);
+        trainer.run_step(&x, &y, rows.as_ref());
+    }
+    diverging_params(label, &params, &initial, |lbl| trainer.param_data(lbl))
 }
 
 /// The four static forward passes over one plan, graph-diffed against
@@ -919,9 +1013,57 @@ fn objective_plan(
     horizon: usize,
     num_vars: usize,
 ) -> Result<Plan, Finding> {
-    let opt = student_plan_optimizer(cfg);
+    let opt = trainer_plan_optimizer(cfg);
     compile_student_objective_plan(cfg, input_len, horizon, num_vars, opt)
         .map_err(|e| finding("plan-compile", label, e.message))
+}
+
+/// The teacher plan the warm-up epoch replays for `cfg`: the trainer's
+/// optimizer and clip.
+fn teacher_plan(
+    cfg: &TimeKdConfig,
+    label: &str,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
+) -> Result<Plan, Finding> {
+    let opt = trainer_plan_optimizer(cfg);
+    compile_teacher_plan(cfg, input_len, horizon, num_vars, opt)
+        .map_err(|e| finding("plan-compile", label, e.message))
+}
+
+/// Full verification of one configuration's teacher warm-up plan: the
+/// static passes (graph-diffed against [`trace_teacher`]'s loss root), the
+/// backward chain and, when the chain is clean, the divergence pass
+/// against the dynamic teacher step.
+pub fn verify_teacher_plan_config(
+    cfg: &TimeKdConfig,
+    label: &str,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
+) -> Vec<Finding> {
+    let label = &format!("{label} teacher");
+    let trace = match trace_teacher(cfg, input_len, horizon, num_vars) {
+        Ok(t) => t,
+        Err(e) => {
+            let message = format!("teacher trace failed: {e}");
+            return vec![finding("plan-compile", label, message)];
+        }
+    };
+    let plan = match teacher_plan(cfg, label, input_len, horizon, num_vars) {
+        Ok(p) => p,
+        Err(f) => return vec![f],
+    };
+    let mut out = static_passes(&plan, &trace.loss, label);
+    let chain = verify_backward_chain(&plan, label);
+    if chain.is_empty() {
+        out.extend(check_teacher_train_divergence(
+            &plan, cfg, label, input_len, horizon, num_vars,
+        ));
+    }
+    out.extend(chain);
+    out
 }
 
 /// Structural verification of one configuration: trace, compile the
@@ -1093,14 +1235,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One line per plan `timekd-check --plan` covers (every matrix config ×
-/// forecast plan and objective plan): the config label, the plan kind and
+/// forecast, objective and teacher plan): the config label, the plan kind and
 /// the FNV-1a digest of its [`plan_fingerprint`]. The objective kind keeps
 /// its `B=1` tag so the committed fixture's lines stay byte-identical.
 pub fn plan_fingerprint_lines() -> Result<Vec<String>, String> {
     let (input_len, horizon, num_vars) = (96, 24, 7);
     let mut lines = Vec::new();
     for (cfg, label) in config_matrix() {
-        let opt = student_plan_optimizer(&cfg);
+        let opt = trainer_plan_optimizer(&cfg);
         let plans = [
             (
                 "forecast",
@@ -1109,6 +1251,10 @@ pub fn plan_fingerprint_lines() -> Result<Vec<String>, String> {
             (
                 "objective B=1",
                 compile_student_objective_plan(&cfg, input_len, horizon, num_vars, opt),
+            ),
+            (
+                "teacher",
+                compile_teacher_plan(&cfg, input_len, horizon, num_vars, opt),
             ),
         ];
         for (kind, plan) in plans {
@@ -1140,9 +1286,11 @@ impl PlanReport {
     }
 }
 
-/// Compiles and verifies the student plan for every configuration in the
-/// verification matrix (paper default geometry), then cross-checks each
-/// distinct student geometry against real dynamic execution.
+/// Compiles and verifies the student plans and the teacher warm-up plan
+/// for every configuration in the verification matrix (paper default
+/// geometry), replaying each teacher plan against the dynamic teacher
+/// step, then cross-checks each distinct student geometry against real
+/// dynamic execution.
 pub fn verify_plans() -> PlanReport {
     let (input_len, horizon, num_vars) = (96, 24, 7);
     let mut report = PlanReport::default();
@@ -1152,6 +1300,9 @@ pub fn verify_plans() -> PlanReport {
     for (cfg, label) in config_matrix() {
         report.configs_checked += 1;
         report.findings.extend(verify_plan_config(
+            &cfg, &label, input_len, horizon, num_vars,
+        ));
+        report.findings.extend(verify_teacher_plan_config(
             &cfg, &label, input_len, horizon, num_vars,
         ));
         let key = (cfg.dim, cfg.num_heads, cfg.num_layers, cfg.ffn_hidden);
@@ -1198,6 +1349,11 @@ pub fn verify_plans() -> PlanReport {
                 "planned objective steps are bitwise identical to the dynamic student \
                  objective step ({g}/{g} student geometries)"
             ),
+            format!(
+                "the teacher warm-up plan (projection, SCA, PTEncoder, reconstruction, \
+                 clip, AdamW) passes every forward and backward pass, and its steps are \
+                 bitwise identical to the dynamic teacher step ({n}/{n} configs)"
+            ),
         ];
     }
     report
@@ -1206,6 +1362,7 @@ pub fn verify_plans() -> PlanReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timekd::AblationConfig;
     use timekd_tensor::PlanFault;
 
     fn tiny_cfg() -> TimeKdConfig {
@@ -1357,7 +1514,7 @@ mod tests {
             ..cfg
         };
         let plan =
-            compile_student_objective_plan(&cfg, 24, 8, 3, student_plan_optimizer(&other)).unwrap();
+            compile_student_objective_plan(&cfg, 24, 8, 3, trainer_plan_optimizer(&other)).unwrap();
         let fs = check_train_divergence(&plan, &cfg, "t", 24, 8, 3);
         assert!(
             fs.iter().any(|f| f.kind == "train-divergence"),
@@ -1460,6 +1617,54 @@ mod tests {
             "static backward passes must stay clean: {fs:?}"
         );
         let fs = check_train_divergence(&plan, &cfg, "t", 24, 8, 3);
+        assert!(
+            fs.iter().any(|f| f.kind == "train-divergence"),
+            "expected a train-divergence finding, got {fs:?}"
+        );
+    }
+
+    #[test]
+    fn clean_teacher_plans_pass_every_pass_and_divergence() {
+        // Every teacher arm, `w/o_CLM`'s concat of the windows included.
+        for ablation in [
+            AblationConfig::full(),
+            AblationConfig::without_privileged_info(),
+            AblationConfig::without_calibrated_attention(),
+            AblationConfig::without_clm(),
+            AblationConfig::without_sca(),
+        ] {
+            let cfg = TimeKdConfig {
+                ablation,
+                ..tiny_cfg()
+            };
+            let fs = verify_teacher_plan_config(&cfg, ablation.label(), 24, 8, 3);
+            assert!(fs.is_empty(), "{fs:?}");
+        }
+    }
+
+    #[test]
+    fn teacher_divergence_pass_catches_a_frozen_teacher_param() {
+        // As for the objective plan: the fault leaves a self-consistent
+        // plan that only the replay against the dynamic teacher step
+        // exposes, and a foreign optimizer is refused up front.
+        let cfg = tiny_cfg();
+        let trace = trace_teacher(&cfg, 24, 8, 3).unwrap();
+        let mut plan = teacher_plan(&cfg, "t", 24, 8, 3).unwrap();
+        plan.inject_fault(PlanFault::UpdateFrozenParam);
+        assert!(static_passes(&plan, &trace.loss, "t").is_empty());
+        assert!(verify_backward_chain(&plan, "t").is_empty());
+        let fs = check_teacher_train_divergence(&plan, &cfg, "t", 24, 8, 3);
+        assert!(
+            fs.iter().any(|f| f.kind == "train-divergence"),
+            "expected a train-divergence finding, got {fs:?}"
+        );
+
+        let other = TimeKdConfig {
+            lr: cfg.lr * 2.0,
+            ..cfg
+        };
+        let plan = compile_teacher_plan(&cfg, 24, 8, 3, trainer_plan_optimizer(&other)).unwrap();
+        let fs = check_teacher_train_divergence(&plan, &cfg, "t", 24, 8, 3);
         assert!(
             fs.iter().any(|f| f.kind == "train-divergence"),
             "expected a train-divergence finding, got {fs:?}"

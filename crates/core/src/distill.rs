@@ -16,6 +16,7 @@ use timekd_tensor::Tensor;
 
 use crate::config::TimeKdConfig;
 use crate::student::{Student, StudentOutput};
+use crate::teacher::CrossModalityTeacher;
 
 /// The PKD loss terms for one window.
 pub struct PkdLosses {
@@ -142,6 +143,22 @@ pub(crate) fn student_objective_of(
         feature: pkd.feature,
         forecast,
     }
+}
+
+/// The teacher's training objective for one window on the dynamic
+/// engine (Alg. 1, Eq. 16): its forward past the frozen CLM on the
+/// window's CLM `rows` ([`CrossModalityTeacher::forward_rows`]), then
+/// `λ_r · L_recon`. This is the dynamic reference the compiled teacher
+/// plan ([`PlannedTeacherTrainer`](crate::PlannedTeacherTrainer)) must
+/// match bit for bit, and the plan is lowered from a recording of it.
+pub fn teacher_objective(
+    teacher: &CrossModalityTeacher,
+    config: &TimeKdConfig,
+    x: &Tensor,
+    y: &Tensor,
+    rows: Option<&(Tensor, Tensor)>,
+) -> Tensor {
+    reconstruction_objective(&teacher.forward_rows(x, y, rows).reconstruction, y, config)
 }
 
 /// The teacher's reconstruction objective (Alg. 1, Eq. 16):

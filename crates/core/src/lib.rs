@@ -44,20 +44,22 @@ mod teacher;
 mod trainer;
 
 pub use config::{AblationConfig, TimeKdConfig};
-pub use distill::{pkd_losses, student_objective, PkdLosses, StudentObjective};
+pub use distill::{pkd_losses, student_objective, teacher_objective, PkdLosses, StudentObjective};
 pub use forecaster::Forecaster;
 pub use model_io::{load_checkpoint, save_checkpoint};
 pub use norm_helpers::layer_norm_const;
 pub use plan::{
-    bind_student_params, compile_student_objective_plan, plan_cache_stats, reset_plan_cache,
-    student_forecast_plan, student_objective_spec, student_plan_spec, PlannedBatchTrainer,
-    PlannedStudent, AUX_TEACHER_ATT, AUX_TEACHER_EMB,
+    bind_student_params, bind_teacher_params, compile_student_objective_plan, compile_teacher_plan,
+    plan_cache_stats, reset_plan_cache, student_forecast_plan, student_objective_spec,
+    student_plan_spec, PlannedBatchTrainer, PlannedStudent, PlannedTeacherTrainer, AUX_TEACHER_ATT,
+    AUX_TEACHER_EMB,
 };
 pub use sca::SubtractiveCrossAttention;
 pub use student::{Student, StudentOutput};
 pub use symbolic::{
-    record_pipeline, trace_pipeline, trace_student, PipelineRecording, StudentTrace,
-    SymbolicPipeline, TEACHER_ATT_LABEL, TEACHER_EMB_LABEL,
+    record_pipeline, trace_pipeline, trace_student, trace_teacher, PipelineRecording, StudentTrace,
+    SymbolicPipeline, TeacherTrace, CLM_GT_LABEL, CLM_HD_LABEL, TEACHER_ATT_LABEL,
+    TEACHER_EMB_LABEL,
 };
 pub use teacher::{render_prompts, CrossModalityTeacher, TeacherOutput};
-pub use trainer::{student_plan_optimizer, trainer_adamw, EpochStats, TimeKd};
+pub use trainer::{trainer_adamw, trainer_plan_optimizer, EpochStats, TimeKd};

@@ -110,10 +110,11 @@ mod tests {
 
     #[test]
     fn planned_epochs_train_a_loaded_checkpoint_like_dynamic_ones() {
-        // A planned trainer kept across epochs must train the values a
-        // load put into the live model, as the dynamic loop does. Each
-        // model runs: epoch, save, epoch, load, epoch, then a teacher
-        // epoch and a student epoch, all of one kind.
+        // Planned trainers kept across epochs must train the values a load
+        // put into the live model, as the dynamic loops do. Each model
+        // runs student and teacher epochs, all of one kind, around a save
+        // and a load: the teacher epoch right after the load keeps the
+        // teacher trainer the epochs before the load built.
         let run = |planned: bool| {
             let (mut model, ds) = setup();
             let train = ds.windows(Split::Train, 16);
@@ -125,12 +126,20 @@ mod tests {
                     m.train_student_epoch_dynamic(windows);
                 }
             };
+            let teacher_epoch = |m: &mut TimeKd| {
+                if planned {
+                    m.train_teacher_epoch(windows);
+                } else {
+                    m.train_teacher_epoch_dynamic(windows);
+                }
+            };
             epoch(&mut model);
+            teacher_epoch(&mut model);
             let mut blob = save_checkpoint(&model);
+            teacher_epoch(&mut model);
             epoch(&mut model);
             load_checkpoint(&mut model, &mut blob).unwrap();
-            epoch(&mut model);
-            model.train_teacher_epoch(windows);
+            teacher_epoch(&mut model);
             epoch(&mut model);
             model
                 .trainable_params()

@@ -1,4 +1,5 @@
-//! Plan-backed student inference and training.
+//! Plan-backed student inference and training, and the teacher's
+//! warm-up step.
 //!
 //! [`PlannedStudent`] compiles the student's recorded forecast graph
 //! ([`trace_student`]) into a static [`Plan`] (fixed schedule +
@@ -8,20 +9,27 @@
 //! executor invokes the same row-block kernels as the dynamic engine,
 //! planned forecasts are **bitwise identical** to [`Student::predict`].
 //! [`PlannedBatchTrainer`] does the same for the student's one training
-//! objective (PKD + forecasting, Alg. 2).
+//! objective (PKD + forecasting, Alg. 2), and [`PlannedTeacherTrainer`]
+//! for the teacher's reconstruction step (Alg. 1, [`trace_teacher`]) on a
+//! window's stored CLM rows. Both trainers bind the model's parameters
+//! through one copy-in/copy-out pair (`BoundTrainer`).
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use timekd_nn::Module;
 use timekd_tensor::{
-    Plan, PlanError, PlanExecutor, PlanOptimizer, PlanSpec, Tensor, TrainExecutor, TrainSpec,
-    ValueSource,
+    reachable_params, Plan, PlanError, PlanExecutor, PlanOptimizer, PlanSpec, Tensor,
+    TrainExecutor, TrainSpec, ValueSource,
 };
 
 use crate::config::TimeKdConfig;
 use crate::student::Student;
-use crate::symbolic::{trace_student, StudentTrace, TEACHER_ATT_LABEL, TEACHER_EMB_LABEL};
+use crate::symbolic::{
+    trace_student, trace_teacher, StudentTrace, CLM_GT_LABEL, CLM_HD_LABEL, TEACHER_ATT_LABEL,
+    TEACHER_EMB_LABEL,
+};
+use crate::teacher::CrossModalityTeacher;
 
 /// The plan spec for the student forecast graph: the history window is the
 /// single runtime input, and the RevIN instance statistics (constant
@@ -95,6 +103,7 @@ fn resolve(params: &[(String, Tensor)], label: &str, dims: &[usize]) -> Option<V
 
 const KIND_FORECAST: u64 = 1;
 const KIND_TRAIN_OBJECTIVE: u64 = 3;
+const KIND_TRAIN_TEACHER: u64 = 4;
 
 thread_local! {
     static PLAN_CACHE: RefCell<HashMap<Vec<u64>, Plan>> = RefCell::new(HashMap::new());
@@ -124,6 +133,24 @@ pub fn reset_plan_cache() {
 
 fn push_f32(key: &mut Vec<u64>, v: f32) {
     key.push(u64::from(v.to_bits()));
+}
+
+/// Appends a training plan's loss and clip constants, then its fused
+/// optimizer's, to its cache key.
+fn push_train_constants(key: &mut Vec<u64>, constants: &[f32], optimizer: PlanOptimizer) {
+    let PlanOptimizer::AdamW {
+        lr,
+        beta1,
+        beta2,
+        eps,
+        weight_decay,
+    } = optimizer;
+    for &v in constants
+        .iter()
+        .chain(&[lr, beta1, beta2, eps, weight_decay])
+    {
+        push_f32(key, v);
+    }
 }
 
 /// Everything that shapes a compiled student graph for `config` at this
@@ -205,27 +232,17 @@ pub fn compile_student_objective_plan(
     optimizer: PlanOptimizer,
 ) -> Result<Plan, PlanError> {
     let mut key = plan_key_base(KIND_TRAIN_OBJECTIVE, config, input_len, horizon, num_vars);
-    let PlanOptimizer::AdamW {
-        lr,
-        beta1,
-        beta2,
-        eps,
-        weight_decay,
-    } = optimizer;
-    for v in [
-        config.lambda_cd,
-        config.lambda_fd,
-        config.lambda_pkd,
-        config.lambda_fcst,
-        config.grad_clip,
-        lr,
-        beta1,
-        beta2,
-        eps,
-        weight_decay,
-    ] {
-        push_f32(&mut key, v);
-    }
+    push_train_constants(
+        &mut key,
+        &[
+            config.lambda_cd,
+            config.lambda_fd,
+            config.lambda_pkd,
+            config.lambda_fcst,
+            config.grad_clip,
+        ],
+        optimizer,
+    );
     cached_plan(key, || {
         let trace = trace(config, (input_len, horizon, num_vars))?;
         let mut train = TrainSpec::new("y", optimizer);
@@ -317,6 +334,65 @@ impl PlannedStudent {
     }
 }
 
+/// A compiled training plan bound to a live model's parameters by
+/// naming-walk label: the one copy-in/copy-out pair both planned trainers
+/// ([`PlannedBatchTrainer`], [`PlannedTeacherTrainer`]) share. The
+/// executor trains its own copies of the values:
+/// [`read_params`](Self::read_params) copies the model's current values
+/// in and [`write_back`](Self::write_back) publishes the trained ones.
+/// The plan itself is not kept: the executor holds all it replays.
+#[derive(Debug)]
+struct BoundTrainer {
+    executor: TrainExecutor,
+    /// Parameter labels in executor binding order (plan value order).
+    labels: Vec<String>,
+    /// The model's parameter tensors in binding order (the model's own
+    /// handles, not copies).
+    params: Vec<Tensor>,
+}
+
+impl BoundTrainer {
+    /// Binds the current values of `params` (a model's
+    /// [`Module::named_params`]) to a compiled training plan.
+    fn bind(plan: &Plan, params: &[(String, Tensor)]) -> Result<BoundTrainer, PlanError> {
+        let executor = TrainExecutor::new(plan, |label, dims| resolve(params, label, dims))?;
+        let labels: Vec<String> = plan
+            .values()
+            .iter()
+            .filter(|v| v.source == ValueSource::Param)
+            .map(|v| v.label.clone())
+            .collect();
+        // The executor resolved every label above, so none is missing.
+        let params = labels
+            .iter()
+            .filter_map(|label| param_named(params, label).cloned())
+            .collect();
+        Ok(BoundTrainer {
+            executor,
+            labels,
+            params,
+        })
+    }
+
+    fn param_data(&self, label: &str) -> Option<&[f32]> {
+        let idx = self.labels.iter().position(|l| l == label)?;
+        Some(self.executor.param_data(idx))
+    }
+
+    fn read_params(&mut self) {
+        for (i, p) in self.params.iter().enumerate() {
+            self.executor.set_param_data(i, &p.data());
+        }
+    }
+
+    fn write_back(&self) {
+        for (i, p) in self.params.iter().enumerate() {
+            let data = self.executor.param_data(i);
+            p.update_data(|d| d.copy_from_slice(data));
+        }
+    }
+}
+
 /// The full student objective (PKD + forecasting, Alg. 2) compiled once
 /// into a training plan and bound to a live [`Student`]'s parameters.
 ///
@@ -327,14 +403,7 @@ impl PlannedStudent {
 /// arguments accept only a single window (1, 0 and 1).
 #[derive(Debug)]
 pub struct PlannedBatchTrainer {
-    plan: Plan,
-    executor: TrainExecutor,
-    /// Parameter labels in executor binding order (plan value order).
-    param_labels: Vec<String>,
-    /// The student's parameter tensors in executor binding order, kept so
-    /// [`write_back`](PlannedBatchTrainer::write_back) can publish trained
-    /// values into the live model.
-    bound_params: Vec<Tensor>,
+    bound: BoundTrainer,
     /// Arena ranges of the pinned per-component loss scalars.
     correlation: Option<(usize, usize)>,
     feature: Option<(usize, usize)>,
@@ -378,19 +447,7 @@ impl PlannedBatchTrainer {
         config: &TimeKdConfig,
         plan: Plan,
     ) -> Result<PlannedBatchTrainer, PlanError> {
-        let params = bind_student_params(student);
-        let executor = TrainExecutor::new(&plan, |label, dims| resolve(&params, label, dims))?;
-        let param_labels: Vec<String> = plan
-            .values()
-            .iter()
-            .filter(|v| v.source == ValueSource::Param)
-            .map(|v| v.label.clone())
-            .collect();
-        // The executor resolved every label above, so none is missing.
-        let bound_params: Vec<Tensor> = param_labels
-            .iter()
-            .filter_map(|label| param_named(&params, label).cloned())
-            .collect();
+        let bound = BoundTrainer::bind(&plan, &bind_student_params(student))?;
 
         // The pinned loss scalars, in compile order: `L_cd` and `L_fd`
         // when their arm is on, then `L_fcst`.
@@ -409,12 +466,9 @@ impl PlannedBatchTrainer {
         let forecast = pin(true, "forecasting")?.expect("always pinned");
 
         Ok(PlannedBatchTrainer {
-            x: vec![0.0; executor.input_len()],
-            y: vec![0.0; executor.target_len()],
-            plan,
-            executor,
-            param_labels,
-            bound_params,
+            x: vec![0.0; bound.executor.input_len()],
+            y: vec![0.0; bound.executor.target_len()],
+            bound,
             correlation,
             feature,
             forecast,
@@ -424,20 +478,14 @@ impl PlannedBatchTrainer {
         })
     }
 
-    /// The compiled training plan (for inspection/verification).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
     /// Labels of the bound parameters, in binding order.
     pub fn param_labels(&self) -> &[String] {
-        &self.param_labels
+        &self.bound.labels
     }
 
     /// Current data of the parameter named `label`, if bound.
     pub fn param_data(&self, label: &str) -> Option<&[f32]> {
-        let idx = self.param_labels.iter().position(|l| l == label)?;
-        Some(self.executor.param_data(idx))
+        self.bound.param_data(label)
     }
 
     /// Stages the `[L, N]` history and `[M, N]` target of the next
@@ -463,42 +511,43 @@ impl PlannedBatchTrainer {
     /// zero). `w` must be 0.
     pub fn stage_teacher(&mut self, w: usize, attention: &Tensor, embedding: &Tensor) {
         assert_eq!(w, 0, "the student trainer stages one window, at index 0");
-        if self.executor.aux_len(AUX_TEACHER_ATT) > 0 {
-            self.executor.set_aux(AUX_TEACHER_ATT, &attention.data());
+        let executor = &mut self.bound.executor;
+        if executor.aux_len(AUX_TEACHER_ATT) > 0 {
+            executor.set_aux(AUX_TEACHER_ATT, &attention.data());
         }
-        if self.executor.aux_len(AUX_TEACHER_EMB) > 0 {
-            self.executor.set_aux(AUX_TEACHER_EMB, &embedding.data());
+        if executor.aux_len(AUX_TEACHER_EMB) > 0 {
+            executor.set_aux(AUX_TEACHER_EMB, &embedding.data());
         }
     }
 
     /// Updates the fused optimizer's learning rate (LR schedules).
     pub fn set_lr(&mut self, lr: f32) {
-        self.executor.set_lr(lr);
+        self.bound.executor.set_lr(lr);
     }
 
     /// Aligns the fused optimizer's step counter (AdamW bias correction)
     /// with an external clock — the trainer's shared dynamic optimizer.
     pub fn set_step_count(&mut self, n: u64) {
-        self.executor.set_step_count(n);
+        self.bound.executor.set_step_count(n);
     }
 
     /// Takes one training step on the staged window: forward, backward,
     /// clipping and one fused optimizer step. `count` must be 1.
     pub fn run_batch(&mut self, count: usize) {
         assert_eq!(count, 1, "the student trainer takes one window per step");
-        self.executor.run_train_step(&self.x, &self.y);
+        self.bound.executor.run_train_step(&self.x, &self.y);
     }
 
     fn component(&self, range: Option<(usize, usize)>) -> f32 {
         match range {
-            Some((off, len)) => self.executor.arena_value(off, len)[0],
+            Some((off, len)) => self.bound.executor.arena_value(off, len)[0],
             None => 0.0,
         }
     }
 
     /// The last step's total loss.
     pub fn total_loss(&self) -> f32 {
-        self.executor.loss()
+        self.bound.executor.loss()
     }
 
     /// The last step's correlation distillation loss `L_cd` (0 when
@@ -522,19 +571,193 @@ impl PlannedBatchTrainer {
     /// trainer kept across epochs then trains what the live model holds,
     /// also after a checkpoint load. The optimizer state is kept.
     pub fn read_params(&mut self) {
-        for (i, p) in self.bound_params.iter().enumerate() {
-            self.executor.set_param_data(i, &p.data());
-        }
+        self.bound.read_params();
     }
 
     /// Copies the executor's current parameter values back into the bound
     /// student tensors (the same handles the constructor was given), so
     /// the live model observes the training.
     pub fn write_back(&self) {
-        for (i, p) in self.bound_params.iter().enumerate() {
-            let data = self.executor.param_data(i);
-            p.update_data(|d| d.copy_from_slice(data));
+        self.bound.write_back();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The teacher's warm-up step (Alg. 1)
+// ---------------------------------------------------------------------------
+
+/// Aux feed slot of the historical CLM rows `clm_hd` in teacher plans.
+const AUX_CLM_HD: usize = 0;
+
+/// The plan spec for the teacher's training step ([`trace_teacher`]): on
+/// the CLM arms the ground-truth CLM rows are the runtime input and the
+/// historical rows an aux feed; on `w/o_CLM` the history window `x` is
+/// the input. The future window `y` is the training target either way.
+fn teacher_plan_spec(config: &TimeKdConfig) -> PlanSpec {
+    if config.ablation.use_clm {
+        PlanSpec {
+            input_label: CLM_GT_LABEL.to_string(),
+            aux_labels: vec![CLM_HD_LABEL.to_string()],
+            ..PlanSpec::default()
         }
+    } else {
+        PlanSpec {
+            input_label: "x".to_string(),
+            ..PlanSpec::default()
+        }
+    }
+}
+
+/// The one binding between a live [`CrossModalityTeacher`] and its plan:
+/// every trainable parameter under its naming-walk label, in
+/// [`Module::params`] order. The handles are the teacher's own tensors.
+pub fn bind_teacher_params(teacher: &CrossModalityTeacher) -> Vec<(String, Tensor)> {
+    teacher.named_params("teacher")
+}
+
+/// Records the teacher's training step for this geometry and compiles it
+/// into the plan [`PlannedTeacherTrainer`] replays once per window:
+/// projection (or the `w/o_CLM` value embeddings), SCA, `PTEncoder`, the
+/// reconstruction head and `λ_r · L_recon`, its reverse schedule, global
+/// gradient-norm clipping at `config.grad_clip` in [`Module::params`]
+/// order and one fused `optimizer` step. A cache hit records nothing.
+pub fn compile_teacher_plan(
+    config: &TimeKdConfig,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
+    optimizer: PlanOptimizer,
+) -> Result<Plan, PlanError> {
+    // The key adds what the student's base leaves out: the CLM width of
+    // the row leaves, and the constants baked into the loss, the clip and
+    // the fused update.
+    let mut key = plan_key_base(KIND_TRAIN_TEACHER, config, input_len, horizon, num_vars);
+    key.push(config.lm.dim as u64);
+    push_train_constants(
+        &mut key,
+        &[config.lambda_recon, config.grad_clip],
+        optimizer,
+    );
+    cached_plan(key, || {
+        let trace = trace_teacher(config, input_len, horizon, num_vars).map_err(|e| PlanError {
+            message: format!("teacher trace failed: {e}"),
+        })?;
+        let mut train = TrainSpec::new("y", optimizer);
+        train.grad_clip = Some(config.grad_clip);
+        // The dynamic clip skips parameters the step leaves without a
+        // gradient (SCA's projections on `w/o_SCA`); so does the plan's.
+        let reached: HashSet<u64> = reachable_params(&trace.loss)
+            .iter()
+            .map(|p| p.id())
+            .collect();
+        train.clip_param_order = trace
+            .ctx
+            .params()
+            .iter()
+            .filter(|p| reached.contains(&p.id()))
+            .map(|p| p.label().to_string())
+            .collect();
+        Plan::compile_training(&trace.loss, &teacher_plan_spec(config), &train)
+    })
+}
+
+/// The teacher's reconstruction step (Alg. 1) compiled once into a
+/// training plan and bound to a live [`CrossModalityTeacher`]'s
+/// parameters.
+///
+/// Each [`run_step`](PlannedTeacherTrainer::run_step) takes one training
+/// step on one window's stored CLM rows (or, on `w/o_CLM`, its values):
+/// forward, backward, clipping and one fused optimizer step, bitwise
+/// identical to the dynamic step
+/// ([`teacher_objective`](crate::teacher_objective), backward,
+/// `clip_grad_norm`, AdamW).
+#[derive(Debug)]
+pub struct PlannedTeacherTrainer {
+    bound: BoundTrainer,
+    uses_clm: bool,
+}
+
+impl PlannedTeacherTrainer {
+    /// Compiles (or fetches from the plan cache) the teacher plan for
+    /// `teacher`'s geometry over windows of `num_vars` variables
+    /// ([`compile_teacher_plan`]) and binds its current parameter values.
+    pub fn new(
+        teacher: &CrossModalityTeacher,
+        config: &TimeKdConfig,
+        num_vars: usize,
+        optimizer: PlanOptimizer,
+    ) -> Result<PlannedTeacherTrainer, PlanError> {
+        let plan = compile_teacher_plan(
+            config,
+            teacher.input_len(),
+            teacher.horizon(),
+            num_vars,
+            optimizer,
+        )?;
+        PlannedTeacherTrainer::bind(teacher, config, plan)
+    }
+
+    /// Binds `teacher`'s current parameter values to an already compiled
+    /// teacher plan under `config` — how the plan verifier replays a plan
+    /// it has inspected.
+    pub fn bind(
+        teacher: &CrossModalityTeacher,
+        config: &TimeKdConfig,
+        plan: Plan,
+    ) -> Result<PlannedTeacherTrainer, PlanError> {
+        Ok(PlannedTeacherTrainer {
+            bound: BoundTrainer::bind(&plan, &bind_teacher_params(teacher))?,
+            uses_clm: config.ablation.use_clm,
+        })
+    }
+
+    /// Current data of the parameter named `label`, if bound.
+    pub fn param_data(&self, label: &str) -> Option<&[f32]> {
+        self.bound.param_data(label)
+    }
+
+    /// Updates the fused optimizer's learning rate (LR schedules).
+    pub fn set_lr(&mut self, lr: f32) {
+        self.bound.executor.set_lr(lr);
+    }
+
+    /// Aligns the fused optimizer's step counter (AdamW bias correction)
+    /// with the trainer's shared dynamic optimizer.
+    pub fn set_step_count(&mut self, n: u64) {
+        self.bound.executor.set_step_count(n);
+    }
+
+    /// Takes one training step on the window `(x, y)` with its CLM rows
+    /// `(L_GT, L_HD)` (`None` exactly on `w/o_CLM`) and returns
+    /// `λ_r · L_recon`. Panics when the rows do not match the plan's arm
+    /// or shapes.
+    pub fn run_step(&mut self, x: &Tensor, y: &Tensor, rows: Option<&(Tensor, Tensor)>) -> f32 {
+        assert_eq!(
+            rows.is_some(),
+            self.uses_clm,
+            "the teacher plan takes CLM rows exactly when the CLM is on"
+        );
+        let executor = &mut self.bound.executor;
+        match rows {
+            Some((gt, hd)) => {
+                executor.set_aux(AUX_CLM_HD, &hd.data());
+                executor.run_train_step(&gt.data(), &y.data())
+            }
+            None => executor.run_train_step(&x.data(), &y.data()),
+        }
+    }
+
+    /// Copies the bound teacher tensors' current values into the
+    /// executor; the optimizer state is kept (see
+    /// [`PlannedBatchTrainer::read_params`]).
+    pub fn read_params(&mut self) {
+        self.bound.read_params();
+    }
+
+    /// Copies the executor's current parameter values back into the bound
+    /// teacher tensors.
+    pub fn write_back(&self) {
+        self.bound.write_back();
     }
 }
 
@@ -656,7 +879,7 @@ mod tests {
             let mut trainer = PlannedBatchTrainer::new(
                 &student,
                 &config,
-                crate::student_plan_optimizer(&config),
+                crate::trainer_plan_optimizer(&config),
                 1,
             )
             .unwrap();
@@ -696,7 +919,7 @@ mod tests {
             24,
             8,
             5,
-            crate::student_plan_optimizer(&config),
+            crate::trainer_plan_optimizer(&config),
         )
         .unwrap();
         let params = plan
@@ -723,7 +946,7 @@ mod tests {
         let config = small_config();
         let mut rng = seeded_rng(7);
         let student = Student::new(&config, 24, 8, 5, &mut rng);
-        let opt = crate::student_plan_optimizer(&config);
+        let opt = crate::trainer_plan_optimizer(&config);
         let (h0, m0) = plan_cache_stats();
         let _a = PlannedBatchTrainer::new(&student, &config, opt, 1).unwrap();
         assert_eq!(plan_cache_stats(), (h0, m0 + 1), "first build must compile");
@@ -740,7 +963,7 @@ mod tests {
             ..config
         };
         let _c =
-            PlannedBatchTrainer::new(&student, &config, crate::student_plan_optimizer(&other), 1)
+            PlannedBatchTrainer::new(&student, &config, crate::trainer_plan_optimizer(&other), 1)
                 .unwrap();
         assert_eq!(plan_cache_stats(), (h0 + 1, m0 + 2));
         reset_plan_cache();
@@ -750,7 +973,7 @@ mod tests {
     fn trainer_refuses_more_than_one_window_per_step() {
         let config = small_config();
         let student = Student::new(&config, 24, 8, 5, &mut seeded_rng(7));
-        let opt = crate::student_plan_optimizer(&config);
+        let opt = crate::trainer_plan_optimizer(&config);
         for batch in [0, 4] {
             let err = PlannedBatchTrainer::new(&student, &config, opt, batch).unwrap_err();
             assert!(err.message.contains("one window per step"), "{err}");

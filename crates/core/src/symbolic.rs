@@ -1,5 +1,6 @@
-//! Recorded symbolic traces of the student objective and the full TimeKD
-//! step, for the plan compiler and the static verifier in `timekd-check`.
+//! Recorded symbolic traces of the student objective, the teacher's
+//! warm-up step and the full TimeKD step, for the plan compiler and the
+//! static verifier in `timekd-check`.
 //!
 //! Nothing here re-states a forward pass. Each trace runs the real modules
 //! and the real loss code on zero inputs inside a
@@ -10,6 +11,9 @@
 //!
 //! - [`trace_student`] — the student forward and its training objective,
 //!   lowered into the forecast and objective plans;
+//! - [`trace_teacher`] — the teacher forward past the frozen CLM and its
+//!   reconstruction objective, with the CLM rows as named leaves, lowered
+//!   into the teacher's warm-up plan;
 //! - [`record_pipeline`] / [`trace_pipeline`] — one teacher + student
 //!   training step (Alg. 1–2) over a randomly initialised frozen CLM, whose
 //!   loss roots feed the gradient-flow and dead-parameter passes.
@@ -29,9 +33,9 @@ use timekd_tensor::{
 };
 
 use crate::config::TimeKdConfig;
-use crate::distill::{reconstruction_objective, student_objective_of};
+use crate::distill::{reconstruction_objective, student_objective_of, teacher_objective};
 use crate::student::Student;
-use crate::teacher::render_prompts;
+use crate::teacher::{render_prompts, CrossModalityTeacher};
 use crate::trainer::TimeKd;
 
 /// Seed of the throwaway models a trace records. Values never reach the
@@ -120,6 +124,70 @@ pub fn trace_student(
         forecast: next(),
         correlation: ab.correlation_distillation.then(&mut next),
         feature: ab.feature_distillation.then(&mut next),
+        ctx: rec.ctx().clone(),
+    })
+}
+
+/// Label of the ground-truth CLM rows `L_GT` `[N, D_lm]` in
+/// [`trace_teacher`]: the teacher plan's runtime input on the CLM arms.
+pub const CLM_GT_LABEL: &str = "clm_gt";
+/// Label of the historical CLM rows `L_HD` `[N, D_lm]` in
+/// [`trace_teacher`], fed per window through an aux slot.
+pub const CLM_HD_LABEL: &str = "clm_hd";
+
+/// One recorded trace of the teacher's training step (Alg. 1):
+/// [`teacher_objective`] on a window's CLM rows.
+#[derive(Debug)]
+pub struct TeacherTrace {
+    /// The replay context (the teacher's trainable parameters, in
+    /// [`Module::params`] order).
+    pub ctx: SymCtx,
+    /// The `λ_r · L_recon` root.
+    pub loss: SymbolicTensor,
+}
+
+/// Records the teacher's forward past the frozen CLM and its
+/// reconstruction objective on a throwaway teacher of this geometry, and
+/// replays them as IR. The CLM rows are the named leaves
+/// [`CLM_GT_LABEL`] and [`CLM_HD_LABEL`]; on `w/o_CLM` the graph reads the
+/// windows `x` and `y` instead. The throwaway teacher's CLM is randomly
+/// initialised: only its width reaches the graph.
+pub fn trace_teacher(
+    config: &TimeKdConfig,
+    input_len: usize,
+    horizon: usize,
+    num_vars: usize,
+) -> Result<TeacherTrace, ReplayError> {
+    let lm = CausalLm::new(
+        PromptTokenizer::new().vocab_size(),
+        config.lm,
+        &mut seeded_rng(TRACE_SEED),
+    );
+    let teacher = CrossModalityTeacher::new(
+        Rc::new(FrozenLm::new(lm)),
+        *config,
+        input_len,
+        horizon,
+        &mut seeded_rng(TRACE_SEED),
+    );
+    let mut rec = Recorder::new();
+    for (label, p) in teacher.named_params("teacher") {
+        rec.param(&label, &p, false);
+    }
+    let x = Tensor::zeros([input_len, num_vars]);
+    let y = Tensor::zeros([horizon, num_vars]);
+    rec.name("x", &x);
+    rec.name("y", &y);
+    let rows = config.ablation.use_clm.then(|| {
+        let gt = Tensor::zeros([num_vars, config.lm.dim]);
+        let hd = Tensor::zeros([num_vars, config.lm.dim]);
+        rec.name(CLM_GT_LABEL, &gt);
+        rec.name(CLM_HD_LABEL, &hd);
+        (gt, hd)
+    });
+    let loss = record(|| teacher_objective(&teacher, config, &x, &y, rows.as_ref()));
+    Ok(TeacherTrace {
+        loss: rec.replay(&[&loss])?.remove(0),
         ctx: rec.ctx().clone(),
     })
 }

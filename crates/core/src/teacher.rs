@@ -170,6 +170,11 @@ impl CrossModalityTeacher {
         &self.frozen_lm
     }
 
+    /// History length.
+    pub fn input_len(&self) -> usize {
+        self.input_len
+    }
+
     /// Forecast horizon.
     pub fn horizon(&self) -> usize {
         self.horizon

@@ -1,5 +1,15 @@
 //! TimeKD end-to-end: teacher + student + PKD, jointly optimised per
 //! Eq. 30 and Algorithms 1–2.
+//!
+//! Both training epochs replay compiled plans, one step per window: the
+//! teacher's warm-up step ([`PlannedTeacherTrainer`], Alg. 1) on each
+//! window's stored CLM rows, and the student's objective step
+//! ([`PlannedBatchTrainer`], Alg. 2) on the teacher's stored targets. Each
+//! trainer lives across epochs (it owns its AdamW moments) and follows the
+//! shared dynamic optimizer's LR schedule and step clock. The dynamic
+//! per-window loops stay as the bitwise oracles
+//! ([`TimeKd::train_teacher_epoch_dynamic`],
+//! [`TimeKd::train_student_epoch_dynamic`]).
 
 use std::rc::Rc;
 
@@ -11,7 +21,7 @@ use timekd_tensor::{seeded_rng, PlanOptimizer, Tensor};
 use crate::config::TimeKdConfig;
 use crate::distill::{reconstruction_objective, student_objective};
 use crate::forecaster::Forecaster;
-use crate::plan::{PlannedBatchTrainer, PlannedStudent};
+use crate::plan::{PlannedBatchTrainer, PlannedStudent, PlannedTeacherTrainer};
 use crate::student::Student;
 use crate::teacher::{render_prompts, CrossModalityTeacher, TeacherOutput};
 
@@ -44,10 +54,10 @@ pub fn trainer_adamw(config: &TimeKdConfig) -> AdamW {
     AdamW::new(config.lr, adamw_config())
 }
 
-/// The fused optimizer compiled into the student objective plan: the
-/// trainer's AdamW ([`trainer_adamw`]) at `config.lr`, so planned and
-/// dynamic student steps agree bit for bit.
-pub fn student_plan_optimizer(config: &TimeKdConfig) -> PlanOptimizer {
+/// The fused optimizer compiled into the student objective plan and the
+/// teacher plan: the trainer's AdamW ([`trainer_adamw`]) at `config.lr`,
+/// so planned and dynamic steps agree bit for bit.
+pub fn trainer_plan_optimizer(config: &TimeKdConfig) -> PlanOptimizer {
     let c = adamw_config();
     PlanOptimizer::AdamW {
         lr: config.lr,
@@ -97,7 +107,10 @@ pub struct TimeKd {
     /// The planned student trainer, built lazily on the first
     /// student epoch and reused for every following one (it owns the
     /// fused AdamW moment state, so it must survive across epochs).
-    planned: Option<PlannedBatchTrainer>,
+    planned_student: Option<PlannedBatchTrainer>,
+    /// The planned teacher trainer, kept across warm-up epochs for the
+    /// same reason.
+    planned_teacher: Option<PlannedTeacherTrainer>,
     /// One entry per position in the last epoch's window slice; empty
     /// while the frozen CLM's cache is off.
     store: Vec<Option<StoredWindow>>,
@@ -145,7 +158,8 @@ impl TimeKd {
             student,
             optimizer,
             warmup_done: false,
-            planned: None,
+            planned_student: None,
+            planned_teacher: None,
             store: Vec::new(),
         }
     }
@@ -200,27 +214,31 @@ impl TimeKd {
         }
     }
 
-    /// The teacher forward on window `i` of the epoch's slice, `w`, with
-    /// the frozen CLM's rows read from its store entry. A window seen for
-    /// the first time renders its prompts and runs the CLM; its entry is
-    /// kept while the store is on.
+    /// The frozen CLM's rows of window `i` of the epoch's slice, `w`,
+    /// read from its store entry. A window seen for the first time renders
+    /// its prompts and runs the CLM; its entry is kept while the store is
+    /// on.
+    fn clm_rows_at(&mut self, i: usize, w: &ForecastWindow) -> Option<(Tensor, Tensor)> {
+        if let Some(entry) = self.store.get(i).and_then(Option::as_ref) {
+            return entry.rows.clone();
+        }
+        let rows = self.teacher.clm_rows(&self.prompts_for(w));
+        if let Some(slot) = self.store.get_mut(i) {
+            *slot = Some(StoredWindow {
+                x: w.x.clone(),
+                y: w.y.clone(),
+                rows: rows.clone(),
+                targets: None,
+            });
+        }
+        rows
+    }
+
+    /// The teacher forward on window `i` of the epoch's slice, `w`, on
+    /// its CLM rows ([`clm_rows_at`](Self::clm_rows_at)).
     fn teacher_forward(&mut self, i: usize, w: &ForecastWindow) -> TeacherOutput {
         let _span = timekd_obs::span("teacher.forward");
-        let rows = match self.store.get(i).and_then(Option::as_ref) {
-            Some(entry) => entry.rows.clone(),
-            None => {
-                let rows = self.teacher.clm_rows(&self.prompts_for(w));
-                if let Some(slot) = self.store.get_mut(i) {
-                    *slot = Some(StoredWindow {
-                        x: w.x.clone(),
-                        y: w.y.clone(),
-                        rows: rows.clone(),
-                        targets: None,
-                    });
-                }
-                rows
-            }
-        };
+        let rows = self.clm_rows_at(i, w);
         self.teacher.forward_rows(&w.x, &w.y, rows.as_ref())
     }
 
@@ -240,10 +258,12 @@ impl TimeKd {
         targets
     }
 
-    /// Applies the configured LR schedule for the upcoming optimizer step.
-    fn apply_lr_schedule(&mut self) {
-        let factor = self.config.lr_schedule.factor(self.optimizer.steps());
-        self.optimizer.set_lr(self.config.lr * factor);
+    /// Applies the configured LR schedule for the upcoming optimizer step
+    /// and returns the rate, for a planned step to use too.
+    fn apply_lr_schedule(&mut self) -> f32 {
+        let lr = self.config.lr * self.config.lr_schedule.factor(self.optimizer.steps());
+        self.optimizer.set_lr(lr);
+        lr
     }
 
     /// All trainable parameters (teacher heads + student; CLM excluded).
@@ -280,9 +300,63 @@ impl TimeKd {
 
     /// **Algorithm 1**: one pass training the cross-modality teacher on
     /// the reconstruction objective (Eq. 16). Returns the mean `L_recon`.
+    ///
+    /// Each window's step — projection, SCA, `PTEncoder`, reconstruction
+    /// head, `λ_r · L_recon`, backward, clipping, fused AdamW — replays a
+    /// compiled training plan ([`PlannedTeacherTrainer`]) on the window's
+    /// stored CLM rows, bitwise identical to the dynamic per-window loop
+    /// ([`train_teacher_epoch_dynamic`](Self::train_teacher_epoch_dynamic)),
+    /// which stays as the equivalence oracle. A window seen for the first
+    /// time runs the CLM first, as the dynamic loop does.
     pub fn train_teacher_epoch(&mut self, windows: &[ForecastWindow]) -> f32 {
         let _span = timekd_obs::span("epoch.teacher");
         assert!(!windows.is_empty(), "no training windows");
+        self.sync_store(windows);
+        self.drop_stored_targets();
+        let mut trainer = match self.planned_teacher.take() {
+            // A checkpoint load may have replaced the teacher's values
+            // since the last epoch; the AdamW moments carry over.
+            Some(mut t) => {
+                t.read_params();
+                t
+            }
+            None => PlannedTeacherTrainer::new(
+                &self.teacher,
+                &self.config,
+                self.student.num_vars(),
+                trainer_plan_optimizer(&self.config),
+            )
+            .unwrap_or_else(|e| panic!("teacher training plan: {e}")),
+        };
+        let mut total = 0.0f32;
+        for (i, w) in windows.iter().enumerate() {
+            let rows = self.clm_rows_at(i, w);
+            let lr = self.apply_lr_schedule();
+            trainer.set_lr(lr);
+            trainer.set_step_count(self.optimizer.steps());
+            {
+                let _step = timekd_obs::span("plan.teacher_step");
+                total += trainer.run_step(&w.x, &w.y, rows.as_ref());
+            }
+            self.optimizer.note_external_step();
+            self.assert_frozen_lm_invariant();
+        }
+        trainer.write_back();
+        self.planned_teacher = Some(trainer);
+        total / windows.len() as f32
+    }
+
+    /// The dynamic per-window reference implementation of
+    /// [`train_teacher_epoch`](Self::train_teacher_epoch): one graph
+    /// build, backward, clip, and optimizer step per window, on the same
+    /// stored CLM rows. Kept as the equivalence oracle for the planned
+    /// path. Calling it drops any live planned teacher trainer (its AdamW
+    /// moments would go stale), so use one path per model instance when
+    /// comparing.
+    pub fn train_teacher_epoch_dynamic(&mut self, windows: &[ForecastWindow]) -> f32 {
+        let _span = timekd_obs::span("epoch.teacher");
+        assert!(!windows.is_empty(), "no training windows");
+        self.planned_teacher = None;
         self.sync_store(windows);
         self.drop_stored_targets();
         let params = self.teacher.params();
@@ -317,7 +391,7 @@ impl TimeKd {
         let _span = timekd_obs::span("epoch.student");
         assert!(!windows.is_empty(), "no training windows");
         self.sync_store(windows);
-        let mut trainer = match self.planned.take() {
+        let mut trainer = match self.planned_student.take() {
             // A checkpoint load may have replaced the student's values
             // since the last epoch; the AdamW moments carry over.
             Some(mut t) => {
@@ -327,7 +401,7 @@ impl TimeKd {
             None => PlannedBatchTrainer::new(
                 &self.student,
                 &self.config,
-                student_plan_optimizer(&self.config),
+                trainer_plan_optimizer(&self.config),
                 1,
             )
             .unwrap_or_else(|e| panic!("student training plan: {e}")),
@@ -347,8 +421,7 @@ impl TimeKd {
                 let _stage = timekd_obs::span("pkd.stage");
                 trainer.stage_teacher(0, &attention, &embedding);
             }
-            let lr = self.config.lr * self.config.lr_schedule.factor(self.optimizer.steps());
-            self.optimizer.set_lr(lr);
+            let lr = self.apply_lr_schedule();
             trainer.set_lr(lr);
             trainer.set_step_count(self.optimizer.steps());
             {
@@ -363,7 +436,7 @@ impl TimeKd {
             agg.forecast += trainer.forecast_loss();
         }
         trainer.write_back();
-        self.planned = Some(trainer);
+        self.planned_student = Some(trainer);
         let k = windows.len() as f32;
         agg.total /= k;
         agg.correlation /= k;
@@ -382,7 +455,7 @@ impl TimeKd {
     pub fn train_student_epoch_dynamic(&mut self, windows: &[ForecastWindow]) -> EpochStats {
         let _span = timekd_obs::span("epoch.student");
         assert!(!windows.is_empty(), "no training windows");
-        self.planned = None;
+        self.planned_student = None;
         let params = self.student.params();
         let mut agg = EpochStats {
             total: 0.0,
@@ -769,6 +842,60 @@ mod tests {
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.to_vec().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn teacher_param_bits(model: &TimeKd) -> Vec<Vec<u32>> {
+        model.teacher.params().iter().map(bits).collect()
+    }
+
+    #[test]
+    fn planned_teacher_epoch_is_bitwise_identical_to_dynamic() {
+        // The planned warm-up epoch must reproduce the dynamic per-window
+        // loop bit for bit — every epoch's mean loss and every teacher
+        // parameter — on every teacher arm, and with the CLM cache off
+        // (nothing stored, rows recomputed each epoch). The tight clip
+        // rescales every step, and the warm-up cosine schedule moves the
+        // learning rate from step to step.
+        use crate::config::AblationConfig;
+        let arms = [
+            (AblationConfig::full(), true),
+            (AblationConfig::without_privileged_info(), true),
+            (AblationConfig::without_calibrated_attention(), true),
+            (AblationConfig::without_clm(), true),
+            (AblationConfig::without_sca(), true),
+            (AblationConfig::full(), false),
+        ];
+        for (ablation, caching) in arms {
+            let mut cfg = tiny_config();
+            cfg.ablation = ablation;
+            cfg.grad_clip = 0.05;
+            cfg.lr_schedule = timekd_nn::LrSchedule::WarmupCosine {
+                warmup: 3,
+                total: 12,
+                min_factor: 0.1,
+            };
+            let run = |planned: bool| {
+                let (mut model, ds) = model_with(cfg, 24, 8);
+                model.teacher().frozen_lm().set_caching(caching);
+                let windows = &ds.windows(Split::Train, 16)[..5];
+                let losses: Vec<u32> = (0..3)
+                    .map(|_| {
+                        let loss = if planned {
+                            model.train_teacher_epoch(windows)
+                        } else {
+                            model.train_teacher_epoch_dynamic(windows)
+                        };
+                        loss.to_bits()
+                    })
+                    .collect();
+                (losses, teacher_param_bits(&model))
+            };
+            let arm = format!("{} caching={caching}", ablation.label());
+            let (dyn_losses, dyn_params) = run(false);
+            let (losses, params) = run(true);
+            assert_eq!(losses, dyn_losses, "epoch losses diverge ({arm})");
+            assert!(params == dyn_params, "teacher params diverge ({arm})");
+        }
     }
 
     /// The bits of the teacher targets stored for position `i`, if any.

@@ -577,6 +577,39 @@ pub(crate) fn slice_block(x: &[f32], out: &mut [f32], ax: AxisSplit, start: usiz
     }
 }
 
+/// Softmax over rows of `c` elements: each row shifted by its max, the
+/// pinned [`simd::exp`] of the shifted row (staged in `out`), its
+/// ascending sum, then every element scaled by the sum's reciprocal.
+pub(crate) fn softmax_block(x: &[f32], out: &mut [f32], c: usize) {
+    for (row, out_row) in x.chunks_exact(c).zip(out.chunks_exact_mut(c)) {
+        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        map_lanes([row], out_row, |[x]| simd::exp(x - m));
+        let mut denom = 0.0f32;
+        for &e in out_row.iter() {
+            denom += e;
+        }
+        let inv = 1.0 / denom;
+        for o in out_row {
+            *o *= inv;
+        }
+    }
+}
+
+/// The adjoint of [`softmax_block`] from its output `y`:
+/// `gx = y ⊙ (g − ⟨g, y⟩)` per row, the dot product an ascending sum.
+pub(crate) fn softmax_bwd_block(y: &[f32], g: &[f32], gx: &mut [f32], c: usize) {
+    for ((y_row, g_row), gx_row) in y
+        .chunks_exact(c)
+        .zip(g.chunks_exact(c))
+        .zip(gx.chunks_exact_mut(c))
+    {
+        let dot: f32 = y_row.iter().zip(g_row).map(|(a, b)| a * b).sum();
+        for ((o, &yi), &gi) in gx_row.iter_mut().zip(y_row).zip(g_row) {
+            *o = yi * (gi - dot);
+        }
+    }
+}
+
 /// Log-softmax over rows of `c` elements: each row shifted by its max,
 /// the pinned [`simd::exp`] of the shifted row (staged in `out`), its
 /// ascending sum, `lse = max + ln(sum)`, then `out = x − lse`.

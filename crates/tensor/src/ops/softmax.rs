@@ -1,10 +1,11 @@
 //! Numerically stable softmax and log-softmax along the last axis. The
-//! exponentials are the pinned [`simd::exp`]; the log-sum-exp's `ln` is
+//! exponentials are the pinned [`crate::simd::exp`]; the log-sum-exp's `ln` is
 //! libm's.
 
-use crate::ops::kernels::{log_softmax_block, log_softmax_bwd_block};
+use crate::ops::kernels::{
+    log_softmax_block, log_softmax_bwd_block, softmax_block, softmax_bwd_block,
+};
 use crate::shape::Shape;
-use crate::simd::{self, map_lanes};
 use crate::tensor::Tensor;
 
 impl Tensor {
@@ -17,25 +18,9 @@ impl Tensor {
         let rank = self.shape().rank();
         assert!(rank >= 1, "softmax on a scalar");
         let c = self.dims()[rank - 1];
-        let rows = self.num_elements() / c;
-        let data = self.data();
-        let mut out = vec![0.0f32; data.len()];
-        for r in 0..rows {
-            let row = &data[r * c..(r + 1) * c];
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let out_row = &mut out[r * c..(r + 1) * c];
-            map_lanes([row], out_row, |[x]| simd::exp(x - m));
-            let mut denom = 0.0f32;
-            for &e in out_row.iter() {
-                denom += e;
-            }
-            let inv = 1.0 / denom;
-            for o in out_row {
-                *o *= inv;
-            }
-        }
-        drop(data);
-        let saved = out.clone();
+        let mut out = vec![0.0f32; self.num_elements()];
+        softmax_block(&self.data(), &mut out, c);
+        let saved = Tensor::tracks(std::slice::from_ref(self)).then(|| out.clone());
         Tensor::from_op(
             "softmax_last",
             out,
@@ -43,19 +28,11 @@ impl Tensor {
             vec![self.clone()],
             Box::new(move |grad, parents| {
                 let x = &parents[0];
-                if !x.requires_grad() {
-                    return;
-                }
-                // dL/dx = y ⊙ (g − ⟨g, y⟩) per row.
+                let Some(y) = &saved else {
+                    unreachable!("tracked softmax_last saves its output")
+                };
                 let mut gx = vec![0.0f32; grad.len()];
-                for r in 0..rows {
-                    let y = &saved[r * c..(r + 1) * c];
-                    let g = &grad[r * c..(r + 1) * c];
-                    let dot: f32 = y.iter().zip(g).map(|(a, b)| a * b).sum();
-                    for ((o, &yi), &gi) in gx[r * c..(r + 1) * c].iter_mut().zip(y).zip(g) {
-                        *o = yi * (gi - dot);
-                    }
-                }
+                softmax_bwd_block(y, grad, &mut gx, c);
                 x.accumulate_grad(&gx);
             }),
         )

@@ -44,9 +44,10 @@
 //! kernels skip the forbidden keys exactly as the dynamic op does. The
 //! masked attention *map* has no lowering.
 //!
-//! `concat` lowers to [`PlanOp::Concat`], a forward-only copy (a cached
-//! key/value prefix joined to a continuation's own rows); training plans
-//! reject it.
+//! `concat` lowers to [`PlanOp::Concat`], a copy with no adjoint (a cached
+//! key/value prefix joined to a continuation's own rows, or the `w/o_CLM`
+//! teacher's history and future values); training plans accept it only
+//! when no operand takes a gradient.
 //!
 //! ## Training plans
 //!
@@ -66,8 +67,8 @@ use std::fmt;
 use crate::ops::attention::{attn_fwd_lanes_len, attn_fwd_row_block, live_keys, KeyMask};
 use crate::ops::kernels::{
     binary_block, broadcast_walk, gather_last_block, gather_rows_block, log_softmax_block,
-    permute_block, permute_walk, slice_block, sum_axis_block, unary_block, AxisSplit, BinKind,
-    RowWalk, UnKind,
+    permute_block, permute_walk, slice_block, softmax_block, sum_axis_block, unary_block,
+    AxisSplit, BinKind, RowWalk, UnKind,
 };
 use crate::ops::matmul::mm_row_block;
 use crate::plan_train::{BwdStep, PlanOptimizer, UpdateStep};
@@ -215,6 +216,8 @@ pub enum PlanOp {
         /// Kept length.
         len: usize,
     },
+    /// Softmax over the last axis.
+    SoftmaxLast,
     /// Log-softmax over the last axis.
     LogSoftmaxLast,
     /// One element per row along the last axis, picked by a runtime id
@@ -234,8 +237,9 @@ pub enum PlanOp {
         /// Per-head dim.
         dh: usize,
     },
-    /// Every operand, in order, joined along `axis` (a pure copy).
-    /// Forward only: [`Plan::compile_training`] rejects it.
+    /// Every operand, in order, joined along `axis` (a pure copy). It has
+    /// no adjoint: [`Plan::compile_training`] rejects it when an operand
+    /// takes a gradient.
     Concat {
         /// Joined axis.
         axis: usize,
@@ -934,6 +938,7 @@ fn lower_op(node: &SymbolicTensor) -> Result<PlanOp, PlanError> {
             SymAttr::Slice { axis, start, len } => PlanOp::Slice { axis, start, len },
             _ => return Err(unsupported()),
         },
+        "softmax_last" => PlanOp::SoftmaxLast,
         "log_softmax_last" => PlanOp::LogSoftmaxLast,
         "gather_last" => PlanOp::GatherLast,
         "concat" => match *node.attr() {
@@ -1219,6 +1224,9 @@ enum ExecOp {
         start: usize,
         len: usize,
     },
+    Softmax {
+        c: usize,
+    },
     LogSoftmax {
         c: usize,
     },
@@ -1462,6 +1470,9 @@ impl PlanExecutor {
                     split: AxisSplit::new(in_dims(0), *axis),
                     start: *start,
                     len: *len,
+                },
+                (PlanOp::SoftmaxLast, ..) => ExecOp::Softmax {
+                    c: out_v.dims.last().copied().unwrap_or(1),
                 },
                 (PlanOp::LogSoftmaxLast, ..) => ExecOp::LogSoftmax {
                     c: out_v.dims.last().copied().unwrap_or(1),
@@ -1731,6 +1742,7 @@ impl PlanExecutor {
                 ExecOp::Slice { split, start, len } => {
                     slice_block(src(0), out, *split, *start, *len)
                 }
+                ExecOp::Softmax { c } => softmax_block(src(0), out, *c),
                 ExecOp::LogSoftmax { c } => log_softmax_block(src(0), out, *c),
                 ExecOp::GatherLast { c } => gather_last_block(src(0), src(1), *c, out),
                 ExecOp::Concat { outer, parts } => {
@@ -1828,10 +1840,10 @@ mod tests {
     fn unsupported_op_is_rejected() {
         let x = Tensor::zeros([4, 3]);
         let w = Tensor::param(vec![0.5; 3], [3]);
-        let root = replay_labelled(&[("x", &x), ("head.w", &w)], || x.add(&w).softmax_last());
+        let root = replay_labelled(&[("x", &x), ("head.w", &w)], || x.add(&w).sigmoid());
         let err = Plan::compile(&root, &spec()).unwrap_err();
         assert!(
-            err.message.contains("`softmax_last` at `head`"),
+            err.message.contains("`sigmoid` at `head`"),
             "the error names the op and its component: {}",
             err.message
         );

@@ -35,8 +35,8 @@ use std::collections::{HashMap, HashSet};
 use crate::ops::attention::{attn_bwd_block, attn_bwd_lanes_len, AttnBwdScratch};
 use crate::ops::kernels::{
     binary_bwd_block, broadcast_walk, gather_last_bwd_block, gather_rows_bwd_block, inverse_perm,
-    log_softmax_bwd_block, permute_block, permute_walk, sum_axis_bwd_block, unary_bwd_block,
-    AxisSplit, BinKind, RowWalk, UnKind,
+    log_softmax_bwd_block, permute_block, permute_walk, softmax_bwd_block, sum_axis_bwd_block,
+    unary_bwd_block, AxisSplit, BinKind, RowWalk, UnKind,
 };
 use crate::ops::matmul::{
     mm_nt_row_block, mm_row_block, nt_panels_len, pack_nt_operand, pack_transpose_into,
@@ -204,7 +204,12 @@ impl Plan {
         let lowering = lower_forward(root, spec, Some(&train.target_label))?;
         let mut values = lowering.values;
         let steps = lowering.steps;
-        if let Some(step) = steps.iter().find(|s| matches!(s.op, PlanOp::Concat { .. })) {
+        // A `concat` has no adjoint, so it may only join operands that
+        // take no gradient (a constant window of the input and target).
+        if let Some(step) = steps.iter().find(|s| {
+            matches!(s.op, PlanOp::Concat { .. })
+                && s.inputs.iter().any(|&v| values[v].requires_grad)
+        }) {
             return Err(PlanError::new(format!(
                 "`concat` at `{}` is forward-only: training plans do not lower it",
                 values[step.output].label
@@ -305,8 +310,9 @@ impl Plan {
                 // scatters to.
                 (PlanOp::IndexSelectRows | PlanOp::GatherLast, ..) => (vec![inputs[1]], &[0]),
                 (PlanOp::Slice { .. }, ..) => (Vec::new(), &[0]),
-                // The probabilities are recomputed from the saved output.
-                (PlanOp::LogSoftmaxLast, ..) => (vec![out_vid], &[0]),
+                // Both adjoints read the saved output (log-softmax
+                // recomputes the probabilities from it).
+                (PlanOp::SoftmaxLast | PlanOp::LogSoftmaxLast, ..) => (vec![out_vid], &[0]),
                 _ => {
                     return Err(PlanError::new(format!(
                         "op `{}` has no adjoint lowering",
@@ -624,6 +630,9 @@ enum BwdExecOp {
         d: usize,
         table_len: usize,
     },
+    Softmax {
+        c: usize,
+    },
     LogSoftmax {
         c: usize,
     },
@@ -875,14 +884,15 @@ impl TrainExecutor {
                             },
                             vec![(0, in_len(0))],
                         ),
-                        (PlanOp::LogSoftmaxLast, ..) => {
+                        (PlanOp::SoftmaxLast | PlanOp::LogSoftmaxLast, ..) => {
                             srcs[1] = loc(fstep.output)?;
-                            (
-                                BwdExecOp::LogSoftmax {
-                                    c: out_dims.last().copied().unwrap_or(1),
-                                },
-                                vec![(0, in_len(0))],
-                            )
+                            let c = out_dims.last().copied().unwrap_or(1);
+                            let op = if fstep.op == PlanOp::SoftmaxLast {
+                                BwdExecOp::Softmax { c }
+                            } else {
+                                BwdExecOp::LogSoftmax { c }
+                            };
+                            (op, vec![(0, in_len(0))])
                         }
                         // The window's rows are copied compact into scratch
                         // and padded as they land (`SliceWindow::apply`).
@@ -1279,6 +1289,10 @@ impl TrainExecutor {
                     BwdExecOp::GatherRows { d, table_len } => {
                         let ids = resolve(step.srcs[1], arena_r, params, input, target, aux);
                         gather_rows_bwd_block(ids, *d, g, &mut scratch[..*table_len]);
+                    }
+                    BwdExecOp::Softmax { c } => {
+                        let y = resolve(step.srcs[1], arena_r, params, input, target, aux);
+                        softmax_bwd_block(y, g, &mut scratch[..y.len()], *c);
                     }
                     BwdExecOp::LogSoftmax { c } => {
                         let y = resolve(step.srcs[1], arena_r, params, input, target, aux);
@@ -1822,8 +1836,9 @@ mod tests {
     /// A small causal-LM-shaped loss over the runtime-operand ops: a row
     /// gather by input ids plus a sliced positional table, masked
     /// attention, a tied head whose shifted logits feed a cross-entropy
-    /// over aux targets, and two slices of one hidden state (last row and
-    /// a column window), so slice adjoints land both first and added.
+    /// over aux targets, two slices of one hidden state (last row and a
+    /// column window), so slice adjoints land both first and added, and a
+    /// standalone softmax mixing the embedded rows.
     fn lm_ops_loss(table: &Tensor, pos: &Tensor, w: &Tensor, feeds: [&Tensor; 4]) -> Tensor {
         let [ids, mask, next, y] = feeds;
         let s = ids.num_elements();
@@ -1838,7 +1853,14 @@ mod tests {
             .cross_entropy(next);
         let value = h.slice(0, s - 1, 1).sub(y).square().mean();
         let window = h.slice(1, 1, 3).square().mean();
-        lm.add(&value.mul_scalar(3.0)).add(&window)
+        // A standalone softmax over a `[S, S]` similarity, as SCA's `M_c`.
+        let mixed = h
+            .matmul(&x.transpose_last())
+            .softmax_last()
+            .matmul(&x)
+            .square()
+            .mean();
+        lm.add(&value.mul_scalar(3.0)).add(&window).add(&mixed)
     }
 
     #[test]
@@ -1965,6 +1987,63 @@ mod tests {
                 "{label}"
             );
         }
+    }
+
+    #[test]
+    fn concat_of_untracked_operands_trains_and_a_tracked_one_is_refused() {
+        // loss = sum(smooth_l1(concat(xᵀ, yᵀ)·w, 0)): the joined operands
+        // are the input and the target, which take no gradient, so the
+        // concat lowers and the step matches the dynamic one bit for bit.
+        let (n, h, m) = (3, 4, 2);
+        let join = |x: &Tensor, y: &Tensor, w: &Tensor| {
+            let joint = Tensor::concat(&[x.transpose_last(), y.transpose_last()], 1);
+            joint.matmul(w).square().sum()
+        };
+        let w0: Vec<f32> = (0..(h + m) * 2).map(|i| 0.1 * i as f32 - 0.4).collect();
+        let x = Tensor::zeros([h, n]);
+        let y = Tensor::zeros([m, n]);
+        let w = Tensor::param(w0.clone(), [h + m, 2]);
+        let root = replay_labelled(&[("x", &x), ("y", &y), ("proj.w", &w)], || join(&x, &y, &w));
+        let plan = Plan::compile_training(&root, &spec(), &TrainSpec::new("y", adamw()))
+            .expect("a concat of constants lowers");
+        assert!(plan
+            .steps()
+            .iter()
+            .any(|s| matches!(s.op, PlanOp::Concat { .. })));
+        let mut exec =
+            TrainExecutor::new(&plan, |label, _| (label == "proj.w").then(|| w0.clone())).unwrap();
+        let w = Tensor::param(w0.clone(), [h + m, 2]);
+        let mut opt = dyn_adamw();
+        let mut rng = seeded_rng(0xC0CA7);
+        for step in 0..3 {
+            let xv = Tensor::randn([h, n], 1.0, &mut rng);
+            let yv = Tensor::randn([m, n], 1.0, &mut rng);
+            w.zero_grad();
+            let loss = join(&xv, &yv, &w);
+            let want = loss.item();
+            loss.backward();
+            opt.step(std::slice::from_ref(&w));
+            let got = exec.run_train_step(&xv.to_vec(), &yv.to_vec());
+            assert_eq!(got.to_bits(), want.to_bits(), "step {step}: loss");
+        }
+        assert_eq!(bits(exec.param_data(0)), bits(&w.to_vec()), "proj.w");
+
+        // A parameter among the operands needs the missing adjoint.
+        let x = Tensor::zeros([2, 2]);
+        let y = Tensor::zeros([2 + h + m, 2]);
+        let root = replay_labelled(&[("x", &x), ("y", &y), ("proj.w", &w)], || {
+            Tensor::concat(&[x.clone(), w.clone()], 0)
+                .sub(&y)
+                .square()
+                .sum()
+        });
+        let err = Plan::compile_training(&root, &spec(), &TrainSpec::new("y", adamw()))
+            .expect_err("a tracked operand is refused");
+        assert!(
+            err.message.contains("`concat` at `proj` is forward-only"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ cargo run -q -p timekd-check -- --verify
 echo "==> timekd-check --graph (dynamic graph audits + frozen-LM invariant)"
 cargo run -q -p timekd-check -- --graph
 
-echo "==> timekd-check --plan (forward: liveness, arena, graph diff; training proofs on the objective plan the trainer runs (PKD + forecast, clip, AdamW): adjoint completeness, reverse schedule, saved-activation liveness, bitwise plan-vs-dynamic updates — all configs)"
+echo "==> timekd-check --plan (forward: liveness, arena, graph diff; training proofs on the objective plan (PKD + forecast, clip, AdamW) and the teacher warm-up plan (reconstruction, clip, AdamW) the trainer runs: adjoint completeness, reverse schedule, saved-activation liveness, bitwise plan-vs-dynamic updates — all configs)"
 cargo run -q -p timekd-check -- --plan --strict
 
 echo "==> release build"
@@ -37,12 +37,14 @@ echo "==> sanitizer (timekd-tensor's opt-in \`sanitize\` feature)"
 # The feature is off in every other step, so compile and test it here.
 cargo test -q -p timekd-tensor --features sanitize --lib sanitize
 
-echo "==> bitwise gates (planned vs dynamic predict and objective, stored teacher targets vs a fresh teacher forward, store rebuilds and no-cache arm, planned vs dynamic epochs across a checkpoint load, zero-alloc replay, key skipping and eight-row attention groups, a group reading no key past its live count, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh, AdamW and row-group dot lane kernels, libm lint, recorded plans, recorder replay)"
+echo "==> bitwise gates (planned vs dynamic predict, objective and teacher warm-up epochs on every teacher arm, a training concat of constant operands, stored teacher targets vs a fresh teacher forward, store rebuilds and no-cache arm, planned vs dynamic epochs across a checkpoint load, zero-alloc replay and training steps, key skipping and eight-row attention groups, a group reading no key past its live count, pruned CLM forward, prompt-family CLM forward dynamic and compiled, family vs sequential frozen-LM cache, one family-plan compile per key, planned vs dynamic CLM pretraining and its trace, lane-class NT kernel, binary adjoint arms, pinned exp/tanh, AdamW and row-group dot lane kernels, libm lint, recorded plans, recorder replay)"
 # Re-run the bitwise gates by name so a filtered or flaky-skipped workspace
 # run can never silently drop them: the planned forecast and the planned
 # objective over several steps must reproduce the dynamic engine bit for
-# bit, as must the planned epoch the dynamic per-window loop (on the tiny
-# and the default student dims). The teacher targets
+# bit, as must the planned student epoch the dynamic per-window loop (on
+# the tiny and the default student dims) and the planned teacher warm-up
+# epoch its dynamic loop (every teacher arm, clipping on, a warm-up cosine
+# schedule, CLM cache on and off). The teacher targets
 # a model stores per training window must equal a fresh teacher forward
 # bit for bit; a moved or changed window rebuilds its entry, and with the
 # CLM cache off nothing is stored. Planned and dynamic epochs around a
@@ -50,6 +52,7 @@ echo "==> bitwise gates (planned vs dynamic predict and objective, stored teache
 cargo test -q -p timekd -- --exact \
   plan::tests::planned_predict_is_bitwise_identical_to_dynamic \
   trainer::tests::planned_student_epoch_is_bitwise_identical_to_dynamic \
+  trainer::tests::planned_teacher_epoch_is_bitwise_identical_to_dynamic \
   trainer::tests::stored_targets_equal_a_fresh_teacher_forward \
   trainer::tests::a_moved_or_changed_window_rebuilds_its_entry \
   trainer::tests::nothing_is_stored_while_the_clm_cache_is_off \
@@ -87,11 +90,13 @@ cargo test -q --test golden_trace -- --exact \
 # parameter bit over several steps (every LM size, calibration on and
 # off), and the trace shows one planned step replay per step, one compile
 # and no dynamic backward. The plan's new ops (row gathers, slices with
-# both first and added window writes, log-softmax, masked attention) and
-# their adjoints match the dynamic graph bit for bit. The family plan's
-# forward-only ops match too: `concat` (refused by training plans) and
-# masks read as row windows of a fed mask; a compile error names an
-# unlabelled value by id, dims and op.
+# both first and added window writes, log-softmax, masked attention and
+# a standalone softmax) and their adjoints match the dynamic graph bit for
+# bit. The family plan's forward-only ops match too: `concat` and masks
+# read as row windows of a fed mask; a compile error names an unlabelled
+# value by id, dims and op. A training plan runs a `concat` of operands
+# that take no gradient (the `w/o_CLM` teacher's windows) like the dynamic
+# step, and refuses one with a tracked operand.
 cargo test -q -p timekd-lm --lib -- --exact \
   pretrain::tests::shared_forward_losses_match_separate_forwards_bitwise \
   pretrain::tests::planned_pretraining_matches_dynamic_steps_bitwise \
@@ -102,6 +107,7 @@ cargo test -q -p timekd-tensor --lib -- --exact \
   plan_train::tests::planned_runtime_operand_ops_train_bitwise_dynamic \
   plan::tests::masked_attention_runs_with_its_mask_fed_at_run_time \
   plan::tests::concat_runs_as_a_copy_and_training_plans_reject_it \
+  plan_train::tests::concat_of_untracked_operands_trains_and_a_tracked_one_is_refused \
   plan::tests::row_sliced_masks_read_their_rows_of_the_fed_mask \
   plan::tests::unclassified_leaf_is_rejected
 # The pinned transcendentals: exp and tanh within 2 ULP of an f64
@@ -138,9 +144,12 @@ cargo test -q -p timekd-check --test trip -- --exact \
 # Plans are lowered from a recording of the real modules: every plan the
 # `--plan` matrix covers must match the committed fingerprint fixture, and
 # every replayed op must copy the recorded node's op, dims, payload and
-# grad flag.
+# grad flag. Every teacher arm's warm-up plan passes every `--plan` pass,
+# and its divergence pass catches a plan that freezes a teacher parameter.
 cargo test -q -p timekd-check --lib -- --exact \
-  plan::tests::plan_fingerprints_match_the_committed_fixture
+  plan::tests::plan_fingerprints_match_the_committed_fixture \
+  plan::tests::clean_teacher_plans_pass_every_pass_and_divergence \
+  plan::tests::teacher_divergence_pass_catches_a_frozen_teacher_param
 cargo test -q -p timekd-tensor --lib -- --exact \
   recorder::tests::every_replayed_op_copies_the_recorded_node
 
